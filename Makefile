@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-thread test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble tune examples artifacts clean
+.PHONY: install test test-thread test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick tune examples artifacts clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -97,6 +97,17 @@ bench-ensemble:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_ensemble.py \
 		--grid 16 --grid 32 --grid 64 --grid 128 \
 		--batch 1 --batch 2 --batch 4 --batch 8 --batch 16
+
+# End-to-end + per-layer benchmark (BENCHMARK.json's command; see
+# benchmarks/e2e/README.md): the whole suite (~3.5 min) writes
+# benchmarks/e2e/results/latest.json; the quick form is a < 60 s smoke
+# run that exits non-zero on a failed operation, a failing oracle or a
+# metric-name drift against BENCHMARK.json.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+bench-e2e-quick:
+	python3 benchmarks/e2e/run.py --quick
 
 # Autotune the quickstart example case on this host and cache the
 # winning kernel-variant plan (see docs/tuning.md).

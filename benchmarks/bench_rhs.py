@@ -113,7 +113,8 @@ def time_grind(n: int, threads: int, *, use_workspace: bool = True,
         if sim.tuner is not None:
             out["tuning_timing_runs"] = sim.tuner.timing_runs
     if sim.threads > 1:
-        out["tiles"] = sim.rhs._tiles
+        out["tiles"] = [p["tiles"]
+                        for p in sim.rhs.tile_plan()["directions"]]
     return out
 
 

@@ -22,16 +22,19 @@ analog, structured like a small transformation-script compiler
     CI-required path) or the optional ``numexpr``/``numba`` paths.
 
 All fused kernels are bit-for-bit identical to the reference RHS; the
-fusion knob (``FUSION_MODES``, re-exported here from
-:mod:`repro.solver.sweep`) is a tuner axis like the sweep layout.
+fusion knob (``FUSION_MODES``) is a tuner axis like the sweep layout.
+Nothing here imports the :mod:`repro.solver` drivers: the sweep engine
+(:mod:`repro.solver.sweep`) imports this package, never the reverse.
 """
 
 from repro.acc.fusion.backends import (
     BACKEND_ENV_VAR,
     FUSION_BACKENDS,
+    FUSION_MODES,
     available_backends,
     backend_available,
     select_backend,
+    validate_fusion,
 )
 from repro.acc.fusion.cache import KERNEL_CACHE, FusedKernelCache, fused_kernel
 from repro.acc.fusion.codegen import (
@@ -52,7 +55,6 @@ from repro.acc.fusion.graph import (
     plan_fusion,
     sweep_stage_graph,
 )
-from repro.solver.sweep import FUSION_MODES, validate_fusion
 
 __all__ = [
     "BACKEND_ENV_VAR",

@@ -33,6 +33,12 @@ import os
 
 from repro.common import ConfigurationError
 
+#: Valid values of the kernel-fusion knob.  ``"off"`` keeps the
+#: stage-at-a-time pipeline, ``"on"`` requires the fused per-tile
+#: kernels (workspace mandatory), ``"auto"`` enables them whenever the
+#: workspace path is active.
+FUSION_MODES = ("auto", "off", "on")
+
 #: Recognised backend names, preference order for ``"auto"`` resolution.
 FUSION_BACKENDS = ("numpy", "numexpr", "numba")
 
@@ -40,6 +46,14 @@ FUSION_BACKENDS = ("numpy", "numexpr", "numba")
 BACKEND_ENV_VAR = "REPRO_FUSION_BACKEND"
 
 _OPTIONAL_MODULES = {"numexpr": "numexpr", "numba": "numba"}
+
+
+def validate_fusion(mode: str) -> str:
+    """Validate and return a kernel-fusion knob value."""
+    if mode not in FUSION_MODES:
+        raise ConfigurationError(
+            f"fusion must be one of {FUSION_MODES}, got {mode!r}")
+    return mode
 
 
 def backend_available(name: str) -> bool:

@@ -27,13 +27,18 @@ import numpy as np
 from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import HaloExchanger
-from repro.cluster.ranksolver import RankSolver, rk_stages
+from repro.cluster.ranksolver import RankSolver
 from repro.common import ConfigurationError
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.profiling.counters import SweepCounters
 from repro.solver.rhs import RHSConfig
 from repro.state.layout import StateLayout
+from repro.timestepping.ssp_rk import (
+    rk_stages,
+    shu_osher_combine,
+    stage_buffer,
+)
 from repro.weno import halo_width
 
 
@@ -86,16 +91,18 @@ class DistributedSolver:
         """One SSP-RK step of every rank's block (bulk-synchronous).
 
         Returns each rank's ``rk_result`` workspace buffer; the stage
-        combinations replicate :func:`~repro.timestepping.ssp_rk.
-        ssp_rk_step`'s exact ufunc grouping, so a decomposed step is
-        bitwise the serial one.
+        combinations are :func:`~repro.timestepping.ssp_rk.
+        shu_osher_combine`, the same call the serial stepper makes, so
+        a decomposed step is bitwise the serial one.
         """
         stages = rk_stages(rk_order)
         q_n = blocks
         q_k = blocks
-        for k, coeffs in enumerate(stages):
+        for k, (a, b, c) in enumerate(stages):
             rhs = self.rhs_blocks(q_k)
-            q_k = [rank.rk_stage_combine(k, len(stages), coeffs, dt, qn, qk, L)
+            q_k = [shu_osher_combine(qn, qk, L,
+                                     stage_buffer(rank.ws, k, len(stages)),
+                                     rank.ws.rk_tmp, a, b, c * dt)
                    for rank, qn, qk, L in zip(self.ranks, q_n, q_k, rhs)]
         return q_k
 

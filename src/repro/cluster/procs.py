@@ -84,7 +84,7 @@ import numpy as np
 from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import boundary_strip, ghost_strip, validate_periodicity
-from repro.cluster.ranksolver import RankSolver, rk_stages
+from repro.cluster.ranksolver import RankSolver
 from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
@@ -93,6 +93,11 @@ from repro.profiling.counters import HaloCounters, SweepCounters
 from repro.solver.rhs import RHSConfig
 from repro.state.conversions import cons_to_prim
 from repro.state.layout import StateLayout
+from repro.timestepping.ssp_rk import (
+    rk_stages,
+    shu_osher_combine,
+    stage_buffer,
+)
 from repro.weno import halo_width
 
 #: Exit code a worker uses to simulate a hardware fault (vs. 1 for a
@@ -484,14 +489,14 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
                 # max only once stage one's RHS — which does not depend
                 # on dt — is done, so the other ranks' contributions
                 # arrive while this rank computes.  dt is first consumed
-                # by rk_stage_combine, after the deferred finish; the
+                # by the stage combination, after the deferred finish; the
                 # reduction order and values are unchanged, so the
                 # overlapped dt is bitwise identical to the blocking one.
                 transport.reduce_max_begin(rs.wave_rate(prim0))
                 dt = None
             q_n = q
             q_k = q
-            for k, coeffs in enumerate(stages):
+            for k, (a, b, c) in enumerate(stages):
                 prim = rs.rhs_begin(q_k, prim=prim0 if k == 0 else None)
                 L = rs.rhs_finish(prim)
                 if dt is None:
@@ -502,8 +507,9 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
                     dt = opts["cfl"] / rate
                     if dt_limit is not None and dt > dt_limit:
                         dt = dt_limit
-                q_k = rs.rk_stage_combine(k, len(stages), coeffs, dt,
-                                          q_n, q_k, L)
+                q_k = shu_osher_combine(
+                    q_n, q_k, L, stage_buffer(rs.ws, k, len(stages)),
+                    rs.ws.rk_tmp, a, b, c * dt)
             q[...] = q_k
             sim_time += dt
             step_count += 1

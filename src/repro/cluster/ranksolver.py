@@ -1,11 +1,12 @@
 """One rank's solver over its block of the decomposition (paper §III-A).
 
-A :class:`RankSolver` runs exactly the serial workspace RHS pipeline —
-``cons_to_prim`` → pad → WENO → positivity limit → Riemann → divergence
-accumulate — on one rank's local block, with ghost values at interior
-faces supplied by a halo *transport* instead of physical BCs.  It owns a
-full :class:`~repro.solver.workspace.SolverWorkspace` sized for the
-block, so a steady-state RHS evaluation performs no new large-array
+A :class:`RankSolver` runs the serial workspace RHS pipeline on one
+rank's local block: the same :class:`~repro.solver.sweep.SweepEngine`
+slab body the serial :class:`~repro.solver.rhs.RHS` runs, given a
+ghost-fill hook (wall BCs + a halo *transport*) in place of the physical
+boundary fill and a face-span split in place of whole-range faces.  It
+owns a full :class:`~repro.solver.workspace.SolverWorkspace` sized for
+the block, so a steady-state RHS evaluation performs no new large-array
 allocations (the distributed analog of the serial ``out=`` paths).
 
 The transport is duck-typed with two methods:
@@ -36,32 +37,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bc.boundary import BoundarySet, pad_axis
+from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import fill_wall_ghosts
-from repro.common import DTYPE, ConfigurationError
+from repro.common import ConfigurationError
 from repro.eos.mixture import Mixture
-from repro.fields.transpose import sweep_perm, untranspose_loop
 from repro.grid.cartesian import StructuredGrid
 from repro.profiling.counters import SweepCounters
-from repro.riemann import resolve_riemann_flux
-from repro.solver.positivity import limit_face_states
-from repro.solver.rhs import RHSConfig, _accumulate_divergence
-from repro.solver.sweep import (
-    plan_transposed_axes,
-    validate_fusion,
-    validate_sweep_layout,
-)
+from repro.solver.rhs import RHSConfig
+from repro.solver.sweep import SweepEngine, validate_fusion
 from repro.solver.workspace import SolverWorkspace
 from repro.state.conversions import cons_to_prim, full_alphas
 from repro.state.layout import StateLayout
-from repro.timestepping.ssp_rk import SSP_SCHEMES
-from repro.weno import (
-    halo_width,
-    reconstruct_faces,
-    reconstruct_faces_span,
-    weno_passes_per_side,
-)
 
 
 class _BlockShape:
@@ -96,14 +83,13 @@ class RankSolver:
         ``False`` waits for the exchange up front — same results,
         no hiding; kept as a toggle for A/B timing.
     fusion:
-        Kernel-fusion mode (see :mod:`repro.acc.fusion`): ``"off"``
-        (default) keeps the staged pipeline; ``"on"``/``"auto"``
-        (the rank always owns a workspace, so both fuse) run each
-        strided *bulk* sweep — a direction where the interior/ghost
-        span split is not in play — as one fused kernel.  Overlapped
-        directions keep the span-composed engine (the fused kernel is
-        whole-extent), and transposed directions keep theirs; either
-        way results stay bitwise identical.
+        Kernel-fusion mode (``docs/fusion.md``): ``"off"`` (default)
+        keeps the staged chain; ``"on"``/``"auto"`` (the rank always
+        owns a workspace, so both fuse) run each strided *bulk* sweep —
+        a direction whose face span is not split for overlap — as one
+        generated kernel from WENO on (the ghost hook packs).  Split
+        and transposed directions run staged; either way results stay
+        bitwise identical.
     """
 
     def __init__(self, decomp: BlockDecomposition, rank: int,
@@ -117,7 +103,6 @@ class RankSolver:
         if config.viscosity is not None:
             raise ConfigurationError(
                 "distributed runs do not support viscous terms yet")
-        validate_sweep_layout(sweep_layout)
         validate_fusion(fusion)
         self.decomp = decomp
         self.rank = rank
@@ -127,18 +112,26 @@ class RankSolver:
         self.config = config
         self.transport = transport
         self.overlap = overlap
+        self.fusion = fusion
         self.local = decomp.local_cells(rank)
-        self._ng = halo_width(config.weno_order)
-        self._riemann = resolve_riemann_flux(config.riemann_solver)
-        self._transposed = plan_transposed_axes(
-            sweep_layout, layout.nvars, self.local, config.weno_order)
-        self.ws = SolverWorkspace(layout, _BlockShape(self.local), self._ng,
-                                  transposed_axes=self._transposed,
-                                  weno_order=config.weno_order)
         self.limited_faces = 0
         self.sweep_counters = SweepCounters()
-        self._weno_sweep_passes = 2 * weno_passes_per_side(
-            "chained", config.weno_order)
+        self._engine = SweepEngine(
+            layout, mixture, bcs, config, self.local,
+            counters=self.sweep_counters, sweep_layout=sweep_layout,
+            fused=fusion != "off", ghosts=self._fill_ghosts)
+        self.fusion_backend = self._engine.fusion_backend
+        ng = self._engine.ng
+        self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
+                                  transposed_axes=self._engine.transposed_axes,
+                                  weno_order=config.weno_order)
+        # Overlap needs a strided sweep with a non-empty ghost-free
+        # interior span and an actual exchange to hide; other
+        # directions sweep in bulk after the fill.
+        self._split = [
+            overlap and d not in self._engine.transposed_axes
+            and self.local[d] >= 2 * ng and decomp.neighbor_sides(rank, d) > 0
+            for d in range(layout.ndim)]
         # Per-axis cell widths sliced from the global grid, broadcast
         # shaped — the same values the serial divergence divides by.
         slices = decomp.local_slices(rank)
@@ -148,45 +141,6 @@ class RankSolver:
             newshape = [1] * layout.ndim
             newshape[d] = w.size
             self._widths.append(w.reshape(newshape))
-        self.fusion = fusion
-        self.fusion_backend: str | None = None
-        self._fused_kernels: dict[int, tuple] = {}
-        if fusion != "off":
-            self._init_fusion()
-
-    def _init_fusion(self) -> None:
-        """Compile one pack-free fused kernel per strided direction.
-
-        The rank's caller owns padding, wall ghosts, and the transport
-        fill, so the fused region starts at WENO (``pack=False``); the
-        whole local extent runs as a single launch.
-        """
-        from repro.acc.fusion import (
-            FusedKernelSpec,
-            FusionContext,
-            fused_kernel,
-            plan_fusion,
-            select_backend,
-            sweep_stage_graph,
-        )
-
-        lay = self.layout
-        self.fusion_backend = select_backend(None)
-        self._fusion_ctx = FusionContext(lay, self.mixture, self._riemann)
-        for d in range(lay.ndim):
-            if d in self._transposed:
-                continue
-            stages = sweep_stage_graph(
-                ndim=lay.ndim, nvars=lay.nvars, spatial=self.local, d=d,
-                order=self.config.weno_order, pack=False)
-            region = plan_fusion(stages, d=d, ndim=lay.ndim)
-            spec = FusedKernelSpec(
-                kind="strided", pack=False, ndim=lay.ndim, d=d,
-                order=self.config.weno_order, weno_variant="chained",
-                riemann_solver=self.config.riemann_solver,
-                riemann_variant="reference", dtype=np.dtype(DTYPE).name,
-                backend=self.fusion_backend)
-            self._fused_kernels[d] = (spec, fused_kernel(spec), region)
 
     # -- the split RHS -------------------------------------------------------
     def rhs_begin(self, q: np.ndarray, *, prim: np.ndarray | None = None
@@ -207,10 +161,9 @@ class RankSolver:
         divu = ws.divu
         divu.fill(0.0)
         for d in range(lay.ndim):
-            if d in self._transposed:
-                self._direction_transposed(prim, d, dqdt, divu)
-            else:
-                self._direction(prim, d, dqdt, divu)
+            self.limited_faces += self._engine.sweep(
+                ws, prim, d, self._widths[d], dqdt, divu,
+                split=self._split[d])
         dqdt[lay.advected] += prim[lay.advected] * divu
         return dqdt
 
@@ -220,125 +173,11 @@ class RankSolver:
         prim = self.rhs_begin(q, prim=prim)
         return self.rhs_finish(prim, out=out)
 
-    # -- direction sweeps ----------------------------------------------------
     def _fill_ghosts(self, d: int, padded: np.ndarray) -> None:
+        """The engine's ghost hook: wall BCs, then the neighbours' strips."""
         fill_wall_ghosts(padded, self.layout, self.bcs, self.decomp,
-                         self.rank, d, self._ng)
+                         self.rank, d, self._engine.ng)
         self.transport.fill(self.rank, d, padded)
-
-    def _direction(self, prim: np.ndarray, d: int, dqdt: np.ndarray,
-                   divu: np.ndarray) -> None:
-        ws, lay, ng = self.ws, self.layout, self._ng
-        padded = ws.padded[d]
-        pad_axis(prim, d, ng, out=padded)
-        n = prim.shape[d + 1]
-        # Overlap needs a non-empty ghost-free interior span and an
-        # actual exchange to hide; otherwise sweep in bulk.
-        if (self.overlap and n >= 2 * ng
-                and self.decomp.neighbor_sides(self.rank, d) > 0):
-            # Faces [ng, n-ng] read interior cells only — compute them
-            # while the neighbours' boundary strips are in flight.
-            self._faces_span(d, padded, ng, n - ng + 1)
-            self._fill_ghosts(d, padded)
-            self._faces_span(d, padded, 0, ng)
-            self._faces_span(d, padded, n - ng + 1, n + 1)
-        else:
-            self._fill_ghosts(d, padded)
-            fused = self._fused_kernels.get(d)
-            if fused is not None:
-                spec, kern, region = fused
-                self.limited_faces += kern(
-                    self._fusion_ctx, padded, ws.face_l[d], ws.face_r[d],
-                    ws.flux[d], ws.u_face[d], ws.weno_scratch[d],
-                    ws.riemann_scratch[d], ws.div_scratch, ws.divu_scratch,
-                    dqdt, divu, self._widths[d])
-                self.sweep_counters.record_strided(
-                    ws.face_l[d].nbytes + ws.face_r[d].nbytes,
-                    contiguous=(d == lay.ndim - 1),
-                    weno_passes=self._weno_sweep_passes)
-                self.sweep_counters.record_fused(
-                    1, region.passes_saved_per_tile(
-                        "chained", self.config.weno_order))
-                return
-            v_l, v_r = reconstruct_faces(
-                padded, d + 1, self.config.weno_order,
-                out=(ws.face_l[d], ws.face_r[d]), scratch=ws.weno_scratch[d])
-            self.limited_faces += limit_face_states(
-                lay, self.mixture, padded, v_l, v_r, d, ng)
-            self._riemann(lay, self.mixture, v_l, v_r, d,
-                          out=ws.flux[d], out_u=ws.u_face[d],
-                          scratch=ws.riemann_scratch[d])
-        _accumulate_divergence(ws.flux[d], d + 1, self._widths[d],
-                               ws.div_scratch, dqdt, "subtract")
-        _accumulate_divergence(ws.u_face[d], d, self._widths[d],
-                               ws.divu_scratch, divu, "add")
-        self.sweep_counters.record_strided(
-            ws.face_l[d].nbytes + ws.face_r[d].nbytes,
-            contiguous=(d == lay.ndim - 1),
-            weno_passes=self._weno_sweep_passes)
-
-    def _faces_span(self, d: int, padded: np.ndarray, lo: int, hi: int) -> None:
-        """Reconstruct, limit, and solve faces ``[lo, hi)`` of direction ``d``.
-
-        Elementwise over faces, so spans partitioning the face range
-        compose bitwise into the same states the bulk path produces.
-        """
-        if lo >= hi:
-            return
-        ws, lay, ng = self.ws, self.layout, self._ng
-        v_l, v_r = ws.face_l[d], ws.face_r[d]
-        reconstruct_faces_span(padded, d + 1, self.config.weno_order, lo, hi,
-                               out=(v_l, v_r), scratch=ws.weno_scratch[d])
-        span = [slice(None)] * padded.ndim
-        span[d + 1] = slice(lo, hi)
-        span = tuple(span)
-        shifted = [slice(None)] * padded.ndim
-        shifted[d + 1] = slice(lo, None)
-        self.limited_faces += limit_face_states(
-            lay, self.mixture, padded[tuple(shifted)], v_l[span], v_r[span],
-            d, ng)
-        scr = [slice(None)] * padded.ndim
-        scr[d + 1] = slice(0, hi - lo)
-        self._riemann(lay, self.mixture, v_l[span], v_r[span], d,
-                      out=ws.flux[d][span], out_u=ws.u_face[d][span[1:]],
-                      scratch=ws.riemann_scratch[d].view(tuple(scr)))
-
-    def _direction_transposed(self, prim: np.ndarray, d: int,
-                              dqdt: np.ndarray, divu: np.ndarray) -> None:
-        """Direction ``d`` swept in the axis-contiguous transposed layout.
-
-        Ghosts are filled in the standard layout (walls + transport),
-        then the whole padded block is gathered into the axis-last
-        scratch — pure data movement, so the sweep stays bitwise
-        identical to the strided one.
-        """
-        ws, lay, ng = self.ws, self.layout, self._ng
-        arr = prim.ndim
-        perm = sweep_perm(arr, d + 1)
-        padded = ws.padded[d]
-        pad_axis(prim, d, ng, out=padded)
-        self._fill_ghosts(d, padded)
-        tpad = ws.t_padded[d]
-        tpad[...] = np.transpose(padded, perm)
-        tvl, tvr = ws.t_face_l[d], ws.t_face_r[d]
-        reconstruct_faces(tpad, arr - 1, self.config.weno_order,
-                          out=(tvl, tvr), scratch=ws.weno_scratch[d])
-        self.limited_faces += limit_face_states(
-            lay, self.mixture, tpad, tvl, tvr, arr - 2, ng)
-        self._riemann(lay, self.mixture, tvl, tvr, d,
-                      out=ws.t_flux[d], out_u=ws.t_u_face[d],
-                      scratch=ws.t_riemann_scratch[d])
-        untranspose_loop(ws.t_flux[d], perm, out=ws.flux[d])
-        untranspose_loop(ws.t_u_face[d], tuple(p - 1 for p in perm[1:]),
-                         out=ws.u_face[d])
-        _accumulate_divergence(ws.flux[d], d + 1, self._widths[d],
-                               ws.div_scratch, dqdt, "subtract")
-        _accumulate_divergence(ws.u_face[d], d, self._widths[d],
-                               ws.divu_scratch, divu, "add")
-        self.sweep_counters.record_transposed(
-            tvl.nbytes + tvr.nbytes,
-            prim.nbytes + ws.flux[d].nbytes + ws.u_face[d].nbytes,
-            weno_passes=self._weno_sweep_passes)
 
     # -- time stepping helpers ----------------------------------------------
     def wave_rate(self, prim: np.ndarray) -> float:
@@ -357,30 +196,3 @@ class RankSolver:
             speed = np.abs(prim[lay.momentum_component(d)]) + c
             rate = max(rate, float((speed / self._widths[d]).max()))
         return rate
-
-    def rk_stage_combine(self, k: int, n_stages: int, coeffs, dt: float,
-                         q_n: np.ndarray, q_k: np.ndarray, L: np.ndarray
-                         ) -> np.ndarray:
-        """One Shu-Osher convex combination through the workspace buffers.
-
-        Replicates the exact five-ufunc grouping of
-        :func:`~repro.timestepping.ssp_rk.ssp_rk_step`'s workspace path,
-        so a stage driven externally (the bulk-synchronous in-process
-        driver) is bitwise identical to one driven by ``ssp_rk_step``.
-        """
-        a, b, c = coeffs
-        ws = self.ws
-        out = ws.rk_result if k == n_stages - 1 else ws.rk_stage[k % 2]
-        np.multiply(q_k, b, out=ws.rk_tmp)
-        np.multiply(q_n, a, out=out)
-        np.add(out, ws.rk_tmp, out=out)
-        np.multiply(L, c * dt, out=ws.rk_tmp)
-        np.add(out, ws.rk_tmp, out=out)
-        return out
-
-
-def rk_stages(rk_order: int):
-    """The Shu-Osher tableau for ``rk_order`` (validated)."""
-    if rk_order not in SSP_SCHEMES:
-        raise ConfigurationError(f"unsupported RK order {rk_order}")
-    return SSP_SCHEMES[rk_order]

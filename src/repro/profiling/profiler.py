@@ -142,12 +142,13 @@ class Profile:
             lines.append(self.halo.summary())
         if self.recovery is not None and self.recovery.any():
             lines.append(self.recovery.summary())
-        if self.tiling is not None and self.tiling.get("tiles") is not None:
+        if self.tiling is not None and self.tiling.get("directions"):
             t = self.tiling
-            extra = "".join(f", d{d}: {n}" for d, n in
-                            sorted(t.get("tiles_transposed", {}).items()))
-            lines.append(f"tiling ({t.get('source', 'heuristic')}): "
-                         f"{t['tiles']} tiles{extra}")
+            parts = ", ".join(
+                f"d{p['d']}: {p['tiles']} {p['kind']}"
+                f"{' fused' if p['fused'] else ''} tiles"
+                for p in t["directions"])
+            lines.append(f"tiling ({t.get('source', 'heuristic')}): {parts}")
         if self.tuning is not None:
             lines.append(self.tuning.summary())
         return "\n".join(lines)

@@ -18,61 +18,38 @@ report the same rows.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.acc.gang import GangExecutor
 from repro.backend import array_namespace, resolve_backend
 from repro.bc.boundary import BoundarySet, fill_axis_ghosts, pad_axis
 from repro.common import DTYPE, ConfigurationError, Stopwatch
 from repro.eos.mixture import Mixture
-from repro.fields.transpose import sweep_perm, untranspose_loop
 from repro.grid.cartesian import StructuredGrid
 from repro.hardware.devices import DeviceSpec, get_device
-from repro.riemann import SOLVERS, resolve_riemann_flux, validate_riemann_variant
-from repro.solver.sweep import (
-    plan_transposed_axes,
-    validate_fusion,
-    validate_sweep_layout,
-)
+from repro.profiling.counters import SweepCounters
+from repro.riemann import SOLVERS, validate_riemann_variant
 from repro.solver.geometry import (
     GEOMETRIES,
     apply_axisymmetric_terms,
     validate_geometry,
 )
 from repro.solver.positivity import limit_face_states
+from repro.solver.sweep import (
+    SweepEngine,
+    timed,
+    validate_fusion,
+    validate_sweep_layout,
+)
 from repro.solver.viscous import Viscosity, viscous_rhs
 from repro.solver.workspace import SolverWorkspace
 from repro.state.conversions import cons_to_prim
 from repro.state.layout import StateLayout
-from repro.weno import halo_width, reconstruct_faces, reconstruct_faces_span
-from repro.weno.stacked import (
-    narrow_scratch_rows,
-    validate_weno_variant,
-    weno_passes_per_side,
-)
-
-#: Field-sized rows of the direction pipeline live per tile row: padded
-#: primitives + prim + dqdt + both face states + flux + divergence
-#: scratch + 8 WENO + 7 Riemann scratch rows (the L2 tile heuristic's
-#: working-set estimate).
-PIPELINE_ROWS_PER_SLICE = 22
-
-
-def _fused_tile_occupancy(device) -> float:
-    """Cache-budget fraction for one *fused* tile's scratch arena.
-
-    The gang heuristic budgets a tile against the whole device LLC
-    (every unfused stage streams field-sized buffers all workers
-    share).  A fused tile is different: its entire pipeline lives in a
-    private :class:`~repro.solver.workspace.FusionScratch` arena touched
-    by exactly one worker, so the budget that matters is one core's
-    *share* of the last-level cache — on a 64-core catalog CPU, 1/64th
-    of it.  Without this, big-LLC catalog entries make the heuristic
-    pick one whole-field tile and fusion degenerates to the unfused
-    memory behaviour (no locality win at all).
-    """
-    return 1.0 / max(1, getattr(device, "cores", None) or 1)
+from repro.weno import halo_width, reconstruct_faces
+from repro.weno.stacked import validate_weno_variant
 
 
 @dataclass(frozen=True)
@@ -113,15 +90,18 @@ class RHS:
     allocations; results are bitwise identical to the allocating
     reference path (``use_workspace=False``).
 
-    With ``threads > 1`` the hot path (ghost pack → WENO → Riemann →
-    flux divergence) executes tiled across a
+    Every workspace evaluation runs the one slab body of
+    :class:`~repro.solver.sweep.SweepEngine`; serial, threaded,
+    transposed and fused execution are parameters of that body.  With
+    ``threads > 1`` its slab tiles execute across a
     :class:`~repro.acc.gang.GangExecutor` thread pool: the gang axis of
     the pipeline's ``parallel loop gang vector collapse(ndim)`` spec
-    becomes a contiguous-slab decomposition of the slowest spatial axis
-    (halo-overlapped reads, disjoint writes into the workspace
-    buffers), while the vector axis stays NumPy SIMD inside each tile.
-    The threaded path is bitwise identical to the serial one — same
-    inputs and same elementwise operation order per output cell.
+    becomes a contiguous-slab decomposition of the first spatial axis
+    perpendicular to the sweep (self-contained stencils, disjoint
+    writes into the workspace buffers), while the vector axis stays
+    NumPy SIMD inside each tile.  The threaded path is bitwise identical
+    to the serial one — same inputs and same elementwise operation
+    order per output cell.
     ``tile_device`` (a catalog key or :class:`DeviceSpec`) lets the
     L2-capacity tile heuristic size tiles for a specific host.
 
@@ -205,9 +185,6 @@ class RHS:
                 f"batch must be a positive integer or None, got {self.batch!r}")
         #: Number of leading virtual (non-swept) axes: 1 when batched.
         self._nb = 0 if self.batch is None else 1
-        #: Virtual spatial shape the sweeps/tiles/kernels operate on.
-        self._vspatial = (self.grid.shape if self.batch is None
-                          else (self.batch, *self.grid.shape))
         if self.batch is not None:
             if self.config.geometry != "cartesian":
                 raise ConfigurationError(
@@ -221,12 +198,6 @@ class RHS:
         self._ng = halo_width(self.config.weno_order)
         validate_weno_variant(self.weno_variant)
         validate_riemann_variant(self.riemann_variant)
-        self._riemann = resolve_riemann_flux(self.config.riemann_solver,
-                                             self.riemann_variant)
-        #: Face-block ufunc passes both reconstruction sides of one
-        #: sweep cost (tallied into the sweep counters).
-        self._weno_sweep_passes = 2 * weno_passes_per_side(
-            self.weno_variant, self.config.weno_order)
         if self.tiles is not None and (
                 not isinstance(self.tiles, int) or isinstance(self.tiles, bool)
                 or self.tiles < 1):
@@ -260,203 +231,60 @@ class RHS:
                 "tile scratch arenas live there); use fusion='auto' to "
                 "fuse opportunistically")
         #: Whether the direction sweeps run as fused per-tile kernels.
-        self._fused = (self.fusion == "on"
-                       or (self.fusion == "auto" and self.use_workspace
-                           and self.backend.supports_fusion))
-        self._device = (get_device(self.tile_device)
-                        if isinstance(self.tile_device, str)
-                        else self.tile_device)
-        #: Directions the sweep engine physically transposes; empty for
-        #: the strided engine and whenever there is no workspace to own
-        #: the transposed scratch.
-        if self.use_workspace:
-            # Planned on the *physical* spatial shape (the batch axis is
-            # never a transpose candidate), then shifted into virtual
-            # axis indices.
-            self._transposed_axes = frozenset(
-                d + self._nb for d in plan_transposed_axes(
-                    self.sweep_layout, self.layout.nvars, self.grid.shape,
-                    self.config.weno_order, device=self._device))
-        else:
-            self._transposed_axes = frozenset()
-        #: Per-sweep data-movement tallies (strided vs. contiguous
-        #: reconstruction, bytes permuted); surfaced by the CLI, the
-        #: benches, and :meth:`Profile.report`.  (Deferred import:
-        #: repro.profiling's drivers import repro.solver.simulation,
-        #: which imports this module — a cycle at module-import time.)
-        from repro.profiling.counters import SweepCounters
-
-        self.sweep_counters = SweepCounters()
-        #: Preallocated buffer arena; None runs the allocating
-        #: reference path.
-        self.workspace = (SolverWorkspace(self.layout, self.grid, self._ng,
-                                          dtype=self.dtype,
-                                          transposed_axes=self._transposed_axes,
-                                          weno_variant=self.weno_variant,
-                                          weno_order=self.config.weno_order,
-                                          fusion=self._fused,
-                                          batch=self.batch,
-                                          backend=self.backend)
-                          if self.use_workspace else None)
+        fused = (self.fusion == "on"
+                 or (self.fusion == "auto" and self.use_workspace
+                     and self.backend.supports_fusion))
         if (not isinstance(self.threads, int) or isinstance(self.threads, bool)
                 or self.threads < 1):
             raise ConfigurationError(
                 f"threads must be a positive integer, got {self.threads!r}")
         #: Thread-tile backend; None takes the serial path with zero
-        #: executor overhead.  (The acc import is deferred:
-        #: repro.acc's runtime pulls in the profiling drivers, which
-        #: import this module — a cycle at module-import time.)
-        self.executor = None
-        self._tiles: int | None = None
-        #: Per-direction tile counts for the transposed engine, whose
-        #: slab axis is the first *untransposed* spatial axis (array
-        #: axis 1 of the transposed block), not spatial axis 0.
-        self._tiles_t: dict[int, int] = {}
-        if self.threads > 1:
-            from repro.acc.gang import GangExecutor
-
-            self.executor = GangExecutor(self.threads)
-            spatial = self._vspatial
-            if not self._fused:
-                self._tiles = self._plan_tiles(spatial[0])
-                for d in sorted(self._transposed_axes):
-                    extent = spatial[1] if d == 0 else spatial[0]
-                    self._tiles_t[d] = self._plan_tiles(extent)
-        #: Fused-kernel state: per-direction (spec, kernel, region)
-        #: triples, tile counts, and the shared runtime context.
-        self._fused_kernels: dict = {}
-        self._tiles_f: dict[int, int] = {}
-        self.fusion_backend: str | None = None
-        if self._fused:
-            self._init_fusion()
-
-    def _init_fusion(self) -> None:
-        """Plan, generate, and compile one fused kernel per direction.
-
-        For every sweep direction the directive-graph pass groups the
-        pad→WENO→limit→Riemann→divergence chain into a fused region
-        (proving it legal and picking the slab axis), the code generator
-        renders it as one shape-generic kernel, and the process-wide
-        cache compiles it at most once per spec — a second RHS with the
-        same configuration reuses the compiled kernel.  (Deferred
-        import: repro.acc's runtime pulls in the profiling drivers,
-        which import this module.)
-        """
-        from repro.acc.fusion import (
-            FusedKernelSpec,
-            FusionContext,
-            fused_kernel,
-            plan_fusion,
-            select_backend,
-            sweep_stage_graph,
-        )
-        from repro.acc.gang import tile_spans
-        from repro.hardware.devices import default_host_device
-        from repro.hardware.tiling import suggest_tile_count
-
-        self._tile_spans = tile_spans
-        self.fusion_backend = select_backend(None)
-        spatial = self._vspatial
-        ndim = len(spatial)
-        cells = 1
-        for n in spatial:
-            cells *= n
-        self._fusion_ctx = FusionContext(self.layout, self.mixture,
-                                         self._riemann)
-        device = (self._device if self._device is not None
-                  else default_host_device())
-        for d in range(self._nb, ndim):
-            kind = "transposed" if d in self._transposed_axes else "strided"
-            stages = sweep_stage_graph(
-                ndim=ndim, nvars=self.layout.nvars, spatial=spatial, d=d,
-                order=self.config.weno_order, pack=True)
-            region = plan_fusion(stages, d=d, ndim=ndim)
-            spec = FusedKernelSpec(
-                kind=kind, pack=True, ndim=ndim, d=d,
-                order=self.config.weno_order,
-                weno_variant=self.weno_variant,
-                riemann_solver=self.config.riemann_solver,
-                riemann_variant=self.riemann_variant,
-                dtype=self.dtype.name, backend=self.fusion_backend,
-                batch=self.batch is not None)
-            self._fused_kernels[d] = (spec, fused_kernel(spec), region)
-            if kind == "transposed":
-                extent = spatial[1] if d == 0 else spatial[0]
-            elif region.slab_axis is None:
-                extent = 1
-            else:
-                extent = spatial[region.slab_axis]
-            if self.executor is not None:
-                self._tiles_f[d] = self._plan_tiles(extent)
-            elif self.tiles is not None:
-                self._tiles_f[d] = max(1, min(self.tiles, extent))
-            else:
-                bytes_per_slice = (PIPELINE_ROWS_PER_SLICE
-                                   * self.layout.nvars
-                                   * (cells // max(extent, 1))
-                                   * self.dtype.itemsize)
-                self._tiles_f[d] = suggest_tile_count(
-                    extent, 1, bytes_per_slice=bytes_per_slice,
-                    device=device,
-                    occupancy=_fused_tile_occupancy(device))
-
-    def _plan_tiles(self, extent: int) -> int:
-        """Tile count along a slab axis, from the gang spec + L2 size.
-
-        The pipeline's directive shape is the paper's Listing 1 —
-        ``parallel loop gang vector collapse(ndim)`` over the spatial
-        loops with the O(1) variable loop ``seq`` — resolved to gangs by
-        the :mod:`repro.acc` launch model, capped by the worker count,
-        then refined in worker multiples until one tile's working set
-        fits the target device's last-level cache.  ``extent`` is the
-        slab axis length: spatial axis 0 for the strided engine, the
-        transposed block's axis-1 extent for the transposed engine.
-        An explicit ``tiles`` override (the tuner knob) bypasses the
-        heuristic, clamped to the extent.  Only the fused engine plans
-        through here, so the cache budget is the per-core LLC share of
-        :func:`_fused_tile_occupancy`, not the whole-device gang budget.
-        """
-        if self.tiles is not None:
-            return max(1, min(self.tiles, extent))
-
-        from repro.acc.directives import Clause, LoopDirective, ParallelLoopNest
-        from repro.hardware.devices import default_host_device
-
-        spatial = self._vspatial
-        # Virtual 4D nests (batched 3D sweeps) get a leading batch loop.
-        names = (("b", "x", "y", "z") if self._nb else ("x", "y", "z"))
-        loops = [LoopDirective(names[0], spatial[0],
-                               frozenset({Clause.GANG, Clause.VECTOR}),
-                               collapse=len(spatial))]
-        loops += [LoopDirective(names[k], spatial[k])
-                  for k in range(1, len(spatial))]
-        loops.append(LoopDirective("v", self.layout.nvars,
-                                   frozenset({Clause.SEQ})))
-        nest = ParallelLoopNest(tuple(loops))
-        cells = 1
-        for n in spatial:
-            cells *= n
-        bytes_per_slice = (PIPELINE_ROWS_PER_SLICE * self.layout.nvars
-                           * (cells // max(extent, 1))
-                           * self.dtype.itemsize)
-        device = (self._device if self._device is not None
-                  else default_host_device())
-        return self.executor.plan_tiles(
-            nest, extent, bytes_per_slice=bytes_per_slice, device=device,
-            occupancy=_fused_tile_occupancy(device))
+        #: executor overhead.
+        self.executor = GangExecutor(self.threads) if self.threads > 1 else None
+        #: Per-sweep data-movement tallies (strided vs. contiguous
+        #: reconstruction, bytes permuted); surfaced by the CLI, the
+        #: benches, and :meth:`Profile.report`.
+        self.sweep_counters = SweepCounters()
+        # Transposed, fused and tiled sweeps all need the workspace
+        # (transposed scratch, tile arenas, disjoint-write buffers);
+        # without one the engine only plans, and every call takes the
+        # allocating reference path.
+        ws_on = self.use_workspace
+        self._engine = SweepEngine(
+            self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
+            counters=self.sweep_counters,
+            sweep_layout=self.sweep_layout if ws_on else "strided",
+            fused=fused, weno_variant=self.weno_variant,
+            riemann_variant=self.riemann_variant, batch=self.batch,
+            executor=self.executor if ws_on else None, tiles=self.tiles,
+            device=(get_device(self.tile_device)
+                    if isinstance(self.tile_device, str)
+                    else self.tile_device),
+            dtype=self.dtype, stopwatch=self.stopwatch)
+        self.fusion_backend = self._engine.fusion_backend
+        #: Preallocated buffer arena; None runs the allocating
+        #: reference path.
+        self.workspace = (SolverWorkspace(
+            self.layout, self.grid, self._ng, dtype=self.dtype,
+            transposed_axes=self._engine.transposed_axes,
+            weno_variant=self.weno_variant,
+            weno_order=self.config.weno_order, fusion=fused,
+            batch=self.batch, backend=self.backend) if ws_on else None)
 
     def tile_plan(self) -> dict:
-        """The chosen tiling, for profiler reports and bench records.
+        """The chosen sweep schedule, for profiler reports and bench records.
 
-        ``source`` says whether the counts came from the explicit
-        ``tiles`` override (a tuning plan) or the L2 heuristic;
-        ``plans`` carries the executor's per-extent planning decisions
-        (empty for overridden or serial runs).
+        ``directions`` holds one :class:`~repro.solver.sweep.SweepPlan`
+        per swept direction as a dict (``d``, ``kind``, ``slab_axis``,
+        ``tiles``, ``fused``; virtual axis indices).  ``source`` says
+        whether the tile counts came from the explicit ``tiles``
+        override (a tuning plan) or the L2 heuristic; ``plans`` carries
+        the executor's per-extent planning decisions (empty for
+        overridden or serial runs).
         """
         return {
-            "tiles": self._tiles,
-            "tiles_transposed": dict(self._tiles_t),
-            "tiles_fused": dict(self._tiles_f),
+            "directions": [dataclasses.asdict(plan)
+                           for plan in self._engine.plans.values()],
             "fusion": self.fusion,
             "fusion_backend": self.fusion_backend,
             "source": ("override" if self.tiles is not None else "heuristic"),
@@ -495,12 +323,9 @@ class RHS:
                        for w in self.grid.width_fields())
 
         if prim is None:
-            prim_out = ws.prim if ws is not None else None
-            if sw is not None:
-                with sw.time("other"):
-                    prim = cons_to_prim(layout, self.mixture, q, out=prim_out)
-            else:
-                prim = cons_to_prim(layout, self.mixture, q, out=prim_out)
+            with timed(sw, "other"):
+                prim = cons_to_prim(layout, self.mixture, q,
+                                    out=ws.prim if ws is not None else None)
 
         if out is None:
             dqdt = xp.zeros_like(q)
@@ -513,40 +338,25 @@ class RHS:
         else:
             divu = xp.zeros(tuple(q.shape[1:]), dtype=q.dtype)
 
-        # The tiled backend and the transposed engine both need the
-        # workspace buffers (per-thread scratch, disjoint-write arenas,
-        # transposed scratch); off-grid fallbacks run serial strided.
         # Virtual direction d sweeps array axis d+1; the physical
         # direction (momentum component, BC axis, width field) is
-        # d - nb, where nb is the leading batch-axis count.
-        tiled = ws is not None and self.executor is not None
-        # A batched RHS may still be handed a single-case field (e.g. a
-        # validation probe); the array rank says which shape arrived.
+        # d - nb, where nb is the leading batch-axis count.  A batched
+        # RHS may still be handed a single-case field (e.g. a validation
+        # probe); the array rank says which shape arrived.
         nb = 1 if (self._nb and prim.ndim == layout.ndim + 2) else 0
         for d in range(nb, nb + layout.ndim):
-            w = widths[d - nb]
-            if ws is not None and self._fused:
-                self._accumulate_direction_fused(prim, d, w, dqdt, divu, ws)
-            elif ws is not None and d in self._transposed_axes:
-                if tiled:
-                    self._accumulate_direction_transposed_tiled(
-                        prim, d, w, dqdt, divu, ws)
-                else:
-                    self._accumulate_direction_transposed(
-                        prim, d, w, dqdt, divu, ws)
-            elif tiled:
-                self._accumulate_direction_tiled(prim, d, w, dqdt, divu, ws)
+            if ws is not None:
+                self.limited_faces += self._engine.sweep(
+                    ws, prim, d, widths[d - nb], dqdt, divu)
             else:
-                self._accumulate_direction(prim, d, w, dqdt, divu, ws)
+                self._accumulate_direction_reference(
+                    prim, d, widths[d - nb], dqdt, divu)
 
         if self._radius is not None:
             apply_axisymmetric_terms(layout, prim, q, self._radius, dqdt, divu)
 
         if self._viscosity is not None:
-            if sw is not None:
-                with sw.time("other"):
-                    dqdt += viscous_rhs(layout, self.grid, prim, self._viscosity)
-            else:
+            with timed(sw, "other"):
                 dqdt += viscous_rhs(layout, self.grid, prim, self._viscosity)
 
         # Nonconservative term: dalpha/dt += alpha * div(u).
@@ -554,449 +364,37 @@ class RHS:
         return dqdt
 
     # ------------------------------------------------------------------
-    def _accumulate_direction_fused(self, prim: np.ndarray, d: int,
-                                    width: np.ndarray, dqdt: np.ndarray,
-                                    divu: np.ndarray,
-                                    ws: SolverWorkspace) -> None:
-        """One direction as a single fused per-tile kernel launch.
+    def _accumulate_direction_reference(self, prim: np.ndarray, d: int,
+                                        width: np.ndarray, dqdt: np.ndarray,
+                                        divu: np.ndarray) -> None:
+        """One direction on freshly allocated arrays — the oracle.
 
-        The compiled kernel (see :mod:`repro.acc.fusion`) runs the whole
-        pad→WENO→limit→Riemann→divergence chain on one slab tile against
-        a tile-sized :class:`~repro.solver.workspace.FusionScratch`
-        arena, so no stage spills a field-sized intermediate.  Bitwise
-        identical to the unfused paths: the generated body performs the
-        same elementwise operations in the same order, and the slab axis
-        is stencil-free in every stage (the graph legality rule), so
-        tiles compose exactly.
+        The obviously-correct spelling of the sweep (whole-field
+        kernels, ``np.diff`` divergence) that every workspace mode of
+        :class:`~repro.solver.sweep.SweepEngine` is bitwise-compared
+        against; also answers off-grid calls the workspace cannot.
         """
-        layout, sw = self.layout, self.stopwatch
-        pd = d - (prim.ndim - layout.ndim - 1)  # physical direction
-        lo_bc, hi_bc = self.bcs.per_axis[pd]
-        spec, kern, region = self._fused_kernels[d]
-        ctx = self._fusion_ctx
-        tiles = self._tiles_f[d]
-        spatial = prim.shape[1:]
-        itemsize = prim.dtype.itemsize
-
-        def timed(name):
-            return sw.time(name) if sw is not None else _NullCtx()
-
-        if spec.kind == "strided":
-            sa = region.slab_axis
-            extent = 1 if sa is None else prim.shape[sa + 1]
-            w_max = -(-extent // min(tiles, extent))
-
-            def slab(lo, hi):
-                scr = ws.fusion_scratch(d, w_max).narrow(hi - lo)
-                if sa is None:
-                    pv, dq, dv = prim, dqdt, divu
-                else:
-                    ci = (slice(None),) * (sa + 1) + (slice(lo, hi),)
-                    pv, dq, dv = prim[ci], dqdt[ci], divu[ci[1:]]
-                with timed("fused"):
-                    return kern(ctx, pv, scr.pad, scr.vl, scr.vr, scr.flux,
-                                scr.uface, scr.wscr, scr.rscr, scr.dscr,
-                                scr.dvscr, dq, dv, width, lo_bc, hi_bc)
-        else:
-            arr = prim.ndim
-            perm = sweep_perm(arr, d + 1)
-            tview = array_namespace(prim).transpose(prim, perm)
-            extent = tview.shape[1]
-            tiled_axis = perm[1]
-            w_max = -(-extent // min(tiles, extent))
-
-            def slab(lo, hi):
-                scr = ws.fusion_scratch(d, w_max,
-                                        transposed=True).narrow(hi - lo)
-                s = (slice(None), slice(lo, hi))
-                std = [slice(None)] * arr
-                std[tiled_axis] = slice(lo, hi)
-                std = tuple(std)
-                with timed("fused"):
-                    return kern(ctx, tview[s], scr.tpad, scr.tvl, scr.tvr,
-                                scr.tflux, scr.tuface, scr.flux, scr.uface,
-                                scr.flux_t, scr.uface_t, scr.wscr, scr.rscr,
-                                scr.dscr, scr.dvscr, dqdt[std],
-                                divu[std[1:]], width, lo_bc, hi_bc)
-
-        if self.executor is not None:
-            self.limited_faces += sum(
-                self.executor.launch(slab, extent, tiles=tiles))
-        else:
-            for lo, hi in self._tile_spans(extent, tiles):
-                self.limited_faces += slab(lo, hi)
-
-        # Nominal (field-sized) tallies keep the sweep counters
-        # comparable with the unfused engine, whose byte figures come
-        # from the workspace face buffers that do not exist here.
-        face_cells = 1
-        for k, n in enumerate(spatial):
-            face_cells *= (n + 1) if k == d else n
-        face_bytes = layout.nvars * face_cells * itemsize
-        if spec.kind == "strided":
-            self.sweep_counters.record_strided(
-                2 * face_bytes, contiguous=(pd == layout.ndim - 1),
-                weno_passes=self._weno_sweep_passes)
-        else:
-            self.sweep_counters.record_transposed(
-                2 * face_bytes,
-                prim.nbytes + face_bytes + face_cells * itemsize,
-                weno_passes=self._weno_sweep_passes)
-        n_tiles = min(tiles, extent)
-        self.sweep_counters.record_fused(
-            n_tiles, n_tiles * region.passes_saved_per_tile(
-                self.weno_variant, self.config.weno_order))
-
-    # ------------------------------------------------------------------
-    def _accumulate_direction(self, prim: np.ndarray, d: int, width: np.ndarray,
-                              dqdt: np.ndarray, divu: np.ndarray,
-                              ws: SolverWorkspace | None = None) -> None:
         layout, ng, sw = self.layout, self._ng, self.stopwatch
         pd = d - (prim.ndim - layout.ndim - 1)  # physical direction
         lo, hi = self.bcs.per_axis[pd]
-
-        def timed(name):
-            return sw.time(name) if sw is not None else _NullCtx()
-
-        with timed("packing"):
-            padded = pad_axis(prim, d, ng,
-                              out=ws.padded[d] if ws is not None else None)
+        with timed(sw, "packing"):
+            padded = pad_axis(prim, d, ng)
             fill_axis_ghosts(padded, layout, d, ng, lo, hi,
                              normal_direction=pd)
-
-        with timed("weno"):
-            if ws is not None:
-                v_l, v_r = reconstruct_faces(
-                    padded, d + 1, self.config.weno_order,
-                    out=(ws.face_l[d], ws.face_r[d]),
-                    scratch=ws.weno_scratch[d], variant=self.weno_variant)
-            else:
-                v_l, v_r = reconstruct_faces(padded, d + 1,
-                                             self.config.weno_order,
-                                             variant=self.weno_variant)
+        with timed(sw, "weno"):
+            v_l, v_r = reconstruct_faces(padded, d + 1,
+                                         self.config.weno_order,
+                                         variant=self.weno_variant)
             self.limited_faces += limit_face_states(
                 layout, self.mixture, padded, v_l, v_r, d, ng)
-
-        with timed("riemann"):
-            if ws is not None:
-                flux, u_face = self._riemann(layout, self.mixture, v_l, v_r, pd,
-                                             out=ws.flux[d], out_u=ws.u_face[d],
-                                             scratch=ws.riemann_scratch[d])
-            else:
-                flux, u_face = self._riemann(layout, self.mixture, v_l, v_r, pd)
-
-        with timed("other"):
+        with timed(sw, "riemann"):
+            flux, u_face = self._engine.riemann(layout, self.mixture,
+                                                v_l, v_r, pd)
+        with timed(sw, "other"):
             # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx.
-            if ws is not None:
-                _accumulate_divergence(flux, d + 1, width, ws.div_scratch, dqdt,
-                                       "subtract")
-                _accumulate_divergence(u_face, d, width, ws.divu_scratch, divu,
-                                       "add")
-            else:
-                xp = array_namespace(prim)
-                dqdt -= xp.diff(flux, axis=d + 1) / width
-                divu += xp.diff(u_face, axis=d) / width
-
+            xp = array_namespace(prim)
+            dqdt -= xp.diff(flux, axis=d + 1) / width
+            divu += xp.diff(u_face, axis=d) / width
         self.sweep_counters.record_strided(
             v_l.nbytes + v_r.nbytes, contiguous=(pd == layout.ndim - 1),
-            weno_passes=self._weno_sweep_passes)
-
-    # ------------------------------------------------------------------
-    def _accumulate_direction_tiled(self, prim: np.ndarray, d: int,
-                                    width: np.ndarray, dqdt: np.ndarray,
-                                    divu: np.ndarray,
-                                    ws: SolverWorkspace) -> None:
-        """One direction of the RHS, tiled along spatial axis 0.
-
-        Bitwise identical to :meth:`_accumulate_direction`: every tile
-        runs the same elementwise kernel sequence on slab views of the
-        same workspace buffers, reading halos freely but writing only
-        its own span.  Per-kernel wall time is recorded by each worker
-        into the shared (thread-safe) stopwatch, so the breakdown keys
-        match the serial path's.
-
-        For ``d == 0`` the tiled axis is the reconstruction axis itself:
-        the ghost pack, the face reconstruction/solve, and the
-        divergence accumulate each need a barrier between them because
-        tiles read one another's freshly written halo rows.  For
-        ``d > 0`` every slab is self-contained and the whole pipeline
-        runs fused in a single launch.
-        """
-        layout, ng, sw, ex = self.layout, self._ng, self.stopwatch, self.executor
-        pd = d - (prim.ndim - layout.ndim - 1)  # physical direction
-        lo_bc, hi_bc = self.bcs.per_axis[pd]
-        order = self.config.weno_order
-        padded, v_l, v_r = ws.padded[d], ws.face_l[d], ws.face_r[d]
-        flux, u_face = ws.flux[d], ws.u_face[d]
-        rows = prim.shape[1]
-        tiles = self._tiles
-
-        def timed(name):
-            return sw.time(name) if sw is not None else _NullCtx()
-
-        if d == 0:
-            def pack(lo, hi):
-                with timed("packing"):
-                    padded[:, ng + lo:ng + hi] = prim[:, lo:hi]
-
-            ex.launch(pack, rows, tiles=tiles)
-            with timed("packing"):
-                fill_axis_ghosts(padded, layout, d, ng, lo_bc, hi_bc)
-
-            n_faces = rows + 1
-            w_max = -(-n_faces // min(tiles, n_faces))
-
-            def faces(lo, hi):
-                wscr, rscr = ws.thread_scratch(d, w_max)
-                fi = (slice(None), slice(lo, hi))
-                with timed("weno"):
-                    reconstruct_faces_span(padded, 1, order, lo, hi,
-                                           out=(v_l, v_r), scratch=wscr,
-                                           variant=self.weno_variant)
-                    limited = limit_face_states(
-                        layout, self.mixture, padded[:, lo:],
-                        v_l[fi], v_r[fi], d, ng)
-                with timed("riemann"):
-                    self._riemann(
-                        layout, self.mixture, v_l[fi], v_r[fi], d,
-                        out=flux[fi], out_u=u_face[lo:hi],
-                        scratch=rscr.view((slice(None), slice(0, hi - lo))))
-                return limited
-
-            self.limited_faces += sum(ex.launch(faces, n_faces, tiles=tiles))
-
-            def accum(lo, hi):
-                with timed("other"):
-                    ci = (slice(None), slice(lo, hi))
-                    fi = (slice(None), slice(lo, hi + 1))
-                    _accumulate_divergence(flux[fi], 1, width[lo:hi],
-                                           ws.div_scratch[ci], dqdt[ci],
-                                           "subtract")
-                    _accumulate_divergence(u_face[lo:hi + 1], 0, width[lo:hi],
-                                           ws.divu_scratch[lo:hi], divu[lo:hi],
-                                           "add")
-
-            ex.launch(accum, rows, tiles=tiles)
-            self.sweep_counters.record_strided(
-                v_l.nbytes + v_r.nbytes, contiguous=(d == layout.ndim - 1),
-                weno_passes=self._weno_sweep_passes)
-            return
-
-        w_max = -(-rows // min(tiles, rows))
-
-        def slab(lo, hi):
-            wscr, rscr = ws.thread_scratch(d, w_max)
-            count = hi - lo
-            s = (slice(None), slice(lo, hi))
-            with timed("packing"):
-                pad_axis(prim[s], d, ng, out=padded[s])
-                fill_axis_ghosts(padded[s], layout, d, ng, lo_bc, hi_bc,
-                                 normal_direction=pd)
-            with timed("weno"):
-                tl, tr = reconstruct_faces(
-                    padded[s], d + 1, order, out=(v_l[s], v_r[s]),
-                    scratch=narrow_scratch_rows(wscr, self.weno_variant,
-                                                order, count),
-                    variant=self.weno_variant)
-                limited = limit_face_states(layout, self.mixture, padded[s],
-                                            tl, tr, d, ng)
-            with timed("riemann"):
-                tf, tu = self._riemann(
-                    layout, self.mixture, tl, tr, pd,
-                    out=flux[s], out_u=u_face[lo:hi],
-                    scratch=rscr.view((slice(None), slice(0, count))))
-            with timed("other"):
-                _accumulate_divergence(tf, d + 1, width, ws.div_scratch[s],
-                                       dqdt[s], "subtract")
-                _accumulate_divergence(tu, d, width, ws.divu_scratch[lo:hi],
-                                       divu[lo:hi], "add")
-            return limited
-
-        self.limited_faces += sum(ex.launch(slab, rows, tiles=tiles))
-        self.sweep_counters.record_strided(
-            v_l.nbytes + v_r.nbytes, contiguous=(pd == layout.ndim - 1),
-            weno_passes=self._weno_sweep_passes)
-
-    # ------------------------------------------------------------------
-    def _accumulate_direction_transposed(self, prim: np.ndarray, d: int,
-                                         width: np.ndarray, dqdt: np.ndarray,
-                                         divu: np.ndarray,
-                                         ws: SolverWorkspace) -> None:
-        """One direction swept in the axis-contiguous transposed layout.
-
-        The paper's §III.D coalescing transform, host-side: instead of
-        running WENO/Riemann with a strided inner loop (dozens of
-        strided passes over the face block for order 5), the padded
-        primitives are gathered once into a workspace-owned scratch
-        block whose reconstruction axis is last, the whole
-        pad→WENO→Riemann pipeline runs contiguously there, and only the
-        face fluxes are scattered back for the divergence accumulate —
-        three bulk permutations in total, all timed as "packing".
-
-        Bitwise identical to :meth:`_accumulate_direction`: every
-        kernel is elementwise over faces with the same per-face
-        operation order, so physical layout cannot change any result
-        bit; the transposes themselves are pure data movement.
-        """
-        layout, ng, sw = self.layout, self._ng, self.stopwatch
-        pd = d - (prim.ndim - layout.ndim - 1)  # physical direction
-        lo_bc, hi_bc = self.bcs.per_axis[pd]
-        arr = prim.ndim
-        perm = sweep_perm(arr, d + 1)
-        tpad = ws.t_padded[d]
-        tvl, tvr = ws.t_face_l[d], ws.t_face_r[d]
-        tflux, tuface = ws.t_flux[d], ws.t_u_face[d]
-        flux, u_face = ws.flux[d], ws.u_face[d]
-        n = prim.shape[d + 1]
-
-        def timed(name):
-            return sw.time(name) if sw is not None else _NullCtx()
-
-        with timed("packing"):
-            # Gather the primitives into the axis-last padded block (the
-            # engine's one strided read), then fill ghosts contiguously.
-            tpad[..., ng:ng + n] = array_namespace(prim).transpose(prim,
-                                                                    perm)
-            fill_axis_ghosts(tpad, layout, arr - 2, ng, lo_bc, hi_bc,
-                             normal_direction=pd)
-
-        with timed("weno"):
-            reconstruct_faces(tpad, arr - 1, self.config.weno_order,
-                              out=(tvl, tvr), scratch=ws.weno_scratch[d],
-                              variant=self.weno_variant)
-            self.limited_faces += limit_face_states(
-                layout, self.mixture, tpad, tvl, tvr, arr - 2, ng)
-
-        with timed("riemann"):
-            self._riemann(layout, self.mixture, tvl, tvr, pd,
-                          out=tflux, out_u=tuface,
-                          scratch=ws.t_riemann_scratch[d])
-
-        with timed("packing"):
-            # Scatter only the face fluxes back to the standard layout.
-            untranspose_loop(tflux, perm, out=flux)
-            untranspose_loop(tuface, tuple(p - 1 for p in perm[1:]),
-                             out=u_face)
-
-        with timed("other"):
-            _accumulate_divergence(flux, d + 1, width, ws.div_scratch, dqdt,
-                                   "subtract")
-            _accumulate_divergence(u_face, d, width, ws.divu_scratch, divu,
-                                   "add")
-
-        self.sweep_counters.record_transposed(
-            tvl.nbytes + tvr.nbytes,
-            prim.nbytes + flux.nbytes + u_face.nbytes,
-            weno_passes=self._weno_sweep_passes)
-
-    # ------------------------------------------------------------------
-    def _accumulate_direction_transposed_tiled(self, prim: np.ndarray, d: int,
-                                               width: np.ndarray,
-                                               dqdt: np.ndarray,
-                                               divu: np.ndarray,
-                                               ws: SolverWorkspace) -> None:
-        """Transposed sweep tiled along the transposed block's axis 1.
-
-        Unlike the strided ``d == 0`` path (three barrier-separated
-        launches because tiles cut the reconstruction axis itself), the
-        transposed engine's slab axis is always perpendicular to the
-        reconstruction axis, so every slab owns its full reconstruction
-        extent and the whole gather→pad→WENO→Riemann→scatter→accumulate
-        pipeline runs fused in a single launch for every direction —
-        including ``d == 0``.
-        """
-        layout, ng, sw, ex = self.layout, self._ng, self.stopwatch, self.executor
-        pd = d - (prim.ndim - layout.ndim - 1)  # physical direction
-        lo_bc, hi_bc = self.bcs.per_axis[pd]
-        order = self.config.weno_order
-        arr = prim.ndim
-        perm = sweep_perm(arr, d + 1)
-        tpad = ws.t_padded[d]
-        tvl, tvr = ws.t_face_l[d], ws.t_face_r[d]
-        tflux, tuface = ws.t_flux[d], ws.t_u_face[d]
-        flux, u_face = ws.flux[d], ws.u_face[d]
-        n = prim.shape[d + 1]
-        # Standard-layout views pre-permuted so each slab's gather and
-        # scatter are plain slice assignments (disjoint writes: the
-        # slab axis is axis 1 of every transposed buffer).
-        xp = array_namespace(prim)
-        tview = xp.transpose(prim, perm)
-        flux_t = xp.transpose(flux, perm)
-        uface_t = xp.transpose(u_face, tuple(p - 1 for p in perm[1:]))
-        tiled_axis = perm[1]  # standard-layout array axis the slabs cut
-        extent = tpad.shape[1]
-        tiles = self._tiles_t[d]
-        w_max = -(-extent // min(tiles, extent))
-
-        def timed(name):
-            return sw.time(name) if sw is not None else _NullCtx()
-
-        def slab(lo, hi):
-            wscr, rscr = ws.thread_scratch(d, w_max, transposed=True)
-            count = hi - lo
-            s = (slice(None), slice(lo, hi))
-            with timed("packing"):
-                tpad[s][..., ng:ng + n] = tview[s]
-                fill_axis_ghosts(tpad[s], layout, arr - 2, ng, lo_bc, hi_bc,
-                                 normal_direction=pd)
-            with timed("weno"):
-                tl, tr = reconstruct_faces(
-                    tpad[s], arr - 1, order, out=(tvl[s], tvr[s]),
-                    scratch=narrow_scratch_rows(wscr, self.weno_variant,
-                                                order, count),
-                    variant=self.weno_variant)
-                limited = limit_face_states(layout, self.mixture, tpad[s],
-                                            tl, tr, arr - 2, ng)
-            with timed("riemann"):
-                tf, tu = self._riemann(
-                    layout, self.mixture, tl, tr, pd,
-                    out=tflux[s], out_u=tuface[lo:hi],
-                    scratch=rscr.view((slice(None), slice(0, count))))
-            with timed("packing"):
-                xp.copyto(flux_t[s], tf)
-                xp.copyto(uface_t[lo:hi], tu)
-            with timed("other"):
-                std = [slice(None)] * arr
-                std[tiled_axis] = slice(lo, hi)
-                std = tuple(std)
-                _accumulate_divergence(flux[std], d + 1, width,
-                                       ws.div_scratch[std], dqdt[std],
-                                       "subtract")
-                _accumulate_divergence(u_face[std[1:]], d, width,
-                                       ws.divu_scratch[std[1:]], divu[std[1:]],
-                                       "add")
-            return limited
-
-        self.limited_faces += sum(ex.launch(slab, extent, tiles=tiles))
-        self.sweep_counters.record_transposed(
-            tvl.nbytes + tvr.nbytes,
-            prim.nbytes + flux.nbytes + u_face.nbytes,
-            weno_passes=self._weno_sweep_passes)
-
-
-def _accumulate_divergence(faces, axis: int, width,
-                           scratch, acc, op: str) -> None:
-    """``acc op= diff(faces, axis)/width`` without temporaries.
-
-    ``op`` names the accumulating ufunc ("subtract"/"add") so it can be
-    resolved against the arrays' own namespace.  Bitwise identical to
-    ``np.diff``-based accumulation: the forward difference, the width
-    division, and the in-place accumulate are the same three ufunc
-    evaluations in the same order.
-    """
-    xp = array_namespace(faces, acc)
-    lo = [slice(None)] * faces.ndim
-    hi = [slice(None)] * faces.ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    xp.subtract(faces[tuple(hi)], faces[tuple(lo)], out=scratch)
-    xp.true_divide(scratch, width, out=scratch)
-    getattr(xp, op)(acc, scratch, out=acc)
-
-
-class _NullCtx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
+            weno_passes=self._engine.weno_passes)

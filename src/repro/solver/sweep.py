@@ -1,14 +1,27 @@
-"""Layout planning for the coalesced sweep engine (paper §III.D-§III.E).
+"""The direction sweep: one slab schedule, and the layout planning for it.
 
-The paper's largest single-GPU win restores coalesced memory access in
-the non-contiguous direction sweeps by physically transposing the packed
-state so the reconstruction axis is contiguous, sweeping in that layout,
-and transposing only the face fluxes back.  This module decides *which*
-directions of an RHS evaluation get that treatment:
+One body (:meth:`SweepEngine.sweep`) runs every workspace execution
+mode of a direction sweep — ``pack → faces(span) → [scatter] →
+divergence`` over slab tiles cut on the first spatial axis perpendicular
+to the reconstruction axis (the stage graph's slab-axis rule, see
+:func:`repro.acc.fusion.plan_fusion`).  The modes are parameters of
+that body, not copies of it:
+
+=============  =========  ================  ====================  ==========
+mode           tiles      scratch arena     ghost source          face span
+=============  =========  ================  ====================  ==========
+serial         1          field-sized       physical BCs          whole
+threaded       N          + thread scratch  physical BCs          whole
+transposed     1 or N     ``t_*`` + scatter physical BCs          whole
+fused          N          ``FusionScratch`` physical BCs (kernel) whole
+rank-local     1          field-sized       walls + transport     split
+=============  =========  ================  ====================  ==========
+
+Which directions sweep transposed is planned here too (paper §III.D):
 
 ``strided``
     Never transpose — every sweep reads the standard ``(nvars, x, y, z)``
-    block through strided views (the pre-engine behaviour).
+    block through strided views.
 ``transposed``
     Transpose every direction whose reconstruction axis is not already
     the trailing (contiguous) array axis.  (This repo packs C-order, so
@@ -22,32 +35,52 @@ directions of an RHS evaluation get that treatment:
     the whole padded sweep block fits in the device's per-core share of
     last-level cache (resident data makes strided passes cheap).
 
-All three choices are bitwise identical in results; the knob only moves
-data. The heuristic's constants are deliberately coarse — the decision
-it must get right is "large sweep block, strided axis" (transpose) vs
-"cache-resident block or already-contiguous axis" (don't).
+Every mode and layout is bitwise identical in results — each stage is
+elementwise over faces and the slab axis is stencil-free in every stage,
+so tiles, spans and layouts only move data.  The heuristic's constants
+are deliberately coarse — the decision it must get right is "large sweep
+block, strided axis" (transpose) vs "cache-resident block or
+already-contiguous axis" (don't).
 """
 
 from __future__ import annotations
 
+import contextlib
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 
+from repro.acc.fusion import (
+    FUSION_MODES,
+    FusedKernelSpec,
+    FusionContext,
+    fused_kernel,
+    kernel_signature,
+    plan_fusion,
+    select_backend,
+    sweep_stage_graph,
+    validate_fusion,
+)
+from repro.acc.gang import tile_spans
+from repro.backend import array_namespace
+from repro.bc.boundary import fill_axis_ghosts
 from repro.common import DTYPE, ConfigurationError
+from repro.fields.transpose import sweep_perm
 from repro.hardware.devices import DeviceSpec, default_host_device
-from repro.hardware.tiling import L2_OCCUPANCY
-from repro.weno import halo_width
+from repro.hardware.tiling import L2_OCCUPANCY, suggest_tile_count
+from repro.riemann import resolve_riemann_flux
+from repro.solver.positivity import limit_face_states
+from repro.weno import halo_width, reconstruct_faces_span
+from repro.weno.stacked import narrow_scratch_rows, weno_passes_per_side
+
+__all__ = ["FUSION_MODES", "SWEEP_LAYOUTS", "SweepEngine", "SweepPlan",
+           "accumulate_divergence", "cache_budget_bytes",
+           "plan_transposed_axes", "timed", "validate_fusion",
+           "validate_sweep_layout"]
 
 #: Valid values of the sweep-layout knob.
 SWEEP_LAYOUTS = ("strided", "transposed", "auto")
-
-#: Valid values of the kernel-fusion knob (see :mod:`repro.acc.fusion`).
-#: ``"off"`` keeps the stage-at-a-time pipeline, ``"on"`` requires the
-#: fused per-tile kernels (workspace mandatory), ``"auto"`` enables them
-#: whenever the workspace path is active.  Lives here rather than in the
-#: fusion package so the tuning/IO layers can validate the knob without
-#: importing :mod:`repro.acc` (whose runtime pulls in the profiling
-#: drivers — an import cycle at module level).
-FUSION_MODES = ("auto", "off", "on")
 
 #: Estimated face-sized strided array passes the in-place WENO kernels
 #: make per sweep (both sides): every ``cells(offset)`` operand read and
@@ -66,14 +99,6 @@ def validate_sweep_layout(mode: str) -> str:
     if mode not in SWEEP_LAYOUTS:
         raise ConfigurationError(
             f"sweep layout must be one of {SWEEP_LAYOUTS}, got {mode!r}")
-    return mode
-
-
-def validate_fusion(mode: str) -> str:
-    """Validate and return a kernel-fusion knob value."""
-    if mode not in FUSION_MODES:
-        raise ConfigurationError(
-            f"fusion must be one of {FUSION_MODES}, got {mode!r}")
     return mode
 
 
@@ -152,3 +177,332 @@ def plan_transposed_axes(mode: str, nvars: int, spatial: tuple[int, ...],
     dev = device if device is not None else default_host_device()
     return frozenset(d for d in candidates
                      if _transpose_wins(nvars, spatial, d, ng, weno_order, dev))
+
+
+# ----------------------------------------------------------------------
+# The sweep engine
+# ----------------------------------------------------------------------
+#: Field-sized rows of the direction pipeline live per tile row: padded
+#: primitives + prim + dqdt + both face states + flux + divergence
+#: scratch + 8 WENO + 7 Riemann scratch rows (the L2 tile heuristic's
+#: working-set estimate).
+PIPELINE_ROWS_PER_SLICE = 22
+
+_UNTIMED = contextlib.nullcontext()
+
+
+def timed(stopwatch, name: str):
+    """The stopwatch lap ``name``, or a no-op without a stopwatch."""
+    return stopwatch.time(name) if stopwatch is not None else _UNTIMED
+
+
+def accumulate_divergence(faces, axis: int, width, scratch, acc, op: str) -> None:
+    """``acc op= diff(faces, axis)/width`` without temporaries.
+
+    ``op`` names the accumulating ufunc ("subtract"/"add") so it can be
+    resolved against the arrays' own namespace.  Bitwise identical to
+    ``np.diff``-based accumulation: the forward difference, the width
+    division, and the in-place accumulate are the same three ufunc
+    evaluations in the same order.
+    """
+    xp = array_namespace(faces, acc)
+    xp.subtract(faces[_cut(1, None, axis)], faces[_cut(0, -1, axis)],
+                out=scratch)
+    xp.true_divide(scratch, width, out=scratch)
+    getattr(xp, op)(acc, scratch, out=acc)
+
+
+def _cut(lo, hi, axis: int) -> tuple:
+    """Index selecting ``[lo, hi)`` on array ``axis`` (leading axes whole)."""
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """How one direction sweeps — the parameters of the one slab body.
+
+    Axis indices are *virtual* spatial axes (array axis minus one): a
+    batched engine's axis 0 is the ensemble axis, which is never swept
+    but is the slab axis of every sweep.
+    """
+
+    d: int  #: reconstruction direction
+    kind: str  #: work layout, "strided" or "transposed" (axis-last)
+    slab_axis: int | None  #: axis the tiles cut; None in 1D (one tile)
+    tiles: int  #: slab tiles per sweep
+    fused: bool  #: one generated kernel per tile replaces the stages
+
+
+class SweepEngine:
+    """Plans and runs the direction sweeps of one RHS on a workspace.
+
+    ``shape`` is the physical spatial shape; ``batch`` prepends the
+    ensemble axis.  ``ghosts(d, padded)``, when given, replaces the
+    physical boundary fill: it must complete the ghost layers of the
+    whole standard-layout padded block (a rank's wall fill + halo
+    transport), so such an engine runs one tile per sweep and fuses only
+    from WENO on (``pack=False`` kernels, strided directions).
+
+    Tile counts come from the ``tiles`` override, else the L2 heuristic
+    budgeted against one core's *share* of the last-level cache: a
+    tile's scratch is touched by exactly one worker, and budgeting it
+    against the whole device LLC degenerates to one field-sized tile on
+    big-cache catalog entries.  Unfused sweeps without a thread pool
+    stay one tile (they stream field-sized buffers either way).
+    """
+
+    def __init__(self, layout, mixture, bcs, config, shape, *, counters,
+                 sweep_layout: str = "strided", fused: bool = False,
+                 weno_variant: str = "chained",
+                 riemann_variant: str = "reference",
+                 batch: int | None = None, executor=None,
+                 tiles: int | None = None, device: DeviceSpec | None = None,
+                 dtype=DTYPE, stopwatch=None, ghosts=None) -> None:
+        self.layout, self.mixture, self.bcs = layout, mixture, bcs
+        self.counters, self.stopwatch = counters, stopwatch
+        self.executor, self.ghosts = executor, ghosts
+        self.order = order = config.weno_order
+        self.ng = halo_width(order)
+        self.weno_variant = weno_variant
+        self.riemann = resolve_riemann_flux(config.riemann_solver,
+                                            riemann_variant)
+        #: Face-block ufunc passes both reconstruction sides of one
+        #: sweep cost (tallied into the sweep counters).
+        self.weno_passes = 2 * weno_passes_per_side(weno_variant, order)
+        self.nb = nb = 0 if batch is None else 1
+        spatial = tuple(shape) if batch is None else (batch, *shape)
+        #: Virtual directions swept in the axis-last layout (planned on
+        #: the physical shape: the batch axis is never a candidate).
+        self.transposed_axes = frozenset(
+            d + nb for d in plan_transposed_axes(
+                sweep_layout, layout.nvars, tuple(shape), order,
+                device=device))
+        self.fusion_backend = select_backend(None) if fused else None
+        self._ctx = FusionContext(layout, mixture, self.riemann)
+        self._kernels: dict[int, tuple] = {}
+        self.plans: dict[int, SweepPlan] = {}
+        device = device if device is not None else default_host_device()
+        pack = ghosts is None
+        ndim = len(spatial)
+        slice_bytes = (PIPELINE_ROWS_PER_SLICE * layout.nvars
+                       * int(np.prod(spatial)) * np.dtype(dtype).itemsize)
+        for d in range(nb, ndim):
+            kind = "transposed" if d in self.transposed_axes else "strided"
+            region = plan_fusion(
+                sweep_stage_graph(ndim=ndim, nvars=layout.nvars,
+                                  spatial=spatial, d=d, order=order,
+                                  pack=pack), d=d, ndim=ndim)
+            # Kernels that do not pack exist for the strided layout only.
+            fuse = fused and (pack or kind == "strided")
+            if fuse:
+                spec = FusedKernelSpec(
+                    kind=kind, pack=pack, ndim=ndim, d=d, order=order,
+                    weno_variant=weno_variant,
+                    riemann_solver=config.riemann_solver,
+                    riemann_variant=riemann_variant,
+                    dtype=np.dtype(dtype).name, backend=self.fusion_backend,
+                    batch=batch is not None)
+                self._kernels[d] = (
+                    fused_kernel(spec), kernel_signature(spec),
+                    region.passes_saved_per_tile(weno_variant, order))
+            extent = (1 if region.slab_axis is None
+                      else spatial[region.slab_axis])
+            if not pack or (executor is None and not fuse):
+                # The ghost hook needs the whole block; serial unfused
+                # tiles would only re-slice field-sized buffers.
+                n_tiles = 1
+            elif tiles is not None:
+                n_tiles = max(1, min(tiles, extent))
+            else:
+                budget = dict(bytes_per_slice=slice_bytes // extent,
+                              device=device,
+                              occupancy=1.0 / max(1, device.cores or 1))
+                n_tiles = (
+                    executor.plan_tiles(region.stages[0].nest, extent,
+                                        **budget)
+                    if executor is not None
+                    else suggest_tile_count(extent, 1, **budget))
+            self.plans[d] = SweepPlan(d, kind, region.slab_axis, n_tiles,
+                                      fuse)
+
+    # ------------------------------------------------------------------
+    def sweep(self, ws, prim, d: int, width, dqdt, divu, *,
+              split: bool = False) -> int:
+        """Accumulate direction ``d`` into ``dqdt``/``divu``.
+
+        Returns the count of positivity-limited face states.  Virtual
+        direction ``d`` sweeps array axis ``d + 1``; the physical
+        direction (momentum component, BC axis) is ``d - nb``.
+
+        ``split`` (ghost-hook engines) reconstructs the faces whose
+        stencils touch no ghost cell *before* calling the hook and the
+        ``ng`` faces at each end after it, so the interior computes
+        while the neighbours' strips land; spans partitioning the face
+        range compose bitwise into the whole-range result, and
+        ``reconstruct_faces_span(0, nf)`` is the bulk call.
+        """
+        layout, ng, sw, xp = self.layout, self.ng, self.stopwatch, ws.xp
+        plan = self.plans[d]
+        pd = d - self.nb
+        lo_bc, hi_bc = self.bcs.per_axis[pd]
+        n = prim.shape[d + 1]
+        sa = plan.slab_axis
+        extent = 1 if sa is None else prim.shape[sa + 1]
+        n_tiles = min(plan.tiles, extent)
+        w_max = -(-extent // n_tiles)
+        transposed = plan.kind == "transposed"
+        fused = plan.fused and not split
+        if fused:
+            kern, sig, passes_saved = self._kernels[d]
+        # The generated kernel packs and ghost-fills its own tile.
+        kernel_packs = fused and self.ghosts is None
+        if transposed:
+            perm = sweep_perm(prim.ndim, d + 1)
+            src = xp.transpose(prim, perm)
+            axis = prim.ndim - 1  # work-layout array axis reconstructed
+        else:
+            perm, src, axis = None, prim, d + 1
+        interior = _cut(ng, ng + n, axis)
+
+        def slab(lo, hi):
+            # Standard-layout and work-layout index of this slab tile
+            # (the slab is axis 1 of every axis-last buffer).
+            std = () if sa is None else _cut(lo, hi, sa + 1)
+            wrk = _cut(lo, hi, 1) if transposed else std
+            tile_src, dq, dv = src[wrk], dqdt[std], divu[std[1:]]
+            if kernel_packs:
+                scr = ws.fusion_scratch(d, w_max, transposed=transposed
+                                        ).narrow(hi - lo)
+            else:
+                scr = self._staged_arena(ws, d, perm, std, wrk, hi - lo,
+                                         w_max, private=n_tiles > 1)
+
+            def run_kernel():
+                # Arguments bind by name: what is not a tile operand
+                # below is a scratch buffer of the same name.
+                bound = {"ctx": self._ctx, "prim": tile_src,
+                         "tsrc": tile_src, "dqdt": dq, "divu": dv,
+                         "width": width, "bc_lo": lo_bc, "bc_hi": hi_bc}
+                with timed(sw, "fused"):
+                    return kern(*(bound[k] if k in bound else getattr(scr, k)
+                                  for k in sig))
+
+            if kernel_packs:
+                return run_kernel()
+            if transposed:
+                pad, vl, vr = scr.tpad, scr.tvl, scr.tvr
+                wflux, wuface = scr.tflux, scr.tuface
+            else:
+                pad, vl, vr = scr.pad, scr.vl, scr.vr
+                wflux, wuface = scr.flux, scr.uface
+
+            def faces(flo, fhi):
+                fi = _cut(flo, fhi, axis)
+                with timed(sw, "weno"):
+                    reconstruct_faces_span(pad, axis, self.order, flo, fhi,
+                                           out=(vl, vr), scratch=scr.wscr,
+                                           variant=self.weno_variant)
+                    limited = limit_face_states(
+                        layout, self.mixture, pad[_cut(flo, None, axis)],
+                        vl[fi], vr[fi], axis - 1, ng)
+                with timed(sw, "riemann"):
+                    self.riemann(layout, self.mixture, vl[fi], vr[fi], pd,
+                                 out=wflux[fi], out_u=wuface[fi[1:]],
+                                 scratch=scr.rscr.view(
+                                     _cut(0, fhi - flo, axis)))
+                return limited
+
+            limited = 0
+            with timed(sw, "packing"):
+                if self.ghosts is None:
+                    pad[interior] = tile_src
+                    fill_axis_ghosts(pad, layout, axis - 1, ng, lo_bc, hi_bc,
+                                     normal_direction=pd)
+                else:
+                    scr.pad[_cut(ng, ng + n, d + 1)] = prim
+            if self.ghosts is not None:
+                # The hook completes the standard-layout block; faces
+                # whose stencils reach no ghost cell can run before it.
+                if split:
+                    limited += faces(ng, n - ng + 1)
+                self.ghosts(pd, scr.pad)
+                if transposed:
+                    pad[...] = xp.transpose(scr.pad, perm)
+                if fused:
+                    return run_kernel()
+            for span in (((0, ng), (n - ng + 1, n + 1)) if split
+                         else ((0, n + 1),)):
+                limited += faces(*span)
+            if transposed:
+                with timed(sw, "packing"):
+                    xp.copyto(scr.flux_t, wflux)
+                    xp.copyto(scr.uface_t, wuface)
+            with timed(sw, "other"):
+                # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx.
+                accumulate_divergence(scr.flux, d + 1, width, scr.dscr, dq,
+                                      "subtract")
+                accumulate_divergence(scr.uface, d, width, scr.dvscr, dv,
+                                      "add")
+            return limited
+
+        if self.executor is not None:
+            limited = sum(self.executor.launch(slab, extent,
+                                               tiles=plan.tiles))
+        else:
+            limited = sum(slab(lo, hi)
+                          for lo, hi in tile_spans(extent, plan.tiles))
+
+        # Nominal (field-sized) byte tallies, the same in every mode:
+        # both face states reconstructed; the primitives gathered and
+        # the flux + interface velocity scattered when transposed.
+        cells = int(np.prod(prim.shape[1:]))
+        face_cells = cells // n * (n + 1)
+        face_bytes = layout.nvars * face_cells * ws.dtype.itemsize
+        if transposed:
+            self.counters.record_transposed(
+                2 * face_bytes,
+                face_bytes + (layout.nvars * cells + face_cells)
+                * ws.dtype.itemsize,
+                weno_passes=self.weno_passes)
+        else:
+            self.counters.record_strided(
+                2 * face_bytes, contiguous=(pd == layout.ndim - 1),
+                weno_passes=self.weno_passes)
+        if fused:
+            self.counters.record_fused(n_tiles, n_tiles * passes_saved)
+        return limited
+
+    # ------------------------------------------------------------------
+    def _staged_arena(self, ws, d: int, perm, std: tuple, wrk: tuple,
+                      count: int, w_max: int, *, private: bool):
+        """Slab-tile views of the field-sized buffers, named as the
+        fused kernels' (and :class:`FusionScratch`'s) arguments.
+
+        Concurrent tiles (``private``) take the calling worker's own
+        kernel scratch; a lone tile runs on the calling thread and may
+        use the workspace's field-sized serial scratch.
+        """
+        transposed = perm is not None
+        if private:
+            wscr, rscr = ws.thread_scratch(d, w_max, transposed=transposed)
+            wscr = narrow_scratch_rows(wscr, self.weno_variant, self.order,
+                                       count)
+            rscr = rscr.view(_cut(0, count, len(wrk) - 1))
+        else:
+            wscr = ws.weno_scratch[d]
+            rscr = (ws.t_riemann_scratch if transposed
+                    else ws.riemann_scratch)[d]
+        flux, uface = ws.flux[d][std], ws.u_face[d][std[1:]]
+        scr = SimpleNamespace(
+            pad=ws.padded[d][std], vl=ws.face_l[d][std],
+            vr=ws.face_r[d][std], flux=flux, uface=uface, wscr=wscr,
+            rscr=rscr, dscr=ws.div_scratch[std],
+            dvscr=ws.divu_scratch[std[1:]])
+        if transposed:
+            scr.tpad, scr.tvl = ws.t_padded[d][wrk], ws.t_face_l[d][wrk]
+            scr.tvr, scr.tflux = ws.t_face_r[d][wrk], ws.t_flux[d][wrk]
+            scr.tuface = ws.t_u_face[d][wrk[1:]]
+            scr.flux_t = ws.xp.transpose(flux, perm)
+            scr.uface_t = ws.xp.transpose(uface,
+                                          tuple(p - 1 for p in perm[1:]))
+        return scr

@@ -427,31 +427,27 @@ class SolverWorkspace:
         """Private ``(weno_scratch, riemann_scratch)`` for the calling thread.
 
         Allocated lazily the first time a pool worker asks, sized for
-        tiles of at most ``tile_width`` along the tiled (slowest) axis
-        — the face-tile axis for direction 0, the spatial-0 slab axis
-        otherwise — and cached for the worker's later tiles and steps.
-        Callers narrow the buffers to their exact tile extent
-        (``s[..., :count]`` / :meth:`RiemannScratch.view`) before use.
+        tiles of at most ``tile_width`` along the slab axis — the first
+        spatial axis perpendicular to direction ``d``, which is axis 1
+        of every reconstruction-axis-last shape — and cached for the
+        worker's later tiles and steps.  Callers narrow the buffers to
+        their exact tile extent (:func:`narrow_scratch_rows` /
+        :meth:`RiemannScratch.view`) before use.
 
-        With ``transposed=True`` both scratch sets take the
-        axis-contiguous layout of the transposed sweep engine (the
-        reconstruction-axis-last face shape, tiled along array axis 1),
+        With ``transposed=True`` the Riemann scratch takes the
+        axis-contiguous face shape of the transposed sweep layout too,
         cached separately from the strided sets.
         """
         key = (threading.get_ident(), d, transposed)
         with self._scratch_lock:
             entry = self._thread_scratch.get(key)
             if entry is None or entry[0] < tile_width:
-                if transposed:
-                    wshape = list(self._weno_shapes[d])
+                wshape = list(self._weno_shapes[d])
+                fshape = wshape if transposed else list(self._face_shapes[d])
+                if len(wshape) > 2:  # 1D has no perpendicular axis to cut
+                    slab = 1 if transposed or d > 0 else 2
                     wshape[1] = min(tile_width, wshape[1])
-                    fshape = wshape
-                else:
-                    wshape = list(self._weno_shapes[d])
-                    fshape = list(self._face_shapes[d])
-                    tiled_axis = len(wshape) - 1 if d == 0 else 1
-                    wshape[tiled_axis] = min(tile_width, wshape[tiled_axis])
-                    fshape[1] = min(tile_width, fshape[1])
+                    fshape[slab] = min(tile_width, fshape[slab])
                 weno = allocate_weno_scratch(self.weno_variant,
                                              self.weno_order, tuple(wshape),
                                              self.dtype, xp=self.xp)

@@ -6,7 +6,12 @@ from repro.timestepping.cfl import (
     max_wave_speed,
     max_wave_speeds,
 )
-from repro.timestepping.ssp_rk import SSP_SCHEMES, ssp_rk_step
+from repro.timestepping.ssp_rk import (
+    SSP_SCHEMES,
+    rk_stages,
+    shu_osher_combine,
+    ssp_rk_step,
+)
 
 __all__ = ["cfl_dt", "cfl_dts", "max_wave_speed", "max_wave_speeds",
-           "SSP_SCHEMES", "ssp_rk_step"]
+           "SSP_SCHEMES", "rk_stages", "shu_osher_combine", "ssp_rk_step"]

@@ -38,6 +38,42 @@ SSP_SCHEMES: dict[int, tuple[tuple[float, float, float], ...]] = {
 }
 
 
+def rk_stages(order: int) -> tuple[tuple[float, float, float], ...]:
+    """The Shu-Osher tableau for ``order`` (validated)."""
+    if order not in SSP_SCHEMES:
+        raise ConfigurationError(
+            f"SSP-RK order must be one of {sorted(SSP_SCHEMES)}, got {order}")
+    return SSP_SCHEMES[order]
+
+
+def shu_osher_combine(q_n, q_k, L, out, tmp, a, b, cdt, xp=np):
+    """``out = (a*q_n + b*q_k) + cdt*L`` through preallocated buffers.
+
+    The one spelling of a stage combination every step driver shares:
+    five ufunc evaluations grouped exactly as the allocating expression
+    ``a*q_n + b*q_k + cdt*L``, so all drivers stay bitwise identical.
+    ``out`` may alias ``q_n`` (its first write, ``a*q_n``, is
+    element-aligned); ``tmp`` must not alias any operand.
+    """
+    xp.multiply(q_k, b, out=tmp)
+    xp.multiply(q_n, a, out=out)
+    xp.add(out, tmp, out=out)
+    xp.multiply(L, cdt, out=tmp)
+    xp.add(out, tmp, out=out)
+    return out
+
+
+def stage_buffer(workspace, k: int, n_stages: int):
+    """Destination of stage ``k``: the result buffer for the last stage.
+
+    The result buffer may alias ``q_n`` (it is the previous step's
+    output), so intermediate stages alternate between the two stage
+    buffers and ``q_n`` stays intact until the final combination.
+    """
+    return (workspace.rk_result if k == n_stages - 1
+            else workspace.rk_stage[k % 2])
+
+
 def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
                 dt: float, order: int = 3, *,
                 workspace=None, prim0: np.ndarray | None = None,
@@ -68,66 +104,47 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     slowest spatial axis (elementwise ops on disjoint row slabs).  All
     paths are bitwise identical.
     """
-    if order not in SSP_SCHEMES:
-        raise ConfigurationError(
-            f"SSP-RK order must be one of {sorted(SSP_SCHEMES)}, got {order}")
+    stages = rk_stages(order)
     if workspace is None:
         q_n = q
         q_k = q
-        for a, b, c in SSP_SCHEMES[order]:
+        for a, b, c in stages:
             # First stage has b == 0, so q_prev's coefficient pattern still
             # holds with q_k == q_n.
             q_k = a * q_n + b * q_k + (c * dt) * rhs(q_k)
         return q_k
 
-    stages = SSP_SCHEMES[order]
     ws = workspace
     xp = array_namespace(q)
     tiled = executor is not None and executor.parallel and q.ndim > 1
     q_n = q
     q_k = q
     for k, (a, b, c) in enumerate(stages):
-        # The result buffer may alias q_n (it is the previous step's
-        # output); intermediate stages go to alternating stage buffers,
-        # so q_n stays intact until the final stage's first write — and
-        # that write (a*q_n into the result) is element-aligned, hence
-        # safe under aliasing (per tile exactly as for the whole array).
-        out = ws.rk_result if k == len(stages) - 1 else ws.rk_stage[k % 2]
+        out = stage_buffer(ws, k, len(stages))
         L = rhs(q_k, out=ws.dqdt, prim=prim0 if k == 0 else None)
-        # q_{k+1} = (a*q_n + b*q_k) + (c*dt)*L, grouped as in the
-        # allocating path above so the two are bitwise identical.
         if tiled:
             _axpy_stage_tiled(executor, q_n, q_k, L, out, ws.rk_tmp,
-                              a, b, c * dt, xp=xp)
+                              a, b, c * dt, xp)
         else:
-            xp.multiply(q_k, b, out=ws.rk_tmp)
-            xp.multiply(q_n, a, out=out)
-            xp.add(out, ws.rk_tmp, out=out)
-            xp.multiply(L, c * dt, out=ws.rk_tmp)
-            xp.add(out, ws.rk_tmp, out=out)
+            shu_osher_combine(q_n, q_k, L, out, ws.rk_tmp, a, b, c * dt, xp)
         q_k = out
     return q_k
 
 
-def _axpy_stage_tiled(executor, q_n, q_k, L, out, tmp, a, b, cdt,
-                      xp=np) -> None:
+def _axpy_stage_tiled(executor, q_n, q_k, L, out, tmp, a, b, cdt, xp) -> None:
     """One Shu-Osher combination, tiled along the slowest spatial axis.
 
-    Each tile runs the serial path's five ufunc evaluations on its own
-    row slab (disjoint writes to ``out`` and ``tmp``), so the result is
-    bitwise identical to the whole-array combination.  A per-case dt
-    field (ensemble runs; leading axis = batch = the tiled axis) is
-    sliced to the slab so the broadcast stays aligned.
+    Each tile runs :func:`shu_osher_combine` on its own row slab
+    (disjoint writes to ``out`` and ``tmp``), so the result is bitwise
+    identical to the whole-array combination.  A per-case dt field
+    (ensemble runs; leading axis = batch = the tiled axis) is sliced to
+    the slab so the broadcast stays aligned.
     """
     vec = getattr(cdt, "ndim", 0) > 0
 
     def stage(lo, hi):
         s = (slice(None), slice(lo, hi))
-        cw = cdt[lo:hi] if vec else cdt
-        xp.multiply(q_k[s], b, out=tmp[s])
-        xp.multiply(q_n[s], a, out=out[s])
-        xp.add(out[s], tmp[s], out=out[s])
-        xp.multiply(L[s], cw, out=tmp[s])
-        xp.add(out[s], tmp[s], out=out[s])
+        shu_osher_combine(q_n[s], q_k[s], L[s], out[s], tmp[s], a, b,
+                          cdt[lo:hi] if vec else cdt, xp)
 
     executor.launch(stage, q_n.shape[1])

@@ -136,7 +136,8 @@ class TestBitwiseIdentity:
                  use_workspace=True, fusion="auto")
         off = RHS(case.layout, MIX, case.grid, bcs, RHSConfig(),
                   use_workspace=False, fusion="auto")
-        assert on._fused and not off._fused
+        assert all(p["fused"] for p in on.tile_plan()["directions"])
+        assert not any(p["fused"] for p in off.tile_plan()["directions"])
         q = case.initial_conservative()
         assert rhs_eval(on, q) == rhs_eval(off, q)
 
@@ -160,7 +161,8 @@ class TestBitwiseIdentity:
         plan = fused.tile_plan()
         assert plan["fusion"] == "on"
         assert plan["fusion_backend"] == fused.fusion_backend
-        assert set(plan["tiles_fused"]) == {0, 1}
+        assert [(p["d"], p["fused"]) for p in plan["directions"]] == [
+            (0, True), (1, True)]
 
 
 # ----------------------------------------------------------------------

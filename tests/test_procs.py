@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro.bc import BoundarySet
 from repro.cluster import (
     BlockDecomposition,
+    HaloExchanger,
     ProcessCluster,
     RankFault,
+    RankSolver,
     SharedMemoryTransport,
     ShmArena,
 )
@@ -30,7 +32,7 @@ from repro.common import ClusterError, ConfigurationError
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.profiling import HaloCounters, Profile
-from repro.solver import Case, Patch, RHSConfig, Simulation, box, sphere
+from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
 
 AIR = StiffenedGas(1.4)
 MIX = Mixture((AIR, AIR))
@@ -133,6 +135,44 @@ class TestProcessClusterBitIdentity:
         off = cluster_for(case, bcs, 4, fixed_dt=2e-4, overlap=False)
         np.testing.assert_array_equal(on.run(q0, n_steps=2).q,
                                       off.run(q0, n_steps=2).q)
+
+
+class TestRankSolverIsTheSerialSweep:
+    """A 1-rank ``RankSolver`` runs the same sweep body as ``RHS`` with
+    the ghost hook and the face-span split as its only parameters, so
+    the two agree on every observable: bytes, limiter count, counters."""
+
+    @pytest.mark.parametrize("layout,fusion,periodic", [
+        ("strided", "off", True),      # self-exchange: split face spans
+        ("strided", "off", False),     # walls only: bulk span
+        ("transposed", "off", True),
+        ("transposed", "off", False),
+        ("strided", "on", False),      # bulk sweeps fuse (pack=False)
+    ])
+    @pytest.mark.parametrize("shape", [(21, 16), (9, 8, 7)])
+    def test_one_rank_equals_rhs(self, layout, fusion, periodic, shape):
+        ndim = len(shape)
+        case = bubble_case(shape)
+        bcs = (BoundarySet.all_periodic(ndim) if periodic
+               else BoundarySet.all_extrapolation(ndim))
+        config = RHSConfig()
+        decomp = BlockDecomposition.balanced(shape, 1,
+                                             periodic=(periodic,) * ndim)
+        halo = HaloExchanger(decomp, case.layout, bcs, 3)
+        rank = RankSolver(decomp, 0, case.layout, MIX, bcs, config,
+                          case.grid, halo, sweep_layout=layout,
+                          fusion=fusion)
+        # A rank sweeps one tile (its ghost hook fills the whole
+        # block); pin the serial fused RHS to the same count so the
+        # launch counters are comparable on any host's cache size.
+        rhs = RHS(case.layout, MIX, case.grid, bcs, config,
+                  sweep_layout=layout, fusion=fusion,
+                  tiles=1 if fusion == "on" else None)
+        q = case.initial_conservative()
+        assert rank.rhs(q).tobytes() == rhs(q).tobytes()
+        assert rank.limited_faces == rhs.limited_faces
+        assert rank.sweep_counters.as_dict() == rhs.sweep_counters.as_dict()
+        assert (rhs.sweep_counters.fused_launches > 0) == (fusion == "on")
 
 
 class TestJoinAndDrain:

@@ -11,7 +11,7 @@ the device catalog's cache sizes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acc import GangExecutor, tile_spans
@@ -42,12 +42,12 @@ def random_prim(rng, layout, shape):
     return prim
 
 
-def make_rhs(shape, *, threads=1, order=5, solver="hllc"):
+def make_rhs(shape, *, threads=1, order=5, solver="hllc", **kwargs):
     grid = StructuredGrid.uniform(tuple((0.0, 1.0) for _ in shape), shape)
     layout = StateLayout(ncomp=2, ndim=len(shape))
     return RHS(layout, MIX, grid, BoundarySet.all_periodic(len(shape)),
                RHSConfig(weno_order=order, riemann_solver=solver),
-               threads=threads)
+               threads=threads, **kwargs)
 
 
 def bubble_sim(n=16, **kwargs):
@@ -167,18 +167,48 @@ class TestThreadedBitwise:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 5]),
            st.sampled_from(["hllc", "hll", "rusanov"]),
-           st.integers(2, 4), st.integers(11, 23))
-    def test_rhs_matches_serial(self, seed, order, solver, threads, nx):
+           st.integers(2, 4), st.integers(11, 23),
+           st.sampled_from([(), (9,), (5, 4)]),
+           st.sampled_from([None, 2, 3, 5]))
+    @example(7, 5, "hllc", 2, 37, (), None)     # 1D: one tile, no ⟂ axis
+    @example(11, 3, "hll", 3, 13, (9,), 4)      # 2D strided, d=0 cut on y
+    @example(13, 5, "hllc", 4, 10, (7, 6), 3)   # 3D strided, d=0 cut on y
+    def test_rhs_matches_serial(self, seed, order, solver, threads, nx,
+                                tail, tiles):
         # nx deliberately not divisible by most tile counts: uneven
         # spans must still reproduce the serial floats bit for bit.
         rng = np.random.default_rng(seed)
-        shape = (nx, 9)
+        shape = (nx, *tail)
         serial = make_rhs(shape, order=order, solver=solver)
-        tiled = make_rhs(shape, threads=threads, order=order, solver=solver)
+        oracle = make_rhs(shape, order=order, solver=solver,
+                          use_workspace=False)
+        tiled = make_rhs(shape, threads=threads, order=order, solver=solver,
+                         sweep_layout="strided", tiles=tiles)
         q = prim_to_cons(serial.layout, MIX,
                          random_prim(rng, serial.layout, shape))
-        np.testing.assert_array_equal(serial(q), tiled(q))
+        try:
+            out = tiled(q)
+        finally:
+            tiled.executor.shutdown()
+        np.testing.assert_array_equal(serial(q), out)
+        np.testing.assert_array_equal(oracle(q), out)
         assert serial.limited_faces == tiled.limited_faces
+        assert oracle.limited_faces == tiled.limited_faces
+        # Every direction — d=0 included — is tiled on the first axis
+        # perpendicular to it, never on the reconstruction axis; 1D has
+        # no such axis and runs one tile.
+        plans = tiled.tile_plan()["directions"]
+        assert [p["kind"] for p in plans] == ["strided"] * len(shape)
+        if len(shape) == 1:
+            assert (plans[0]["slab_axis"], plans[0]["tiles"]) == (None, 1)
+        else:
+            assert [p["slab_axis"] for p in plans] == (
+                [1] + [0] * (len(shape) - 1))
+            extents = [shape[1]] + [shape[0]] * (len(shape) - 1)
+            for p, extent in zip(plans, extents):
+                assert 1 <= p["tiles"] <= extent
+                if tiles is not None:
+                    assert p["tiles"] == min(tiles, extent)
 
     def test_rhs_matches_serial_1d(self):
         rng = np.random.default_rng(7)
@@ -214,13 +244,14 @@ class TestThreadPlumbing:
     def test_threads_one_takes_serial_path(self):
         sim = bubble_sim(threads=1)
         assert sim.rhs.executor is None
-        assert sim.rhs._tiles is None
+        assert [p["tiles"] for p in sim.rhs.tile_plan()["directions"]] == [1, 1]
 
     def test_threaded_sim_builds_executor_and_tiles(self):
         sim = bubble_sim(threads=3)
         assert sim.rhs.executor is not None
         assert sim.rhs.executor.threads == 3
-        assert sim.rhs._tiles >= 1
+        assert all(p["tiles"] >= 1
+                   for p in sim.rhs.tile_plan()["directions"])
 
     @pytest.mark.parametrize("bad", [0, -2, 2.5, False])
     def test_invalid_threads_rejected(self, bad):

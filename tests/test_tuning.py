@@ -382,12 +382,18 @@ class TestPlumbing:
 
     def test_profiler_report_surfaces_tiling_and_tuning(self):
         profile = Profile(device_name="host")
-        profile.tiling = {"tiles": 4, "tiles_transposed": {0: 2},
-                          "source": "override", "plans": []}
+        profile.tiling = {
+            "directions": [
+                {"d": 0, "kind": "transposed", "slab_axis": 1, "tiles": 2,
+                 "fused": False},
+                {"d": 1, "kind": "strided", "slab_axis": 0, "tiles": 4,
+                 "fused": True}],
+            "source": "override", "plans": []}
         profile.tuning = TuningPlan(weno_variant="stacked", source="tuned",
                                     measured_ns=1e6, modeled_ns=2e6)
         report = profile.report()
-        assert "tiling (override): 4 tiles, d0: 2" in report
+        assert ("tiling (override): d0: 2 transposed tiles, "
+                "d1: 4 strided fused tiles") in report
         assert "tuning (tuned): weno=stacked" in report
 
 

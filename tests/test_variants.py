@@ -230,7 +230,7 @@ class TestRHSVariantIdentity:
         finally:
             rhs.executor.shutdown()
         assert plan["source"] == "override"
-        assert plan["tiles"] == 3
+        assert [p["tiles"] for p in plan["directions"]] == [3, 3]
 
     def test_weno_pass_counter_drops_with_stacked(self):
         q = random_q((14, 13), seed=8)
