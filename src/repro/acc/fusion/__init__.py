@@ -13,8 +13,9 @@ analog, structured like a small transformation-script compiler
     axis tiles are cut along;
 :mod:`~repro.acc.fusion.codegen`
     renders the fused region as one straight-line shape-generic kernel
-    over tile-sized scratch (intermediates shrink from field-sized to
-    L2-tile-sized);
+    over the sweep's tile-sized arena
+    (:class:`repro.solver.workspace.TileArena`, which the staged chain
+    shares);
 :mod:`~repro.acc.fusion.cache`
     compiles each distinct kernel spec exactly once per process;
 :mod:`~repro.acc.fusion.backends`

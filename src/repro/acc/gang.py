@@ -113,7 +113,8 @@ class GangExecutor:
 
     def plan_tiles(self, nest: ParallelLoopNest, extent: int, *,
                    bytes_per_slice: int = 0,
-                   device=None, occupancy: float | None = None) -> int:
+                   device=None, occupancy: float | None = None,
+                   min_rows: int = 1) -> int:
         """Tile count for a gang nest over ``extent`` rows, L2-refined.
 
         Composes :meth:`gangs_for` (the directive → gang resolution)
@@ -129,7 +130,8 @@ class GangExecutor:
         gangs = self.gangs_for(nest, extent)
         tiles = suggest_tile_count(
             extent, gangs, bytes_per_slice=bytes_per_slice, device=device,
-            occupancy=L2_OCCUPANCY if occupancy is None else occupancy)
+            occupancy=L2_OCCUPANCY if occupancy is None else occupancy,
+            min_rows=min_rows)
         self.tile_plans.append({
             "extent": extent,
             "gangs": gangs,

@@ -123,7 +123,6 @@ class RankSolver:
         self.fusion_backend = self._engine.fusion_backend
         ng = self._engine.ng
         self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
-                                  transposed_axes=self._engine.transposed_axes,
                                   weno_order=config.weno_order)
         # Overlap needs a strided sweep with a non-empty ghost-free
         # interior span and an actual exchange to hide; other

@@ -27,7 +27,8 @@ L2_OCCUPANCY = 0.5
 def suggest_tile_count(extent: int, workers: int, *,
                        bytes_per_slice: int = 0,
                        device: DeviceSpec | None = None,
-                       occupancy: float = L2_OCCUPANCY) -> int:
+                       occupancy: float = L2_OCCUPANCY,
+                       min_rows: int = 1) -> int:
     """Tile count for partitioning ``extent`` rows across ``workers``.
 
     Parameters
@@ -38,20 +39,25 @@ def suggest_tile_count(extent: int, workers: int, *,
         Worker threads; the result is always a multiple of ``workers``
         (or clamped to ``extent``), so a launch keeps every worker busy.
     bytes_per_slice:
-        Working-set bytes the pipeline touches per unit row — all live
-        field-sized buffers (padded primitives, face states, fluxes,
-        scratch) counted across one row of the tiled axis.
+        Working-set bytes the pipeline keeps in flight per unit row of
+        the tiled axis (the sweep engine passes one row of its tile
+        arena's heaviest stage plus the field operands' rows).
     device:
         Catalog entry supplying the last-level-cache capacity; with no
         device (or no byte estimate) the baseline one-tile-per-worker
         split is returned.
+    min_rows:
+        Fewest rows a tile may shrink to while growing the count (the
+        caller's floor on work per kernel call); the baseline
+        one-tile-per-worker split is returned even when it is narrower.
 
     Returns
     -------
     int:
         At least ``min(workers, extent)``; grown in worker multiples
         until one tile's working set fits ``occupancy`` of the cache
-        (or tiles can shrink no further).
+        (or tiles can shrink no further, or would drop under
+        ``min_rows``).
     """
     if extent < 1:
         raise ConfigurationError(f"extent must be >= 1, got {extent}")
@@ -65,5 +71,8 @@ def suggest_tile_count(extent: int, workers: int, *,
         rows_per_tile = math.ceil(extent / tiles)
         if rows_per_tile * bytes_per_slice <= budget:
             break
-        tiles = min(extent, tiles + workers)
+        grown = min(extent, tiles + workers)
+        if math.ceil(extent / grown) < min_rows:
+            break
+        tiles = grown
     return tiles

@@ -83,16 +83,20 @@ class RHSConfig:
 class RHS:
     """Callable computing :math:`dq/dt` for a conservative field ``q``.
 
-    With ``use_workspace`` (the default) all padded-primitive, face,
-    flux, and accumulator buffers are preallocated once in a
-    :class:`~repro.solver.workspace.SolverWorkspace` and reused by every
+    With ``use_workspace`` (the default) the primitive field and the
+    accumulators are preallocated once in a
+    :class:`~repro.solver.workspace.SolverWorkspace`, and every
+    padded-primitive, face and flux intermediate lives in its
+    cache-sized tile arenas, reused tile after tile and call after
     call, so steady-state evaluations perform no new large-array
     allocations; results are bitwise identical to the allocating
     reference path (``use_workspace=False``).
 
     Every workspace evaluation runs the one slab body of
-    :class:`~repro.solver.sweep.SweepEngine`; serial, threaded,
-    transposed and fused execution are parameters of that body.  With
+    :class:`~repro.solver.sweep.SweepEngine` over slab tiles (the
+    ``tiles`` override, else an L2-capacity heuristic); serial,
+    threaded, transposed and fused execution are parameters of that
+    body.  With
     ``threads > 1`` its slab tiles execute across a
     :class:`~repro.acc.gang.GangExecutor` thread pool: the gang axis of
     the pipeline's ``parallel loop gang vector collapse(ndim)`` spec
@@ -266,9 +270,8 @@ class RHS:
         #: reference path.
         self.workspace = (SolverWorkspace(
             self.layout, self.grid, self._ng, dtype=self.dtype,
-            transposed_axes=self._engine.transposed_axes,
             weno_variant=self.weno_variant,
-            weno_order=self.config.weno_order, fusion=fused,
+            weno_order=self.config.weno_order,
             batch=self.batch, backend=self.backend) if ws_on else None)
 
     def tile_plan(self) -> dict:

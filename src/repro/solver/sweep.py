@@ -7,15 +7,24 @@ to the reconstruction axis (the stage graph's slab-axis rule, see
 :func:`repro.acc.fusion.plan_fusion`).  The modes are parameters of
 that body, not copies of it:
 
-=============  =========  ================  ====================  ==========
-mode           tiles      scratch arena     ghost source          face span
-=============  =========  ================  ====================  ==========
-serial         1          field-sized       physical BCs          whole
-threaded       N          + thread scratch  physical BCs          whole
-transposed     1 or N     ``t_*`` + scatter physical BCs          whole
-fused          N          ``FusionScratch`` physical BCs (kernel) whole
-rank-local     1          field-sized       walls + transport     split
-=============  =========  ================  ====================  ==========
+=============  =======================  =====================  ==========
+mode           what a tile runs         ghost source           face span
+=============  =======================  =====================  ==========
+serial         the staged chain         physical BCs           whole
+threaded       same, on pool workers    physical BCs           whole
+transposed     axis-last + scatter      physical BCs           whole
+fused          one generated kernel     physical BCs (kernel)  whole
+batched        any of the above         physical BCs           whole
+rank-local     staged, or fused bulk    walls + transport      split
+=============  =======================  =====================  ==========
+
+Every mode plans N slab tiles (the ``tiles`` override, else the L2
+heuristic; a batched engine's slab axis is the ensemble axis) and keeps
+every pipeline intermediate in the calling worker's
+:class:`~repro.solver.workspace.TileArena`, one tile wide.  A rank-local
+engine packs its whole block once, runs the ghost hook once, and cuts
+the phases around it into the same tiles; only the block the hook fills
+and the flux a split sweep completes after it are block-sized.
 
 Which directions sweep transposed is planned here too (paper §III.D):
 
@@ -47,7 +56,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 
@@ -71,8 +80,9 @@ from repro.hardware.devices import DeviceSpec, default_host_device
 from repro.hardware.tiling import L2_OCCUPANCY, suggest_tile_count
 from repro.riemann import resolve_riemann_flux
 from repro.solver.positivity import limit_face_states
+from repro.solver.workspace import TileArena
 from repro.weno import halo_width, reconstruct_faces_span
-from repro.weno.stacked import narrow_scratch_rows, weno_passes_per_side
+from repro.weno.stacked import weno_passes_per_side
 
 __all__ = ["FUSION_MODES", "SWEEP_LAYOUTS", "SweepEngine", "SweepPlan",
            "accumulate_divergence", "cache_budget_bytes",
@@ -182,11 +192,11 @@ def plan_transposed_axes(mode: str, nvars: int, spatial: tuple[int, ...],
 # ----------------------------------------------------------------------
 # The sweep engine
 # ----------------------------------------------------------------------
-#: Field-sized rows of the direction pipeline live per tile row: padded
-#: primitives + prim + dqdt + both face states + flux + divergence
-#: scratch + 8 WENO + 7 Riemann scratch rows (the L2 tile heuristic's
-#: working-set estimate).
-PIPELINE_ROWS_PER_SLICE = 22
+#: Fewest elements a tile's face block may hold.  At and below this a
+#: ufunc pass is dispatch-bound and more tiles only multiply the ~250
+#: dispatches of a sweep: measured +12-15 % per step at ~16k elements
+#: and +37-54 % at ~7k (EXPERIMENTS.md "Tile sweep").
+MIN_PASS_ELEMENTS = 16384
 
 _UNTIMED = contextlib.nullcontext()
 
@@ -240,15 +250,18 @@ class SweepEngine:
     ensemble axis.  ``ghosts(d, padded)``, when given, replaces the
     physical boundary fill: it must complete the ghost layers of the
     whole standard-layout padded block (a rank's wall fill + halo
-    transport), so such an engine runs one tile per sweep and fuses only
+    transport), so such an engine packs the whole block, runs the hook
+    once, cuts only the phases around it into tiles, and fuses only
     from WENO on (``pack=False`` kernels, strided directions).
 
-    Tile counts come from the ``tiles`` override, else the L2 heuristic
-    budgeted against one core's *share* of the last-level cache: a
-    tile's scratch is touched by exactly one worker, and budgeting it
-    against the whole device LLC degenerates to one field-sized tile on
-    big-cache catalog entries.  Unfused sweeps without a thread pool
-    stay one tile (they stream field-sized buffers either way).
+    Tile counts come from the ``tiles`` override, else the L2 heuristic:
+    the fewest tiles that make what a tile keeps in flight (the
+    arena's :attr:`TileArena.stage_nbytes` plus its rows of ``prim`` and
+    ``dqdt``) fit one core's *share* of the last-level cache — a tile
+    is touched by exactly one worker, and budgeting it against the
+    whole device LLC degenerates to one field-sized tile on big-cache
+    catalog entries — but never so many that a tile's face block drops
+    below :data:`MIN_PASS_ELEMENTS`.
     """
 
     def __init__(self, layout, mixture, bcs, config, shape, *, counters,
@@ -284,8 +297,7 @@ class SweepEngine:
         device = device if device is not None else default_host_device()
         pack = ghosts is None
         ndim = len(spatial)
-        slice_bytes = (PIPELINE_ROWS_PER_SLICE * layout.nvars
-                       * int(np.prod(spatial)) * np.dtype(dtype).itemsize)
+        cells = int(np.prod(spatial))
         for d in range(nb, ndim):
             kind = "transposed" if d in self.transposed_axes else "strided"
             region = plan_fusion(
@@ -307,16 +319,22 @@ class SweepEngine:
                     region.passes_saved_per_tile(weno_variant, order))
             extent = (1 if region.slab_axis is None
                       else spatial[region.slab_axis])
-            if not pack or (executor is None and not fuse):
-                # The ghost hook needs the whole block; serial unfused
-                # tiles would only re-slice field-sized buffers.
-                n_tiles = 1
-            elif tiles is not None:
+            if tiles is not None:
                 n_tiles = max(1, min(tiles, extent))
             else:
-                budget = dict(bytes_per_slice=slice_bytes // extent,
-                              device=device,
-                              occupancy=1.0 / max(1, device.cores or 1))
+                # What one slab row keeps in flight: a width-1 arena's
+                # stage set (np.empty maps its pages, nothing touches
+                # them) plus the row of prim read and of dqdt updated.
+                row = TileArena(layout.nvars, spatial, self.ng, d, 1, dtype,
+                                weno_variant, order,
+                                transposed=kind == "transposed")
+                row_elems = layout.nvars * cells // extent
+                budget = dict(
+                    bytes_per_slice=(row.stage_nbytes + 2 * row_elems
+                                     * np.dtype(dtype).itemsize),
+                    device=device,
+                    occupancy=1.0 / max(1, device.cores or 1),
+                    min_rows=-(-MIN_PASS_ELEMENTS // row_elems))
                 n_tiles = (
                     executor.plan_tiles(region.stages[0].nest, extent,
                                         **budget)
@@ -351,50 +369,52 @@ class SweepEngine:
         n_tiles = min(plan.tiles, extent)
         w_max = -(-extent // n_tiles)
         transposed = plan.kind == "transposed"
+        hook = self.ghosts is not None
         fused = plan.fused and not split
         if fused:
             kern, sig, passes_saved = self._kernels[d]
-        # The generated kernel packs and ghost-fills its own tile.
-        kernel_packs = fused and self.ghosts is None
+        # A ghost hook fills the whole standard-layout block, which
+        # (with the flux a split sweep completes after it) must outlive
+        # the tiles; everything else is tile-sized.
+        source = ws.padded[d] if hook else prim
+        block = (ws.flux[d], ws.u_face[d]) if hook and not transposed else None
         if transposed:
             perm = sweep_perm(prim.ndim, d + 1)
-            src = xp.transpose(prim, perm)
+            src = xp.transpose(source, perm)
             axis = prim.ndim - 1  # work-layout array axis reconstructed
         else:
-            perm, src, axis = None, prim, d + 1
+            src, axis = source, d + 1
         interior = _cut(ng, ng + n, axis)
 
-        def slab(lo, hi):
+        def slab(lo, hi, spans=((0, n + 1),), finish=True):
             # Standard-layout and work-layout index of this slab tile
             # (the slab is axis 1 of every axis-last buffer).
             std = () if sa is None else _cut(lo, hi, sa + 1)
-            wrk = _cut(lo, hi, 1) if transposed else std
-            tile_src, dq, dv = src[wrk], dqdt[std], divu[std[1:]]
-            if kernel_packs:
-                scr = ws.fusion_scratch(d, w_max, transposed=transposed
-                                        ).narrow(hi - lo)
-            else:
-                scr = self._staged_arena(ws, d, perm, std, wrk, hi - lo,
-                                         w_max, private=n_tiles > 1)
-
-            def run_kernel():
-                # Arguments bind by name: what is not a tile operand
-                # below is a scratch buffer of the same name.
-                bound = {"ctx": self._ctx, "prim": tile_src,
-                         "tsrc": tile_src, "dqdt": dq, "divu": dv,
-                         "width": width, "bc_lo": lo_bc, "bc_hi": hi_bc}
-                with timed(sw, "fused"):
-                    return kern(*(bound[k] if k in bound else getattr(scr, k)
-                                  for k in sig))
-
-            if kernel_packs:
-                return run_kernel()
+            tile_src = src[_cut(lo, hi, 1) if transposed else std]
+            dq, dv = dqdt[std], divu[std[1:]]
+            scr = ws.tile_arena(d, w_max, transposed=transposed
+                                ).narrow(hi - lo)
+            flux, uface = scr.flux, scr.uface
             if transposed:
                 pad, vl, vr = scr.tpad, scr.tvl, scr.tvr
                 wflux, wuface = scr.tflux, scr.tuface
             else:
-                pad, vl, vr = scr.pad, scr.vl, scr.vr
-                wflux, wuface = scr.flux, scr.uface
+                if block:
+                    flux, uface = block[0][std], block[1][std[1:]]
+                pad = tile_src if hook else scr.pad
+                vl, vr, wflux, wuface = scr.vl, scr.vr, flux, uface
+
+            if fused:
+                # Arguments bind by name: what is not a tile operand
+                # below is an arena buffer of the same name.  The kernel
+                # packs and ghost-fills its own tile unless a hook did.
+                bound = {"ctx": self._ctx, "prim": tile_src,
+                         "tsrc": tile_src, "dqdt": dq, "divu": dv,
+                         "width": width, "bc_lo": lo_bc, "bc_hi": hi_bc,
+                         "pad": pad, "flux": flux, "uface": uface}
+                with timed(sw, "fused"):
+                    return kern(*(bound[k] if k in bound else getattr(scr, k)
+                                  for k in sig))
 
             def faces(flo, fhi):
                 fi = _cut(flo, fhi, axis)
@@ -412,45 +432,47 @@ class SweepEngine:
                                      _cut(0, fhi - flo, axis)))
                 return limited
 
-            limited = 0
             with timed(sw, "packing"):
-                if self.ghosts is None:
+                if not hook:
                     pad[interior] = tile_src
                     fill_axis_ghosts(pad, layout, axis - 1, ng, lo_bc, hi_bc,
                                      normal_direction=pd)
-                else:
-                    scr.pad[_cut(ng, ng + n, d + 1)] = prim
-            if self.ghosts is not None:
-                # The hook completes the standard-layout block; faces
-                # whose stencils reach no ghost cell can run before it.
-                if split:
-                    limited += faces(ng, n - ng + 1)
-                self.ghosts(pd, scr.pad)
-                if transposed:
-                    pad[...] = xp.transpose(scr.pad, perm)
-                if fused:
-                    return run_kernel()
-            for span in (((0, ng), (n - ng + 1, n + 1)) if split
-                         else ((0, n + 1),)):
-                limited += faces(*span)
+                elif transposed:
+                    pad[...] = tile_src
+            limited = sum(faces(*span) for span in spans)
+            if not finish:
+                return limited
             if transposed:
                 with timed(sw, "packing"):
                     xp.copyto(scr.flux_t, wflux)
                     xp.copyto(scr.uface_t, wuface)
             with timed(sw, "other"):
                 # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx.
-                accumulate_divergence(scr.flux, d + 1, width, scr.dscr, dq,
+                accumulate_divergence(flux, d + 1, width, scr.dscr, dq,
                                       "subtract")
-                accumulate_divergence(scr.uface, d, width, scr.dvscr, dv,
-                                      "add")
+                accumulate_divergence(uface, d, width, scr.dvscr, dv, "add")
             return limited
 
-        if self.executor is not None:
-            limited = sum(self.executor.launch(slab, extent,
-                                               tiles=plan.tiles))
+        def launch(**phase):
+            body = partial(slab, **phase)
+            if self.executor is not None:
+                return sum(self.executor.launch(body, extent,
+                                                tiles=plan.tiles))
+            return sum(body(lo, hi)
+                       for lo, hi in tile_spans(extent, plan.tiles))
+
+        if not hook:
+            limited = launch()
         else:
-            limited = sum(slab(lo, hi)
-                          for lo, hi in tile_spans(extent, plan.tiles))
+            with timed(sw, "packing"):
+                source[_cut(ng, ng + n, d + 1)] = prim
+            # Faces whose stencils reach no ghost cell can run before
+            # the hook completes the block.
+            limited = (launch(spans=((ng, n - ng + 1),), finish=False)
+                       if split else 0)
+            self.ghosts(pd, source)
+            limited += launch(spans=((0, ng), (n - ng + 1, n + 1))
+                              if split else ((0, n + 1),))
 
         # Nominal (field-sized) byte tallies, the same in every mode:
         # both face states reconstructed; the primitives gathered and
@@ -471,38 +493,3 @@ class SweepEngine:
         if fused:
             self.counters.record_fused(n_tiles, n_tiles * passes_saved)
         return limited
-
-    # ------------------------------------------------------------------
-    def _staged_arena(self, ws, d: int, perm, std: tuple, wrk: tuple,
-                      count: int, w_max: int, *, private: bool):
-        """Slab-tile views of the field-sized buffers, named as the
-        fused kernels' (and :class:`FusionScratch`'s) arguments.
-
-        Concurrent tiles (``private``) take the calling worker's own
-        kernel scratch; a lone tile runs on the calling thread and may
-        use the workspace's field-sized serial scratch.
-        """
-        transposed = perm is not None
-        if private:
-            wscr, rscr = ws.thread_scratch(d, w_max, transposed=transposed)
-            wscr = narrow_scratch_rows(wscr, self.weno_variant, self.order,
-                                       count)
-            rscr = rscr.view(_cut(0, count, len(wrk) - 1))
-        else:
-            wscr = ws.weno_scratch[d]
-            rscr = (ws.t_riemann_scratch if transposed
-                    else ws.riemann_scratch)[d]
-        flux, uface = ws.flux[d][std], ws.u_face[d][std[1:]]
-        scr = SimpleNamespace(
-            pad=ws.padded[d][std], vl=ws.face_l[d][std],
-            vr=ws.face_r[d][std], flux=flux, uface=uface, wscr=wscr,
-            rscr=rscr, dscr=ws.div_scratch[std],
-            dvscr=ws.divu_scratch[std[1:]])
-        if transposed:
-            scr.tpad, scr.tvl = ws.t_padded[d][wrk], ws.t_face_l[d][wrk]
-            scr.tvr, scr.tflux = ws.t_face_r[d][wrk], ws.t_flux[d][wrk]
-            scr.tuface = ws.t_u_face[d][wrk[1:]]
-            scr.flux_t = ws.xp.transpose(flux, perm)
-            scr.uface_t = ws.xp.transpose(uface,
-                                          tuple(p - 1 for p in perm[1:]))
-        return scr

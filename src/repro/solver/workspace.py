@@ -4,11 +4,14 @@ The paper's central optimization story is memory management: flattening
 derived types, coalescing through transposes, and compile-time-sized
 ``private`` arrays all exist to keep MFC's two hottest kernels from
 allocating or copying inside the time loop.  The NumPy analog of that
-discipline is a workspace: every padded-primitive scratch field, face
-state, flux buffer, divergence accumulator, and RK stage array is
-allocated once per :class:`~repro.solver.rhs.RHS` lifetime and reused by
-every subsequent step, so a steady-state step performs no new
-large-array allocations.
+discipline is a workspace: the primitive field, the RHS accumulators and
+the RK stage arrays are allocated once per
+:class:`~repro.solver.rhs.RHS` lifetime, and every pipeline
+intermediate (padded primitives, face states, fluxes, kernel scratch)
+lives in a slab-*tile*-sized :class:`TileArena` sized to stay resident
+in one core's share of the last-level cache — the paper's per-thread
+``private`` arrays, not per-field temporaries.  A steady-state step
+performs no new large-array allocations.
 
 All workspace-backed code paths are **bitwise identical** to the
 allocating reference paths (same operations in the same order, only the
@@ -16,29 +19,28 @@ destination buffers differ); this is enforced by property tests.
 
 Thread-ownership rule
 ---------------------
-The arena is built for one RHS/RK pipeline, which may execute its tiles
-on a :class:`~repro.acc.gang.GangExecutor` thread pool.  Buffers divide
-into two ownership classes:
+The workspace is built for one RHS/RK pipeline, which may execute its
+slab tiles on a :class:`~repro.acc.gang.GangExecutor` thread pool.
+Buffers divide into two ownership classes:
 
-* **Shared, disjointly written** — ``prim``, ``dqdt``, ``divu``,
-  ``padded``, ``face_l``/``face_r``, ``flux``, ``u_face``,
-  ``div_scratch``/``divu_scratch``, and the RK stage buffers.
-  Concurrent tiles may read them anywhere (halo-overlapped reads) but
-  must write only inside their own tile span, so no synchronisation is
-  needed beyond the launch barrier.
-* **Serial-only scratch** — ``weno_scratch`` and ``riemann_scratch``
-  are whole-array temporaries for the *serial* in-place kernels.  They
-  are a data race the moment two threads enter ``_weno3_into``/
-  ``_weno5_into`` or a Riemann solve concurrently; threaded tiles must
-  instead take a private set from :meth:`SolverWorkspace.thread_scratch`,
-  which allocates lazily per worker thread (and per direction) and is
-  reused across that worker's subsequent tiles and steps.
+* **Shared, disjointly written** — ``prim``, ``dqdt``, ``divu``, the RK
+  stage buffers, and the whole-block ``padded``/``flux``/``u_face`` a
+  rank-local sweep holds across its ghost hook.  Concurrent tiles may
+  read them anywhere but must write only inside their own slab span, so
+  no synchronisation is needed beyond the launch barrier.
+* **Private per worker** — every :class:`TileArena`:
+  :meth:`SolverWorkspace.tile_arena` hands each calling thread its own
+  arena per direction, carved from that worker's one memory pool
+  (allocated lazily, reused across its later tiles, directions and
+  steps), so two tiles in flight never share a pipeline intermediate or
+  a kernel scratch array.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 
@@ -48,159 +50,152 @@ from repro.fields.transpose import sweep_perm
 from repro.grid.cartesian import StructuredGrid
 from repro.riemann.common import RiemannScratch
 from repro.state.layout import StateLayout
-from repro.weno.stacked import (
-    allocate_weno_scratch,
-    narrow_scratch_rows,
-    validate_weno_variant,
-)
-
-#: Number of scratch arrays the in-place chained WENO kernels need
-#: (order-5 worst case: three candidate polynomials, three nonlinear
-#: weights, two temporaries).  The stacked variant's differently-shaped
-#: set comes from :func:`repro.weno.stacked.stacked_scratch_shapes`.
-WENO_SCRATCH_COUNT = 8
+from repro.weno.stacked import allocate_weno_scratch, validate_weno_variant
 
 
-class FusionScratch:
-    """Tile-sized scratch arena of one fused sweep kernel.
+def _leaves(buffers):
+    """The arrays inside an array / scratch tuple / RiemannScratch."""
+    if isinstance(buffers, RiemannScratch):
+        return [getattr(buffers, name) for name in RiemannScratch.__slots__]
+    return list(buffers) if isinstance(buffers, tuple) else [buffers]
 
-    This is the fusion compiler's memory story: where the unfused
-    pipeline spills field-sized padded/face/flux intermediates between
-    stages, a fused kernel's intermediates live here, sized for one slab
-    tile (``tile_width`` along the slab axis) so the whole pipeline's
-    working set can stay L2-resident.  One arena belongs to one worker
-    thread and one direction, mirroring the thread-ownership rule of
-    :meth:`SolverWorkspace.thread_scratch`.
+
+class _Carver:
+    """Stands in for ``xp.empty``: hands out consecutive blocks of a flat
+    ``pool`` — or, without one, only adds up the elements asked for."""
+
+    def __init__(self, pool=None) -> None:
+        self.pool, self.used = pool, 0
+
+    def empty(self, shape, dtype=None):
+        lo, self.used = self.used, self.used + math.prod(shape)
+        if self.pool is None:
+            return None
+        return self.pool[lo:self.used].reshape(shape)
+
+
+class TileArena:
+    """Every pipeline intermediate of one direction sweep, one slab tile wide.
+
+    The staged chain and the generated fused kernels both run on this
+    arena (its attribute names are the fused kernels' argument names):
+    padded primitives, both face states, flux, interface velocity, the
+    WENO and Riemann kernel scratch and the divergence temporaries, all
+    sized for ``tile_width`` rows of the slab axis — the first spatial
+    axis perpendicular to direction ``d`` (none in 1D, where the single
+    tile is the whole field) — so the whole pipeline's working set can
+    stay cache-resident.  Nothing in it outlives a tile.
 
     ``transposed=True`` builds the axis-contiguous variant: the pipeline
-    buffers in reconstruction-axis-last layout plus the small
-    standard-layout face scratch the scatter and divergence stages use
-    (with pre-permuted ``flux_t``/``uface_t`` views for the scatter).
+    buffers in reconstruction-axis-last layout (the slab is their axis
+    1) plus the standard-layout ``flux``/``uface`` the scatter and
+    divergence stages use, with axis-last views ``flux_t``/``uface_t``
+    of those for the scatter.
+
+    The buffers are consecutive contiguous blocks of one flat ``pool``:
+    the one passed in when it is large enough (a worker's arenas for the
+    other directions and for narrower tiles live in the same memory —
+    it runs one tile at a time), else a new one of exactly the size
+    needed.
     """
 
     def __init__(self, nvars: int, spatial: tuple[int, ...], ng: int,
                  d: int, tile_width: int, dtype,
                  weno_variant: str, weno_order: int,
-                 transposed: bool = False, xp=np) -> None:
+                 transposed: bool = False, xp=np, pool=None) -> None:
         ndim = len(spatial)
-        shape = (nvars, *spatial)
-        self.d = d
         self.transposed = transposed
         self.width_cap = tile_width
-        self.weno_variant = weno_variant
-        self.weno_order = weno_order
-        self.xp = xp
+        self.slab_axis = sa = None if ndim == 1 else (1 if d == 0 else 0)
+        self._like = partial(TileArena, nvars, spatial, ng, d, dtype=dtype,
+                             weno_variant=weno_variant,
+                             weno_order=weno_order, transposed=transposed,
+                             xp=xp)
+        self._narrowed: dict[int, TileArena] = {}
+        w = 1 if sa is None else min(tile_width, spatial[sa])
 
-        def new(s):
-            return xp.empty(s, dtype=dtype)
+        def std(grow: int):
+            # Standard-layout tile shape, axis d grown by ``grow``.
+            s = [nvars, *spatial]
+            s[d + 1] += grow
+            if sa is not None:
+                s[sa + 1] = w
+            return s
 
         # Reconstruction-axis-last face shape (the WENO layout).
-        last = ([nvars] + [spatial[k] for k in range(ndim) if k != d]
-                + [spatial[d] + 1])
+        last = [nvars, *(w if k == sa else spatial[k]
+                         for k in range(ndim) if k != d), spatial[d] + 1]
+
+        def carve(alloc) -> int:
+            def new(s):
+                return alloc.empty(s, dtype=dtype)
+
+            if transposed:
+                self.tpad = new([*last[:-1], spatial[d] + 2 * ng])
+                self.tvl, self.tvr = new(last), new(last)
+                self.tflux, self.tuface = new(last), new(last[1:])
+            else:
+                self.pad = new(std(2 * ng))
+                self.vl, self.vr = new(std(1)), new(std(1))
+            self.wscr = allocate_weno_scratch(weno_variant, weno_order,
+                                              tuple(last), dtype, xp=alloc)
+            self.flux, self.uface = new(std(1)), new(std(1)[1:])
+            self.dscr, self.dvscr = new(std(0)), new(std(0)[1:])
+            self.rscr = RiemannScratch(tuple(last if transposed else std(1)),
+                                       dtype=dtype, xp=alloc)
+            return alloc.used
+
+        size = carve(_Carver())
+        if pool is None or pool.shape[0] < size:
+            pool = xp.empty(size, dtype=dtype)
+        self.pool = pool
+        self.nbytes = size * np.dtype(dtype).itemsize
+        carve(_Carver(pool))
         if transposed:
             perm = sweep_perm(ndim + 1, d + 1)
-            self.perm = perm
-            #: Standard-layout array axis the slabs cut (axis 1 of every
-            #: transposed buffer).
-            self.tiled_axis = perm[1]
-            w = min(tile_width, last[1])
-            tface = list(last)
-            tface[1] = w
-            tpad = list(tface)
-            tpad[-1] = spatial[d] + 2 * ng
-            self.tpad = new(tpad)
-            self.tvl = new(tface)
-            self.tvr = new(tface)
-            self.tflux = new(tface)
-            self.tuface = new(tface[1:])
-            self.wscr = allocate_weno_scratch(weno_variant, weno_order,
-                                              tuple(tface), dtype, xp=xp)
-            self.rscr = RiemannScratch(tuple(tface), dtype=dtype, xp=xp)
-            fstd = list(shape)
-            fstd[d + 1] += 1
-            fstd[self.tiled_axis] = min(tile_width, fstd[self.tiled_axis])
-            self.flux = new(fstd)
-            self.uface = new(fstd[1:])
-            dstd = list(shape)
-            dstd[self.tiled_axis] = fstd[self.tiled_axis]
-            self.dscr = new(dstd)
-            self.dvscr = new(dstd[1:])
-        else:
-            #: Spatial slab axis of the strided fused kernels: the first
-            #: spatial axis perpendicular to the reconstruction axis
-            #: (None in 1D — the single tile is the whole field).
-            self.slab_axis = None if ndim == 1 else (1 if d == 0 else 0)
-            pshape = list(shape)
-            pshape[d + 1] += 2 * ng
-            fshape = list(shape)
-            fshape[d + 1] += 1
-            wlast = list(last)
-            if self.slab_axis is not None:
-                w = min(tile_width, spatial[self.slab_axis])
-                pshape[self.slab_axis + 1] = w
-                fshape[self.slab_axis + 1] = w
-                wlast[1] = w  # the slab is axis 1 of every axis-last shape
-            self.pad = new(pshape)
-            self.vl = new(fshape)
-            self.vr = new(fshape)
-            self.flux = new(fshape)
-            self.uface = new(fshape[1:])
-            self.wscr = allocate_weno_scratch(weno_variant, weno_order,
-                                              tuple(wlast), dtype, xp=xp)
-            self.rscr = RiemannScratch(tuple(fshape), dtype=dtype, xp=xp)
-            dshape = list(shape)
-            if self.slab_axis is not None:
-                dshape[self.slab_axis + 1] = w
-            self.dscr = new(dshape)
-            self.dvscr = new(dshape[1:])
+            self.flux_t = xp.transpose(self.flux, perm)
+            self.uface_t = xp.transpose(self.uface,
+                                        tuple(p - 1 for p in perm[1:]))
 
-    def narrow(self, count: int):
-        """Views of the arena narrowed to a ``count``-wide slab tile.
+    def narrow(self, count: int) -> "TileArena":
+        """This arena's memory as a ``count``-wide tile arena.
 
-        The last tile of an uneven split is narrower than the
-        allocation; narrowing is pure slicing, so a re-narrowed arena
-        aliases the same memory and stays cached across tiles and steps.
+        The last tiles of an uneven split are narrower than the
+        allocation.  A narrowed arena is carved afresh from the same
+        pool, so its arrays stay contiguous (a sliced tile's inner runs
+        would be ``count`` elements long when the slab axis is the
+        trailing one); it is cached across tiles and steps.
         """
-        if self.transposed:
-            wscr = narrow_scratch_rows(self.wscr, self.weno_variant,
-                                       self.weno_order, count)
-            t = (slice(None), slice(0, count))
-            std = [slice(None)] * self.flux.ndim
-            std[self.tiled_axis] = slice(0, count)
-            std = tuple(std)
-            flux = self.flux[std]
-            uface = self.uface[std[1:]]
-            return SimpleNamespace(
-                tpad=self.tpad[t], tvl=self.tvl[t], tvr=self.tvr[t],
-                tflux=self.tflux[t], tuface=self.tuface[:count],
-                flux=flux, uface=uface,
-                flux_t=self.xp.transpose(flux, self.perm),
-                uface_t=self.xp.transpose(uface,
-                                          tuple(p - 1 for p in self.perm[1:])),
-                wscr=wscr, rscr=self.rscr.view(t),
-                dscr=self.dscr[std], dvscr=self.dvscr[std[1:]])
-        if self.slab_axis is None:
-            return self  # 1D: the single tile is the full arena
-        wscr = narrow_scratch_rows(self.wscr, self.weno_variant,
-                                   self.weno_order, count)
-        ci = (slice(None),) * (self.slab_axis + 1) + (slice(0, count),)
-        si = ci[1:]
-        return SimpleNamespace(
-            pad=self.pad[ci], vl=self.vl[ci], vr=self.vr[ci],
-            flux=self.flux[ci], uface=self.uface[si],
-            wscr=wscr, rscr=self.rscr.view(ci),
-            dscr=self.dscr[ci], dvscr=self.dvscr[si])
+        if self.slab_axis is None or count >= self.width_cap:
+            return self
+        tile = self._narrowed.get(count)
+        if tile is None:
+            tile = self._narrowed[count] = self._like(tile_width=count,
+                                                      pool=self.pool)
+        return tile
 
-    def _arrays(self):
-        if self.transposed:
-            yield from (self.tpad, self.tvl, self.tvr, self.tflux,
-                        self.tuface)
-        else:
-            yield from (self.pad, self.vl, self.vr)
-        yield from (self.flux, self.uface, self.dscr, self.dvscr)
-        yield from self.wscr
-        for name in RiemannScratch.__slots__:
-            yield getattr(self.rscr, name)
+    @property
+    def stage_nbytes(self) -> int:
+        """Bytes the heaviest stage streams: the reconstruction reads the
+        padded block through its kernel scratch into both face states.
+        Stages run one after another over a tile, so this — not the
+        whole arena — is what has to stay cache-resident."""
+        live = ((self.tpad, self.tvl, self.tvr) if self.transposed
+                else (self.pad, self.vl, self.vr))
+        return sum(a.nbytes for a in (*live, *self.wscr))
+
+
+class _PerDirection:
+    """Per-direction whole-block buffers, allocated on first index."""
+
+    def __init__(self, make) -> None:
+        self._make = make
+        self.made: dict[int, object] = {}
+
+    def __getitem__(self, d: int):
+        if d not in self.made:
+            self.made[d] = self._make(d)
+        return self.made[d]
 
 
 class SolverWorkspace:
@@ -224,18 +219,6 @@ class SolverWorkspace:
     dqdt, divu:
         RHS accumulators (conservative tendency, face-velocity
         divergence).
-    padded, face_l, face_r, flux, u_face:
-        Per-direction scratch: ghost-padded primitives, reconstructed
-        left/right face states, Riemann flux, and interface velocity.
-    t_padded, t_face_l, t_face_r, t_flux, t_u_face, t_riemann_scratch:
-        The same pipeline buffers in the axis-contiguous transposed
-        layout (reconstruction axis last), allocated only for the
-        directions in ``transposed_axes`` and reused every step.
-    weno_scratch:
-        Per-direction tuples of scratch arrays (reconstruction axis
-        last) for the in-place WENO kernels.
-    div_scratch, divu_scratch:
-        Flux-divergence temporaries.
     rk_stage, rk_result, rk_tmp:
         Shu-Osher stage buffers; ``rk_result`` holds the step output and
         is safely reusable as the next step's input.
@@ -245,13 +228,19 @@ class SolverWorkspace:
         advancing and restores from it on a failed validation, so
         rollback-retry performs zero steady-state allocations.  Written
         only by the (serial) driver, never by kernels.
+    padded, face_l, face_r, flux, u_face, weno_scratch, riemann_scratch:
+        Whole-block per-direction buffers (ghost-padded primitives,
+        face states, Riemann flux, interface velocity, kernel scratch),
+        indexed by direction and allocated on first access.  The sweeps
+        of a plain RHS never touch them — their intermediates are
+        :class:`TileArena` tiles; a rank-local sweep holds ``padded``/
+        ``flux``/``u_face`` across its ghost hook, and whole-field
+        kernel probes (``benchmarks/e2e/probes.py``) run on all seven.
     """
 
     def __init__(self, layout: StateLayout, grid: StructuredGrid, ng: int,
-                 dtype=DTYPE, transposed_axes: frozenset[int] | tuple = (),
-                 weno_variant: str = "chained",
+                 dtype=DTYPE, weno_variant: str = "chained",
                  weno_order: int | None = None,
-                 fusion: bool = False,
                  batch: int | None = None,
                  backend=None) -> None:
         nvars = layout.nvars
@@ -266,21 +255,12 @@ class SolverWorkspace:
         #: Ensemble batch width, or ``None`` for a single-case arena.
         #: Batched arenas are shaped for the stacked state
         #: ``(nvars, batch, *grid.shape)`` — the batch axis behaves as a
-        #: leading *virtual spatial axis* that is never swept, so every
-        #: per-direction buffer list carries a placeholder at index 0 to
-        #: keep virtual-direction indexing aligned.
+        #: leading *virtual spatial axis* that is never swept (and is
+        #: the slab axis of every sweep).
         self.batch = batch
-        self._nb = 0 if batch is None else 1
         spatial = grid.shape if batch is None else (batch, *grid.shape)
-        ndim = len(spatial)
         self.shape = (nvars, *spatial)
         self.dtype = np.dtype(dtype)
-        #: Fused-kernel mode: the per-direction field-sized pipeline
-        #: buffers (padded/face/flux/divergence scratch and the ``t_*``
-        #: transposed set) are *not* allocated — fused kernels keep
-        #: those intermediates in tile-sized :class:`FusionScratch`
-        #: arenas instead, which is the fusion compiler's memory win.
-        self.fusion = bool(fusion)
         self._ng = ng
         self._spatial = tuple(spatial)
         self._nvars = nvars
@@ -292,20 +272,21 @@ class SolverWorkspace:
             raise ValueError(
                 "weno_order is required for non-chained WENO scratch")
         self.weno_order = weno_order if weno_order is not None else 0
-        #: Directions the sweep engine runs in the axis-contiguous
-        #: transposed layout; fixes which ``t_*`` buffers exist.
-        self.transposed_axes = frozenset(transposed_axes)
+
+        # The makers below close over these locals, never over ``self``:
+        # a workspace in a reference cycle would outlive its RHS until
+        # the cyclic collector happens to run (an ensemble rebuilds the
+        # RHS at every retirement), and peak memory would wander.
+        xp, np_dtype, field = self.xp, self.dtype, self.shape
+        variant, order = self.weno_variant, self.weno_order
 
         def new(shape):
-            return self.xp.empty(shape, dtype=self.dtype)
+            return xp.empty(shape, dtype=np_dtype)
 
         # Field-sized buffers.
         self.prim = new(self.shape)
         self.dqdt = new(self.shape)
         self.divu = new(spatial)
-        if not self.fusion:
-            self.div_scratch = new(self.shape)
-            self.divu_scratch = new(spatial)
 
         # SSP-RK stage buffers (two alternating stages + result + temp).
         self.rk_stage = (new(self.shape), new(self.shape))
@@ -315,147 +296,61 @@ class SolverWorkspace:
         # Failure-guard rollback snapshot (driver-owned).
         self.rollback = new(self.shape)
 
-        # Per-direction pipeline buffers.
-        self.padded: list[np.ndarray] = []
-        self.face_l: list[np.ndarray] = []
-        self.face_r: list[np.ndarray] = []
-        self.flux: list[np.ndarray] = []
-        self.u_face: list[np.ndarray] = []
-        self.weno_scratch: list[tuple[np.ndarray, ...]] = []
-        self.riemann_scratch: list[RiemannScratch] = []
-        self._weno_shapes: list[list[int]] = []
-        self._face_shapes: list[list[int]] = []
-        for d in range(ndim):
-            pshape = list(self.shape)
-            pshape[d + 1] += 2 * ng
-            fshape = list(self.shape)
-            fshape[d + 1] += 1
-            # WENO kernels run with the reconstruction axis moved last.
-            last = ([nvars]
-                    + [spatial[k] for k in range(ndim) if k != d]
-                    + [spatial[d] + 1])
-            self._weno_shapes.append(last)
-            self._face_shapes.append(fshape)
-            if self.fusion:
-                continue
-            if d < self._nb:
-                # Batch axis: never swept, so no pipeline buffers —
-                # placeholders keep virtual-direction indexing aligned.
-                self.padded.append(None)
-                self.face_l.append(None)
-                self.face_r.append(None)
-                self.flux.append(None)
-                self.u_face.append(None)
-                self.weno_scratch.append(())
-                self.riemann_scratch.append(None)
-                continue
-            self.padded.append(new(pshape))
-            self.face_l.append(new(fshape))
-            self.face_r.append(new(fshape))
-            self.flux.append(new(fshape))
-            self.u_face.append(new(fshape[1:]))
-            self.weno_scratch.append(
-                allocate_weno_scratch(self.weno_variant, self.weno_order,
-                                      tuple(last), self.dtype, xp=self.xp))
-            self.riemann_scratch.append(
-                RiemannScratch(tuple(fshape), dtype=self.dtype, xp=self.xp))
+        def block(d: int, grow: int) -> list[int]:
+            # Whole-block shape with direction d's axis grown by ``grow``.
+            grown = list(field)
+            grown[d + 1] += grow
+            return grown
 
-        # Axis-contiguous transposed sweep buffers (paper §III.D): for
-        # each direction the engine transposes, the padded primitive
-        # block, both face states, the flux, and the interface velocity
-        # in the layout with the reconstruction axis last.  Face shapes
-        # coincide with the reconstruction-axis-last ``weno_scratch``
-        # shapes, so the WENO scratch is shared between layouts.
-        self.t_padded: dict[int, np.ndarray] = {}
-        self.t_face_l: dict[int, np.ndarray] = {}
-        self.t_face_r: dict[int, np.ndarray] = {}
-        self.t_flux: dict[int, np.ndarray] = {}
-        self.t_u_face: dict[int, np.ndarray] = {}
-        self.t_riemann_scratch: dict[int, RiemannScratch] = {}
-        for d in sorted(self.transposed_axes):
-            if not self._nb <= d < ndim:
-                raise ValueError(
-                    f"transposed axis {d} outside sweepable virtual axes "
-                    f"[{self._nb}, {ndim})")
-            if self.fusion:
-                continue
-            tface = self._weno_shapes[d]
-            tpad = list(tface)
-            tpad[-1] = spatial[d] + 2 * ng
-            self.t_padded[d] = new(tpad)
-            self.t_face_l[d] = new(tface)
-            self.t_face_r[d] = new(tface)
-            self.t_flux[d] = new(tface)
-            self.t_u_face[d] = new(tface[1:])
-            self.t_riemann_scratch[d] = RiemannScratch(tuple(tface),
-                                                       dtype=self.dtype,
-                                                       xp=self.xp)
+        self.padded = _PerDirection(lambda d: new(block(d, 2 * ng)))
+        self.face_l = _PerDirection(lambda d: new(block(d, 1)))
+        self.face_r = _PerDirection(lambda d: new(block(d, 1)))
+        self.flux = _PerDirection(lambda d: new(block(d, 1)))
+        self.u_face = _PerDirection(lambda d: new(block(d, 1)[1:]))
+        # WENO kernels run with the reconstruction axis moved last.
+        self.weno_scratch = _PerDirection(lambda d: allocate_weno_scratch(
+            variant, order,
+            (nvars, *(n for k, n in enumerate(spatial) if k != d),
+             spatial[d] + 1), np_dtype, xp=xp))
+        self.riemann_scratch = _PerDirection(lambda d: RiemannScratch(
+            tuple(block(d, 1)), dtype=np_dtype, xp=xp))
 
-        # Per-worker kernel scratch, keyed (thread ident, direction,
-        # layout); see the module docstring's thread-ownership rule.
-        self._thread_scratch: dict[tuple[int, int, bool],
-                                   tuple[int, tuple[np.ndarray, ...],
-                                         RiemannScratch]] = {}
-        #: Per-worker fused-kernel arenas, same key scheme.
-        self._fusion_scratch: dict[tuple[int, int, bool], FusionScratch] = {}
-        self._scratch_lock = threading.Lock()
+        #: Per-worker tile arenas, keyed (thread ident, direction,
+        #: layout), and the one memory pool per worker they are carved
+        #: from; see the module docstring's thread-ownership rule.
+        self._arenas: dict[tuple[int, int, bool], TileArena] = {}
+        self._pools: dict[int, object] = {}
+        self._arena_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def fusion_scratch(self, d: int, tile_width: int, *,
-                       transposed: bool = False) -> FusionScratch:
-        """Private :class:`FusionScratch` arena for the calling thread.
+    def tile_arena(self, d: int, tile_width: int, *,
+                   transposed: bool = False) -> TileArena:
+        """The calling thread's private :class:`TileArena` for direction ``d``.
 
-        Same lazy per-worker caching as :meth:`thread_scratch`: the
-        arena is built (or rebuilt, if a wider tile shows up) for slabs
-        of at most ``tile_width``, and callers take
-        :meth:`FusionScratch.narrow` views for their exact tile extent.
+        Built lazily (or rebuilt, if a wider tile shows up) for slabs of
+        at most ``tile_width`` rows and cached for the worker's later
+        tiles and steps; callers take :meth:`TileArena.narrow` views for
+        their exact tile extent.  A worker's arenas share one pool —
+        it sweeps one direction at a time and nothing outlives a tile.
         """
-        key = (threading.get_ident(), d, transposed)
-        with self._scratch_lock:
-            scr = self._fusion_scratch.get(key)
-            if scr is None or scr.width_cap < tile_width:
-                scr = FusionScratch(self._nvars, self._spatial, self._ng, d,
-                                    tile_width, self.dtype,
-                                    self.weno_variant, self.weno_order,
-                                    transposed=transposed, xp=self.xp)
-                self._fusion_scratch[key] = scr
-        return scr
-
-    # ------------------------------------------------------------------
-    def thread_scratch(self, d: int, tile_width: int, *,
-                       transposed: bool = False):
-        """Private ``(weno_scratch, riemann_scratch)`` for the calling thread.
-
-        Allocated lazily the first time a pool worker asks, sized for
-        tiles of at most ``tile_width`` along the slab axis — the first
-        spatial axis perpendicular to direction ``d``, which is axis 1
-        of every reconstruction-axis-last shape — and cached for the
-        worker's later tiles and steps.  Callers narrow the buffers to
-        their exact tile extent (:func:`narrow_scratch_rows` /
-        :meth:`RiemannScratch.view`) before use.
-
-        With ``transposed=True`` the Riemann scratch takes the
-        axis-contiguous face shape of the transposed sweep layout too,
-        cached separately from the strided sets.
-        """
-        key = (threading.get_ident(), d, transposed)
-        with self._scratch_lock:
-            entry = self._thread_scratch.get(key)
-            if entry is None or entry[0] < tile_width:
-                wshape = list(self._weno_shapes[d])
-                fshape = wshape if transposed else list(self._face_shapes[d])
-                if len(wshape) > 2:  # 1D has no perpendicular axis to cut
-                    slab = 1 if transposed or d > 0 else 2
-                    wshape[1] = min(tile_width, wshape[1])
-                    fshape[slab] = min(tile_width, fshape[slab])
-                weno = allocate_weno_scratch(self.weno_variant,
-                                             self.weno_order, tuple(wshape),
-                                             self.dtype, xp=self.xp)
-                entry = (tile_width, weno,
-                         RiemannScratch(tuple(fshape), dtype=self.dtype,
-                                        xp=self.xp))
-                self._thread_scratch[key] = entry
-        return entry[1], entry[2]
+        thread = threading.get_ident()
+        key = (thread, d, transposed)
+        with self._arena_lock:
+            arena = self._arenas.get(key)
+            if arena is None or arena.width_cap < tile_width:
+                pool = self._pools.get(thread)
+                arena = TileArena(self._nvars, self._spatial, self._ng, d,
+                                  tile_width, self.dtype, self.weno_variant,
+                                  self.weno_order, transposed=transposed,
+                                  xp=self.xp, pool=pool)
+                if arena.pool is not pool:
+                    # It outgrew the pool: the worker's other arenas
+                    # alias the old one and rebuild here on next use.
+                    for stale in [k for k in self._arenas if k[0] == thread]:
+                        del self._arenas[stale]
+                    self._pools[thread] = arena.pool
+                self._arenas[key] = arena
+        return arena
 
     # ------------------------------------------------------------------
     def compatible(self, q) -> bool:
@@ -469,39 +364,13 @@ class SolverWorkspace:
     @property
     def nbytes(self) -> int:
         """Total bytes held by the arena (for memory reports)."""
-        total = 0
-        for arr in self._all_arrays():
-            total += arr.nbytes
-        return total
+        return sum(arr.nbytes for arr in self._all_arrays())
 
     def _all_arrays(self):
         yield from (self.prim, self.dqdt, self.divu, self.rk_result,
-                    self.rk_tmp, self.rollback)
-        if not self.fusion:
-            yield self.div_scratch
-            yield self.divu_scratch
-        yield from self.rk_stage
-        for group in (self.padded, self.face_l, self.face_r,
-                      self.flux, self.u_face):
-            for arr in group:
-                if arr is not None:  # batch-axis placeholder
-                    yield arr
-        for buffers in (self.t_padded, self.t_face_l, self.t_face_r,
-                        self.t_flux, self.t_u_face):
-            yield from buffers.values()
-        for rs in self.t_riemann_scratch.values():
-            for name in RiemannScratch.__slots__:
-                yield getattr(rs, name)
-        for group in self.weno_scratch:
-            yield from group
-        for rs in self.riemann_scratch:
-            if rs is None:  # batch-axis placeholder
-                continue
-            for name in RiemannScratch.__slots__:
-                yield getattr(rs, name)
-        for _, weno, rs in list(self._thread_scratch.values()):
-            yield from weno
-            for name in RiemannScratch.__slots__:
-                yield getattr(rs, name)
-        for scr in list(self._fusion_scratch.values()):
-            yield from scr._arrays()
+                    self.rk_tmp, self.rollback, *self.rk_stage)
+        for group in (self.padded, self.face_l, self.face_r, self.flux,
+                      self.u_face, self.weno_scratch, self.riemann_scratch):
+            for buffers in list(group.made.values()):
+                yield from _leaves(buffers)
+        yield from list(self._pools.values())

@@ -105,22 +105,17 @@ def candidate_plans(*, ndim: int, cpu_count: int, threads: int = 1,
         for rv in RIEMANN_VARIANTS:
             for mode in layouts:
                 for t in thread_counts:
+                    # Serial sweeps take the heuristic slab count, which
+                    # is checked against measured tile sweeps for staged
+                    # and fused sweeps alike (EXPERIMENTS.md "Tile
+                    # sweep"); threaded ones also try one and two slabs
+                    # per worker.
                     tile_counts = [None] if t == 1 else [None, t, 2 * t]
                     # "auto" adds no distinct behaviour here (the
                     # tuner's candidates always run the workspace
                     # path), so the fusion axis is binary.
                     for fusion in ("off", "on"):
-                        counts = tile_counts
-                        if fusion == "on":
-                            # The fused engine's whole win is slab
-                            # locality, and the catalog heuristic cannot
-                            # know this host's effective cache share —
-                            # search explicit slab counts around it so
-                            # the measurement, not the model, picks the
-                            # tile size.
-                            counts = list(dict.fromkeys(
-                                tile_counts + [4 * t, 8 * t, 16 * t]))
-                        for tiles in counts:
+                        for tiles in tile_counts:
                             plan = {"weno_variant": wv,
                                     "riemann_variant": rv,
                                     "sweep_layout": mode, "threads": t,

@@ -69,7 +69,7 @@ def weno_passes_per_side(variant: str, order: int) -> int:
 # Scratch layout.  The stacked kernels need differently-shaped scratch
 # than the chained ones (stacked candidate arrays, one extended
 # difference array), described by per-slot kind tags so the workspace
-# and the tile-narrowing helpers stay variant-agnostic:
+# and the face-span narrowing helper stay variant-agnostic:
 #
 # ``("stack", ncand)``  — candidate-stacked array ``(ncand, *face)``
 # ``("ext", pad)``      — face-shaped array with ``pad`` extra trailing
@@ -134,26 +134,6 @@ def narrow_scratch_faces(scratch, variant: str, order: int,
     for slot, s in zip(stacked_scratch_slots(order), scratch):
         pad = slot[1] if slot[0] == "ext" else 0
         out.append(s[..., :count + pad])
-    return tuple(out)
-
-
-def narrow_scratch_rows(scratch, variant: str, order: int,
-                        count: int) -> tuple[np.ndarray, ...]:
-    """Scratch views narrowed to ``count`` rows along face axis 1.
-
-    The slab-tile narrowing (directions whose tiled axis is
-    perpendicular to the reconstruction axis): face axis 1 is array
-    axis 1 for plain and extended slots but axis 2 for stacked slots
-    (their leading axis is the candidate stack).
-    """
-    if variant == "chained" or order == 1:
-        return tuple(s[:, :count] for s in scratch)
-    out = []
-    for slot, s in zip(stacked_scratch_slots(order), scratch):
-        if slot[0] == "stack":
-            out.append(s[:, :, :count])
-        else:
-            out.append(s[:, :count])
     return tuple(out)
 
 

@@ -358,14 +358,6 @@ class TestKnob:
         with pytest.raises(ConfigurationError):
             solver_options_from_dict({"solver": {"fusion": "yes"}})
 
-    def test_workspace_fusion_shrinks_buffers(self):
-        from repro.solver import SolverWorkspace
-
-        case = bubble_case((32, 32))
-        lean = SolverWorkspace(case.layout, case.grid, 3, fusion=True)
-        full = SolverWorkspace(case.layout, case.grid, 3)
-        assert lean.nbytes < full.nbytes
-
 
 # ----------------------------------------------------------------------
 # Distributed: fused ranks + overlapped dt reduction

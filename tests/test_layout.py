@@ -55,13 +55,13 @@ def random_prim(rng, layout, shape):
 
 
 def make_rhs(shape, *, threads=1, order=5, solver="hllc",
-             sweep_layout="strided", use_workspace=True):
+             sweep_layout="strided", use_workspace=True, **kwargs):
     grid = StructuredGrid.uniform(tuple((0.0, 1.0) for _ in shape), shape)
     layout = StateLayout(ncomp=2, ndim=len(shape))
     return RHS(layout, MIX, grid, BoundarySet.all_periodic(len(shape)),
                RHSConfig(weno_order=order, riemann_solver=solver),
                threads=threads, use_workspace=use_workspace,
-               sweep_layout=sweep_layout)
+               sweep_layout=sweep_layout, **kwargs)
 
 
 def random_q(shape, seed=0):
@@ -272,26 +272,63 @@ class TestSimulationIdentity:
 # ----------------------------------------------------------------------
 class TestWorkspaceOwnership:
     def test_transposed_buffers_exist_per_axis(self):
-        rhs = make_rhs((11, 9, 8), sweep_layout="transposed")
+        rhs = make_rhs((11, 9, 8), sweep_layout="transposed", tiles=2)
         ws = rhs.workspace
         nv = rhs.layout.nvars
-        assert sorted(ws.t_padded) == [0, 1]
-        # Reconstruction axis last, padded by the ghost width.
         ng = rhs.ghost_width
-        assert ws.t_padded[0].shape == (nv, 9, 8, 11 + 2 * ng)
-        assert ws.t_padded[1].shape == (nv, 11, 8, 9 + 2 * ng)
-        assert ws.t_face_l[0].shape == (nv, 9, 8, 12)
-        assert ws.t_u_face[1].shape == (11, 8, 10)
+        for _ in range(2):  # a later direction may outgrow the first pool
+            rhs(random_q((11, 9, 8), 2))
+        # One arena per swept direction, in that direction's layout.
+        assert sorted((d, t) for _, d, t in ws._arenas) == [
+            (0, True), (1, True), (2, False)]
+        # Reconstruction axis last, padded by the ghost width; the slab
+        # (axis 1) holds the wider tile of the uneven 2-way split.
+        x, y = ws.tile_arena(0, 5, transposed=True), ws.tile_arena(
+            1, 6, transposed=True)
+        assert x.tpad.shape == (nv, 5, 8, 11 + 2 * ng)
+        assert y.tpad.shape == (nv, 6, 8, 9 + 2 * ng)
+        assert x.tvl.shape == x.tflux.shape == (nv, 5, 8, 12)
+        assert y.tuface.shape == (6, 8, 10)
+        # Standard-layout scatter targets and their axis-last views.
+        assert x.flux.shape == (nv, 12, 5, 8)
+        assert x.flux_t.shape == x.tflux.shape
+        assert np.shares_memory(x.flux_t, x.flux)
+        assert y.uface.shape == (6, 10, 8)
+        assert y.uface_t.shape == y.tuface.shape
+
+    def test_narrowed_arena_is_contiguous_and_aliases(self):
+        for transposed in (False, True):
+            ws = make_rhs((11, 9, 8), sweep_layout="transposed").workspace
+            arena = ws.tile_arena(0, 5, transposed=transposed)
+            tile = arena.narrow(4)
+            assert arena.narrow(5) is arena
+            assert arena.narrow(4) is tile  # cached across tiles/steps
+            assert tile.pool is arena.pool and tile.nbytes < arena.nbytes
+            pad = tile.tpad if transposed else tile.pad
+            for buf in (pad, tile.flux, tile.uface, tile.dscr,
+                        tile.wscr[-1], tile.rscr.star_tmp):
+                assert buf.flags.c_contiguous
+                assert np.shares_memory(buf, arena.pool)
+            assert pad.shape[1 if transposed else 2] == 4
 
     def test_strided_workspace_has_no_transposed_buffers(self):
-        ws = make_rhs((11, 9)).workspace
-        assert not ws.t_padded and not ws.t_flux
+        rhs = make_rhs((11, 9))
+        for _ in range(2):
+            rhs(random_q((11, 9), 3))
+        arenas = list(rhs.workspace._arenas.values())
+        assert len(arenas) == 2
+        for arena in arenas:
+            assert not arena.transposed
+            assert not hasattr(arena, "tpad") and not hasattr(arena, "tflux")
 
     def test_transposed_bytes_counted_in_arena(self):
-        strided = make_rhs((16, 13)).workspace.nbytes
-        transposed = make_rhs((16, 13),
-                              sweep_layout="transposed").workspace.nbytes
-        assert transposed > strided
+        q = random_q((16, 13), 4)
+        strided = make_rhs((16, 13), tiles=1)
+        transposed = make_rhs((16, 13), sweep_layout="transposed", tiles=1)
+        strided(q), transposed(q)
+        # The axis-last arena carries both layouts' flux and interface
+        # velocity (work buffers + scatter targets).
+        assert transposed.workspace.nbytes > strided.workspace.nbytes
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_steady_state_allocations_zero(self, threads):

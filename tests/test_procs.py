@@ -162,9 +162,10 @@ class TestRankSolverIsTheSerialSweep:
         rank = RankSolver(decomp, 0, case.layout, MIX, bcs, config,
                           case.grid, halo, sweep_layout=layout,
                           fusion=fusion)
-        # A rank sweeps one tile (its ghost hook fills the whole
-        # block); pin the serial fused RHS to the same count so the
-        # launch counters are comparable on any host's cache size.
+        # A rank takes the heuristic tile count, one tile on a block
+        # this small (tests/test_tiles.py pins it higher); pin the
+        # serial fused RHS to the same count so the launch counters are
+        # comparable on any host's cache size.
         rhs = RHS(case.layout, MIX, case.grid, bcs, config,
                   sweep_layout=layout, fusion=fusion,
                   tiles=1 if fusion == "on" else None)

@@ -273,23 +273,40 @@ class TestThreadPlumbing:
 
         def grab():
             barrier.wait()
-            weno, riem = ws.thread_scratch(0, 8)
-            results[threading.get_ident()] = (weno, riem)
+            results[threading.get_ident()] = ws.tile_arena(0, 8)
 
         threads = [threading.Thread(target=grab) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        (w1, r1), (w2, r2) = results.values()
-        assert w1[0] is not w2[0]
-        assert r1.cons_l is not r2.cons_l
-        # Same thread re-asking gets its cached set back.
-        wa, _ = ws.thread_scratch(0, 8)
-        wb, _ = ws.thread_scratch(0, 4)
-        assert wa[0] is wb[0]
-        # Thread scratch is part of the arena's memory accounting.
+            t.join(timeout=30)
+            assert not t.is_alive()
+        a1, a2 = results.values()
+        # No pipeline intermediate or kernel scratch array is shared
+        # between two workers' arenas: each is carved from its own pool.
+        assert not np.shares_memory(a1.pool, a2.pool)
+        for arena in (a1, a2):
+            for buf in (arena.pad, arena.vl, arena.flux, arena.wscr[0],
+                        arena.rscr.cons_l, arena.dscr):
+                assert np.shares_memory(buf, arena.pool)
+        # Same thread re-asking gets its cached arena back (a narrower
+        # request fits the one it has); the strided and transposed
+        # arenas of one direction are distinct objects on one pool.
+        mine = ws.tile_arena(0, 8)
+        assert ws.tile_arena(0, 4) is mine
+        other = ws.tile_arena(0, 8, transposed=True)
+        assert other is not mine
+        # A wider tile outgrows the pool: the arena is rebuilt on a new
+        # one, and the worker's other arenas follow on next use.
+        wider = ws.tile_arena(0, 9)
+        assert wider is not mine and wider.width_cap == 9
+        assert ws.tile_arena(0, 8) is wider
+        assert ws.tile_arena(0, 8, transposed=True) is not other
+        # Pools are the workspace's memory accounting: one per worker.
         assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
+        assert len(ws._pools) == 3
+        assert ws.nbytes >= (7 * ws.prim.nbytes + a1.nbytes + a2.nbytes
+                             + wider.nbytes)
 
     def test_threaded_kernel_breakdown_has_same_rows(self):
         sim = bubble_sim(threads=3)

@@ -168,16 +168,22 @@ class TestCandidatePlans:
         plans = candidate_plans(ndim=1, cpu_count=2)
         assert all(p["sweep_layout"] != "transposed" for p in plans)
 
-    def test_fused_candidates_search_explicit_tiles(self):
-        # Slab locality is the fused engine's whole win, so fused
-        # candidates carry explicit tile counts even single-threaded
-        # (where the unfused axis only offers the heuristic).
-        plans = candidate_plans(ndim=2, cpu_count=1)
-        fused_tiles = {p["tiles"] for p in plans if p["fusion"] == "on"}
-        assert {None, 4, 8, 16} <= fused_tiles
-        unfused_tiles = {p["tiles"] for p in plans
-                         if p["fusion"] == "off" and p["threads"] == 1}
-        assert unfused_tiles == {None}
+    def test_fused_and_staged_candidates_share_tile_counts(self):
+        # Staged and fused sweeps run on the same tile arenas under the
+        # same verified slab heuristic, so neither gets a private list
+        # of explicit counts: serial candidates carry the heuristic
+        # only, threaded ones add one and two slabs per worker.
+        for cpus in (1, 4):
+            plans = candidate_plans(ndim=2, cpu_count=cpus)
+            for threads in {p["threads"] for p in plans}:
+                counts = {
+                    fusion: {p["tiles"] for p in plans
+                             if p["fusion"] == fusion
+                             and p["threads"] == threads}
+                    for fusion in ("off", "on")}
+                assert counts["off"] == counts["on"] == (
+                    {None} if threads == 1
+                    else {None, threads, 2 * threads})
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,16 @@ class TestWorkspaceArena:
         grid = StructuredGrid.uniform(((0.0, 1.0),), (32,))
         ws = SolverWorkspace(lay, grid, halo_width(3))
         assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
-        assert ws.nbytes > 10 * ws.prim.nbytes  # a real arena, not a stub
+        # The seven field-sized buffers plus divu, and nothing else yet:
+        # tile arenas and whole-block buffers are allocated on first use
+        # and counted from then on.
+        fields = 7 * ws.prim.nbytes + ws.divu.nbytes
+        assert ws.nbytes == fields
+        arena = ws.tile_arena(0, 1)
+        assert ws.nbytes == fields + arena.nbytes
+        ws.padded[0], ws.riemann_scratch[0], ws.weno_scratch[0]
+        assert ws.nbytes > fields + arena.nbytes + 10 * ws.prim.nbytes
+        assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
 
     def test_incompatible_field_falls_back(self):
         # An RHS built for one grid must still evaluate (allocating
