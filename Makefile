@@ -114,7 +114,9 @@ bench-e2e-quick:
 # directory, >= 10 alternating invocations per workload plus one held-out
 # seed, medians + quartiles + win counts, traced per-layer deltas, then
 # run.py --compare.  ~45 min for all four workloads; narrow it with
-# PAIR_ARGS="--workload march2d-256".
+# PAIR_ARGS="--workload march2d-256", or for a cluster-layer claim
+# PAIR_ARGS="--workload ranks2-192 --pairs 10" (~10 min; both ranks'
+# cores must be otherwise idle).
 bench-e2e-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-e2e-pair BASE=<sha>"; exit 2; }
 	python3 benchmarks/pair.py --base $(BASE) $(PAIR_ARGS)

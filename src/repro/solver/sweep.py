@@ -21,16 +21,21 @@ rank-local     staged, or fused bulk    walls + transport      split
 Every mode plans N slab tiles (the ``tiles`` override, else the L2
 heuristic; a batched engine's slab axis is the ensemble axis) and keeps
 every pipeline intermediate in the calling worker's
-:class:`~repro.solver.workspace.TileArena`, one tile wide.  A rank-local
-engine packs its whole block once, runs the ghost hook once, and cuts
-the phases around it into the same tiles; only the block the hook fills
-and the flux a split sweep completes after it are block-sized.
+:class:`~repro.solver.workspace.TileArena`, one tile wide and in one
+memory order (the arena's layout rule), so every ufunc pass of every
+mode is coalesced.  A rank-local engine packs its whole block once,
+runs the ghost hook once, and cuts the phases around it into the same
+tiles; the block the hook fills and the flux a split sweep carries
+across it are block-sized, and a tile copies its part in or out — no
+kernel pass reads or writes them.
 
 Which directions sweep transposed is planned here too (paper §III.D):
 
 ``strided``
-    Never transpose — every sweep reads the standard ``(nvars, x, y, z)``
-    block through strided views.
+    Never transpose — every tile is a standard-order ``(nvars, x, y, z)``
+    block and the kernels' axis-last operands are views of it (same
+    memory order throughout: the inner loop runs along the trailing
+    axis, the stencil reaches across rows of the cache-resident tile).
 ``transposed``
     Transpose every direction whose reconstruction axis is not already
     the trailing (contiguous) array axis.  (This repo packs C-order, so
@@ -92,15 +97,17 @@ __all__ = ["FUSION_MODES", "SWEEP_LAYOUTS", "SweepEngine", "SweepPlan",
 #: Valid values of the sweep-layout knob.
 SWEEP_LAYOUTS = ("strided", "transposed", "auto")
 
-#: Estimated face-sized strided array passes the in-place WENO kernels
-#: make per sweep (both sides): every ``cells(offset)`` operand read and
-#: every write through the moved-axis ``out`` view walks the array with
-#: the sweep axis' stride.  Counted from ``_weno{3,5}_into``; order 1 is
-#: two plain copies.
+#: Face-sized array passes of the in-place WENO kernels per sweep (both
+#: sides) whose stencil operands are offset along the sweep axis rather
+#: than the trailing one (``cells(offset)`` reads, moved-axis ``out``
+#: writes).  Counted from ``_weno{3,5}_into``; order 1 is two plain
+#: copies.  The ``auto`` waste model below prices each as a strided walk
+#: of a block too large to cache; a tile pass is not one — its operands
+#: share one memory order and the tile is cache-resident.
 STRIDED_PASSES = {1: 4, 3: 34, 5: 70}
 
 #: Cache-line size the waste model assumes (one strided element touch
-#: drags a whole line through the hierarchy).
+#: of an uncached block drags a whole line through the hierarchy).
 CACHE_LINE_BYTES = 128
 
 
@@ -126,7 +133,15 @@ def cache_budget_bytes(device: DeviceSpec) -> float:
 
 def _transpose_wins(nvars: int, spatial: tuple[int, ...], d: int,
                     ng: int, order: int, device: DeviceSpec) -> bool:
-    """The auto rule for one direction (reconstruction axis not last)."""
+    """The auto rule for one direction (reconstruction axis not last).
+
+    A whole-sweep-block model that predates tiles: it weighs the two
+    physical transposes against strided walks of the *uncached* padded
+    block.  Tiled sweeps are coalesced and cache-resident in either
+    layout, so what the rule decides today is only which copy a tile
+    pays — a gather/scatter (transposed) or a plain pack (strided); the
+    measured census is EXPERIMENTS.md "Coalesced tiles".
+    """
     itemsize = np.dtype(DTYPE).itemsize
     cells = 1
     for extent in spatial:
@@ -354,9 +369,10 @@ class SweepEngine:
 
         ``split`` (ghost-hook engines) reconstructs the faces whose
         stencils touch no ghost cell *before* calling the hook and the
-        ``ng`` faces at each end after it, so the interior computes
-        while the neighbours' strips land; spans partitioning the face
-        range compose bitwise into the whole-range result, and
+        ``ng`` faces at each end after it (once per block, not per
+        tile: at ``ng`` faces a pass is pure dispatch), so the interior
+        computes while the neighbours' strips land; spans partitioning
+        the face range compose bitwise into the whole-range result, and
         ``reconstruct_faces_span(0, nf)`` is the bulk call.
         """
         layout, ng, sw, xp = self.layout, self.ng, self.stopwatch, ws.xp
@@ -373,11 +389,12 @@ class SweepEngine:
         fused = plan.fused and not split
         if fused:
             kern, sig, passes_saved = self._kernels[d]
-        # A ghost hook fills the whole standard-layout block, which
-        # (with the flux a split sweep completes after it) must outlive
-        # the tiles; everything else is tile-sized.
+        # A ghost hook fills the whole standard-layout block, and the
+        # flux of a split sweep crosses the hook: those outlive the
+        # tiles, and meet each tile in one copy in and one copy out —
+        # every kernel pass runs on the tile's own arena blocks.
         source = ws.padded[d] if hook else prim
-        block = (ws.flux[d], ws.u_face[d]) if hook and not transposed else None
+        block = (ws.flux[d], ws.u_face[d]) if split else None
         if transposed:
             perm = sweep_perm(prim.ndim, d + 1)
             src = xp.transpose(source, perm)
@@ -385,6 +402,23 @@ class SweepEngine:
         else:
             src, axis = source, d + 1
         interior = _cut(ng, ng + n, axis)
+
+        def faces(scr, flo, fhi):
+            # WENO -> limiter -> Riemann for faces [flo, fhi) of one tile.
+            pad, vl, vr, wflux, wuface = scr.work
+            fi = _cut(flo, fhi, axis)
+            with timed(sw, "weno"):
+                reconstruct_faces_span(pad, axis, self.order, flo, fhi,
+                                       out=(vl, vr), scratch=scr.wscr,
+                                       variant=self.weno_variant)
+                limited = limit_face_states(
+                    layout, self.mixture, pad[_cut(flo, None, axis)],
+                    vl[fi], vr[fi], axis - 1, ng)
+            with timed(sw, "riemann"):
+                self.riemann(layout, self.mixture, vl[fi], vr[fi], pd,
+                             out=wflux[fi], out_u=wuface[fi[1:]],
+                             scratch=scr.rscr.view(_cut(0, fhi - flo, axis)))
+            return limited
 
         def slab(lo, hi, spans=((0, n + 1),), finish=True):
             # Standard-layout and work-layout index of this slab tile
@@ -394,63 +428,59 @@ class SweepEngine:
             dq, dv = dqdt[std], divu[std[1:]]
             scr = ws.tile_arena(d, w_max, transposed=transposed
                                 ).narrow(hi - lo)
-            flux, uface = scr.flux, scr.uface
-            if transposed:
-                pad, vl, vr = scr.tpad, scr.tvl, scr.tvr
-                wflux, wuface = scr.tflux, scr.tuface
-            else:
-                if block:
-                    flux, uface = block[0][std], block[1][std[1:]]
-                pad = tile_src if hook else scr.pad
-                vl, vr, wflux, wuface = scr.vl, scr.vr, flux, uface
+            pad = scr.work[0]
+            with timed(sw, "packing"):
+                if hook:
+                    if spans:
+                        pad[...] = tile_src
+                elif not fused:  # a packing kernel fills its own tile
+                    pad[interior] = tile_src
+                    fill_axis_ghosts(pad, layout, axis - 1, ng, lo_bc, hi_bc,
+                                     normal_direction=pd)
+                if block and finish:  # the faces done around the hook
+                    xp.copyto(scr.flux, block[0][std])
+                    xp.copyto(scr.uface, block[1][std[1:]])
 
             if fused:
                 # Arguments bind by name: what is not a tile operand
-                # below is an arena buffer of the same name.  The kernel
-                # packs and ghost-fills its own tile unless a hook did.
+                # below is an arena buffer of the same name.
                 bound = {"ctx": self._ctx, "prim": tile_src,
                          "tsrc": tile_src, "dqdt": dq, "divu": dv,
-                         "width": width, "bc_lo": lo_bc, "bc_hi": hi_bc,
-                         "pad": pad, "flux": flux, "uface": uface}
+                         "width": width, "bc_lo": lo_bc, "bc_hi": hi_bc}
                 with timed(sw, "fused"):
                     return kern(*(bound[k] if k in bound else getattr(scr, k)
                                   for k in sig))
 
-            def faces(flo, fhi):
-                fi = _cut(flo, fhi, axis)
-                with timed(sw, "weno"):
-                    reconstruct_faces_span(pad, axis, self.order, flo, fhi,
-                                           out=(vl, vr), scratch=scr.wscr,
-                                           variant=self.weno_variant)
-                    limited = limit_face_states(
-                        layout, self.mixture, pad[_cut(flo, None, axis)],
-                        vl[fi], vr[fi], axis - 1, ng)
-                with timed(sw, "riemann"):
-                    self.riemann(layout, self.mixture, vl[fi], vr[fi], pd,
-                                 out=wflux[fi], out_u=wuface[fi[1:]],
-                                 scratch=scr.rscr.view(
-                                     _cut(0, fhi - flo, axis)))
-                return limited
-
-            with timed(sw, "packing"):
-                if not hook:
-                    pad[interior] = tile_src
-                    fill_axis_ghosts(pad, layout, axis - 1, ng, lo_bc, hi_bc,
-                                     normal_direction=pd)
-                elif transposed:
-                    pad[...] = tile_src
-            limited = sum(faces(*span) for span in spans)
+            limited = sum(faces(scr, *span) for span in spans)
             if not finish:
+                with timed(sw, "packing"):
+                    xp.copyto(block[0][std], scr.flux)
+                    xp.copyto(block[1][std[1:]], scr.uface)
                 return limited
             if transposed:
                 with timed(sw, "packing"):
-                    xp.copyto(scr.flux_t, wflux)
-                    xp.copyto(scr.uface_t, wuface)
+                    xp.copyto(scr.flux_t, scr.tflux)
+                    xp.copyto(scr.uface_t, scr.tuface)
             with timed(sw, "other"):
                 # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx.
-                accumulate_divergence(flux, d + 1, width, scr.dscr, dq,
+                accumulate_divergence(scr.flux, d + 1, width, scr.dscr, dq,
                                       "subtract")
-                accumulate_divergence(uface, d, width, scr.dvscr, dv, "add")
+                accumulate_divergence(scr.uface, d, width, scr.dvscr, dv,
+                                      "add")
+            return limited
+
+        def end_strips():
+            # The ng faces at each end of a split sweep, once per block:
+            # an end's 3 ng - 1 padded cells are the padded block of an
+            # (ng - 1)-cell sweep, run as one tile spanning the slab.
+            scr, limited = ws.tile_arena(d, extent, strip=True), 0
+            for f0 in (0, n - ng + 1):
+                with timed(sw, "packing"):
+                    scr.pad[...] = source[_cut(f0, f0 + 3 * ng - 1, axis)]
+                limited += faces(scr, 0, ng)
+                with timed(sw, "packing"):
+                    xp.copyto(block[0][_cut(f0, f0 + ng, axis)], scr.flux)
+                    xp.copyto(block[1][_cut(f0, f0 + ng, d)], scr.uface)
             return limited
 
         def launch(**phase):
@@ -471,8 +501,8 @@ class SweepEngine:
             limited = (launch(spans=((ng, n - ng + 1),), finish=False)
                        if split else 0)
             self.ghosts(pd, source)
-            limited += launch(spans=((0, ng), (n - ng + 1, n + 1))
-                              if split else ((0, n + 1),))
+            limited += (end_strips() + launch(spans=()) if split
+                        else launch())
 
         # Nominal (field-sized) byte tallies, the same in every mode:
         # both face states reconstructed; the primitives gathered and

@@ -61,17 +61,23 @@ def _leaves(buffers):
 
 
 class _Carver:
-    """Stands in for ``xp.empty``: hands out consecutive blocks of a flat
-    ``pool`` — or, without one, only adds up the elements asked for."""
+    """Stands in for the array namespace: ``empty`` hands out consecutive
+    blocks of a flat ``pool`` — or, without one, only adds up the
+    elements asked for."""
 
-    def __init__(self, pool=None) -> None:
-        self.pool, self.used = pool, 0
+    def __init__(self, xp, pool=None) -> None:
+        self.xp, self.pool, self.used = xp, pool, 0
 
     def empty(self, shape, dtype=None):
         lo, self.used = self.used, self.used + math.prod(shape)
         if self.pool is None:
             return None
         return self.pool[lo:self.used].reshape(shape)
+
+    def moveaxis(self, block, source, destination):
+        if block is None:
+            return None
+        return self.xp.moveaxis(block, source, destination)
 
 
 class TileArena:
@@ -92,11 +98,22 @@ class TileArena:
     divergence stages use, with axis-last views ``flux_t``/``uface_t``
     of those for the scatter.
 
-    The buffers are consecutive contiguous blocks of one flat ``pool``:
-    the one passed in when it is large enough (a worker's arenas for the
-    other directions and for narrower tiles live in the same memory —
-    it runs one tile at a time), else a new one of exactly the size
-    needed.
+    **Layout rule.**  Every buffer is one contiguous block of the flat
+    ``pool``, carved in the tile's own axis order — standard order for a
+    strided tile, reconstruction-axis-last for a transposed one — and
+    the axis-last shape the WENO kernels ask of their scratch is a
+    ``moveaxis`` view of such a block
+    (:func:`~repro.weno.stacked.allocate_weno_scratch`).  A tile's
+    WENO → limiter → Riemann → divergence chain reads and writes only
+    these blocks, so no ufunc pass mixes two memory orders and the
+    iterator's inner loop is always the unit-stride one; field- and
+    block-sized arrays meet a tile only in its copy in (pack or gather)
+    and its copy or accumulate out.
+
+    The pool is the one passed in when it is large enough (a worker's
+    arenas for the other directions and for narrower tiles live in the
+    same memory — it runs one tile at a time), else a new one of
+    exactly the size needed.
     """
 
     def __init__(self, nvars: int, spatial: tuple[int, ...], ng: int,
@@ -137,20 +154,26 @@ class TileArena:
             else:
                 self.pad = new(std(2 * ng))
                 self.vl, self.vr = new(std(1)), new(std(1))
-            self.wscr = allocate_weno_scratch(weno_variant, weno_order,
-                                              tuple(last), dtype, xp=alloc)
+            self.wscr = allocate_weno_scratch(
+                weno_variant, weno_order, tuple(last), dtype, xp=alloc,
+                axis=-1 if transposed else d + 1)
             self.flux, self.uface = new(std(1)), new(std(1)[1:])
             self.dscr, self.dvscr = new(std(0)), new(std(0)[1:])
             self.rscr = RiemannScratch(tuple(last if transposed else std(1)),
                                        dtype=dtype, xp=alloc)
             return alloc.used
 
-        size = carve(_Carver())
+        size = carve(_Carver(xp))
         if pool is None or pool.shape[0] < size:
             pool = xp.empty(size, dtype=dtype)
         self.pool = pool
         self.nbytes = size * np.dtype(dtype).itemsize
-        carve(_Carver(pool))
+        carve(_Carver(xp, pool))
+        #: The chain's buffers in the work layout: padded block, both
+        #: face states, Riemann flux and interface velocity.
+        self.work = ((self.tpad, self.tvl, self.tvr, self.tflux, self.tuface)
+                     if transposed else
+                     (self.pad, self.vl, self.vr, self.flux, self.uface))
         if transposed:
             perm = sweep_perm(ndim + 1, d + 1)
             self.flux_t = xp.transpose(self.flux, perm)
@@ -180,9 +203,7 @@ class TileArena:
         padded block through its kernel scratch into both face states.
         Stages run one after another over a tile, so this — not the
         whole arena — is what has to stay cache-resident."""
-        live = ((self.tpad, self.tvl, self.tvr) if self.transposed
-                else (self.pad, self.vl, self.vr))
-        return sum(a.nbytes for a in (*live, *self.wscr))
+        return sum(a.nbytes for a in (*self.work[:3], *self.wscr))
 
 
 class _PerDirection:
@@ -307,24 +328,26 @@ class SolverWorkspace:
         self.face_r = _PerDirection(lambda d: new(block(d, 1)))
         self.flux = _PerDirection(lambda d: new(block(d, 1)))
         self.u_face = _PerDirection(lambda d: new(block(d, 1)[1:]))
-        # WENO kernels run with the reconstruction axis moved last.
+        # WENO kernels run with the reconstruction axis moved last:
+        # axis-last views of blocks in the face buffers' own order.
         self.weno_scratch = _PerDirection(lambda d: allocate_weno_scratch(
             variant, order,
             (nvars, *(n for k, n in enumerate(spatial) if k != d),
-             spatial[d] + 1), np_dtype, xp=xp))
+             spatial[d] + 1), np_dtype, xp=xp, axis=d + 1))
         self.riemann_scratch = _PerDirection(lambda d: RiemannScratch(
             tuple(block(d, 1)), dtype=np_dtype, xp=xp))
 
         #: Per-worker tile arenas, keyed (thread ident, direction,
-        #: layout), and the one memory pool per worker they are carved
-        #: from; see the module docstring's thread-ownership rule.
-        self._arenas: dict[tuple[int, int, bool], TileArena] = {}
+        #: layout, end strip), and the one memory pool per worker they
+        #: are carved from; see the module docstring's thread-ownership
+        #: rule.
+        self._arenas: dict[tuple[int, int, bool, bool], TileArena] = {}
         self._pools: dict[int, object] = {}
         self._arena_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def tile_arena(self, d: int, tile_width: int, *,
-                   transposed: bool = False) -> TileArena:
+                   transposed: bool = False, strip: bool = False) -> TileArena:
         """The calling thread's private :class:`TileArena` for direction ``d``.
 
         Built lazily (or rebuilt, if a wider tile shows up) for slabs of
@@ -332,14 +355,21 @@ class SolverWorkspace:
         tiles and steps; callers take :meth:`TileArena.narrow` views for
         their exact tile extent.  A worker's arenas share one pool —
         it sweeps one direction at a time and nothing outlives a tile.
+
+        ``strip=True`` sizes the arena for a block's end strip instead:
+        the ``ng - 1`` cells along ``d`` whose ``ng`` faces are the ones
+        a split sweep reconstructs after its ghost hook.
         """
         thread = threading.get_ident()
-        key = (thread, d, transposed)
+        key = (thread, d, transposed, strip)
+        spatial = self._spatial
+        if strip:
+            spatial = (*spatial[:d], self._ng - 1, *spatial[d + 1:])
         with self._arena_lock:
             arena = self._arenas.get(key)
             if arena is None or arena.width_cap < tile_width:
                 pool = self._pools.get(thread)
-                arena = TileArena(self._nvars, self._spatial, self._ng, d,
+                arena = TileArena(self._nvars, spatial, self._ng, d,
                                   tile_width, self.dtype, self.weno_variant,
                                   self.weno_order, transposed=transposed,
                                   xp=self.xp, pool=pool)

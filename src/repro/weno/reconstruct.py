@@ -475,14 +475,11 @@ def reconstruct_faces(v: np.ndarray, axis: int, order: int, *,
     vl_last = _axis_last(out_l, axis, output=True, xp=xp)
     vr_last = _axis_last(out_r, axis, output=True, xp=xp)
     if scratch is None:
-        if variant == "chained":
-            scratch = tuple(xp.empty(vl_last.shape, dtype=v.dtype)
-                            for _ in range(SCRATCH_COUNT))
-        else:
-            from repro.weno.stacked import allocate_weno_scratch
+        # In the destination's memory order, like every arena's scratch.
+        from repro.weno.stacked import allocate_weno_scratch
 
-            scratch = allocate_weno_scratch(variant, order, vl_last.shape,
-                                            v.dtype, xp=xp)
+        scratch = allocate_weno_scratch(variant, order, vl_last.shape,
+                                        v.dtype, xp=xp, axis=axis)
     _faces_into(vlast, ng - 1, nf, order, vl_last, scratch, downwind=False,
                 variant=variant, xp=xp)
     _faces_into(vlast, ng, nf, order, vr_last, scratch, downwind=True,

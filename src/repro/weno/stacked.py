@@ -103,21 +103,37 @@ def stacked_scratch_shapes(order: int,
 
 def allocate_weno_scratch(variant: str, order: int,
                           face_shape: tuple[int, ...],
-                          dtype, xp=np) -> tuple:
+                          dtype, xp=np, axis: int = -1) -> tuple:
     """Scratch tuple for one reconstruction side's kernels.
 
     ``face_shape`` is the face block with the reconstruction axis last.
     The chained variant takes its traditional homogeneous 8-array set;
     the stacked variant takes the shapes of
     :func:`stacked_scratch_shapes`.
+
+    ``axis`` is the array axis the reconstruction axis occupies in the
+    face buffers the scratch is combined with.  Each slot is one
+    contiguous block in *that* memory order, handed out as its
+    axis-last ``moveaxis`` view — so every operand of a kernel pass
+    (stencil views, scratch, destination) walks memory in the same
+    order and the ufunc inner loop is the unit-stride one, whichever
+    axis is reconstructed.
     """
     from repro.weno.reconstruct import SCRATCH_COUNT
 
     if validate_weno_variant(variant) == "chained":
-        return tuple(xp.empty(face_shape, dtype=dtype)
-                     for _ in range(SCRATCH_COUNT))
-    return tuple(xp.empty(shape, dtype=dtype)
-                 for shape in stacked_scratch_shapes(order, face_shape))
+        shapes = (tuple(face_shape),) * SCRATCH_COUNT
+    else:
+        shapes = stacked_scratch_shapes(order, face_shape)
+    at = axis % len(face_shape)
+
+    def new(shape):
+        # Candidate-stacked slots carry one leading axis more.
+        k = at + len(shape) - len(face_shape)
+        block = xp.empty((*shape[:k], shape[-1], *shape[k:-1]), dtype=dtype)
+        return xp.moveaxis(block, k, -1)
+
+    return tuple(new(shape) for shape in shapes)
 
 
 def narrow_scratch_faces(scratch, variant: str, order: int,

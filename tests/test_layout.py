@@ -11,6 +11,8 @@ transposed scratch (no steady-state allocations), and the sweep
 counters must tally what actually ran.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,7 +281,7 @@ class TestWorkspaceOwnership:
         for _ in range(2):  # a later direction may outgrow the first pool
             rhs(random_q((11, 9, 8), 2))
         # One arena per swept direction, in that direction's layout.
-        assert sorted((d, t) for _, d, t in ws._arenas) == [
+        assert sorted((d, t) for _, d, t, _ in ws._arenas) == [
             (0, True), (1, True), (2, False)]
         # Reconstruction axis last, padded by the ghost width; the slab
         # (axis 1) holds the wider tile of the uneven 2-way split.
@@ -297,8 +299,13 @@ class TestWorkspaceOwnership:
         assert y.uface_t.shape == y.tuface.shape
 
     def test_narrowed_arena_is_contiguous_and_aliases(self):
-        for transposed in (False, True):
-            ws = make_rhs((11, 9, 8), sweep_layout="transposed").workspace
+        """One contiguous pool block per buffer; the axis-last views the
+        WENO kernels take of a strided tile's scratch are axis-permuted
+        views of blocks in the tile's own (standard) order."""
+        for transposed, variant in itertools.product(
+                (False, True), ("chained", "stacked")):
+            ws = make_rhs((11, 9, 8), sweep_layout="transposed",
+                          weno_variant=variant).workspace
             arena = ws.tile_arena(0, 5, transposed=transposed)
             tile = arena.narrow(4)
             assert arena.narrow(5) is arena
@@ -306,10 +313,18 @@ class TestWorkspaceOwnership:
             assert tile.pool is arena.pool and tile.nbytes < arena.nbytes
             pad = tile.tpad if transposed else tile.pad
             for buf in (pad, tile.flux, tile.uface, tile.dscr,
-                        tile.wscr[-1], tile.rscr.star_tmp):
-                assert buf.flags.c_contiguous
+                        *tile.wscr, tile.rscr.star_tmp):
+                order = np.argsort([-s for s in buf.strides], kind="stable")
+                assert buf.transpose(order).flags.c_contiguous
                 assert np.shares_memory(buf, arena.pool)
             assert pad.shape[1 if transposed else 2] == 4
+            # Scratch is handed out reconstruction-axis-last, in the
+            # memory order of the face states it is combined with.
+            vl = np.moveaxis(tile.tvl if transposed else tile.vl,
+                             -1 if transposed else 1, -1)
+            plain = tile.wscr[-1]
+            assert plain.shape == vl.shape and plain.strides == vl.strides
+            assert plain.flags.c_contiguous == transposed
 
     def test_strided_workspace_has_no_transposed_buffers(self):
         rhs = make_rhs((11, 9))

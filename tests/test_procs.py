@@ -127,6 +127,25 @@ class TestProcessClusterBitIdentity:
         result = pc.run(case.initial_conservative(), n_steps=2)
         np.testing.assert_array_equal(result.q, sim.q)
 
+    @pytest.mark.parametrize("rank_grid", [(2, 1), (1, 2)])
+    def test_two_ranks_along_each_axis_at_minimal_split_extents(
+            self, rank_grid):
+        # 13 cells over two ranks are blocks of 2 ng + 1 and 2 ng: the
+        # ghost-free face span a split sweep runs before the exchange
+        # is two faces on one rank and one on the other.
+        case = bubble_case((13, 13))
+        bcs = BoundarySet.all_extrapolation(2)
+        sim = serial_march(case, bcs, n_steps=2, fixed_dt=2e-4)
+        split, bulk = (
+            ProcessCluster(case.grid, case.layout, MIX, bcs,
+                           BlockDecomposition((13, 13), rank_grid),
+                           RHSConfig(), fixed_dt=2e-4, overlap=overlap
+                           ).run(case.initial_conservative(), n_steps=2)
+            for overlap in (True, False))
+        np.testing.assert_array_equal(split.q, sim.q)
+        np.testing.assert_array_equal(bulk.q, sim.q)
+        assert split.sweep.as_dict() == bulk.sweep.as_dict()
+
     def test_overlap_off_identical(self):
         case = bubble_case((24, 24))
         bcs = BoundarySet.all_periodic(2)

@@ -106,6 +106,31 @@ class TestFreshRun:
         for a, b in zip(inline.results, forked.results):
             assert np.array_equal(a.q, b.q)
 
+    def test_fresh_batches_are_seeded_by_the_service(self, tmp_path,
+                                                     monkeypatch):
+        """Initial states are built once, in the service process: a
+        forked batch child that built its own would pay scipy's import
+        (smeared patches) again in every batch."""
+        jobs = make_jobs(2)
+        svc = EnsembleService(jobs, BCS, ledger=tmp_path / "led.jsonl",
+                              batch_width=2, **FAST)
+        seen = []
+        run = svc.supervisor.run
+
+        def spy(spec):
+            seen.append(spec.initial_states)
+            # From here on (the batch itself) no case is initialised.
+            monkeypatch.setattr(Case, "initial_conservative", None)
+            return run(spec)
+
+        monkeypatch.setattr(svc.supervisor, "run", spy)
+        report = svc.run()
+        monkeypatch.undo()
+        assert [j.status for j in report.jobs] == ["done"] * 2
+        (states,) = seen
+        for job, q in zip(jobs, states):
+            assert q.tobytes() == job.case.initial_conservative().tobytes()
+
     def test_results_are_durable_snapshots(self, tmp_path):
         from repro.io.binary import read_snapshot
 

@@ -13,6 +13,8 @@ per-direction buffers survive only as lazily allocated oracle buffers
 
 import dataclasses
 import gc
+import itertools
+import threading
 import weakref
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.common import DTYPE
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.profiling import measure_step_allocations
+from repro.riemann.common import RiemannScratch
 from repro.riemann.hllc import hllc_flux
 from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
 from repro.state import StateLayout, prim_to_cons
@@ -164,6 +167,33 @@ class TestSerialTilesBitwise:
 
 
 # ----------------------------------------------------------------------
+def rank_team(case, bcs, rank_grid, tiles=None, **kwargs):
+    """In-process ``RankSolver`` team over ``rank_grid`` and its exchanger."""
+    from repro.bc import BC
+
+    periodic = tuple(lo is BC.PERIODIC for lo, _ in bcs.per_axis)
+    config = kwargs.pop("config", RHSConfig())
+    decomp = BlockDecomposition(case.grid.shape, tuple(rank_grid), periodic)
+    halo = HaloExchanger(decomp, case.layout, bcs,
+                         halo_width(config.weno_order))
+    ranks = [RankSolver(decomp, r, case.layout, MIX, bcs, config, case.grid,
+                        halo, **kwargs) for r in range(decomp.nranks)]
+    if tiles is not None:  # ranks take the heuristic count: pin it
+        for rank in ranks:
+            plans = rank._engine.plans
+            for d, plan in plans.items():
+                plans[d] = dataclasses.replace(plan, tiles=tiles)
+    return halo, ranks
+
+
+def team_rhs(halo, ranks, q):
+    """The gathered ``dq/dt`` of one bulk-synchronous team evaluation."""
+    prims = [rank.rhs_begin(block)
+             for rank, block in zip(ranks, halo.split(q))]
+    return halo.gather([rank.rhs_finish(prim).copy()
+                        for rank, prim in zip(ranks, prims)])
+
+
 class TestRankLocalTiles:
     """A ghost-hook engine packs and fills its whole block once and cuts
     the phases around the hook into the same tiles."""
@@ -181,29 +211,176 @@ class TestRankLocalTiles:
         case = bubble_case(shape)
         bcs = (BoundarySet.all_periodic(ndim) if periodic
                else BoundarySet.all_extrapolation(ndim))
-        decomp = BlockDecomposition.balanced(shape, 1,
-                                             periodic=(periodic,) * ndim)
-        rank = RankSolver(decomp, 0, case.layout, MIX, bcs, RHSConfig(),
-                          case.grid, HaloExchanger(decomp, case.layout, bcs, 3),
-                          sweep_layout=layout, fusion=fusion)
-        # Ranks take the heuristic count (one tile on a grid this
-        # small); pin the plan to exercise the tiled phases.
+        _, (rank,) = rank_team(case, bcs, (1,) * ndim, tiles=tiles,
+                               sweep_layout=layout, fusion=fusion)
         plans = rank._engine.plans
-        for d, plan in plans.items():
-            plans[d] = dataclasses.replace(plan, tiles=tiles)
         rhs = RHS(case.layout, MIX, case.grid, bcs, RHSConfig(),
                   sweep_layout=layout, fusion=fusion, tiles=tiles)
         q = case.initial_conservative()
         assert rank.rhs(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
         assert rank.sweep_counters.as_dict() == rhs.sweep_counters.as_dict()
-        # Only the block the hook fills and (strided) the flux a split
-        # sweep completes after it are block-sized.
+        # Only the block the hook fills and the flux a split sweep
+        # carries across it are block-sized.
         ws = rank.ws
         assert sorted(ws.padded.made) == list(range(ndim))
         assert not ws.face_l.made and not ws.weno_scratch.made
-        strided = [d for d in range(ndim) if plans[d].kind == "strided"]
-        assert sorted(ws.flux.made) == sorted(ws.u_face.made) == strided
+        split = [d for d in range(ndim) if rank._split[d]]
+        assert split == [d for d in range(ndim)
+                         if periodic and plans[d].kind == "strided"]
+        assert sorted(ws.flux.made) == sorted(ws.u_face.made) == split
+
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), order=st.sampled_from([1, 3, 5]),
+           ndim=st.sampled_from([1, 2, 3]), axis=st.integers(0, 2),
+           extra=st.integers(0, 5), periodic=st.booleans(),
+           layout=st.sampled_from(["strided", "transposed"]),
+           fusion=st.sampled_from(["off", "on"]),
+           tiles=st.sampled_from([1, 2, 3]))
+    @example(seed=4, order=5, ndim=2, axis=0, extra=1, periodic=False,
+             layout="strided", fusion="off", tiles=2)  # blocks of 2 ng + 1, 2 ng
+    @example(seed=5, order=3, ndim=3, axis=1, extra=0, periodic=True,
+             layout="transposed", fusion="off", tiles=3)  # too short to split
+    def test_two_rank_teams_match_the_serial_rhs(self, seed, order, ndim,
+                                                 axis, extra, periodic,
+                                                 layout, fusion, tiles):
+        """Two ranks along any axis, blocks from ``ng`` cells (no
+        ghost-free face: the sweep runs in bulk) through ``2 ng`` (one)
+        and up: the gathered tendency is the serial one, and splitting
+        the face range moves no limiter count and no counter."""
+        axis %= ndim
+        ng = halo_width(order)
+        shape = list(SHAPES[ndim])
+        shape[axis] = 2 * ng + extra * (ng + 1) // 2
+        case = bubble_case(tuple(shape))
+        bcs = (BoundarySet.all_periodic(ndim) if periodic
+               else BoundarySet.all_extrapolation(ndim))
+        config = RHSConfig(weno_order=order)
+        q = random_q(np.random.default_rng(seed), case.layout, tuple(shape))
+        rank_grid = [1] * ndim
+        rank_grid[axis] = 2
+        mode = dict(sweep_layout=layout, fusion=fusion)
+        serial = RHS(case.layout, MIX, case.grid, bcs, config, **mode)
+        expect = serial(q).tobytes()
+        teams = {overlap: rank_team(case, bcs, rank_grid, tiles=tiles,
+                                    config=config, overlap=overlap, **mode)
+                 for overlap in (True, False)}
+        for halo, ranks in teams.values():
+            assert team_rhs(halo, ranks, q).tobytes() == expect
+        for split, bulk in zip(teams[True][1], teams[False][1]):
+            assert split._split[axis] == (
+                split.local[axis] >= 2 * ng
+                and split._engine.plans[axis].kind == "strided")
+            assert not any(bulk._split)
+            assert split.limited_faces == bulk.limited_faces
+            got, ref = (r.sweep_counters.as_dict() for r in (split, bulk))
+            for fused_only in ("fused_launches", "fused_passes_saved"):
+                # A split sweep runs staged; a bulk one may fuse.
+                assert got.pop(fused_only) <= ref.pop(fused_only)
+            assert got == ref
+            assert got["weno_passes"] == serial.sweep_counters.weno_passes
+        # Both ranks reconstruct the faces they share.
+        assert (sum(r.limited_faces for r in teams[True][1])
+                >= serial.limited_faces)
+
+
+# ----------------------------------------------------------------------
+class StrideGate:
+    """Spy on the WENO and Riemann kernel entries of the engines sharing
+    a process: every array operand of a call must walk memory in the
+    same axis order and live in the calling worker's arena pool (of one
+    of the engines' workspaces)."""
+
+    def __init__(self, monkeypatch, engines, workspaces, nsp):
+        import repro.weno.reconstruct as weno
+
+        self.workspaces, self.nsp = workspaces, nsp
+        self.calls = {"weno": 0, "riemann": 0}
+        faces_into, riemann = weno._faces_into, engines[0].riemann
+
+        def spy_weno(vlast, start, count, order, out, scratch, *a, **k):
+            self.check("weno", vlast, out, *scratch)
+            return faces_into(vlast, start, count, order, out, scratch,
+                              *a, **k)
+
+        def spy_riemann(layout, mixture, vl, vr, direction, *, out, out_u,
+                        scratch):
+            assert isinstance(scratch, RiemannScratch)
+            self.check("riemann", vl, vr, out, out_u,
+                       *(getattr(scratch, n) for n in scratch.__slots__))
+            return riemann(layout, mixture, vl, vr, direction, out=out,
+                           out_u=out_u, scratch=scratch)
+
+        monkeypatch.setattr(weno, "_faces_into", spy_weno)
+        for engine in engines:
+            engine.riemann = engine._ctx.riemann = spy_riemann
+
+    def check(self, kind, *arrays):
+        thread = threading.get_ident()
+        pools = [ws._pools[thread] for ws in self.workspaces
+                 if thread in ws._pools]
+        # Every operand ends with the tile's spatial axes; an axis some
+        # operand has one element along has no stride to speak of.
+        live = [k for k in range(-self.nsp, 0)
+                if all(a.shape[k] > 1 for a in arrays)]
+        orders = {tuple(np.argsort([a.strides[k] for k in live],
+                                   kind="stable")) for a in arrays}
+        assert len(orders) == 1, [(a.shape, a.strides) for a in arrays]
+        assert any(all(np.may_share_memory(a, pool) for a in arrays)
+                   for pool in pools)
+        self.calls[kind] += 1
+
+
+class TestStrideOrderGate:
+    """The arena's layout rule, observed at the kernels: in every mode
+    no WENO or Riemann pass mixes two memory orders or touches a field-
+    or block-sized buffer."""
+
+    SHAPES = {1: (23,), 2: (13, 11), 3: (13, 7, 8)}
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["serial", "threaded", "batched"])
+    def test_rhs_modes(self, monkeypatch, mode, ndim):
+        shape = self.SHAPES[ndim]
+        kwargs = {"serial": {}, "threaded": {"threads": 2},
+                  "batched": {"batch": 3}}[mode]
+        spatial = (3, *shape) if mode == "batched" else shape
+        for layout, variant, fusion in itertools.product(
+                ("strided", "transposed"), ("chained", "stacked"),
+                ("off", "on")):
+            rhs = make_rhs(shape, tiles=2, sweep_layout=layout,
+                           weno_variant=variant, fusion=fusion, **kwargs)
+            gate = StrideGate(monkeypatch, [rhs._engine], [rhs.workspace],
+                              len(spatial))
+            rhs(random_q(np.random.default_rng(ndim), rhs.layout, spatial))
+            if rhs.executor is not None:
+                rhs.executor.shutdown()
+            monkeypatch.undo()
+            tiles = sum(p["tiles"] for p in rhs.tile_plan()["directions"])
+            assert gate.calls["riemann"] == tiles
+            assert gate.calls["weno"] == (0 if fusion == "on" else 2 * tiles)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_rank_local_modes(self, monkeypatch, overlap, ndim):
+        shape = self.SHAPES[ndim]
+        case, bcs = bubble_case(shape), BoundarySet.all_periodic(ndim)
+        q = case.initial_conservative()
+        for layout, fusion in itertools.product(
+                ("strided", "transposed"), ("off", "on")):
+            halo, ranks = rank_team(case, bcs, (2,) + (1,) * (ndim - 1),
+                                    tiles=2, sweep_layout=layout,
+                                    fusion=fusion, overlap=overlap)
+            gate = StrideGate(monkeypatch, [rank._engine for rank in ranks],
+                              [rank.ws for rank in ranks], ndim)
+            team_rhs(halo, ranks, q)
+            monkeypatch.undo()
+            assert gate.calls["riemann"] > 0
+            assert ranks[0]._split == [
+                overlap and ranks[0]._engine.plans[d].kind == "strided"
+                for d in range(ndim)]
 
 
 # ----------------------------------------------------------------------
