@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-thread test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair tune examples artifacts clean
+.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair tune examples artifacts clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -10,12 +10,16 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Fast tier-1 slice: the thread-tiled execution backend only.
-test-thread:
-	$(PYTHON) -m pytest tests/ -k thread
+# Fast tier-1 slice: the forked gang backend only — bit-identity across
+# widths and tile splits, width planning, worker/parent death, recovery
+# paths with a live gang (tests/test_threading.py keeps its name: the
+# knob is still called `threads`).
+test-gang:
+	$(PYTHON) -m pytest tests/test_gang.py tests/test_threading.py \
+		tests/test_tiles.py
 
 # Fault-injection and recovery suite (rollback-retry, checkpoint
-# corruption fallback, determinism across layouts/threads).
+# corruption fallback, determinism across layouts/gang widths).
 test-fault:
 	$(PYTHON) -m pytest tests/ -m faults
 

@@ -98,8 +98,7 @@ def bench_batch(n: int, batch: int, *, steps: int, warmup: int,
     seq_work = num_cells * layout.nvars * stages * steps * batch
     seq_grind = seq_timer.elapsed / seq_work * 1e9
     for sim in sims:
-        if sim.rhs.executor is not None:
-            sim.rhs.executor.shutdown()
+        sim.close()
 
     # Batched: one stacked driver advancing every case per step.
     ens = EnsembleSimulation(cases, bcs, **kwargs)
@@ -109,8 +108,7 @@ def bench_batch(n: int, batch: int, *, steps: int, warmup: int,
     with WallTimer() as bat_timer:
         ens.run(n_steps=steps)
     bat_grind = ens.grind_time_ns()
-    if ens.rhs.executor is not None:
-        ens.rhs.executor.shutdown()
+    ens.close()
 
     return {
         "batch": batch,

@@ -17,6 +17,13 @@ from repro.bc import BoundarySet
 from repro.solver import RHSConfig, Simulation
 
 
+def _threads(args: argparse.Namespace, solver_options: dict) -> int | None:
+    """``--threads``, else the case file's, else None (a planned gang)."""
+    if args.threads is not None:
+        return args.threads
+    return solver_options.get("threads")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.io.case_files import load_case, load_solver_options
 
@@ -29,9 +36,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     }[args.bc](ndim)
     # CLI flags override the case file's "solver" section.
     solver_options = load_solver_options(args.case)
-    threads = solver_options.get("threads", 1)
-    if args.threads is not None:
-        threads = args.threads
+    threads = _threads(args, solver_options)
     ranks = solver_options.get("ranks", 1)
     if args.ranks is not None:
         ranks = args.ranks
@@ -89,7 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                      **cluster, **resilience)
     print(f"running {case.grid.num_cells} cells, {case.mixture.ncomp} fluids, "
           f"WENO{args.weno} + {args.riemann.upper()}"
-          + (f", {threads} threads" if threads > 1 else "")
+          + f", gang {sim.gang_why}"
           + (f", {ranks} ranks" if ranks > 1 else "")
           + (f", {layout} sweeps" if layout != "strided" else "")
           + (f", fusion {sim.fusion}" if sim.fusion != "off" else "")
@@ -105,10 +110,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         writer = SeriesWriter(args.series, interval=args.series_interval)
         writer.write(sim.q, step=0, time=0.0)
         callback = writer.callback
-    if args.steps is not None:
-        sim.run(n_steps=args.steps, callback=callback)
-    else:
-        sim.run(t_end=args.t_end, callback=callback)
+    with sim:  # reaps the gang workers after the march
+        if args.steps is not None:
+            sim.run(n_steps=args.steps, callback=callback)
+        else:
+            sim.run(t_end=args.t_end, callback=callback)
     if args.series:
         print(f"wrote {len(writer.entries)} series snapshots to {args.series}")
     sim.validate_state()
@@ -151,9 +157,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     if args.batch_width is not None:
         batch_width = args.batch_width
     # CLI flags override the spec's "solver" section, as in `run`.
-    threads = solver_options.get("threads", 1)
-    if args.threads is not None:
-        threads = args.threads
+    threads = _threads(args, solver_options)
     layout = solver_options.get("sweep_layout", "strided")
     if args.layout is not None:
         layout = args.layout
@@ -215,7 +219,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     plan = runner.plan_batches()
     print(f"ensemble: {len(jobs)} jobs in {len(plan)} batch(es), "
           f"width <= {batch_width}, WENO{args.weno} + {args.riemann.upper()}"
-          + (f", {threads} threads" if threads > 1 else "")
+          + (f", {threads} threads" if threads is not None else "")
           + (f", {layout} sweeps" if layout != "strided" else "")
           + (f", fusion {fusion}" if fusion != "off" else "")
           + (f", backend {backend}"
@@ -238,9 +242,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "extrapolation": BoundarySet.all_extrapolation,
     }[args.bc](ndim)
     solver_options = load_solver_options(args.case)
-    threads = solver_options.get("threads", 1)
-    if args.threads is not None:
-        threads = args.threads
+    threads = _threads(args, solver_options)
     layout = solver_options.get("sweep_layout", "strided")
     if args.layout is not None:
         layout = args.layout
@@ -316,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bc", default="extrapolation",
                      choices=("periodic", "reflective", "extrapolation"))
     run.add_argument("--threads", type=int, default=None,
-                     help="worker threads for the tiled RHS backend "
-                          "(default: case file's solver.threads, else 1)")
+                     help="gang width of the tiled RHS, forked workers "
+                          "included (default: case file's "
+                          "solver.threads, else planned from cores x tiles)")
     run.add_argument("--ranks", type=int, default=None,
                      help="processes for a multi-process block-decomposed "
                           "run with shared-memory halo exchange "
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--bc", default="extrapolation",
                      choices=("periodic", "reflective", "extrapolation"))
     ens.add_argument("--threads", type=int, default=None,
-                     help="worker threads for the stacked RHS backend")
+                     help="gang width of the stacked RHS (default: planned)")
     ens.add_argument("--layout", default=None,
                      choices=("strided", "transposed", "auto"))
     ens.add_argument("--fusion", default=None,
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("periodic", "reflective", "extrapolation"))
     tune.add_argument("--threads", type=int, default=None,
                       help="baseline worker-thread count fed to the tuner "
-                           "(default: case file's solver.threads, else 1)")
+                           "(default: the case file's, else planned)")
     tune.add_argument("--layout", default=None,
                       choices=("strided", "transposed", "auto"),
                       help="baseline sweep layout fed to the tuner")

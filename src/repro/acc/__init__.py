@@ -24,8 +24,9 @@ optimization story is written in:
   :class:`repro.hardware.costmodel.CostModel`).
 * :mod:`repro.acc.gang` — the one piece that *executes* rather than
   models: a :class:`~repro.acc.gang.GangExecutor` realizes the gang
-  axis of a directive nest as contiguous thread tiles on the host
-  (vector stays NumPy SIMD), powering the solver's threaded RHS path.
+  axis of a directive nest as contiguous tile shares on forked workers
+  over a shared workspace (vector stays NumPy SIMD), powering the
+  solver's gang RHS path.
 """
 
 from repro.acc.directives import Clause, LoopDirective, ParallelLoopNest
@@ -34,12 +35,13 @@ from repro.acc.parser import parse_directive, parse_loop_nest
 from repro.acc.launch import LaunchConfig, derive_launch
 from repro.acc.compiler import COMPILERS, CompilerModel, get_compiler
 from repro.acc.data_region import DeviceDataEnvironment
-from repro.acc.gang import GangExecutor, tile_spans
+from repro.acc.gang import GangExecutor, plan_gang_width, tile_spans
 from repro.acc.kernel import AccKernel
 from repro.acc.runtime import AccRuntime
 
 __all__ = [
     "GangExecutor",
+    "plan_gang_width",
     "tile_spans",
     "Clause",
     "LoopDirective",

@@ -8,14 +8,11 @@ no tile or grid extents (the source is shape-generic), so a 4-tile and
 a 7-tile split of the same sweep, or two grids of different size, hit
 the same cache entry.
 
-Compilation is exactly-once under a lock: concurrent gang workers that
-race to request an uncompiled spec serialize through the lock and all
-receive the single compiled function object.
+Kernels are compiled when the engine is built, before any gang worker
+is forked, so every worker inherits the compiled function objects.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.acc.fusion.backends import select_backend
 from repro.acc.fusion.codegen import (
@@ -50,7 +47,6 @@ class FusedKernelCache:
     """Process-wide cache of compiled fused kernels, keyed by spec."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._kernels: dict[FusedKernelSpec, object] = {}
         self._sources: dict[FusedKernelSpec, str] = {}
         self.hits = 0
@@ -59,34 +55,30 @@ class FusedKernelCache:
     def get(self, spec: FusedKernelSpec):
         """The compiled kernel for ``spec``, compiling at most once."""
         select_backend(spec.backend)  # reject unavailable backends early
-        with self._lock:
-            fn = self._kernels.get(spec)
-            if fn is not None:
-                self.hits += 1
-                return fn
-            self.misses += 1
-            fn, source = _compile(spec)
-            self._kernels[spec] = fn
-            self._sources[spec] = source
+        fn = self._kernels.get(spec)
+        if fn is not None:
+            self.hits += 1
             return fn
+        self.misses += 1
+        fn, source = _compile(spec)
+        self._kernels[spec] = fn
+        self._sources[spec] = source
+        return fn
 
     def source(self, spec: FusedKernelSpec) -> str:
         """The generated source of ``spec`` (compiling if needed)."""
         self.get(spec)
-        with self._lock:
-            return self._sources[spec]
+        return self._sources[spec]
 
     def stats(self) -> dict:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "kernels": len(self._kernels)}
+        return {"hits": self.hits, "misses": self.misses,
+                "kernels": len(self._kernels)}
 
     def clear(self) -> None:
-        with self._lock:
-            self._kernels.clear()
-            self._sources.clear()
-            self.hits = 0
-            self.misses = 0
+        self._kernels.clear()
+        self._sources.clear()
+        self.hits = 0
+        self.misses = 0
 
 
 #: The process-wide kernel cache every RHS instance shares.

@@ -1,45 +1,55 @@
-"""Real gang parallelism: thread-tiled execution of directive specs.
+"""Real gang parallelism: slab tiles on forked workers over a shared workspace.
 
 The rest of :mod:`repro.acc` *models* what ``parallel loop gang vector
 collapse(n)`` would cost on a simulated device; this module *executes*
 one on the host.  It extends the paper's §III.C gang/vector → hardware
-mapping one row down to shared-memory Python:
+mapping one row down to a multicore Python host:
 
 ===============  =========================  ==============================
 OpenACC axis     GPU realisation (paper)    host realisation (here)
 ===============  =========================  ==============================
-``gang``         thread block               contiguous tile on a pool thread
+``gang``         thread block               contiguous tile share on a
+                                            forked worker over the shared
+                                            workspace
 ``vector``       SIMT lane                  NumPy SIMD inside the tile
 ``seq``          serial per thread          serial per tile
 ===============  =========================  ==============================
 
-A :class:`GangExecutor` partitions the outermost (slowest-varying) axis
-of an iteration space into contiguous tiles and runs one tile body per
-worker thread.  NumPy releases the GIL inside its ufunc inner loops, so
-tiles over large arrays genuinely overlap on multicore hosts; the
-modeled-cost path (:mod:`repro.acc.runtime`) is untouched and keeps
-pricing the same directives on simulated devices.
+A :class:`GangExecutor` of width ``n`` is the calling process plus
+``n - 1`` workers ``os.fork()``-ed at the first launch, so each holds
+the body and everything it closes over copy-on-write.  A launch is one
+fixed-size pipe message (an integer argument); every member runs
+``body(arg, rank)`` — the body cuts its own contiguous share of the tile
+spans with :func:`gang_share` — and workers reply with their result,
+their stopwatch laps and any exception.  (Not threads: handing the
+interpreter lock over costs more than a tile's ~16 µs ufunc pass;
+EXPERIMENTS.md "Real gangs".)
 
 Determinism contract
 --------------------
-A tile body may *read* anywhere (halo-overlapped reads are expected) but
-must *write* only to slices owned by its ``[lo, hi)`` span.  Under that
-contract :meth:`GangExecutor.launch` is bitwise identical to running the
-tiles serially in span order, because the elementwise NumPy kernels used
-by the solver produce each output element from the same inputs with the
-same operation order regardless of the slab extent (the same argument
-that keeps this repo's distributed decompositions bitwise equal to
-serial runs).
+A body may *read* anywhere in the shared buffers but must *write* only
+the slab rows of its own tiles.  Under that contract a launch is bitwise
+identical to running every tile serially in span order, because the
+elementwise NumPy kernels produce each output element from the same
+inputs with the same operation order regardless of the slab extent, and
+:meth:`GangExecutor.launch` returns only after every member has replied
+(the one barrier between two direction sweeps).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait as _wait_futures
-from typing import Callable, Sequence
+import os
+import signal
+import struct
+import weakref
+from contextlib import AbstractContextManager
+from multiprocessing.connection import Pipe
+from typing import Callable
 
-from repro.acc.directives import ParallelLoopNest
-from repro.acc.launch import derive_launch
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, ReproError
+
+_ARG = struct.Struct("<q")
+_EXIT = -1  # launch arguments are non-negative
 
 
 def tile_spans(extent: int, tiles: int) -> list[tuple[int, int]]:
@@ -67,145 +77,230 @@ def tile_spans(extent: int, tiles: int) -> list[tuple[int, int]]:
     return spans
 
 
-class GangExecutor:
-    """Thread pool that realizes gang-partitioned loop specs as tile launches.
+def gang_share(spans: list, rank: int, width: int) -> list:
+    """Member ``rank``'s contiguous run of ``spans`` in a gang of ``width``.
+
+    Shares are balanced to within one tile and in rank order, so rank
+    order is span order; members beyond the tile count get none.
+    """
+    shares = tile_spans(len(spans), width)
+    if rank >= len(shares):
+        return []
+    lo, hi = shares[rank]
+    return spans[lo:hi]
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask, not the host's)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def plan_gang_width(threads: int | None, *, tiles: int, ranks: int = 1,
+                    backend=None) -> tuple[int, str]:
+    """The one resolver of the ``threads`` knob → ``(width, why)``.
+
+    An explicit value wins (clamped to 1 where the backend manages its
+    own parallelism; refused beside ``ranks > 1``).  ``None`` is
+    *planned*: ``min(usable cores, tiles)`` where ``tiles`` is the widest
+    direction sweep's tile count, and 1 whenever ranks already occupy
+    the cores, the backend cannot gang, or there is one tile to run.
+    """
+    gangs = backend is None or backend.supports_threads
+    if threads is not None:
+        if (not isinstance(threads, int) or isinstance(threads, bool)
+                or threads < 1):
+            raise ConfigurationError(
+                f"threads must be a positive integer, got {threads!r}")
+        if ranks > 1 and threads > 1:
+            raise ConfigurationError(
+                "ranks > 1 is incompatible with threads > 1 "
+                "(pick one parallel backend)")
+        if threads > 1 and not gangs:
+            return 1, f"1: {backend.name} backend"
+        return threads, f"{threads}: explicit"
+    if ranks > 1:
+        return 1, "1: ranks > 1"
+    if not gangs:
+        return 1, f"1: {backend.name} backend"
+    if tiles < 2:
+        return 1, "1: one tile"
+    cores = usable_cores()
+    width = min(cores, tiles)
+    return width, f"{width} of {cores} cores, {tiles} tiles"
+
+
+#: Gangs with (possibly) live workers, for the at-fork hook below.
+_LIVE: "weakref.WeakSet[GangExecutor]" = weakref.WeakSet()
+
+
+def _drop_inherited() -> None:
+    # Any later fork of this process (a gang worker, a rank, a supervised
+    # batch) inherits the parent's pipe ends; holding them would keep the
+    # workers from seeing EOF when the parent dies.
+    for gang in list(_LIVE):
+        gang._drop()
+
+
+os.register_at_fork(after_in_child=_drop_inherited)
+
+
+class GangExecutor(AbstractContextManager):
+    """Forked gang running one registered body over a shared workspace.
 
     Parameters
     ----------
     threads:
-        Worker count.  ``threads=1`` is the serial contract: every launch
-        runs inline on the calling thread, no pool is ever created, and
-        there is zero executor overhead beyond the bounds bookkeeping.
+        Gang width.  ``threads=1`` is the serial contract: every launch
+        runs inline, nothing is ever forked.
+    body:
+        ``body(arg, rank) -> result``; what it reads and writes across
+        members must live in shared memory (see
+        :class:`~repro.solver.workspace.SolverWorkspace`).
+    stopwatch:
+        Optional :class:`~repro.common.timing.Stopwatch` the body times
+        into; workers' lap deltas come back in every reply and are
+        merged into it (kernel busy time summed over members).
+    timeout:
+        Seconds a worker may take to reply before the gang is declared
+        hung (a dead worker is noticed at once, by EOF).
 
-    The pool itself is created lazily on the first genuinely parallel
-    launch, so constructing an executor (e.g. from config plumbing) costs
-    nothing.
+    Workers are forked lazily at the first launch, exit on
+    :meth:`close` or when the command pipe reaches EOF (the parent
+    died), and are reaped by :meth:`close`.
     """
 
-    def __init__(self, threads: int = 1) -> None:
-        if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-            raise ConfigurationError(
-                f"threads must be a positive integer, got {threads!r}")
-        self.threads = threads
-        self._pool: ThreadPoolExecutor | None = None
-        #: Every :meth:`plan_tiles` decision (extent, resolved gangs,
-        #: chosen tile count, working-set bytes, device) — the profiler
-        #: report surfaces these so tuned-vs-heuristic tiling is
-        #: comparable post-hoc.
-        self.tile_plans: list[dict] = []
+    def __init__(self, threads: int, body: Callable[[int, int], object], *,
+                 stopwatch=None, timeout: float = 30.0) -> None:
+        self.threads, _ = plan_gang_width(threads, tiles=0)  # validates
+        self.timeout = timeout
+        self._body, self._stopwatch = body, stopwatch
+        #: ``(pid, command writer, reply reader)`` per forked worker.
+        self._workers: list[tuple] = []
+        self.launches = 0
 
     # ------------------------------------------------------------------
-    @property
-    def parallel(self) -> bool:
-        """Whether launches may use more than the calling thread."""
-        return self.threads > 1
+    def launch(self, arg: int) -> list:
+        """Run ``body(arg, rank)`` on every member; results in rank order.
 
-    def gangs_for(self, nest: ParallelLoopNest, extent: int) -> int:
-        """Thread tiles a gang-partitioned nest maps to for ``extent`` rows.
-
-        The gang axis of the resolved launch configuration becomes the
-        tile axis (capped by the worker count and the row extent); the
-        vector axis stays NumPy SIMD inside each tile.  A ``seq``-only
-        nest resolves to a single gang and therefore a serial launch.
+        Rank 0 is the caller.  If any member raises, all members are
+        still waited on — shared buffers are never abandoned mid-write —
+        and the first error in rank (= span) order is re-raised.  A
+        worker that died or hung raises :class:`ReproError` naming the
+        gang and the launch, and the gang is torn down.
         """
-        cfg = derive_launch(nest)
-        return max(1, min(self.threads, cfg.num_gangs, extent))
-
-    def plan_tiles(self, nest: ParallelLoopNest, extent: int, *,
-                   bytes_per_slice: int = 0,
-                   device=None, occupancy: float | None = None,
-                   min_rows: int = 1) -> int:
-        """Tile count for a gang nest over ``extent`` rows, L2-refined.
-
-        Composes :meth:`gangs_for` (the directive → gang resolution)
-        with :func:`repro.hardware.tiling.suggest_tile_count` (grow the
-        tile count in worker multiples until one tile's working set fits
-        ``occupancy`` of the device's last-level cache — the module
-        default when omitted).  Sweep pipelines call this once per tiled
-        extent — the strided and transposed layouts tile different axes,
-        so their extents differ.
-        """
-        from repro.hardware.tiling import L2_OCCUPANCY, suggest_tile_count
-
-        gangs = self.gangs_for(nest, extent)
-        tiles = suggest_tile_count(
-            extent, gangs, bytes_per_slice=bytes_per_slice, device=device,
-            occupancy=L2_OCCUPANCY if occupancy is None else occupancy,
-            min_rows=min_rows)
-        self.tile_plans.append({
-            "extent": extent,
-            "gangs": gangs,
-            "tiles": tiles,
-            "bytes_per_slice": bytes_per_slice,
-            "device": getattr(device, "name", device),
-        })
-        return tiles
-
-    def tile_plan_summary(self) -> str:
-        """One-line summary of the recorded tile-plan decisions."""
-        if not self.tile_plans:
-            return f"tiles: no planned launches ({self.threads} workers)"
-        parts = [f"extent {p['extent']} -> {p['tiles']} tiles "
-                 f"({p['gangs']} gangs)" for p in self.tile_plans]
-        return f"tiles ({self.threads} workers): " + "; ".join(parts)
+        if self.threads == 1:
+            return [self._body(arg, 0)]
+        if not self._workers:
+            self._fork()
+        self.launches += 1
+        outcomes: list[tuple] = []
+        rank = 1
+        try:
+            for _pid, command, _reply in self._workers:
+                command.send_bytes(_ARG.pack(arg))
+            try:
+                outcomes.append((self._body(arg, 0), None))
+            except Exception as err:
+                outcomes.append((None, err))
+            for rank, (_pid, _command, reply) in enumerate(self._workers, 1):
+                if not reply.poll(self.timeout):
+                    raise TimeoutError(f"no reply in {self.timeout:g} s")
+                result, err, laps = reply.recv()
+                outcomes.append((result, err))
+                for name, seconds in laps.items():
+                    self._stopwatch.add(name, seconds)
+        except BaseException as err:
+            # A reply may be missing or half-read: the pipes are out of
+            # step and a worker may still be writing.  Stop them all.
+            self.close(kill=True)
+            if not isinstance(err, (EOFError, OSError)):
+                raise
+            raise ReproError(
+                f"gang of {self.threads} (pid {os.getpid()}), launch "
+                f"{self.launches} (arg {arg}): worker {rank} died or hung "
+                f"({type(err).__name__}: {err})") from err
+        for _result, err in outcomes:
+            if err is not None:
+                raise err
+        return [result for result, _err in outcomes]
 
     # ------------------------------------------------------------------
-    def launch(self, body: Callable[[int, int], object], extent: int, *,
-               tiles: int | None = None,
-               nest: ParallelLoopNest | None = None) -> list:
-        """Run ``body(lo, hi)`` over contiguous tiles of ``range(extent)``.
+    def _fork(self) -> None:
+        _LIVE.add(self)
+        for rank in range(1, self.threads):
+            command_r, command_w = Pipe(duplex=False)
+            reply_r, reply_w = Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                try:  # the at-fork hook dropped every earlier worker's ends
+                    command_w.close()
+                    reply_r.close()
+                    self._serve(rank, command_r, reply_w)
+                finally:
+                    os._exit(0)
+            command_r.close()
+            reply_w.close()
+            self._workers.append((pid, command_w, reply_r))
 
-        ``tiles`` fixes the tile count; when omitted it is derived from
-        ``nest`` (via :meth:`gangs_for`) or defaults to one tile per
-        worker.  Returns the bodies' return values in span order (so
-        per-tile statistics reduce deterministically).  If any tile
-        raises, all tiles are still waited on — shared buffers are never
-        abandoned mid-write — and the first error (in span order) is
-        re-raised.
-        """
-        if tiles is None:
-            tiles = (self.gangs_for(nest, extent) if nest is not None
-                     else min(self.threads, max(extent, 1)))
-        spans = tile_spans(extent, tiles)
-        if len(spans) <= 1 or not self.parallel:
-            return [body(lo, hi) for lo, hi in spans]
-        pool = self._ensure_pool()
-        futures = [pool.submit(body, lo, hi) for lo, hi in spans]
-        _wait_futures(futures)
-        for f in futures:
-            exc = f.exception()
-            if exc is not None:
-                raise exc
-        return [f.result() for f in futures]
+    def _serve(self, rank: int, command, reply) -> None:
+        """A worker's life: one body call per command until exit or EOF."""
+        if hasattr(os, "sched_setaffinity"):
+            # One core per member: a pipe wake-up otherwise queues the
+            # worker behind the busy parent, and a short launch is over
+            # before the balancer moves it (EXPERIMENTS.md "Real gangs").
+            cores = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cores[rank % len(cores)]})
+        laps = self._stopwatch.laps if self._stopwatch is not None else {}
+        while True:
+            try:
+                (arg,) = _ARG.unpack(command.recv_bytes())
+            except (EOFError, OSError):
+                return
+            if arg == _EXIT:
+                return
+            laps.clear()
+            try:
+                out = (self._body(arg, rank), None)
+            except Exception as err:
+                out = (None, err)
+            try:
+                reply.send((*out, dict(laps)))
+            except OSError:
+                return  # the parent is gone
+            except Exception:  # the error does not pickle
+                reply.send((None, ReproError(
+                    f"{type(out[1]).__name__}: {out[1]}"), dict(laps)))
 
-    def run(self, thunks: Sequence[Callable[[], object]]) -> list:
-        """Run independent zero-argument tasks, one per worker slot."""
-        if len(thunks) <= 1 or not self.parallel:
-            return [t() for t in thunks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(t) for t in thunks]
-        _wait_futures(futures)
-        for f in futures:
-            exc = f.exception()
-            if exc is not None:
-                raise exc
-        return [f.result() for f in futures]
+    def _drop(self) -> list[int]:
+        """Close this process's pipe ends; returns the workers' pids."""
+        pids = [pid for pid, _command, _reply in self._workers]
+        for _pid, command, reply in self._workers:
+            command.close()
+            reply.close()
+        self._workers = []
+        return pids
 
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="gang")
-        return self._pool
+    def close(self, *, kill: bool = False) -> None:
+        """Stop and reap the workers (forked again lazily if reused)."""
+        for pid, command, _reply in self._workers:
+            try:
+                if kill:
+                    os.kill(pid, signal.SIGKILL)
+                else:
+                    command.send_bytes(_ARG.pack(_EXIT))
+            except OSError:
+                pass  # already gone
+        for pid in self._drop():
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped elsewhere
 
-    def shutdown(self) -> None:
-        """Join and discard the worker pool (recreated lazily if reused)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "GangExecutor":
-        return self
+    def __del__(self) -> None:
+        if getattr(self, "_workers", None):
+            self.close()
 
     def __exit__(self, *exc) -> None:
-        self.shutdown()
+        self.close()

@@ -193,6 +193,7 @@ def _build_torch() -> Backend:
             f"available here: {available_backends()}")
     return Backend("torch", TORCH_NAMESPACE, bitwise=False,
                    supports_stacked_weno=False, supports_fusion=False,
+                   supports_threads=False,  # own intra-op pool; not fork-safe
                    _from_host=_torch_from_host, _to_host=tensor_to_host)
 
 

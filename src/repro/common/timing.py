@@ -12,7 +12,6 @@ Two distinct notions of time coexist in this package:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -48,22 +47,20 @@ class Stopwatch:
     I/O take in this example script").  ``laps`` maps section name to
     accumulated seconds.
 
-    Accumulation is thread-safe: the thread-tiled gang backend has every
-    worker time its own tile kernels and fold them into the one shared
-    stopwatch, so the per-kernel breakdown keeps the same keys (and adds
-    up per-thread busy seconds) whether a stage ran serial or tiled.
+    One process writes it: a forked gang worker times its tile kernels
+    into its own copy and the :class:`~repro.acc.gang.GangExecutor`
+    merges those laps into the parent's at every reply, so the
+    per-kernel breakdown keeps the same keys (and adds up per-worker
+    busy seconds) whether a stage ran serial or on a gang.
     """
 
     laps: dict[str, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     def time(self, name: str) -> "_Lap":
         return _Lap(self, name)
 
     def add(self, name: str, seconds: float) -> None:
-        with self._lock:
-            self.laps[name] = self.laps.get(name, 0.0) + seconds
+        self.laps[name] = self.laps.get(name, 0.0) + seconds
 
     def total(self) -> float:
         return sum(self.laps.values())

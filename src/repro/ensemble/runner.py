@@ -143,7 +143,8 @@ class EnsembleRunner:
                  batch_width: int = 8, config: RHSConfig | None = None,
                  cfl: float = 0.5, rk_order: int = 3,
                  fixed_dt: float | None = None, check_every: int = 10,
-                 threads: int = 1, tile_device: object | None = None,
+                 threads: int | None = None,
+                 tile_device: object | None = None,
                  sweep_layout: str = "strided", fusion: str = "off",
                  backend: object = None,
                  tuning: object = "off",
@@ -181,12 +182,12 @@ class EnsembleRunner:
         results: dict[int, EnsembleCaseResult] = {}
         batches: list[BatchRecord] = []
         for sig, indices in self.plan_batches():
-            sim = EnsembleSimulation(
-                [self.jobs[i].case for i in indices], self.bcs,
-                names=[self.jobs[i].name or f"job{i}" for i in indices],
-                stopwatch=self.stopwatch, **self.kwargs)
-            batch_results = sim.run(
-                t_end=[self.jobs[i].t_end for i in indices])
+            with EnsembleSimulation(
+                    [self.jobs[i].case for i in indices], self.bcs,
+                    names=[self.jobs[i].name or f"job{i}" for i in indices],
+                    stopwatch=self.stopwatch, **self.kwargs) as sim:
+                batch_results = sim.run(
+                    t_end=[self.jobs[i].t_end for i in indices])
             for local, res in enumerate(batch_results):
                 results[indices[local]] = res
             plan = sim.tuning_plan
@@ -200,7 +201,5 @@ class EnsembleRunner:
                 tuning_summary=plan.summary() if plan is not None else None,
                 timing_runs=(sim.tuner.timing_runs
                              if sim.tuner is not None else 0)))
-            if sim.rhs is not None and sim.rhs.executor is not None:
-                sim.rhs.executor.shutdown()
         ordered = [results[i] for i in range(len(self.jobs))]
         return EnsembleReport(results=ordered, batches=batches)

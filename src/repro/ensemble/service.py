@@ -189,7 +189,8 @@ class EnsembleService:
                  chaos: object | None = None,
                  config: RHSConfig | None = None, cfl: float = 0.5,
                  rk_order: int = 3, fixed_dt: float | None = None,
-                 threads: int = 1, tile_device: object | None = None,
+                 threads: int | None = None,
+                 tile_device: object | None = None,
                  sweep_layout: str = "strided", fusion: str = "off",
                  backend: object = None,
                  tuning: object = "off",

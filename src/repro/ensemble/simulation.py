@@ -34,6 +34,7 @@ survivors are unperturbed by their neighbours' retirement.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ class EnsembleCaseResult:
     error: str | None = None
 
 
-class EnsembleSimulation:
+class EnsembleSimulation(AbstractContextManager):
     """Time-marches ``B`` same-shape cases through one stacked RHS.
 
     Parameters mirror the single-case :class:`Simulation` driver where
@@ -143,7 +144,8 @@ class EnsembleSimulation:
                  config: RHSConfig | None = None, cfl: float = 0.5,
                  rk_order: int = 3, fixed_dt: float | None = None,
                  check_every: int = 10, stopwatch: Stopwatch | None = None,
-                 threads: int = 1, tile_device: object | None = None,
+                 threads: int | None = None,
+                 tile_device: object | None = None,
                  sweep_layout: str = "strided", fusion: str = "off",
                  backend: object = None,
                  tuning: object = "off",
@@ -215,7 +217,8 @@ class EnsembleSimulation:
         self._resolve_tuning()
         plan = self.tuning_plan
         if plan is not None:
-            self.threads = plan.threads
+            if plan.threads is not None:
+                self.threads = plan.threads
             self.sweep_layout = plan.sweep_layout
             self.fusion = plan.fusion
         self.rhs = self._build_rhs(B)
@@ -316,6 +319,13 @@ class EnsembleSimulation:
                    tiles=plan.tiles if plan is not None else None,
                    batch=batch)
 
+    def close(self) -> None:
+        """Stop and reap the stacked RHS's gang workers (idempotent)."""
+        self.rhs.close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     @property
     def batch(self) -> int:
@@ -361,7 +371,7 @@ class EnsembleSimulation:
         with WallTimer() as timer:
             self.state.stacked = to_host_array(ssp_rk_step(
                 self.rhs, q_dev, dt_field, self.rk_order,
-                workspace=ws, prim0=prim0, executor=self.rhs.executor))
+                workspace=ws, prim0=prim0))
         self.time += dt
         self.steps += 1
         self.step_count += 1
@@ -533,8 +543,7 @@ class EnsembleSimulation:
             self.rhs = self._build_rhs(len(keep))
             self.rhs.sweep_counters.merge(old.sweep_counters)
             self.rhs.limited_faces = old.limited_faces
-        if old.executor is not None and (not keep or old is not self.rhs):
-            old.executor.shutdown()
+        old.close()  # a narrower RHS forks its own gang lazily
 
     # ------------------------------------------------------------------
     def results(self) -> list[EnsembleCaseResult]:

@@ -148,11 +148,8 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
                 os.environ.pop(BACKEND_ENV_VAR, None)
             else:
                 os.environ[BACKEND_ENV_VAR] = saved
-    try:
+    with sim:
         results = sim.run(t_end=spec.t_ends)
-    finally:
-        if sim.rhs is not None and sim.rhs.executor is not None:
-            sim.rhs.executor.shutdown()
     return {
         "results": results,
         "events": events,

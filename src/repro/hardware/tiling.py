@@ -2,7 +2,7 @@
 
 The paper's §V reads kernel performance through last-level-cache
 capacity: the MI250X's 8 MB L2 forces its packing kernels to stream
-where an A100's 40 MB keeps working sets resident.  The host thread-tile
+where an A100's 40 MB keeps working sets resident.  The host gang
 backend (:class:`repro.acc.gang.GangExecutor`) applies the same lens:
 a tile should be small enough that the pipeline buffers it touches fit
 in the device's last-level cache, so each worker streams its slab once

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.acc.gang import plan_gang_width
 from repro.common import ConfigurationError
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
@@ -32,8 +33,8 @@ SOLVER_OPTION_KEYS = ("threads", "ranks", "cluster_timeout", "max_restarts",
 def solver_options_from_dict(spec: dict) -> dict:
     """Validated runtime options from a case file's ``"solver"`` section.
 
-    The section is optional and carries ``threads`` (worker count for
-    the thread-tiled execution backend; a positive integer), ``ranks``
+    The section is optional and carries ``threads`` (gang width of the
+    tiled RHS; a positive integer, planned when absent), ``ranks``
     (process count for multi-process block-decomposed runs; a positive
     integer) with its companions ``cluster_timeout`` (halo-wait /
     no-progress deadline in seconds; a positive number) and
@@ -63,12 +64,7 @@ def solver_options_from_dict(spec: dict) -> dict:
             f"choose from {sorted(SOLVER_OPTION_KEYS)}")
     options: dict = {}
     if "threads" in solver:
-        threads = solver["threads"]
-        if isinstance(threads, bool) or not isinstance(threads, int) \
-                or threads < 1:
-            raise ConfigurationError(
-                f"solver threads must be a positive integer, got {threads!r}")
-        options["threads"] = threads
+        options["threads"], _ = plan_gang_width(solver["threads"], tiles=0)
     if "ranks" in solver:
         ranks = solver["ranks"]
         if isinstance(ranks, bool) or not isinstance(ranks, int) or ranks < 1:

@@ -111,8 +111,8 @@ class SweepCounters:
     """Measured data-movement accounting of the layout-aware sweep engine.
 
     One instance lives on each :class:`~repro.solver.rhs.RHS` and is
-    bumped once per direction sweep (not per tile, so no locking is
-    needed under the thread-tiled backend).
+    bumped once per direction sweep (not per tile: under the gang
+    backend the parent's copy is the record, the workers' are private).
 
     Attributes
     ----------

@@ -182,8 +182,7 @@ def bench_kernels(layout, mixture, grid, bcs, config, q, *,
             rhs(q_dev)
         wall = time.perf_counter() - t0
     finally:
-        if rhs.executor is not None:
-            rhs.executor.shutdown()
+        rhs.close()
 
     if device is None:
         device = (measured_host_device() if use_measured_bandwidth

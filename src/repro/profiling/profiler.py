@@ -62,7 +62,7 @@ class Profile:
     :class:`~repro.solver.resilience.RecoveryCounters` so reports show
     what the resilience machinery did (retries, rollbacks, checkpoints).
     ``tiling`` attaches an :meth:`RHS.tile_plan` dict (chosen tile
-    counts + the executor's planning decisions) and ``tuning`` a
+    counts + the resolved gang width and why) and ``tuning`` a
     :class:`~repro.tuning.TuningPlan`, so tuned-vs-heuristic execution
     choices are visible next to the kernel times.
     """
@@ -148,7 +148,8 @@ class Profile:
                 f"d{p['d']}: {p['tiles']} {p['kind']}"
                 f"{' fused' if p['fused'] else ''} tiles"
                 for p in t["directions"])
-            lines.append(f"tiling ({t.get('source', 'heuristic')}): {parts}")
+            lines.append(f"tiling ({t.get('source', 'heuristic')}): {parts}"
+                         f"; gang {t.get('gang', '1')}")
         if self.tuning is not None:
             lines.append(self.tuning.summary())
         return "\n".join(lines)

@@ -107,7 +107,7 @@ class RiemannScratch:
     def view(self, idx) -> "RiemannScratch":
         """A scratch set whose buffers are views sliced by ``idx``.
 
-        The tile entry point of the thread-tiled backend: a worker takes
+        The tile entry point of the tiled sweep backend: a worker takes
         its private scratch and narrows every buffer to the face-tile
         shape it is solving, so the solvers' ``out=`` ufunc calls see
         exactly matching extents.  Views alias this scratch — never

@@ -19,11 +19,12 @@ report the same rows.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.acc.gang import GangExecutor
+from repro.acc.gang import GangExecutor, plan_gang_width
 from repro.backend import array_namespace, resolve_backend
 from repro.bc.boundary import BoundarySet, fill_axis_ghosts, pad_axis
 from repro.common import DTYPE, ConfigurationError, Stopwatch
@@ -80,7 +81,7 @@ class RHSConfig:
 
 
 @dataclass
-class RHS:
+class RHS(AbstractContextManager):
     """Callable computing :math:`dq/dt` for a conservative field ``q``.
 
     With ``use_workspace`` (the default) the primitive field and the
@@ -94,18 +95,21 @@ class RHS:
 
     Every workspace evaluation runs the one slab body of
     :class:`~repro.solver.sweep.SweepEngine` over slab tiles (the
-    ``tiles`` override, else an L2-capacity heuristic); serial,
-    threaded, transposed and fused execution are parameters of that
-    body.  With
-    ``threads > 1`` its slab tiles execute across a
-    :class:`~repro.acc.gang.GangExecutor` thread pool: the gang axis of
+    ``tiles`` override, else an L2-capacity heuristic); serial, gang,
+    transposed and fused execution are parameters of that body.  With
+    a gang width above one its slab tiles execute across a
+    :class:`~repro.acc.gang.GangExecutor` — this process plus forked
+    workers over the workspace's shared buffers: the gang axis of
     the pipeline's ``parallel loop gang vector collapse(ndim)`` spec
     becomes a contiguous-slab decomposition of the first spatial axis
     perpendicular to the sweep (self-contained stencils, disjoint
     writes into the workspace buffers), while the vector axis stays
-    NumPy SIMD inside each tile.  The threaded path is bitwise identical
+    NumPy SIMD inside each tile.  The gang path is bitwise identical
     to the serial one — same inputs and same elementwise operation
-    order per output cell.
+    order per output cell.  ``threads`` is the width: an explicit value
+    wins, ``None`` plans it from the usable cores and the tile counts
+    (:func:`~repro.acc.gang.plan_gang_width`; the resolved width and
+    the reason end up in ``threads`` / ``gang_why``).
     ``tile_device`` (a catalog key or :class:`DeviceSpec`) lets the
     L2-capacity tile heuristic size tiles for a specific host.
 
@@ -128,7 +132,7 @@ class RHS:
     config: RHSConfig = field(default_factory=RHSConfig)
     stopwatch: Stopwatch | None = None
     use_workspace: bool = True
-    threads: int = 1
+    threads: int | None = None
     tile_device: DeviceSpec | str | None = None
     sweep_layout: str = "strided"
     #: Registered kernel implementations (all bitwise identical — the
@@ -151,7 +155,7 @@ class RHS:
     #: and the workspace allocator.  Capability fallbacks are applied
     #: here: backends without negative-stride ``as_strided`` run the
     #: chained WENO kernels, backends the fusion code generator cannot
-    #: target never fuse, and thread tiling is disabled where the
+    #: target never fuse, and the gang is disabled where the
     #: backend manages its own parallelism (see ``docs/backends.md``).
     backend: object = None
     #: Array dtype of the state/workspace (``precision`` seam);
@@ -175,8 +179,6 @@ class RHS:
             # Documented capability fallback (docs/backends.md): the
             # stacked kernels need negative-stride as_strided views.
             self.weno_variant = "chained"
-        if not self.backend.supports_threads and self.threads > 1:
-            self.threads = 1
         if self.grid.ndim != self.layout.ndim:
             raise ConfigurationError(
                 f"grid is {self.grid.ndim}D but layout expects {self.layout.ndim}D")
@@ -238,13 +240,11 @@ class RHS:
         fused = (self.fusion == "on"
                  or (self.fusion == "auto" and self.use_workspace
                      and self.backend.supports_fusion))
-        if (not isinstance(self.threads, int) or isinstance(self.threads, bool)
-                or self.threads < 1):
-            raise ConfigurationError(
-                f"threads must be a positive integer, got {self.threads!r}")
-        #: Thread-tile backend; None takes the serial path with zero
-        #: executor overhead.
-        self.executor = GangExecutor(self.threads) if self.threads > 1 else None
+        # Validates an explicit width, which also asks the engine for
+        # at least one tile per member; a planned one is 1 until the
+        # tile counts are known.
+        floor, _ = plan_gang_width(self.threads, tiles=0,
+                                   backend=self.backend)
         #: Per-sweep data-movement tallies (strided vs. contiguous
         #: reconstruction, bytes permuted); surfaced by the CLI, the
         #: benches, and :meth:`Profile.report`.
@@ -254,13 +254,13 @@ class RHS:
         # without one the engine only plans, and every call takes the
         # allocating reference path.
         ws_on = self.use_workspace
-        self._engine = SweepEngine(
+        self._engine = engine = SweepEngine(
             self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
             counters=self.sweep_counters,
             sweep_layout=self.sweep_layout if ws_on else "strided",
             fused=fused, weno_variant=self.weno_variant,
             riemann_variant=self.riemann_variant, batch=self.batch,
-            executor=self.executor if ws_on else None, tiles=self.tiles,
+            workers=floor, tiles=self.tiles,
             device=(get_device(self.tile_device)
                     if isinstance(self.tile_device, str)
                     else self.tile_device),
@@ -268,11 +268,39 @@ class RHS:
         self.fusion_backend = self._engine.fusion_backend
         #: Preallocated buffer arena; None runs the allocating
         #: reference path.
-        self.workspace = (SolverWorkspace(
+        #: Resolved gang width and the reason for it (the banner text).
+        self.threads, self.gang_why = plan_gang_width(
+            self.threads, backend=self.backend, tiles=max(
+                p.tiles for p in engine.plans.values()) if ws_on else 0)
+        width = self.threads if ws_on else 1
+        self.workspace = ws = (SolverWorkspace(
             self.layout, self.grid, self._ng, dtype=self.dtype,
             weno_variant=self.weno_variant,
-            weno_order=self.config.weno_order,
-            batch=self.batch, backend=self.backend) if ws_on else None)
+            weno_order=self.config.weno_order, batch=self.batch,
+            backend=self.backend, shared=width > 1) if ws_on else None)
+        widths = tuple(self.backend.xp.asarray(w, dtype=self.dtype)
+                       for w in self.grid.width_fields())
+        nb = self._nb
+
+        def share(d: int, rank: int) -> int:
+            # The gang body: one member's tiles of sweep d.  It closes
+            # over the engine and the workspace only — never over this
+            # RHS, which must stay out of reference cycles.
+            return engine.sweep(ws, ws.prim, d, widths[d - nb], ws.dqdt,
+                                ws.divu, share=(rank, width))
+
+        #: The forked gang; None takes the serial path with no fork, no
+        #: shared mapping and zero executor overhead.
+        self.executor = (GangExecutor(width, share, stopwatch=self.stopwatch)
+                         if width > 1 else None)
+
+    def close(self) -> None:
+        """Stop and reap the gang's workers (idempotent)."""
+        if self.executor is not None:
+            self.executor.close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def tile_plan(self) -> dict:
         """The chosen sweep schedule, for profiler reports and bench records.
@@ -281,9 +309,8 @@ class RHS:
         per swept direction as a dict (``d``, ``kind``, ``slab_axis``,
         ``tiles``, ``fused``; virtual axis indices).  ``source`` says
         whether the tile counts came from the explicit ``tiles``
-        override (a tuning plan) or the L2 heuristic; ``plans`` carries
-        the executor's per-extent planning decisions (empty for
-        overridden or serial runs).
+        override (a tuning plan) or the L2 heuristic; ``gang`` is the
+        resolved gang width and why (``"2 of 2 cores, 10 tiles"``).
         """
         return {
             "directions": [dataclasses.asdict(plan)
@@ -291,8 +318,7 @@ class RHS:
             "fusion": self.fusion,
             "fusion_backend": self.fusion_backend,
             "source": ("override" if self.tiles is not None else "heuristic"),
-            "plans": (list(self.executor.tile_plans)
-                      if self.executor is not None else []),
+            "gang": self.gang_why,
         }
 
     @property
@@ -324,6 +350,15 @@ class RHS:
         # entry (identity for the NumPy backend, so bitwise neutral).
         widths = tuple(xp.asarray(w, dtype=q.dtype)
                        for w in self.grid.width_fields())
+        # Gang workers see only the workspace's shared buffers: sweep
+        # there, and hand the caller's ``out`` a copy at the end.
+        gang = self.executor if ws is not None else None
+        dest = out
+        if gang is not None:
+            out = ws.dqdt
+            if prim is not None and prim is not ws.prim:
+                xp.copyto(ws.prim, prim)
+                prim = ws.prim
 
         if prim is None:
             with timed(sw, "other"):
@@ -348,7 +383,9 @@ class RHS:
         # probe); the array rank says which shape arrived.
         nb = 1 if (self._nb and prim.ndim == layout.ndim + 2) else 0
         for d in range(nb, nb + layout.ndim):
-            if ws is not None:
+            if gang is not None:
+                self.limited_faces += sum(gang.launch(d))
+            elif ws is not None:
                 self.limited_faces += self._engine.sweep(
                     ws, prim, d, widths[d - nb], dqdt, divu)
             else:
@@ -364,6 +401,10 @@ class RHS:
 
         # Nonconservative term: dalpha/dt += alpha * div(u).
         dqdt[layout.advected] += prim[layout.advected] * divu
+        if gang is not None and dest is not dqdt:
+            dest = xp.empty_like(dqdt) if dest is None else dest
+            xp.copyto(dest, dqdt)
+            return dest
         return dqdt
 
     # ------------------------------------------------------------------

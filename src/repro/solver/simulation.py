@@ -38,12 +38,14 @@ Every recovery action is tallied in :attr:`Simulation.recovery`.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from repro.acc.gang import plan_gang_width
 from repro.backend import (
     array_namespace,
     precision_dtype,
@@ -86,7 +88,7 @@ class StepRecord:
 
 
 @dataclass
-class Simulation:
+class Simulation(AbstractContextManager):
     """Time-marches a :class:`~repro.solver.case.Case`.
 
     Parameters
@@ -103,11 +105,14 @@ class Simulation:
         Validate the state (finite, positive density) every this many
         steps; 0 disables checks.
     threads:
-        Worker threads for the thread-tiled execution backend (the
-        host realisation of ``acc parallel loop gang``).  ``1`` (the
-        default) takes the serial path with zero executor overhead;
-        values > 1 tile the RHS hot path and the RK axpy stages across
-        a thread pool, bitwise identically to serial.  Requires
+        Gang width (the host realisation of ``acc parallel loop
+        gang``): the RHS's slab tiles run on this process plus
+        ``threads - 1`` forked workers over the shared workspace,
+        bitwise identically to serial.  ``None`` (the default) plans
+        it (:func:`repro.acc.gang.plan_gang_width`); ``1`` is the
+        serial path with no fork.  The resolved width replaces the
+        field, :attr:`gang_why` says why, and :meth:`close` (or the
+        driver as a context manager) reaps the workers.  Requires
         ``use_workspace=True`` to take effect.
     ranks:
         Process count for multi-process block-decomposed runs (the
@@ -116,8 +121,9 @@ class Simulation:
         keeps the in-process driver; values > 1 make :meth:`run`
         delegate the whole march to a process cluster — one process
         per rank, halos exchanged through shared memory — bitwise
-        identical to the serial march.  Incompatible with
-        ``threads > 1``, ``retry``, ``tuning``, and
+        identical to the serial march.  Incompatible with an explicit
+        ``threads > 1`` (a planned width is 1 per rank), ``retry``,
+        ``tuning``, and
         ``fault_injector`` (rank faults are injected through
         :class:`repro.cluster.RankFault` instead); the merged halo
         counters land in :attr:`halo_counters` after the run.
@@ -210,7 +216,7 @@ class Simulation:
     #: (bitwise identical to the allocating path; see
     #: :mod:`repro.solver.workspace`).
     use_workspace: bool = True
-    threads: int = 1
+    threads: int | None = None
     ranks: int = 1
     cluster_timeout: float = 30.0
     max_restarts: int = 1
@@ -257,10 +263,9 @@ class Simulation:
                 raise ConfigurationError(
                     "ranks > 1 marches in float64 (cluster workers are "
                     "not precision-aware); drop precision or ranks")
-            if self.threads > 1:
-                raise ConfigurationError(
-                    "ranks > 1 is incompatible with threads > 1 "
-                    "(pick one parallel backend)")
+            # A 2-rank run must never start four busy processes.
+            self.threads, self.gang_why = plan_gang_width(
+                self.threads, tiles=0, ranks=self.ranks)
             if self.retry is not None:
                 raise ConfigurationError(
                     "ranks > 1 does not support the rollback-retry guard")
@@ -287,7 +292,8 @@ class Simulation:
             # The plan's knobs replace the configured ones (that is the
             # point of tuning); the fields are updated so the driver's
             # own record of its configuration stays truthful.
-            self.threads = plan.threads
+            if plan.threads is not None:
+                self.threads = plan.threads
             self.sweep_layout = plan.sweep_layout
             self.fusion = plan.fusion
             if getattr(plan, "backend", None):
@@ -307,6 +313,10 @@ class Simulation:
                                         if plan is not None else "reference"),
                        tiles=plan.tiles if plan is not None else None,
                        backend=self.backend, dtype=self._dtype)
+        #: The resolved gang width and the reason (the run banner).
+        self.threads = self.rhs.threads
+        if self.ranks == 1:
+            self.gang_why = self.rhs.gang_why
         self.time = 0.0
         self.step_count = 0
         self.history: list[StepRecord] = []
@@ -365,6 +375,13 @@ class Simulation:
             f"got {spec!r}")
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Reap the gang workers (idempotent; a later step re-forks)."""
+        self.rhs.close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def primitive(self) -> np.ndarray:
         """Current primitive field (fresh array)."""
         return cons_to_prim(self.layout, self.mixture, self.q)
@@ -427,8 +444,7 @@ class Simulation:
             return self._guarded_step(dt, prim0)
         with WallTimer() as timer:
             self.q = ssp_rk_step(self.rhs, self.q, dt, self.rk_order,
-                                 workspace=ws, prim0=prim0,
-                                 executor=self.rhs.executor)
+                                 workspace=ws, prim0=prim0)
             if self.fault_injector is not None:
                 self.recovery.faults_injected += int(self.fault_injector.apply(
                     self.q, step=self.step_count + 1, attempt=0))
@@ -507,8 +523,7 @@ class Simulation:
                 dts.append(dt_a)
                 schemes.append(_scheme_name(order))
                 q_new = ssp_rk_step(rhs, self.q, dt_a, self.rk_order,
-                                    workspace=ws_a, prim0=prim_a,
-                                    executor=rhs.executor)
+                                    workspace=ws_a, prim0=prim_a)
                 if self.fault_injector is not None:
                     self.recovery.faults_injected += int(
                         self.fault_injector.apply(

@@ -11,7 +11,7 @@ that body, not copies of it:
 mode           what a tile runs         ghost source           face span
 =============  =======================  =====================  ==========
 serial         the staged chain         physical BCs           whole
-threaded       same, on pool workers    physical BCs           whole
+gang           same, on forked workers  physical BCs           whole
 transposed     axis-last + scatter      physical BCs           whole
 fused          one generated kernel     physical BCs (kernel)  whole
 batched        any of the above         physical BCs           whole
@@ -76,7 +76,7 @@ from repro.acc.fusion import (
     sweep_stage_graph,
     validate_fusion,
 )
-from repro.acc.gang import tile_spans
+from repro.acc.gang import gang_share, tile_spans
 from repro.backend import array_namespace
 from repro.bc.boundary import fill_axis_ghosts
 from repro.common import DTYPE, ConfigurationError
@@ -276,19 +276,22 @@ class SweepEngine:
     is touched by exactly one worker, and budgeting it against the
     whole device LLC degenerates to one field-sized tile on big-cache
     catalog entries — but never so many that a tile's face block drops
-    below :data:`MIN_PASS_ELEMENTS`.
+    below :data:`MIN_PASS_ELEMENTS`.  The count does not depend on the
+    gang width (rounding 8 tiles up to 9 for three workers would cost
+    more than the idle third share); only an *explicit* width asks for
+    at least one tile per member (``workers``).
     """
 
     def __init__(self, layout, mixture, bcs, config, shape, *, counters,
                  sweep_layout: str = "strided", fused: bool = False,
                  weno_variant: str = "chained",
                  riemann_variant: str = "reference",
-                 batch: int | None = None, executor=None,
+                 batch: int | None = None, workers: int = 1,
                  tiles: int | None = None, device: DeviceSpec | None = None,
                  dtype=DTYPE, stopwatch=None, ghosts=None) -> None:
         self.layout, self.mixture, self.bcs = layout, mixture, bcs
         self.counters, self.stopwatch = counters, stopwatch
-        self.executor, self.ghosts = executor, ghosts
+        self.ghosts = ghosts
         self.order = order = config.weno_order
         self.ng = halo_width(order)
         self.weno_variant = weno_variant
@@ -350,17 +353,15 @@ class SweepEngine:
                     device=device,
                     occupancy=1.0 / max(1, device.cores or 1),
                     min_rows=-(-MIN_PASS_ELEMENTS // row_elems))
-                n_tiles = (
-                    executor.plan_tiles(region.stages[0].nest, extent,
-                                        **budget)
-                    if executor is not None
-                    else suggest_tile_count(extent, 1, **budget))
+                n_tiles = max(suggest_tile_count(extent, 1, **budget),
+                              min(workers, extent))
             self.plans[d] = SweepPlan(d, kind, region.slab_axis, n_tiles,
                                       fuse)
 
     # ------------------------------------------------------------------
     def sweep(self, ws, prim, d: int, width, dqdt, divu, *,
-              split: bool = False) -> int:
+              split: bool = False,
+              share: tuple[int, int] | None = None) -> int:
         """Accumulate direction ``d`` into ``dqdt``/``divu``.
 
         Returns the count of positivity-limited face states.  Virtual
@@ -374,6 +375,10 @@ class SweepEngine:
         computes while the neighbours' strips land; spans partitioning
         the face range compose bitwise into the whole-range result, and
         ``reconstruct_faces_span(0, nf)`` is the bulk call.
+
+        ``share=(rank, width)`` runs only that gang member's contiguous
+        run of the tiles (:func:`~repro.acc.gang.gang_share`); the
+        fields must then be the workspace's shared buffers.
         """
         layout, ng, sw, xp = self.layout, self.ng, self.stopwatch, ws.xp
         plan = self.plans[d]
@@ -485,11 +490,10 @@ class SweepEngine:
 
         def launch(**phase):
             body = partial(slab, **phase)
-            if self.executor is not None:
-                return sum(self.executor.launch(body, extent,
-                                                tiles=plan.tiles))
-            return sum(body(lo, hi)
-                       for lo, hi in tile_spans(extent, plan.tiles))
+            spans = tile_spans(extent, plan.tiles)
+            if share is not None:
+                spans = gang_share(spans, *share)
+            return sum(body(lo, hi) for lo, hi in spans)
 
         if not hook:
             limited = launch()

@@ -17,29 +17,32 @@ All workspace-backed code paths are **bitwise identical** to the
 allocating reference paths (same operations in the same order, only the
 destination buffers differ); this is enforced by property tests.
 
-Thread-ownership rule
----------------------
+Process-ownership rule
+----------------------
 The workspace is built for one RHS/RK pipeline, which may execute its
-slab tiles on a :class:`~repro.acc.gang.GangExecutor` thread pool.
-Buffers divide into two ownership classes:
+slab tiles on a :class:`~repro.acc.gang.GangExecutor` — the calling
+process plus forked workers.  Buffers divide into two ownership classes:
 
-* **Shared, disjointly written** — ``prim``, ``dqdt``, ``divu``, the RK
-  stage buffers, and the whole-block ``padded``/``flux``/``u_face`` a
-  rank-local sweep holds across its ghost hook.  Concurrent tiles may
-  read them anywhere but must write only inside their own slab span, so
-  no synchronisation is needed beyond the launch barrier.
-* **Private per worker** — every :class:`TileArena`:
-  :meth:`SolverWorkspace.tile_arena` hands each calling thread its own
-  arena per direction, carved from that worker's one memory pool
-  (allocated lazily, reused across its later tiles, directions and
-  steps), so two tiles in flight never share a pipeline intermediate or
-  a kernel scratch array.
+* **Shared, disjointly written** — ``prim``, ``dqdt`` and ``divu``: with
+  ``shared=True`` they are carved from one anonymous ``MAP_SHARED``
+  mapping (no ``/dev/shm`` name, nothing to unlink), so every gang
+  member sees the others' writes.  Concurrent tiles may read them
+  anywhere but must write only inside their own slab span, so no
+  synchronisation is needed beyond the launch barrier.
+* **Private per process** — everything else: the RK stage buffers and
+  the rollback snapshot (only the parent combines stages), the
+  whole-block buffers of a rank-local sweep, and every
+  :class:`TileArena`.  A worker inherits the workspace copy-on-write at
+  its fork and :meth:`SolverWorkspace.tile_arena` carves its arenas
+  from its own memory pool (allocated lazily, reused across its later
+  tiles, directions and steps), so two tiles in flight never share a
+  pipeline intermediate or a kernel scratch array.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import mmap
 from functools import partial
 
 import numpy as np
@@ -263,7 +266,7 @@ class SolverWorkspace:
                  dtype=DTYPE, weno_variant: str = "chained",
                  weno_order: int | None = None,
                  batch: int | None = None,
-                 backend=None) -> None:
+                 backend=None, shared: bool = False) -> None:
         nvars = layout.nvars
         #: The execution backend this arena allocates on; its namespace
         #: (``xp``) is what every kernel resolves from the buffers.
@@ -304,10 +307,16 @@ class SolverWorkspace:
         def new(shape):
             return xp.empty(shape, dtype=np_dtype)
 
-        # Field-sized buffers.
-        self.prim = new(self.shape)
-        self.dqdt = new(self.shape)
-        self.divu = new(spatial)
+        # Field-sized buffers; the three a sweep reads and writes come
+        # from one shared mapping when a gang will run the tiles.
+        field_alloc = xp
+        if shared:
+            n = 2 * math.prod(self.shape) + math.prod(spatial)
+            field_alloc = _Carver(xp, self.backend.from_host(np.frombuffer(
+                mmap.mmap(-1, n * np_dtype.itemsize), dtype=np_dtype)))
+        self.prim = field_alloc.empty(self.shape, dtype=np_dtype)
+        self.dqdt = field_alloc.empty(self.shape, dtype=np_dtype)
+        self.divu = field_alloc.empty(spatial, dtype=np_dtype)
 
         # SSP-RK stage buffers (two alternating stages + result + temp).
         self.rk_stage = (new(self.shape), new(self.shape))
@@ -337,49 +346,43 @@ class SolverWorkspace:
         self.riemann_scratch = _PerDirection(lambda d: RiemannScratch(
             tuple(block(d, 1)), dtype=np_dtype, xp=xp))
 
-        #: Per-worker tile arenas, keyed (thread ident, direction,
-        #: layout, end strip), and the one memory pool per worker they
-        #: are carved from; see the module docstring's thread-ownership
-        #: rule.
-        self._arenas: dict[tuple[int, int, bool, bool], TileArena] = {}
-        self._pools: dict[int, object] = {}
-        self._arena_lock = threading.Lock()
+        #: This process's tile arenas, keyed (direction, layout, end
+        #: strip), and the one memory pool they are carved from; see the
+        #: module docstring's process-ownership rule.
+        self._arenas: dict[tuple[int, bool, bool], TileArena] = {}
+        self._pool = None
 
     # ------------------------------------------------------------------
     def tile_arena(self, d: int, tile_width: int, *,
                    transposed: bool = False, strip: bool = False) -> TileArena:
-        """The calling thread's private :class:`TileArena` for direction ``d``.
+        """The calling process's private :class:`TileArena` for direction ``d``.
 
         Built lazily (or rebuilt, if a wider tile shows up) for slabs of
-        at most ``tile_width`` rows and cached for the worker's later
-        tiles and steps; callers take :meth:`TileArena.narrow` views for
-        their exact tile extent.  A worker's arenas share one pool —
-        it sweeps one direction at a time and nothing outlives a tile.
+        at most ``tile_width`` rows and cached for the later tiles and
+        steps; callers take :meth:`TileArena.narrow` views for their
+        exact tile extent.  All arenas share one pool — a process sweeps
+        one direction at a time and nothing outlives a tile.
 
         ``strip=True`` sizes the arena for a block's end strip instead:
         the ``ng - 1`` cells along ``d`` whose ``ng`` faces are the ones
         a split sweep reconstructs after its ghost hook.
         """
-        thread = threading.get_ident()
-        key = (thread, d, transposed, strip)
+        key = (d, transposed, strip)
         spatial = self._spatial
         if strip:
             spatial = (*spatial[:d], self._ng - 1, *spatial[d + 1:])
-        with self._arena_lock:
-            arena = self._arenas.get(key)
-            if arena is None or arena.width_cap < tile_width:
-                pool = self._pools.get(thread)
-                arena = TileArena(self._nvars, spatial, self._ng, d,
-                                  tile_width, self.dtype, self.weno_variant,
-                                  self.weno_order, transposed=transposed,
-                                  xp=self.xp, pool=pool)
-                if arena.pool is not pool:
-                    # It outgrew the pool: the worker's other arenas
-                    # alias the old one and rebuild here on next use.
-                    for stale in [k for k in self._arenas if k[0] == thread]:
-                        del self._arenas[stale]
-                    self._pools[thread] = arena.pool
-                self._arenas[key] = arena
+        arena = self._arenas.get(key)
+        if arena is None or arena.width_cap < tile_width:
+            arena = TileArena(self._nvars, spatial, self._ng, d,
+                              tile_width, self.dtype, self.weno_variant,
+                              self.weno_order, transposed=transposed,
+                              xp=self.xp, pool=self._pool)
+            if arena.pool is not self._pool:
+                # It outgrew the pool: the other arenas alias the old
+                # one and rebuild here on next use.
+                self._arenas.clear()
+                self._pool = arena.pool
+            self._arenas[key] = arena
         return arena
 
     # ------------------------------------------------------------------
@@ -403,4 +406,5 @@ class SolverWorkspace:
                       self.u_face, self.weno_scratch, self.riemann_scratch):
             for buffers in list(group.made.values()):
                 yield from _leaves(buffers)
-        yield from list(self._pools.values())
+        if self._pool is not None:
+            yield self._pool

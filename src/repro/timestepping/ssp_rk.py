@@ -76,8 +76,8 @@ def stage_buffer(workspace, k: int, n_stages: int):
 
 def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
                 dt: float, order: int = 3, *,
-                workspace=None, prim0: np.ndarray | None = None,
-                executor=None) -> np.ndarray:
+                workspace=None,
+                prim0: np.ndarray | None = None) -> np.ndarray:
     """Advance ``q`` by one step of the SSP-RK scheme of the given order.
 
     ``rhs(q)`` must return :math:`L(q) = dq/dt`; the input array is not
@@ -99,10 +99,9 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     states, so the broadcast multiply applies each case's scalar dt to
     exactly that case's slab, bitwise as in a standalone step.
 
-    With a :class:`~repro.acc.gang.GangExecutor` the
-    Shu-Osher axpy combinations additionally run tiled along the
-    slowest spatial axis (elementwise ops on disjoint row slabs).  All
-    paths are bitwise identical.
+    The combinations run whole-field on the caller even when the RHS
+    sweeps on a gang: at 256² they are 1.6 % of a step (EXPERIMENTS.md
+    "Real gangs").  All paths are bitwise identical.
     """
     stages = rk_stages(order)
     if workspace is None:
@@ -116,35 +115,12 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
 
     ws = workspace
     xp = array_namespace(q)
-    tiled = executor is not None and executor.parallel and q.ndim > 1
     q_n = q
     q_k = q
     for k, (a, b, c) in enumerate(stages):
         out = stage_buffer(ws, k, len(stages))
         L = rhs(q_k, out=ws.dqdt, prim=prim0 if k == 0 else None)
-        if tiled:
-            _axpy_stage_tiled(executor, q_n, q_k, L, out, ws.rk_tmp,
-                              a, b, c * dt, xp)
-        else:
-            shu_osher_combine(q_n, q_k, L, out, ws.rk_tmp, a, b, c * dt, xp)
+        shu_osher_combine(q_n, q_k, L, out, ws.rk_tmp, a, b, c * dt, xp)
         q_k = out
     return q_k
 
-
-def _axpy_stage_tiled(executor, q_n, q_k, L, out, tmp, a, b, cdt, xp) -> None:
-    """One Shu-Osher combination, tiled along the slowest spatial axis.
-
-    Each tile runs :func:`shu_osher_combine` on its own row slab
-    (disjoint writes to ``out`` and ``tmp``), so the result is bitwise
-    identical to the whole-array combination.  A per-case dt field
-    (ensemble runs; leading axis = batch = the tiled axis) is sliced to
-    the slab so the broadcast stays aligned.
-    """
-    vec = getattr(cdt, "ndim", 0) > 0
-
-    def stage(lo, hi):
-        s = (slice(None), slice(lo, hi))
-        shu_osher_combine(q_n[s], q_k[s], L[s], out[s], tmp[s], a, b,
-                          cdt[lo:hi] if vec else cdt, xp)
-
-    executor.launch(stage, q_n.shape[1])

@@ -1,7 +1,8 @@
 """Empirical autotuner over the kernel-variant registry.
 
 Given a case signature and host fingerprint, the tuner benchmarks the
-cross-product of kernel variant × threads × sweep layout × tile count
+cross-product of kernel variant × sweep layout × tile count × fusion,
+all at one gang width — the configured one, else the planned one —
 (:func:`repro.tuning.registry.candidate_plans`) with warmup/repeat
 control, *verifies each candidate bitwise* against the reference
 configuration, and picks the fastest valid plan — the Triton-autotune
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.acc.gang import usable_cores
 from repro.backend import resolve_backend, to_host_array
 from repro.common import DTYPE
 from repro.solver.rhs import RHS
@@ -30,7 +32,7 @@ from repro.tuning.plan import (
 from repro.tuning.registry import candidate_plans
 
 
-def heuristic_plan(*, threads: int = 1,
+def heuristic_plan(*, threads: int | None = None,
                    sweep_layout: str = "strided") -> TuningPlan:
     """The untimed model-heuristic fallback plan.
 
@@ -71,7 +73,8 @@ class Autotuner:
 
     # ------------------------------------------------------------------
     def plan_for(self, layout, mixture, grid, bcs, config, q, *,
-                 threads: int = 1, sweep_layout: str = "strided",
+                 threads: int | None = None,
+                 sweep_layout: str = "strided",
                  dtype=DTYPE, batch: int | None = None,
                  backend: str = "numpy") -> TuningPlan:
         """The plan to run this case with on this host.
@@ -84,7 +87,7 @@ class Autotuner:
         ``(nvars, batch, *grid.shape)``.
         """
         sig = case_signature(layout, grid, config, dtype, batch=batch,
-                             backend=backend)
+                             backend=backend, threads=threads)
         fp = host_fingerprint(self.device)
         key = plan_cache_key(sig, fp)
         if self.cache is not None:
@@ -100,7 +103,7 @@ class Autotuner:
 
     # ------------------------------------------------------------------
     def measure(self, layout, mixture, grid, bcs, config, q, *,
-                threads: int = 1,
+                threads: int | None = None,
                 sweep_layout: str = "strided",
                 batch: int | None = None,
                 backend: str = "numpy") -> TuningPlan:
@@ -115,16 +118,15 @@ class Autotuner:
         winner's ``modeled_ns``.  ``q`` may live on any backend; the
         gate compares explicit device-to-host copies.
         """
-        import os
-
         q = to_host_array(q)  # measurement and the gate are host-side
-        reference = RHS(layout, mixture, grid, bcs, config, batch=batch)
+        reference = RHS(layout, mixture, grid, bcs, config, batch=batch,
+                        threads=1)
         expected_arr = reference(q)
         expected = expected_arr.tobytes()
         self.timing_runs += 1
 
         candidates = candidate_plans(ndim=layout.ndim,
-                                     cpu_count=os.cpu_count() or 1,
+                                     cpu_count=usable_cores(),
                                      threads=threads,
                                      sweep_layout=sweep_layout,
                                      backends=(backend,))
@@ -160,9 +162,9 @@ class Autotuner:
                     if best is None or elapsed < best:
                         best = elapsed
             finally:
-                if rhs.executor is not None:
-                    rhs.executor.shutdown()
-            timed.append((float(best), cand))
+                rhs.close()
+            # The plan records the width it was measured at.
+            timed.append((float(best), dict(cand, threads=rhs.threads)))
             if modeled_ns is None:
                 modeled_ns = float(best)  # candidate 0 is the heuristic
 

@@ -2,7 +2,7 @@
 
 A :class:`TuningPlan` is one point in the execution-choice space the
 kernel-variant registry spans: which WENO and Riemann implementations to
-run, the sweep memory layout, the gang thread count, and the tile-count
+run, the sweep memory layout, the gang width, and the tile-count
 override.  Every registered combination is bitwise identical in results;
 a plan only moves time.
 
@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.acc.gang import plan_gang_width, usable_cores
 from repro.backend import available_backends, validate_backend
 from repro.common import DTYPE, ConfigurationError
 from repro.hardware.devices import default_host_device
@@ -51,7 +52,9 @@ class TuningPlan:
     weno_variant: str = "chained"
     riemann_variant: str = "reference"
     sweep_layout: str = "strided"
-    threads: int = 1
+    #: Gang width: the width a tuned plan was measured at; ``None`` (a
+    #: hand-written plan that does not say) leaves it to the driver.
+    threads: int | None = None
     tiles: int | None = None
     #: Kernel-fusion knob (:data:`repro.solver.sweep.FUSION_MODES`).
     #: Plans serialized before the fusion axis existed load with the
@@ -73,10 +76,7 @@ class TuningPlan:
         validate_sweep_layout(self.sweep_layout)
         validate_fusion(self.fusion)
         validate_backend(self.backend)
-        if (isinstance(self.threads, bool) or not isinstance(self.threads, int)
-                or self.threads < 1):
-            raise ConfigurationError(
-                f"plan threads must be a positive integer, got {self.threads!r}")
+        plan_gang_width(self.threads, tiles=0)  # validates
         if self.tiles is not None and (
                 isinstance(self.tiles, bool) or not isinstance(self.tiles, int)
                 or self.tiles < 1):
@@ -103,7 +103,7 @@ class TuningPlan:
                    if self.backend != "numpy" else "")
         line = (f"tuning ({self.source}): weno={self.weno_variant} "
                 f"riemann={self.riemann_variant} layout={self.sweep_layout} "
-                f"threads={self.threads}{tiles}{fusion}{backend}")
+                f"threads={self.threads or 'planned'}{tiles}{fusion}{backend}")
         if self.measured_ns is not None:
             line += f"; measured {self.measured_ns / 1e6:.2f} ms/RHS"
             speed = self.speedup_vs_modeled()
@@ -135,7 +135,8 @@ class TuningPlan:
 # ----------------------------------------------------------------------
 def case_signature(layout, grid, config, dtype=DTYPE, *,
                    batch: int | None = None,
-                   backend: str = "numpy") -> dict:
+                   backend: str = "numpy",
+                   threads: int | None = None) -> dict:
     """What the problem looks like, for cache keying.
 
     ``batch`` is the ensemble batch width.  It enters the signature
@@ -153,6 +154,10 @@ def case_signature(layout, grid, config, dtype=DTYPE, *,
     }
     if batch is not None:
         sig["batch"] = int(batch)
+    if threads is not None:
+        # An explicit width pins every candidate; a planned one follows
+        # the fingerprint's usable cores.
+        sig["threads"] = int(threads)
     if backend != "numpy":
         # Non-default backends key separately; default keys stay stable
         # across registry generations.
@@ -171,6 +176,7 @@ def host_fingerprint(device=None) -> dict:
     dev = device if device is not None else default_host_device()
     return {
         "cpu_count": os.cpu_count() or 1,
+        "usable_cores": usable_cores(),
         "numpy": np.__version__,
         "device": dev.name,
         "l2_bytes": dev.l2_bytes,

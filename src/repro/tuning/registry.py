@@ -12,7 +12,8 @@ were compile-time choices; here they are first-run-time choices over
 * Riemann kernels: :data:`repro.riemann.RIEMANN_VARIANTS`
   (``reference`` / ``fused``),
 * sweep memory layout: ``strided`` / ``transposed`` / ``auto``,
-* thread count and per-launch tile count of the gang backend.
+* per-launch tile count of the gang backend (the gang *width* is not
+  an axis: every candidate runs at the configured or planned width).
 
 :data:`REGISTRY_VERSION` is baked into every tuning-cache key: it is
 *derived* from the registered variant sets themselves, so adding or
@@ -55,7 +56,8 @@ def _derive_registry_version() -> str:
 REGISTRY_VERSION = _derive_registry_version()
 
 
-def candidate_plans(*, ndim: int, cpu_count: int, threads: int = 1,
+def candidate_plans(*, ndim: int, cpu_count: int,
+                    threads: int | None = None,
                     sweep_layout: str = "auto",
                     backends: tuple = ("numpy",)) -> list[dict]:
     """The cross-product of execution plans the autotuner benchmarks.
@@ -66,11 +68,14 @@ def candidate_plans(*, ndim: int, cpu_count: int, threads: int = 1,
         Spatial dimensionality (1D has no non-contiguous direction, so
         the transposed layout is never a candidate there).
     cpu_count:
-        Host cores; bounds the thread-count axis.
+        Usable cores: the widest gang a planned candidate can resolve
+        to, which sizes the explicit tile counts tried.
     threads / sweep_layout:
-        The caller's configured values — always included as candidates
-        so the tuner can only improve on (never silently discard) an
-        explicit configuration.
+        The caller's configured values.  Every candidate carries
+        ``threads`` unchanged (an explicit width pins it, ``None`` is
+        planned by each candidate's RHS); the configured layout is
+        always a candidate, so the tuner can only improve on (never
+        silently discard) an explicit configuration.
     backends:
         Backend names to enumerate (the configured backend first).
         Candidates on non-default backends run the reference kernel
@@ -89,7 +94,12 @@ def candidate_plans(*, ndim: int, cpu_count: int, threads: int = 1,
         layouts += [m for m in ("strided", "transposed") if m != sweep_layout]
     elif sweep_layout != "strided":
         layouts.append("strided")
-    thread_counts = sorted({1, threads, max(1, cpu_count)})
+    workers = threads if threads is not None else max(1, cpu_count)
+    # Serial sweeps take the heuristic slab count, which is checked
+    # against measured tile sweeps for staged and fused sweeps alike
+    # (EXPERIMENTS.md "Tile sweep"); a gang also tries one and two
+    # slabs per member.
+    tile_counts = [None] if workers == 1 else [None, workers, 2 * workers]
 
     primary = backends[0] if backends else "numpy"
     plans = [{"weno_variant": "chained", "riemann_variant": "reference",
@@ -104,23 +114,15 @@ def candidate_plans(*, ndim: int, cpu_count: int, threads: int = 1,
     for wv in WENO_VARIANTS:
         for rv in RIEMANN_VARIANTS:
             for mode in layouts:
-                for t in thread_counts:
-                    # Serial sweeps take the heuristic slab count, which
-                    # is checked against measured tile sweeps for staged
-                    # and fused sweeps alike (EXPERIMENTS.md "Tile
-                    # sweep"); threaded ones also try one and two slabs
-                    # per worker.
-                    tile_counts = [None] if t == 1 else [None, t, 2 * t]
-                    # "auto" adds no distinct behaviour here (the
-                    # tuner's candidates always run the workspace
-                    # path), so the fusion axis is binary.
-                    for fusion in ("off", "on"):
-                        for tiles in tile_counts:
-                            plan = {"weno_variant": wv,
-                                    "riemann_variant": rv,
-                                    "sweep_layout": mode, "threads": t,
-                                    "tiles": tiles, "fusion": fusion,
-                                    "backend": primary}
-                            if plan not in plans:
-                                plans.append(plan)
+                # "auto" adds no distinct behaviour here (the tuner's
+                # candidates always run the workspace path), so the
+                # fusion axis is binary.
+                for fusion in ("off", "on"):
+                    for tiles in tile_counts:
+                        plan = {"weno_variant": wv, "riemann_variant": rv,
+                                "sweep_layout": mode, "threads": threads,
+                                "tiles": tiles, "fusion": fusion,
+                                "backend": primary}
+                        if plan not in plans:
+                            plans.append(plan)
     return plans

@@ -494,7 +494,7 @@ def reconstruct_faces_span(v: np.ndarray, axis: int, order: int,
                            variant: str = "chained") -> None:
     """Reconstruct only faces ``[lo, hi)`` along ``axis`` into ``out``.
 
-    The tile entry point of the thread-tiled backend for the direction
+    The tile entry point of the tiled sweep backend for the direction
     whose reconstruction axis *is* the tiled axis: reads of ``v`` extend
     a stencil halo beyond the span (they may overlap other tiles'
     spans), while writes land exactly in ``out[..., lo:hi]`` — so

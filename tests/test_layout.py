@@ -281,7 +281,7 @@ class TestWorkspaceOwnership:
         for _ in range(2):  # a later direction may outgrow the first pool
             rhs(random_q((11, 9, 8), 2))
         # One arena per swept direction, in that direction's layout.
-        assert sorted((d, t) for _, d, t, _ in ws._arenas) == [
+        assert sorted((d, t) for d, t, _ in ws._arenas) == [
             (0, True), (1, True), (2, False)]
         # Reconstruction axis last, padded by the ghost width; the slab
         # (axis 1) holds the wider tile of the uneven 2-way split.

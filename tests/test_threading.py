@@ -1,13 +1,17 @@
-"""Tests for the thread-tiled execution backend.
+"""Tests for the gang execution backend (the ``threads`` knob).
 
-The host gang backend must be numerically invisible: a threaded RHS
-evaluation (and a whole threaded simulation) produces bitwise the same
-floats as the serial path, for every WENO order, Riemann solver, thread
-count, and uneven interior-to-tile split.  The executor itself must obey
-its contracts — ``threads=1`` never creates a pool, tile spans stay
-balanced, exceptions propagate — and the L2 tile heuristic must react to
-the device catalog's cache sizes.
+The host gang backend must be numerically invisible: an RHS evaluation
+(and a whole simulation) on a forked gang produces bitwise the same
+floats as the serial path, for every WENO order, Riemann solver, gang
+width, and uneven interior-to-tile split.  The executor itself must obey
+its contracts — ``threads=1`` never forks, tile spans stay balanced,
+exceptions propagate — and the L2 tile heuristic must react to the
+device catalog's cache sizes.  (The file keeps its name: ``threads`` is
+still what the knob is called.)
 """
+
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acc import GangExecutor, tile_spans
+from repro.acc.gang import gang_share
 from repro.bc import BoundarySet
 from repro.common import ConfigurationError, DTYPE
 from repro.eos import Mixture, StiffenedGas
@@ -93,43 +98,72 @@ class TestTileSpans:
             tile_spans(4, 0)
 
 
+def shared_array(n):
+    """A float array in anonymous shared memory (what a gang writes)."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
 class TestGangExecutor:
     def test_serial_executor_never_creates_pool(self):
-        ex = GangExecutor(1)
-        assert not ex.parallel
-        out = ex.launch(lambda lo, hi: (lo, hi), 10)
-        assert out == [(0, 10)]
-        assert ex._pool is None  # zero executor overhead at threads=1
+        ex = GangExecutor(1, lambda arg, rank: (arg, rank, os.getpid()))
+        assert ex.launch(10) == [(10, 0, os.getpid())]
+        assert ex._workers == []  # zero executor overhead at threads=1
 
     def test_results_in_span_order(self):
-        with GangExecutor(4) as ex:
-            out = ex.launch(lambda lo, hi: (lo, hi), 10, tiles=4)
-        assert out == tile_spans(10, 4)
+        spans = tile_spans(10, 7)
+        with GangExecutor(4, lambda n, rank: (
+                os.getpid(), gang_share(tile_spans(10, n), rank, 4))) as ex:
+            out = ex.launch(7)
+            again = ex.launch(7)
+        # Rank order is span order; every member is its own process,
+        # and the same workers serve every launch.
+        assert [s for _, share in out for s in share] == spans
+        assert [len(share) for _, share in out] == [2, 2, 2, 1]
+        assert len({pid for pid, _ in out}) == 4
+        assert out[0][0] == os.getpid() and again == out
 
     def test_parallel_writes_disjoint_slabs(self):
-        arr = np.zeros(23)
-        with GangExecutor(3) as ex:
-            ex.launch(lambda lo, hi: arr.__setitem__(slice(lo, hi), 1.0), 23)
-        assert np.all(arr == 1.0)
+        arr = shared_array(23)
+
+        def fill(n, rank):
+            for lo, hi in gang_share(tile_spans(n, 3), rank, 3):
+                arr[lo:hi] = rank + 1.0
+
+        with GangExecutor(3, fill) as ex:
+            ex.launch(23)
+        assert arr.tolist() == [1.0] * 8 + [2.0] * 8 + [3.0] * 7
 
     def test_exception_propagates(self):
-        def boom(lo, hi):
-            if lo > 0:
-                raise ValueError(f"tile {lo}")
-            return lo
+        done = shared_array(4)
 
-        with GangExecutor(4) as ex:
-            with pytest.raises(ValueError, match="tile"):
-                ex.launch(boom, 8, tiles=4)
+        def boom(arg, rank):
+            done[rank] = 1.0
+            if rank in (1, 3):
+                raise ValueError(f"tile {rank}")
+            return rank
 
-    def test_run_thunks(self):
-        with GangExecutor(2) as ex:
-            assert ex.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+        with GangExecutor(4, boom) as ex:
+            # First error in rank order, after every member finished.
+            with pytest.raises(ValueError, match="tile 1"):
+                ex.launch(8)
+            assert done.tolist() == [1.0] * 4
+            with pytest.raises(ValueError, match="tile 1"):
+                ex.launch(8)  # the gang survives a body's exception
+
+    def test_worker_laps_merge_into_the_stopwatch(self):
+        from repro.common import Stopwatch
+
+        sw = Stopwatch()
+        with GangExecutor(3, lambda arg, rank: sw.add("busy", 1.0 + rank),
+                          stopwatch=sw) as ex:
+            ex.launch(0)
+            ex.launch(0)
+        assert sw.laps == {"busy": 2 * (1.0 + 2.0 + 3.0)}
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
     def test_invalid_threads(self, bad):
         with pytest.raises(ConfigurationError):
-            GangExecutor(bad)
+            GangExecutor(bad, lambda arg, rank: None)
 
 
 class TestTileHeuristic:
@@ -186,10 +220,8 @@ class TestThreadedBitwise:
                          sweep_layout="strided", tiles=tiles)
         q = prim_to_cons(serial.layout, MIX,
                          random_prim(rng, serial.layout, shape))
-        try:
+        with tiled:
             out = tiled(q)
-        finally:
-            tiled.executor.shutdown()
         np.testing.assert_array_equal(serial(q), out)
         np.testing.assert_array_equal(oracle(q), out)
         assert serial.limited_faces == tiled.limited_faces
@@ -213,28 +245,32 @@ class TestThreadedBitwise:
     def test_rhs_matches_serial_1d(self):
         rng = np.random.default_rng(7)
         serial = make_rhs((37,))
-        tiled = make_rhs((37,), threads=3)
         q = prim_to_cons(serial.layout, MIX,
                          random_prim(rng, serial.layout, (37,)))
-        np.testing.assert_array_equal(serial(q), tiled(q))
+        with make_rhs((37,), threads=3) as tiled:
+            np.testing.assert_array_equal(serial(q), tiled(q))
 
     def test_rhs_matches_serial_3d(self):
         rng = np.random.default_rng(11)
         shape = (10, 7, 6)
         serial = make_rhs(shape, order=3)
-        tiled = make_rhs(shape, threads=4, order=3)
         q = prim_to_cons(serial.layout, MIX,
                          random_prim(rng, serial.layout, shape))
-        np.testing.assert_array_equal(serial(q), tiled(q))
+        with make_rhs(shape, threads=4, order=3) as tiled:
+            # An explicit width asks for a tile per member.
+            assert [p["tiles"] for p in tiled.tile_plan()["directions"]] == [
+                4, 4, 4]
+            np.testing.assert_array_equal(serial(q), tiled(q))
 
     def test_simulation_matches_serial_over_steps(self):
-        # Whole-driver identity: covers the threaded RK axpy stages, the
-        # limiter counter reduction, and workspace reuse across steps.
+        # Whole-driver identity: covers the RK stages around gang
+        # sweeps, the limiter counter reduction, and workspace reuse
+        # across steps.
         a = bubble_sim(n=19, threads=1)
-        b = bubble_sim(n=19, threads=3)
-        for _ in range(5):
-            a.step()
-            b.step()
+        with bubble_sim(n=19, threads=3) as b:
+            for _ in range(5):
+                a.step()
+                b.step()
         np.testing.assert_array_equal(a.q, b.q)
         assert a.time == b.time
         assert a.rhs.limited_faces == b.rhs.limited_faces
@@ -249,9 +285,10 @@ class TestThreadPlumbing:
     def test_threaded_sim_builds_executor_and_tiles(self):
         sim = bubble_sim(threads=3)
         assert sim.rhs.executor is not None
-        assert sim.rhs.executor.threads == 3
-        assert all(p["tiles"] >= 1
-                   for p in sim.rhs.tile_plan()["directions"])
+        assert sim.rhs.executor.threads == 3 == sim.threads
+        assert sim.gang_why == "3: explicit"
+        assert [p["tiles"] for p in sim.rhs.tile_plan()["directions"]] == [3, 3]
+        assert sim.rhs.executor._workers == []  # forked at the first launch
 
     @pytest.mark.parametrize("bad", [0, -2, 2.5, False])
     def test_invalid_threads_rejected(self, bad):
@@ -260,58 +297,51 @@ class TestThreadPlumbing:
         with pytest.raises(ConfigurationError):
             make_rhs((8, 8), threads=bad)
 
-    def test_thread_scratch_private_per_thread(self):
-        import threading
-
+    def test_worker_scratch_private_per_process(self):
         sim = bubble_sim(threads=2)
         ws = sim.rhs.workspace
-        results = {}
-        # Both threads must be alive at once: a thread that exits before
-        # the other starts can have its ident recycled, collapsing the
-        # two results dict entries into one.
-        barrier = threading.Barrier(2)
 
-        def grab():
-            barrier.wait()
-            results[threading.get_ident()] = ws.tile_arena(0, 8)
+        def mark(arg, rank):
+            # Launch 0 leaves this member's rank in its arena; launch 1
+            # reads back what is there now.
+            arena = ws.tile_arena(0, 8)
+            if arg == 0:
+                arena.pad[...] = rank + 1.0
+            return float(arena.pad.max()), float(ws.prim.flat[0])
 
-        threads = [threading.Thread(target=grab) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        a1, a2 = results.values()
-        # No pipeline intermediate or kernel scratch array is shared
-        # between two workers' arenas: each is carved from its own pool.
-        assert not np.shares_memory(a1.pool, a2.pool)
-        for arena in (a1, a2):
-            for buf in (arena.pad, arena.vl, arena.flux, arena.wscr[0],
-                        arena.rscr.cons_l, arena.dscr):
-                assert np.shares_memory(buf, arena.pool)
-        # Same thread re-asking gets its cached arena back (a narrower
-        # request fits the one it has); the strided and transposed
-        # arenas of one direction are distinct objects on one pool.
+        ws.prim.flat[0] = 7.0
+        with GangExecutor(2, mark) as ex:
+            ex.launch(0)
+            ws.prim.flat[0] = 9.0
+            # Each process kept its own arena contents; the field buffer
+            # is shared (the worker sees the parent's later write).
+            assert ex.launch(1) == [(1.0, 9.0), (2.0, 9.0)]
         mine = ws.tile_arena(0, 8)
+        for buf in (mine.pad, mine.vl, mine.flux, mine.wscr[0],
+                    mine.rscr.cons_l, mine.dscr):
+            assert np.shares_memory(buf, mine.pool)
+        assert not np.shares_memory(mine.pool, ws.prim)
+        # Re-asking gets the cached arena back (a narrower request fits
+        # the one it has); the strided and transposed arenas of one
+        # direction are distinct objects on one pool.
         assert ws.tile_arena(0, 4) is mine
         other = ws.tile_arena(0, 8, transposed=True)
         assert other is not mine
         # A wider tile outgrows the pool: the arena is rebuilt on a new
-        # one, and the worker's other arenas follow on next use.
+        # one, and the other arenas follow on next use.
         wider = ws.tile_arena(0, 9)
         assert wider is not mine and wider.width_cap == 9
         assert ws.tile_arena(0, 8) is wider
         assert ws.tile_arena(0, 8, transposed=True) is not other
-        # Pools are the workspace's memory accounting: one per worker.
+        # The pool is the workspace's memory accounting: one per process.
         assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
-        assert len(ws._pools) == 3
-        assert ws.nbytes >= (7 * ws.prim.nbytes + a1.nbytes + a2.nbytes
-                             + wider.nbytes)
+        assert ws._pool is wider.pool
+        assert ws.nbytes >= 7 * ws.prim.nbytes + wider.nbytes
 
     def test_threaded_kernel_breakdown_has_same_rows(self):
-        sim = bubble_sim(threads=3)
-        sim.step()
-        shares = sim.kernel_breakdown()
+        with bubble_sim(threads=3) as sim:
+            sim.step()
+            shares = sim.kernel_breakdown()
         assert {"packing", "weno", "riemann", "other"} <= set(shares)
         assert abs(sum(shares.values()) - 1.0) < 1e-9
 
@@ -350,8 +380,8 @@ class TestSolverOptions:
         path.write_text(json.dumps(spec))
         assert main(["run", str(path), "--steps", "2", "--bc", "periodic",
                      "--weno", "3"]) == 0
-        assert "2 threads" in capsys.readouterr().out
+        assert "gang 2: explicit" in capsys.readouterr().out
         # The flag overrides the case file.
         assert main(["run", str(path), "--steps", "1", "--bc", "periodic",
                      "--weno", "3", "--threads", "1"]) == 0
-        assert "threads" not in capsys.readouterr().out
+        assert "gang 1: explicit" in capsys.readouterr().out

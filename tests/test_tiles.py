@@ -3,8 +3,9 @@
 Serial sweeps cut slab tiles like every other mode, and the tile arena
 is the only pipeline scratch.  Tiles only move data, so any tile count —
 uneven last tile included — in any layout, staged or fused, batched or
-not, must reproduce the allocating ``use_workspace=False`` oracle bit
-for bit with the same limiter and sweep counters.  What the change buys
+not, on a forked gang of any width or on the caller alone, must
+reproduce the allocating ``use_workspace=False`` oracle bit for bit with
+the same limiter and sweep counters.  What the change buys
 is asserted too: the workspace stays within a declared multiple of the
 field, a steady-state step allocates nothing large, and the whole-field
 per-direction buffers survive only as lazily allocated oracle buffers
@@ -14,7 +15,8 @@ per-direction buffers survive only as lazily allocated oracle buffers
 import dataclasses
 import gc
 import itertools
-import threading
+import mmap
+import os
 import weakref
 
 import numpy as np
@@ -80,26 +82,31 @@ class TestSerialTilesBitwise:
            layout=st.sampled_from(["strided", "transposed"]),
            fusion=st.sampled_from(["off", "on"]),
            batch=st.sampled_from([None, 3]),
-           tiles=st.sampled_from([1, 2, 3, 5, "extent"]))
+           tiles=st.sampled_from([1, 2, 3, 5, "extent"]),
+           gang=st.sampled_from([1, 2, 3]))
     @example(seed=1, order=5, ndim=2, layout="strided", fusion="off",
-             batch=None, tiles=5)        # the new default path, uneven
+             batch=None, tiles=5, gang=1)  # the serial default path, uneven
     @example(seed=2, order=5, ndim=3, layout="transposed", fusion="on",
-             batch=None, tiles="extent")  # one-row tiles
+             batch=None, tiles="extent", gang=3)  # one-row tiles, 4/4/3
     @example(seed=3, order=3, ndim=2, layout="transposed", fusion="off",
-             batch=3, tiles=2)            # batch axis is the slab axis
+             batch=3, tiles=2, gang=3)    # batch axis is the slab axis;
+    #                                       a member with no tile
+    @example(seed=4, order=5, ndim=2, layout="strided", fusion="on",
+             batch=None, tiles=5, gang=2)  # shares of 3 and 2 tiles
     def test_every_tiling_matches_the_oracle(self, seed, order, ndim, layout,
-                                             fusion, batch, tiles):
+                                             fusion, batch, tiles, gang):
         shape = SHAPES[ndim]
         spatial = shape if batch is None else (batch, *shape)
         if tiles == "extent":
             tiles = max(spatial)
         oracle = make_rhs(shape, order, use_workspace=False)
         mode = dict(sweep_layout=layout, fusion=fusion, batch=batch)
-        tiled = make_rhs(shape, order, tiles=tiles, **mode)
-        whole = make_rhs(shape, order, tiles=1, **mode)
+        tiled = make_rhs(shape, order, tiles=tiles, threads=gang, **mode)
+        whole = make_rhs(shape, order, tiles=1, threads=1, **mode)
         q = random_q(np.random.default_rng(seed), oracle.layout, spatial)
 
-        out = tiled(q)
+        with tiled:
+            out = tiled(q)
         if batch is None:
             expect = oracle(q)
         else:
@@ -290,14 +297,20 @@ class TestRankLocalTiles:
 class StrideGate:
     """Spy on the WENO and Riemann kernel entries of the engines sharing
     a process: every array operand of a call must walk memory in the
-    same axis order and live in the calling worker's arena pool (of one
-    of the engines' workspaces)."""
+    same axis order and live in the calling process's arena pool (of one
+    of the engines' workspaces).  Forked gang workers inherit the spies;
+    a failed check comes back as the launch's exception, and the call
+    tallies live in shared memory, one row per process of a gang of 2."""
+
+    KINDS = ("weno", "riemann")
 
     def __init__(self, monkeypatch, engines, workspaces, nsp):
         import repro.weno.reconstruct as weno
 
         self.workspaces, self.nsp = workspaces, nsp
-        self.calls = {"weno": 0, "riemann": 0}
+        self.pid = os.getpid()
+        self._tally = np.frombuffer(mmap.mmap(-1, 32),
+                                    dtype=np.int64).reshape(2, 2)
         faces_into, riemann = weno._faces_into, engines[0].riemann
 
         def spy_weno(vlast, start, count, order, out, scratch, *a, **k):
@@ -317,10 +330,12 @@ class StrideGate:
         for engine in engines:
             engine.riemann = engine._ctx.riemann = spy_riemann
 
+    @property
+    def calls(self):
+        return dict(zip(self.KINDS, self._tally.sum(axis=0).tolist()))
+
     def check(self, kind, *arrays):
-        thread = threading.get_ident()
-        pools = [ws._pools[thread] for ws in self.workspaces
-                 if thread in ws._pools]
+        pools = [ws._pool for ws in self.workspaces if ws._pool is not None]
         # Every operand ends with the tile's spatial axes; an axis some
         # operand has one element along has no stride to speak of.
         live = [k for k in range(-self.nsp, 0)
@@ -330,7 +345,7 @@ class StrideGate:
         assert len(orders) == 1, [(a.shape, a.strides) for a in arrays]
         assert any(all(np.may_share_memory(a, pool) for a in arrays)
                    for pool in pools)
-        self.calls[kind] += 1
+        self._tally[int(os.getpid() != self.pid), self.KINDS.index(kind)] += 1
 
 
 class TestStrideOrderGate:
@@ -344,7 +359,7 @@ class TestStrideOrderGate:
     @pytest.mark.parametrize("mode", ["serial", "threaded", "batched"])
     def test_rhs_modes(self, monkeypatch, mode, ndim):
         shape = self.SHAPES[ndim]
-        kwargs = {"serial": {}, "threaded": {"threads": 2},
+        kwargs = {"serial": {"threads": 1}, "threaded": {"threads": 2},
                   "batched": {"batch": 3}}[mode]
         spatial = (3, *shape) if mode == "batched" else shape
         for layout, variant, fusion in itertools.product(
@@ -355,8 +370,7 @@ class TestStrideOrderGate:
             gate = StrideGate(monkeypatch, [rhs._engine], [rhs.workspace],
                               len(spatial))
             rhs(random_q(np.random.default_rng(ndim), rhs.layout, spatial))
-            if rhs.executor is not None:
-                rhs.executor.shutdown()
+            rhs.close()
             monkeypatch.undo()
             tiles = sum(p["tiles"] for p in rhs.tile_plan()["directions"])
             assert gate.calls["riemann"] == tiles
@@ -452,9 +466,10 @@ class TestResourceGates:
         q = random_q(np.random.default_rng(0), rhs.layout, shape)
         rhs(q)
         ws = rhs.workspace
+        rhs.close()
         assert all(p["tiles"] > 1 for p in rhs.tile_plan()["directions"])
-        # Every direction's arena is carved from the one worker pool.
-        assert 1 <= len(ws._arenas) <= len(shape) and len(ws._pools) == 1
+        # Every direction's arena is carved from the one process pool.
+        assert 1 <= len(ws._arenas) <= len(shape) and ws._pool is not None
         assert ws.nbytes / q.nbytes <= self.BUDGET
         # No whole-block per-direction buffer came to life.
         assert not any(getattr(ws, name).made
@@ -477,10 +492,12 @@ class TestResourceGates:
         for _ in range(3):
             sim.step()
         ws = sim.rhs.workspace
-        assert 2 <= len(ws._arenas) <= threads * 2
-        assert len(ws._pools) <= threads
+        # Per process, whatever the gang width: one arena per direction
+        # on the one pool (workers carve their own after the fork).
+        assert len(ws._arenas) == 2 and ws._pool is not None
         after = ws.nbytes
         sim.step()
+        sim.close()
         assert ws.nbytes == after  # steady: no arena is rebuilt
 
     @pytest.mark.parametrize("kwargs", [
@@ -504,8 +521,7 @@ class TestResourceGates:
             _ = ws.padded[0], ws.weno_scratch[1], ws.riemann_scratch[0]
             dead = [weakref.ref(ws), weakref.ref(rhs),
                     *(weakref.ref(a) for a in ws._arenas.values())]
-            if rhs.executor is not None:
-                rhs.executor.shutdown()
+            rhs.close()
             del rhs, ws, _
             assert [r() for r in dead] == [None] * len(dead)
         finally:

@@ -158,7 +158,11 @@ class TestCandidatePlans:
         assert any(p["weno_variant"] == "stacked" for p in plans)
         assert any(p["riemann_variant"] == "fused" for p in plans)
         assert any(p["sweep_layout"] == "transposed" for p in plans)
-        assert any(p["threads"] == 4 for p in plans)
+        # The gang width is not an axis: every candidate carries the
+        # caller's value (None = planned by the candidate's own RHS).
+        assert {p["threads"] for p in plans} == {None}
+        assert {p["threads"] for p in candidate_plans(
+            ndim=2, cpu_count=4, threads=3)} == {3}
         assert any(p["tiles"] is not None for p in plans)
         # Deduplicated: no candidate is measured twice.
         assert len(plans) == len({json.dumps(p, sort_keys=True)
@@ -172,18 +176,16 @@ class TestCandidatePlans:
         # Staged and fused sweeps run on the same tile arenas under the
         # same verified slab heuristic, so neither gets a private list
         # of explicit counts: serial candidates carry the heuristic
-        # only, threaded ones add one and two slabs per worker.
-        for cpus in (1, 4):
-            plans = candidate_plans(ndim=2, cpu_count=cpus)
-            for threads in {p["threads"] for p in plans}:
-                counts = {
-                    fusion: {p["tiles"] for p in plans
-                             if p["fusion"] == fusion
-                             and p["threads"] == threads}
-                    for fusion in ("off", "on")}
-                assert counts["off"] == counts["on"] == (
-                    {None} if threads == 1
-                    else {None, threads, 2 * threads})
+        # only, a gang adds one and two slabs per member (of the
+        # explicit width, else of the widest plannable one).
+        for cpus, threads, members in ((1, None, 1), (4, None, 4),
+                                       (4, 1, 1), (2, 3, 3)):
+            plans = candidate_plans(ndim=2, cpu_count=cpus, threads=threads)
+            counts = {fusion: {p["tiles"] for p in plans
+                               if p["fusion"] == fusion}
+                      for fusion in ("off", "on")}
+            assert counts["off"] == counts["on"] == (
+                {None} if members == 1 else {None, members, 2 * members})
 
 
 # ----------------------------------------------------------------------
@@ -394,12 +396,12 @@ class TestPlumbing:
                  "fused": False},
                 {"d": 1, "kind": "strided", "slab_axis": 0, "tiles": 4,
                  "fused": True}],
-            "source": "override", "plans": []}
+            "source": "override", "gang": "1: explicit"}
         profile.tuning = TuningPlan(weno_variant="stacked", source="tuned",
                                     measured_ns=1e6, modeled_ns=2e6)
         report = profile.report()
         assert ("tiling (override): d0: 2 transposed tiles, "
-                "d1: 4 strided fused tiles") in report
+                "d1: 4 strided fused tiles; gang 1: explicit") in report
         assert "tuning (tuned): weno=stacked" in report
 
 

@@ -201,8 +201,7 @@ class TestRHSVariantIdentity:
         try:
             np.testing.assert_array_equal(rhs(q), base)
         finally:
-            if rhs.executor is not None:
-                rhs.executor.shutdown()
+            rhs.close()
 
     def test_1d_and_3d_bitwise(self):
         for shape in ((31,), (8, 7, 9)):
@@ -228,7 +227,7 @@ class TestRHSVariantIdentity:
             np.testing.assert_array_equal(rhs(q), base)
             plan = rhs.tile_plan()
         finally:
-            rhs.executor.shutdown()
+            rhs.close()
         assert plan["source"] == "override"
         assert [p["tiles"] for p in plan["directions"]] == [3, 3]
 
