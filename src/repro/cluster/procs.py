@@ -76,6 +76,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -85,19 +86,17 @@ from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import boundary_strip, ghost_strip, validate_periodicity
 from repro.cluster.ranksolver import RankSolver
-from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
+from repro.common import DTYPE, ClusterError, ConfigurationError
+from repro.common.checks import integer
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
+from repro.io.binary import read_snapshot
 from repro.io.checkpoint import CheckpointManager
 from repro.profiling.counters import HaloCounters, SweepCounters
+from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.rhs import RHSConfig
-from repro.state.conversions import cons_to_prim
 from repro.state.layout import StateLayout
-from repro.timestepping.ssp_rk import (
-    rk_stages,
-    shu_osher_combine,
-    stage_buffer,
-)
+from repro.timestepping import horizon_reached, time_step
 from repro.weno import halo_width
 
 #: Exit code a worker uses to simulate a hardware fault (vs. 1 for a
@@ -168,13 +167,9 @@ class ShmArena:
         self.decomp = decomp
         self.nvars = nvars
         self.ng = ng
-        if not isinstance(red_width, int) or isinstance(red_width, bool) \
-                or red_width < 1:
-            raise ConfigurationError(
-                f"red_width must be a positive integer, got {red_width!r}")
         #: Payload width of one dt-reduction round: 1 for the scalar
         #: single-case rate, B for an ensemble's per-case dt vector.
-        self.red_width = red_width
+        self.red_width = integer(1)("red_width", red_width)
         self._slots: dict[object, tuple[int, tuple[int, ...], np.dtype]] = {}
         offset = 0
 
@@ -441,76 +436,57 @@ class ClusterResult:
 
 def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
             layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
-            config: RHSConfig, opts: dict, attempt: int,
-            restore_step: int | None, conn) -> None:
-    """One rank's process body (fork-inherited arguments, no pickling)."""
+            config: RHSConfig, options: SolverOptions, march: dict,
+            attempt: int, restore_step: int | None, conn) -> None:
+    """One rank's process body (fork-inherited arguments, no pickling).
+
+    ``march`` carries what one :meth:`ProcessCluster.run` adds to the
+    options: ``overlap fault t_end n_steps base_time base_step``.
+    """
     try:
         transport = SharedMemoryTransport(arena, rank,
-                                          timeout=opts["timeout"])
+                                          timeout=options.cluster_timeout)
         rs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
-                        grid, transport, sweep_layout=opts["sweep_layout"],
-                        overlap=opts["overlap"], fusion=opts["fusion"])
+                        grid, transport, sweep_layout=options.sweep_layout,
+                        overlap=march["overlap"], fusion=options.fusion)
         q = arena.block(rank)
         mgr = None
-        if opts["checkpoint_dir"] is not None:
-            mgr = CheckpointManager(opts["checkpoint_dir"],
-                                    keep=opts["checkpoint_keep"],
+        if options.checkpoint_dir is not None:
+            mgr = CheckpointManager(options.checkpoint_dir,
+                                    keep=options.checkpoint_keep,
                                     prefix=f"rank{rank:04d}")
         # The march runs on the driver's absolute clock: checkpoint
         # headers and history records carry the same time/step a serial
         # Simulation would, even when the cluster continues a run that
         # already advanced to base_time/base_step.
-        sim_time = opts["base_time"]
-        step_count = opts["base_step"]
+        sim_time = march["base_time"]
+        step_count = march["base_step"]
         if restore_step is not None:
-            from repro.io.binary import read_snapshot
-
             header, saved = read_snapshot(mgr.path_for(restore_step))
             q[...] = saved
             sim_time = header.time
             step_count = header.step
 
-        fault = opts["fault"]
-        stages = rk_stages(opts["rk_order"])
+        fault = march["fault"]
         history = []
+
+        def reduce(rate):
+            # Post the local wave rate now and collect the global max
+            # only once stage one's RHS — which does not depend on dt —
+            # is done, so the other ranks' contributions arrive while
+            # this rank computes.  The reduction order and values are
+            # unchanged, so the overlapped dt is bitwise the blocking one.
+            transport.reduce_max_begin(rate)
+            return partial(transport.reduce_max_finish, overlapped=True)
 
         def march_one(dt_limit=None):
             nonlocal sim_time, step_count
             t0 = time.perf_counter()
-            # One cons_to_prim serves the dt computation and RK stage
-            # one, exactly as the serial driver shares them.
-            prim0 = cons_to_prim(layout, mixture, q, out=rs.ws.prim)
-            if opts["fixed_dt"] is not None:
-                dt = opts["fixed_dt"]
-                if dt_limit is not None and dt > dt_limit:
-                    dt = dt_limit
-            else:
-                # Post the local wave rate now and collect the global
-                # max only once stage one's RHS — which does not depend
-                # on dt — is done, so the other ranks' contributions
-                # arrive while this rank computes.  dt is first consumed
-                # by the stage combination, after the deferred finish; the
-                # reduction order and values are unchanged, so the
-                # overlapped dt is bitwise identical to the blocking one.
-                transport.reduce_max_begin(rs.wave_rate(prim0))
-                dt = None
-            q_n = q
-            q_k = q
-            for k, (a, b, c) in enumerate(stages):
-                prim = rs.rhs_begin(q_k, prim=prim0 if k == 0 else None)
-                L = rs.rhs_finish(prim)
-                if dt is None:
-                    rate = transport.reduce_max_finish(overlapped=True)
-                    if not np.isfinite(rate) or rate <= 0.0:
-                        raise NumericsError(
-                            f"invalid maximum wave rate {rate}")
-                    dt = opts["cfl"] / rate
-                    if dt_limit is not None and dt > dt_limit:
-                        dt = dt_limit
-                q_k = shu_osher_combine(
-                    q_n, q_k, L, stage_buffer(rs.ws, k, len(stages)),
-                    rs.ws.rk_tmp, a, b, c * dt)
-            q[...] = q_k
+            q_new, dt, _ = time_step(
+                rs.rhs, q, layout=layout, mixture=mixture, widths=rs.widths,
+                options=options, workspace=rs.ws, dt_limit=dt_limit,
+                reduce=reduce)
+            q[...] = q_new
             sim_time += dt
             step_count += 1
             history.append((step_count, sim_time, dt,
@@ -521,17 +497,17 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
                 # Die as a crashed process would: no cleanup, no final
                 # checkpoint, peers left mid-protocol.
                 os._exit(_FAULT_EXIT)
-            if (mgr is not None and opts["checkpoint_every"]
-                    and step_count % opts["checkpoint_every"] == 0):
+            if (mgr is not None and options.checkpoint_every
+                    and step_count % options.checkpoint_every == 0):
                 mgr.save(q, step=step_count, time=sim_time)
 
-        if opts["n_steps"] is not None:
-            end_step = opts["base_step"] + opts["n_steps"]
+        if march["n_steps"] is not None:
+            end_step = march["base_step"] + march["n_steps"]
             while step_count < end_step:
                 march_one()
         else:
-            t_end = opts["t_end"]
-            while sim_time < t_end * (1.0 - 1e-12):
+            t_end = march["t_end"]
+            while not horizon_reached(sim_time, t_end):
                 march_one(dt_limit=t_end - sim_time)
 
         conn.send({
@@ -623,8 +599,7 @@ def drain_and_join(
     return None, failed
 
 
-@dataclass
-class ProcessCluster:
+class ProcessCluster(KnobAccess):
     """Multi-process executor for the 3D block decomposition.
 
     Runs ``decomp.nranks`` worker processes (fork start method) over a
@@ -634,79 +609,41 @@ class ProcessCluster:
     :class:`~repro.cluster.distributed.DistributedSolver` — including
     across an injected rank failure recovered through
     checkpoint-coordinated restart.
+
+    ``options`` and/or loose keyword knobs say how to march (DESIGN.md
+    "Options: one table"; ``ranks`` is the decomposition's).  The halo
+    waits spin for ``cluster_timeout`` seconds and the parent's join
+    loop uses ``cluster_timeout + 60`` as its *no-progress* deadline —
+    re-armed on every observed heartbeat/result/exit, so it bounds a
+    hang, not the wall time of a legitimate run.  ``overlap=False``
+    waits for the exchange up front (same results, no hiding; an A/B
+    toggle); ``fault`` is an injected :class:`RankFault`.
     """
 
-    grid: StructuredGrid
-    layout: StateLayout
-    mixture: Mixture
-    bcs: BoundarySet
-    decomp: BlockDecomposition
-    config: RHSConfig
-    cfl: float = 0.5
-    fixed_dt: float | None = None
-    rk_order: int = 3
-    sweep_layout: str = "strided"
-    overlap: bool = True
-    #: Kernel-fusion mode forwarded to every rank's
-    #: :class:`~repro.cluster.ranksolver.RankSolver` (``"off"`` /
-    #: ``"on"`` / ``"auto"``; see :mod:`repro.acc.fusion`).
-    fusion: str = "off"
-    checkpoint_every: int = 0
-    checkpoint_dir: str | Path | None = None
-    checkpoint_keep: int = 3
-    fault: RankFault | None = None
-    max_restarts: int = 1
-    #: Halo-wait spin deadline (seconds); the parent's join loop uses
-    #: ``timeout + 60`` as its *no-progress* deadline — re-armed on
-    #: every observed heartbeat/result/exit, so it bounds a hang, not
-    #: the wall time of a legitimate run.
-    timeout: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
+    def __init__(self, grid: StructuredGrid, layout: StateLayout,
+                 mixture: Mixture, bcs: BoundarySet,
+                 decomp: BlockDecomposition, config: RHSConfig,
+                 options: SolverOptions | None = None, *,
+                 overlap: bool = True, fault: RankFault | None = None,
+                 **knobs) -> None:
+        self.options = fold(options, {**knobs, "ranks": decomp.nranks})
+        self.options.require_compatible(rank_fault=fault)
+        self.grid, self.layout, self.mixture = grid, layout, mixture
+        self.bcs, self.decomp, self.config = bcs, decomp, config
+        self.overlap, self.fault = overlap, fault
+        if decomp.global_cells != grid.shape:
             raise ConfigurationError(
-                f"timeout must be positive, got {self.timeout}")
-        if self.max_restarts < 0:
+                f"decomposition covers {decomp.global_cells}, "
+                f"grid has {grid.shape}")
+        validate_periodicity(decomp, bcs)
+        if not 0 <= getattr(fault, "rank", 0) < decomp.nranks:
             raise ConfigurationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.decomp.global_cells != self.grid.shape:
-            raise ConfigurationError(
-                f"decomposition covers {self.decomp.global_cells}, "
-                f"grid has {self.grid.shape}")
-        validate_periodicity(self.decomp, self.bcs)
-        if self.checkpoint_every and self.checkpoint_dir is None:
-            raise ConfigurationError(
-                "checkpoint_every requires a checkpoint_dir")
-        if self.fault is not None and not self.checkpoint_every:
-            raise ConfigurationError(
-                "fault injection requires checkpointing "
-                "(set checkpoint_every and checkpoint_dir)")
-        if not 0 <= getattr(self.fault, "rank", 0) < self.decomp.nranks:
-            raise ConfigurationError(
-                f"fault rank {self.fault.rank} outside "
-                f"0..{self.decomp.nranks - 1}")
+                f"fault rank {fault.rank} outside 0..{decomp.nranks - 1}")
         # Validate numerics knobs up front (in-process, good tracebacks)
         # by building rank 0's solver against a throwaway transport.
-        rk_stages(self.rk_order)
-        RankSolver(self.decomp, 0, self.layout, self.mixture, self.bcs,
-                   self.config, self.grid, transport=None,
-                   sweep_layout=self.sweep_layout, overlap=self.overlap,
-                   fusion=self.fusion)
-
-    # ------------------------------------------------------------------
-    def _opts(self, *, t_end, n_steps, base_time, base_step) -> dict:
-        return {
-            "cfl": self.cfl, "fixed_dt": self.fixed_dt,
-            "rk_order": self.rk_order, "sweep_layout": self.sweep_layout,
-            "overlap": self.overlap, "fusion": self.fusion,
-            "timeout": self.timeout,
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_dir": (str(self.checkpoint_dir)
-                               if self.checkpoint_dir is not None else None),
-            "checkpoint_keep": self.checkpoint_keep, "fault": self.fault,
-            "t_end": t_end, "n_steps": n_steps,
-            "base_time": base_time, "base_step": base_step,
-        }
+        RankSolver(decomp, 0, layout, mixture, bcs, config, grid,
+                   transport=None, sweep_layout=self.sweep_layout,
+                   overlap=overlap, fusion=self.fusion)
 
     def _discard_stale_checkpoints(self) -> None:
         """Remove rank checkpoints left by a previous run.
@@ -771,8 +708,9 @@ class ProcessCluster:
                 f"{(self.layout.nvars, *self.grid.shape)}")
         self._discard_stale_checkpoints()
         ctx = multiprocessing.get_context("fork")
-        opts = self._opts(t_end=t_end, n_steps=n_steps,
-                          base_time=base_time, base_step=base_step)
+        march = dict(overlap=self.overlap, fault=self.fault, t_end=t_end,
+                     n_steps=n_steps, base_time=base_time,
+                     base_step=base_step)
         restarts = 0
         restore_step = None
         while True:
@@ -788,8 +726,8 @@ class ProcessCluster:
                     p = ctx.Process(
                         target=_worker,
                         args=(arena, r, self.grid, self.layout, self.mixture,
-                              self.bcs, self.config, opts, restarts,
-                              restore_step, child_conn),
+                              self.bcs, self.config, self.options, march,
+                              restarts, restore_step, child_conn),
                         daemon=True)
                     p.start()
                     child_conn.close()
@@ -815,9 +753,9 @@ class ProcessCluster:
     ) -> tuple[list[dict] | None, tuple[int, int] | None]:
         """Wait for every worker through :func:`drain_and_join`, with
         the arena's per-rank heartbeat words as the progress signal and
-        ``timeout + 60`` as the no-progress grace window."""
+        ``cluster_timeout + 60`` as the no-progress grace window."""
         return drain_and_join(procs, pipes, arena.view("beat"),
-                              grace=self.timeout + 60.0)
+                              grace=self.cluster_timeout + 60.0)
 
     def _collect(self, arena: ShmArena, results: list[dict],
                  restarts: int) -> ClusterResult:

@@ -47,7 +47,7 @@ from repro.profiling.counters import SweepCounters
 from repro.solver.rhs import RHSConfig
 from repro.solver.sweep import SweepEngine, validate_fusion
 from repro.solver.workspace import SolverWorkspace
-from repro.state.conversions import cons_to_prim, full_alphas
+from repro.state.conversions import cons_to_prim
 from repro.state.layout import StateLayout
 
 
@@ -75,21 +75,16 @@ class RankSolver:
         to the serial one.
     transport:
         Halo transport (see module docstring).
-    sweep_layout:
-        ``"strided"`` / ``"transposed"`` / ``"auto"`` — same meaning
-        (and same bitwise-identical guarantee) as the serial solver.
+    sweep_layout / fusion:
+        The knobs of the same name (DESIGN.md "Options: one table").
+        Rank-specific: with fusion on, a strided *bulk* sweep — a
+        direction whose face span is not split for overlap — runs as one
+        generated kernel from WENO on (the ghost hook packs); split and
+        transposed directions run staged.  Bitwise identical either way.
     overlap:
         Compute interior faces while ghost strips land (default).
         ``False`` waits for the exchange up front — same results,
         no hiding; kept as a toggle for A/B timing.
-    fusion:
-        Kernel-fusion mode (``docs/fusion.md``): ``"off"`` (default)
-        keeps the staged chain; ``"on"``/``"auto"`` (the rank always
-        owns a workspace, so both fuse) run each strided *bulk* sweep —
-        a direction whose face span is not split for overlap — as one
-        generated kernel from WENO on (the ghost hook packs).  Split
-        and transposed directions run staged; either way results stay
-        bitwise identical.
     """
 
     def __init__(self, decomp: BlockDecomposition, rank: int,
@@ -133,13 +128,14 @@ class RankSolver:
             for d in range(layout.ndim)]
         # Per-axis cell widths sliced from the global grid, broadcast
         # shaped — the same values the serial divergence divides by.
+        # They also serve the block's CFL rate (timestepping.wave_rate).
         slices = decomp.local_slices(rank)
-        self._widths: list[np.ndarray] = []
+        self.widths: list[np.ndarray] = []
         for d in range(layout.ndim):
             w = grid.widths(d)[slices[d]]
             newshape = [1] * layout.ndim
             newshape[d] = w.size
-            self._widths.append(w.reshape(newshape))
+            self.widths.append(w.reshape(newshape))
 
     # -- the split RHS -------------------------------------------------------
     def rhs_begin(self, q: np.ndarray, *, prim: np.ndarray | None = None
@@ -161,7 +157,7 @@ class RankSolver:
         divu.fill(0.0)
         for d in range(lay.ndim):
             self.limited_faces += self._engine.sweep(
-                ws, prim, d, self._widths[d], dqdt, divu,
+                ws, prim, d, self.widths[d], dqdt, divu,
                 split=self._split[d])
         dqdt[lay.advected] += prim[lay.advected] * divu
         return dqdt
@@ -177,21 +173,3 @@ class RankSolver:
         fill_wall_ghosts(padded, self.layout, self.bcs, self.decomp,
                          self.rank, d, self._engine.ng)
         self.transport.fill(self.rank, d, padded)
-
-    # -- time stepping helpers ----------------------------------------------
-    def wave_rate(self, prim: np.ndarray) -> float:
-        """Largest local :math:`(|u_d| + c)/\\Delta x_d` of the block.
-
-        The global CFL rate is the max of these over ranks — floating
-        max decomposes exactly, so the distributed dt is bitwise the
-        serial one.
-        """
-        lay = self.layout
-        rho = prim[lay.partial_densities].sum(axis=0)
-        alphas = full_alphas(lay, prim[lay.advected])
-        c = self.mixture.sound_speed(alphas, rho, prim[lay.pressure])
-        rate = 0.0
-        for d in range(lay.ndim):
-            speed = np.abs(prim[lay.momentum_component(d)]) + c
-            rate = max(rate, float((speed / self._widths[d]).max()))
-        return rate

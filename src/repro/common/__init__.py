@@ -21,7 +21,7 @@ from repro.common.errors import (
     WorkerDiedError,
     failure_class,
 )
-from repro.common.timing import Stopwatch, WallTimer
+from repro.common.timing import Stopwatch, WallTimer, timed
 
 __all__ = [
     "DTYPE",
@@ -43,4 +43,5 @@ __all__ = [
     "failure_class",
     "Stopwatch",
     "WallTimer",
+    "timed",
 ]

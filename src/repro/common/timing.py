@@ -12,6 +12,7 @@ Two distinct notions of time coexist in this package:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -86,3 +87,11 @@ class _Lap:
     def __exit__(self, *exc) -> None:
         assert self._start is not None
         self._owner.add(self._name, time.perf_counter() - self._start)
+
+
+_UNTIMED = contextlib.nullcontext()
+
+
+def timed(stopwatch: Stopwatch | None, name: str):
+    """The stopwatch lap ``name``, or a no-op without a stopwatch."""
+    return stopwatch.time(name) if stopwatch is not None else _UNTIMED

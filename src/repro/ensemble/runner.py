@@ -24,7 +24,9 @@ import numpy as np
 
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, Stopwatch
+from repro.common.checks import integer
 from repro.solver.case import Case
+from repro.solver.options import SolverOptions, fold
 from repro.solver.rhs import RHSConfig
 
 from repro.ensemble.simulation import EnsembleCaseResult, EnsembleSimulation
@@ -115,10 +117,7 @@ def plan_job_batches(jobs: list[EnsembleJob], config: RHSConfig,
     in-memory runner and the durable service (which re-plans over the
     *unfinished* jobs on every scheduling round).
     """
-    if not isinstance(batch_width, int) or isinstance(batch_width, bool) \
-            or batch_width < 1:
-        raise ConfigurationError(
-            f"batch_width must be a positive integer, got {batch_width!r}")
+    integer(1)("batch_width", batch_width)
     groups: dict[str, list[int]] = {}
     for i, job in enumerate(jobs):
         sig = batch_signature(job.case, config)
@@ -133,39 +132,24 @@ def plan_job_batches(jobs: list[EnsembleJob], config: RHSConfig,
 class EnsembleRunner:
     """Batches compatible jobs and runs them through stacked drivers.
 
-    Parameters mirror :class:`EnsembleSimulation`; ``batch_width`` caps
-    how many cases one stacked driver carries (grouped first-come
-    first-served within a signature, so results are deterministic in
-    job order).
+    ``config``, ``options`` and loose keyword knobs are those of
+    :class:`EnsembleSimulation`; ``batch_width`` caps how many cases one
+    stacked driver carries (grouped first-come first-served within a
+    signature, so results are deterministic in job order).
     """
 
     def __init__(self, jobs: list[EnsembleJob], bcs: BoundarySet, *,
                  batch_width: int = 8, config: RHSConfig | None = None,
-                 cfl: float = 0.5, rk_order: int = 3,
-                 fixed_dt: float | None = None, check_every: int = 10,
-                 threads: int | None = None,
-                 tile_device: object | None = None,
-                 sweep_layout: str = "strided", fusion: str = "off",
-                 backend: object = None,
-                 tuning: object = "off",
-                 tuning_cache: object | None = None,
-                 stopwatch: Stopwatch | None = None) -> None:
+                 options: SolverOptions | None = None,
+                 stopwatch: Stopwatch | None = None, **knobs) -> None:
         if not jobs:
             raise ConfigurationError("ensemble runner needs at least one job")
-        if not isinstance(batch_width, int) or isinstance(batch_width, bool) \
-                or batch_width < 1:
-            raise ConfigurationError(
-                f"batch_width must be a positive integer, got {batch_width!r}")
         self.jobs = list(jobs)
         self.bcs = bcs
-        self.batch_width = batch_width
+        self.batch_width = integer(1)("batch_width", batch_width)
         self.config = config if config is not None else RHSConfig()
-        self.kwargs = dict(
-            config=self.config, cfl=cfl, rk_order=rk_order,
-            fixed_dt=fixed_dt, check_every=check_every, threads=threads,
-            tile_device=tile_device, sweep_layout=sweep_layout,
-            fusion=fusion, backend=backend,
-            tuning=tuning, tuning_cache=tuning_cache)
+        self.options = fold(options, knobs)
+        self.options.require_compatible(batched=True)
         self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
 
     # ------------------------------------------------------------------
@@ -185,7 +169,8 @@ class EnsembleRunner:
             with EnsembleSimulation(
                     [self.jobs[i].case for i in indices], self.bcs,
                     names=[self.jobs[i].name or f"job{i}" for i in indices],
-                    stopwatch=self.stopwatch, **self.kwargs) as sim:
+                    config=self.config, options=self.options,
+                    stopwatch=self.stopwatch) as sim:
                 batch_results = sim.run(
                     t_end=[self.jobs[i].t_end for i in indices])
             for local, res in enumerate(batch_results):

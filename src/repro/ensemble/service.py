@@ -39,6 +39,7 @@ The chaos suite asserts exactly that.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import time
@@ -47,10 +48,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.acc.fusion import BACKEND_ENV_VAR
+from repro.backend import resolve_backend
 from repro.bc.boundary import BoundarySet
 from repro.common import CheckpointError, ConfigurationError
+from repro.common.checks import integer
 from repro.io.binary import read_snapshot, write_snapshot
 from repro.io.checkpoint import CheckpointManager
+from repro.solver.options import SolverOptions, fold
 from repro.solver.resilience import RecoveryCounters
 from repro.solver.rhs import RHSConfig
 
@@ -160,18 +165,19 @@ class EnsembleService:
     checkpoint_every / checkpoint_keep:
         Per-case checkpoint cadence (stacked steps) inside batches.
     check_every:
-        Validation cadence; defaults to 1 so a diverging case is
-        caught on the step it breaks (and never checkpointed broken).
+        Validation cadence of every batch (it replaces the one in
+        ``options``); defaults to 1 so a diverging case is caught on
+        the step it breaks (and never checkpointed broken).
     degrade_after / min_batch_width:
         Halve the width after this many *consecutive* batch-level
         failures, never below the floor.
     chaos:
         Optional :class:`repro.faults.EnsembleChaosPlan` — deterministic
         fault schedule for the chaos suite.
-    engine keyword arguments:
-        ``config``, ``cfl``, ``rk_order``, ``fixed_dt``, ``threads``,
-        ``tile_device``, ``sweep_layout``, ``fusion``, ``tuning``,
-        ``tuning_cache`` — forwarded to every batch.
+    config / options / knobs:
+        The engine every batch is built with, as for
+        :class:`~repro.ensemble.simulation.EnsembleSimulation`
+        (DESIGN.md "Options: one table"); :attr:`engine` holds them.
     """
 
     def __init__(self, jobs: list[EnsembleJob], bcs: BoundarySet, *,
@@ -187,30 +193,17 @@ class EnsembleService:
                  check_every: int = 1,
                  degrade_after: int = 2, min_batch_width: int = 1,
                  chaos: object | None = None,
-                 config: RHSConfig | None = None, cfl: float = 0.5,
-                 rk_order: int = 3, fixed_dt: float | None = None,
-                 threads: int | None = None,
-                 tile_device: object | None = None,
-                 sweep_layout: str = "strided", fusion: str = "off",
-                 backend: object = None,
-                 tuning: object = "off",
-                 tuning_cache: object | None = None) -> None:
+                 config: RHSConfig | None = None,
+                 options: SolverOptions | None = None, **knobs) -> None:
         if not jobs:
             raise ConfigurationError("ensemble service needs at least one job")
-        if max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {max_attempts}")
-        if not isinstance(batch_width, int) or isinstance(batch_width, bool) \
-                or batch_width < 1:
-            raise ConfigurationError(
-                f"batch_width must be a positive integer, got {batch_width!r}")
+        integer(1)("max_attempts", max_attempts)
+        integer(1)("batch_width", batch_width)
         if min_batch_width < 1 or min_batch_width > batch_width:
             raise ConfigurationError(
                 f"min_batch_width must lie in [1, {batch_width}], "
                 f"got {min_batch_width}")
-        if degrade_after < 1:
-            raise ConfigurationError(
-                f"degrade_after must be >= 1, got {degrade_after}")
+        integer(1)("degrade_after", degrade_after)
         self.jobs = list(jobs)
         self.bcs = bcs
         self.ledger = ledger if isinstance(ledger, JobLedger) \
@@ -229,17 +222,13 @@ class EnsembleService:
         self.min_batch_width = min_batch_width
         self.chaos = chaos
         self.config = config if config is not None else RHSConfig()
-        from repro.backend import resolve_backend
-
-        self.engine = dict(
-            config=self.config, cfl=cfl, rk_order=rk_order,
-            fixed_dt=fixed_dt, check_every=check_every, threads=threads,
-            tile_device=tile_device, sweep_layout=sweep_layout,
-            fusion=fusion,
-            # Normalised to the name so the engine dict pickles into
-            # supervised batch children (the child re-resolves it).
-            backend=resolve_backend(backend).name,
-            tuning=tuning, tuning_cache=tuning_cache)
+        options = fold(options, {**knobs, "check_every": check_every})
+        options.require_compatible(batched=True)
+        #: ``EnsembleSimulation`` keywords of every batch.  The backend
+        #: is normalised to its name so the dict pickles into supervised
+        #: batch children (the child re-resolves it).
+        self.engine = dict(config=self.config, options=dataclasses.replace(
+            options, backend=resolve_backend(options.backend).name))
         self.supervisor = BatchSupervisor(
             grace=deadline_seconds, wall_limit=wall_limit_seconds,
             supervise=supervise)
@@ -515,10 +504,9 @@ class EnsembleService:
 
     def _apply_degradation(self, event: dict) -> None:
         """Make a child-reported downgrade sticky for later batches."""
-        from repro.acc.fusion import BACKEND_ENV_VAR
-
         if event.get("what") == "fusion":
-            self.engine["fusion"] = "off"
+            self.engine["options"] = dataclasses.replace(
+                self.engine["options"], fusion="off")
         elif event.get("what") == "fusion-backend":
             os.environ[BACKEND_ENV_VAR] = "numpy"
 

@@ -18,8 +18,9 @@ same case marched by a standalone :class:`Simulation` with the same
 configuration.  The driver mirrors the standalone step exactly: shared
 ``cons_to_prim`` into the workspace under the ``"other"`` stopwatch
 lap, per-case dt (``fixed_dt`` or the CFL bound — the vectorised
-reduction of :func:`repro.timestepping.cfl.cfl_dts` replays the scalar
-arithmetic per case), the final-step clip against the horizon, and the
+reduction of :func:`repro.timestepping.cfl.wave_rate` replays the scalar
+arithmetic per case), the final-step clip against the horizon — all of
+it the one :func:`repro.timestepping.time_step` body — and the
 ``check_every`` validation cadence.
 
 Ragged completion
@@ -34,6 +35,8 @@ survivors are unperturbed by their neighbours' retirement.
 
 from __future__ import annotations
 
+import dataclasses
+import time as clock
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
@@ -41,20 +44,15 @@ import numpy as np
 
 from repro.backend import resolve_backend, to_host_array
 from repro.bc.boundary import BoundarySet
-from repro.common import (
-    DTYPE,
-    ConfigurationError,
-    NumericsError,
-    Stopwatch,
-    WallTimer,
-)
+from repro.common import DTYPE, ConfigurationError, NumericsError, Stopwatch
+from repro.common.checks import choice
+from repro.io.checkpoint import CheckpointManager
 from repro.solver.case import Case
+from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.resilience import check_state
 from repro.solver.rhs import RHS, RHSConfig
-from repro.solver.sweep import validate_fusion
-from repro.state.conversions import cons_to_prim
-from repro.timestepping.cfl import cfl_dts
-from repro.timestepping.ssp_rk import SSP_SCHEMES, ssp_rk_step
+from repro.timestepping import SSP_SCHEMES, horizon_reached, time_step
+from repro.tuning.plan import resolve_plan
 
 from repro.ensemble.state import EnsembleState
 
@@ -86,30 +84,28 @@ class EnsembleCaseResult:
     error: str | None = None
 
 
-class EnsembleSimulation(AbstractContextManager):
+class EnsembleSimulation(KnobAccess, AbstractContextManager):
     """Time-marches ``B`` same-shape cases through one stacked RHS.
-
-    Parameters mirror the single-case :class:`Simulation` driver where
-    they apply; resilience features (retry, checkpoints, fault
-    injection, multi-process ranks) are single-case concerns and are
-    deliberately absent — an ensemble member needing them should run
-    standalone.
 
     Parameters
     ----------
-    cases:
+    cases / bcs:
         Same-grid, same-mixture cases to stack (initial conditions may
-        differ).
-    bcs:
-        Physical boundary conditions, shared by every case.
-    tuning:
-        ``"off"``, ``"auto"``, a :class:`~repro.tuning.TuningPlan`, or
-        a plan dict — as in :class:`Simulation`, except an ``"auto"``
-        plan is keyed by the *batched* case signature (batch width
-        included), so a stacked plan never reuses or poisons a
-        single-case cache entry.
-    names:
-        Optional per-case labels carried into the results.
+        differ) and the physical boundary conditions they share.
+    config / options / knobs:
+        As for the single-case :class:`Simulation`: numerics, a
+        :class:`~repro.solver.options.SolverOptions` and/or loose
+        keyword knobs (DESIGN.md "Options: one table").  Single-case
+        resilience knobs (``ranks retry validate_every precision``) are
+        refused — a member needing them runs standalone — and
+        ``tuning="auto"`` is keyed by the *batched* case signature
+        (width included), so a stacked plan never reuses or poisons a
+        single-case cache entry.  ``checkpoint_every`` counts stacked
+        steps; each healthy active case is then snapshotted under its
+        own prefix, stamped with its absolute per-case step and time.
+    names / checkpoint_prefixes:
+        Optional per-case labels carried into the results, and per-case
+        checkpoint prefixes (default ``case<index>``).
     initial_states / initial_times / initial_steps:
         Per-case restart seeds (state, absolute time, absolute step) —
         how the durable service re-forms a batch from each case's
@@ -118,88 +114,43 @@ class EnsembleSimulation(AbstractContextManager):
         and batch neighbours never perturb a case).
     on_failure:
         ``"raise"`` (default) aborts the batch on the first unphysical
-        case, as before.  ``"retire"`` instead retires *only* the
-        failing case — its result carries ``status="failed"`` and a
-        diagnostic naming it — and lets the survivors keep marching.
-    checkpoint_every / checkpoint_dir / checkpoint_keep /
-    checkpoint_prefixes:
-        Per-case rotating checkpoints: every ``checkpoint_every``
-        stacked steps each healthy active case is snapshotted under
-        its own prefix (default ``case<index>``) via
-        :class:`~repro.io.checkpoint.CheckpointManager`, stamped with
-        its absolute per-case step and time.
-    fault_plans:
+        case.  ``"retire"`` instead retires *only* the failing case —
+        its result carries ``status="failed"`` and a diagnostic naming
+        it — and lets the survivors keep marching.
+    fault_plans / fault_attempt:
         ``{original case index: CellFaultPlan}`` — seeded corruption
         applied to that case's post-step state on its absolute step
-        clock (chaos testing).
-    fault_attempt:
-        The attempt number handed to the fault plans (a transient
-        plan relents on the retry attempt, a poison plan never does).
+        clock (chaos testing) — and the attempt number handed to the
+        plans (a transient plan relents on the retry attempt, a poison
+        plan never does).
     step_callback:
         Called with the simulation after every stacked step —
         supervisor heartbeats and chaos kill switches hook in here.
     """
 
     def __init__(self, cases: list[Case], bcs: BoundarySet, *,
-                 config: RHSConfig | None = None, cfl: float = 0.5,
-                 rk_order: int = 3, fixed_dt: float | None = None,
-                 check_every: int = 10, stopwatch: Stopwatch | None = None,
-                 threads: int | None = None,
-                 tile_device: object | None = None,
-                 sweep_layout: str = "strided", fusion: str = "off",
-                 backend: object = None,
-                 tuning: object = "off",
-                 tuning_cache: object | None = None,
+                 config: RHSConfig | None = None,
+                 options: SolverOptions | None = None,
+                 stopwatch: Stopwatch | None = None,
                  names: list[str] | None = None,
                  initial_states: list | None = None,
                  initial_times: list | None = None,
                  initial_steps: list | None = None,
                  on_failure: str = "raise",
-                 checkpoint_every: int = 0,
-                 checkpoint_dir: object | None = None,
-                 checkpoint_keep: int = 3,
                  checkpoint_prefixes: list[str] | None = None,
                  fault_plans: dict | None = None,
                  fault_attempt: int = 0,
-                 step_callback: object | None = None) -> None:
-        if rk_order not in SSP_SCHEMES:
-            raise ConfigurationError(f"unsupported RK order {rk_order}")
-        validate_fusion(fusion)
-        if check_every < 0:
-            raise ConfigurationError(
-                f"check_every must be >= 0, got {check_every}")
-        if on_failure not in ("raise", "retire"):
-            raise ConfigurationError(
-                f"on_failure must be 'raise' or 'retire', got {on_failure!r}")
-        if checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if checkpoint_every and checkpoint_dir is None:
-            raise ConfigurationError(
-                "checkpoint_every requires a checkpoint_dir")
+                 step_callback: object | None = None, **knobs) -> None:
+        options = fold(options, knobs)
+        options.require_compatible(batched=True)
+        choice("raise", "retire")("on_failure", on_failure)
         self.state = EnsembleState.from_cases(cases, initial=initial_states)
         self.layout = self.state.layout
         self.mixture = self.state.mixture
         self.grid = self.state.grid
         self.config = config if config is not None else RHSConfig()
         self.bcs = bcs
-        self.cfl = cfl
-        self.rk_order = rk_order
-        self.fixed_dt = fixed_dt
-        self.check_every = check_every
         self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
-        self.threads = threads
-        self.tile_device = tile_device
-        self.sweep_layout = sweep_layout
-        self.fusion = fusion
-        #: Execution backend for the stacked march.  The per-case
-        #: bookkeeping (views, fault plans, checkpoints, retirement)
-        #: stays on the host; ``step`` moves the stacked block through
-        #: the H2D/D2H seam around each RK step — an identity on the
-        #: host backends, so the NumPy default is bitwise unchanged.
-        self.backend = resolve_backend(backend)
-        self.tuning = tuning
-        self.tuning_cache = tuning_cache
         B = self.state.batch
         if names is None:
             names = [f"case{i}" for i in range(B)]
@@ -210,17 +161,25 @@ class EnsembleSimulation(AbstractContextManager):
         #: Initial batch width (the tuning-signature width; retirement
         #: narrows :attr:`batch` but never re-tunes).
         self.batch0 = B
-
-        #: Resolved plan / tuner, as in the single-case driver.
-        self.tuning_plan = None
-        self.tuner = None
-        self._resolve_tuning()
-        plan = self.tuning_plan
-        if plan is not None:
-            if plan.threads is not None:
-                self.threads = plan.threads
-            self.sweep_layout = plan.sweep_layout
-            self.fusion = plan.fusion
+        #: The resolved plan every width's RHS is built from, and the
+        #: tuner behind it — as in the single-case driver.
+        self._plan, self.tuner = resolve_plan(
+            options, self.layout, self.mixture, self.grid, bcs, self.config,
+            self.state.stacked, batch=B)
+        self.tuning_plan = self._plan if options.tuning != "off" else None
+        # The per-case bookkeeping (views, fault plans, checkpoints,
+        # retirement) stays on the host; ``step`` moves the stacked
+        # block through the H2D/D2H seam around each RK step — an
+        # identity on the host backends, so the NumPy default is
+        # bitwise unchanged.  ``threads`` stays the requested (or the
+        # plan's) width, not the resolved one: every retirement re-plans
+        # the gang for the narrower batch.
+        plan = self._plan
+        self.options = dataclasses.replace(
+            options, backend=resolve_backend(plan.backend),
+            threads=(plan.threads if plan.threads is not None
+                     else options.threads),
+            sweep_layout=plan.sweep_layout, fusion=plan.fusion)
         self.rhs = self._build_rhs(B)
 
         def _clock(values, dtype):
@@ -243,9 +202,6 @@ class EnsembleSimulation(AbstractContextManager):
         self.steps0 = self.steps.copy()
         self.wall = np.zeros(B, dtype=np.float64)
         self.on_failure = on_failure
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_keep = checkpoint_keep
         if checkpoint_prefixes is None:
             checkpoint_prefixes = [f"case{i}" for i in range(B)]
         if len(checkpoint_prefixes) != B:
@@ -272,52 +228,10 @@ class EnsembleSimulation(AbstractContextManager):
         self._results: dict[int, EnsembleCaseResult] = {}
 
     # ------------------------------------------------------------------
-    def _resolve_tuning(self) -> None:
-        """Resolve the ``tuning`` knob against the *batched* signature."""
-        spec = self.tuning
-        if spec is None or spec == "off":
-            return
-        from repro.tuning import Autotuner, TuningCache, TuningPlan
-
-        if isinstance(spec, TuningPlan):
-            self.tuning_plan = spec
-            return
-        if isinstance(spec, dict):
-            entry = dict(spec)
-            entry.setdefault("source", "manual")
-            self.tuning_plan = TuningPlan.from_dict(entry)
-            return
-        if spec == "auto":
-            from repro.hardware.devices import get_device
-
-            device = (get_device(self.tile_device)
-                      if isinstance(self.tile_device, str)
-                      else self.tile_device)
-            self.tuner = Autotuner(cache=TuningCache(self.tuning_cache),
-                                   device=device)
-            self.tuning_plan = self.tuner.plan_for(
-                self.layout, self.mixture, self.grid, self.bcs, self.config,
-                self.state.stacked, threads=self.threads,
-                sweep_layout=self.sweep_layout, batch=self.batch0)
-            return
-        raise ConfigurationError(
-            f"tuning must be 'off', 'auto', a TuningPlan, or a plan dict; "
-            f"got {spec!r}")
-
     def _build_rhs(self, batch: int) -> RHS:
-        plan = self.tuning_plan
-        return RHS(self.layout, self.mixture, self.grid, self.bcs,
-                   self.config, stopwatch=self.stopwatch,
-                   use_workspace=True, threads=self.threads,
-                   tile_device=self.tile_device,
-                   sweep_layout=self.sweep_layout, fusion=self.fusion,
-                   backend=self.backend,
-                   weno_variant=(plan.weno_variant if plan is not None
-                                 else "chained"),
-                   riemann_variant=(plan.riemann_variant
-                                    if plan is not None else "reference"),
-                   tiles=plan.tiles if plan is not None else None,
-                   batch=batch)
+        return RHS.planned(self.layout, self.mixture, self.grid, self.bcs,
+                           self.config, self.options, self._plan,
+                           stopwatch=self.stopwatch, batch=batch)
 
     def close(self) -> None:
         """Stop and reap the stacked RHS's gang workers (idempotent)."""
@@ -350,33 +264,22 @@ class EnsembleSimulation(AbstractContextManager):
         B = self.batch
         if B == 0:
             raise ConfigurationError("every ensemble case has retired")
-        ws = self.rhs.workspace
         # H2D seam: the stacked block marches on the backend while the
         # per-case bookkeeping below reads the host copy (identity, and
         # therefore bitwise neutral, on the host backends).
-        q_dev = self.backend.from_host(self.state.stacked)
-        with self.stopwatch.time("other"):
-            prim0 = cons_to_prim(self.layout, self.mixture, q_dev,
-                                 out=ws.prim)
-        if self.fixed_dt is not None:
-            dt = np.full(B, self.fixed_dt, dtype=DTYPE)
-        else:
-            dt = to_host_array(cfl_dts(self.layout, self.mixture, prim0,
-                                       self.grid, self.cfl))
-        if dt_limit is not None:
-            # Per-case analog of "if dt > dt_limit: dt = dt_limit".
-            dt = np.minimum(dt, dt_limit)
-        dt_field = self.backend.from_host(
-            dt.reshape((B,) + (1,) * self.grid.ndim))
-        with WallTimer() as timer:
-            self.state.stacked = to_host_array(ssp_rk_step(
-                self.rhs, q_dev, dt_field, self.rk_order,
-                workspace=ws, prim0=prim0))
+        q_new, dt, rk_start = time_step(
+            self.rhs, self.backend.from_host(self.state.stacked),
+            layout=self.layout, mixture=self.mixture,
+            widths=self.grid.width_fields(), options=self.options,
+            workspace=self.rhs.workspace, dt_limit=dt_limit,
+            stopwatch=self.stopwatch)
+        self.state.stacked = to_host_array(q_new)
+        wall = clock.perf_counter() - rk_start
         self.time += dt
         self.steps += 1
         self.step_count += 1
-        self.wall += timer.elapsed / B
-        self.wall_seconds_total += timer.elapsed
+        self.wall += wall / B
+        self.wall_seconds_total += wall
         self.case_steps_total += B
         if self.fault_plans:
             self._inject_faults()
@@ -431,8 +334,6 @@ class EnsembleSimulation(AbstractContextManager):
 
     def _checkpoint_slot(self, slot: int) -> None:
         """Rotating durable checkpoint of one case, under its prefix."""
-        from repro.io.checkpoint import CheckpointManager
-
         orig = self.state.case_index[slot]
         mgr = self._ckpt_managers.get(orig)
         if mgr is None:
@@ -490,10 +391,9 @@ class EnsembleSimulation(AbstractContextManager):
         while self.batch:
             slots = np.asarray(self.state.case_index)
             t_slot = t_vec[slots]
-            # Same horizon predicate as the scalar driver's run loop.
-            active = self.time < t_slot * (1.0 - 1e-12)
-            if not active.all():
-                self._retire(np.flatnonzero(~active).tolist())
+            landed = horizon_reached(self.time, t_slot)
+            if landed.any():
+                self._retire(np.flatnonzero(landed).tolist())
                 continue
             self.step(dt_limit=t_slot - self.time)
         return self.results()

@@ -29,6 +29,7 @@ trades speed, never answers.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -40,10 +41,12 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.acc.fusion import BACKEND_ENV_VAR, FusionError
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, ReproError, failure_class
 from repro.cluster.procs import drain_and_join
 from repro.solver.case import Case
+from repro.solver.options import fold
 
 from repro.ensemble.simulation import EnsembleSimulation
 
@@ -65,8 +68,8 @@ class BatchSpec:
     t_ends: list[float]
     names: list[str]
     bcs: BoundarySet
-    #: EnsembleSimulation engine kwargs (config, cfl, rk_order,
-    #: fixed_dt, check_every, threads, sweep_layout, fusion, ...).
+    #: EnsembleSimulation engine keywords: ``config``, ``options``
+    #: and/or loose knobs (``EnsembleService.engine``).
     engine: dict = field(default_factory=dict)
     initial_states: list | None = None
     initial_times: list | None = None
@@ -98,9 +101,9 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     A build that still fails with fusion off propagates — that is a
     genuinely bad spec, and the taxonomy calls it permanent.
     """
-    from repro.acc.fusion import BACKEND_ENV_VAR, FusionError
-
     engine = dict(spec.engine)
+    config = engine.pop("config", None)
+    options = fold(engine.pop("options", None), engine)
     events: list[dict] = []
 
     def on_every_step(sim) -> None:
@@ -122,12 +125,12 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
             checkpoint_prefixes=spec.checkpoint_prefixes,
             fault_plans=spec.fault_plans,
             fault_attempt=spec.attempt,
-            step_callback=on_every_step, **engine)
+            step_callback=on_every_step, config=config, options=options)
 
     try:
         sim = build()
     except (FusionError, ConfigurationError) as err:
-        if engine.get("fusion", "off") == "off":
+        if options.fusion == "off":
             raise
         saved = os.environ.get(BACKEND_ENV_VAR)
         os.environ[BACKEND_ENV_VAR] = "numpy"
@@ -138,7 +141,7 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
                     "kind": "degrade", "what": "fusion-backend",
                     "to": "numpy", "error": str(err)})
             except (FusionError, ConfigurationError) as err2:
-                engine["fusion"] = "off"
+                options = dataclasses.replace(options, fusion="off")
                 sim = build()
                 events.append({
                     "kind": "degrade", "what": "fusion", "to": "off",
@@ -159,7 +162,7 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
             "wall_seconds": sim.wall_seconds_total,
             "faults_injected": sim.faults_injected,
             "checkpoints_written": sim.checkpoints_written,
-            "fusion": engine.get("fusion", "off"),
+            "fusion": options.fusion,
         },
     }
 

@@ -13,136 +13,31 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.acc.gang import plan_gang_width
 from repro.common import ConfigurationError
+from repro.common.checks import integer, path as path_check
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.solver.case import Case, Patch, box, halfspace, sphere
+from repro.solver.options import SolverOptions, section_keys
 
 #: Geometry kinds a case file may reference.
 GEOMETRY_KINDS = ("box", "sphere", "halfspace")
 
-#: Keys the optional ``"solver"`` section of a case file may carry.
-SOLVER_OPTION_KEYS = ("threads", "ranks", "cluster_timeout", "max_restarts",
-                      "layout", "fusion", "backend", "precision",
-                      "checkpoint_every",
-                      "checkpoint_keep", "checkpoint_dir", "validate_every",
-                      "retry", "tuning", "tuning_cache")
 
+def solver_options_from_dict(spec: dict, *, command: str = "run") -> dict:
+    """Validated knobs of a spec's optional ``"solver"`` section.
 
-def solver_options_from_dict(spec: dict) -> dict:
-    """Validated runtime options from a case file's ``"solver"`` section.
-
-    The section is optional and carries ``threads`` (gang width of the
-    tiled RHS; a positive integer, planned when absent), ``ranks``
-    (process count for multi-process block-decomposed runs; a positive
-    integer) with its companions ``cluster_timeout`` (halo-wait /
-    no-progress deadline in seconds; a positive number) and
-    ``max_restarts`` (rank-failure restarts to attempt; an integer
-    >= 0), ``layout``
-    (sweep memory layout: ``"strided"``, ``"transposed"``, or
-    ``"auto"``), ``fusion`` (sweep kernel fusion: ``"off"``, ``"on"``,
-    or ``"auto"``; see :mod:`repro.acc.fusion`), the resilience knobs
-    ``checkpoint_every`` /
-    ``checkpoint_keep`` / ``checkpoint_dir`` / ``validate_every``, and
-    a ``retry`` mapping for the rollback-retry policy (see
-    :meth:`repro.solver.resilience.RetryPolicy.from_dict`).  Returns a
-    plain dict of keyword arguments for
-    :class:`~repro.solver.simulation.Simulation`; an absent section
+    :meth:`SolverOptions.from_mapping` is the validation; the keys are
+    the ones DESIGN.md "Options: one table" lists for ``command``.
+    Returns a plain dict of only the knobs the section sets, keyed by
+    field name — keyword arguments for the drivers; an absent section
     yields ``{}``.
     """
-    solver = spec.get("solver")
-    if solver is None:
-        return {}
-    if not isinstance(solver, dict):
-        raise ConfigurationError(
-            f"'solver' section must be a mapping, got {type(solver).__name__}")
-    unknown = sorted(set(solver) - set(SOLVER_OPTION_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown solver option(s) {unknown}; "
-            f"choose from {sorted(SOLVER_OPTION_KEYS)}")
-    options: dict = {}
-    if "threads" in solver:
-        options["threads"], _ = plan_gang_width(solver["threads"], tiles=0)
-    if "ranks" in solver:
-        ranks = solver["ranks"]
-        if isinstance(ranks, bool) or not isinstance(ranks, int) or ranks < 1:
-            raise ConfigurationError(
-                f"solver ranks must be a positive integer, got {ranks!r}")
-        options["ranks"] = ranks
-    if "cluster_timeout" in solver:
-        value = solver["cluster_timeout"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
-            raise ConfigurationError(
-                f"solver cluster_timeout must be a positive number, "
-                f"got {value!r}")
-        options["cluster_timeout"] = float(value)
-    if "max_restarts" in solver:
-        value = solver["max_restarts"]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigurationError(
-                f"solver max_restarts must be an integer >= 0, got {value!r}")
-        options["max_restarts"] = value
-    if "layout" in solver:
-        from repro.solver.sweep import validate_sweep_layout
-
-        # JSON name "layout" maps to the Simulation kwarg sweep_layout
-        # (Simulation.layout is the state layout).
-        options["sweep_layout"] = validate_sweep_layout(solver["layout"])
-    if "fusion" in solver:
-        from repro.solver.sweep import validate_fusion
-
-        options["fusion"] = validate_fusion(solver["fusion"])
-    if "backend" in solver:
-        from repro.backend import validate_backend
-
-        options["backend"] = validate_backend(solver["backend"])
-    if "precision" in solver:
-        from repro.backend import validate_precision
-
-        options["precision"] = validate_precision(solver["precision"])
-    for key in ("checkpoint_every", "checkpoint_keep", "validate_every"):
-        if key in solver:
-            value = solver[key]
-            floor = 1 if key == "checkpoint_keep" else 0
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < floor:
-                raise ConfigurationError(
-                    f"solver {key} must be an integer >= {floor}, got {value!r}")
-            options[key] = value
-    if "checkpoint_dir" in solver:
-        value = solver["checkpoint_dir"]
-        if not isinstance(value, str) or not value:
-            raise ConfigurationError(
-                f"solver checkpoint_dir must be a non-empty string, got {value!r}")
-        options["checkpoint_dir"] = value
-    if "retry" in solver:
-        from repro.solver.resilience import RetryPolicy
-
-        options["retry"] = RetryPolicy.from_dict(solver["retry"])
-    if "tuning" in solver:
-        value = solver["tuning"]
-        if isinstance(value, dict):
-            from repro.tuning import TuningPlan
-
-            entry = dict(value)
-            entry.setdefault("source", "manual")
-            options["tuning"] = TuningPlan.from_dict(entry)
-        elif value in ("off", "auto"):
-            options["tuning"] = value
-        else:
-            raise ConfigurationError(
-                f"solver tuning must be 'off', 'auto', or a plan mapping, "
-                f"got {value!r}")
-    if "tuning_cache" in solver:
-        value = solver["tuning_cache"]
-        if not isinstance(value, str) or not value:
-            raise ConfigurationError(
-                f"solver tuning_cache must be a non-empty string, got {value!r}")
-        options["tuning_cache"] = value
-    return options
+    section = spec.get("solver")
+    options = SolverOptions.from_mapping(section, command=command)
+    return {f.name: getattr(options, f.name)
+            for key, f in section_keys(command).items()
+            if key in (section or {})}
 
 
 def _geometry_from_dict(g: dict):
@@ -235,13 +130,6 @@ def load_solver_options(path: str | Path) -> dict:
         return solver_options_from_dict(json.load(fh))
 
 
-#: Solver keys the ensemble runner understands (resilience and
-#: multi-process knobs are single-case concerns; see
-#: :mod:`repro.ensemble`).
-ENSEMBLE_SOLVER_KEYS = ("threads", "layout", "fusion", "backend",
-                        "tuning", "tuning_cache")
-
-
 def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
     """Jobs and options from an ensemble-spec dictionary.
 
@@ -249,12 +137,15 @@ def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
     ``"case"`` dictionary or a ``"case_file"`` path (resolved against
     ``base_dir``), plus an optional per-job ``"t_end"`` and ``"name"``
     — a top-level default ``"t_end"``, an optional ``"batch_width"``,
-    and an optional ``"solver"`` section restricted to
-    :data:`ENSEMBLE_SOLVER_KEYS`.  Returns ``(jobs, batch_width,
+    and an optional ``"solver"`` section restricted to the knobs the
+    batched engine takes (resilience and multi-process knobs are
+    single-case concerns).  Returns ``(jobs, batch_width,
     options)`` where ``jobs`` is a list of
     :class:`repro.ensemble.EnsembleJob` and ``options`` the keyword
     arguments for :class:`repro.ensemble.EnsembleRunner`.
     """
+    # Deferred: the ensemble/cluster packages are ~80 ms of imports a
+    # plain `run` never needs.
     from repro.ensemble import EnsembleJob
 
     jobs_spec = spec.get("jobs")
@@ -262,19 +153,8 @@ def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
         raise ConfigurationError(
             "ensemble spec needs a non-empty 'jobs' list")
     default_t_end = spec.get("t_end")
-    batch_width = spec.get("batch_width", 8)
-    if isinstance(batch_width, bool) or not isinstance(batch_width, int) \
-            or batch_width < 1:
-        raise ConfigurationError(
-            f"batch_width must be a positive integer, got {batch_width!r}")
-    solver = spec.get("solver")
-    if solver is not None:
-        unknown = sorted(set(solver) - set(ENSEMBLE_SOLVER_KEYS))
-        if unknown:
-            raise ConfigurationError(
-                f"ensemble solver option(s) {unknown} not supported; "
-                f"choose from {sorted(ENSEMBLE_SOLVER_KEYS)}")
-    options = solver_options_from_dict(spec)
+    batch_width = integer(1)("batch_width", spec.get("batch_width", 8))
+    options = solver_options_from_dict(spec, command="ensemble")
 
     base = Path(base_dir) if base_dir is not None else Path(".")
     jobs = []
@@ -340,11 +220,7 @@ def service_options_from_dict(spec: dict, *,
     out = dict(service)
     for key in _SERVICE_PATH_KEYS:
         if key in out:
-            if not isinstance(out[key], str) or not out[key]:
-                raise ConfigurationError(
-                    f"service option {key!r} must be a non-empty path "
-                    f"string, got {out[key]!r}")
-            out[key] = base / out[key]
+            out[key] = base / path_check(f"service option {key!r}", out[key])
     return out
 
 

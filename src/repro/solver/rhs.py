@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.acc.gang import GangExecutor, plan_gang_width
-from repro.backend import array_namespace, resolve_backend
+from repro.backend import array_namespace, precision_dtype, resolve_backend
 from repro.bc.boundary import BoundarySet, fill_axis_ghosts, pad_axis
 from repro.common import DTYPE, ConfigurationError, Stopwatch
+from repro.common.checks import integer, optional
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.hardware.devices import DeviceSpec, get_device
@@ -94,35 +95,22 @@ class RHS(AbstractContextManager):
     reference path (``use_workspace=False``).
 
     Every workspace evaluation runs the one slab body of
-    :class:`~repro.solver.sweep.SweepEngine` over slab tiles (the
-    ``tiles`` override, else an L2-capacity heuristic); serial, gang,
-    transposed and fused execution are parameters of that body.  With
-    a gang width above one its slab tiles execute across a
-    :class:`~repro.acc.gang.GangExecutor` — this process plus forked
-    workers over the workspace's shared buffers: the gang axis of
-    the pipeline's ``parallel loop gang vector collapse(ndim)`` spec
-    becomes a contiguous-slab decomposition of the first spatial axis
-    perpendicular to the sweep (self-contained stencils, disjoint
-    writes into the workspace buffers), while the vector axis stays
-    NumPy SIMD inside each tile.  The gang path is bitwise identical
-    to the serial one — same inputs and same elementwise operation
-    order per output cell.  ``threads`` is the width: an explicit value
-    wins, ``None`` plans it from the usable cores and the tile counts
-    (:func:`~repro.acc.gang.plan_gang_width`; the resolved width and
-    the reason end up in ``threads`` / ``gang_why``).
-    ``tile_device`` (a catalog key or :class:`DeviceSpec`) lets the
-    L2-capacity tile heuristic size tiles for a specific host.
+    :class:`~repro.solver.sweep.SweepEngine` over slab tiles; serial,
+    gang, transposed and fused execution are parameters of that body
+    and all bitwise identical.  With a gang width above one the tiles
+    execute across a :class:`~repro.acc.gang.GangExecutor` — this
+    process plus forked workers over the workspace's shared buffers
+    (contiguous slabs of the first spatial axis perpendicular to the
+    sweep: self-contained stencils, disjoint writes) — and the resolved
+    width and its reason end up in ``threads`` / ``gang_why``.
 
-    ``sweep_layout`` selects the coalesced sweep engine (paper §III.D):
-    ``"strided"`` runs every direction in the standard ``(v, x, y, z)``
-    layout, ``"transposed"`` physically permutes the non-contiguous
-    directions into an axis-last scratch layout before reconstructing
-    (three bulk transposes replace the many strided passes inside
-    WENO/Riemann), and ``"auto"`` chooses per direction from the
-    bytes-moved vs. bytes-saved heuristic in
-    :mod:`repro.solver.sweep`.  All three are bitwise identical; the
-    transposed engine needs the workspace, so ``use_workspace=False``
-    (and off-grid fallback calls) always sweep strided.
+    The execution knobs (``use_workspace threads tile_device
+    sweep_layout fusion backend`` and, as ``dtype``, ``precision``) are
+    :class:`~repro.solver.options.SolverOptions` fields, documented
+    once in DESIGN.md "Options: one table"; ``weno_variant
+    riemann_variant tiles`` are the remaining axes of a
+    :class:`~repro.tuning.TuningPlan`.  Drivers build theirs with
+    :meth:`planned`.
     """
 
     layout: StateLayout
@@ -143,20 +131,13 @@ class RHS(AbstractContextManager):
     #: Explicit per-launch tile count overriding the L2 heuristic
     #: (another tuner knob); None keeps the heuristic.
     tiles: int | None = None
-    #: Kernel-fusion knob (:data:`repro.solver.sweep.FUSION_MODES`):
-    #: ``"off"`` runs the stage-at-a-time pipeline, ``"on"`` compiles
-    #: each direction sweep into one fused per-tile kernel via
-    #: :mod:`repro.acc.fusion` (workspace required), ``"auto"`` fuses
-    #: whenever the workspace path is active.  All modes are bitwise
-    #: identical — fusion is a tuner axis like the sweep layout.
     fusion: str = "off"
-    #: Execution backend (name, :class:`repro.backend.Backend`, or
-    #: None for NumPy): owns the array namespace the kernels resolve
-    #: and the workspace allocator.  Capability fallbacks are applied
-    #: here: backends without negative-stride ``as_strided`` run the
-    #: chained WENO kernels, backends the fusion code generator cannot
-    #: target never fuse, and the gang is disabled where the
-    #: backend manages its own parallelism (see ``docs/backends.md``).
+    #: Owns the array namespace the kernels resolve and the workspace
+    #: allocator.  Capability fallbacks are applied here: backends
+    #: without negative-stride ``as_strided`` run the chained WENO
+    #: kernels, backends the fusion code generator cannot target never
+    #: fuse, and the gang is disabled where the backend manages its own
+    #: parallelism (see ``docs/backends.md``).
     backend: object = None
     #: Array dtype of the state/workspace (``precision`` seam);
     #: ``numpy.float64`` keeps the bitwise-identical default.
@@ -184,11 +165,7 @@ class RHS(AbstractContextManager):
                 f"grid is {self.grid.ndim}D but layout expects {self.layout.ndim}D")
         if self.bcs.ndim() != self.layout.ndim:
             raise ConfigurationError("boundary set dimensionality mismatch")
-        if self.batch is not None and (
-                not isinstance(self.batch, int) or isinstance(self.batch, bool)
-                or self.batch < 1):
-            raise ConfigurationError(
-                f"batch must be a positive integer or None, got {self.batch!r}")
+        optional(integer(1))("batch", self.batch)
         #: Number of leading virtual (non-swept) axes: 1 when batched.
         self._nb = 0 if self.batch is None else 1
         if self.batch is not None:
@@ -204,11 +181,7 @@ class RHS(AbstractContextManager):
         self._ng = halo_width(self.config.weno_order)
         validate_weno_variant(self.weno_variant)
         validate_riemann_variant(self.riemann_variant)
-        if self.tiles is not None and (
-                not isinstance(self.tiles, int) or isinstance(self.tiles, bool)
-                or self.tiles < 1):
-            raise ConfigurationError(
-                f"tiles must be a positive integer or None, got {self.tiles!r}")
+        optional(integer(1))("tiles", self.tiles)
         validate_geometry(self.config.geometry, self.layout, self.grid)
         if self.config.geometry == "axisymmetric":
             self._radius = self.backend.xp.asarray(
@@ -293,6 +266,28 @@ class RHS(AbstractContextManager):
         #: shared mapping and zero executor overhead.
         self.executor = (GangExecutor(width, share, stopwatch=self.stopwatch)
                          if width > 1 else None)
+
+    @classmethod
+    def planned(cls, layout, mixture, grid, bcs, config, options, plan, *,
+                stopwatch=None, batch: int | None = None) -> "RHS":
+        """The RHS a driver runs: ``options`` resolved into ``plan``.
+
+        The one construction every driver shares.  ``plan`` is the
+        :class:`~repro.tuning.TuningPlan` of
+        :func:`~repro.tuning.resolve_plan`, which names the layout,
+        fusion mode, backend, kernel variants and tile count; a plan
+        without a gang width leaves ``options.threads`` in charge.
+        """
+        return cls(layout, mixture, grid, bcs, config, stopwatch=stopwatch,
+                   use_workspace=options.use_workspace,
+                   threads=(plan.threads if plan.threads is not None
+                            else options.threads),
+                   tile_device=options.tile_device,
+                   sweep_layout=plan.sweep_layout, fusion=plan.fusion,
+                   weno_variant=plan.weno_variant,
+                   riemann_variant=plan.riemann_variant, tiles=plan.tiles,
+                   backend=plan.backend,
+                   dtype=precision_dtype(options.precision), batch=batch)
 
     def close(self) -> None:
         """Stop and reap the gang's workers (idempotent)."""

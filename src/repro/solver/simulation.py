@@ -38,8 +38,9 @@ Every recovery action is tallied in :attr:`Simulation.recovery`.
 from __future__ import annotations
 
 import dataclasses
+import time as clock
 from contextlib import AbstractContextManager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -54,19 +55,20 @@ from repro.backend import (
 )
 from repro.bc.boundary import BC, BoundarySet
 from repro.common import ConfigurationError, NumericsError, Stopwatch, WallTimer
+from repro.io.binary import read_snapshot, write_snapshot
+from repro.io.checkpoint import CheckpointManager
 from repro.solver.case import Case
+from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.resilience import (
     ESCALATION_ORDERS,
     RecoveryCounters,
-    RetryPolicy,
     SimulationDivergedError,
     check_state,
 )
 from repro.solver.rhs import RHS, RHSConfig
-from repro.solver.sweep import validate_fusion
 from repro.state.conversions import cons_to_prim
-from repro.timestepping.cfl import cfl_dt
-from repro.timestepping.ssp_rk import SSP_SCHEMES, ssp_rk_step
+from repro.timestepping import SSP_SCHEMES, horizon_reached, time_step
+from repro.tuning.plan import heuristic_plan, resolve_plan
 
 
 def _scheme_name(order: int) -> str:
@@ -87,236 +89,78 @@ class StepRecord:
     retries: int = 0
 
 
-@dataclass
-class Simulation(AbstractContextManager):
+class Simulation(KnobAccess, AbstractContextManager):
     """Time-marches a :class:`~repro.solver.case.Case`.
 
     Parameters
     ----------
-    case:
-        Grid, mixture, and initial condition.
-    bcs:
-        Physical boundary conditions.
-    cfl:
-        CFL number for adaptive stepping (ignored when ``fixed_dt`` set).
-    rk_order:
-        SSP-RK order (1, 2, or 3; MFC uses 3).
-    check_every:
-        Validate the state (finite, positive density) every this many
-        steps; 0 disables checks.
-    threads:
-        Gang width (the host realisation of ``acc parallel loop
-        gang``): the RHS's slab tiles run on this process plus
-        ``threads - 1`` forked workers over the shared workspace,
-        bitwise identically to serial.  ``None`` (the default) plans
-        it (:func:`repro.acc.gang.plan_gang_width`); ``1`` is the
-        serial path with no fork.  The resolved width replaces the
-        field, :attr:`gang_why` says why, and :meth:`close` (or the
-        driver as a context manager) reaps the workers.  Requires
-        ``use_workspace=True`` to take effect.
-    ranks:
-        Process count for multi-process block-decomposed runs (the
-        host realisation of MPI ranks; see
-        :class:`repro.cluster.ProcessCluster`).  ``1`` (the default)
-        keeps the in-process driver; values > 1 make :meth:`run`
-        delegate the whole march to a process cluster — one process
-        per rank, halos exchanged through shared memory — bitwise
-        identical to the serial march.  Incompatible with an explicit
-        ``threads > 1`` (a planned width is 1 per rank), ``retry``,
-        ``tuning``, and
-        ``fault_injector`` (rank faults are injected through
-        :class:`repro.cluster.RankFault` instead); the merged halo
-        counters land in :attr:`halo_counters` after the run.
-    cluster_timeout:
-        Halo-wait deadline in seconds for multi-process runs (default
-        30); the parent's no-progress watchdog uses it too, re-armed on
-        every observed heartbeat, so it bounds a single stall, not the
-        run length.  Raise it when one step of the local block can
-        legitimately take longer than the default.
-    max_restarts:
-        How many rank-failure restarts a multi-process run may attempt
-        (from the newest common checkpoint) before giving up with
-        :class:`~repro.common.ClusterError` (default 1).
-    tile_device:
-        Optional :class:`~repro.hardware.DeviceSpec` (or catalog name)
-        whose L2 capacity sizes the tiles; see
-        :func:`repro.hardware.suggest_tile_count`.
-    sweep_layout:
-        Memory layout of the RHS direction sweeps: ``"strided"`` (the
-        default), ``"transposed"`` (axis-contiguous sweep engine for
-        the non-contiguous directions), or ``"auto"`` (per-direction
-        heuristic; see :mod:`repro.solver.sweep`).  Bitwise identical
-        either way.  Named ``layout`` in case files and on the CLI;
-        the Python field avoids shadowing the state layout attribute.
-    fusion:
-        Kernel-fusion mode of the RHS direction sweeps (see
-        :mod:`repro.acc.fusion`): ``"off"`` (default) runs the
-        reference stage-at-a-time pipeline, ``"on"`` compiles each
-        sweep's pad → WENO → Riemann → divergence chain into one
-        cached per-tile kernel (requires ``use_workspace=True``),
-        ``"auto"`` fuses whenever the workspace is on.  Bitwise
-        identical either way; also a tuner axis.
-    retry:
-        Optional :class:`~repro.solver.resilience.RetryPolicy` (or the
-        equivalent dict) enabling the guarded step with
-        rollback-retry.  ``None`` (the default) keeps the unguarded
-        fast path, bitwise identical to previous behaviour.
-    validate_every:
-        Extra :meth:`validate_state` cadence applied by :meth:`run`
-        *after* the per-step ``check_every`` logic; 0 (default) off.
-    checkpoint_every / checkpoint_dir / checkpoint_keep:
-        Rotating durable checkpoints every N steps of :meth:`run` into
-        ``checkpoint_dir`` keeping the newest ``checkpoint_keep``
-        files; 0 (default) disables auto-checkpointing.
+    case / bcs:
+        Grid, mixture and initial condition; physical boundary
+        conditions.
+    config:
+        Numerics (:class:`RHSConfig`).
+    options / knobs:
+        How to march: a :class:`~repro.solver.options.SolverOptions`
+        and/or loose keyword knobs folded into it
+        (``Simulation(case, bcs, cfl=0.4, fusion="on")``).  Every knob
+        is documented once, in DESIGN.md "Options: one table"; knob
+        reads on the driver (``sim.fusion``) resolve through
+        :attr:`options`, which records the *resolved* configuration —
+        the tuning plan's layout/fusion/backend and the planned gang
+        width (:attr:`gang_why` says why) replace the requested ones.
+    stopwatch:
+        Per-kernel-family wall-time laps (:meth:`kernel_breakdown`).
     fault_injector:
         Optional fault-injection plan (duck-typed: ``apply(q, step=...,
         attempt=...) -> int`` corrupting ``q`` in place and returning
         the number of cells touched), called on every candidate
         post-step state.  Test/chaos-engineering hook.
-    tuning:
-        Execution-plan selection over the kernel-variant registry
-        (:mod:`repro.tuning`): ``"off"`` (default) keeps the configured
-        ``threads``/``sweep_layout`` with the reference kernels;
-        ``"auto"`` runs the empirical autotuner (consulting the
-        persistent tuning cache — a cache hit performs zero timing
-        runs) and adopts the winning plan; a
-        :class:`~repro.tuning.TuningPlan` (or its dict form) applies a
-        hand-picked plan.  Every plan is bitwise identical in results —
-        tuning only moves time.  The resolved plan is exposed as
-        :attr:`tuning_plan` (None when off), the tuner (when used) as
-        :attr:`tuner`.
-    tuning_cache:
-        Cache file for ``tuning="auto"``; defaults to
-        ``$REPRO_TUNING_CACHE`` or ``.repro_tuning/cache.json``.
-    backend:
-        Execution backend for the hot path (name or
-        :class:`repro.backend.Backend`); ``None``/``"numpy"`` (the
-        default) is bitwise identical to the pre-backend code.  The
-        state lives on the backend's device for the whole march; host
-        consumers (checkpoints, validation, conserved totals, halo
-        exchange) receive explicit device-to-host copies.  See
-        ``docs/backends.md``.
-    precision:
-        State dtype: ``"float64"`` (default) or ``"float32"``.  An
-        explicit, validated choice — never tuner-selected — because it
-        changes answers; float32 runs trade accuracy for the halved
-        memory traffic the roofline model predicts.  Incompatible with
-        ``ranks > 1`` (cluster workers march in float64).
+
+    :attr:`tuning_plan` is the resolved :class:`~repro.tuning.TuningPlan`
+    (None with tuning off), :attr:`tuner` the
+    :class:`~repro.tuning.Autotuner` behind it (None unless
+    ``tuning="auto"``); :meth:`close` (or the driver as a context
+    manager) reaps the gang workers.
     """
 
-    case: Case
-    bcs: BoundarySet
-    config: RHSConfig = field(default_factory=RHSConfig)
-    cfl: float = 0.5
-    rk_order: int = 3
-    fixed_dt: float | None = None
-    check_every: int = 10
-    stopwatch: Stopwatch = field(default_factory=Stopwatch)
-    #: Preallocate all RHS/RK buffers once and reuse them every step
-    #: (bitwise identical to the allocating path; see
-    #: :mod:`repro.solver.workspace`).
-    use_workspace: bool = True
-    threads: int | None = None
-    ranks: int = 1
-    cluster_timeout: float = 30.0
-    max_restarts: int = 1
-    tile_device: object | None = None
-    sweep_layout: str = "strided"
-    fusion: str = "off"
-    retry: RetryPolicy | dict | None = None
-    validate_every: int = 0
-    checkpoint_every: int = 0
-    checkpoint_dir: str | Path | None = None
-    checkpoint_keep: int = 3
-    fault_injector: object | None = None
-    tuning: object = "off"
-    tuning_cache: str | Path | None = None
-    backend: object = None
-    precision: str = "float64"
-
-    def __post_init__(self) -> None:
-        if self.rk_order not in SSP_SCHEMES:
-            raise ConfigurationError(f"unsupported RK order {self.rk_order}")
-        validate_fusion(self.fusion)
-        if isinstance(self.retry, dict):
-            self.retry = RetryPolicy.from_dict(self.retry)
-        for name in ("validate_every", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.checkpoint_every and self.checkpoint_dir is None:
-            raise ConfigurationError(
-                "checkpoint_every requires a checkpoint_dir")
-        if self.ranks < 1:
-            raise ConfigurationError(
-                f"ranks must be a positive integer, got {self.ranks}")
-        if self.cluster_timeout <= 0:
-            raise ConfigurationError(
-                f"cluster_timeout must be positive, got {self.cluster_timeout}")
-        if self.max_restarts < 0:
-            raise ConfigurationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}")
-        self.backend = resolve_backend(self.backend)
-        self._dtype = precision_dtype(self.precision)
-        if self.ranks > 1:
-            if self.precision != "float64":
-                raise ConfigurationError(
-                    "ranks > 1 marches in float64 (cluster workers are "
-                    "not precision-aware); drop precision or ranks")
+    def __init__(self, case: Case, bcs: BoundarySet,
+                 config: RHSConfig | None = None,
+                 options: SolverOptions | None = None, *,
+                 stopwatch: Stopwatch | None = None,
+                 fault_injector: object | None = None, **knobs) -> None:
+        options = fold(options, knobs)
+        options.require_compatible(fault_injector=fault_injector)
+        if options.ranks > 1:
             # A 2-rank run must never start four busy processes.
-            self.threads, self.gang_why = plan_gang_width(
-                self.threads, tiles=0, ranks=self.ranks)
-            if self.retry is not None:
-                raise ConfigurationError(
-                    "ranks > 1 does not support the rollback-retry guard")
-            if self.tuning not in (None, "off"):
-                raise ConfigurationError(
-                    "ranks > 1 does not support tuning")
-            if self.fault_injector is not None:
-                raise ConfigurationError(
-                    "ranks > 1 does not support cell fault injectors; "
-                    "inject rank faults with repro.cluster.RankFault "
-                    "through ProcessCluster")
-        self.layout = self.case.layout
-        self.mixture = self.case.mixture
-        self.grid = self.case.grid
-        self.q = self.case.initial_conservative()
-        #: Resolved :class:`~repro.tuning.TuningPlan` (None with tuning
-        #: off) and the :class:`~repro.tuning.Autotuner` that produced
-        #: it (None unless ``tuning="auto"``).
-        self.tuning_plan = None
-        self.tuner = None
-        self._resolve_tuning()
-        plan = self.tuning_plan
-        if plan is not None:
-            # The plan's knobs replace the configured ones (that is the
-            # point of tuning); the fields are updated so the driver's
-            # own record of its configuration stays truthful.
-            if plan.threads is not None:
-                self.threads = plan.threads
-            self.sweep_layout = plan.sweep_layout
-            self.fusion = plan.fusion
-            if getattr(plan, "backend", None):
-                self.backend = resolve_backend(plan.backend)
-        # H2D: the state moves onto the execution backend once the plan
-        # is settled (the tuner measures on the host array above).
-        # Identity for the default numpy/float64 configuration.
-        self.q = self.backend.from_host(self.q, dtype=self._dtype)
-        self.rhs = RHS(self.layout, self.mixture, self.grid, self.bcs,
-                       self.config, stopwatch=self.stopwatch,
-                       use_workspace=self.use_workspace,
-                       threads=self.threads, tile_device=self.tile_device,
-                       sweep_layout=self.sweep_layout, fusion=self.fusion,
-                       weno_variant=(plan.weno_variant if plan is not None
-                                     else "chained"),
-                       riemann_variant=(plan.riemann_variant
-                                        if plan is not None else "reference"),
-                       tiles=plan.tiles if plan is not None else None,
-                       backend=self.backend, dtype=self._dtype)
-        #: The resolved gang width and the reason (the run banner).
-        self.threads = self.rhs.threads
-        if self.ranks == 1:
+            width, self.gang_why = plan_gang_width(
+                options.threads, tiles=0, ranks=options.ranks)
+            options = dataclasses.replace(options, threads=width)
+        self.case = case
+        self.bcs = bcs
+        self.config = config if config is not None else RHSConfig()
+        self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
+        self.fault_injector = fault_injector
+        self.layout = case.layout
+        self.mixture = case.mixture
+        self.grid = case.grid
+        self._dtype = precision_dtype(options.precision)
+        q = case.initial_conservative()
+        # The tuner measures on the host array; the state moves onto
+        # the execution backend (H2D, an identity for numpy/float64)
+        # once the plan — which names the backend — is settled.
+        plan, self.tuner = resolve_plan(
+            options, self.layout, self.mixture, self.grid, bcs, self.config, q)
+        self.tuning_plan = plan if options.tuning != "off" else None
+        backend = resolve_backend(plan.backend)
+        self.q = backend.from_host(q, dtype=self._dtype)
+        self.rhs = RHS.planned(self.layout, self.mixture, self.grid, bcs,
+                               self.config, options, plan,
+                               stopwatch=self.stopwatch)
+        if options.ranks == 1:
             self.gang_why = self.rhs.gang_why
+        self.options = dataclasses.replace(
+            options, threads=self.rhs.threads, backend=backend,
+            sweep_layout=plan.sweep_layout, fusion=plan.fusion)
         self.time = 0.0
         self.step_count = 0
         self.history: list[StepRecord] = []
@@ -331,48 +175,6 @@ class Simulation(AbstractContextManager):
         # Escalation fallbacks are built lazily (each carries its own
         # workspace) and only for rungs below the configured order.
         self._fallback_rhs_cache: dict[int, RHS] = {}
-        if self.retry is not None:
-            self._escalation_ladder = tuple(
-                rung for rung in self.retry.escalation
-                if ESCALATION_ORDERS[rung] < self.config.weno_order)
-        else:
-            self._escalation_ladder = ()
-
-    # ------------------------------------------------------------------
-    def _resolve_tuning(self) -> None:
-        """Resolve the ``tuning`` knob into :attr:`tuning_plan`.
-
-        Deferred imports: :mod:`repro.tuning` imports the RHS module,
-        which sits below this one in the package graph.
-        """
-        spec = self.tuning
-        if spec is None or spec == "off":
-            return
-        from repro.tuning import Autotuner, TuningCache, TuningPlan
-
-        if isinstance(spec, TuningPlan):
-            self.tuning_plan = spec
-            return
-        if isinstance(spec, dict):
-            entry = dict(spec)
-            entry.setdefault("source", "manual")
-            self.tuning_plan = TuningPlan.from_dict(entry)
-            return
-        if spec == "auto":
-            from repro.hardware.devices import get_device
-
-            device = (get_device(self.tile_device)
-                      if isinstance(self.tile_device, str)
-                      else self.tile_device)
-            self.tuner = Autotuner(cache=TuningCache(self.tuning_cache),
-                                   device=device)
-            self.tuning_plan = self.tuner.plan_for(
-                self.layout, self.mixture, self.grid, self.bcs, self.config,
-                self.q, threads=self.threads, sweep_layout=self.sweep_layout)
-            return
-        raise ConfigurationError(
-            f"tuning must be 'off', 'auto', a TuningPlan, or a plan dict; "
-            f"got {spec!r}")
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -392,14 +194,6 @@ class Simulation(AbstractContextManager):
         q = to_host_array(self.q)  # D2H: diagnostics integrate on host
         return np.array([(q[v] * vol).sum() for v in range(self.layout.nvars)])
 
-    def compute_dt(self, prim: np.ndarray | None = None) -> float:
-        """CFL-limited (or fixed) step; ``prim`` avoids a re-conversion."""
-        if self.fixed_dt is not None:
-            return self.fixed_dt
-        if prim is None:
-            prim = self.primitive()
-        return cfl_dt(self.layout, self.mixture, prim, self.grid, self.cfl)
-
     def step(self, dt: float | None = None, *,
              dt_limit: float | None = None) -> StepRecord:
         """Advance one time step; returns its record.
@@ -408,55 +202,115 @@ class Simulation(AbstractContextManager):
         ----------
         dt:
             Step size to use; computed from the CFL condition (or
-            ``fixed_dt``) when omitted.  Passing a precomputed dt avoids
-            a second wave-speed sweep when the caller already did one.
+            ``fixed_dt``) when omitted.
         dt_limit:
             Upper bound on the step (the driver clips the final step of
             ``run(t_end=...)`` with this so the run lands exactly on the
             horizon).
 
-        With a :class:`~repro.solver.resilience.RetryPolicy` configured
-        the step is guarded: the post-step state is validated and a
-        failure rolls back and retries under the policy, raising
-        :class:`~repro.solver.resilience.SimulationDivergedError` when
-        every retry and escalation rung is exhausted (the pre-step
-        state is left restored, so checkpoint-based recovery can take
-        over).
+        Every attempt is the shared :func:`~repro.timestepping.time_step`
+        body.  Without a :class:`~repro.solver.resilience.RetryPolicy`
+        there is one attempt and nothing else — no snapshot, no
+        post-step check.  With one the step is guarded: the post-step
+        state is validated and a failure rolls back to the workspace's
+        rollback snapshot and retries under the policy — first at the
+        same dt, then with dt backoff, then down the escalation ladder —
+        raising :class:`~repro.solver.resilience.SimulationDivergedError`
+        when everything is exhausted (the pre-step state is left
+        restored, so checkpoint-based recovery can take over).
         """
         if self.ranks > 1:
             raise ConfigurationError(
                 "single-step marching is in-process only; with ranks > 1 "
                 "use run(), which delegates the whole march to the cluster")
-        ws = self.rhs.workspace
-        prim0 = None
-        if ws is not None:
-            # One cons_to_prim serves both the dt computation and RK
-            # stage one (their inputs are identical, so sharing is
-            # bitwise neutral).
-            with self.stopwatch.time("other"):
-                prim0 = cons_to_prim(self.layout, self.mixture, self.q,
-                                     out=ws.prim)
-        if dt is None:
-            dt = self.compute_dt(prim0)
-        if dt_limit is not None and dt > dt_limit:
-            dt = dt_limit
-        if self.retry is not None:
-            return self._guarded_step(dt, prim0)
-        with WallTimer() as timer:
-            self.q = ssp_rk_step(self.rhs, self.q, dt, self.rk_order,
-                                 workspace=ws, prim0=prim0)
+        policy = self.retry
+        ladder = self._escalation_ladder
+        attempts = 1
+        if policy is not None:
+            attempts += policy.max_retries + len(ladder)
+            # q may alias ws.rk_result (a failed RK step clobbers it),
+            # so the guard snapshots into the workspace-owned rollback
+            # buffer — no per-step allocation.
+            xp = array_namespace(self.q)
+            ws = self.rhs.workspace
+            if ws is not None:
+                xp.copyto(ws.rollback, self.q)
+            snapshot = ws.rollback if ws is not None else xp.copy(self.q)
+        widths = self.grid.width_fields()
+        dts: list[float] = []
+        schemes: list[str] = []
+        for attempt in range(attempts):
+            # self.rhs is looked up per step: callers may wrap it.
+            rhs, order = self.rhs, self.config.weno_order
+            if attempt:
+                # A retry recomputes the primitives the failed attempt's
+                # RK stages clobbered — bitwise what a fresh step would.
+                dt, dt_limit = policy.dt_for_attempt(dts[0], attempt), None
+                if attempt > policy.max_retries:
+                    order = ESCALATION_ORDERS[
+                        ladder[attempt - policy.max_retries - 1]]
+                    rhs = self._fallback_rhs(order)
+            q_new, dt, started = time_step(
+                rhs, self.q, layout=self.layout, mixture=self.mixture,
+                widths=widths, options=self.options,
+                workspace=rhs.workspace, dt=dt, dt_limit=dt_limit,
+                stopwatch=self.stopwatch)
+            if not attempt:
+                rk_start = started
+            dts.append(dt)
+            schemes.append(_scheme_name(order))
             if self.fault_injector is not None:
                 self.recovery.faults_injected += int(self.fault_injector.apply(
-                    self.q, step=self.step_count + 1, attempt=0))
+                    q_new, step=self.step_count + 1, attempt=attempt))
+            diag = None if policy is None else self._check(q_new, rhs.workspace)
+            if diag is None:
+                self.q = q_new
+                break
+            self.recovery.guard_failures += 1
+            xp.copyto(self.q, snapshot)
+            self.recovery.rollbacks += 1
+            if attempt + 1 < attempts:
+                self.recovery.retries += 1
+                if attempt + 1 > policy.max_retries:
+                    self.recovery.escalations += 1
+                elif attempt + 1 > policy.same_dt_retries:
+                    self.recovery.dt_halvings += 1
+        else:
+            # Exhausted: the pre-step state is restored in self.q, so a
+            # caller holding checkpoints can still recover.
+            raise SimulationDivergedError(
+                step=self.step_count + 1, time=self.time,
+                dts=tuple(dts), schemes=tuple(schemes), diagnostics=diag,
+                limited_faces=self.rhs.limited_faces + sum(
+                    r.limited_faces
+                    for r in self._fallback_rhs_cache.values()))
+        wall = clock.perf_counter() - rk_start
         self.time += dt
         self.step_count += 1
-        rec = StepRecord(self.step_count, self.time, dt, timer.elapsed)
+        rec = StepRecord(self.step_count, self.time, dt, wall,
+                         retries=len(dts) - 1)
         self.history.append(rec)
         if self.check_every and self.step_count % self.check_every == 0:
             self.validate_state()
         return rec
 
-    # ------------------------------------------------------------------
+    @property
+    def _escalation_ladder(self) -> tuple:
+        """The retry policy's rungs below the configured order."""
+        if self.retry is None:
+            return ()
+        return tuple(rung for rung in self.retry.escalation
+                     if ESCALATION_ORDERS[rung] < self.config.weno_order)
+
+    def _check(self, q, ws):
+        """The guard's post-step check (D2H: a host-side diagnostic)."""
+        prim = None
+        if ws is not None:
+            prim = to_host_array(
+                cons_to_prim(self.layout, self.mixture, q, out=ws.prim))
+        return check_state(self.layout, self.mixture, to_host_array(q),
+                           prim=prim)
+
     def _fallback_rhs(self, order: int) -> RHS:
         """Cached lower-order RHS for a scheme-escalation retry.
 
@@ -466,105 +320,13 @@ class Simulation(AbstractContextManager):
         """
         rhs = self._fallback_rhs_cache.get(order)
         if rhs is None:
-            cfg = dataclasses.replace(self.config, weno_order=order)
-            rhs = RHS(self.layout, self.mixture, self.grid, self.bcs, cfg,
-                      stopwatch=self.stopwatch,
-                      use_workspace=self.use_workspace,
-                      threads=1, sweep_layout="strided",
-                      backend=self.backend, dtype=self._dtype)
-            self._fallback_rhs_cache[order] = rhs
+            rhs = self._fallback_rhs_cache[order] = RHS.planned(
+                self.layout, self.mixture, self.grid, self.bcs,
+                dataclasses.replace(self.config, weno_order=order),
+                self.options,
+                heuristic_plan(threads=1, backend=self.backend.name),
+                stopwatch=self.stopwatch)
         return rhs
-
-    def _limited_faces_total(self) -> int:
-        return self.rhs.limited_faces + sum(
-            r.limited_faces for r in self._fallback_rhs_cache.values())
-
-    def _guarded_step(self, dt: float, prim0: np.ndarray | None) -> StepRecord:
-        """One step under the retry policy (see :meth:`step`)."""
-        policy = self.retry
-        ws = self.rhs.workspace
-        xp = array_namespace(self.q)
-        if ws is not None:
-            # q may alias ws.rk_result (a failed RK step clobbers it),
-            # so the guard snapshots into the workspace-owned rollback
-            # buffer — no per-step allocation.
-            xp.copyto(ws.rollback, self.q)
-            snapshot = ws.rollback
-        else:
-            snapshot = xp.copy(self.q)
-        ladder = self._escalation_ladder
-        total_attempts = 1 + policy.max_retries + len(ladder)
-        dts: list[float] = []
-        schemes: list[str] = []
-        diag = None
-        with WallTimer() as timer:
-            for attempt in range(total_attempts):
-                if attempt <= policy.max_retries:
-                    rhs = self.rhs
-                    order = self.config.weno_order
-                    dt_a = policy.dt_for_attempt(dt, attempt)
-                else:
-                    rung = ladder[attempt - policy.max_retries - 1]
-                    order = ESCALATION_ORDERS[rung]
-                    rhs = self._fallback_rhs(order)
-                    dt_a = policy.dt_for_attempt(dt, policy.max_retries)
-                ws_a = rhs.workspace
-                if attempt == 0:
-                    prim_a = prim0
-                elif ws_a is not None:
-                    # ws.prim was clobbered by the failed attempt's RK
-                    # stages; recompute — bitwise identical to the
-                    # value a fresh step would have computed.
-                    with self.stopwatch.time("other"):
-                        prim_a = cons_to_prim(self.layout, self.mixture,
-                                              self.q, out=ws_a.prim)
-                else:
-                    prim_a = None
-                dts.append(dt_a)
-                schemes.append(_scheme_name(order))
-                q_new = ssp_rk_step(rhs, self.q, dt_a, self.rk_order,
-                                    workspace=ws_a, prim0=prim_a)
-                if self.fault_injector is not None:
-                    self.recovery.faults_injected += int(
-                        self.fault_injector.apply(
-                            q_new, step=self.step_count + 1, attempt=attempt))
-                vprim = None
-                if ws_a is not None:
-                    vprim = cons_to_prim(self.layout, self.mixture, q_new,
-                                         out=ws_a.prim)
-                # D2H views: state checks are host-side diagnostics.
-                diag = check_state(self.layout, self.mixture,
-                                   to_host_array(q_new),
-                                   prim=(None if vprim is None
-                                         else to_host_array(vprim)))
-                if diag is None:
-                    self.q = q_new
-                    break
-                self.recovery.guard_failures += 1
-                xp.copyto(self.q, snapshot)
-                self.recovery.rollbacks += 1
-                if attempt + 1 < total_attempts:
-                    self.recovery.retries += 1
-                    if attempt + 1 > policy.max_retries:
-                        self.recovery.escalations += 1
-                    elif attempt + 1 > policy.same_dt_retries:
-                        self.recovery.dt_halvings += 1
-            else:
-                # Exhausted: the pre-step state is restored in self.q,
-                # so a caller holding checkpoints can still recover.
-                raise SimulationDivergedError(
-                    step=self.step_count + 1, time=self.time,
-                    dts=tuple(dts), schemes=tuple(schemes),
-                    diagnostics=diag,
-                    limited_faces=self._limited_faces_total())
-        self.time += dts[-1]
-        self.step_count += 1
-        rec = StepRecord(self.step_count, self.time, dts[-1], timer.elapsed,
-                         retries=len(dts) - 1)
-        self.history.append(rec)
-        if self.check_every and self.step_count % self.check_every == 0:
-            self.validate_state()
-        return rec
 
     # ------------------------------------------------------------------
     def run(self, *, t_end: float | None = None, n_steps: int | None = None,
@@ -579,13 +341,11 @@ class Simulation(AbstractContextManager):
         """
         if (t_end is None) == (n_steps is None):
             raise ConfigurationError("specify exactly one of t_end or n_steps")
+        if t_end is not None and t_end < 0.0:
+            raise ConfigurationError(
+                f"t_end must be non-negative, got {t_end}")
         if self.ranks > 1:
-            if callback is not None:
-                raise ConfigurationError(
-                    "per-step callbacks are not supported with ranks > 1")
-            if t_end is not None and t_end < 0.0:
-                raise ConfigurationError(
-                    f"t_end must be non-negative, got {t_end}")
+            self.options.require_compatible(callback=callback)
             self._run_cluster(t_end=t_end, n_steps=n_steps)
             return
         if n_steps is not None:
@@ -593,11 +353,7 @@ class Simulation(AbstractContextManager):
                 rec = self.step()
                 self._after_step(rec, callback)
             return
-        assert t_end is not None
-        if t_end < 0.0:
-            raise ConfigurationError(
-                f"t_end must be non-negative, got {t_end}")
-        while self.time < t_end * (1.0 - 1e-12):
+        while not horizon_reached(self.time, t_end):
             rec = self.step(dt_limit=t_end - self.time)
             self._after_step(rec, callback)
 
@@ -618,20 +374,13 @@ class Simulation(AbstractContextManager):
         """
         from repro.cluster import BlockDecomposition, ProcessCluster
 
-        if t_end is not None and self.time >= t_end * (1.0 - 1e-12):
+        if t_end is not None and horizon_reached(self.time, t_end):
             return  # horizon already reached: a no-op, as in-process
         periodic = tuple(lo is BC.PERIODIC for lo, _ in self.bcs.per_axis)
         decomp = BlockDecomposition.balanced(
             self.grid.shape, self.ranks, periodic=periodic)
-        cluster = ProcessCluster(
-            self.grid, self.layout, self.mixture, self.bcs, decomp,
-            self.config, cfl=self.cfl, fixed_dt=self.fixed_dt,
-            rk_order=self.rk_order, sweep_layout=self.sweep_layout,
-            fusion=self.fusion,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=self.checkpoint_dir,
-            checkpoint_keep=self.checkpoint_keep,
-            max_restarts=self.max_restarts, timeout=self.cluster_timeout)
+        cluster = ProcessCluster(self.grid, self.layout, self.mixture,
+                                 self.bcs, decomp, self.config, self.options)
         result = cluster.run(to_host_array(self.q), t_end=t_end,
                              n_steps=n_steps,
                              base_time=self.time, base_step=self.step_count)
@@ -680,8 +429,6 @@ class Simulation(AbstractContextManager):
             if self.checkpoint_dir is None:
                 raise ConfigurationError(
                     "no checkpoint_dir configured on this Simulation")
-            from repro.io.checkpoint import CheckpointManager
-
             self._ckpt_manager = CheckpointManager(
                 self.checkpoint_dir, keep=self.checkpoint_keep)
         return self._ckpt_manager
@@ -719,8 +466,6 @@ class Simulation(AbstractContextManager):
     # ------------------------------------------------------------------
     def save_checkpoint(self, path) -> int:
         """Write the current state as a restart snapshot; returns bytes."""
-        from repro.io.binary import write_snapshot
-
         return write_snapshot(path, to_host_array(self.q),
                               step=self.step_count, time=self.time)
 
@@ -734,8 +479,6 @@ class Simulation(AbstractContextManager):
         pre-restart accounting.  (The :attr:`recovery` tally is *not*
         reset: restarts are exactly what it exists to count.)
         """
-        from repro.io.binary import read_snapshot
-
         header, q = read_snapshot(path)
         if tuple(q.shape) != tuple(self.q.shape):
             raise ConfigurationError(

@@ -59,7 +59,6 @@ already-contiguous axis" (don't).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,7 +78,7 @@ from repro.acc.fusion import (
 from repro.acc.gang import gang_share, tile_spans
 from repro.backend import array_namespace
 from repro.bc.boundary import fill_axis_ghosts
-from repro.common import DTYPE, ConfigurationError
+from repro.common import DTYPE, ConfigurationError, timed
 from repro.fields.transpose import sweep_perm
 from repro.hardware.devices import DeviceSpec, default_host_device
 from repro.hardware.tiling import L2_OCCUPANCY, suggest_tile_count
@@ -212,14 +211,6 @@ def plan_transposed_axes(mode: str, nvars: int, spatial: tuple[int, ...],
 #: dispatches of a sweep: measured +12-15 % per step at ~16k elements
 #: and +37-54 % at ~7k (EXPERIMENTS.md "Tile sweep").
 MIN_PASS_ELEMENTS = 16384
-
-_UNTIMED = contextlib.nullcontext()
-
-
-def timed(stopwatch, name: str):
-    """The stopwatch lap ``name``, or a no-op without a stopwatch."""
-    return stopwatch.time(name) if stopwatch is not None else _UNTIMED
-
 
 def accumulate_divergence(faces, axis: int, width, scratch, acc, op: str) -> None:
     """``acc op= diff(faces, axis)/width`` without temporaries.

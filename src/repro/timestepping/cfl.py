@@ -12,79 +12,70 @@ from repro.state.conversions import full_alphas
 from repro.state.layout import StateLayout
 
 
-def max_wave_speed(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
-                   grid: StructuredGrid) -> float:
+def wave_rate(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
+              widths) -> float | np.ndarray:
     """Largest :math:`(|u_d| + c)/\\Delta x_d` over all cells and directions.
 
-    This is the quantity whose reciprocal bounds the stable explicit step.
+    The one spelling of the quantity whose reciprocal bounds the stable
+    explicit step.  ``widths`` are the per-direction cell-width arrays,
+    broadcastable against one case's fields — a whole grid's
+    ``width_fields()`` or a rank's slices of them (floating max
+    decomposes exactly, so the max over ranks of the block rates is
+    bitwise the whole-domain rate).
+
+    A batch-stacked field ``(nvars, B, *grid)`` yields the length-``B``
+    vector of per-case rates from one reduction pass per direction; each
+    entry is bitwise the scalar rate of that case alone (the speed
+    arithmetic is elementwise per case, and a floating max is exact
+    under any grouping of comparisons).
     """
     xp = array_namespace(prim)
     rho = prim[layout.partial_densities].sum(axis=0)
     alphas = full_alphas(layout, prim[layout.advected])
     c = mixture.sound_speed(alphas, rho, prim[layout.pressure])
-    rate = 0.0
-    for d, w in enumerate(grid.width_fields()):
-        # Grid widths live on the host; asarray is the sanctioned H2D
-        # entry (identity for NumPy, so bitwise neutral).
+    stacked = prim.ndim == layout.ndim + 2
+    grid_axes = tuple(range(1, 1 + layout.ndim))
+    rate = xp.zeros(prim.shape[1], dtype=prim.dtype) if stacked else 0.0
+    for d, w in enumerate(widths):
+        # Widths live on the host; asarray is the sanctioned H2D entry
+        # (identity for NumPy, so bitwise neutral).
         w = xp.asarray(w, dtype=prim.dtype)
-        speed = xp.abs(prim[layout.momentum_component(d)]) + c
-        rate = max(rate, float((speed / w).max()))
+        ratio = (xp.abs(prim[layout.momentum_component(d)]) + c) / w
+        if stacked:
+            xp.maximum(rate, xp.max(ratio, axis=grid_axes), out=rate)
+        else:
+            rate = max(rate, float(ratio.max()))
     return rate
 
 
-def max_wave_speeds(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
-                    grid: StructuredGrid) -> np.ndarray:
-    """Per-case :func:`max_wave_speed` of a batch-stacked primitive field.
+def rate_to_dt(cfl: float, rate):
+    """``cfl / rate`` after the validity check (scalar or per-case vector).
 
-    ``prim`` has shape ``(nvars, B, *grid.shape)`` — the ensemble
-    engine's batch-inner layout — and the result is the length-``B``
-    vector of per-case maximum wave rates, computed in **one** reduction
-    pass over the stacked arrays instead of a Python loop over cases.
-    Each entry is bitwise the value :func:`max_wave_speed` returns for
-    that case alone: the speed arithmetic is elementwise per case and a
-    floating max is exact under any grouping of comparisons.
+    An invalid entry of a rate vector raises :class:`NumericsError`
+    naming the offending case index.
     """
-    xp = array_namespace(prim)
-    rho = prim[layout.partial_densities].sum(axis=0)
-    alphas = full_alphas(layout, prim[layout.advected])
-    c = mixture.sound_speed(alphas, rho, prim[layout.pressure])
-    grid_axes = tuple(range(1, 1 + grid.ndim))
-    rates = xp.zeros(prim.shape[1], dtype=prim.dtype)
-    for d, w in enumerate(grid.width_fields()):
-        w = xp.asarray(w, dtype=prim.dtype)
-        speed = xp.abs(prim[layout.momentum_component(d)]) + c
-        xp.maximum(rates, xp.max(speed / w, axis=grid_axes), out=rates)
-    return rates
-
-
-def cfl_dt(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
-           grid: StructuredGrid, cfl: float) -> float:
-    """Stable time step ``cfl / max_d (|u_d| + c)/dx_d``."""
-    if not 0.0 < cfl <= 1.0:
-        raise NumericsError(f"CFL number must be in (0, 1], got {cfl}")
-    rate = max_wave_speed(layout, mixture, prim, grid)
-    if not np.isfinite(rate) or rate <= 0.0:
-        raise NumericsError(f"invalid maximum wave rate {rate}")
+    if isinstance(rate, float):
+        if not np.isfinite(rate) or rate <= 0.0:
+            raise NumericsError(f"invalid maximum wave rate {rate}")
+        return cfl / rate
+    xp = array_namespace(rate)
+    bad = ~xp.isfinite(rate) | (rate <= 0.0)
+    if bool(bad.any()):
+        i = int(xp.argmax(bad))
+        raise NumericsError(
+            f"invalid maximum wave rate {float(xp.asarray(rate)[i])} "
+            f"for ensemble case {i}")
     return cfl / rate
 
 
-def cfl_dts(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
-            grid: StructuredGrid, cfl: float) -> np.ndarray:
-    """Per-case stable time steps for a batch-stacked primitive field.
+def cfl_dt(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
+           grid: StructuredGrid, cfl: float):
+    """Stable time step ``cfl / max_d (|u_d| + c)/dx_d``.
 
-    The vector analog of :func:`cfl_dt`: one batched reduction yields
-    the length-``B`` dt vector ``cfl / rates``, each entry bitwise the
-    scalar dt of that case alone.  An invalid rate raises
-    :class:`NumericsError` naming the offending case index.
+    A batch-stacked ``prim`` gives the per-case dt vector, each entry
+    bitwise the scalar dt of that case alone.
     """
     if not 0.0 < cfl <= 1.0:
         raise NumericsError(f"CFL number must be in (0, 1], got {cfl}")
-    xp = array_namespace(prim)
-    rates = max_wave_speeds(layout, mixture, prim, grid)
-    bad = ~xp.isfinite(rates) | (rates <= 0.0)
-    if bool(bad.any()):
-        i = int(xp.argmax(bad))
-        rates = xp.asarray(rates)
-        raise NumericsError(
-            f"invalid maximum wave rate {float(rates[i])} for ensemble case {i}")
-    return cfl / rates
+    return rate_to_dt(cfl, wave_rate(layout, mixture, prim,
+                                     grid.width_fields()))

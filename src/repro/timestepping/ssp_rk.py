@@ -75,7 +75,7 @@ def stage_buffer(workspace, k: int, n_stages: int):
 
 
 def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                dt: float, order: int = 3, *,
+                dt: float | Callable[[], float], order: int = 3, *,
                 workspace=None,
                 prim0: np.ndarray | None = None) -> np.ndarray:
     """Advance ``q`` by one step of the SSP-RK scheme of the given order.
@@ -99,6 +99,13 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     states, so the broadcast multiply applies each case's scalar dt to
     exactly that case's slab, bitwise as in a standalone step.
 
+    ``dt`` may also be a zero-argument callable: it is resolved exactly
+    once, after stage one's ``rhs(...)`` returns and before ``c * dt``
+    is first formed.  Stage one's RHS does not depend on dt, so a
+    cluster rank posts its wave rate, evaluates that RHS while the other
+    ranks' contributions arrive, and collects the reduced dt here —
+    the same values in the same order as a blocking reduction.
+
     The combinations run whole-field on the caller even when the RHS
     sweeps on a gang: at 256² they are 1.6 % of a step (EXPERIMENTS.md
     "Real gangs").  All paths are bitwise identical.
@@ -108,9 +115,12 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
         q_n = q
         q_k = q
         for a, b, c in stages:
+            L = rhs(q_k)
+            if callable(dt):
+                dt = dt()
             # First stage has b == 0, so q_prev's coefficient pattern still
             # holds with q_k == q_n.
-            q_k = a * q_n + b * q_k + (c * dt) * rhs(q_k)
+            q_k = a * q_n + b * q_k + (c * dt) * L
         return q_k
 
     ws = workspace
@@ -120,6 +130,8 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     for k, (a, b, c) in enumerate(stages):
         out = stage_buffer(ws, k, len(stages))
         L = rhs(q_k, out=ws.dqdt, prim=prim0 if k == 0 else None)
+        if callable(dt):
+            dt = dt()
         shu_osher_combine(q_n, q_k, L, out, ws.rk_tmp, a, b, c * dt, xp)
         q_k = out
     return q_k

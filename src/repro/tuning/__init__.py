@@ -16,7 +16,7 @@ Entry points: ``Simulation(tuning="auto")``, the ``tune`` CLI
 subcommand, ``make tune``; see ``docs/tuning.md``.
 """
 
-from repro.tuning.autotune import Autotuner, heuristic_plan
+from repro.tuning.autotune import Autotuner
 from repro.tuning.cache import (
     CACHE_ENV_VAR,
     CACHE_FORMAT_VERSION,
@@ -28,8 +28,10 @@ from repro.tuning.plan import (
     PLAN_SOURCES,
     TuningPlan,
     case_signature,
+    heuristic_plan,
     host_fingerprint,
     plan_cache_key,
+    resolve_plan,
 )
 from repro.tuning.registry import REGISTRY_VERSION, candidate_plans
 
@@ -48,4 +50,5 @@ __all__ = [
     "host_fingerprint",
     "plan_cache_key",
     "resolve_cache_path",
+    "resolve_plan",
 ]

@@ -26,24 +26,11 @@ from repro.tuning.cache import TuningCache
 from repro.tuning.plan import (
     TuningPlan,
     case_signature,
+    heuristic_plan,
     host_fingerprint,
     plan_cache_key,
 )
 from repro.tuning.registry import candidate_plans
-
-
-def heuristic_plan(*, threads: int | None = None,
-                   sweep_layout: str = "strided") -> TuningPlan:
-    """The untimed model-heuristic fallback plan.
-
-    Reference kernels at the caller's configured threads/layout, tiling
-    left to the L2 heuristic — exactly what a run without the tuner
-    does.  Used whenever tuning is off, the cache is corrupt, or
-    measurement is impossible.
-    """
-    return TuningPlan(weno_variant="chained", riemann_variant="reference",
-                     sweep_layout=sweep_layout, threads=threads,
-                     source="heuristic")
 
 
 @dataclass
@@ -96,7 +83,7 @@ class Autotuner:
                 return replace(cached, source="cache")
         plan = self.measure(layout, mixture, grid, bcs, config, q,
                             threads=threads, sweep_layout=sweep_layout,
-                            batch=batch, backend=backend)
+                            dtype=dtype, batch=batch, backend=backend)
         if self.cache is not None:
             self.cache.store(key, plan)
         return plan
@@ -105,7 +92,7 @@ class Autotuner:
     def measure(self, layout, mixture, grid, bcs, config, q, *,
                 threads: int | None = None,
                 sweep_layout: str = "strided",
-                batch: int | None = None,
+                dtype=DTYPE, batch: int | None = None,
                 backend: str = "numpy") -> TuningPlan:
         """Benchmark every candidate plan; return the fastest valid one.
 
@@ -118,9 +105,10 @@ class Autotuner:
         winner's ``modeled_ns``.  ``q`` may live on any backend; the
         gate compares explicit device-to-host copies.
         """
-        q = to_host_array(q)  # measurement and the gate are host-side
+        # Measurement and the gate are host-side, in the run's precision.
+        q = to_host_array(q).astype(dtype, copy=False)
         reference = RHS(layout, mixture, grid, bcs, config, batch=batch,
-                        threads=1)
+                        threads=1, dtype=dtype)
         expected_arr = reference(q)
         expected = expected_arr.tobytes()
         self.timing_runs += 1
@@ -142,7 +130,7 @@ class Autotuner:
                       riemann_variant=cand["riemann_variant"],
                       tiles=cand["tiles"],
                       fusion=cand.get("fusion", "off"),
-                      batch=batch, backend=be)
+                      batch=batch, backend=be, dtype=dtype)
             q_c = be.from_host(q) if be.name != "numpy" else q
             out = be.empty(tuple(q.shape), q.dtype)
             try:

@@ -24,9 +24,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.acc.gang import plan_gang_width, usable_cores
-from repro.backend import available_backends, validate_backend
+from repro.backend import (
+    available_backends,
+    precision_dtype,
+    resolve_backend,
+    validate_backend,
+)
 from repro.common import DTYPE, ConfigurationError
-from repro.hardware.devices import default_host_device
+from repro.common.checks import integer, optional
+from repro.hardware.devices import default_host_device, get_device
 from repro.riemann import validate_riemann_variant
 from repro.solver.sweep import validate_fusion, validate_sweep_layout
 from repro.tuning.registry import REGISTRY_VERSION
@@ -77,12 +83,7 @@ class TuningPlan:
         validate_fusion(self.fusion)
         validate_backend(self.backend)
         plan_gang_width(self.threads, tiles=0)  # validates
-        if self.tiles is not None and (
-                isinstance(self.tiles, bool) or not isinstance(self.tiles, int)
-                or self.tiles < 1):
-            raise ConfigurationError(
-                f"plan tiles must be a positive integer or None, "
-                f"got {self.tiles!r}")
+        optional(integer(1))("plan tiles", self.tiles)
         if self.source not in PLAN_SOURCES:
             raise ConfigurationError(
                 f"plan source must be one of {PLAN_SOURCES}, "
@@ -130,6 +131,56 @@ class TuningPlan:
                 f"unknown tuning plan key(s) {unknown}; "
                 f"choose from {sorted(known)}")
         return cls(**spec)
+
+
+def heuristic_plan(*, threads: int | None = None,
+                   sweep_layout: str = "strided", fusion: str = "off",
+                   backend: str = "numpy") -> TuningPlan:
+    """The untimed model-heuristic plan.
+
+    Reference kernels at the caller's configured knobs, tiling left to
+    the L2 heuristic — exactly what a run without the tuner does.  Used
+    whenever tuning is off, the cache is corrupt, or measurement is
+    impossible.
+    """
+    return TuningPlan(weno_variant="chained", riemann_variant="reference",
+                      sweep_layout=sweep_layout, threads=threads,
+                      fusion=fusion, backend=backend, source="heuristic")
+
+
+def resolve_plan(options, layout, mixture, grid, bcs, config, q,
+                 batch: int | None = None):
+    """Resolve ``options`` into the plan a driver runs: ``(plan, tuner)``.
+
+    The one reading of the ``tuning`` knob, shared by the single-case
+    and the batched driver.  Always a :class:`TuningPlan`: tuning off
+    gives :func:`heuristic_plan` of the configured knobs, a hand-picked
+    plan is returned as is, and ``"auto"`` consults the
+    :class:`~repro.tuning.Autotuner` (the second element, else None) —
+    keyed by the run's precision, backend and, for a stacked state
+    ``q``, its ``batch`` width, so no two of them share a cache entry.
+    """
+    backend = resolve_backend(options.backend).name
+    if options.tuning == "off":
+        return heuristic_plan(threads=options.threads,
+                              sweep_layout=options.sweep_layout,
+                              fusion=options.fusion, backend=backend), None
+    if isinstance(options.tuning, TuningPlan):
+        return options.tuning, None
+    # "auto": the tuner benchmarks RHS objects, which sit above this
+    # module in the package graph.
+    from repro.tuning.autotune import Autotuner, TuningCache
+
+    device = options.tile_device
+    if isinstance(device, str):
+        device = get_device(device)
+    tuner = Autotuner(cache=TuningCache(options.tuning_cache), device=device)
+    plan = tuner.plan_for(
+        layout, mixture, grid, bcs, config, q, threads=options.threads,
+        sweep_layout=options.sweep_layout,
+        dtype=precision_dtype(options.precision), batch=batch,
+        backend=backend)
+    return plan, tuner
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.faults import bitflip_file, truncate_file
 from repro.grid import StructuredGrid
 from repro.io import CheckpointManager, read_snapshot, verify_snapshot, write_snapshot
 from repro.io.binary import HEADER_BYTES, MAGIC, NATIVE_DTYPE_STR, SnapshotHeader
-from repro.solver import Case, Patch, Simulation, box, sphere
+from repro.solver import Case, Patch, RetryPolicy, Simulation, box, sphere
 
 AIR = StiffenedGas(1.4, 0.0, "air")
 MIX = Mixture((AIR, AIR))
@@ -259,6 +259,61 @@ class TestCaseFileWiring:
 
         with pytest.raises(ConfigurationError):
             solver_options_from_dict(self.spec(solver))
+
+
+class TestRetriesFlag:
+    """``--retries N`` sets ``max_retries`` of the file's (else the
+    default) policy — it used to replace the whole block and crash on 0."""
+
+    SPEC = TestCaseFileWiring().spec
+
+    def _options(self, tmp_path, solver, *flags):
+        import json
+
+        from repro.__main__ import build_parser
+        from repro.io.case_files import load_solver_options
+        from repro.solver.options import fold
+
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(self.SPEC(solver)))
+        args = build_parser().parse_args(["run", str(path), "--steps", "1",
+                                          *flags])
+        return fold(None, load_solver_options(path)).overridden_by(args)
+
+    def test_zero_retries_runs(self, tmp_path, capsys):
+        import json
+
+        from repro.__main__ import main
+
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(self.SPEC({})))
+        assert main(["run", str(path), "--steps", "1", "--retries", "0"]) == 0
+        assert self._options(tmp_path, {}, "--retries", "0").retry == \
+            RetryPolicy(max_retries=0, same_dt_retries=0)
+
+    def test_flag_keeps_the_files_backoff_and_escalation(self, tmp_path):
+        block = {"max_retries": 6, "same_dt_retries": 2, "backoff": 0.25,
+                 "escalation": ["first_order"]}
+        assert self._options(tmp_path, {"retry": block}).retry == \
+            RetryPolicy(6, 2, 0.25, ("first_order",))
+        assert self._options(tmp_path, {"retry": block},
+                             "--retries", "3").retry == \
+            RetryPolicy(3, 2, 0.25, ("first_order",))
+        assert self._options(tmp_path, {"retry": block},
+                             "--retries", "1").retry == \
+            RetryPolicy(1, 1, 0.25, ("first_order",))
+
+    def test_errors_print_one_line_and_exit_2(self, tmp_path, capsys):
+        import json
+
+        from repro.__main__ import main
+
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(self.SPEC({"checkpoint_every": 2})))
+        assert main(["run", str(path), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("repro: error: checkpoint_every requires a "
+                       "checkpoint_dir\n")
 
 
 class TestSkipDiagnostics:

@@ -355,7 +355,7 @@ class TestDistributedFusion:
         decomp = BlockDecomposition.balanced(case.grid.shape, 2,
                                              periodic=(False, False))
         pc = ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
-                            RHSConfig(), fusion="on", timeout=60.0)
+                            RHSConfig(), fusion="on", cluster_timeout=60.0)
         result = pc.run(case.initial_conservative(), n_steps=3)
         assert result.q.tobytes() == sim.q.tobytes()
         assert result.sweep.fused_launches > 0

@@ -29,6 +29,7 @@ from repro.cluster import (
     ShmArena,
 )
 from repro.common import ClusterError, ConfigurationError
+from repro.ensemble import EnsembleSimulation
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.profiling import HaloCounters, Profile
@@ -466,6 +467,55 @@ class TestSimulationRanksWiring:
         with pytest.raises(ConfigurationError):
             Simulation(bubble_case((16, 16)), BoundarySet.all_periodic(2),
                        **kwargs)
+
+
+def _refusal_cases():
+    """One construction that must trip each row of ``REFUSALS``."""
+    case, bcs = bubble_case((16, 16)), BoundarySet.all_periodic(2)
+
+    def sim(**kwargs):
+        return lambda: Simulation(case, bcs, **kwargs)
+
+    return {
+        "checkpoint_every requires": sim(checkpoint_every=2),
+        "threads > 1": sim(ranks=2, threads=2),
+        "marches in float64": sim(ranks=2, precision="float32"),
+        "numpy backend": sim(ranks=2, backend="checked"),
+        "rollback-retry guard": sim(ranks=2, retry={"max_retries": 1}),
+        "support tuning": sim(ranks=2, tuning="auto"),
+        "cell fault injectors": sim(ranks=2, fault_injector=object()),
+        "per-step callbacks": lambda: Simulation(case, bcs, ranks=2).run(
+            n_steps=1, callback=lambda sim, rec: None),
+        "requires checkpointing": lambda: cluster_for(
+            case, bcs, 2, fault=RankFault(rank=0, step=1)),
+        "batched ensemble engine": lambda: EnsembleSimulation(
+            [case], bcs, validate_every=2),
+    }
+
+
+class TestDeclaredRefusals:
+    """Every knob combination no driver runs is one row of
+    ``repro.solver.options.REFUSALS`` and is refused with its reason."""
+
+    @pytest.mark.parametrize("row", range(10))
+    def test_each_row_is_raised_with_its_reason(self, row):
+        import re
+
+        from repro.solver.options import REFUSALS
+
+        assert len(REFUSALS) == 10  # a new row needs a case above
+        reason = REFUSALS[row][1]
+        (build,) = [b for fragment, b in _refusal_cases().items()
+                    if fragment in reason]
+        with pytest.raises(ConfigurationError, match=re.escape(reason)):
+            build()
+
+    def test_rank_run_refuses_what_the_serial_run_refuses(self):
+        # Drift fixed: a rank worker used to divide cfl by the rate
+        # without the serial path's range check.
+        with pytest.raises(ConfigurationError, match="cfl"):
+            Simulation(bubble_case((16, 16)), BoundarySet.all_periodic(2),
+                       ranks=2, cfl=1.5)
 
 
 class TestCaseFileAndCLI:

@@ -10,10 +10,8 @@ from repro.state import StateLayout, prim_to_cons
 from repro.timestepping import (
     SSP_SCHEMES,
     cfl_dt,
-    cfl_dts,
-    max_wave_speed,
-    max_wave_speeds,
     ssp_rk_step,
+    wave_rate,
 )
 from repro.validation import observed_order
 
@@ -74,6 +72,37 @@ class TestSSPRKSchemes:
         assert out.shape == q.shape and out.dtype == q.dtype
 
 
+class TestDtThunk:
+    """``dt`` may be a zero-argument callable (the rank worker's
+    overlapped reduction): resolved once, after stage one's RHS."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("use_workspace", [False, True])
+    def test_thunk_is_bitwise_the_scalar_step(self, order, use_workspace):
+        from repro.bc import BoundarySet
+        from repro.solver import Simulation
+        from tests.test_procs import bubble_case
+
+        sim = Simulation(bubble_case((12, 10)), BoundarySet.all_periodic(2),
+                         use_workspace=use_workspace)
+        q0, ws = np.array(sim.q), sim.rhs.workspace
+        events = []
+
+        def rhs(q, **kwargs):
+            events.append("rhs")
+            return sim.rhs(q, **kwargs)
+
+        def thunk():
+            events.append("dt")
+            return 1e-3
+
+        stepped = np.array(ssp_rk_step(rhs, q0.copy(), thunk, order,
+                                       workspace=ws))
+        assert events == ["rhs", "dt"] + ["rhs"] * (order - 1)
+        ref = ssp_rk_step(sim.rhs, q0.copy(), 1e-3, order, workspace=ws)
+        assert stepped.tobytes() == np.asarray(ref).tobytes()
+
+
 class TestCFL:
     def setup_method(self):
         self.lay = StateLayout(ncomp=2, ndim=1)
@@ -90,13 +119,13 @@ class TestCFL:
 
     def test_max_wave_speed_still_gas(self):
         prim = self.make_prim()
-        rate = max_wave_speed(self.lay, self.mix, prim, self.grid)
+        rate = wave_rate(self.lay, self.mix, prim, self.grid.width_fields())
         # (|u| + c) / dx = sqrt(1.4) / 0.1
         assert rate == pytest.approx(np.sqrt(1.4) / 0.1, rel=1e-12)
 
     def test_velocity_increases_rate(self):
-        r0 = max_wave_speed(self.lay, self.mix, self.make_prim(u=0.0), self.grid)
-        r1 = max_wave_speed(self.lay, self.mix, self.make_prim(u=5.0), self.grid)
+        r0 = wave_rate(self.lay, self.mix, self.make_prim(u=0.0), self.grid.width_fields())
+        r1 = wave_rate(self.lay, self.mix, self.make_prim(u=5.0), self.grid.width_fields())
         assert r1 == pytest.approx(r0 + 5.0 / 0.1, rel=1e-12)
 
     def test_cfl_dt_scaling(self):
@@ -147,22 +176,53 @@ class TestBatchedCFL:
         prims = [self.make_prim(u=u, p=p)
                  for u, p in ((0.0, 1.0), (3.0, 2.0), (-1.5, 0.7))]
         stacked = np.stack(prims, axis=1)
-        rates = max_wave_speeds(self.lay, self.mix, stacked, self.grid)
-        dts = cfl_dts(self.lay, self.mix, stacked, self.grid, 0.5)
+        rates = wave_rate(self.lay, self.mix, stacked, self.grid.width_fields())
+        dts = cfl_dt(self.lay, self.mix, stacked, self.grid, 0.5)
         assert rates.shape == dts.shape == (3,)
         for i, prim in enumerate(prims):
-            assert rates[i] == max_wave_speed(self.lay, self.mix, prim,
-                                              self.grid)
+            assert rates[i] == wave_rate(self.lay, self.mix, prim, self.grid.width_fields())
             assert dts[i] == cfl_dt(self.lay, self.mix, prim, self.grid, 0.5)
+
+    def test_rank_blocks_reduce_to_the_whole_domain_rate(self):
+        """``wave_rate`` on a rank's block and sliced widths is the
+        arithmetic ``RankSolver.wave_rate`` spelled out (below), and
+        the max over ranks is bitwise the whole-domain rate."""
+        from repro.bc import BoundarySet
+        from repro.cluster import BlockDecomposition, HaloExchanger, RankSolver
+        from repro.solver import RHSConfig
+        from repro.state import cons_to_prim, full_alphas
+        from tests.test_procs import MIX, bubble_case
+
+        case = bubble_case((14, 12))
+        lay, bcs = case.layout, BoundarySet.all_periodic(2)
+        prim = cons_to_prim(lay, MIX, case.initial_conservative())
+        decomp = BlockDecomposition((14, 12), (2, 2), periodic=(True, True))
+        halo = HaloExchanger(decomp, lay, bcs, 3)
+        rates = []
+        for r in range(decomp.nranks):
+            rank = RankSolver(decomp, r, lay, MIX, bcs, RHSConfig(),
+                              case.grid, halo)
+            block = prim[(slice(None), *decomp.local_slices(r))]
+            rho = block[lay.partial_densities].sum(axis=0)
+            c = MIX.sound_speed(full_alphas(lay, block[lay.advected]), rho,
+                                block[lay.pressure])
+            old = 0.0
+            for d in range(lay.ndim):
+                speed = np.abs(block[lay.momentum_component(d)]) + c
+                old = max(old, float((speed / rank.widths[d]).max()))
+            rates.append(wave_rate(lay, MIX, block, rank.widths))
+            assert rates[-1] == old
+        assert max(rates) == wave_rate(lay, MIX, prim,
+                                       case.grid.width_fields())
 
     def test_error_names_the_bad_case(self):
         prims = [self.make_prim(), self.make_prim()]
         prims[1][self.lay.pressure] = np.nan
         stacked = np.stack(prims, axis=1)
         with pytest.raises(NumericsError, match="case 1"):
-            cfl_dts(self.lay, self.mix, stacked, self.grid, 0.5)
+            cfl_dt(self.lay, self.mix, stacked, self.grid, 0.5)
 
     def test_cfl_range_enforced(self):
         stacked = np.stack([self.make_prim()], axis=1)
         with pytest.raises(NumericsError):
-            cfl_dts(self.lay, self.mix, stacked, self.grid, 0.0)
+            cfl_dt(self.lay, self.mix, stacked, self.grid, 0.0)

@@ -317,6 +317,39 @@ class TestAutotunerEndToEnd:
         assert sim.sweep_layout == plan.sweep_layout
         assert sim.threads == plan.threads
 
+    def test_precision_is_part_of_the_tuners_key(self, tmp_path):
+        # Drift fixed: a float32 tune measured float64 arrays and was
+        # cached under (and later served to) the float64 signature.
+        cache_path = tmp_path / "cache.json"
+        single = bubble_sim(precision="float32", tuning="auto",
+                            tuning_cache=cache_path)
+        assert single.tuner.timing_runs > 0
+        double = bubble_sim(tuning="auto", tuning_cache=cache_path)
+        assert double.tuning_plan.source == "tuned"
+        assert double.tuner.timing_runs > 0
+        assert len(TuningCache(cache_path)._load_entries()) == 2
+        again = bubble_sim(precision="float32", tuning="auto",
+                           tuning_cache=cache_path)
+        assert again.tuner.timing_runs == 0
+
+    def test_ensemble_and_single_case_adopt_the_same_plan_fields(self):
+        from repro.ensemble import EnsembleSimulation
+
+        plan = {"weno_variant": "stacked", "riemann_variant": "fused",
+                "sweep_layout": "transposed", "fusion": "auto", "tiles": 2,
+                "threads": 1, "backend": "checked"}
+        sim = bubble_sim(tuning=plan, backend="numpy")
+        with EnsembleSimulation([sim.case, sim.case], sim.bcs,
+                                tuning=plan, backend="numpy") as ens:
+            for driver in (sim, ens):
+                assert driver.tuning_plan.source == "manual"
+                assert (driver.sweep_layout, driver.fusion, driver.threads,
+                        driver.backend.name) == \
+                    ("transposed", "auto", 1, "checked")
+                assert (driver.rhs.weno_variant, driver.rhs.riemann_variant,
+                        driver.rhs.tiles, driver.rhs.backend.name) == \
+                    ("stacked", "fused", 2, "checked")
+
     def test_manual_plan_dict(self):
         sim = bubble_sim(tuning={"weno_variant": "stacked",
                                  "riemann_variant": "fused"})

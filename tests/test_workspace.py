@@ -27,6 +27,7 @@ from repro.solver import (
     sphere,
 )
 from repro.state import StateLayout, prim_to_cons
+from repro.timestepping import cfl_dt
 from repro.weno import halo_width
 
 AIR = StiffenedGas(1.4, 0.0, "air")
@@ -50,6 +51,11 @@ def sim_pair(n=16, **kwargs):
     b = Simulation(bubble_case(n), BoundarySet.all_periodic(2), cfl=0.4,
                    use_workspace=False, **kwargs)
     return a, b
+
+
+def fresh_dt(sim):
+    """The CFL step ``sim`` would take from its current state."""
+    return cfl_dt(sim.layout, sim.mixture, sim.primitive(), sim.grid, sim.cfl)
 
 
 def random_prim(rng, layout, shape):
@@ -215,16 +221,16 @@ class TestRunHorizon:
         assert sim.time == pytest.approx(0.03, rel=0.0, abs=1e-15)
 
     def test_one_dt_per_step(self):
-        # run(t_end=...) must not do a throwaway compute_dt before the
-        # loop: the first recorded dt equals the fresh CFL dt.
+        # run(t_end=...) must not do a throwaway dt computation before
+        # the loop: the first recorded dt equals the fresh CFL dt.
         sim, _ = sim_pair()
-        expected = sim.compute_dt()
+        expected = fresh_dt(sim)
         sim.run(t_end=10 * expected)
         assert sim.history[0].dt == expected
 
     def test_precomputed_dt_path(self):
         a, b = sim_pair()
-        dt = a.compute_dt()
+        dt = fresh_dt(a)
         a.step(dt=dt)
         b.step()
         np.testing.assert_array_equal(a.q, b.q)
