@@ -29,33 +29,23 @@ optimization story is written in:
   solver's gang RHS path.
 """
 
-from repro.acc.directives import Clause, LoopDirective, ParallelLoopNest
-from repro.acc.fypp import FyppPreprocessor, inline_serial_subroutine
-from repro.acc.parser import parse_directive, parse_loop_nest
-from repro.acc.launch import LaunchConfig, derive_launch
-from repro.acc.compiler import COMPILERS, CompilerModel, get_compiler
-from repro.acc.data_region import DeviceDataEnvironment
+from repro.common.lazy import lazy_exports
 from repro.acc.gang import GangExecutor, plan_gang_width, tile_spans
-from repro.acc.kernel import AccKernel
-from repro.acc.runtime import AccRuntime
 
-__all__ = [
-    "GangExecutor",
-    "plan_gang_width",
-    "tile_spans",
-    "Clause",
-    "LoopDirective",
-    "ParallelLoopNest",
-    "LaunchConfig",
-    "derive_launch",
-    "CompilerModel",
-    "COMPILERS",
-    "get_compiler",
-    "DeviceDataEnvironment",
-    "AccKernel",
-    "AccRuntime",
-    "FyppPreprocessor",
-    "inline_serial_subroutine",
-    "parse_directive",
-    "parse_loop_nest",
-]
+#: The directive *models* and the submodule each lives in, imported on
+#: first access: the solver needs only the gang executor above.
+_EXPORTS = {
+    "Clause": "directives", "LoopDirective": "directives",
+    "ParallelLoopNest": "directives",
+    "LaunchConfig": "launch", "derive_launch": "launch",
+    "CompilerModel": "compiler", "COMPILERS": "compiler",
+    "get_compiler": "compiler",
+    "DeviceDataEnvironment": "data_region",
+    "AccKernel": "kernel",
+    "AccRuntime": "runtime",
+    "FyppPreprocessor": "fypp", "inline_serial_subroutine": "fypp",
+    "parse_directive": "parser", "parse_loop_nest": "parser",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = ["GangExecutor", "plan_gang_width", "tile_spans", *_EXPORTS]

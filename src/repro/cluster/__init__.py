@@ -1,66 +1,31 @@
 """Distributed-run substrate: decomposition, simulated MPI, halo exchange,
 I/O model, machine topologies, and the scaling experiment drivers."""
 
+from repro.common.lazy import lazy_exports
 from repro.cluster.decomposition import BlockDecomposition, factor3d
-from repro.cluster.topology import FRONTIER, SUMMIT, MachineSpec
-from repro.cluster.mpi_sim import CommModel, NetworkModel
-from repro.cluster.halo import HaloExchanger, validate_periodicity
-from repro.cluster.ranksolver import RankSolver
-from repro.cluster.distributed import DistributedSolver
-from repro.cluster.procs import (
-    ClusterResult,
-    ProcessCluster,
-    RankFault,
-    SharedMemoryTransport,
-    ShmArena,
-    drain_and_join,
-)
-from repro.cluster.events import Event, EventSimulator, StepTimeline
-from repro.cluster.placement import Placement, best_policy, intra_node_fraction
-from repro.cluster.io_model import IOModel
-from repro.cluster.resilience import (
-    FailureModel,
-    ResilientPoint,
-    ResilientRunOutcome,
-    daly_interval,
-    resilience_efficiency,
-    resilience_waste,
-    simulate_resilient_run,
-)
-from repro.cluster.scaling import ScalingDriver, ScalingPoint
 
-__all__ = [
-    "BlockDecomposition",
-    "factor3d",
-    "MachineSpec",
-    "SUMMIT",
-    "FRONTIER",
-    "NetworkModel",
-    "CommModel",
-    "HaloExchanger",
-    "validate_periodicity",
-    "RankSolver",
-    "DistributedSolver",
-    "ProcessCluster",
-    "ClusterResult",
-    "RankFault",
-    "SharedMemoryTransport",
-    "ShmArena",
-    "drain_and_join",
-    "Event",
-    "EventSimulator",
-    "StepTimeline",
-    "Placement",
-    "best_policy",
-    "intra_node_fraction",
-    "IOModel",
-    "FailureModel",
-    "daly_interval",
-    "resilience_waste",
-    "resilience_efficiency",
-    "ResilientPoint",
-    "ResilientRunOutcome",
-    "simulate_resilient_run",
-    "ScalingDriver",
-    "ScalingPoint",
-]
+#: Every other export and the submodule it lives in, imported on first
+#: access: ``repro.io`` needs only the decomposition, and a plain run
+#: should not execute the process, halo, event and scaling stacks.
+_EXPORTS = {
+    "MachineSpec": "topology", "SUMMIT": "topology", "FRONTIER": "topology",
+    "NetworkModel": "mpi_sim", "CommModel": "mpi_sim",
+    "HaloExchanger": "halo", "validate_periodicity": "halo",
+    "RankSolver": "ranksolver",
+    "DistributedSolver": "distributed",
+    "ProcessCluster": "procs", "ClusterResult": "procs", "RankFault": "procs",
+    "SharedMemoryTransport": "procs", "ShmArena": "procs",
+    "drain_and_join": "procs",
+    "Event": "events", "EventSimulator": "events", "StepTimeline": "events",
+    "Placement": "placement", "best_policy": "placement",
+    "intra_node_fraction": "placement",
+    "IOModel": "io_model",
+    "FailureModel": "resilience", "daly_interval": "resilience",
+    "resilience_waste": "resilience", "resilience_efficiency": "resilience",
+    "ResilientPoint": "resilience", "ResilientRunOutcome": "resilience",
+    "simulate_resilient_run": "resilience",
+    "ScalingDriver": "scaling", "ScalingPoint": "scaling",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = ["BlockDecomposition", "factor3d", *_EXPORTS]

@@ -433,9 +433,8 @@ class EnsembleService:
                 "kind": "job", "id": self.job_id(i), "status": "running",
                 "attempt": self._attempts[i]})
         states, times, steps = self._restart_seeds(indices)
-        # Fresh jobs get their initial state here, once: a forked child
-        # would pay scipy's import (a smeared patch's distance
-        # transform) again in every batch.
+        # Fresh jobs get their initial state here, once, not again in
+        # every forked batch child.
         states = [self.jobs[i].case.initial_conservative() if q is None
                   else q for i, q in zip(indices, states)]
         fault_plans = {}

@@ -6,8 +6,7 @@ so :mod:`repro.solver` and :mod:`repro.acc` can import the counters at
 module top without pulling in code that imports them back.
 """
 
-import importlib
-
+from repro.common.lazy import lazy_exports
 from repro.profiling.profiler import KernelRecord, Profile
 from repro.profiling.counters import (
     HaloCounters,
@@ -32,14 +31,7 @@ _DRIVERS = {
 }
 
 
-def __getattr__(name: str):
-    submodule = _DRIVERS.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_exports(__name__, _DRIVERS)
 
 __all__ = [
     "KernelRecord",

@@ -108,9 +108,8 @@ class TestFreshRun:
 
     def test_fresh_batches_are_seeded_by_the_service(self, tmp_path,
                                                      monkeypatch):
-        """Initial states are built once, in the service process: a
-        forked batch child that built its own would pay scipy's import
-        (smeared patches) again in every batch."""
+        """Initial states are built once, in the service process, not
+        again in every forked batch child."""
         jobs = make_jobs(2)
         svc = EnsembleService(jobs, BCS, ledger=tmp_path / "led.jsonl",
                               batch_width=2, **FAST)
