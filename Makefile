@@ -23,10 +23,13 @@ test-gang:
 test-fault:
 	$(PYTHON) -m pytest tests/ -m faults
 
-# Multi-process executor suite: shared-memory halo exchange,
-# decomposed-vs-serial bit-identity, rank-fault restart.
+# Multi-process suite: the forked-worker substrate, halo exchange
+# through an anonymous shared mapping (nothing in /dev/shm),
+# decomposed-vs-serial bit-identity, rank-fault restart, and exit
+# hygiene (no process, zombie or /dev/shm name left by a run).
 test-procs:
-	$(PYTHON) -m pytest tests/test_procs.py tests/test_cluster.py
+	$(PYTHON) -m pytest tests/test_workers.py tests/test_procs.py \
+		tests/test_cluster.py tests/test_exit_hygiene.py
 
 # Batched ensemble suite: stacked-vs-standalone bit-identity across
 # orders/solvers/layouts/threads/fusion, ragged retirement, scheduler

@@ -16,13 +16,13 @@ OpenACC axis     GPU realisation (paper)    host realisation (here)
 ===============  =========================  ==============================
 
 A :class:`GangExecutor` of width ``n`` is the calling process plus
-``n - 1`` workers ``os.fork()``-ed at the first launch, so each holds
-the body and everything it closes over copy-on-write.  A launch is one
-fixed-size pipe message (an integer argument); every member runs
-``body(arg, rank)`` — the body cuts its own contiguous share of the tile
-spans with :func:`gang_share` — and workers reply with their result,
-their stopwatch laps and any exception.  (Not threads: handing the
-interpreter lock over costs more than a tile's ~16 µs ufunc pass;
+``n - 1`` :class:`~repro.common.workers.Worker` forks made at the first
+launch, each holding the body and all it closes over copy-on-write.  A
+launch is one fixed-size pipe message (an integer argument); every
+member runs ``body(arg, rank)`` — the body cuts its own contiguous share
+of the tile spans with :func:`gang_share` — and workers reply with their
+result, their stopwatch laps and any exception.  (Not threads: handing
+the interpreter lock over costs more than a tile's ~16 µs ufunc pass;
 EXPERIMENTS.md "Real gangs".)
 
 Determinism contract
@@ -39,14 +39,14 @@ inputs with the same operation order regardless of the slab extent, and
 from __future__ import annotations
 
 import os
-import signal
 import struct
-import weakref
 from contextlib import AbstractContextManager
+from functools import partial
 from multiprocessing.connection import Pipe
 from typing import Callable
 
 from repro.common import ConfigurationError, ReproError
+from repro.common.workers import Worker
 
 _ARG = struct.Struct("<q")
 _EXIT = -1  # launch arguments are non-negative
@@ -131,21 +131,6 @@ def plan_gang_width(threads: int | None, *, tiles: int, ranks: int = 1,
     return width, f"{width} of {cores} cores, {tiles} tiles"
 
 
-#: Gangs with (possibly) live workers, for the at-fork hook below.
-_LIVE: "weakref.WeakSet[GangExecutor]" = weakref.WeakSet()
-
-
-def _drop_inherited() -> None:
-    # Any later fork of this process (a gang worker, a rank, a supervised
-    # batch) inherits the parent's pipe ends; holding them would keep the
-    # workers from seeing EOF when the parent dies.
-    for gang in list(_LIVE):
-        gang._drop()
-
-
-os.register_at_fork(after_in_child=_drop_inherited)
-
-
 class GangExecutor(AbstractContextManager):
     """Forked gang running one registered body over a shared workspace.
 
@@ -176,8 +161,8 @@ class GangExecutor(AbstractContextManager):
         self.threads, _ = plan_gang_width(threads, tiles=0)  # validates
         self.timeout = timeout
         self._body, self._stopwatch = body, stopwatch
-        #: ``(pid, command writer, reply reader)`` per forked worker.
-        self._workers: list[tuple] = []
+        #: Forked members; ``ends`` = (command writer, reply reader).
+        self._workers: list[Worker] = []
         self.launches = 0
 
     # ------------------------------------------------------------------
@@ -192,19 +177,20 @@ class GangExecutor(AbstractContextManager):
         """
         if self.threads == 1:
             return [self._body(arg, 0)]
-        if not self._workers:
-            self._fork()
+        if not self._workers or self._workers[0].pid is None:
+            self._fork()  # none yet, or they are the forking process's
         self.launches += 1
         outcomes: list[tuple] = []
         rank = 1
         try:
-            for _pid, command, _reply in self._workers:
-                command.send_bytes(_ARG.pack(arg))
+            for worker in self._workers:
+                worker.ends[0].send_bytes(_ARG.pack(arg))
             try:
                 outcomes.append((self._body(arg, 0), None))
             except Exception as err:
                 outcomes.append((None, err))
-            for rank, (_pid, _command, reply) in enumerate(self._workers, 1):
+            for rank, worker in enumerate(self._workers, 1):
+                reply = worker.ends[1]
                 if not reply.poll(self.timeout):
                     raise TimeoutError(f"no reply in {self.timeout:g} s")
                 result, err, laps = reply.recv()
@@ -228,30 +214,20 @@ class GangExecutor(AbstractContextManager):
 
     # ------------------------------------------------------------------
     def _fork(self) -> None:
-        _LIVE.add(self)
+        self._workers = []
         for rank in range(1, self.threads):
             command_r, command_w = Pipe(duplex=False)
             reply_r, reply_w = Pipe(duplex=False)
-            pid = os.fork()
-            if pid == 0:
-                try:  # the at-fork hook dropped every earlier worker's ends
-                    command_w.close()
-                    reply_r.close()
-                    self._serve(rank, command_r, reply_w)
-                finally:
-                    os._exit(0)
-            command_r.close()
-            reply_w.close()
-            self._workers.append((pid, command_w, reply_r))
-
-    def _serve(self, rank: int, command, reply) -> None:
-        """A worker's life: one body call per command until exit or EOF."""
-        if hasattr(os, "sched_setaffinity"):
             # One core per member: a pipe wake-up otherwise queues the
             # worker behind the busy parent, and a short launch is over
             # before the balancer moves it (EXPERIMENTS.md "Real gangs").
-            cores = sorted(os.sched_getaffinity(0))
-            os.sched_setaffinity(0, {cores[rank % len(cores)]})
+            self._workers.append(Worker(
+                partial(self._serve, rank, command_r, reply_w),
+                ends=(command_w, reply_r), child_ends=(command_r, reply_w),
+                pin=rank))
+
+    def _serve(self, rank: int, command, reply) -> None:
+        """A worker's life: one body call per command until exit or EOF."""
         laps = self._stopwatch.laps if self._stopwatch is not None else {}
         while True:
             try:
@@ -273,30 +249,19 @@ class GangExecutor(AbstractContextManager):
                 reply.send((None, ReproError(
                     f"{type(out[1]).__name__}: {out[1]}"), dict(laps)))
 
-    def _drop(self) -> list[int]:
-        """Close this process's pipe ends; returns the workers' pids."""
-        pids = [pid for pid, _command, _reply in self._workers]
-        for _pid, command, reply in self._workers:
-            command.close()
-            reply.close()
-        self._workers = []
-        return pids
-
     def close(self, *, kill: bool = False) -> None:
         """Stop and reap the workers (forked again lazily if reused)."""
-        for pid, command, _reply in self._workers:
+        workers, self._workers = self._workers, []
+        for worker in workers:
             try:
                 if kill:
-                    os.kill(pid, signal.SIGKILL)
+                    worker.kill()
                 else:
-                    command.send_bytes(_ARG.pack(_EXIT))
+                    worker.ends[0].send_bytes(_ARG.pack(_EXIT))
             except OSError:
                 pass  # already gone
-        for pid in self._drop():
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass  # reaped elsewhere
+        for worker in workers:
+            worker.reap()
 
     def __del__(self) -> None:
         if getattr(self, "_workers", None):

@@ -15,7 +15,6 @@ _EXPORTS = {
     "DistributedSolver": "distributed",
     "ProcessCluster": "procs", "ClusterResult": "procs", "RankFault": "procs",
     "SharedMemoryTransport": "procs", "ShmArena": "procs",
-    "drain_and_join": "procs",
     "Event": "events", "EventSimulator": "events", "StepTimeline": "events",
     "Placement": "placement", "best_policy": "placement",
     "intra_node_fraction": "placement",

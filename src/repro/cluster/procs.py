@@ -1,11 +1,13 @@
 """Real multi-process distributed runs with shared-memory halo exchange.
 
 This is the executable counterpart of the analytic cluster models: one
-OS process per rank of the 3D block decomposition, each running a
-:class:`~repro.cluster.ranksolver.RankSolver` over its own block, with
-halo buffers packed zero-copy into ``multiprocessing.shared_memory``
-segments and exchanged through a lightweight mailbox protocol (the
-single-node stand-in for ``MPI_Sendrecv``).
+forked :class:`~repro.common.workers.Worker` per rank of the 3D block
+decomposition, each running a :class:`~repro.cluster.ranksolver.
+RankSolver` over its own block, with halo buffers packed zero-copy into
+one anonymous shared mapping (:func:`~repro.common.workers.
+shared_array` — no ``/dev/shm`` name, nothing to unlink) and exchanged
+through a lightweight mailbox protocol (the single-node stand-in for
+``MPI_Sendrecv``).
 
 Mailbox protocol
 ----------------
@@ -14,7 +16,7 @@ mailbox in the arena plus two int64 sequence words:
 
 * the **producer** (the strip's owner) waits until ``ack >= s - 1``
   (the consumer finished with the previous exchange), writes the strip
-  directly into the shared segment, then publishes ``post = s``;
+  directly into the shared mapping, then publishes ``post = s``;
 * the **consumer** (the neighbour) waits until ``post >= s``, unpacks
   the strip into its ghost layer, then publishes ``ack = s``.
 
@@ -42,10 +44,10 @@ every rank computes ``max`` over the slots in the same order, so all
 ranks adopt a bitwise-identical dt (max is exact in floating point).
 
 Liveness is monitored through a per-rank heartbeat word bumped on
-every completed step and transport operation; the parent's join loop
-only arms its no-progress deadline when *nothing* moved (no heartbeat,
-no result, no exit), so the deadline bounds a hang, never the length
-of a legitimate run.
+every completed step and transport operation: the progress signal of
+the parent's :func:`~repro.common.workers.drain_and_join`, which also
+kills and reaps the ranks on every way out of its wait.  A rank whose
+parent died stops at its next step or halo wait.
 
 Fault tolerance
 ---------------
@@ -72,12 +74,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
-import sys
 import time
-import traceback
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +87,11 @@ from repro.cluster.halo import boundary_strip, ghost_strip, validate_periodicity
 from repro.cluster.ranksolver import RankSolver
 from repro.common import DTYPE, ClusterError, ConfigurationError
 from repro.common.checks import integer
+from repro.common.workers import (
+    drain_and_join,
+    quit_if_orphaned,
+    shared_array,
+)
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.io.binary import read_snapshot
@@ -139,7 +143,7 @@ class RankFault:
 
 
 class ShmArena:
-    """One shared-memory segment holding every cross-process array.
+    """One anonymous shared mapping holding every cross-process array.
 
     Layout (all 8-byte aligned, zero-initialised):
 
@@ -204,23 +208,15 @@ class ShmArena:
         for r in range(decomp.nranks):
             self.locks[("red", r)] = ctx.Lock()
 
-        self.shm = shared_memory.SharedMemory(create=True, size=max(offset, 8))
-        np.frombuffer(self.shm.buf, dtype=np.uint8, count=offset)[:] = 0
+        self._bytes = shared_array((offset,), np.uint8)
 
     def view(self, key) -> np.ndarray:
         offset, shape, dtype = self._slots[key]
-        return np.ndarray(shape, dtype=dtype, buffer=self.shm.buf,
+        return np.ndarray(shape, dtype=dtype, buffer=self._bytes,
                           offset=offset)
 
     def block(self, rank: int) -> np.ndarray:
         return self.view(("block", rank))
-
-    def close(self) -> None:
-        self.shm.close()
-
-    def destroy(self) -> None:
-        self.shm.close()
-        self.shm.unlink()
 
 
 class SharedMemoryTransport:
@@ -252,7 +248,7 @@ class SharedMemoryTransport:
         self._beat = arena.view("beat")
         self._locks = arena.locks
         # Views are materialised once; post/fill then touch only numpy
-        # arrays already mapped over the shared segment.
+        # arrays already mapped over the shared arena.
         self._view: dict[tuple, np.ndarray] = {}
         for r in range(self.decomp.nranks):
             for axis in range(self.decomp.ndim):
@@ -304,6 +300,7 @@ class SharedMemoryTransport:
                 # Yield aggressively once it is clearly not a micro-wait
                 # so oversubscribed single-core hosts make progress.
                 time.sleep(0 if spins < 200 else 5e-5)
+                quit_if_orphaned()  # the peer may have left for that reason
                 if time.perf_counter_ns() > deadline:
                     raise ClusterError(
                         f"rank {self.rank}: timed out after {self.timeout}s "
@@ -316,7 +313,7 @@ class SharedMemoryTransport:
     def post(self, rank: int, axis: int, field: np.ndarray) -> None:
         """Pack ``rank``'s boundary strips along ``axis`` into shared
         mailboxes (zero-copy: the strided copy's destination *is* the
-        shared segment)."""
+        shared arena)."""
         ng = self.ng
         seq = self._posted.get((rank, axis), 0) + 1
         for side in (-1, 1):
@@ -443,166 +440,88 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
     ``march`` carries what one :meth:`ProcessCluster.run` adds to the
     options: ``overlap fault t_end n_steps base_time base_step``.
     """
-    try:
-        transport = SharedMemoryTransport(arena, rank,
-                                          timeout=options.cluster_timeout)
-        rs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
-                        grid, transport, sweep_layout=options.sweep_layout,
-                        overlap=march["overlap"], fusion=options.fusion)
-        q = arena.block(rank)
-        mgr = None
-        if options.checkpoint_dir is not None:
-            mgr = CheckpointManager(options.checkpoint_dir,
-                                    keep=options.checkpoint_keep,
-                                    prefix=f"rank{rank:04d}")
-        # The march runs on the driver's absolute clock: checkpoint
-        # headers and history records carry the same time/step a serial
-        # Simulation would, even when the cluster continues a run that
-        # already advanced to base_time/base_step.
-        sim_time = march["base_time"]
-        step_count = march["base_step"]
-        if restore_step is not None:
-            header, saved = read_snapshot(mgr.path_for(restore_step))
-            q[...] = saved
-            sim_time = header.time
-            step_count = header.step
+    transport = SharedMemoryTransport(arena, rank,
+                                      timeout=options.cluster_timeout)
+    rs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
+                    grid, transport, sweep_layout=options.sweep_layout,
+                    overlap=march["overlap"], fusion=options.fusion)
+    q = arena.block(rank)
+    mgr = None
+    if options.checkpoint_dir is not None:
+        mgr = CheckpointManager(options.checkpoint_dir,
+                                keep=options.checkpoint_keep,
+                                prefix=f"rank{rank:04d}")
+    # The march runs on the driver's absolute clock: checkpoint
+    # headers and history records carry the same time/step a serial
+    # Simulation would, even when the cluster continues a run that
+    # already advanced to base_time/base_step.
+    sim_time = march["base_time"]
+    step_count = march["base_step"]
+    if restore_step is not None:
+        header, saved = read_snapshot(mgr.path_for(restore_step))
+        q[...] = saved
+        sim_time = header.time
+        step_count = header.step
 
-        fault = march["fault"]
-        history = []
+    fault = march["fault"]
+    history = []
 
-        def reduce(rate):
-            # Post the local wave rate now and collect the global max
-            # only once stage one's RHS — which does not depend on dt —
-            # is done, so the other ranks' contributions arrive while
-            # this rank computes.  The reduction order and values are
-            # unchanged, so the overlapped dt is bitwise the blocking one.
-            transport.reduce_max_begin(rate)
-            return partial(transport.reduce_max_finish, overlapped=True)
+    def reduce(rate):
+        # Post the local wave rate now and collect the global max
+        # only once stage one's RHS — which does not depend on dt —
+        # is done, so the other ranks' contributions arrive while
+        # this rank computes.  The reduction order and values are
+        # unchanged, so the overlapped dt is bitwise the blocking one.
+        transport.reduce_max_begin(rate)
+        return partial(transport.reduce_max_finish, overlapped=True)
 
-        def march_one(dt_limit=None):
-            nonlocal sim_time, step_count
-            t0 = time.perf_counter()
-            q_new, dt, _ = time_step(
-                rs.rhs, q, layout=layout, mixture=mixture, widths=rs.widths,
-                options=options, workspace=rs.ws, dt_limit=dt_limit,
-                reduce=reduce)
-            q[...] = q_new
-            sim_time += dt
-            step_count += 1
-            history.append((step_count, sim_time, dt,
-                            time.perf_counter() - t0))
-            transport.beat()
-            if (fault is not None and attempt == 0
-                    and rank == fault.rank and step_count == fault.step):
-                # Die as a crashed process would: no cleanup, no final
-                # checkpoint, peers left mid-protocol.
-                os._exit(_FAULT_EXIT)
-            if (mgr is not None and options.checkpoint_every
-                    and step_count % options.checkpoint_every == 0):
-                mgr.save(q, step=step_count, time=sim_time)
+    def march_one(dt_limit=None):
+        nonlocal sim_time, step_count
+        t0 = time.perf_counter()
+        q_new, dt, _ = time_step(
+            rs.rhs, q, layout=layout, mixture=mixture, widths=rs.widths,
+            options=options, workspace=rs.ws, dt_limit=dt_limit,
+            reduce=reduce)
+        q[...] = q_new
+        sim_time += dt
+        step_count += 1
+        history.append((step_count, sim_time, dt,
+                        time.perf_counter() - t0))
+        transport.beat()
+        quit_if_orphaned()
+        if (fault is not None and attempt == 0
+                and rank == fault.rank and step_count == fault.step):
+            # Die as a crashed process would: no cleanup, no final
+            # checkpoint, peers left mid-protocol.
+            os._exit(_FAULT_EXIT)
+        if (mgr is not None and options.checkpoint_every
+                and step_count % options.checkpoint_every == 0):
+            mgr.save(q, step=step_count, time=sim_time)
 
-        if march["n_steps"] is not None:
-            end_step = march["base_step"] + march["n_steps"]
-            while step_count < end_step:
-                march_one()
-        else:
-            t_end = march["t_end"]
-            while not horizon_reached(sim_time, t_end):
-                march_one(dt_limit=t_end - sim_time)
+    if march["n_steps"] is not None:
+        end_step = march["base_step"] + march["n_steps"]
+        while step_count < end_step:
+            march_one()
+    else:
+        t_end = march["t_end"]
+        while not horizon_reached(sim_time, t_end):
+            march_one(dt_limit=t_end - sim_time)
 
-        conn.send({
-            "rank": rank,
-            "time": sim_time,
-            "step_count": step_count,
-            "halo": transport.counters.as_dict(),
-            "sweep": rs.sweep_counters.as_dict(),
-            "limited_faces": rs.limited_faces,
-            "history": history if rank == 0 else [],
-        })
-        conn.close()
-    except BaseException:
-        traceback.print_exc(file=sys.stderr)
-        os._exit(1)
-
-
-# ----------------------------------------------------------------------
-def drain_and_join(
-    procs, pipes, beat, grace: float, *, wall_deadline: float | None = None,
-) -> tuple[list[dict] | None, tuple[int, int] | None]:
-    """Wait for every worker, receiving results as they arrive.
-
-    Results are drained *while* joining: a worker's result can outgrow
-    the OS pipe buffer, in which case the worker blocks in ``send`` and
-    only exits once the parent has received — recv-after-join would
-    deadlock.
-
-    The no-progress deadline (``grace`` seconds) is re-armed on any
-    observed progress — an advance of the shared-memory ``beat`` array,
-    a result arriving, a worker exiting — so it bounds how long the
-    workers may sit *stuck*, never the wall time of a legitimately long
-    run.  ``wall_deadline`` (a ``time.monotonic()`` instant) optionally
-    bounds the total wait regardless of progress.  On the first failure
-    — nonzero exit, clean exit without a result, no-progress expiry
-    ``(-1, -1)``, or wall expiry ``(-1, -2)`` — the survivors are
-    terminated (they would otherwise spin until their own wait
-    deadlines) and ``(None, (index, exitcode))`` is returned; a clean
-    join returns ``(results, None)`` with results in worker order.
-
-    Shared by :class:`ProcessCluster` (per-rank heartbeats) and the
-    ensemble batch supervisor (one heartbeat per batch child).
-    """
-    last_beat = np.array(beat, copy=True)
-    deadline = time.monotonic() + grace
-    pending = dict(enumerate(procs))
-    results: dict[int, dict] = {}
-    failed = None
-    while pending and failed is None:
-        progress = False
-        for r, p in list(pending.items()):
-            conn = pipes[r]
-            if r not in results and conn.poll(0):
-                try:
-                    results[r] = conn.recv()
-                    progress = True
-                except EOFError:
-                    pass  # died before sending; exitcode handles it
-            p.join(timeout=0.02)
-            if p.exitcode is None:
-                continue
-            del pending[r]
-            progress = True
-            if r not in results and conn.poll(0):
-                try:
-                    results[r] = conn.recv()
-                except EOFError:
-                    pass
-            if p.exitcode != 0:
-                failed = (r, p.exitcode)
-            elif r not in results:
-                # Exited cleanly without reporting — unusable run.
-                failed = (r, 0)
-        if not np.array_equal(beat, last_beat):
-            np.copyto(last_beat, beat)
-            progress = True
-        if progress:
-            deadline = time.monotonic() + grace
-        elif time.monotonic() > deadline:
-            failed = (-1, -1)
-        if failed is None and wall_deadline is not None \
-                and time.monotonic() > wall_deadline:
-            failed = (-1, -2)
-    if failed is None:
-        return [results[r] for r in sorted(results)], None
-    for p in pending.values():
-        p.terminate()
-        p.join()
-    return None, failed
+    conn.send({
+        "rank": rank,
+        "time": sim_time,
+        "step_count": step_count,
+        "halo": transport.counters.as_dict(),
+        "sweep": rs.sweep_counters.as_dict(),
+        "limited_faces": rs.limited_faces,
+        "history": history if rank == 0 else [],
+    })
 
 
 class ProcessCluster(KnobAccess):
     """Multi-process executor for the 3D block decomposition.
 
-    Runs ``decomp.nranks`` worker processes (fork start method) over a
+    Runs ``decomp.nranks`` forked workers over a
     shared-memory arena and marches them bulk-synchronously via the
     mailbox protocol.  Results are bit-identical to the single-block
     :class:`~repro.solver.simulation.Simulation` and to the in-process
@@ -613,9 +532,8 @@ class ProcessCluster(KnobAccess):
     ``options`` and/or loose keyword knobs say how to march (DESIGN.md
     "Options: one table"; ``ranks`` is the decomposition's).  The halo
     waits spin for ``cluster_timeout`` seconds and the parent's join
-    loop uses ``cluster_timeout + 60`` as its *no-progress* deadline —
-    re-armed on every observed heartbeat/result/exit, so it bounds a
-    hang, not the wall time of a legitimate run.  ``overlap=False``
+    uses ``cluster_timeout + 60`` as its *no-progress* deadline (a
+    hang's bound, not a legitimate run's).  ``overlap=False``
     waits for the exchange up front (same results, no hiding; an A/B
     toggle); ``fault`` is an injected :class:`RankFault`.
     """
@@ -707,7 +625,6 @@ class ProcessCluster(KnobAccess):
                 f"q0 has shape {q0.shape}, expected "
                 f"{(self.layout.nvars, *self.grid.shape)}")
         self._discard_stale_checkpoints()
-        ctx = multiprocessing.get_context("fork")
         march = dict(overlap=self.overlap, fault=self.fault, t_end=t_end,
                      n_steps=n_steps, base_time=base_time,
                      base_step=base_step)
@@ -716,30 +633,17 @@ class ProcessCluster(KnobAccess):
         while True:
             arena = ShmArena(self.decomp, self.layout.nvars,
                              halo_width(self.config.weno_order))
-            pipes, procs = [], []
-            try:
-                for r in range(self.decomp.nranks):
-                    arena.block(r)[...] = q0[
-                        (slice(None), *self.decomp.local_slices(r))]
-                for r in range(self.decomp.nranks):
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    p = ctx.Process(
-                        target=_worker,
-                        args=(arena, r, self.grid, self.layout, self.mixture,
-                              self.bcs, self.config, self.options, march,
-                              restarts, restore_step, child_conn),
-                        daemon=True)
-                    p.start()
-                    child_conn.close()
-                    pipes.append(parent_conn)
-                    procs.append(p)
-                results, failed = self._join_and_drain(procs, pipes, arena)
-                if failed is None:
-                    return self._collect(arena, results, restarts)
-            finally:
-                for conn in pipes:
-                    conn.close()
-                arena.destroy()
+            for r in range(self.decomp.nranks):
+                arena.block(r)[...] = q0[
+                    (slice(None), *self.decomp.local_slices(r))]
+            results, failed = drain_and_join(
+                [partial(_worker, arena, r, self.grid, self.layout,
+                         self.mixture, self.bcs, self.config, self.options,
+                         march, restarts, restore_step)
+                 for r in range(self.decomp.nranks)],
+                arena.view("beat"), grace=self.cluster_timeout + 60.0)
+            if failed is None:
+                return self._collect(arena, results, restarts)
             restarts += 1
             if restarts > self.max_restarts:
                 raise ClusterError(
@@ -748,15 +652,6 @@ class ProcessCluster(KnobAccess):
             restore_step = self._common_checkpoint_step()
 
     # ------------------------------------------------------------------
-    def _join_and_drain(
-        self, procs, pipes, arena: ShmArena,
-    ) -> tuple[list[dict] | None, tuple[int, int] | None]:
-        """Wait for every worker through :func:`drain_and_join`, with
-        the arena's per-rank heartbeat words as the progress signal and
-        ``cluster_timeout + 60`` as the no-progress grace window."""
-        return drain_and_join(procs, pipes, arena.view("beat"),
-                              grace=self.cluster_timeout + 60.0)
-
     def _collect(self, arena: ShmArena, results: list[dict],
                  restarts: int) -> ClusterResult:
         q = np.empty((self.layout.nvars, *self.grid.shape), dtype=DTYPE)

@@ -3,11 +3,12 @@
 The durable service never runs a batch in its own process when it can
 help it: a SIGKILL'd worker, a hung backend, or a hard crash must cost
 *one batch attempt*, not the service (and its ledger writer).  The
-:class:`BatchSupervisor` forks one child per batch, watches it through
-a shared-memory heartbeat word (bumped every stacked step) with the
-same drain-while-join loop the multi-process cluster uses
-(:func:`repro.cluster.procs.drain_and_join`), and classifies whatever
-comes back through the :func:`repro.common.failure_class` taxonomy:
+:class:`BatchSupervisor` forks one :class:`~repro.common.workers.Worker`
+per batch, watches it through a shared heartbeat word (bumped every
+stacked step) with the same drain-while-join loop the multi-process
+cluster uses (:func:`repro.common.workers.drain_and_join`), kills and
+reaps it on every way out of that wait, and classifies whatever comes
+back through the :func:`repro.common.failure_class` taxonomy:
 
 * child exits nonzero / killed by a signal / exits silently →
   :class:`~repro.common.WorkerDiedError` (**transient**);
@@ -30,21 +31,22 @@ trades speed, never answers.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import signal
-import sys
 import time
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from functools import partial
 
 import numpy as np
 
 from repro.acc.fusion import BACKEND_ENV_VAR, FusionError
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, ReproError, failure_class
-from repro.cluster.procs import drain_and_join
+from repro.common.workers import (
+    drain_and_join,
+    quit_if_orphaned,
+    shared_array,
+)
 from repro.solver.case import Case
 from repro.solver.options import fold
 
@@ -167,7 +169,7 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     }
 
 
-def _batch_worker(spec: BatchSpec, shm, conn) -> None:
+def _batch_worker(spec: BatchSpec, beat: np.ndarray, conn) -> None:
     """Child body: execute, report, die quietly.
 
     Structured failures (anything in the :class:`ReproError` family)
@@ -175,22 +177,16 @@ def _batch_worker(spec: BatchSpec, shm, conn) -> None:
     owns classification and retry policy.  Unstructured crashes exit
     nonzero and become :class:`~repro.common.WorkerDiedError`.
     """
+    def on_step(sim) -> None:
+        beat[0] += 1
+        quit_if_orphaned()
+
     try:
-        beat = np.ndarray((1,), dtype=np.int64, buffer=shm.buf)
-
-        def on_step(sim) -> None:
-            beat[0] += 1
-
-        try:
-            payload = execute_batch(spec, on_step=on_step)
-            conn.send({"ok": True, **payload})
-        except ReproError as err:
-            conn.send({"ok": False, "type": type(err).__name__,
-                       "message": str(err), "class": failure_class(err)})
-        conn.close()
-    except BaseException:
-        traceback.print_exc(file=sys.stderr)
-        os._exit(1)
+        payload = execute_batch(spec, on_step=on_step)
+        conn.send({"ok": True, **payload})
+    except ReproError as err:
+        conn.send({"ok": False, "type": type(err).__name__,
+                   "message": str(err), "class": failure_class(err)})
 
 
 def _signal_name(exitcode: int) -> str:
@@ -238,22 +234,11 @@ class BatchSupervisor:
         """
         if not self.supervise:
             return self._run_inline(spec)
-        ctx = multiprocessing.get_context("fork")
-        shm = shared_memory.SharedMemory(create=True, size=8)
-        try:
-            self._reset_beat(shm)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_batch_worker,
-                               args=(spec, shm, child_conn), daemon=True)
-            proc.start()
-            child_conn.close()
-            try:
-                message, failed = self._drain(proc, parent_conn, shm)
-            finally:
-                parent_conn.close()
-        finally:
-            shm.close()
-            shm.unlink()
+        beat = shared_array((1,), np.int64)
+        results, failed = drain_and_join(
+            [partial(_batch_worker, spec, beat)], beat, self.grace,
+            wall_deadline=(time.monotonic() + self.wall_limit
+                           if self.wall_limit is not None else None))
         if failed is not None:
             index, code = failed
             if index < 0:
@@ -267,23 +252,13 @@ class BatchSupervisor:
                 f"batch worker died ({_signal_name(code)}) without a result"
                 if code != 0 else
                 "batch worker exited cleanly without reporting a result")
+        message = results[0]
         if message.get("ok"):
             return message
         return {"ok": False, "error": {
             "type": message.get("type", "ReproError"),
             "message": message.get("message", ""),
             "class": message.get("class", "transient")}}
-
-    def _drain(self, proc, conn, shm):
-        """Join the child with heartbeat liveness; view scoped here so
-        the shared segment can be closed afterwards."""
-        beat = self._beat_view(shm)
-        wall_deadline = (time.monotonic() + self.wall_limit
-                         if self.wall_limit is not None else None)
-        results, failed = drain_and_join(
-            [proc], [conn], beat, self.grace, wall_deadline=wall_deadline)
-        message = results[0] if results else None
-        return message, failed
 
     def _run_inline(self, spec: BatchSpec) -> dict:
         """Unsupervised fallback: same outcome shape, no child process."""
@@ -295,14 +270,6 @@ class BatchSupervisor:
                 "class": failure_class(err)}}
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _beat_view(shm) -> np.ndarray:
-        return np.ndarray((1,), dtype=np.int64, buffer=shm.buf)
-
-    @staticmethod
-    def _reset_beat(shm) -> None:
-        np.ndarray((1,), dtype=np.int64, buffer=shm.buf)[0] = 0
-
     @staticmethod
     def _failure(error_type: str, message: str) -> dict:
         return {"ok": False, "error": {

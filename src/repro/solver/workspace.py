@@ -42,13 +42,13 @@ process plus forked workers.  Buffers divide into two ownership classes:
 from __future__ import annotations
 
 import math
-import mmap
 from functools import partial
 
 import numpy as np
 
 from repro.backend import resolve_backend
 from repro.common import DTYPE
+from repro.common.workers import shared_array
 from repro.fields.transpose import sweep_perm
 from repro.grid.cartesian import StructuredGrid
 from repro.riemann.common import RiemannScratch
@@ -312,8 +312,8 @@ class SolverWorkspace:
         field_alloc = xp
         if shared:
             n = 2 * math.prod(self.shape) + math.prod(spatial)
-            field_alloc = _Carver(xp, self.backend.from_host(np.frombuffer(
-                mmap.mmap(-1, n * np_dtype.itemsize), dtype=np_dtype)))
+            field_alloc = _Carver(xp, self.backend.from_host(
+                shared_array((n,), np_dtype)))
         self.prim = field_alloc.empty(self.shape, dtype=np_dtype)
         self.dqdt = field_alloc.empty(self.shape, dtype=np_dtype)
         self.divu = field_alloc.empty(spatial, dtype=np_dtype)

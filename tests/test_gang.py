@@ -139,7 +139,7 @@ class TestLifecycle:
         assert gang.threads == 3 and gang._workers == []
         assert live_children(os.getpid()) == {}
         sim.step()
-        pids = [pid for pid, _, _ in gang._workers]
+        pids = [worker.pid for worker in gang._workers]
         assert sorted(live_children(os.getpid())) == sorted(pids)
         assert len(pids) == 2
         sim.close()
@@ -162,8 +162,8 @@ class TestLifecycle:
         sim = bubble_sim(2)
         sim.step()
         gang = sim.rhs.executor
-        (pid, _, _), = gang._workers
-        os.kill(pid, signal.SIGKILL)
+        worker, = gang._workers
+        os.kill(worker.pid, signal.SIGKILL)
         began = time.monotonic()
         with pytest.raises(ReproError, match=r"gang of 2 \(pid \d+\), "
                                              r"launch \d+ \(arg 0\): worker 1"):
@@ -196,7 +196,7 @@ class TestLifecycle:
             sleeper = multiprocessing.get_context("fork").Process(
                 target=time.sleep, args=(30,))
             sleeper.start()
-            print(sleeper.pid, *(pid for pid, _, _ in
+            print(sleeper.pid, *(worker.pid for worker in
                                  sim.rhs.executor._workers), flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
         """)
@@ -216,6 +216,56 @@ class TestLifecycle:
             assert not gone_within([sleeper], 0.05)
         finally:
             os.kill(sleeper, signal.SIGKILL)
+
+    @pytest.mark.parametrize("script,count", [
+        ("""
+            sim = Simulation(bubble_case(16), BCS, fixed_dt=1e-6, ranks=2)
+            sim.run(n_steps=10**9)
+         """, 2),
+        ("""
+            import sys
+            from repro.ensemble import EnsembleJob, EnsembleService
+            EnsembleService([EnsembleJob(bubble_case(16), 1e3, "endless")], BCS,
+                            ledger=sys.argv[1] + "/led.jsonl", fixed_dt=1e-6,
+                            checkpoint_every=0, supervise=True).run()
+         """, 1),
+    ], ids=["rank workers", "batch child"])
+    def test_parent_killed_stops_rank_workers_and_batch_children(
+            self, script, count, tmp_path):
+        """Nobody is left to read the result: a rank worker or a batch
+        child whose parent dies stops at its next step instead of
+        marching to its horizon."""
+        prelude = textwrap.dedent("""
+            from repro.bc import BoundarySet
+            from repro.solver import Simulation
+            from tests.test_service import bubble_case
+            BCS = BoundarySet.all_periodic(2)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [ROOT, os.path.join(ROOT, "src")]))
+        with open(tmp_path / "err", "w") as err:
+            parent = subprocess.Popen(
+                [sys.executable, "-c", prelude + textwrap.dedent(script),
+                 str(tmp_path)], env=env, stdout=err, stderr=err)
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers := live_children(parent.pid)) < count:
+                assert parent.poll() is None, (tmp_path / "err").read_text()
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.3)  # let them march
+            assert sorted(live_children(parent.pid)) == sorted(workers)
+        finally:
+            parent.kill()
+            parent.wait()
+        try:
+            assert gone_within(workers, 2.0)
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 # ----------------------------------------------------------------------

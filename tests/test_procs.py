@@ -217,16 +217,13 @@ class TestJoinAndDrain:
         # must expose one beat word per rank, zero-initialised.
         decomp = BlockDecomposition.balanced((10, 8), 4)
         arena = ShmArena(decomp, nvars=5, ng=3)
-        try:
-            beat = arena.view("beat")
-            assert beat.shape == (4,)
-            assert np.all(beat == 0)
-            # One mailbox lock per neighboured (rank, axis, side), one
-            # reduction lock per rank.
-            assert ("red", 0) in arena.locks
-            assert sum(1 for k in arena.locks if k[0] != "red") > 0
-        finally:
-            arena.destroy()
+        beat = arena.view("beat")
+        assert beat.shape == (4,)
+        assert np.all(beat == 0)
+        # One mailbox lock per neighboured (rank, axis, side), one
+        # reduction lock per rank.
+        assert ("red", 0) in arena.locks
+        assert sum(1 for k in arena.locks if k[0] != "red") > 0
 
 
 class TestRankFaultRestart:
@@ -294,16 +291,10 @@ class TestShmArena:
     def test_red_width_sizes_reduction_slots(self):
         decomp = BlockDecomposition.balanced((10, 8), 2)
         arena = ShmArena(decomp, nvars=3, ng=2, red_width=4)
-        try:
-            assert arena.red_width == 4
-            assert arena.view("slots").shape == (2, 4)
-        finally:
-            arena.destroy()
+        assert arena.red_width == 4
+        assert arena.view("slots").shape == (2, 4)
         default = ShmArena(decomp, nvars=3, ng=2)
-        try:
-            assert default.view("slots").shape == (2, 1)
-        finally:
-            default.destroy()
+        assert default.view("slots").shape == (2, 1)
 
     def test_red_width_validated(self):
         decomp = BlockDecomposition.balanced((10, 8), 2)
@@ -317,64 +308,52 @@ class TestShmArena:
         # over ranks, identical on every rank.
         decomp = BlockDecomposition.balanced((16,), 2)
         arena = ShmArena(decomp, nvars=3, ng=2, red_width=3)
-        try:
-            t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
-            t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
-            t0.reduce_max_begin(np.array([1.0, 5.0, 2.0]))
-            t1.reduce_max_begin(np.array([4.0, 0.5, 2.5]))
-            r0 = t0.reduce_max_finish()
-            r1 = t1.reduce_max_finish()
-            np.testing.assert_array_equal(r0, [4.0, 5.0, 2.5])
-            np.testing.assert_array_equal(r1, r0)
-        finally:
-            arena.destroy()
+        t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
+        t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
+        t0.reduce_max_begin(np.array([1.0, 5.0, 2.0]))
+        t1.reduce_max_begin(np.array([4.0, 0.5, 2.5]))
+        r0 = t0.reduce_max_finish()
+        r1 = t1.reduce_max_finish()
+        np.testing.assert_array_equal(r0, [4.0, 5.0, 2.5])
+        np.testing.assert_array_equal(r1, r0)
 
     def test_scalar_broadcast_into_vector_slots(self):
         # A scalar contribution (e.g. a rank with no ensemble payload)
         # broadcasts across the slot row.
         decomp = BlockDecomposition.balanced((16,), 2)
         arena = ShmArena(decomp, nvars=3, ng=2, red_width=2)
-        try:
-            t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
-            t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
-            t0.reduce_max_begin(3.0)
-            t1.reduce_max_begin(np.array([1.0, 7.0]))
-            np.testing.assert_array_equal(t0.reduce_max_finish(),
-                                          [3.0, 7.0])
-            np.testing.assert_array_equal(t1.reduce_max_finish(),
-                                          [3.0, 7.0])
-        finally:
-            arena.destroy()
+        t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
+        t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
+        t0.reduce_max_begin(3.0)
+        t1.reduce_max_begin(np.array([1.0, 7.0]))
+        np.testing.assert_array_equal(t0.reduce_max_finish(),
+                                      [3.0, 7.0])
+        np.testing.assert_array_equal(t1.reduce_max_finish(),
+                                      [3.0, 7.0])
 
     def test_width_one_still_returns_float(self):
         # The historical scalar contract: width-1 arenas return a bare
         # float, so existing cluster dt logic is untouched.
         decomp = BlockDecomposition.balanced((16,), 2)
         arena = ShmArena(decomp, nvars=3, ng=2)
-        try:
-            t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
-            t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
-            t0.reduce_max_begin(2.0)
-            t1.reduce_max_begin(6.0)
-            out = t0.reduce_max_finish()
-            assert isinstance(out, float)
-            assert out == 6.0
-            assert t1.reduce_max_finish() == 6.0
-        finally:
-            arena.destroy()
+        t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
+        t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
+        t0.reduce_max_begin(2.0)
+        t1.reduce_max_begin(6.0)
+        out = t0.reduce_max_finish()
+        assert isinstance(out, float)
+        assert out == 6.0
+        assert t1.reduce_max_finish() == 6.0
 
     def test_blocks_map_decomposition(self):
         decomp = BlockDecomposition.balanced((10, 8), 4)
         arena = ShmArena(decomp, nvars=5, ng=3)
-        try:
-            for r in range(4):
-                block = arena.block(r)
-                assert block.shape == (5,) + decomp.local_cells(r)
-                block[...] = float(r)  # writable, disjoint
-            for r in range(4):
-                assert np.all(arena.block(r) == float(r))
-        finally:
-            arena.destroy()
+        for r in range(4):
+            block = arena.block(r)
+            assert block.shape == (5,) + decomp.local_cells(r)
+            block[...] = float(r)  # writable, disjoint
+        for r in range(4):
+            assert np.all(arena.block(r) == float(r))
 
 
 class TestSimulationRanksWiring:
