@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair tune examples artifacts clean
+.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair rss tune examples artifacts clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -127,6 +127,14 @@ bench-e2e-quick:
 bench-e2e-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-e2e-pair BASE=<sha>"; exit 2; }
 	python3 benchmarks/pair.py --base $(BASE) $(PAIR_ARGS)
+
+# Resident memory of each e2e workload, process by process: VmHWM and
+# the RssAnon / RssShmem / RssFile split of the parent after import,
+# construction and the march, of every live gang member, and the peak
+# of reaped children.  Run on a copy of the parent commit too to see
+# which part of peak_rss_mb moved (RSS_ARGS="--workload prod3d-48").
+rss:
+	python3 benchmarks/rss.py . $(RSS_ARGS)
 
 # Autotune the quickstart example case on this host and cache the
 # winning kernel-variant plan (see docs/tuning.md).

@@ -296,7 +296,7 @@ def generate_source(spec: FusedKernelSpec) -> str:
         body.append(f"nf = pv.shape[-1] - {2 * ng - 1}")
         body += _weno_lines(spec, ng)
         body.append(f"limited = limit(ctx.layout, ctx.mixture, pad, "
-                    f"vl, vr, {d}, {ng})")
+                    f"vl, vr, {d}, {ng}, scratch=rscr)")
         body.append(f"ctx.riemann(ctx.layout, ctx.mixture, vl, vr, {phys}, "
                     f"out=flux, out_u=uface, scratch=rscr)")
         body += _divergence_lines(spec, "flux", "uface")
@@ -308,7 +308,7 @@ def generate_source(spec: FusedKernelSpec) -> str:
         body.append(f"nf = pv.shape[-1] - {2 * ng - 1}")
         body += _weno_lines(spec, ng)
         body.append(f"limited = limit(ctx.layout, ctx.mixture, tpad, "
-                    f"tvl, tvr, {ndim - 1}, {ng})")
+                    f"tvl, tvr, {ndim - 1}, {ng}, scratch=rscr)")
         body.append(f"ctx.riemann(ctx.layout, ctx.mixture, tvl, tvr, {phys}, "
                     f"out=tflux, out_u=tuface, scratch=rscr)")
         body.append("np.copyto(flux_t, tflux)")

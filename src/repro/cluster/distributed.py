@@ -92,8 +92,9 @@ class DistributedSolver:
 
         Returns each rank's ``rk_result`` workspace buffer; the stage
         combinations are :func:`~repro.timestepping.ssp_rk.
-        shu_osher_combine`, the same call the serial stepper makes, so
-        a decomposed step is bitwise the serial one.
+        shu_osher_combine` over each rank's row tiles, the same call the
+        serial stepper makes, so a decomposed step is bitwise the serial
+        one.
         """
         stages = rk_stages(rk_order)
         q_n = blocks
@@ -102,7 +103,7 @@ class DistributedSolver:
             rhs = self.rhs_blocks(q_k)
             q_k = [shu_osher_combine(qn, qk, L,
                                      stage_buffer(rank.ws, k, len(stages)),
-                                     rank.ws.rk_tmp, a, b, c * dt)
+                                     a, b, c * dt, tiles=rank.ws)
                    for rank, qn, qk, L in zip(self.ranks, q_n, q_k, rhs)]
         return q_k
 

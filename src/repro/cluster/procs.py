@@ -85,7 +85,7 @@ from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import boundary_strip, ghost_strip, validate_periodicity
 from repro.cluster.ranksolver import RankSolver
-from repro.common import DTYPE, ClusterError, ConfigurationError
+from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
 from repro.common.checks import integer
 from repro.common.workers import (
     drain_and_join,
@@ -498,14 +498,21 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
                 and step_count % options.checkpoint_every == 0):
             mgr.save(q, step=step_count, time=sim_time)
 
-    if march["n_steps"] is not None:
-        end_step = march["base_step"] + march["n_steps"]
-        while step_count < end_step:
-            march_one()
-    else:
-        t_end = march["t_end"]
-        while not horizon_reached(sim_time, t_end):
-            march_one(dt_limit=t_end - sim_time)
+    try:
+        if march["n_steps"] is not None:
+            end_step = march["base_step"] + march["n_steps"]
+            while step_count < end_step:
+                march_one()
+        else:
+            t_end = march["t_end"]
+            while not horizon_reached(sim_time, t_end):
+                march_one(dt_limit=t_end - sim_time)
+    except NumericsError as err:
+        # Deterministic: a restart would replay it.  Every rank reaches
+        # the same reduced dt, so they all stop here.
+        conn.send({"rank": rank, "error": f"rank {rank}, step "
+                   f"{step_count + 1}: {err}"})
+        return
 
     conn.send({
         "rank": rank,
@@ -616,7 +623,10 @@ class ProcessCluster(KnobAccess):
         ``1``.  Survives up to ``max_restarts`` rank deaths via
         checkpoint-coordinated restart; stale rank checkpoints from a
         previous run in the same directory are discarded up front (see
-        :meth:`_discard_stale_checkpoints`).
+        :meth:`_discard_stale_checkpoints`).  A :class:`NumericsError` on
+        the ranks (a NaN wave rate: the reduction hands every rank the
+        same one) is raised here naming the rank and step — it would
+        recur on restart.
         """
         if (t_end is None) == (n_steps is None):
             raise ConfigurationError("specify exactly one of t_end or n_steps")
@@ -643,6 +653,9 @@ class ProcessCluster(KnobAccess):
                  for r in range(self.decomp.nranks)],
                 arena.view("beat"), grace=self.cluster_timeout + 60.0)
             if failed is None:
+                for res in results:
+                    if "error" in res:
+                        raise NumericsError(res["error"])
                 return self._collect(arena, results, restarts)
             restarts += 1
             if restarts > self.max_restarts:

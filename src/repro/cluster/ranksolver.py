@@ -44,10 +44,10 @@ from repro.common import ConfigurationError
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.profiling.counters import SweepCounters
-from repro.solver.rhs import RHSConfig
+from repro.solver.rhs import RHSConfig, nonconservative_tile
 from repro.solver.sweep import SweepEngine, validate_fusion
 from repro.solver.workspace import SolverWorkspace
-from repro.state.conversions import cons_to_prim
+from repro.state.conversions import cons_to_prim, row_tiles
 from repro.state.layout import StateLayout
 
 
@@ -118,7 +118,8 @@ class RankSolver:
         self.fusion_backend = self._engine.fusion_backend
         ng = self._engine.ng
         self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
-                                  weno_order=config.weno_order)
+                                  weno_order=config.weno_order,
+                                  rows=self._engine.rows)
         # Overlap needs a strided sweep with a non-empty ghost-free
         # interior span and an actual exchange to hide; other
         # directions sweep in bulk after the fill.
@@ -140,9 +141,11 @@ class RankSolver:
     # -- the split RHS -------------------------------------------------------
     def rhs_begin(self, q: np.ndarray, *, prim: np.ndarray | None = None
                   ) -> np.ndarray:
-        """Convert to primitives and post every axis's boundary strips."""
+        """Convert to primitives (tile by tile) and post every axis's
+        boundary strips."""
         if prim is None:
-            prim = cons_to_prim(self.layout, self.mixture, q, out=self.ws.prim)
+            prim = cons_to_prim(self.layout, self.mixture, q, out=self.ws.prim,
+                                tiles=self.ws)
         for d in range(self.layout.ndim):
             self.transport.post(self.rank, d, prim)
         return prim
@@ -159,7 +162,9 @@ class RankSolver:
             self.limited_faces += self._engine.sweep(
                 ws, prim, d, self.widths[d], dqdt, divu,
                 split=self._split[d])
-        dqdt[lay.advected] += prim[lay.advected] * divu
+        for rows, new in row_tiles(dqdt, ws):
+            nonconservative_tile(lay, prim[:, rows], divu[rows],
+                                 dqdt[:, rows], new)
         return dqdt
 
     def rhs(self, q: np.ndarray, *, out: np.ndarray | None = None,

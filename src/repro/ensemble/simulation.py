@@ -4,9 +4,10 @@
 :class:`repro.solver.simulation.Simulation`: the conservative states of
 ``B`` same-shape cases are stacked into one ``(nvars, B, *grid)`` block
 (:class:`~repro.ensemble.state.EnsembleState`) and every step performs
-ONE shared ``cons_to_prim``, ONE batch-vectorised CFL reduction giving
-a per-case dt vector, and ONE stacked SSP-RK step whose RHS sweeps the
-batch axis as a leading virtual direction.  Amortising the Python/
+ONE stacked SSP-RK step whose RHS sweeps the batch axis as a leading
+virtual direction — its first sweep converting the block and measuring
+the batch-vectorised CFL rates (a per-case dt vector) tile by tile.
+Amortising the Python/
 dispatch overhead of the pipeline across the batch is exactly the
 paper's GPU-occupancy argument run host-side: small per-case grids
 cannot saturate the machine alone, a stacked block can.
@@ -15,10 +16,9 @@ Bitwise contract
 ----------------
 Every case in the batch advances **bit-for-bit identically** to the
 same case marched by a standalone :class:`Simulation` with the same
-configuration.  The driver mirrors the standalone step exactly: shared
-``cons_to_prim`` into the workspace under the ``"other"`` stopwatch
-lap, per-case dt (``fixed_dt`` or the CFL bound — the vectorised
-reduction of :func:`repro.timestepping.cfl.wave_rate` replays the scalar
+configuration.  The driver mirrors the standalone step exactly:
+per-case dt (``fixed_dt`` or the CFL bound — the vectorised reduction
+of :func:`repro.timestepping.cfl.wave_rate` replays the scalar
 arithmetic per case), the final-step clip against the horizon — all of
 it the one :func:`repro.timestepping.time_step` body — and the
 ``check_every`` validation cadence.
@@ -51,6 +51,7 @@ from repro.solver.case import Case
 from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.resilience import check_state
 from repro.solver.rhs import RHS, RHSConfig
+from repro.state.conversions import cons_to_prim
 from repro.timestepping import SSP_SCHEMES, horizon_reached, time_step
 from repro.tuning.plan import resolve_plan
 
@@ -255,11 +256,10 @@ class EnsembleSimulation(KnobAccess, AbstractContextManager):
     def step(self, *, dt_limit: np.ndarray | None = None) -> np.ndarray:
         """Advance every active case one step; returns the dt vector.
 
-        Mirrors the standalone step exactly: one shared
-        ``cons_to_prim`` feeds both the dt computation and RK stage
-        one; ``dt_limit`` (per-case) clips the final step onto each
-        horizon with the same comparison semantics as the scalar
-        driver.
+        Mirrors the standalone step exactly: stage one's first sweep
+        converts the block and measures each case's CFL rate;
+        ``dt_limit`` (per-case) clips the final step onto each horizon
+        with the same comparison semantics as the scalar driver.
         """
         B = self.batch
         if B == 0:
@@ -317,11 +317,7 @@ class EnsembleSimulation(KnobAccess, AbstractContextManager):
         and let the survivors keep marching.
         """
         failures: dict[int, str] = {}
-        for slot in range(self.batch):
-            diag = check_state(self.layout, self.mixture,
-                               self.state.view(slot))
-            if diag is None:
-                continue
+        for slot, diag in self._diagnostics():
             orig = self.state.case_index[slot]
             message = (f"unphysical state in ensemble case {orig} "
                        f"({self.names[orig]!r}) at case step "
@@ -348,15 +344,31 @@ class EnsembleSimulation(KnobAccess, AbstractContextManager):
     # ------------------------------------------------------------------
     def validate_state(self) -> None:
         """Per-case physical-state check; the error names the case."""
+        for slot, diag in self._diagnostics():
+            orig = self.state.case_index[slot]
+            raise NumericsError(
+                f"unphysical state in ensemble case {orig} "
+                f"({self.names[orig]!r}) at stacked step "
+                f"{self.step_count}: {diag}")
+
+    def _diagnostics(self):
+        """``(slot, diagnostics)`` of every unphysical case, in slot order.
+
+        The stacked block is converted tile by tile into the workspace's
+        primitive buffer (free between steps) and each case checked on
+        its slab of it.
+        """
+        if not self.batch:
+            return
+        ws = self.rhs.workspace
+        prim = to_host_array(cons_to_prim(
+            self.layout, self.mixture, self.backend.from_host(self.q),
+            out=ws.prim, tiles=ws))
         for slot in range(self.batch):
             diag = check_state(self.layout, self.mixture,
-                               self.state.view(slot))
+                               self.state.view(slot), prim=prim[:, slot])
             if diag is not None:
-                orig = self.state.case_index[slot]
-                raise NumericsError(
-                    f"unphysical state in ensemble case {orig} "
-                    f"({self.names[orig]!r}) at stacked step "
-                    f"{self.step_count}: {diag}")
+                yield slot, diag
 
     # ------------------------------------------------------------------
     def run(self, *, t_end: object | None = None,

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.backend import array_namespace
 from repro.common import ConfigurationError, DTYPE
+from repro.common.scratch import fresh
 from repro.eos.stiffened_gas import StiffenedGas
 
 
@@ -83,7 +84,7 @@ class Mixture:
     def ncomp(self) -> int:
         return len(self.fluids)
 
-    def gamma_pi(self, alphas: np.ndarray):
+    def gamma_pi(self, alphas: np.ndarray, *, new=None):
         """Mixture ``(Gamma_m, Pi_m)`` from full volume fractions ``(ncomp, ...)``.
 
         Implemented as an explicit accumulation over the (small) component
@@ -91,31 +92,59 @@ class Mixture:
         grouping with array extent, which would make block-decomposed
         runs differ from serial ones in the last bit.  The fixed
         accumulation order keeps distributed == serial exactly.
+
+        ``new(shape)`` hands out the scratch arrays (results included) —
+        a workspace tile's scratch; by default they are allocated.  The
+        same ufuncs run in the same order either way.
         """
         if alphas.shape[0] != self.ncomp:
             raise ConfigurationError(
                 f"expected {self.ncomp} volume fractions, got {alphas.shape[0]}")
-        Gm = self._Gammas[0] * alphas[0]
-        Pm = self._Pis[0] * alphas[0]
-        for i in range(1, self.ncomp):
-            Gm += self._Gammas[i] * alphas[i]
-            Pm += self._Pis[i] * alphas[i]
+        xp, new = _scratch(alphas, new)
+        shape = alphas.shape[1:]
+        Gm = xp.multiply(self._Gammas[0], alphas[0], out=new(shape))
+        Pm = xp.multiply(self._Pis[0], alphas[0], out=new(shape))
+        with new.frame():
+            tmp = new(shape) if self.ncomp > 1 else None
+            for i in range(1, self.ncomp):
+                xp.add(Gm, xp.multiply(self._Gammas[i], alphas[i], out=tmp),
+                       out=Gm)
+                xp.add(Pm, xp.multiply(self._Pis[i], alphas[i], out=tmp),
+                       out=Pm)
         return Gm, Pm
 
-    def pressure(self, alphas: np.ndarray, rho_e_internal: np.ndarray) -> np.ndarray:
+    def pressure(self, alphas: np.ndarray, rho_e_internal: np.ndarray, *,
+                 out=None, new=None) -> np.ndarray:
         """Mixture pressure from volume fractions and volumetric internal energy."""
-        Gm, Pm = self.gamma_pi(alphas)
-        return (rho_e_internal - Pm) / Gm
+        xp = array_namespace(alphas, rho_e_internal)
+        Gm, Pm = self.gamma_pi(alphas, new=new)
+        p = xp.subtract(rho_e_internal, Pm, out=Pm if out is None else out)
+        return xp.true_divide(p, Gm, out=p)
 
-    def internal_energy(self, alphas: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def internal_energy(self, alphas: np.ndarray, p: np.ndarray, *,
+                        new=None) -> np.ndarray:
         """Volumetric internal energy :math:`\\rho e` from volume fractions and pressure."""
-        Gm, Pm = self.gamma_pi(alphas)
-        return Gm * p + Pm
+        xp = array_namespace(alphas, p)
+        Gm, Pm = self.gamma_pi(alphas, new=new)
+        return xp.add(xp.multiply(Gm, p, out=Gm), Pm, out=Gm)
 
-    def sound_speed(self, alphas: np.ndarray, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Frozen mixture sound speed (see module docstring)."""
-        xp = array_namespace(alphas, rho, p)
-        Gm, Pm = self.gamma_pi(alphas)
-        gamma_m = 1.0 + 1.0 / Gm
-        pi_m = Pm / (Gm + 1.0)
-        return xp.sqrt(xp.maximum(gamma_m * (p + pi_m), 0.0) / rho)
+    def sound_speed(self, alphas: np.ndarray, rho: np.ndarray, p: np.ndarray,
+                    *, out=None, new=None) -> np.ndarray:
+        """Frozen mixture sound speed (see module docstring), into
+        ``out`` when given; ``new`` as for :meth:`gamma_pi`."""
+        xp, new = _scratch(alphas, new)
+        shape = alphas.shape[1:]
+        out = new(shape) if out is None else out
+        with new.frame():
+            Gm, Pm = self.gamma_pi(alphas, new=new)
+            gamma_m = new(shape)
+            xp.add(1.0, xp.true_divide(1.0, Gm, out=gamma_m), out=gamma_m)
+            pi_m = xp.true_divide(Pm, xp.add(Gm, 1.0, out=Gm), out=Pm)
+            c2 = xp.multiply(gamma_m, xp.add(p, pi_m, out=pi_m), out=pi_m)
+            c2 = xp.true_divide(xp.maximum(c2, 0.0, out=c2), rho, out=c2)
+            return xp.sqrt(c2, out=out)
+
+
+def _scratch(like, new):
+    """``(namespace, new)`` with ``new`` defaulting to fresh arrays."""
+    return array_namespace(like), fresh(like) if new is None else new

@@ -175,7 +175,8 @@ def write_snapshot(path: str | Path, q: np.ndarray, *, step: int,
         raise ConfigurationError(f"expected (nvars, *spatial) field, got ndim={q.ndim}")
     header = SnapshotHeader(step=step, time=time, nvars=q.shape[0],
                             shape=q.shape[1:])
-    payload = np.ascontiguousarray(q).tobytes()
+    # The field's own bytes, streamed: no second copy of the payload.
+    payload = np.ascontiguousarray(q).reshape(-1).view(np.uint8)
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
@@ -211,17 +212,22 @@ def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, np.ndarray]:
     with path.open("rb") as fh:
         header, payload_crc = SnapshotHeader.unpack(fh.read(HEADER_BYTES))
         header.check_compatible()
-        fh.seek(header.header_bytes())
-        data = fh.read(header.nbytes())
-    if len(data) != header.nbytes():
+        start, size = header.header_bytes(), header.nbytes()
+        got = max(0, os.fstat(fh.fileno()).st_size - start)
+        if got >= size:
+            # Straight into the one array the caller gets back.
+            q = np.empty((header.nvars, *header.shape), dtype=DTYPE)
+            payload = q.reshape(-1).view(np.uint8)
+            fh.seek(start)
+            got = fh.readinto(payload)
+    if got < size:
         raise CheckpointError(
-            f"truncated snapshot {path}: {len(data)} of {header.nbytes()} "
-            f"bytes", reason="truncated")
-    if payload_crc >= 0 and zlib.crc32(data) != payload_crc:
+            f"truncated snapshot {path}: {got} of {size} bytes",
+            reason="truncated")
+    if payload_crc >= 0 and zlib.crc32(payload) != payload_crc:
         raise CheckpointError(
             f"snapshot {path} payload failed its CRC32 check", reason="crc")
-    q = np.frombuffer(data, dtype=DTYPE).reshape((header.nvars, *header.shape))
-    return header, q.copy()
+    return header, q
 
 
 def verify_snapshot(path: str | Path) -> SnapshotHeader:

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.backend import array_namespace
 from repro.common import DTYPE
+from repro.common.scratch import Scratch, fresh
 from repro.eos.mixture import Mixture
 from repro.state.conversions import full_alphas, prim_to_cons
 from repro.state.layout import StateLayout
@@ -56,11 +57,14 @@ def physical_flux(layout: StateLayout, prim: np.ndarray, cons: np.ndarray,
     xp = array_namespace(prim, cons)
     un = prim[layout.momentum_component(direction)]
     flux = xp.empty_like(cons) if out is None else out
-    flux[layout.partial_densities] = cons[layout.partial_densities] * un
-    flux[layout.momentum] = cons[layout.momentum] * un
-    flux[layout.momentum_component(direction)] += p
-    flux[layout.energy] = (cons[layout.energy] + p) * un
-    flux[layout.advected] = prim[layout.advected] * un
+    xp.multiply(cons[layout.partial_densities], un,
+                out=flux[layout.partial_densities])
+    xp.multiply(cons[layout.momentum], un, out=flux[layout.momentum])
+    normal = flux[layout.momentum_component(direction)]
+    xp.add(normal, p, out=normal)
+    energy = xp.add(cons[layout.energy], p, out=flux[layout.energy])
+    xp.multiply(energy, un, out=energy)
+    xp.multiply(prim[layout.advected], un, out=flux[layout.advected])
     return flux
 
 
@@ -82,9 +86,10 @@ def advect_volume_fractions(layout: StateLayout, flux: np.ndarray,
     if layout.n_advected == 0:
         return
     xp = array_namespace(flux, u_face)
-    upwind = xp.where(u_face >= 0.0, prim_l[layout.advected],
-                      prim_r[layout.advected])
-    flux[layout.advected] = upwind * u_face
+    upwind = flux[layout.advected]
+    xp.copyto(upwind, prim_r[layout.advected])
+    xp.copyto(upwind, prim_l[layout.advected], where=u_face >= 0.0)
+    xp.multiply(upwind, u_face, out=upwind)
 
 
 class RiemannScratch:
@@ -95,14 +100,20 @@ class RiemannScratch:
     plus the star-state temporary); the decompositions use the
     ``cons``/``flux`` pairs.  All uses are bitwise neutral — the
     buffers only replace ``np.empty_like`` destinations.
+
+    ``spare`` is an optional block of ``(k, *face)`` free for the whole
+    solve (a tile arena's WENO scratch, dead once the faces are
+    reconstructed): :meth:`new` carves the per-face temporaries from it.
     """
 
-    __slots__ = ("cons_l", "flux_l", "cons_r", "flux_r",
-                 "star_l", "star_r", "star_tmp")
+    BUFFERS = ("cons_l", "flux_l", "cons_r", "flux_r",
+               "star_l", "star_r", "star_tmp")
+    __slots__ = (*BUFFERS, "spare")
 
     def __init__(self, shape: tuple[int, ...], dtype=DTYPE, xp=np) -> None:
-        for name in self.__slots__:
+        for name in self.BUFFERS:
             setattr(self, name, xp.empty(shape, dtype=dtype))
+        self.spare = None
 
     def view(self, idx) -> "RiemannScratch":
         """A scratch set whose buffers are views sliced by ``idx``.
@@ -114,22 +125,62 @@ class RiemannScratch:
         share one parent across concurrently running tiles.
         """
         sliced = object.__new__(RiemannScratch)
-        for name in self.__slots__:
+        for name in self.BUFFERS:
             setattr(sliced, name, getattr(self, name)[idx])
+        sliced.spare = self.spare
         return sliced
+
+    def new(self):
+        """A fresh ``new(shape)`` allocator over :attr:`spare` — one per
+        solve, shared by both sides (fresh arrays past its end)."""
+        pool = None if self.spare is None else self.spare.reshape(-1)
+        return Scratch(pool, xp=array_namespace(self.cons_l),
+                       dtype=self.cons_l.dtype)
 
 
 def decompose_faces(layout: StateLayout, mixture: Mixture, prim: np.ndarray,
                     direction: int, *, cons_out: np.ndarray | None = None,
-                    flux_out: np.ndarray | None = None) -> FaceStates:
-    """Build a :class:`FaceStates` from one side's primitive face states."""
+                    flux_out: np.ndarray | None = None,
+                    new=None) -> FaceStates:
+    """Build a :class:`FaceStates` from one side's primitive face states
+    (per-face temporaries from ``new(shape)``, by default fresh)."""
     xp = array_namespace(prim)
-    rho = prim[layout.partial_densities].sum(axis=0)
+    new = fresh(prim) if new is None else new
+    shape = prim.shape[1:]
+    rho = xp.sum(prim[layout.partial_densities], axis=0, out=new(shape))
+    c = new(shape)
     p = prim[layout.pressure]
-    alphas = full_alphas(layout, prim[layout.advected])
-    c = mixture.sound_speed(alphas, rho, p)
+    with new.frame():
+        alphas = full_alphas(layout, prim[layout.advected],
+                             out=new((layout.ncomp,) + shape))
+        mixture.sound_speed(alphas, rho, p, out=c, new=new)
+        cons = prim_to_cons(layout, mixture, prim, out=cons_out, new=new)
     un = prim[layout.momentum_component(direction)]
-    cons = prim_to_cons(layout, mixture, prim, out=cons_out)
     flux = physical_flux(layout, prim, cons, rho, p, direction, out=flux_out)
     return FaceStates(prim=prim, cons=cons, rho=rho, p=p, c=c,
                       un=xp.asarray(un), flux=flux)
+
+
+def solve_buffers(prim_l, scratch):
+    """``(new, star_l, star_r, star_tmp)`` of one Riemann solve: the
+    per-face allocator and the three state-sized work buffers — from
+    ``scratch`` (a :class:`RiemannScratch`) when given, else fresh."""
+    if scratch is None:
+        xp = array_namespace(prim_l)
+        return (fresh(prim_l), *(xp.empty_like(prim_l) for _ in range(3)))
+    return scratch.new(), scratch.star_l, scratch.star_r, scratch.star_tmp
+
+
+def decompose_sides(layout: StateLayout, mixture: Mixture, prim_l, prim_r,
+                    direction: int, scratch, new) -> tuple:
+    """Both sides' :class:`FaceStates` (into ``scratch``'s buffers when
+    given) — the one preamble every solver shares."""
+    if scratch is None:
+        return (decompose_faces(layout, mixture, prim_l, direction, new=new),
+                decompose_faces(layout, mixture, prim_r, direction, new=new))
+    return (decompose_faces(layout, mixture, prim_l, direction,
+                            cons_out=scratch.cons_l, flux_out=scratch.flux_l,
+                            new=new),
+            decompose_faces(layout, mixture, prim_r, direction,
+                            cons_out=scratch.cons_r, flux_out=scratch.flux_r,
+                            new=new))

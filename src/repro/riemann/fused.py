@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.backend import array_namespace
 from repro.eos.mixture import Mixture
-from repro.riemann.common import advect_volume_fractions, decompose_faces
+from repro.riemann.common import (
+    advect_volume_fractions,
+    decompose_sides,
+    solve_buffers,
+)
 from repro.state.layout import StateLayout
 
 
@@ -35,89 +39,85 @@ def hllc_flux_fused(layout: StateLayout, mixture: Mixture,
                     scratch=None):
     """Fused-subexpression HLLC; same interface as ``hllc_flux``."""
     xp = array_namespace(prim_l, prim_r)
-    if scratch is None:
-        L = decompose_faces(layout, mixture, prim_l, direction)
-        R = decompose_faces(layout, mixture, prim_r, direction)
-    else:
-        L = decompose_faces(layout, mixture, prim_l, direction,
-                            cons_out=scratch.cons_l, flux_out=scratch.flux_l)
-        R = decompose_faces(layout, mixture, prim_r, direction,
-                            cons_out=scratch.cons_r, flux_out=scratch.flux_r)
-
-    # Davis wave-speed estimates.
-    s_l = xp.minimum(L.un - L.c, R.un - R.c)
-    s_r = xp.maximum(L.un + L.c, R.un + R.c)
-
+    new, star_l, star_r, q_star = solve_buffers(prim_l, scratch)
+    L, R = decompose_sides(layout, mixture, prim_l, prim_r, direction,
+                           scratch, new)
+    shape = L.un.shape
+    s_l, s_r, s_star = new(shape), new(shape), new(shape)
     # Cached signal-speed differences (reference computes each 4x).
-    dl = s_l - L.un
-    dr = s_r - R.un
+    dl, dr = new(shape), new(shape)
+    with new.frame():
+        a, b = new(shape), new(shape)
+        # Davis wave-speed estimates.
+        xp.minimum(xp.subtract(L.un, L.c, out=s_l),
+                   xp.subtract(R.un, R.c, out=a), out=s_l)
+        xp.maximum(xp.add(L.un, L.c, out=s_r), xp.add(R.un, R.c, out=a),
+                   out=s_r)
+        xp.subtract(s_l, L.un, out=dl)
+        xp.subtract(s_r, R.un, out=dr)
 
-    # Contact speed; grouping mirrors the reference's left-to-right
-    # ``R.p - L.p + L.rho*L.un*dl - R.rho*R.un*dr`` exactly.
-    num = ((R.p - L.p) + ((L.rho * L.un) * dl)) - ((R.rho * R.un) * dr)
-    den = (L.rho * dl) - (R.rho * dr)
-    tiny = xp.finfo(den.dtype).tiny
-    small = xp.abs(den) < tiny
-    safe_den = xp.where(small, tiny, den)
-    s_star = num / safe_den
-    s_star = xp.where(small, 0.5 * (L.un + R.un), s_star)
+        # Contact speed; grouping mirrors the reference's left-to-right
+        # ``R.p - L.p + L.rho*L.un*dl - R.rho*R.un*dr`` exactly.
+        num = xp.subtract(R.p, L.p, out=new(shape))
+        xp.add(num, xp.multiply(xp.multiply(L.rho, L.un, out=a), dl, out=a),
+               out=num)
+        xp.subtract(num, xp.multiply(xp.multiply(R.rho, R.un, out=a), dr,
+                                     out=a), out=num)
+        den = xp.subtract(xp.multiply(L.rho, dl, out=a),
+                          xp.multiply(R.rho, dr, out=b), out=a)
+        tiny = xp.finfo(den.dtype).tiny
+        small = xp.abs(den, out=b) < tiny
+        xp.copyto(den, tiny, where=small)  # the guarded denominator
+        xp.true_divide(num, den, out=s_star)
+        xp.copyto(s_star, xp.multiply(0.5, xp.add(L.un, R.un, out=a), out=a),
+                  where=small)
 
-    if scratch is None:
-        star_l = _star_flux_fused(layout, L, s_l, s_star, dl, direction,
-                                  xp=xp)
-        star_r = _star_flux_fused(layout, R, s_r, s_star, dr, direction,
-                                  xp=xp)
-    else:
-        star_l = _star_flux_fused(layout, L, s_l, s_star, dl, direction,
-                                  out=scratch.star_l,
-                                  q_star=scratch.star_tmp, xp=xp)
-        star_r = _star_flux_fused(layout, R, s_r, s_star, dr, direction,
-                                  out=scratch.star_r,
-                                  q_star=scratch.star_tmp, xp=xp)
+    _star_flux_fused(layout, L, s_l, s_star, dl, direction, star_l, q_star,
+                     new, xp)
+    _star_flux_fused(layout, R, s_r, s_star, dr, direction, star_r, q_star,
+                     new, xp)
     ge_l = s_l >= 0.0
     in_star_l = (s_l < 0.0) & (s_star >= 0.0)
     in_star_r = (s_star < 0.0) & (s_r >= 0.0)
-    if out is None:
-        flux = xp.where(ge_l, L.flux, R.flux)
-        flux = xp.where(in_star_l, star_l, flux)
-        flux = xp.where(in_star_r, star_r, flux)
-    else:
-        flux = out
-        xp.copyto(flux, R.flux)
-        xp.copyto(flux, L.flux, where=ge_l)
-        xp.copyto(flux, star_l, where=in_star_l)
-        xp.copyto(flux, star_r, where=in_star_r)
+    flux = xp.empty_like(L.flux) if out is None else out
+    xp.copyto(flux, R.flux)
+    xp.copyto(flux, L.flux, where=ge_l)
+    xp.copyto(flux, star_l, where=in_star_l)
+    xp.copyto(flux, star_r, where=in_star_r)
 
-    if out_u is None:
-        u_face = xp.where(ge_l, L.un, xp.where(s_r <= 0.0, R.un, s_star))
-    else:
-        u_face = out_u
-        xp.copyto(u_face, s_star)
-        xp.copyto(u_face, R.un, where=s_r <= 0.0)
-        xp.copyto(u_face, L.un, where=ge_l)
+    u_face = xp.empty_like(s_star) if out_u is None else out_u
+    xp.copyto(u_face, s_star)
+    xp.copyto(u_face, R.un, where=s_r <= 0.0)
+    xp.copyto(u_face, L.un, where=ge_l)
     advect_volume_fractions(layout, flux, prim_l, prim_r, u_face)
     return flux, u_face
 
 
 def _star_flux_fused(layout: StateLayout, K, s_k, s_star, dk,
-                     direction: int, *, out=None, q_star=None, xp=np):
+                     direction: int, out, q_star, new, xp=np):
     """``F_K + S_K (q*_K - q_K)`` with the cached ``dk = s_k - K.un``."""
-    factor = dk / (s_k - s_star)
-    if q_star is None:
-        q_star = xp.empty_like(K.cons)
-    q_star[layout.partial_densities] = K.cons[layout.partial_densities] * factor
-    rho_star = K.rho * factor
+    shape = K.un.shape
+    with new.frame():
+        factor, rho_star, a, b = (new(shape) for _ in range(4))
+        xp.true_divide(dk, xp.subtract(s_k, s_star, out=a), out=factor)
+        xp.multiply(K.cons[layout.partial_densities], factor,
+                    out=q_star[layout.partial_densities])
+        xp.multiply(K.rho, factor, out=rho_star)
 
-    q_star[layout.momentum] = K.cons[layout.momentum] * factor
-    q_star[layout.momentum_component(direction)] = rho_star * s_star
+        xp.multiply(K.cons[layout.momentum], factor,
+                    out=q_star[layout.momentum])
+        xp.multiply(rho_star, s_star,
+                    out=q_star[layout.momentum_component(direction)])
 
-    e_k = K.cons[layout.energy] / K.rho
-    q_star[layout.energy] = rho_star * (
-        e_k + (s_star - K.un) * (s_star + K.p / (K.rho * dk)))
+        e_k = xp.true_divide(K.cons[layout.energy], K.rho, out=a)
+        xp.add(s_star, xp.true_divide(K.p, xp.multiply(K.rho, dk, out=b),
+                                      out=b), out=b)
+        energy = xp.subtract(s_star, K.un, out=q_star[layout.energy])
+        xp.add(e_k, xp.multiply(energy, b, out=energy), out=energy)
+        xp.multiply(rho_star, energy, out=energy)
 
-    q_star[layout.advected] = K.cons[layout.advected] * factor
-    if out is None:
-        return K.flux + s_k * (q_star - K.cons)
+        xp.multiply(K.cons[layout.advected], factor,
+                    out=q_star[layout.advected])
     xp.subtract(q_star, K.cons, out=q_star)
     xp.multiply(q_star, s_k, out=q_star)
     xp.add(K.flux, q_star, out=out)

@@ -11,7 +11,11 @@ import numpy as np
 
 from repro.backend import array_namespace
 from repro.eos.mixture import Mixture
-from repro.riemann.common import advect_volume_fractions, decompose_faces
+from repro.riemann.common import (
+    advect_volume_fractions,
+    decompose_sides,
+    solve_buffers,
+)
 from repro.state.layout import StateLayout
 
 
@@ -21,42 +25,39 @@ def hll_flux(layout: StateLayout, mixture: Mixture,
              out_u: np.ndarray | None = None,
              scratch=None):
     """HLL flux and interface velocity; same interface as :func:`hllc_flux`."""
-    if scratch is None:
-        L = decompose_faces(layout, mixture, prim_l, direction)
-        R = decompose_faces(layout, mixture, prim_r, direction)
-    else:
-        L = decompose_faces(layout, mixture, prim_l, direction,
-                            cons_out=scratch.cons_l, flux_out=scratch.flux_l)
-        R = decompose_faces(layout, mixture, prim_r, direction,
-                            cons_out=scratch.cons_r, flux_out=scratch.flux_r)
+    new, _, _, work = solve_buffers(prim_l, scratch)
+    L, R = decompose_sides(layout, mixture, prim_l, prim_r, direction,
+                           scratch, new)
 
     xp = array_namespace(L.un, R.un)
-    s_l = xp.minimum(L.un - L.c, R.un - R.c)
-    s_r = xp.maximum(L.un + L.c, R.un + R.c)
+    shape = L.un.shape
+    s_l, s_r, a = new(shape), new(shape), new(shape)
+    xp.minimum(xp.subtract(L.un, L.c, out=s_l),
+               xp.subtract(R.un, R.c, out=a), out=s_l)
+    xp.maximum(xp.add(L.un, L.c, out=s_r), xp.add(R.un, R.c, out=a),
+               out=s_r)
 
-    # Single-state middle flux; guard s_r == s_l (identical silent states).
-    den = s_r - s_l
+    # Single-state middle flux ``(s_r*F_L - s_l*F_R + s_l*s_r*(q_R - q_L))
+    # / den`` in ``flux``; guard s_r == s_l (identical silent states).
+    den = xp.subtract(s_r, s_l, out=new(shape))
     tiny = xp.finfo(den.dtype).tiny
-    safe_den = xp.where(xp.abs(den) < tiny, 1.0, den)
-    middle = (s_r * L.flux - s_l * R.flux + s_l * s_r * (R.cons - L.cons)) / safe_den
-    middle = xp.where(xp.abs(den) < tiny, L.flux, middle)
-
-    if out is None:
-        flux = xp.where(s_l >= 0.0, L.flux, xp.where(s_r <= 0.0, R.flux, middle))
-    else:
-        flux = out
-        xp.copyto(flux, middle)
-        xp.copyto(flux, R.flux, where=s_r <= 0.0)
-        xp.copyto(flux, L.flux, where=s_l >= 0.0)
+    small = xp.abs(den, out=a) < tiny
+    xp.copyto(den, 1.0, where=small)
+    flux = middle = xp.empty_like(L.flux) if out is None else out
+    xp.multiply(s_r, L.flux, out=middle)
+    xp.subtract(middle, xp.multiply(s_l, R.flux, out=work), out=middle)
+    xp.subtract(R.cons, L.cons, out=work)
+    xp.add(middle, xp.multiply(xp.multiply(s_l, s_r, out=a), work, out=work),
+           out=middle)
+    xp.true_divide(middle, den, out=middle)
+    xp.copyto(middle, L.flux, where=small)
+    xp.copyto(flux, R.flux, where=s_r <= 0.0)
+    xp.copyto(flux, L.flux, where=s_l >= 0.0)
 
     # HLL has no contact wave; use the Roe-like average bounded by the fan.
-    u_mid = 0.5 * (L.un + R.un)
-    if out_u is None:
-        u_face = xp.where(s_l >= 0.0, L.un, xp.where(s_r <= 0.0, R.un, u_mid))
-    else:
-        u_face = out_u
-        xp.copyto(u_face, u_mid)
-        xp.copyto(u_face, R.un, where=s_r <= 0.0)
-        xp.copyto(u_face, L.un, where=s_l >= 0.0)
+    u_face = xp.empty_like(s_l) if out_u is None else out_u
+    xp.multiply(0.5, xp.add(L.un, R.un, out=u_face), out=u_face)
+    xp.copyto(u_face, R.un, where=s_r <= 0.0)
+    xp.copyto(u_face, L.un, where=s_l >= 0.0)
     advect_volume_fractions(layout, flux, prim_l, prim_r, u_face)
     return flux, u_face

@@ -14,7 +14,11 @@ import numpy as np
 
 from repro.backend import array_namespace
 from repro.eos.mixture import Mixture
-from repro.riemann.common import advect_volume_fractions, decompose_faces
+from repro.riemann.common import (
+    advect_volume_fractions,
+    decompose_sides,
+    solve_buffers,
+)
 from repro.state.layout import StateLayout
 
 
@@ -38,7 +42,10 @@ def hllc_flux(layout: StateLayout, mixture: Mixture,
     scratch:
         Optional :class:`~repro.riemann.common.RiemannScratch` whose
         buffers absorb the field-sized temporaries (decomposed
-        conservative states, physical fluxes, star fluxes).
+        conservative states, physical fluxes, star fluxes) and whose
+        spare block, when it has one, the per-face ones (wave speeds,
+        sound speeds, EOS intermediates).  Without it they are
+        allocated; the ufuncs are the same either way.
 
     Returns
     -------
@@ -49,84 +56,89 @@ def hllc_flux(layout: StateLayout, mixture: Mixture,
         the nonconservative volume-fraction source.
     """
     xp = array_namespace(prim_l, prim_r)
-    if scratch is None:
-        L = decompose_faces(layout, mixture, prim_l, direction)
-        R = decompose_faces(layout, mixture, prim_r, direction)
-    else:
-        L = decompose_faces(layout, mixture, prim_l, direction,
-                            cons_out=scratch.cons_l, flux_out=scratch.flux_l)
-        R = decompose_faces(layout, mixture, prim_r, direction,
-                            cons_out=scratch.cons_r, flux_out=scratch.flux_r)
+    new, star_l, star_r, q_star = solve_buffers(prim_l, scratch)
+    L, R = decompose_sides(layout, mixture, prim_l, prim_r, direction,
+                           scratch, new)
+    shape = L.un.shape
+    s_l, s_r, s_star = new(shape), new(shape), new(shape)
+    with new.frame():
+        a, b = new(shape), new(shape)
+        # Davis wave-speed estimates.
+        xp.minimum(xp.subtract(L.un, L.c, out=s_l),
+                   xp.subtract(R.un, R.c, out=a), out=s_l)
+        xp.maximum(xp.add(L.un, L.c, out=s_r), xp.add(R.un, R.c, out=a),
+                   out=s_r)
 
-    # Davis wave-speed estimates.
-    s_l = xp.minimum(L.un - L.c, R.un - R.c)
-    s_r = xp.maximum(L.un + L.c, R.un + R.c)
+        # Contact speed, ``R.p - L.p + L.rho*L.un*(s_l - L.un) -
+        # R.rho*R.un*(s_r - R.un)`` over ``L.rho*(s_l - L.un) -
+        # R.rho*(s_r - R.un)``.  The denominator vanishes only for
+        # identical states with zero normal-velocity jump, where any
+        # finite S* gives the same flux; guard it to avoid 0/0.
+        num = xp.subtract(R.p, L.p, out=new(shape))
+        xp.multiply(xp.multiply(L.rho, L.un, out=a),
+                    xp.subtract(s_l, L.un, out=b), out=a)
+        xp.add(num, a, out=num)
+        xp.multiply(xp.multiply(R.rho, R.un, out=a),
+                    xp.subtract(s_r, R.un, out=b), out=a)
+        xp.subtract(num, a, out=num)
+        den = xp.multiply(L.rho, xp.subtract(s_l, L.un, out=a), out=a)
+        xp.subtract(den, xp.multiply(R.rho, xp.subtract(s_r, R.un, out=b),
+                                     out=b), out=den)
+        tiny = xp.finfo(den.dtype).tiny
+        small = xp.abs(den, out=b) < tiny
+        xp.copyto(den, tiny, where=small)  # the guarded denominator
+        xp.true_divide(num, den, out=s_star)
+        xp.copyto(s_star, xp.multiply(0.5, xp.add(L.un, R.un, out=a), out=a),
+                  where=small)
 
-    # Contact speed.  The denominator vanishes only for identical states
-    # with zero normal-velocity jump, where any finite S* gives the same
-    # flux; guard it to avoid 0/0.
-    num = R.p - L.p + L.rho * L.un * (s_l - L.un) - R.rho * R.un * (s_r - R.un)
-    den = L.rho * (s_l - L.un) - R.rho * (s_r - R.un)
-    tiny = xp.finfo(den.dtype).tiny
-    safe_den = xp.where(xp.abs(den) < tiny, tiny, den)
-    s_star = num / safe_den
-    s_star = xp.where(xp.abs(den) < tiny, 0.5 * (L.un + R.un), s_star)
-
-    if scratch is None:
-        star_l = _star_flux(layout, L, s_l, s_star, direction, xp=xp)
-        star_r = _star_flux(layout, R, s_r, s_star, direction, xp=xp)
-    else:
-        star_l = _star_flux(layout, L, s_l, s_star, direction,
-                            out=scratch.star_l, q_star=scratch.star_tmp,
-                            xp=xp)
-        star_r = _star_flux(layout, R, s_r, s_star, direction,
-                            out=scratch.star_r, q_star=scratch.star_tmp,
-                            xp=xp)
+    _star_flux(layout, L, s_l, s_star, direction, star_l, q_star, new, xp)
+    _star_flux(layout, R, s_r, s_star, direction, star_r, q_star, new, xp)
     in_star_l = (s_l < 0.0) & (s_star >= 0.0)
     in_star_r = (s_star < 0.0) & (s_r >= 0.0)
-    if out is None:
-        flux = xp.where(s_l >= 0.0, L.flux, R.flux)
-        flux = xp.where(in_star_l, star_l, flux)
-        flux = xp.where(in_star_r, star_r, flux)
-    else:
-        # Same selection as the np.where chain, element-for-element.
-        flux = out
-        xp.copyto(flux, R.flux)
-        xp.copyto(flux, L.flux, where=s_l >= 0.0)
-        xp.copyto(flux, star_l, where=in_star_l)
-        xp.copyto(flux, star_r, where=in_star_r)
+    # The selection of ``where(s_l >= 0, F_L, F_R)``, then the star
+    # fluxes inside the fan, element for element.
+    flux = xp.empty_like(L.flux) if out is None else out
+    xp.copyto(flux, R.flux)
+    xp.copyto(flux, L.flux, where=s_l >= 0.0)
+    xp.copyto(flux, star_l, where=in_star_l)
+    xp.copyto(flux, star_r, where=in_star_r)
 
-    if out_u is None:
-        u_face = xp.where(s_l >= 0.0, L.un, xp.where(s_r <= 0.0, R.un, s_star))
-    else:
-        u_face = out_u
-        xp.copyto(u_face, s_star)
-        xp.copyto(u_face, R.un, where=s_r <= 0.0)
-        xp.copyto(u_face, L.un, where=s_l >= 0.0)
+    u_face = xp.empty_like(s_star) if out_u is None else out_u
+    xp.copyto(u_face, s_star)
+    xp.copyto(u_face, R.un, where=s_r <= 0.0)
+    xp.copyto(u_face, L.un, where=s_l >= 0.0)
     advect_volume_fractions(layout, flux, prim_l, prim_r, u_face)
     return flux, u_face
 
 
-def _star_flux(layout: StateLayout, K, s_k, s_star,
-               direction: int, *, out=None, q_star=None, xp=np):
-    """``F_K + S_K (q*_K - q_K)`` for one side of the fan."""
-    factor = (s_k - K.un) / (s_k - s_star)
-    if q_star is None:
-        q_star = xp.empty_like(K.cons)
-    q_star[layout.partial_densities] = K.cons[layout.partial_densities] * factor
-    rho_star = K.rho * factor
+def _star_flux(layout: StateLayout, K, s_k, s_star, direction: int, out,
+               q_star, new, xp=np):
+    """``F_K + S_K (q*_K - q_K)`` for one side of the fan, into ``out``."""
+    shape = K.un.shape
+    with new.frame():
+        factor, rho_star, a, b = (new(shape) for _ in range(4))
+        xp.true_divide(xp.subtract(s_k, K.un, out=factor),
+                       xp.subtract(s_k, s_star, out=a), out=factor)
+        xp.multiply(K.cons[layout.partial_densities], factor,
+                    out=q_star[layout.partial_densities])
+        xp.multiply(K.rho, factor, out=rho_star)
 
-    # Tangential momentum advects unchanged velocity; normal carries S*.
-    q_star[layout.momentum] = K.cons[layout.momentum] * factor
-    q_star[layout.momentum_component(direction)] = rho_star * s_star
+        # Tangential momentum advects unchanged velocity; normal carries S*.
+        xp.multiply(K.cons[layout.momentum], factor,
+                    out=q_star[layout.momentum])
+        xp.multiply(rho_star, s_star,
+                    out=q_star[layout.momentum_component(direction)])
 
-    e_k = K.cons[layout.energy] / K.rho
-    q_star[layout.energy] = rho_star * (
-        e_k + (s_star - K.un) * (s_star + K.p / (K.rho * (s_k - K.un))))
+        # rho* (e + (S* - u)(S* + p / (rho (S - u)))), e = E / rho.
+        e_k = xp.true_divide(K.cons[layout.energy], K.rho, out=a)
+        xp.multiply(K.rho, xp.subtract(s_k, K.un, out=b), out=b)
+        xp.add(s_star, xp.true_divide(K.p, b, out=b), out=b)
+        energy = xp.subtract(s_star, K.un, out=q_star[layout.energy])
+        xp.add(e_k, xp.multiply(energy, b, out=energy), out=energy)
+        xp.multiply(rho_star, energy, out=energy)
 
-    q_star[layout.advected] = K.cons[layout.advected] * factor
-    if out is None:
-        return K.flux + s_k * (q_star - K.cons)
+        xp.multiply(K.cons[layout.advected], factor,
+                    out=q_star[layout.advected])
     xp.subtract(q_star, K.cons, out=q_star)
     xp.multiply(q_star, s_k, out=q_star)
     xp.add(K.flux, q_star, out=out)

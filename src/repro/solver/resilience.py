@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend import array_namespace
 from repro.common import ConfigurationError, NumericsError
 from repro.eos.mixture import Mixture
-from repro.solver.positivity import PRESSURE_MARGIN
-from repro.state.conversions import cons_to_prim, full_alphas
+from repro.solver.positivity import pressure_floor
+from repro.state.conversions import cons_to_prim, row_tiles
 from repro.state.layout import StateLayout
 
 #: Scheme-escalation rungs: policy name -> WENO order used for the
@@ -76,7 +77,8 @@ def _first_bad(mask: np.ndarray) -> tuple[int, tuple[int, ...], int]:
 
 
 def check_state(layout: StateLayout, mixture: Mixture, q: np.ndarray, *,
-                prim: np.ndarray | None = None) -> StateDiagnostics | None:
+                prim: np.ndarray | None = None,
+                tiles=None) -> StateDiagnostics | None:
     """Validate a conservative state; ``None`` when physical.
 
     Checks, in order: every primitive value finite, every partial
@@ -84,10 +86,31 @@ def check_state(layout: StateLayout, mixture: Mixture, q: np.ndarray, *,
     stiffened-gas floor :math:`-\\pi_{\\infty,m}` (with the same margin
     the face-level positivity limiter uses).  ``prim`` may supply a
     precomputed primitive field (e.g. a workspace buffer) so the
-    steady-state guard path allocates no field-sized arrays.
+    steady-state guard path allocates no field-sized arrays: a clean
+    state is checked tile by tile over
+    :func:`~repro.state.conversions.row_tiles` (``tiles`` as there), and
+    only a failing one is diagnosed whole.
     """
     if prim is None:
-        prim = cons_to_prim(layout, mixture, q)
+        prim = cons_to_prim(layout, mixture, q, tiles=tiles)
+    if all(_physical(layout, mixture, prim[:, rows], new)
+           for rows, new in row_tiles(prim, tiles)):
+        return None
+    return _diagnose(layout, mixture, prim)
+
+
+def _physical(layout: StateLayout, mixture: Mixture, prim, new) -> bool:
+    """Whether one tile passes every :func:`check_state` check."""
+    xp = array_namespace(prim)
+    return (bool(xp.isfinite(prim).all())
+            and bool((prim[layout.partial_densities] > 0.0).all())
+            and bool((prim[layout.pressure]
+                      > pressure_floor(layout, mixture, prim, new)).all()))
+
+
+def _diagnose(layout: StateLayout, mixture: Mixture,
+              prim) -> StateDiagnostics:
+    """The first failing check of an unphysical state, whole-field."""
     names = layout.describe_primitive()
 
     finite = np.isfinite(prim)
@@ -101,11 +124,7 @@ def check_state(layout: StateLayout, mixture: Mixture, q: np.ndarray, *,
         var, cell, count = _first_bad(bad)
         return StateDiagnostics("negative-density", names[var], cell, count)
 
-    alphas = full_alphas(layout, prim[layout.advected])
-    Gm, Pm = mixture.gamma_pi(alphas)
-    pi_m = Pm / (Gm + 1.0)
-    floor = -pi_m + PRESSURE_MARGIN * (pi_m + 1.0)
-    bad = prim[layout.pressure] <= floor
+    bad = prim[layout.pressure] <= pressure_floor(layout, mixture, prim)
     if bad.any():
         cell, count = _first_bad(bad[np.newaxis])[1:]
         return StateDiagnostics("pressure-floor", names[layout.pressure],

@@ -14,6 +14,13 @@ The optional :class:`~repro.common.timing.Stopwatch` records wall time
 per stage under the kernel names the paper's breakdown figures use
 ("weno", "riemann", "packing", "other"), so the host-side benches can
 report the same rows.
+
+Everything else a step does per cell is elementwise and runs inside the
+sweeps' own launches, on each tile's slab rows (see :meth:`RHS.__call__`):
+the first direction's tiles convert their rows to primitives (and, in
+RK stage one, measure the CFL wave rate) and zero the accumulators; the
+last direction's tiles add the nonconservative term and write their
+rows of the Shu-Osher combination.
 """
 
 from __future__ import annotations
@@ -21,11 +28,17 @@ from __future__ import annotations
 import dataclasses
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from repro.acc.gang import GangExecutor, plan_gang_width
-from repro.backend import array_namespace, precision_dtype, resolve_backend
+from repro.backend import (
+    array_namespace,
+    precision_dtype,
+    resolve_backend,
+    to_host_array,
+)
 from repro.bc.boundary import BoundarySet, fill_axis_ghosts, pad_axis
 from repro.common import DTYPE, ConfigurationError, Stopwatch
 from repro.common.checks import integer, optional
@@ -47,11 +60,101 @@ from repro.solver.sweep import (
     validate_sweep_layout,
 )
 from repro.solver.viscous import Viscosity, viscous_rhs
-from repro.solver.workspace import SolverWorkspace
-from repro.state.conversions import cons_to_prim
+from repro.solver.workspace import CONTROL_WORDS, SolverWorkspace
+from repro.state.conversions import cons_to_prim, cons_to_prim_tile, row_tiles
 from repro.state.layout import StateLayout
+from repro.timestepping.cfl import max_rate, tile_of, wave_rate_tile
+from repro.timestepping.ssp_rk import shu_osher_tile
 from repro.weno import halo_width, reconstruct_faces
 from repro.weno.stacked import validate_weno_variant
+
+#: Words of :attr:`SolverWorkspace.control`: the launch's flags, the RK
+#: buffers (indices into ``(rk_result, rk_stage)``) the stage reads and
+#: writes, its coefficients, and from ``_DT`` on one dt per case.
+_FLAGS, _SRC, _DEST, _A, _B, _C = range(CONTROL_WORDS)
+_DT = CONTROL_WORDS
+#: What a launch adds around each tile's sweep: before it, zero the
+#: accumulators, convert the stage input and measure the wave rate;
+#: after it, add the nonconservative term and combine the stage.
+ZERO, CONVERT, RATE, FINISH, COMBINE = 1, 2, 4, 8, 16
+
+
+def nonconservative_tile(layout: StateLayout, prim, divu, dqdt, new) -> None:
+    """:math:`d\\alpha/dt \\mathrel{+}= \\alpha\\,\\nabla\\!\\cdot u` on one
+    tile (``new`` its scratch allocator)."""
+    xp = array_namespace(prim)
+    adv = dqdt[layout.advected]
+    xp.add(adv, xp.multiply(prim[layout.advected], divu,
+                            out=new(adv.shape)), out=adv)
+
+
+class _Launch:
+    """One launch of sweep ``d``: serial, or gang member ``rank``'s share.
+
+    The body the :class:`~repro.acc.gang.GangExecutor` runs on every
+    member (the serial path calls it with rank 0): the member's tiles of
+    the sweep, plus the step work the workspace's ``control`` record
+    folds around each tile on that tile's own slab rows.  It holds the
+    engine and the workspace — never the RHS, which must stay out of
+    reference cycles.  Returns ``(limited faces, wave rate or None)``.
+    """
+
+    def __init__(self, layout, mixture, engine, ws, widths, width,
+                 stopwatch) -> None:
+        self.layout, self.mixture, self.engine = layout, mixture, engine
+        self.ws, self.widths, self.width = ws, widths, width
+        self.stopwatch = stopwatch
+
+    def __call__(self, d: int, rank: int):
+        layout, mixture, ws, sw = (self.layout, self.mixture, self.ws,
+                                   self.stopwatch)
+        xp, ctl, nb = ws.xp, ws.control, self.engine.nb
+        flags = int(ctl[_FLAGS])
+        bufs = (ws.rk_result, ws.rk_stage)
+        q_k, dest = bufs[int(ctl[_SRC])], bufs[int(ctl[_DEST])]
+        rate = None
+        if flags & RATE:
+            rate = (xp.zeros(ws.shape[1], dtype=ws.dtype) if nb else 0.0)
+        if flags & COMBINE:
+            a, b, c = (float(w) for w in ctl[_A:_C + 1])
+            cdt = (c * float(ctl[_DT]) if ws.batch is None else c * xp.asarray(
+                ctl[_DT:_DT + ws.batch].reshape((-1,) + (1,) * layout.ndim)))
+
+        def before(idx):
+            nonlocal rate
+            new = ws.scratch()
+            if flags & CONVERT:
+                with timed(sw, "other"):
+                    cons_to_prim_tile(layout, mixture, q_k[idx], ws.prim[idx],
+                                      new)
+            if flags & RATE:
+                part = wave_rate_tile(
+                    layout, mixture, ws.prim[idx],
+                    [tile_of(w, idx[1 + nb:]) for w in self.widths], new)
+                if nb:
+                    cases = tile_of(rate, idx[1:2])
+                    xp.maximum(cases, part, out=cases)
+                else:
+                    rate = max_rate(rate, part)
+            if flags & ZERO:
+                ws.dqdt[idx] = 0.0
+                ws.divu[idx[1:]] = 0.0
+
+        def after(idx):
+            new = ws.scratch()
+            dq = ws.dqdt[idx]
+            nonconservative_tile(layout, ws.prim[idx], ws.divu[idx[1:]], dq,
+                                 new)
+            if flags & COMBINE:
+                shu_osher_tile(ws.rk_result[idx], q_k[idx], dq, dest[idx],
+                               new(dq.shape), a, b, tile_of(cdt, idx[1:]))
+
+        limited = self.engine.sweep(
+            ws, ws.prim, d, self.widths[d - nb], ws.dqdt, ws.divu,
+            share=(rank, self.width),
+            before=before if flags & (ZERO | CONVERT | RATE) else None,
+            after=after if flags & FINISH else None)
+        return limited, rate
 
 
 @dataclass(frozen=True)
@@ -250,21 +353,16 @@ class RHS(AbstractContextManager):
             self.layout, self.grid, self._ng, dtype=self.dtype,
             weno_variant=self.weno_variant,
             weno_order=self.config.weno_order, batch=self.batch,
-            backend=self.backend, shared=width > 1) if ws_on else None)
+            backend=self.backend, shared=width > 1,
+            rows=engine.rows) if ws_on else None)
         widths = tuple(self.backend.xp.asarray(w, dtype=self.dtype)
                        for w in self.grid.width_fields())
-        nb = self._nb
-
-        def share(d: int, rank: int) -> int:
-            # The gang body: one member's tiles of sweep d.  It closes
-            # over the engine and the workspace only — never over this
-            # RHS, which must stay out of reference cycles.
-            return engine.sweep(ws, ws.prim, d, widths[d - nb], ws.dqdt,
-                                ws.divu, share=(rank, width))
-
+        self._launch = _Launch(self.layout, self.mixture, engine, ws, widths,
+                               width, self.stopwatch) if ws_on else None
         #: The forked gang; None takes the serial path with no fork, no
         #: shared mapping and zero executor overhead.
-        self.executor = (GangExecutor(width, share, stopwatch=self.stopwatch)
+        self.executor = (GangExecutor(width, self._launch,
+                                      stopwatch=self.stopwatch)
                          if width > 1 else None)
 
     @classmethod
@@ -320,8 +418,13 @@ class RHS(AbstractContextManager):
     def ghost_width(self) -> int:
         return self._ng
 
+    @property
+    def folds(self) -> bool:
+        """Whether calls may carry a ``stage=`` (see :meth:`__call__`)."""
+        return self.workspace is not None
+
     def __call__(self, q: np.ndarray, *, out: np.ndarray | None = None,
-                 prim: np.ndarray | None = None) -> np.ndarray:
+                 prim: np.ndarray | None = None, stage=None) -> np.ndarray:
         """Compute ``dq/dt``.
 
         Parameters
@@ -334,42 +437,109 @@ class RHS(AbstractContextManager):
             Optional precomputed primitive field of ``q`` (the driver's
             dt computation shares its ``cons_to_prim`` with RK stage
             one through this).
+        stage:
+            A :class:`~repro.timestepping.ssp_rk.Stage` to finish: ``q``
+            is then the workspace's ``rk_result`` or ``rk_stage`` and the
+            RHS writes the stage combination into ``stage.dest`` too.
+
+        The workspace path runs one launch per direction — on the gang
+        when there is one — and folds the step's elementwise work into
+        them (one body, :class:`_Launch`, serial or not).  The first
+        direction's tiles zero their rows of ``dqdt``/``divu`` and, for
+        a stage, convert their rows of ``q`` to primitives (a tile reads
+        only its own slab rows there), measuring the wave rate of those
+        rows when ``stage.rate`` asks; the stage's dt is resolved from
+        the merged rate (a floating max, exact) before the last
+        direction, whose tiles add the nonconservative term and combine
+        their rows — final once their last divergence has landed.
+        Axisymmetric and viscous sources need the whole field, so with
+        either (or a 1D stage whose dt waits on its one launch) the
+        finish runs as a row-tile loop after the launches instead.  A
+        plain call converts ``q`` on the caller first: gang members
+        reach only the workspace.  Bitwise identical in every case.
         """
-        layout = self.layout
-        sw = self.stopwatch
         ws = self.workspace
-        if ws is not None and not ws.compatible(q):
-            ws = None  # off-grid shapes fall back to the allocating path
-        xp = ws.xp if ws is not None else array_namespace(q)
+        if ws is None or not ws.compatible(q):
+            return self._reference(q, out=out, prim=prim)
+        layout, sw, xp, ctl = self.layout, self.stopwatch, ws.xp, ws.control
+        dirs = range(self._nb, self._nb + layout.ndim)
+        if prim is not None and prim is not ws.prim:
+            xp.copyto(ws.prim, prim)
+        convert = prim is None and stage is not None
+        if prim is None and stage is None:
+            with timed(sw, "other"):
+                cons_to_prim(layout, self.mixture, q, out=ws.prim, tiles=ws)
+        measure = stage is not None and stage.rate
+        finish = (self._radius is None and self._viscosity is None
+                  and (len(dirs) > 1 or stage is None
+                       or not callable(stage.dt)))
+        if stage is not None:
+            bufs = [id(ws.rk_result), id(ws.rk_stage)]
+            if id(q) not in bufs or id(stage.dest) not in bufs:
+                raise ConfigurationError(
+                    "a folded stage runs on the workspace's RK buffers")
+            ctl[_SRC], ctl[_DEST] = bufs.index(id(q)), bufs.index(id(stage.dest))
+            ctl[_A], ctl[_B], ctl[_C] = stage.a, stage.b, stage.c
+        for d in dirs:
+            flags = 0
+            if d == dirs[0]:
+                flags |= ZERO | CONVERT * convert | RATE * measure
+            if d == dirs[-1] and finish:
+                flags |= FINISH | COMBINE * (stage is not None)
+                if stage is not None:
+                    ctl[_DT:_DT + (ws.batch or 1)] = np.reshape(
+                        stage.dt if ws.batch is None
+                        else to_host_array(stage.dt), -1)
+            ctl[_FLAGS] = flags
+            results = (self.executor.launch(d) if self.executor is not None
+                       else [self._launch(d, 0)])
+            self.limited_faces += sum(limited for limited, _ in results)
+            if d == dirs[0] and stage is not None:
+                stage.resolve(reduce(max_rate, [rate for _, rate in results])
+                              if measure else None)
+
+        dqdt = ws.dqdt
+        if not finish:
+            if self._radius is not None:
+                apply_axisymmetric_terms(layout, ws.prim, q, self._radius,
+                                         dqdt, ws.divu)
+            if self._viscosity is not None:
+                with timed(sw, "other"):
+                    dqdt += viscous_rhs(layout, self.grid, ws.prim,
+                                        self._viscosity)
+            cdt = None if stage is None else stage.c * stage.dt
+            for rows, new in row_tiles(dqdt, ws):
+                idx = (slice(None), rows)
+                nonconservative_tile(layout, ws.prim[idx], ws.divu[rows],
+                                     dqdt[idx], new)
+                if stage is not None:
+                    shu_osher_tile(ws.rk_result[idx], q[idx], dqdt[idx],
+                                   stage.dest[idx], new(dqdt[idx].shape),
+                                   stage.a, stage.b, tile_of(cdt, (rows,)))
+        if out is None:
+            return xp.copy(dqdt)
+        if out is not dqdt:
+            xp.copyto(out, dqdt)
+        return out
+
+    def _reference(self, q, *, out=None, prim=None):
+        """The allocating reference path (no workspace, or an off-grid
+        ``q`` the workspace was not built for)."""
+        layout, sw = self.layout, self.stopwatch
+        xp = array_namespace(q)
         # Cell widths live on the host; asarray is the sanctioned H2D
         # entry (identity for the NumPy backend, so bitwise neutral).
         widths = tuple(xp.asarray(w, dtype=q.dtype)
                        for w in self.grid.width_fields())
-        # Gang workers see only the workspace's shared buffers: sweep
-        # there, and hand the caller's ``out`` a copy at the end.
-        gang = self.executor if ws is not None else None
-        dest = out
-        if gang is not None:
-            out = ws.dqdt
-            if prim is not None and prim is not ws.prim:
-                xp.copyto(ws.prim, prim)
-                prim = ws.prim
-
         if prim is None:
             with timed(sw, "other"):
-                prim = cons_to_prim(layout, self.mixture, q,
-                                    out=ws.prim if ws is not None else None)
-
+                prim = cons_to_prim(layout, self.mixture, q)
         if out is None:
             dqdt = xp.zeros_like(q)
         else:
             dqdt = out
             dqdt[...] = 0.0
-        if ws is not None:
-            divu = ws.divu
-            divu[...] = 0.0
-        else:
-            divu = xp.zeros(tuple(q.shape[1:]), dtype=q.dtype)
+        divu = xp.zeros(tuple(q.shape[1:]), dtype=q.dtype)
 
         # Virtual direction d sweeps array axis d+1; the physical
         # direction (momentum component, BC axis, width field) is
@@ -378,14 +548,8 @@ class RHS(AbstractContextManager):
         # probe); the array rank says which shape arrived.
         nb = 1 if (self._nb and prim.ndim == layout.ndim + 2) else 0
         for d in range(nb, nb + layout.ndim):
-            if gang is not None:
-                self.limited_faces += sum(gang.launch(d))
-            elif ws is not None:
-                self.limited_faces += self._engine.sweep(
-                    ws, prim, d, widths[d - nb], dqdt, divu)
-            else:
-                self._accumulate_direction_reference(
-                    prim, d, widths[d - nb], dqdt, divu)
+            self._accumulate_direction_reference(
+                prim, d, widths[d - nb], dqdt, divu)
 
         if self._radius is not None:
             apply_axisymmetric_terms(layout, prim, q, self._radius, dqdt, divu)
@@ -396,10 +560,6 @@ class RHS(AbstractContextManager):
 
         # Nonconservative term: dalpha/dt += alpha * div(u).
         dqdt[layout.advected] += prim[layout.advected] * divu
-        if gang is not None and dest is not dqdt:
-            dest = xp.empty_like(dqdt) if dest is None else dest
-            xp.copyto(dest, dqdt)
-            return dest
         return dqdt
 
     # ------------------------------------------------------------------

@@ -228,9 +228,10 @@ class Simulation(KnobAccess, AbstractContextManager):
         attempts = 1
         if policy is not None:
             attempts += policy.max_retries + len(ladder)
-            # q may alias ws.rk_result (a failed RK step clobbers it),
-            # so the guard snapshots into the workspace-owned rollback
-            # buffer — no per-step allocation.
+            # q may alias ws.rk_result (a failed RK step clobbers it; a
+            # foreign q is copied there first), so the guard snapshots
+            # into the workspace-owned rollback buffer — no per-step
+            # allocation.
             xp = array_namespace(self.q)
             ws = self.rhs.workspace
             if ws is not None:
@@ -303,13 +304,17 @@ class Simulation(KnobAccess, AbstractContextManager):
                      if ESCALATION_ORDERS[rung] < self.config.weno_order)
 
     def _check(self, q, ws):
-        """The guard's post-step check (D2H: a host-side diagnostic)."""
+        """The state check of the guard and of :meth:`validate_state`
+        (D2H: a host-side diagnostic): tile by tile through the
+        workspace's primitive buffer when there is one."""
         prim = None
-        if ws is not None:
-            prim = to_host_array(
-                cons_to_prim(self.layout, self.mixture, q, out=ws.prim))
+        if ws is not None and ws.compatible(q):
+            prim = to_host_array(cons_to_prim(self.layout, self.mixture, q,
+                                              out=ws.prim, tiles=ws))
+        else:
+            ws = None
         return check_state(self.layout, self.mixture, to_host_array(q),
-                           prim=prim)
+                           prim=prim, tiles=ws)
 
     def _fallback_rhs(self, order: int) -> RHS:
         """Cached lower-order RHS for a scheme-escalation retry.
@@ -414,8 +419,7 @@ class Simulation(KnobAccess, AbstractContextManager):
         cell, and the primitive variable there (via
         :func:`repro.solver.resilience.check_state`).
         """
-        diag = check_state(self.layout, self.mixture,
-                           to_host_array(self.q))
+        diag = self._check(self.q, self.rhs.workspace)
         if diag is not None:
             raise NumericsError(
                 f"unphysical state at step {self.step_count}: {diag}")

@@ -307,6 +307,7 @@ class SweepEngine:
         pack = ghosts is None
         ndim = len(spatial)
         cells = int(np.prod(spatial))
+        self._extent0 = spatial[0]
         for d in range(nb, ndim):
             kind = "transposed" if d in self.transposed_axes else "strided"
             region = plan_fusion(
@@ -349,10 +350,20 @@ class SweepEngine:
             self.plans[d] = SweepPlan(d, kind, region.slab_axis, n_tiles,
                                       fuse)
 
+    @property
+    def rows(self) -> list[tuple[int, int]]:
+        """Spans of array axis 1 the step's elementwise passes loop over:
+        the tiles of the sweeps cut on that axis (every direction's but
+        the first in 2D/3D; one span in 1D, which has no slab axis)."""
+        tiles = max((p.tiles for p in self.plans.values()
+                     if p.slab_axis == 0), default=1)
+        return tile_spans(self._extent0, tiles)
+
     # ------------------------------------------------------------------
     def sweep(self, ws, prim, d: int, width, dqdt, divu, *,
               split: bool = False,
-              share: tuple[int, int] | None = None) -> int:
+              share: tuple[int, int] | None = None,
+              before=None, after=None) -> int:
         """Accumulate direction ``d`` into ``dqdt``/``divu``.
 
         Returns the count of positivity-limited face states.  Virtual
@@ -370,6 +381,14 @@ class SweepEngine:
         ``share=(rank, width)`` runs only that gang member's contiguous
         run of the tiles (:func:`~repro.acc.gang.gang_share`); the
         fields must then be the workspace's shared buffers.
+
+        ``before(idx)`` / ``after(idx)`` run the step's elementwise work
+        on a tile's own slab rows (``idx`` indexes them in every
+        standard-layout field): ``before`` ahead of the tile's pack —
+        the rows of ``prim`` it is about to read — and ``after`` once
+        its divergence has landed in ``dqdt``/``divu``.  Both may carve
+        :meth:`~repro.solver.workspace.SolverWorkspace.scratch`: no
+        arena buffer is live around them.  (Hook engines take neither.)
         """
         layout, ng, sw, xp = self.layout, self.ng, self.stopwatch, ws.xp
         plan = self.plans[d]
@@ -409,17 +428,26 @@ class SweepEngine:
                                        variant=self.weno_variant)
                 limited = limit_face_states(
                     layout, self.mixture, pad[_cut(flo, None, axis)],
-                    vl[fi], vr[fi], axis - 1, ng)
+                    vl[fi], vr[fi], axis - 1, ng, scratch=scr.rscr)
             with timed(sw, "riemann"):
                 self.riemann(layout, self.mixture, vl[fi], vr[fi], pd,
                              out=wflux[fi], out_u=wuface[fi[1:]],
                              scratch=scr.rscr.view(_cut(0, fhi - flo, axis)))
             return limited
 
-        def slab(lo, hi, spans=((0, n + 1),), finish=True):
-            # Standard-layout and work-layout index of this slab tile
-            # (the slab is axis 1 of every axis-last buffer).
+        def slab(lo, hi, **phase):
+            # Standard-layout index of this slab tile.
             std = () if sa is None else _cut(lo, hi, sa + 1)
+            if before is not None:
+                before(std)
+            limited = tile(lo, hi, std, **phase)
+            if after is not None:
+                after(std)
+            return limited
+
+        def tile(lo, hi, std, spans=((0, n + 1),), finish=True):
+            # The work-layout index of the slab is axis 1 of every
+            # axis-last buffer.
             tile_src = src[_cut(lo, hi, 1) if transposed else std]
             dq, dv = dqdt[std], divu[std[1:]]
             scr = ws.tile_arena(d, w_max, transposed=transposed

@@ -5,13 +5,16 @@ derived types, coalescing through transposes, and compile-time-sized
 ``private`` arrays all exist to keep MFC's two hottest kernels from
 allocating or copying inside the time loop.  The NumPy analog of that
 discipline is a workspace: the primitive field, the RHS accumulators and
-the RK stage arrays are allocated once per
+the two Shu-Osher buffers are allocated once per
 :class:`~repro.solver.rhs.RHS` lifetime, and every pipeline
 intermediate (padded primitives, face states, fluxes, kernel scratch)
 lives in a slab-*tile*-sized :class:`TileArena` sized to stay resident
 in one core's share of the last-level cache — the paper's per-thread
-``private`` arrays, not per-field temporaries.  A steady-state step
-performs no new large-array allocations.
+``private`` arrays, not per-field temporaries.  The step's elementwise
+passes (state conversion, CFL rate, nonconservative term, stage
+combination) run over the same row tiles with their scratch carved from
+the same pool (:meth:`SolverWorkspace.scratch`).  A steady-state step
+allocates nothing field-sized.
 
 All workspace-backed code paths are **bitwise identical** to the
 allocating reference paths (same operations in the same order, only the
@@ -23,20 +26,24 @@ The workspace is built for one RHS/RK pipeline, which may execute its
 slab tiles on a :class:`~repro.acc.gang.GangExecutor` — the calling
 process plus forked workers.  Buffers divide into two ownership classes:
 
-* **Shared, disjointly written** — ``prim``, ``dqdt`` and ``divu``: with
-  ``shared=True`` they are carved from one anonymous ``MAP_SHARED``
-  mapping (no ``/dev/shm`` name, nothing to unlink), so every gang
-  member sees the others' writes.  Concurrent tiles may read them
-  anywhere but must write only inside their own slab span, so no
-  synchronisation is needed beyond the launch barrier.
-* **Private per process** — everything else: the RK stage buffers and
-  the rollback snapshot (only the parent combines stages), the
-  whole-block buffers of a rank-local sweep, and every
-  :class:`TileArena`.  A worker inherits the workspace copy-on-write at
-  its fork and :meth:`SolverWorkspace.tile_arena` carves its arenas
-  from its own memory pool (allocated lazily, reused across its later
-  tiles, directions and steps), so two tiles in flight never share a
-  pipeline intermediate or a kernel scratch array.
+* **Shared, disjointly written** — ``prim``, ``dqdt``, ``divu`` and the
+  RK buffers ``rk_stage`` / ``rk_result``, plus the small ``control``
+  record: with ``shared=True`` they are carved from anonymous
+  ``MAP_SHARED`` mappings (no ``/dev/shm`` name, nothing to unlink), so
+  every gang member sees the others' writes — a member converts its own
+  rows of the stage input and combines its own rows of the stage
+  output.  Concurrent tiles may read them anywhere but must write only
+  inside their own slab span, so no synchronisation is needed beyond
+  the launch barrier; ``control`` is written by the parent between
+  launches only.
+* **Private per process** — everything else: the rollback snapshot
+  (only the driver writes it), the whole-block buffers of a rank-local
+  sweep, and every :class:`TileArena` and tile scratch.  A worker
+  inherits the workspace copy-on-write at its fork and
+  :meth:`SolverWorkspace.tile_arena` carves its arenas from its own
+  memory pool (allocated lazily, reused across its later tiles,
+  directions and steps), so two tiles in flight never share a pipeline
+  intermediate or a kernel scratch array.
 """
 
 from __future__ import annotations
@@ -48,18 +55,23 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.common import DTYPE
+from repro.common.scratch import Scratch
 from repro.common.workers import shared_array
 from repro.fields.transpose import sweep_perm
 from repro.grid.cartesian import StructuredGrid
 from repro.riemann.common import RiemannScratch
+from repro.state.conversions import row_spans
 from repro.state.layout import StateLayout
 from repro.weno.stacked import allocate_weno_scratch, validate_weno_variant
+
+#: Leading words of :attr:`SolverWorkspace.control` before its dt entries.
+CONTROL_WORDS = 6
 
 
 def _leaves(buffers):
     """The arrays inside an array / scratch tuple / RiemannScratch."""
     if isinstance(buffers, RiemannScratch):
-        return [getattr(buffers, name) for name in RiemannScratch.__slots__]
+        return [getattr(buffers, name) for name in RiemannScratch.BUFFERS]
     return list(buffers) if isinstance(buffers, tuple) else [buffers]
 
 
@@ -157,21 +169,32 @@ class TileArena:
             else:
                 self.pad = new(std(2 * ng))
                 self.vl, self.vr = new(std(1)), new(std(1))
+            spare = alloc.used
             self.wscr = allocate_weno_scratch(
                 weno_variant, weno_order, tuple(last), dtype, xp=alloc,
                 axis=-1 if transposed else d + 1)
+            spare = slice(spare, alloc.used)
             self.flux, self.uface = new(std(1)), new(std(1)[1:])
             self.dscr, self.dvscr = new(std(0)), new(std(0)[1:])
             self.rscr = RiemannScratch(tuple(last if transposed else std(1)),
                                        dtype=dtype, xp=alloc)
-            return alloc.used
+            return spare
 
-        size = carve(_Carver(xp))
+        counter = _Carver(xp)
+        carve(counter)
+        size = counter.used
         if pool is None or pool.shape[0] < size:
             pool = xp.empty(size, dtype=dtype)
         self.pool = pool
         self.nbytes = size * np.dtype(dtype).itemsize
-        carve(_Carver(xp, pool))
+        # The WENO scratch is dead once a tile's faces are reconstructed:
+        # the limiter and the Riemann solver carve their per-face
+        # temporaries from it, as blocks of the face buffers' own order.
+        spare = pool[carve(_Carver(xp, pool))]
+        face = self.rscr.cons_l.shape[1:]
+        rows = spare.shape[0] // math.prod(face)
+        self.rscr.spare = (spare[:rows * math.prod(face)].reshape(rows, *face)
+                           if rows else None)
         #: The chain's buffers in the work layout: padded block, both
         #: face states, Riemann flux and interface velocity.
         self.work = ((self.tpad, self.tvl, self.tvr, self.tflux, self.tuface)
@@ -243,9 +266,20 @@ class SolverWorkspace:
     dqdt, divu:
         RHS accumulators (conservative tendency, face-velocity
         divergence).
-    rk_stage, rk_result, rk_tmp:
-        Shu-Osher stage buffers; ``rk_result`` holds the step output and
-        is safely reusable as the next step's input.
+    rk_stage, rk_result:
+        The two Shu-Osher buffers: the intermediate stages update
+        ``rk_stage`` in place, and ``rk_result`` holds the step input
+        (a foreign one is copied in) and then its output, so it is
+        safely reusable as the next step's input.
+    control:
+        The folded step's launch record (float64: flags, source and
+        destination buffer, the three stage coefficients, then one dt
+        per case — :class:`~repro.solver.rhs.RHS` writes it before each
+        launch, gang members read it).
+    rows:
+        Row spans of array axis 1 the step's elementwise passes loop
+        over — the sweep engine's own tiles when an engine built this
+        workspace (:attr:`~repro.solver.sweep.SweepEngine.rows`).
     rollback:
         Pre-step snapshot of the conserved state for the driver's
         failure guard: the guarded step copies ``q`` here before
@@ -266,7 +300,7 @@ class SolverWorkspace:
                  dtype=DTYPE, weno_variant: str = "chained",
                  weno_order: int | None = None,
                  batch: int | None = None,
-                 backend=None, shared: bool = False) -> None:
+                 backend=None, shared: bool = False, rows=None) -> None:
         nvars = layout.nvars
         #: The execution backend this arena allocates on; its namespace
         #: (``xp``) is what every kernel resolves from the buffers.
@@ -307,24 +341,26 @@ class SolverWorkspace:
         def new(shape):
             return xp.empty(shape, dtype=np_dtype)
 
-        # Field-sized buffers; the three a sweep reads and writes come
-        # from one shared mapping when a gang will run the tiles.
+        # Field-sized buffers; what a folded step's launches read and
+        # write comes from one shared mapping when a gang runs the tiles.
         field_alloc = xp
         if shared:
-            n = 2 * math.prod(self.shape) + math.prod(spatial)
+            n = 4 * math.prod(self.shape) + math.prod(spatial)
             field_alloc = _Carver(xp, self.backend.from_host(
                 shared_array((n,), np_dtype)))
         self.prim = field_alloc.empty(self.shape, dtype=np_dtype)
         self.dqdt = field_alloc.empty(self.shape, dtype=np_dtype)
         self.divu = field_alloc.empty(spatial, dtype=np_dtype)
-
-        # SSP-RK stage buffers (two alternating stages + result + temp).
-        self.rk_stage = (new(self.shape), new(self.shape))
-        self.rk_result = new(self.shape)
-        self.rk_tmp = new(self.shape)
+        # SSP-RK buffers: the stage buffer (updated in place) + result.
+        self.rk_stage = field_alloc.empty(self.shape, dtype=np_dtype)
+        self.rk_result = field_alloc.empty(self.shape, dtype=np_dtype)
+        words = (CONTROL_WORDS + (batch or 1),)
+        self.control = (shared_array(words, np.float64) if shared
+                        else np.zeros(words))
 
         # Failure-guard rollback snapshot (driver-owned).
         self.rollback = new(self.shape)
+        self.rows = list(rows) if rows is not None else row_spans(self.shape)
 
         def block(d: int, grow: int) -> list[int]:
             # Whole-block shape with direction d's axis grown by ``grow``.
@@ -351,6 +387,25 @@ class SolverWorkspace:
         #: module docstring's process-ownership rule.
         self._arenas: dict[tuple[int, bool, bool], TileArena] = {}
         self._pool = None
+        #: Largest tile scratch any one :meth:`scratch` allocator asked for.
+        self._high = [0]
+
+    # ------------------------------------------------------------------
+    def scratch(self):
+        """A tile's scratch allocator ``new(shape)`` over this process's pool.
+
+        Blocks are carved from the start of the arena pool: the caller
+        holds no arena buffer while it uses them (before a tile's pack,
+        after its divergence, or outside a sweep).  A tile that asks for
+        more than the pool holds gets fresh arrays for the excess, and
+        the next allocator finds the pool grown to fit (the arenas then
+        rebuild on it) — so only a first call allocates.
+        """
+        pool = self._pool
+        if self._high[0] > (0 if pool is None else pool.shape[0]):
+            self._pool = pool = self.xp.empty(self._high[0], dtype=self.dtype)
+            self._arenas.clear()
+        return Scratch(pool, xp=self.xp, dtype=self.dtype, high=self._high)
 
     # ------------------------------------------------------------------
     def tile_arena(self, d: int, tile_width: int, *,
@@ -400,8 +455,8 @@ class SolverWorkspace:
         return sum(arr.nbytes for arr in self._all_arrays())
 
     def _all_arrays(self):
-        yield from (self.prim, self.dqdt, self.divu, self.rk_result,
-                    self.rk_tmp, self.rollback, *self.rk_stage)
+        yield from (self.prim, self.dqdt, self.divu, self.rk_stage,
+                    self.rk_result, self.rollback, self.control)
         for group in (self.padded, self.face_l, self.face_r, self.flux,
                       self.u_face, self.weno_scratch, self.riemann_scratch):
             for buffers in list(group.made.values()):

@@ -13,12 +13,15 @@ the forward-Euler building block preserves.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.backend import array_namespace
 from repro.common import ConfigurationError
+from repro.state.conversions import row_tiles
+from repro.timestepping.cfl import tile_of
 
 #: Shu-Osher tableaux: per stage, coefficients (a, b, c) of
 #: ``a*q_n + b*q_prev + c*dt*L(q_prev)``.
@@ -46,38 +49,88 @@ def rk_stages(order: int) -> tuple[tuple[float, float, float], ...]:
     return SSP_SCHEMES[order]
 
 
-def shu_osher_combine(q_n, q_k, L, out, tmp, a, b, cdt, xp=np):
-    """``out = (a*q_n + b*q_k) + cdt*L`` through preallocated buffers.
+def shu_osher_combine(q_n, q_k, L, out, a, b, cdt, *, tiles=None):
+    """``out = (a*q_n + b*q_k) + cdt*L``, tile by tile over
+    :func:`~repro.state.conversions.row_tiles` (``tiles`` as there).
 
-    The one spelling of a stage combination every step driver shares:
-    five ufunc evaluations grouped exactly as the allocating expression
-    ``a*q_n + b*q_k + cdt*L``, so all drivers stay bitwise identical.
-    ``out`` may alias ``q_n`` (its first write, ``a*q_n``, is
-    element-aligned); ``tmp`` must not alias any operand.
+    ``cdt`` is a scalar or a per-case field broadcasting against the
+    trailing axes (a batch's ``(B, 1, ...)``).  ``out`` may alias
+    ``q_n`` or ``q_k`` (see :func:`shu_osher_tile`).
     """
+    for rows, new in row_tiles(out, tiles):
+        idx = (slice(None), rows)
+        shu_osher_tile(q_n[idx], q_k[idx], L[idx], out[idx],
+                       new(out[idx].shape), a, b, tile_of(cdt, (rows,)))
+    return out
+
+
+def shu_osher_tile(q_n, q_k, L, out, tmp, a, b, cdt) -> None:
+    """One tile of a stage combination through the scratch ``tmp``.
+
+    The one spelling every step driver shares: five ufunc evaluations
+    grouped exactly as the allocating expression ``a*q_n + b*q_k +
+    cdt*L``, so all drivers stay bitwise identical.  ``out`` may alias
+    ``q_n`` (its first write, ``a*q_n``, is element-aligned) *or*
+    ``q_k`` (read whole into ``tmp`` before ``a*q_n`` lands on it): a
+    stage can update its own buffer in place.  ``tmp`` must not alias
+    any operand.
+    """
+    xp = array_namespace(q_n, q_k, L)
     xp.multiply(q_k, b, out=tmp)
     xp.multiply(q_n, a, out=out)
     xp.add(out, tmp, out=out)
     xp.multiply(L, cdt, out=tmp)
     xp.add(out, tmp, out=out)
-    return out
 
 
 def stage_buffer(workspace, k: int, n_stages: int):
-    """Destination of stage ``k``: the result buffer for the last stage.
+    """Destination of stage ``k``: the result buffer for the last stage,
+    else the one stage buffer.
 
     The result buffer may alias ``q_n`` (it is the previous step's
-    output), so intermediate stages alternate between the two stage
-    buffers and ``q_n`` stays intact until the final combination.
+    output), so ``q_n`` stays intact until the final combination; the
+    intermediate stages update ``rk_stage`` in place.
     """
-    return (workspace.rk_result if k == n_stages - 1
-            else workspace.rk_stage[k % 2])
+    return workspace.rk_result if k == n_stages - 1 else workspace.rk_stage
+
+
+@dataclass
+class Stage:
+    """One stage a folding RHS completes itself: after ``L(q_k)`` it
+    writes ``dest = a*q_n + b*q_k + (c*dt)*L`` tile by tile, where
+    ``q_n`` is the workspace's ``rk_result`` (the step input).
+
+    ``dt`` is the RK form of the step — a scalar or a batch's per-case
+    field — or a callable :meth:`resolve` calls once: with the wave rate
+    of ``q_k`` the RHS measured when ``rate`` is set, else with none.
+    """
+
+    dest: object
+    a: float
+    b: float
+    c: float
+    dt: object
+    rate: bool = False
+
+    def resolve(self, rate=None):
+        """The stage's dt, resolving a callable one (once)."""
+        if callable(self.dt):
+            self.dt = self.dt(rate) if self.rate else self.dt()
+        return self.dt
+
+
+def folds(rhs, workspace, q) -> bool:
+    """Whether ``rhs`` finishes its own stages on ``workspace``
+    (:class:`Stage`; the solver's :class:`~repro.solver.rhs.RHS` does,
+    and so does any proxy forwarding its attributes and keywords)."""
+    return (workspace is not None and getattr(rhs, "folds", False)
+            and rhs.workspace is workspace and workspace.compatible(q))
 
 
 def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                dt: float | Callable[[], float], order: int = 3, *,
-                workspace=None,
-                prim0: np.ndarray | None = None) -> np.ndarray:
+                dt: float | Callable, order: int = 3, *,
+                workspace=None, prim0: np.ndarray | None = None,
+                rate: bool = False) -> np.ndarray:
     """Advance ``q`` by one step of the SSP-RK scheme of the given order.
 
     ``rhs(q)`` must return :math:`L(q) = dq/dt`; the input array is not
@@ -91,7 +144,12 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     :class:`~repro.solver.rhs.RHS` does); ``prim0``, when given, is the
     precomputed primitive field of ``q`` forwarded to the first stage so
     the driver's dt computation and stage one share a single
-    ``cons_to_prim``.
+    ``cons_to_prim``.  Every combination runs tile by tile: when ``rhs``
+    :func:`folds`, inside its own last sweep (``stage=`` keyword, on the
+    gang's members when it has one), else on the caller over the
+    workspace's row tiles.  Intermediate stages update the one stage
+    buffer in place, and a foreign ``q`` is first copied into
+    ``rk_result``, where a folding RHS's gang members can reach it.
 
     ``dt`` may be a scalar or an array broadcastable against ``q``'s
     trailing axes — the ensemble engine passes a per-case dt field of
@@ -99,16 +157,17 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     states, so the broadcast multiply applies each case's scalar dt to
     exactly that case's slab, bitwise as in a standalone step.
 
-    ``dt`` may also be a zero-argument callable: it is resolved exactly
-    once, after stage one's ``rhs(...)`` returns and before ``c * dt``
-    is first formed.  Stage one's RHS does not depend on dt, so a
-    cluster rank posts its wave rate, evaluates that RHS while the other
-    ranks' contributions arrive, and collects the reduced dt here —
-    the same values in the same order as a blocking reduction.
+    ``dt`` may also be a callable, resolved exactly once before ``c *
+    dt`` is first formed: a zero-argument one after stage one's
+    ``rhs(...)`` returns (or, folding, after its first sweep).  Stage
+    one's RHS does not depend on dt, so a cluster rank posts its wave
+    rate, evaluates that RHS while the other ranks' contributions
+    arrive, and collects the reduced dt here — the same values in the
+    same order as a blocking reduction.  With ``rate=True`` (folding
+    only) it is called with the wave rate of ``q`` that stage one's
+    first sweep measures while it converts ``q`` to primitives.
 
-    The combinations run whole-field on the caller even when the RHS
-    sweeps on a gang: at 256² they are 1.6 % of a step (EXPERIMENTS.md
-    "Real gangs").  All paths are bitwise identical.
+    All paths are bitwise identical.
     """
     stages = rk_stages(order)
     if workspace is None:
@@ -124,15 +183,26 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
         return q_k
 
     ws = workspace
-    xp = array_namespace(q)
+    fold = folds(rhs, ws, q)
+    if rate and not fold:
+        raise ConfigurationError(
+            "rate=True needs an rhs that folds its stages on the workspace")
+    if fold and q is not ws.rk_result:
+        array_namespace(q).copyto(ws.rk_result, q)
+        q = ws.rk_result
     q_n = q
     q_k = q
     for k, (a, b, c) in enumerate(stages):
         out = stage_buffer(ws, k, len(stages))
-        L = rhs(q_k, out=ws.dqdt, prim=prim0 if k == 0 else None)
-        if callable(dt):
-            dt = dt()
-        shu_osher_combine(q_n, q_k, L, out, ws.rk_tmp, a, b, c * dt, xp)
+        prim = prim0 if k == 0 else None
+        if fold:
+            stage = Stage(out, a, b, c, dt, rate=rate and k == 0)
+            rhs(q_k, out=ws.dqdt, prim=prim, stage=stage)
+            dt = stage.dt
+        else:
+            L = rhs(q_k, out=ws.dqdt, prim=prim)
+            if callable(dt):
+                dt = dt()
+            shu_osher_combine(q_n, q_k, L, out, a, b, c * dt, tiles=ws)
         q_k = out
     return q_k
-

@@ -16,7 +16,7 @@ from repro.backend import array_namespace, to_host_array
 from repro.common import DTYPE, timed
 from repro.state.conversions import cons_to_prim
 from repro.timestepping.cfl import rate_to_dt, wave_rate
-from repro.timestepping.ssp_rk import ssp_rk_step
+from repro.timestepping.ssp_rk import folds, ssp_rk_step
 
 
 def horizon_reached(time_now, t_end):
@@ -53,7 +53,10 @@ def time_step(rhs, q, *, layout, mixture, widths, options, workspace=None,
         (:class:`~repro.solver.options.SolverOptions`).
     workspace:
         The :class:`~repro.solver.workspace.SolverWorkspace` ``rhs``
-        runs on; with one, a single ``cons_to_prim`` (the ``"other"``
+        runs on.  An ``rhs`` that :func:`~repro.timestepping.ssp_rk.
+        folds` its stages measures the CFL wave rate itself, in stage
+        one's first sweep, tile by tile as it converts ``q`` to
+        primitives; otherwise a single ``cons_to_prim`` (the ``"other"``
         lap) serves both the dt computation and RK stage one — their
         inputs are identical, so sharing is bitwise neutral.
     dt / dt_limit:
@@ -69,44 +72,53 @@ def time_step(rhs, q, *, layout, mixture, widths, options, workspace=None,
     A batch-stacked ``q`` of shape ``(nvars, B, *grid)`` takes (and
     returns, on the host) a length-``B`` dt vector: each case advances
     with its own dt, bitwise as in a standalone step.  ``rk_start`` is
-    the ``time.perf_counter()`` stamp at which the RK stages began, so
-    every driver's step wall excludes the dt computation.
+    the ``time.perf_counter()`` stamp at which the RK stages began.
     """
     ws = workspace
-    prim0 = None
-    if ws is not None:
-        with timed(stopwatch, "other"):
-            prim0 = cons_to_prim(layout, mixture, q, out=ws.prim)
     batch = q.shape[1] if q.ndim == layout.ndim + 2 else None
+
+    def rk_form(dt):
+        """The host dt as the RK stages take it: a batch's per-case
+        field ``(B, 1, ...)`` against the stacked ``(nvars, B, *grid)``
+        state (asarray is the H2D entry)."""
+        if batch is None:
+            return dt
+        return array_namespace(q).asarray(
+            dt.reshape((batch,) + (1,) * layout.ndim))
+
+    def from_rate(rate):
+        nonlocal dt
+        dt = rate_to_dt(options.cfl, rate)
+        dt = _clip(to_host_array(dt) if batch is not None else dt, dt_limit)
+        return rk_form(dt)
+
     if dt is None:
         dt = options.fixed_dt
-    finish = None
-    if dt is None:
-        prim = prim0 if prim0 is not None \
-            else cons_to_prim(layout, mixture, q)
-        rate = wave_rate(layout, mixture, prim, widths)
+    prim0 = None
+    measure = False
+    if dt is not None:
+        if batch is not None and not np.ndim(dt):
+            dt = np.full(batch, dt, dtype=DTYPE)
+        dt = _clip(to_host_array(dt) if batch is not None else dt, dt_limit)
+        dt_rk = rk_form(dt)
+    elif reduce is None and folds(rhs, ws, q):
+        dt_rk, measure = from_rate, True
+    else:
+        with timed(stopwatch, "other"):
+            prim0 = cons_to_prim(layout, mixture, q,
+                                 out=ws.prim if ws is not None else None,
+                                 tiles=ws)
+        rate = wave_rate(layout, mixture, prim0, widths, tiles=ws)
         if reduce is None:
-            dt = rate_to_dt(options.cfl, rate)
+            dt_rk = from_rate(rate)
         else:
             finish = reduce(rate)
-    elif batch is not None and not np.ndim(dt):
-        dt = np.full(batch, dt, dtype=DTYPE)
 
-    if finish is None:
-        dt = _clip(to_host_array(dt) if batch is not None else dt, dt_limit)
-        dt_rk = dt
-        if batch is not None:
-            # The per-case dt field (B, 1, ...) against the stacked
-            # (nvars, B, *grid) state; asarray is the H2D entry.
-            dt_rk = array_namespace(q).asarray(
-                dt.reshape((batch,) + (1,) * layout.ndim))
-    else:
-        def dt_rk():
-            nonlocal dt
-            dt = _clip(rate_to_dt(options.cfl, finish()), dt_limit)
-            return dt
+            def dt_rk():
+                return from_rate(finish())
 
     rk_start = time.perf_counter()
     q_new = ssp_rk_step(rhs, q, dt_rk, options.rk_order, workspace=ws,
-                        prim0=prim0)
+                        prim0=prim0 if ws is not None else None,
+                        rate=measure)
     return q_new, dt, rk_start

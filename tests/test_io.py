@@ -88,6 +88,36 @@ class TestSnapshot:
         assert header == h
         assert payload_crc == 41
 
+    @pytest.mark.parametrize("shape,order", [
+        ((6, 13), "C"), ((7, 5, 4), "C"), ((5, 3, 4, 6), "F"),
+        ((3, 0), "C")])
+    def test_streamed_payload_is_the_copied_one(self, tmp_path, shape,
+                                                order):
+        """The field's own buffer is CRC'd and written (no ``tobytes``
+        copy) and read back in place: files byte-identical to the copy's
+        spelling, a non-contiguous field included."""
+        import zlib
+
+        rng = np.random.default_rng(sum(shape))
+        q = np.asarray(rng.standard_normal(shape), order=order)
+        path = tmp_path / "s.bin"
+        nbytes = write_snapshot(path, q, step=9, time=0.125)
+        payload = np.ascontiguousarray(q).tobytes()
+        header = SnapshotHeader(step=9, time=0.125, nvars=shape[0],
+                                shape=shape[1:])
+        assert path.read_bytes() == header.pack(zlib.crc32(payload)) + payload
+        assert nbytes == path.stat().st_size
+        back_header, back = read_snapshot(path)
+        assert back_header == header
+        assert back.flags.writeable and back.tobytes() == payload
+
+    def test_truncated_payload_reads_nothing(self, tmp_path):
+        path = tmp_path / "s.bin"
+        write_snapshot(path, random_field(), step=0, time=0.0)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigurationError, match=r"952 of 960 bytes"):
+            read_snapshot(path)
+
 
 class TestParallelWriters:
     def make(self, shape=(12, 8), nranks=4):

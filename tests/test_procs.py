@@ -28,7 +28,7 @@ from repro.cluster import (
     SharedMemoryTransport,
     ShmArena,
 )
-from repro.common import ClusterError, ConfigurationError
+from repro.common import ClusterError, ConfigurationError, NumericsError
 from repro.ensemble import EnsembleSimulation
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
@@ -254,16 +254,32 @@ class TestRankFaultRestart:
             cluster_for(case, bcs, 2, fixed_dt=2e-4,
                         fault=RankFault(rank=0, step=1))
 
-    def test_rank_death_without_checkpointing_raises_cluster_error(self):
+    def test_rank_death_without_checkpointing_raises_cluster_error(
+            self, monkeypatch):
         # A genuine rank death (not an injected fault) in a run with
         # checkpointing disabled must surface as a ClusterError, not a
         # TypeError from CheckpointManager(None, ...).
+        import repro.cluster.procs as procs
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("rank crashed")
+
+        case = bubble_case((32,))
+        bcs = BoundarySet.all_extrapolation(1)
+        pc = cluster_for(case, bcs, 2, cfl=0.5)
+        monkeypatch.setattr(procs, "time_step", crash)  # forked workers die
+        with pytest.raises(ClusterError, match="checkpoint"):
+            pc.run(case.initial_conservative(), n_steps=2)
+
+    def test_nan_state_raises_the_numerics_error_at_the_first_step(self):
+        # A NaN rate is not a rank death: every rank reaches the same
+        # reduced (NaN) rate and the run stops naming it, unrestarted.
         case = bubble_case((32,))
         bcs = BoundarySet.all_extrapolation(1)
         pc = cluster_for(case, bcs, 2, cfl=0.5)
         q0 = case.initial_conservative()
-        q0[...] = np.nan  # every worker dies on the invalid wave rate
-        with pytest.raises(ClusterError, match="checkpoint"):
+        q0[case.layout.energy, 20] = np.nan  # on rank 1's block only
+        with pytest.raises(NumericsError, match=r"step 1: .*rate nan"):
             pc.run(q0, n_steps=2)
 
     def test_stale_checkpoints_from_previous_run_not_restored(self, tmp_path):

@@ -84,10 +84,10 @@ class TestWorkspaceArena:
         grid = StructuredGrid.uniform(((0.0, 1.0),), (32,))
         ws = SolverWorkspace(lay, grid, halo_width(3))
         assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
-        # The seven field-sized buffers plus divu, and nothing else yet:
-        # tile arenas and whole-block buffers are allocated on first use
-        # and counted from then on.
-        fields = 7 * ws.prim.nbytes + ws.divu.nbytes
+        # The five field-sized buffers plus divu and the launch record,
+        # and nothing else yet: tile arenas and whole-block buffers are
+        # allocated on first use and counted from then on.
+        fields = 5 * ws.prim.nbytes + ws.divu.nbytes + ws.control.nbytes
         assert ws.nbytes == fields
         arena = ws.tile_arena(0, 1)
         assert ws.nbytes == fields + arena.nbytes
