@@ -39,7 +39,8 @@ test-ensemble:
 
 # Chaos-recovery suite for the durable ensemble service: seeded worker
 # SIGKILLs, ledger/checkpoint corruption, poison-job quarantine, and
-# kill-at-every-append resume (the faults + ensemble markers) —
+# kill-at-every-append resume (the faults + ensemble markers), one batch
+# at a time and side by side (TestSideBySide skips on a 1-core host) —
 # time-boxed because a regression here can leave supervised workers
 # hanging instead of failing.
 test-chaos:

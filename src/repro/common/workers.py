@@ -56,13 +56,14 @@ class Worker:
 
     ``ends`` are the pipe ends this process keeps and ``child_ends`` the
     ones the child keeps; each side closes the other's.  ``pin`` binds
-    the child to that core of the affinity mask (modulo its size).  The
-    child exits 0 when ``target`` returns and 1, traceback printed, when
-    it raises.
+    the child to a core set: an int is that core of the affinity mask
+    (modulo its size), a collection is those core ids.  The child exits
+    0 when ``target`` returns and 1, traceback printed, when it raises.
     """
 
     def __init__(self, target: Callable[[], object], *, ends=(),
-                 child_ends=(), pin: int | None = None) -> None:
+                 child_ends=(), pin: int | Iterable[int] | None = None,
+                 ) -> None:
         global _forked_by
         self.ends = tuple(ends)
         self._code: int | None = None
@@ -76,8 +77,10 @@ class Worker:
                 for end in self.ends:
                     end.close()
                 if pin is not None and hasattr(os, "sched_setaffinity"):
-                    cores = sorted(os.sched_getaffinity(0))
-                    os.sched_setaffinity(0, {cores[pin % len(cores)]})
+                    if isinstance(pin, int):
+                        cores = sorted(os.sched_getaffinity(0))
+                        pin = {cores[pin % len(cores)]}
+                    os.sched_setaffinity(0, pin)
                 target()
                 code = 0
             except BaseException:
@@ -151,77 +154,147 @@ def quit_if_orphaned() -> None:
         os._exit(0)
 
 
-def drain_and_join(
-    targets, beat, grace: float, *, wall_deadline: float | None = None,
-) -> tuple[list[dict] | None, tuple[int, int] | None]:
-    """Fork a worker per ``target(conn)`` and wait for them all, receiving
-    the one result each sends down ``conn`` as it arrives.
+#: How a pool member ended without a usable result when no exit code
+#: says so: it was killed for sitting stuck, or for overrunning its wall
+#: budget.
+STALLED = "no-progress deadline"
+OVERRUN = "wall-clock deadline"
 
-    Results are drained *while* joining: a result can outgrow the OS pipe
+
+class _Member:
+    """A pool worker and what the wait loop knows of it: the first result
+    it sent, the heartbeat it last saw, and when it counts as stuck."""
+
+    def __init__(self, worker: Worker, beat, grace: float,
+                 wall_deadline: float | None) -> None:
+        self.worker, self.beat, self.grace = worker, beat, grace
+        self.wall_deadline = wall_deadline
+        self.last_beat = np.array(beat, copy=True)
+        self.deadline = time.monotonic() + grace
+        self.sent, self.result = False, None
+
+    def end(self, now: float) -> int | str | None:
+        """None while it runs, else its exit code, STALLED or OVERRUN."""
+        # Exit status first, pipe second: whatever a worker seen to have
+        # exited sent is in the pipe by now.
+        code, conn = self.worker.exitcode, self.worker.ends[0]
+        progress = False
+        if conn.poll(0):
+            try:
+                result = conn.recv()
+                if not self.sent:
+                    self.sent, self.result = True, result
+                progress = True
+            except EOFError:
+                # It let go of the pipe, which a worker does only by
+                # exiting, so this wait is short.  (EOF leads the exit
+                # status by 1-3 ms: polling would spin.)
+                code = self.worker.reap()
+        if code is not None:
+            return code
+        if not np.array_equal(self.beat, self.last_beat):
+            np.copyto(self.last_beat, self.beat)
+            progress = True
+        if progress:
+            self.deadline = now + self.grace
+        elif now > self.deadline:
+            return STALLED
+        if self.wall_deadline is not None and now > self.wall_deadline:
+            return OVERRUN
+        return None
+
+
+class Pool:
+    """Workers that each send one result down a pipe, drained while they
+    run and handed back one by one as they end, in whatever order they
+    end (:meth:`next_done`, this module's one wait loop).
+
+    Results are drained *while* waiting: a result can outgrow the OS pipe
     buffer, in which case the worker blocks in ``send`` and only exits
     once the parent has received — recv-after-join would deadlock.
 
-    The no-progress deadline (``grace`` seconds) is re-armed on any
-    observed progress — an advance of the shared ``beat`` array, a
-    result arriving, a worker exiting — so it bounds how long the
-    workers may sit *stuck*, never the wall time of a legitimately long
-    run.  ``wall_deadline`` (a ``time.monotonic()`` instant) optionally
-    bounds the total wait regardless of progress.  The first failure —
-    nonzero exit, clean exit without a result, no-progress expiry
-    ``(-1, -1)``, or wall expiry ``(-1, -2)`` — returns ``(None, (index,
-    exitcode))``; a clean join returns ``(results, None)`` with results
-    in worker order.  Whichever way the wait ends, an exception
+    A member's no-progress deadline (``grace`` seconds) is re-armed on
+    any progress it shows — an advance of its ``beat`` array, its result
+    arriving — so it bounds how long the member may sit *stuck*, never
+    the wall time of a legitimately long run.  ``wall_deadline`` (a
+    ``time.monotonic()`` instant) optionally bounds its total time
+    regardless of progress.
+    """
+
+    def __init__(self) -> None:
+        self._members: dict[object, _Member] = {}
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def fork(self, key, target, *, beat, grace: float,
+             wall_deadline: float | None = None, pin=None) -> None:
+        """Fork ``target(conn)`` as member ``key`` (``pin``: see
+        :class:`Worker`)."""
+        reader, writer = Pipe(duplex=False)
+        worker = Worker(partial(target, writer), ends=(reader,),
+                        child_ends=(writer,), pin=pin)
+        self._members[key] = _Member(worker, beat, grace, wall_deadline)
+
+    def next_done(self, timeout: float | None = None):
+        """Wait until a member ends → ``(key, result, failure)``.
+
+        ``failure`` is None for a clean exit after a result, else the
+        exit code (``-signal`` if killed; 0 for a clean exit that sent
+        nothing), STALLED or OVERRUN.  The member is killed if still
+        alive and reaped before this returns.  Returns None when the pool
+        is empty or ``timeout`` seconds passed first.
+        """
+        until = None if timeout is None else time.monotonic() + timeout
+        while self._members:
+            wait([m.worker.ends[0] for m in self._members.values()],
+                 timeout=0.02)
+            now = time.monotonic()
+            for key, member in list(self._members.items()):
+                end = member.end(now)
+                if end is None:
+                    continue
+                del self._members[key]
+                stop([member.worker])
+                return key, member.result, (
+                    None if end == 0 and member.sent else end)
+            if until is not None and now > until:
+                return None
+        return None
+
+    def close(self) -> None:
+        """Kill and reap every member still running."""
+        members, self._members = self._members, {}
+        stop(m.worker for m in members.values())
+
+
+def drain_and_join(
+    targets, beat, grace: float, *, wall_deadline: float | None = None,
+) -> tuple[list[dict] | None, tuple[int, int] | None]:
+    """Fork a :class:`Pool` member per ``target(conn)`` and wait for them
+    all, all or nothing.
+
+    Every member watches the whole ``beat`` array, so any worker's
+    heartbeat re-arms every worker's no-progress deadline.  The first
+    failure — nonzero exit, clean exit without a result, no-progress
+    expiry ``(-1, -1)``, or wall expiry ``(-1, -2)`` — returns ``(None,
+    (index, exitcode))``; a clean join returns ``(results, None)`` with
+    results in worker order.  Whichever way the wait ends, an exception
     included, no worker outlives it: survivors are killed (they would
     otherwise spin until their own wait deadlines) and all are reaped.
     """
-    workers: list[Worker] = []
+    pool = Pool()
     try:
-        for target in targets:
-            reader, writer = Pipe(duplex=False)
-            workers.append(Worker(partial(target, writer), ends=(reader,),
-                                  child_ends=(writer,)))
-        last_beat = np.array(beat, copy=True)
-        deadline = time.monotonic() + grace
-        pending = dict(enumerate(workers))
+        for index, target in enumerate(targets):
+            pool.fork(index, target, beat=beat, grace=grace,
+                      wall_deadline=wall_deadline)
         results: dict[int, dict] = {}
-        failed = None
-        while pending and failed is None:
-            progress = False
-            wait([w.ends[0] for w in pending.values()], timeout=0.02)
-            for r, worker in list(pending.items()):
-                # Exit status first, pipe second: whatever a worker seen
-                # to have exited sent is in the pipe by now.
-                code, conn = worker.exitcode, worker.ends[0]
-                if conn.poll(0):
-                    try:
-                        results.setdefault(r, conn.recv())
-                        progress = True
-                    except EOFError:
-                        # It let go of the pipe, which a worker does only
-                        # by exiting, so this wait is short.  (EOF leads
-                        # the exit status by 1-3 ms: polling would spin.)
-                        code = worker.reap()
-                if code is None:
-                    continue
-                del pending[r]
-                progress = True
-                if code != 0:
-                    failed = (r, code)
-                elif r not in results:
-                    # Exited cleanly without reporting — unusable run.
-                    failed = (r, 0)
-            if not np.array_equal(beat, last_beat):
-                np.copyto(last_beat, beat)
-                progress = True
-            if progress:
-                deadline = time.monotonic() + grace
-            elif time.monotonic() > deadline:
-                failed = (-1, -1)
-            if failed is None and wall_deadline is not None \
-                    and time.monotonic() > wall_deadline:
-                failed = (-1, -2)
-        if failed is None:
-            return [results[r] for r in sorted(results)], None
-        return None, failed
+        while len(pool):
+            index, result, failure = pool.next_done()
+            if failure is not None:
+                return None, {STALLED: (-1, -1), OVERRUN: (-1, -2)}.get(
+                    failure, (index, failure))
+            results[index] = result
+        return [results[r] for r in sorted(results)], None
     finally:
-        stop(workers)
+        pool.close()

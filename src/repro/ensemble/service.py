@@ -17,11 +17,17 @@ paper's checkpoint-restart discipline on 65k-device runs:
   heartbeat; worker death and deadline expiry are *transient* failures,
   bad specs and exhausted divergences *permanent* — the
   :func:`repro.common.failure_class` taxonomy.
+* **Side-by-side batches**: up to ``min(usable cores, batches)``
+  children run at once, each pinned to its slot's share of the cores
+  (:func:`plan_slots`), the longest batch first; a slot takes the next
+  batch as soon as its child ends.
 * **Bounded retry with exponential backoff, then quarantine**: each
   recorded failure consumes one of ``max_attempts``; a job that fails
   deterministically ``max_attempts`` times is quarantined (terminal)
   so a poison job can never wedge the campaign.  Batch-level permanent
-  failures (a spec that cannot even build) quarantine immediately.
+  failures (a spec that cannot even build) quarantine immediately.  The
+  backoff is a retried job's earliest start, never a pause of the
+  batches already running.
 * **Graceful degradation**: repeated batch-level transient failures
   halve ``batch_width`` (down to ``min_batch_width``); fusion compile
   failures fall back to the NumPy backend, then to unfused kernels
@@ -49,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.acc.fusion import BACKEND_ENV_VAR
+from repro.acc.gang import tile_spans
 from repro.backend import resolve_backend
 from repro.bc.boundary import BoundarySet
 from repro.common import CheckpointError, ConfigurationError
@@ -68,10 +75,42 @@ from repro.ensemble.runner import (
 from repro.ensemble.simulation import EnsembleCaseResult
 from repro.ensemble.supervisor import BatchSpec, BatchSupervisor
 
-__all__ = ["EnsembleService", "JobOutcome", "ServiceReport"]
+__all__ = ["EnsembleService", "JobOutcome", "ServiceReport", "plan_slots"]
 
 #: Exponential-backoff ceiling (seconds) between retries of one job.
 BACKOFF_CAP_SECONDS = 30.0
+
+
+def _count(n: int, one: str, many: str) -> str:
+    return f"{n} {one if n == 1 else many}"
+
+
+def plan_slots(batches: int, *,
+               supervise: bool = True) -> tuple[list[set[int] | None], str]:
+    """How many batch children run side by side, on which cores, and why.
+
+    ``min(usable cores, batches)`` slots, each owning a contiguous,
+    balanced share of this process's affinity mask; a child pinned to
+    its share plans its gang from it (``plan_gang_width`` reads the
+    mask), so side-by-side batches on one core each fork no gang.  One
+    slot — a single batch, a single core, or unsupervised (inline)
+    batches — is ``[None]``: unpinned, one batch at a time, the whole
+    mask for its gang.
+    """
+    cores = (sorted(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity")
+             else list(range(os.cpu_count() or 1)))
+    host = (f"{_count(batches, 'batch', 'batches')}, "
+            f"{_count(len(cores), 'core', 'cores')}")
+    count = min(len(cores), batches) if supervise else 1
+    if count < 2:
+        return [None], f"1 at a time: {host if supervise else 'unsupervised'}"
+    shares = [set(cores[lo:hi]) for lo, hi in tile_spans(len(cores), count)]
+    sizes = sorted({len(share) for share in shares})
+    per = _count(sizes[-1], "core", "cores")
+    if len(sizes) > 1:
+        per = f"{sizes[0]}-{per}"
+    return shares, f"{count} side by side × {per}: {host}"
 
 
 @dataclass
@@ -100,6 +139,9 @@ class ServiceReport:
     ledger_dropped_tail: int
     events: list[dict] = field(default_factory=list)
     recovery: RecoveryCounters = field(default_factory=RecoveryCounters)
+    #: How many batches ran side by side, on how many cores, and why
+    #: (:func:`plan_slots`).
+    slots: str = ""
 
     @property
     def results(self) -> list[EnsembleCaseResult | None]:
@@ -124,6 +166,8 @@ class ServiceReport:
             f"{'resumed' if self.resumed else 'fresh'} run: {counts}; "
             f"{self.executed_batches} batches executed, "
             f"{self.replayed_done} results replayed from the ledger")
+        if self.slots:
+            lines.append(f"batch slots: {self.slots}")
         if self.ledger_skipped or self.ledger_dropped_tail:
             lines.append(
                 f"ledger damage survived: {self.ledger_skipped} records "
@@ -157,8 +201,10 @@ class EnsembleService:
     max_attempts:
         Recorded failures a job may accumulate before quarantine.
     retry_base_seconds:
-        Backoff base: retry ``a`` sleeps ``base * 2**(a-1)`` seconds
-        (capped).  Zero disables sleeping (tests).
+        Backoff base: retry ``a`` of a job starts no sooner than ``base
+        * 2**(a-1)`` seconds (capped) after its failure was recorded;
+        other batches keep running and starting meanwhile.  Zero
+        retries at once (tests).
     deadline_seconds / wall_limit_seconds / supervise:
         Supervisor knobs (no-progress grace, hard per-attempt wall
         budget, child-process isolation on/off).
@@ -239,6 +285,8 @@ class EnsembleService:
         self._status = ["pending"] * n
         self._attempts = [0] * n
         self._errors: list[str | None] = [None] * n
+        #: ``time.monotonic()`` before which a job may not start again.
+        self._not_before = [0.0] * n
         self._results: dict[int, EnsembleCaseResult] = {}
         self._events: list[dict] = []
         self._executed_batches = 0
@@ -331,6 +379,7 @@ class EnsembleService:
                 # "running": the previous service died mid-batch.  No
                 # failure was recorded, so resuming costs no attempt.
                 self._status[i] = "pending"
+            self._not_before[i] = self._retry_at(i)
         return existed
 
     def _replay_done(self, index: int, entry: dict) -> bool:
@@ -359,22 +408,75 @@ class EnsembleService:
 
     # ------------------------------------------------------------------
     def run(self) -> ServiceReport:
-        """Drive every job to ``done`` or ``quarantined``; report."""
+        """Drive every job to ``done`` or ``quarantined``; report.
+
+        Whenever a slot of :func:`plan_slots` is free, the runnable jobs
+        whose backoff has lapsed are planned into batches of the current
+        width and one starts: side by side the longest (:meth:`_work`),
+        in a single slot the first in plan order.  Each attempt ends in
+        one ``self.supervisor.run(spec)``; side by side, that call
+        collects the outcome of a child :meth:`BatchSupervisor.next_done`
+        saw end.  Outcomes fold into the ledger in the order children
+        end.
+        """
         resumed = self._open_ledger()
-        while True:
-            self._quarantine_exhausted()
-            runnable = [i for i in range(len(self.jobs))
-                        if self._status[i] in ("pending", "failed")]
-            if not runnable:
-                break
-            plan = plan_job_batches([self.jobs[i] for i in runnable],
-                                    self.config, self.batch_width)
-            for _sig, locals_ in plan:
-                indices = [runnable[li] for li in locals_]
-                # A job may have finished/quarantined in an earlier
-                # batch of this round? No — batches partition runnable.
-                self._run_batch(indices)
-        return self._report(resumed)
+        self._quarantine_exhausted()
+        free, slots = plan_slots(len(self._batches()),
+                                 supervise=self.supervisor.supervise)
+        side_by_side = len(free) > 1
+        running: dict[int, tuple[list[int], set[int] | None]] = {}
+        try:
+            while True:
+                now = time.monotonic()
+                ready = self._batches(now)
+                if free and ready:
+                    indices = (max(ready, key=self._work) if side_by_side
+                               else ready[0])
+                    spec = self._start(indices)
+                    cores = free.pop(0)
+                    if side_by_side:
+                        self.supervisor.submit(spec, cores=cores)
+                        running[id(spec)] = (indices, cores)
+                    else:
+                        self._land(indices, self.supervisor.run(spec))
+                        free.append(cores)
+                    continue
+                backoffs = [self._not_before[i] for i in self._runnable()]
+                if not running and not backoffs:
+                    break
+                # Nothing can start now: wait for a child to end, or for
+                # the earliest backoff to lapse if a slot is free.
+                timeout = (max(0.0, min(backoffs) - now)
+                           if free and backoffs else None)
+                if not running:
+                    time.sleep(timeout)
+                    continue
+                spec = self.supervisor.next_done(timeout)
+                if spec is not None:
+                    indices, cores = running.pop(id(spec))
+                    free.append(cores)
+                    self._land(indices, self.supervisor.run(spec))
+        finally:
+            self.supervisor.close()
+        return self._report(resumed, slots)
+
+    def _runnable(self) -> list[int]:
+        return [i for i in range(len(self.jobs))
+                if self._status[i] in ("pending", "failed")]
+
+    def _batches(self, now: float = float("inf")) -> list[list[int]]:
+        """The runnable jobs free to start by ``now`` (default: all of
+        them), as batches of the current width."""
+        indices = [i for i in self._runnable() if self._not_before[i] <= now]
+        plan = plan_job_batches([self.jobs[i] for i in indices],
+                                self.config, self.batch_width)
+        return [[indices[li] for li in locals_] for _sig, locals_ in plan]
+
+    def _work(self, indices: list[int]) -> float:
+        """A batch's estimated work: Σ cells × t_end / min cell width
+        (cells × steps, up to the wave speed the CFL step divides)."""
+        return sum(self.jobs[i].case.grid.num_cells * self.jobs[i].t_end
+                   / self.jobs[i].case.grid.min_width() for i in indices)
 
     def _quarantine_exhausted(self) -> None:
         for i in range(len(self.jobs)):
@@ -392,12 +494,13 @@ class EnsembleService:
         self._errors[index] = error
 
     # ------------------------------------------------------------------
-    def _backoff(self, indices: list[int]) -> None:
-        attempt = max(self._attempts[i] for i in indices)
+    def _retry_at(self, index: int) -> float:
+        """When a job with its recorded failures may start again."""
+        attempt = self._attempts[index]
         if attempt < 1 or self.retry_base_seconds <= 0:
-            return
-        time.sleep(min(self.retry_base_seconds * 2 ** (attempt - 1),
-                       BACKOFF_CAP_SECONDS))
+            return 0.0
+        return time.monotonic() + min(
+            self.retry_base_seconds * 2 ** (attempt - 1), BACKOFF_CAP_SECONDS)
 
     def _restart_seeds(self, indices: list[int]):
         """Newest valid per-job checkpoint state/time/step (or fresh)."""
@@ -425,13 +528,13 @@ class EnsembleService:
                     "reason": event["reason"]})
         return states, times, steps
 
-    def _run_batch(self, indices: list[int]) -> None:
-        """One supervised attempt of one batch of jobs."""
-        self._backoff(indices)
+    def _start(self, indices: list[int]) -> BatchSpec:
+        """Record one batch attempt as running; its spec."""
         for i in indices:
             self.ledger.append({
                 "kind": "job", "id": self.job_id(i), "status": "running",
                 "attempt": self._attempts[i]})
+            self._status[i] = "running"
         states, times, steps = self._restart_seeds(indices)
         # Fresh jobs get their initial state here, once, not again in
         # every forked batch child.
@@ -449,7 +552,7 @@ class EnsembleService:
                             else min(self._attempts[i] for i in indices))
             step_callback = self.chaos.make_kill_callback(
                 indices, kill_attempt)
-        spec = BatchSpec(
+        return BatchSpec(
             cases=[self.jobs[i].case for i in indices],
             t_ends=[self.jobs[i].t_end for i in indices],
             names=[self._job_name(i) for i in indices],
@@ -463,7 +566,9 @@ class EnsembleService:
             fault_plans=fault_plans,
             attempt=max(self._attempts[i] for i in indices),
             step_callback=step_callback)
-        outcome = self.supervisor.run(spec)
+
+    def _land(self, indices: list[int], outcome: dict) -> None:
+        """Fold one batch attempt's outcome into the ledger."""
         self._executed_batches += 1
         if outcome.get("ok"):
             self._consecutive_failures = 0
@@ -473,8 +578,11 @@ class EnsembleService:
                 self._apply_degradation(event)
             for result in outcome["results"]:
                 self._finish_job(indices[result.index], result)
-            return
-        error = outcome["error"]
+        else:
+            self._fail_batch(indices, outcome["error"])
+        self._quarantine_exhausted()
+
+    def _fail_batch(self, indices: list[int], error: dict) -> None:
         self._record_event({
             "event": "batch-failed",
             "jobs": [self.job_id(i) for i in indices],
@@ -518,6 +626,7 @@ class EnsembleService:
         self._attempts[index] += 1
         self._errors[index] = message
         self._status[index] = "failed"
+        self._not_before[index] = self._retry_at(index)
 
     def _finish_job(self, index: int, result: EnsembleCaseResult) -> None:
         if result.status == "failed":
@@ -546,7 +655,7 @@ class EnsembleService:
             old.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
-    def _report(self, resumed: bool) -> ServiceReport:
+    def _report(self, resumed: bool, slots: str) -> ServiceReport:
         jobs = []
         for i in range(len(self.jobs)):
             jobs.append(JobOutcome(
@@ -560,4 +669,5 @@ class EnsembleService:
             batch_width_final=self.batch_width,
             ledger_skipped=self._ledger_skipped,
             ledger_dropped_tail=self._ledger_dropped,
-            events=list(self._events), recovery=self.recovery)
+            events=list(self._events), recovery=self.recovery,
+            slots=slots)

@@ -444,18 +444,22 @@ class EnsembleSimulation(KnobAccess, AbstractContextManager):
                 self._case_result(
                     slot, status="failed" if error else "done", error=error)
         keep = [s for s in range(self.batch) if s not in set(done)]
-        old = self.rhs
-        self.state.compact(keep)
+        self.state.compact(keep)  # a copy: nothing aliases the workspace
         self.time = self.time[keep].copy()
         self.steps = self.steps[keep].copy()
         self.steps0 = self.steps0[keep].copy()
         self.wall = self.wall[keep].copy()
         self.retire_events += 1
+        self.rhs.close()  # a narrower RHS forks its own gang lazily
         if keep:
+            counters = self.rhs.sweep_counters
+            limited = self.rhs.limited_faces
+            # Dropped before the narrower one is built, so the two
+            # workspaces are never resident together.
+            self.rhs = None
             self.rhs = self._build_rhs(len(keep))
-            self.rhs.sweep_counters.merge(old.sweep_counters)
-            self.rhs.limited_faces = old.limited_faces
-        old.close()  # a narrower RHS forks its own gang lazily
+            self.rhs.sweep_counters.merge(counters)
+            self.rhs.limited_faces = limited
 
     # ------------------------------------------------------------------
     def results(self) -> list[EnsembleCaseResult]:

@@ -4,11 +4,12 @@ The durable service never runs a batch in its own process when it can
 help it: a SIGKILL'd worker, a hung backend, or a hard crash must cost
 *one batch attempt*, not the service (and its ledger writer).  The
 :class:`BatchSupervisor` forks one :class:`~repro.common.workers.Worker`
-per batch, watches it through a shared heartbeat word (bumped every
-stacked step) with the same drain-while-join loop the multi-process
-cluster uses (:func:`repro.common.workers.drain_and_join`), kills and
-reaps it on every way out of that wait, and classifies whatever comes
-back through the :func:`repro.common.failure_class` taxonomy:
+per batch — several may run side by side, each pinned to its own cores
+— watches each through its own shared heartbeat word (bumped every
+stacked step) with the same drain-while-waiting loop the multi-process
+cluster uses (:class:`repro.common.workers.Pool`), kills and reaps them
+on every way out of that wait, and classifies whatever comes back
+through the :func:`repro.common.failure_class` taxonomy:
 
 * child exits nonzero / killed by a signal / exits silently →
   :class:`~repro.common.WorkerDiedError` (**transient**);
@@ -43,7 +44,9 @@ from repro.acc.fusion import BACKEND_ENV_VAR, FusionError
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, ReproError, failure_class
 from repro.common.workers import (
-    drain_and_join,
+    OVERRUN,
+    STALLED,
+    Pool,
     quit_if_orphaned,
     shared_array,
 )
@@ -64,6 +67,11 @@ class BatchSpec:
     its global job indices.  ``t_ends`` are absolute horizons — a
     restarted case resumes its unbroken clock and marches to the same
     instant it always would have.
+
+    A spec is one attempt: submitting it releases ``initial_states`` in
+    the submitting process, executing it in the executing one (the
+    batch stacks its own copy), so a retry needs a new spec — the
+    service builds one per attempt.
     """
 
     cases: list[Case]
@@ -102,7 +110,14 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
 
     A build that still fails with fusion off propagates — that is a
     genuinely bad spec, and the taxonomy calls it permanent.
+
+    ``telemetry`` carries the batch's ``started``/``finished``
+    ``time.monotonic()`` stamps (one system-wide clock on Linux, so
+    batches run side by side compare) and the gang width the batch
+    planned from the cores it may use (``gang``, the ``tile_plan()``
+    text).
     """
+    started = time.monotonic()
     engine = dict(spec.engine)
     config = engine.pop("config", None)
     options = fold(engine.pop("options", None), engine)
@@ -153,6 +168,10 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
                 os.environ.pop(BACKEND_ENV_VAR, None)
             else:
                 os.environ[BACKEND_ENV_VAR] = saved
+    # The stacked state is a copy: a forked child frees the states it
+    # inherited instead of carrying them through the march.
+    spec.initial_states = None
+    gang = sim.rhs.tile_plan()["gang"]  # retirements re-plan narrower
     with sim:
         results = sim.run(t_end=spec.t_ends)
     return {
@@ -165,6 +184,9 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
             "faults_injected": sim.faults_injected,
             "checkpoints_written": sim.checkpoints_written,
             "fusion": options.fusion,
+            "gang": gang,
+            "started": started,
+            "finished": time.monotonic(),
         },
     }
 
@@ -201,6 +223,11 @@ def _signal_name(exitcode: int) -> str:
 class BatchSupervisor:
     """Runs batches in supervised children; classifies their failures.
 
+    :meth:`run` is one batch attempt start to finish.  To keep several
+    alive at once, :meth:`submit` each, wait for whichever ends first
+    with :meth:`next_done`, and collect its outcome with :meth:`run`,
+    which then returns at once.
+
     Parameters
     ----------
     grace:
@@ -210,7 +237,8 @@ class BatchSupervisor:
         Optional hard wall-clock budget per batch attempt.
     supervise:
         ``False`` runs the batch in-process (no SIGKILL protection —
-        for fast unit tests and debugging).
+        for fast unit tests and debugging); :meth:`submit` then forks
+        nothing and :meth:`run` executes the batch.
     """
 
     def __init__(self, *, grace: float = 60.0,
@@ -221,10 +249,42 @@ class BatchSupervisor:
         self.grace = grace
         self.wall_limit = wall_limit
         self.supervise = supervise
+        self._pool = Pool()
+        #: Submitted and not yet collected, by ``id(spec)``.
+        self._specs: dict[int, BatchSpec] = {}
+        #: Ended and not yet collected, by ``id(spec)``.
+        self._outcomes: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
+    def submit(self, spec: BatchSpec, *, cores=None) -> None:
+        """Fork ``spec``'s child and return at once (no-op if already
+        submitted or unsupervised).  ``cores`` pins the child — and the
+        gang it plans from its affinity mask — to that core set.  The
+        spec's initial states go with the child (see :class:`BatchSpec`)."""
+        if not self.supervise or id(spec) in self._specs:
+            return
+        beat = shared_array((1,), np.int64)
+        self._pool.fork(
+            id(spec), partial(_batch_worker, spec, beat), beat=beat,
+            grace=self.grace, pin=cores,
+            wall_deadline=(time.monotonic() + self.wall_limit
+                           if self.wall_limit is not None else None))
+        spec.initial_states = None
+        self._specs[id(spec)] = spec
+
+    def next_done(self, timeout: float | None = None) -> BatchSpec | None:
+        """A submitted batch that has ended, waiting up to ``timeout``
+        seconds (None: until one ends) while every child is drained and
+        held to its deadlines; None if none ended in time."""
+        if not self._outcomes and not self._collect(timeout):
+            return None
+        return self._specs[next(iter(self._outcomes))]
+
     def run(self, spec: BatchSpec) -> dict:
         """One batch attempt → outcome dict.
+
+        Submits ``spec`` unless :meth:`submit` already did, then waits
+        for its outcome, draining every other child meanwhile.
 
         ``{"ok": True, "results": [...], "events": [...],
         "telemetry": {...}}`` on success;
@@ -234,25 +294,45 @@ class BatchSupervisor:
         """
         if not self.supervise:
             return self._run_inline(spec)
-        beat = shared_array((1,), np.int64)
-        results, failed = drain_and_join(
-            [partial(_batch_worker, spec, beat)], beat, self.grace,
-            wall_deadline=(time.monotonic() + self.wall_limit
-                           if self.wall_limit is not None else None))
-        if failed is not None:
-            index, code = failed
-            if index < 0:
-                kind = ("no-progress deadline"
-                        if code == -1 else "wall-clock deadline")
-                return self._failure("DeadlineError",
-                                     f"batch worker hit its {kind} "
-                                     f"(grace {self.grace:.0f}s)")
-            return self._failure(
-                "WorkerDiedError",
-                f"batch worker died ({_signal_name(code)}) without a result"
-                if code != 0 else
-                "batch worker exited cleanly without reporting a result")
-        message = results[0]
+        self.submit(spec)
+        try:
+            while id(spec) not in self._outcomes:
+                self._collect(None)
+        except BaseException:
+            self.close()  # Ctrl-C or an error out of the wait
+            raise
+        del self._specs[id(spec)]
+        return self._outcomes.pop(id(spec))
+
+    def close(self) -> None:
+        """Kill and reap every child; forget every uncollected batch."""
+        self._pool.close()
+        self._specs.clear()
+        self._outcomes.clear()
+
+    def _collect(self, timeout: float | None) -> bool:
+        """Wait for one child to end and file its outcome."""
+        done = self._pool.next_done(timeout)
+        if done is None:
+            return False
+        key, message, failure = done
+        self._outcomes[key] = (self._classify(failure) if failure is not None
+                               else self._reported(message))
+        return True
+
+    def _classify(self, failure) -> dict:
+        if failure in (STALLED, OVERRUN):
+            return self._failure("DeadlineError",
+                                 f"batch worker hit its {failure} "
+                                 f"(grace {self.grace:.0f}s)")
+        return self._failure(
+            "WorkerDiedError",
+            f"batch worker died ({_signal_name(failure)}) without a result"
+            if failure != 0 else
+            "batch worker exited cleanly without reporting a result")
+
+    @staticmethod
+    def _reported(message: dict) -> dict:
         if message.get("ok"):
             return message
         return {"ok": False, "error": {

@@ -57,14 +57,17 @@ def _write_run(h, directory: Path, name: str, edge: int, n_steps: int) -> dict:
     return job
 
 
-def _write_campaign(h, directory: Path, edge: int, count: int) -> dict:
+def _write_campaign(h, directory: Path, *groups: tuple[int, int]) -> dict:
+    """A miniature ``campaign-svc``: ``(edge, count)`` jobs per group,
+    batches of two."""
     rng = random.Random(0)
     jobs = []
-    for i in range(count):
-        case, geometries = h.workloads.shock_bubble_2d(edge, rng)
-        jobs.append({"name": f"g{edge}-{i:02d}",
-                     "t_end": (2 + i) * 0.5 / edge / 3.2,
-                     "case": case_to_dict(case, geometries=geometries)})
+    for edge, count in groups:
+        for i in range(count):
+            case, geometries = h.workloads.shock_bubble_2d(edge, rng)
+            jobs.append({"name": f"g{edge}-{i:02d}",
+                         "t_end": (2 + i) * 0.5 / edge / 3.2,
+                         "case": case_to_dict(case, geometries=geometries)})
     spec = {"batch_width": 2, "jobs": jobs,
             "service": {"ledger": "campaign.ledger",
                         "checkpoint_dir": "checkpoints",
@@ -86,6 +89,7 @@ def _traced(h, job: dict, runner) -> tuple[dict, dict]:
         ctx = runner(job, rec, out)
     assert "error" not in out, out.get("error")
     assert out["units_failed"] == 0 and out["validations_failed"] == 0
+    out["spans"] = rec.spans
     values, _samples = h.probes.run(job, ctx, rec.spans, out)
     return out, values
 
@@ -128,12 +132,53 @@ def test_campaign_workload_traced_probed_and_matches_its_oracle(
         harness, tmp_path, monkeypatch):
     h = harness
     # The per-edge metric names are declared for the workload's grids.
-    job = _write_campaign(h, tmp_path / "svc", edge=32, count=3)
+    job = _write_campaign(h, tmp_path / "svc", (32, 3))
     monkeypatch.chdir(tmp_path / "svc")
     out, values = _traced(h, job, h.child.run_campaign)
     assert values["ensemble.jobs_done"] == 3
     assert values["ensemble.fork_ms"] > 0.0
     assert values["ensemble.batched_over_seq.g32"] > 0.0
+    assert h.oracles.main() == 0
+    for name in job["oracle_jobs"]:
+        result = tmp_path / "svc" / out["result_files"][name]
+        assert result.read_bytes() == (
+            tmp_path / "svc" / h.oracles.reference_name(name)).read_bytes()
+
+
+def test_side_by_side_batches_each_end_in_one_traced_run_call(
+        harness, tmp_path, monkeypatch):
+    """Three batches over two edges on the host's slots: however the
+    children overlap, the harness's ``supervisor.run`` proxy sees every
+    batch exactly once, with its outcome."""
+    from repro.acc.gang import usable_cores
+    from repro.ensemble import BatchSupervisor
+
+    h = harness
+    job = _write_campaign(h, tmp_path / "svc", (64, 2), (32, 3))
+    monkeypatch.chdir(tmp_path / "svc")
+    telemetry = []
+    run = BatchSupervisor.run
+
+    def spy(self, spec):  # beneath the harness's instance-level proxy
+        outcome = run(self, spec)
+        if spec.checkpoint_prefixes is not None:  # not the fork probe's
+            telemetry.append(outcome["telemetry"])
+        return outcome
+
+    monkeypatch.setattr(BatchSupervisor, "run", spy)
+    out, values = _traced(h, job, h.child.run_campaign)
+    assert values["ensemble.jobs_done"] == 5
+    assert values["ensemble.batches"] == len(telemetry) == 3
+    batches = [s for s in out["spans"] if s["name"] == "ensemble.batch"]
+    assert sorted(s["attrs"]["edge"] for s in batches) == [32, 32, 64]
+    assert values["io.checkpoints_written"] == sum(
+        t["checkpoints_written"] for t in telemetry) > 0
+    for edge in (32, 64):
+        assert values[f"ensemble.batch_wall_s.g{edge}"] >= 0.0
+    if usable_cores() >= 2:
+        lives = [(t["started"], t["finished"]) for t in telemetry]
+        assert any(max(a[0], b[0]) < min(a[1], b[1])
+                   for i, a in enumerate(lives) for b in lives[i + 1:])
     assert h.oracles.main() == 0
     for name in job["oracle_jobs"]:
         result = tmp_path / "svc" / out["result_files"][name]

@@ -15,11 +15,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.acc.gang import usable_cores
 from repro.bc import BoundarySet
 from repro.common import ConfigurationError, InjectedCrash
 from repro.ensemble import (
@@ -28,6 +30,7 @@ from repro.ensemble import (
     EnsembleService,
     JobLedger,
 )
+from repro.ensemble.service import plan_slots
 from repro.eos import Mixture, StiffenedGas
 from repro.faults import (
     EnsembleChaosPlan,
@@ -35,7 +38,7 @@ from repro.faults import (
     corrupt_newest_checkpoint,
 )
 from repro.grid import StructuredGrid
-from repro.solver import Case, Patch, box, sphere
+from repro.solver import Case, Patch, Simulation, box, sphere
 
 pytestmark = pytest.mark.ensemble
 
@@ -76,11 +79,12 @@ def run_service(jobs, tmp, name="led.jsonl", **kwargs):
     return svc, svc.run()
 
 
-def done_record_count(ledger_path):
-    """Per-job count of ``done`` records — the double-completion check."""
+def done_record_count(ledger_path, status="done"):
+    """Per-job count of ``done`` records — the double-completion check —
+    or of another ``status``."""
     counts: dict[str, int] = {}
     for rec in JobLedger(ledger_path).replay().records:
-        if rec.get("kind") == "job" and rec.get("status") == "done":
+        if rec.get("kind") == "job" and rec.get("status") == status:
             counts[rec["id"]] = counts.get(rec["id"], 0) + 1
     return counts
 
@@ -353,6 +357,198 @@ class TestChaosEndToEnd:
 
 
 # ----------------------------------------------------------------------
+class TestSlotPlan:
+    def test_slots_split_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {3, 5, 6, 7, 9}, raising=False)
+        assert plan_slots(3) == (
+            [{3, 5}, {6, 7}, {9}],
+            "3 side by side × 1-2 cores: 3 batches, 5 cores")
+        assert plan_slots(8)[0] == [{3}, {5}, {6}, {7}, {9}]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert plan_slots(4) == (
+            [{0}, {1}], "2 side by side × 1 core: 4 batches, 2 cores")
+
+    def test_one_batch_one_core_or_inline_is_one_unpinned_slot(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert plan_slots(1) == ([None], "1 at a time: 1 batch, 2 cores")
+        assert plan_slots(0) == ([None], "1 at a time: 0 batches, 2 cores")
+        assert plan_slots(4, supervise=False) == (
+            [None], "1 at a time: unsupervised")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2},
+                            raising=False)
+        assert plan_slots(4) == ([None], "1 at a time: 4 batches, 1 core")
+
+
+def spied(svc):
+    """Record, for one run of ``svc``, each batch it submits (in order)
+    and each outcome its positional ``supervisor.run(spec)`` returns,
+    with the instant it returned."""
+    seen = {"submitted": [], "outcomes": []}
+    submit, run = svc.supervisor.submit, svc.supervisor.run
+
+    def spy_submit(spec, **kwargs):
+        if not any(s is spec for s in seen["submitted"]):
+            seen["submitted"].append(spec)
+        return submit(spec, **kwargs)
+
+    def spy_run(spec):
+        outcome = run(spec)
+        seen["outcomes"].append((spec, outcome, time.monotonic()))
+        return outcome
+
+    svc.supervisor.submit, svc.supervisor.run = spy_submit, spy_run
+    return seen
+
+
+def mixed_jobs():
+    """Three 12² jobs and two 24² ones, ragged CFL horizons; plan order
+    puts a 12² batch first, longest-first the 24² one."""
+    small = [EnsembleJob(bubble_case(cx=0.3 + 0.08 * i), 0.1 + 0.02 * i,
+                         f"small{i}") for i in range(3)]
+    big = [EnsembleJob(bubble_case(n=24, cx=0.35 + 0.1 * i), 0.15 + 0.02 * i,
+                       f"big{i}") for i in range(2)]
+    return small + big
+
+
+@pytest.fixture(scope="class")
+def side_by_side(tmp_path_factory):
+    jobs = mixed_jobs()
+    svc = EnsembleService(
+        jobs, BCS, ledger=tmp_path_factory.mktemp("sbs") / "led.jsonl",
+        batch_width=2, supervise=True, retry_base_seconds=0.0,
+        checkpoint_every=2, cfl=0.5)
+    seen = spied(svc)
+    return jobs, svc.run(), seen
+
+
+@pytest.mark.chaos
+@pytest.mark.skipif(usable_cores() < 2,
+                    reason="side-by-side batches need two usable cores")
+class TestSideBySide:
+    """Supervised batches on a host with two or more cores run side by
+    side, one pinned child per slot, the longest first — and every
+    durability guarantee of the one-at-a-time service still holds."""
+
+    def test_every_job_matches_a_standalone_simulation(self, side_by_side):
+        jobs, report, _ = side_by_side
+        assert [j.status for j in report.jobs] == ["done"] * len(jobs)
+        for job, got in zip(jobs, report.results):
+            with Simulation(job.case, BCS, cfl=0.5) as sim:
+                sim.run(t_end=job.t_end)
+            assert got.q.tobytes() == sim.q.tobytes(), job.name
+            assert (got.steps, got.time) == (sim.step_count, sim.time)
+
+    def test_children_overlap_and_the_longest_batch_goes_first(
+            self, side_by_side):
+        _, report, seen = side_by_side
+        assert seen["submitted"][0].names == ["big0", "big1"]
+        assert report.executed_batches == len(seen["outcomes"]) == 3
+        # Each child took its initial states along; the service kept none.
+        assert all(s.initial_states is None for s in seen["submitted"])
+        spans = [(o["telemetry"]["started"], o["telemetry"]["finished"])
+                 for _, o, _ in seen["outcomes"]]
+        assert any(max(a[0], b[0]) < min(a[1], b[1])
+                   for i, a in enumerate(spans) for b in spans[i + 1:])
+        # Each child planned its gang from its own share of the cores.
+        shares, why = plan_slots(3)
+        assert report.slots == why and f"batch slots: {why}" in \
+            report.summary()
+        for _, outcome, _ in seen["outcomes"]:
+            width = int(outcome["telemetry"]["gang"].split(":")[0].split()[0])
+            assert width <= max(map(len, shares))
+
+    def test_kill_at_every_ledger_append_then_resume(self, tmp_path):
+        """Three batches on two slots, the service crashed after each of
+        its 7 appends in turn (children alive), then resumed."""
+        jobs = make_jobs(3)
+        ref = EnsembleRunner(jobs, BCS, fixed_dt=DT, batch_width=3,
+                             check_every=1).run()
+        knobs = dict(batch_width=1, supervise=True)
+        for n in range(1, 8):
+            led = tmp_path / f"kill{n}" / "led.jsonl"
+            dirs = dict(checkpoint_dir=led.parent / "ckpt",
+                        results_dir=led.parent / "res")
+            svc = EnsembleService(
+                jobs, BCS, ledger=JobLedger(led, fail_after_appends=n),
+                **dirs, **{**FAST, **knobs})
+            with pytest.raises(InjectedCrash):
+                svc.run()
+            _, report = run_service(jobs, led.parent, **dirs, **knobs)
+            assert [j.status for j in report.jobs] == ["done"] * 3, \
+                f"crash after append {n}"
+            for got, want in zip(report.results, ref.results):
+                assert np.array_equal(got.q, want.q), \
+                    f"crash after append {n}: {got.name} diverged"
+            assert all(v == 1 for v in done_record_count(led).values()), \
+                f"crash after append {n}: a job completed twice"
+
+    def test_sigkilled_child_leaves_its_neighbour_intact(self, tmp_path):
+        jobs = make_jobs(4)
+        _, clean = run_service(jobs, tmp_path, name="ref.jsonl",
+                               batch_width=2)
+        chaos = EnsembleChaosPlan(seed=5, kill_step=4, kill_job=0)
+        _, report = run_service(jobs, tmp_path, batch_width=2,
+                                supervise=True, chaos=chaos)
+        assert [j.status for j in report.jobs] == ["done"] * 4
+        assert [j.attempts for j in report.jobs] == [1, 1, 0, 0]
+        for got, want in zip(report.results, clean.results):
+            assert np.array_equal(got.q, want.q)
+        failed = [e["jobs"] for e in report.events
+                  if e.get("event") == "batch-failed"]
+        assert failed == [["job0000", "job0001"]]
+        assert report.executed_batches == 3
+        assert done_record_count(tmp_path / "led.jsonl", "running") == {
+            "job0000": 2, "job0001": 2, "job0002": 1, "job0003": 1}
+
+    def test_both_slots_failing_halve_the_width(self, tmp_path):
+        jobs = [EnsembleJob(bubble_case(cx=0.3 + 0.08 * i), 10.0, f"j{i}")
+                for i in range(4)]
+        _, report = run_service(jobs, tmp_path, batch_width=2,
+                                supervise=True, max_attempts=2,
+                                wall_limit_seconds=0.2,
+                                deadline_seconds=30.0, degrade_after=2)
+        kinds = [e["event"] if e["event"] == "batch-failed"
+                 else f"width {e['to']}" for e in report.events
+                 if e["event"] in ("batch-failed", "degrade")]
+        # The two width-2 batches fail side by side, and together they
+        # are the two consecutive failures that halve the width.
+        assert kinds[:3] == ["batch-failed", "batch-failed", "width 1"]
+        assert report.batch_width_final == 1
+        assert all(j.status == "quarantined" for j in report.jobs)
+
+    def test_backoff_delays_only_the_retried_job(self, tmp_path):
+        """The retried batch starts no sooner than its backoff; nothing
+        else waits for it — the freed slot takes the next batch at once
+        and every other child's outcome is collected as it ends."""
+        jobs = make_jobs(3)
+        _, clean = run_service(jobs, tmp_path, name="ref.jsonl",
+                               batch_width=1)
+        backoff = 0.5
+        svc = EnsembleService(
+            jobs, BCS, ledger=tmp_path / "led.jsonl", batch_width=1,
+            chaos=EnsembleChaosPlan(seed=5, kill_step=2, kill_job=0),
+            **{**FAST, "supervise": True, "retry_base_seconds": backoff})
+        seen = spied(svc)
+        report = svc.run()
+        assert [j.status for j in report.jobs] == ["done"] * 3
+        for got, want in zip(report.results, clean.results):
+            assert np.array_equal(got.q, want.q)
+        (killed_at,) = [t for _, o, t in seen["outcomes"] if not o["ok"]]
+        started = {}
+        for spec, outcome, picked_up in seen["outcomes"]:
+            if outcome["ok"]:
+                tel = outcome["telemetry"]
+                started.setdefault(spec.names[0], []).append(tel["started"])
+                assert picked_up - tel["finished"] < backoff / 2
+        assert started["j2"][0] - killed_at < backoff / 2
+        assert started["j0"][0] >= killed_at + backoff
+
+
+# ----------------------------------------------------------------------
 class TestCLI:
     def _spec(self, tmp_path):
         def case_dict(i):
@@ -399,6 +595,7 @@ class TestCLI:
         assert first.returncode == 0, first.stderr
         assert "ensemble service: 2 jobs" in first.stdout
         assert "done=2" in first.stdout
+        assert "batch slots: 1 at a time: unsupervised" in first.stdout
         assert (tmp_path / "run" / "led.jsonl").is_file()
         second = self._run(spec)
         assert second.returncode == 0, second.stderr
