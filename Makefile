@@ -70,8 +70,8 @@ bench-backends:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py \
 		--grid 64 --repeats 5
 
-# Execution-backend seam: bitwise-identity, guard-leak, torch-parity,
-# and float32-precision suites.
+# Execution-backend seam: registry, guard-leak, numpy/checked
+# bitwise-parity and float32-precision suites.
 test-backends:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_backends.py -q
 
@@ -82,8 +82,8 @@ bench-tuned:
 		--grid 256 --threads 1 --tuned
 
 # Fused sweep kernels: fused-vs-tuned grind comparison on the bench
-# case (appends a fused-stamped history entry with launch counters and
-# the selected backend; see docs/fusion.md).
+# case (appends a fused-stamped history entry with launch counters;
+# see docs/fusion.md).
 bench-fused:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_rhs.py \
 		--grid 256 --threads 1 --fused

@@ -1,6 +1,6 @@
 """Backend × dtype kernel benchmark with measured-vs-modeled columns.
 
-For every execution backend importable on this host (and every
+For every registered execution backend (and every
 requested precision) this script runs the per-kernel timing harness
 (:mod:`repro.profiling.kernelbench`) on the standard bench case and
 **appends** one ``"backend-sweep"`` entry to the ``"history"`` list of
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import available_backends
+from repro.backend import BACKEND_NAMES
 from repro.bc import BoundarySet
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
@@ -82,12 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--warmup", type=int, default=2,
                         help="untimed RHS evaluations per configuration")
     parser.add_argument("--backend", action="append", default=None,
-                        help="backend(s) to bench (default: all available)")
+                        help="backend(s) to bench (default: all registered)")
     parser.add_argument("--precision", action="append", default=None,
                         help="precision(s) to bench (default float64+float32)")
     args = parser.parse_args(argv)
 
-    backends = args.backend or available_backends()
+    backends = args.backend or list(BACKEND_NAMES)
     precisions = args.precision or ["float64", "float32"]
     case = make_case(args.grid)
     q = case.initial_conservative()

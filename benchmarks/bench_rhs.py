@@ -211,16 +211,15 @@ def bench_grid(n: int, thread_counts: list[int], layouts: list[str], *,
         plan = run["tuning_plan"]
         vs = (f"  ({run['speedup_vs_untuned']:.2f}x vs untuned)"
               if "speedup_vs_untuned" in run else "")
-        print(f"  {n:4d}^2  tuned: weno={plan['weno_variant']} "
-              f"riemann={plan['riemann_variant']} "
+        print(f"  {n:4d}^2  tuned: fusion={plan['fusion']} "
               f"layout={plan['sweep_layout']} threads={plan['threads']}: "
               f"{run['grind_time_ns']:8.1f} ns/cell/PDE/RHS{vs}")
     if fused:
         # Fused-vs-tuned comparison: autotune once (fresh throwaway
-        # cache, fusion now a search axis), then grind the winning
-        # variant set twice — fusion forced off (the pre-fusion tuned
-        # baseline) and forced on — so the speedup isolates what the
-        # fused kernels buy over the best staged configuration.
+        # cache, fusion a search axis), then grind the winning plan
+        # twice — fusion forced off (the tuned staged baseline) and
+        # forced on — so the speedup isolates what the fused kernels buy
+        # over the best staged configuration.
         import tempfile
 
         with tempfile.TemporaryDirectory() as td:
@@ -239,9 +238,8 @@ def bench_grid(n: int, thread_counts: list[int], layouts: list[str], *,
                                           / runs["on"]["grind_time_ns"])
         entry["runs"] += [runs["off"], runs["on"]]
         sc = runs["on"]["sweep_counters"]
-        print(f"  {n:4d}^2  tuned unfused (weno={winner['weno_variant']} "
-              f"riemann={winner['riemann_variant']} "
-              f"layout={winner['sweep_layout']}): "
+        print(f"  {n:4d}^2  tuned unfused "
+              f"(layout={winner['sweep_layout']}): "
               f"{runs['off']['grind_time_ns']:8.1f} ns/cell/PDE/RHS")
         print(f"  {n:4d}^2  fused ({runs['on'].get('fusion_backend', '?')}, "
               f"{sc['fused_launches']} launches, "
@@ -274,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
                              "grids >= 128)")
     parser.add_argument("--warmup", type=int, default=3)
     parser.add_argument("--layout", action="append", default=None,
-                        choices=("strided", "transposed", "auto"),
+                        choices=("strided", "transposed"),
                         help="sweep layout (repeatable; default strided "
                              "only; strided is always included as the "
                              "comparison baseline)")

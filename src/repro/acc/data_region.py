@@ -67,7 +67,7 @@ class DeviceDataEnvironment:
             raise DirectiveError(f"array {name!r} already present on device")
         if copyin:
             # H2D through the backend seam.  from_host shares memory
-            # where it can (numpy, checked, torch-CPU), so copy first:
+            # (numpy, checked), so copy first:
             # shadow semantics require device mutations to stay
             # invisible to the host until an explicit update.
             self._device[name] = self.backend.from_host(host.copy())
@@ -127,9 +127,7 @@ class DeviceDataEnvironment:
     # -- bookkeeping ---------------------------------------------------------
     @property
     def resident_bytes(self) -> int:
-        return sum(a.nbytes if hasattr(a, "nbytes")
-                   else a.numel() * a.element_size()  # torch tensors
-                   for a in self._device.values())
+        return sum(a.nbytes for a in self._device.values())
 
     @property
     def total_transfer_seconds(self) -> float:

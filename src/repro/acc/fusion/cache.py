@@ -1,8 +1,8 @@
 """Compile-and-cache layer for the fused sweep kernels.
 
 ``compile()``-ing and ``exec``-ing a generated kernel is cheap but not
-free, and the tuner may probe many (layout, order, variant, backend)
-combinations in one process — so compiled kernels are cached per
+free, and the tuner may probe many (layout, order, solver) combinations
+in one process — so compiled kernels are cached per
 :class:`~repro.acc.fusion.codegen.FusedKernelSpec`.  The spec carries
 no tile or grid extents (the source is shape-generic), so a 4-tile and
 a 7-tile split of the same sweep, or two grids of different size, hit
@@ -14,7 +14,6 @@ is forked, so every worker inherits the compiled function objects.
 
 from __future__ import annotations
 
-from repro.acc.fusion.backends import select_backend
 from repro.acc.fusion.codegen import (
     FusedKernelSpec,
     exec_namespace,
@@ -25,22 +24,10 @@ from repro.acc.fusion.codegen import (
 def _compile(spec: FusedKernelSpec):
     source = generate_source(spec)
     ns = exec_namespace()
-    if spec.backend == "numexpr":
-        import numexpr
-
-        ns["ne"] = numexpr
     code = compile(source, f"<fused:{spec.kind}:d{spec.d}:o{spec.order}>",
                    "exec")
     exec(code, ns)
-    fn = ns["fused_sweep"]
-    if spec.backend == "numba":
-        import numba
-
-        # Object mode keeps every array op on the identical NumPy ufuncs
-        # (bitwise-safe); only the interpreter overhead of the
-        # straight-line body is compiled away.
-        fn = numba.jit(forceobj=True)(fn)
-    return fn, source
+    return ns["fused_sweep"], source
 
 
 class FusedKernelCache:
@@ -54,7 +41,6 @@ class FusedKernelCache:
 
     def get(self, spec: FusedKernelSpec):
         """The compiled kernel for ``spec``, compiling at most once."""
-        select_backend(spec.backend)  # reject unavailable backends early
         fn = self._kernels.get(spec)
         if fn is not None:
             self.hits += 1

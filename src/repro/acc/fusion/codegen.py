@@ -47,10 +47,7 @@ import numpy as np
 
 from repro.bc.boundary import fill_axis_ghosts
 from repro.common import ConfigurationError
-from repro.riemann import (
-    riemann_expression,
-    validate_riemann_variant,
-)
+from repro.riemann import riemann_expression
 from repro.solver.positivity import limit_face_states
 from repro.weno import halo_width
 from repro.weno.coefficients import WENO_EPS
@@ -60,20 +57,23 @@ from repro.weno.reconstruct import (
     weno_order_check,
     weno_schedule,
 )
-from repro.weno.stacked import stacked_faces_into, validate_weno_variant
+
+#: Valid values of the kernel-fusion knob.  ``"off"`` keeps the
+#: stage-at-a-time pipeline, ``"on"`` requires the fused per-tile
+#: kernels (workspace mandatory), ``"auto"`` enables them whenever the
+#: workspace path is active.
+FUSION_MODES = ("auto", "off", "on")
 
 #: Kinds of fused sweep kernels the generator can render.
 FUSED_KINDS = ("strided", "transposed")
 
-#: numexpr expression templates per schedule ufunc (each a single IEEE
-#: elementwise op, so evaluation is bitwise identical to the NumPy call).
-_NUMEXPR_OPS = {
-    "multiply": "{a} * {b}",
-    "add": "{a} + {b}",
-    "subtract": "{a} - {b}",
-    "true_divide": "{a} / {b}",
-    "negative": "-{a}",
-}
+
+def validate_fusion(mode: str) -> str:
+    """Validate and return a kernel-fusion knob value."""
+    if mode not in FUSION_MODES:
+        raise ConfigurationError(
+            f"fusion must be one of {FUSION_MODES}, got {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,25 @@ class FusedKernelSpec:
     ndim: int  #: spatial dimensionality
     d: int  #: reconstruction direction (spatial axis)
     order: int  #: WENO order
-    weno_variant: str  #: "chained" (inlined schedule) or "stacked" (bound)
     riemann_solver: str
-    riemann_variant: str
     dtype: str  #: dtype name, part of the cache contract
-    backend: str = "numpy"
     #: Ensemble mode: ``ndim``/``d`` are *virtual* (axis 0 of the
     #: spatial shape is a leading batch axis that is never swept), and
     #: the physical direction the Riemann solve and the reflective
     #: ghost fill act on is ``d - 1``.  Part of the compile-cache key.
     batch: bool = False
+    weno_variant: str = "chained"  #: one value; benchmarks/e2e/probes.py fusion_probe spells it
+    riemann_variant: str = "reference"  #: one value; fusion_probe spells it
+    backend: str = "numpy"  #: one value; fusion_probe spells it
 
     def __post_init__(self) -> None:
+        for name, only in (("weno_variant", "chained"),
+                           ("riemann_variant", "reference"),
+                           ("backend", "numpy")):
+            if getattr(self, name) != only:
+                raise ConfigurationError(
+                    f"fused kernel {name} must be {only!r}, "
+                    f"got {getattr(self, name)!r}")
         if self.kind not in FUSED_KINDS:
             raise ConfigurationError(
                 f"fused kernel kind must be one of {FUSED_KINDS}, "
@@ -117,8 +124,6 @@ class FusedKernelSpec:
             raise ConfigurationError(
                 "batched fused kernels cannot sweep the batch axis (d=0)")
         weno_order_check(self.order)
-        validate_weno_variant(self.weno_variant)
-        validate_riemann_variant(self.riemann_variant)
         np.dtype(self.dtype)  # validates
 
 
@@ -139,7 +144,7 @@ class FusionContext:
 
 def make_context(layout, mixture, spec: FusedKernelSpec) -> FusionContext:
     """Bind a spec's Riemann kernel into a :class:`FusionContext`."""
-    _, fn = riemann_expression(spec.riemann_solver, spec.riemann_variant)
+    _, fn = riemann_expression(spec.riemann_solver)
     return FusionContext(layout, mixture, fn)
 
 
@@ -148,14 +153,13 @@ def exec_namespace() -> dict:
 
     The stage-boundary callables are bound here once — the *same*
     objects the reference pipeline calls — so generated kernels can
-    never diverge from the reference implementations of the ghost fill,
-    the positivity limit, or the stacked WENO kernels.
+    never diverge from the reference implementations of the ghost fill
+    or the positivity limit.
     """
     return {
         "np": np,
         "fill_ghosts": fill_axis_ghosts,
         "limit": limit_face_states,
-        "stacked_into": stacked_faces_into,
         "EPS": WENO_EPS,
     }
 
@@ -179,19 +183,12 @@ def _operand(sym, out_name: str) -> str:
     return repr(sym)
 
 
-def _schedule_lines(schedule, out_name: str, backend: str) -> list[str]:
+def _schedule_lines(schedule, out_name: str) -> list[str]:
     """Render one WENO op schedule as source lines (ufunc per line)."""
     lines = []
     for op, a, b, out in schedule:
         target = _operand(out, out_name)
-        if backend == "numexpr":
-            if b is None:
-                expr = _NUMEXPR_OPS[op].format(a=_operand(a, out_name))
-            else:
-                expr = _NUMEXPR_OPS[op].format(a=_operand(a, out_name),
-                                               b=_operand(b, out_name))
-            lines.append(f"ne.evaluate('{expr}', out={target})")
-        elif b is None:
+        if b is None:
             lines.append(f"np.{op}({_operand(a, out_name)}, out={target})")
         else:
             lines.append(f"np.{op}({_operand(a, out_name)}, "
@@ -209,12 +206,6 @@ def _weno_lines(spec: FusedKernelSpec, ng: int) -> list[str]:
     """
     order = spec.order
     lines = []
-    if spec.weno_variant == "stacked" and order > 1:
-        lines.append(f"stacked_into(pv, {ng - 1}, nf, {order}, vlL, "
-                     f"wscr, False)")
-        lines.append(f"stacked_into(pv, {ng}, nf, {order}, vrL, "
-                     f"wscr, True)")
-        return lines
     if order == 1:
         lines.append(f"np.copyto(vlL, {_stencil_slice(ng - 1)})")
         lines.append(f"np.copyto(vrL, {_stencil_slice(ng)})")
@@ -228,7 +219,7 @@ def _weno_lines(spec: FusedKernelSpec, ng: int) -> list[str]:
         for name, off in stencil:
             start = (ng - 1 + off) if side == "left" else (ng - off)
             lines.append(f"{name} = {_stencil_slice(start)}")
-        lines.extend(_schedule_lines(schedule, out_name, spec.backend))
+        lines.extend(_schedule_lines(schedule, out_name))
     return lines
 
 
@@ -274,8 +265,7 @@ def generate_source(spec: FusedKernelSpec) -> str:
     # component the Riemann solve and the reflective ghost fill act on
     # is the physical direction d-1 (axis 0 is the batch axis).
     phys = d - 1 if spec.batch else d
-    qualname, _ = riemann_expression(spec.riemann_solver,
-                                     spec.riemann_variant)
+    qualname, _ = riemann_expression(spec.riemann_solver)
     body: list[str] = []
 
     if spec.kind == "strided":
@@ -320,9 +310,7 @@ def generate_source(spec: FusedKernelSpec) -> str:
     header = [
         f"# fused {spec.kind} sweep: d={d}/{ndim}D"
         f"{' (batched: axis 0 = ensemble)' if spec.batch else ''}, "
-        f"order {spec.order} "
-        f"({spec.weno_variant}), riemann {qualname}, "
-        f"dtype {spec.dtype}, backend {spec.backend}",
+        f"order {spec.order}, riemann {qualname}, dtype {spec.dtype}",
         f"def fused_sweep({args}):",
     ]
     return "\n".join(header + [f"    {line}" for line in body]) + "\n"

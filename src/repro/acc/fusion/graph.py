@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from repro.acc.directives import Clause, LoopDirective, ParallelLoopNest
 from repro.common import ConfigurationError
-from repro.weno import halo_width
-from repro.weno.stacked import weno_passes_per_side
+from repro.weno import halo_width, weno_passes_per_side
 
 #: Halo-radius marker for a stage that reads the whole axis (the ghost
 #: fill's periodic wrap): the axis can never be a slab axis.
@@ -89,7 +88,7 @@ class FusedRegion:
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.stages)
 
-    def passes_saved_per_tile(self, weno_variant: str, order: int) -> int:
+    def passes_saved_per_tile(self, order: int) -> int:
         """Field-sized intermediate passes one fused tile launch avoids.
 
         Every pipeline pass between the region's first and last stage
@@ -97,7 +96,7 @@ class FusedRegion:
         engine; fused, all but the final accumulate stay in tile-sized
         scratch.
         """
-        weno = 2 * weno_passes_per_side(weno_variant, order)
+        weno = 2 * weno_passes_per_side(order)
         return weno + NONWENO_PIPELINE_PASSES - 1
 
 

@@ -97,17 +97,15 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def plan_gang_width(threads: int | None, *, tiles: int, ranks: int = 1,
-                    backend=None) -> tuple[int, str]:
+def plan_gang_width(threads: int | None, *, tiles: int,
+                    ranks: int = 1) -> tuple[int, str]:
     """The one resolver of the ``threads`` knob → ``(width, why)``.
 
-    An explicit value wins (clamped to 1 where the backend manages its
-    own parallelism; refused beside ``ranks > 1``).  ``None`` is
+    An explicit value wins (refused beside ``ranks > 1``).  ``None`` is
     *planned*: ``min(usable cores, tiles)`` where ``tiles`` is the widest
     direction sweep's tile count, and 1 whenever ranks already occupy
-    the cores, the backend cannot gang, or there is one tile to run.
+    the cores or there is one tile to run.
     """
-    gangs = backend is None or backend.supports_threads
     if threads is not None:
         if (not isinstance(threads, int) or isinstance(threads, bool)
                 or threads < 1):
@@ -117,13 +115,9 @@ def plan_gang_width(threads: int | None, *, tiles: int, ranks: int = 1,
             raise ConfigurationError(
                 "ranks > 1 is incompatible with threads > 1 "
                 "(pick one parallel backend)")
-        if threads > 1 and not gangs:
-            return 1, f"1: {backend.name} backend"
         return threads, f"{threads}: explicit"
     if ranks > 1:
         return 1, "1: ranks > 1"
-    if not gangs:
-        return 1, f"1: {backend.name} backend"
     if tiles < 2:
         return 1, "1: one tile"
     cores = usable_cores()

@@ -1,6 +1,6 @@
 """The ``checked`` backend: a device-array emulator that bans host NumPy.
 
-Real accelerator arrays (CuPy, torch-CUDA) are not NumPy arrays: a
+Real accelerator arrays (CuPy, CUDA tensors) are not NumPy arrays: a
 module-level ``np.something(device_array)`` call either crashes or —
 worse — silently round-trips through host memory.  The hot path is
 therefore written against a *namespace* (``xp``) resolved from the

@@ -115,10 +115,8 @@ class RankSolver:
             layout, mixture, bcs, config, self.local,
             counters=self.sweep_counters, sweep_layout=sweep_layout,
             fused=fusion != "off", ghosts=self._fill_ghosts)
-        self.fusion_backend = self._engine.fusion_backend
         ng = self._engine.ng
         self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
-                                  weno_order=config.weno_order,
                                   rows=self._engine.rows)
         # Overlap needs a strided sweep with a non-empty ghost-free
         # interior span and an actual exchange to hide; other

@@ -29,10 +29,9 @@ paper's checkpoint-restart discipline on 65k-device runs:
   backoff is a retried job's earliest start, never a pause of the
   batches already running.
 * **Graceful degradation**: repeated batch-level transient failures
-  halve ``batch_width`` (down to ``min_batch_width``); fusion compile
-  failures fall back to the NumPy backend, then to unfused kernels
-  (the supervisor's ladder).  Every downgrade is a structured ledger
-  event.
+  halve ``batch_width`` (down to ``min_batch_width``); a batch whose
+  fused build fails falls back to unfused kernels (the supervisor's
+  degradation).  Every downgrade is a structured ledger event.
 
 Bitwise contract
 ----------------
@@ -54,7 +53,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.acc.fusion import BACKEND_ENV_VAR
 from repro.acc.gang import tile_spans
 from repro.backend import resolve_backend
 from repro.bc.boundary import BoundarySet
@@ -614,8 +612,6 @@ class EnsembleService:
         if event.get("what") == "fusion":
             self.engine["options"] = dataclasses.replace(
                 self.engine["options"], fusion="off")
-        elif event.get("what") == "fusion-backend":
-            os.environ[BACKEND_ENV_VAR] = "numpy"
 
     def _record_failure(self, index: int, error_type: str, message: str,
                         failure_cls: str) -> None:

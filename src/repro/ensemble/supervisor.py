@@ -20,19 +20,16 @@ through the :func:`repro.common.failure_class` taxonomy:
   original error's own class (**permanent** for
   ``ConfigurationError``/``NumericsError``).
 
-Inside the child, :func:`execute_batch` owns the **degradation
-ladder** for fusion compile failures: a broken
-``REPRO_FUSION_BACKEND`` first falls back to the pure-NumPy backend,
-then to ``fusion="off"`` — each rung logged as a structured event.
-Both runs stay bitwise-identical to the original plan (fusion and its
-backends are bitwise-equivalent execution choices), so degradation
-trades speed, never answers.
+Inside the child, :func:`execute_batch` owns the **degradation** for
+fusion failures: a batch whose fused build fails is rebuilt with
+``fusion="off"``, logged as a structured event.  The run stays
+bitwise-identical to the original plan (fusion is a bitwise-equivalent
+execution choice), so degradation trades speed, never answers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import signal
 import time
 from dataclasses import dataclass, field
@@ -40,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.acc.fusion import BACKEND_ENV_VAR, FusionError
+from repro.acc.fusion import FusionError
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, ReproError, failure_class
 from repro.common.workers import (
@@ -101,15 +98,11 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
 
     Builds the :class:`EnsembleSimulation` in ``on_failure="retire"``
     mode (a diverging case retires with a named diagnostic instead of
-    aborting its batch neighbours) and applies the fusion degradation
-    ladder when construction fails on a fusion/backend error:
-
-    1. pin ``REPRO_FUSION_BACKEND=numpy`` (compile failures of the
-       optional numexpr/numba backends), rebuild;
-    2. rebuild with ``fusion="off"`` entirely.
-
-    A build that still fails with fusion off propagates — that is a
-    genuinely bad spec, and the taxonomy calls it permanent.
+    aborting its batch neighbours); when construction fails on a
+    fusion/configuration error with fusion on, it rebuilds with
+    ``fusion="off"``.  A build that still fails with fusion off
+    propagates — that is a genuinely bad spec, and the taxonomy calls
+    it permanent.
 
     ``telemetry`` carries the batch's ``started``/``finished``
     ``time.monotonic()`` stamps (one system-wide clock on Linux, so
@@ -149,25 +142,10 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     except (FusionError, ConfigurationError) as err:
         if options.fusion == "off":
             raise
-        saved = os.environ.get(BACKEND_ENV_VAR)
-        os.environ[BACKEND_ENV_VAR] = "numpy"
-        try:
-            try:
-                sim = build()
-                events.append({
-                    "kind": "degrade", "what": "fusion-backend",
-                    "to": "numpy", "error": str(err)})
-            except (FusionError, ConfigurationError) as err2:
-                options = dataclasses.replace(options, fusion="off")
-                sim = build()
-                events.append({
-                    "kind": "degrade", "what": "fusion", "to": "off",
-                    "error": str(err2)})
-        finally:
-            if saved is None:
-                os.environ.pop(BACKEND_ENV_VAR, None)
-            else:
-                os.environ[BACKEND_ENV_VAR] = saved
+        options = dataclasses.replace(options, fusion="off")
+        sim = build()
+        events.append({"kind": "degrade", "what": "fusion", "to": "off",
+                       "error": str(err)})
     # The stacked state is a copy: a forked child frees the states it
     # inherited instead of carrying them through the march.
     spec.initial_states = None

@@ -132,12 +132,11 @@ class SweepCounters:
         of the permuted array).
     weno_passes:
         Whole-array ufunc passes the reconstruction kernels made over
-        face-sized operands (both sides) — the memory-sweep count the
-        stacked-stencil variant exists to reduce.  Fused sweeps tally
-        the *same* nominal pass count as their unfused twins (the fused
-        kernel performs the identical ufunc sequence, only on tile-sized
+        face-sized operands (both sides).  Fused sweeps tally the *same*
+        nominal pass count as their unfused twins (the fused kernel
+        performs the identical ufunc sequence, only on tile-sized
         operands), so BENCH_rhs.json pass counts stay comparable across
-        variants; the fusion win is carried by the two fields below.
+        modes; the fusion win is carried by the two fields below.
     fused_launches:
         Fused per-tile kernel invocations (one per tile per direction
         sweep) made by the :mod:`repro.acc.fusion` engine.

@@ -162,7 +162,7 @@ def bench_kernels(layout, mixture, grid, bcs, config, q, *,
     hardware; by default the measured-bandwidth host stand-in is used
     (``use_measured_bandwidth=False`` falls back to catalog numbers).
     Extra keyword arguments reach the :class:`~repro.solver.rhs.RHS`
-    (``weno_variant``, ``fusion``, ``threads``, ...).
+    (``sweep_layout``, ``fusion``, ``threads``, ...).
     """
     if repeats < 1 or warmup < 0:
         raise ConfigurationError(
@@ -213,14 +213,14 @@ def bench_kernels(layout, mixture, grid, bcs, config, q, *,
 def bench_backend_matrix(layout, mixture, grid, bcs, config, q, *,
                          backends=None, precisions=("float64",),
                          **kwargs) -> list[KernelBenchResult]:
-    """One :func:`bench_kernels` sweep per available backend × dtype.
+    """One :func:`bench_kernels` sweep per backend × dtype.
 
-    ``backends=None`` sweeps every backend importable on this host
-    (:func:`repro.backend.available_backends`).
+    ``backends=None`` sweeps every registered backend
+    (:data:`repro.backend.BACKEND_NAMES`).
     """
-    from repro.backend import available_backends
+    from repro.backend import BACKEND_NAMES
 
-    names = list(backends) if backends is not None else available_backends()
+    names = list(backends) if backends is not None else list(BACKEND_NAMES)
     return [bench_kernels(layout, mixture, grid, bcs, config, q,
                           backend=name, precision=prec, **kwargs)
             for name in names for prec in precisions]

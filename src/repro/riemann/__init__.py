@@ -13,7 +13,6 @@ interface normal velocity used by the nonconservative
 
 from repro.common import ConfigurationError
 from repro.riemann.common import FaceStates, decompose_faces, physical_flux
-from repro.riemann.fused import hllc_flux_fused
 from repro.riemann.hllc import hllc_flux
 from repro.riemann.hll import hll_flux
 from repro.riemann.rusanov import rusanov_flux
@@ -24,38 +23,17 @@ SOLVERS = {
     "rusanov": rusanov_flux,
 }
 
-#: Registered Riemann kernel variants (tuning registry axis).  Only HLLC
-#: has a fused implementation; for the other solvers ``"fused"`` simply
-#: resolves to the reference kernel so a tuning plan stays portable
-#: across solver choices.
-RIEMANN_VARIANTS = ("reference", "fused")
 
-_FUSED = {
-    "hllc": hllc_flux_fused,
-}
-
-
-def validate_riemann_variant(variant: str) -> str:
-    if variant not in RIEMANN_VARIANTS:
-        raise ConfigurationError(
-            f"unknown riemann variant {variant!r}; expected one of "
-            f"{RIEMANN_VARIANTS}")
-    return variant
-
-
-def resolve_riemann_flux(solver: str, variant: str = "reference"):
-    """The flux callable for a (solver, kernel-variant) pair."""
-    validate_riemann_variant(variant)
+def resolve_riemann_flux(solver: str):
+    """The flux callable of a solver name."""
     if solver not in SOLVERS:
         raise ConfigurationError(
             f"unknown riemann solver {solver!r}; expected one of "
             f"{tuple(SOLVERS)}")
-    if variant == "fused":
-        return _FUSED.get(solver, SOLVERS[solver])
     return SOLVERS[solver]
 
 
-def riemann_expression(solver: str, variant: str = "reference"):
+def riemann_expression(solver: str):
     """Expression-provider entry for the fusion code generator.
 
     Returns ``(qualname, callable)``: the provenance string the
@@ -64,7 +42,7 @@ def riemann_expression(solver: str, variant: str = "reference"):
     face kernels, so the generator stitches them in as one bound stage
     rather than re-deriving their arithmetic).
     """
-    fn = resolve_riemann_flux(solver, variant)
+    fn = resolve_riemann_flux(solver)
     return f"{fn.__module__}.{fn.__qualname__}", fn
 
 
@@ -73,12 +51,9 @@ __all__ = [
     "decompose_faces",
     "physical_flux",
     "hllc_flux",
-    "hllc_flux_fused",
     "hll_flux",
     "rusanov_flux",
     "SOLVERS",
-    "RIEMANN_VARIANTS",
-    "validate_riemann_variant",
     "resolve_riemann_flux",
     "riemann_expression",
 ]

@@ -117,8 +117,8 @@ class SolverOptions:
     backend: object = knob(
         None, optional(lambda label, v: v if isinstance(v, Backend)
                         else choice(*BACKEND_NAMES)(label, v)),
-        "execution backend of the kernels (torch/cupy need the package); "
-        "None is numpy", _BATCHED, choices=BACKEND_NAMES)
+        "execution backend of the kernels (checked enforces the device "
+        "discipline); None is numpy", _BATCHED, choices=BACKEND_NAMES)
     precision: str = knob(
         "float64", choice(*PRECISIONS), "state precision; float32 is a "
         "validated-tolerance mode, not bitwise", _RUN, choices=PRECISIONS)

@@ -46,7 +46,7 @@ from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.hardware.devices import DeviceSpec, get_device
 from repro.profiling.counters import SweepCounters
-from repro.riemann import SOLVERS, validate_riemann_variant
+from repro.riemann import SOLVERS
 from repro.solver.geometry import (
     GEOMETRIES,
     apply_axisymmetric_terms,
@@ -66,7 +66,6 @@ from repro.state.layout import StateLayout
 from repro.timestepping.cfl import max_rate, tile_of, wave_rate_tile
 from repro.timestepping.ssp_rk import shu_osher_tile
 from repro.weno import halo_width, reconstruct_faces
-from repro.weno.stacked import validate_weno_variant
 
 #: Words of :attr:`SolverWorkspace.control`: the launch's flags, the RK
 #: buffers (indices into ``(rk_result, rk_stage)``) the stage reads and
@@ -210,10 +209,9 @@ class RHS(AbstractContextManager):
     The execution knobs (``use_workspace threads tile_device
     sweep_layout fusion backend`` and, as ``dtype``, ``precision``) are
     :class:`~repro.solver.options.SolverOptions` fields, documented
-    once in DESIGN.md "Options: one table"; ``weno_variant
-    riemann_variant tiles`` are the remaining axes of a
-    :class:`~repro.tuning.TuningPlan`.  Drivers build theirs with
-    :meth:`planned`.
+    once in DESIGN.md "Options: one table"; ``tiles`` is the remaining
+    axis of a :class:`~repro.tuning.TuningPlan`.  Drivers build theirs
+    with :meth:`planned`.
     """
 
     layout: StateLayout
@@ -226,21 +224,13 @@ class RHS(AbstractContextManager):
     threads: int | None = None
     tile_device: DeviceSpec | str | None = None
     sweep_layout: str = "strided"
-    #: Registered kernel implementations (all bitwise identical — the
-    #: autotuner's choice axes): :data:`repro.weno.WENO_VARIANTS` and
-    #: :data:`repro.riemann.RIEMANN_VARIANTS`.
-    weno_variant: str = "chained"
-    riemann_variant: str = "reference"
     #: Explicit per-launch tile count overriding the L2 heuristic
-    #: (another tuner knob); None keeps the heuristic.
+    #: (a tuner knob); None keeps the heuristic.
     tiles: int | None = None
     fusion: str = "off"
     #: Owns the array namespace the kernels resolve and the workspace
-    #: allocator.  Capability fallbacks are applied here: backends
-    #: without negative-stride ``as_strided`` run the chained WENO
-    #: kernels, backends the fusion code generator cannot target never
-    #: fuse, and the gang is disabled where the backend manages its own
-    #: parallelism (see ``docs/backends.md``).
+    #: allocator.  A backend the fusion code generator cannot target
+    #: never fuses (see ``docs/backends.md``).
     backend: object = None
     #: Array dtype of the state/workspace (``precision`` seam);
     #: ``numpy.float64`` keeps the bitwise-identical default.
@@ -258,11 +248,6 @@ class RHS(AbstractContextManager):
     def __post_init__(self) -> None:
         self.backend = resolve_backend(self.backend)
         self.dtype = np.dtype(self.dtype)
-        if not self.backend.supports_stacked_weno \
-                and self.weno_variant == "stacked":
-            # Documented capability fallback (docs/backends.md): the
-            # stacked kernels need negative-stride as_strided views.
-            self.weno_variant = "chained"
         if self.grid.ndim != self.layout.ndim:
             raise ConfigurationError(
                 f"grid is {self.grid.ndim}D but layout expects {self.layout.ndim}D")
@@ -282,8 +267,6 @@ class RHS(AbstractContextManager):
                 raise ConfigurationError(
                     "batched (ensemble) RHS requires use_workspace=True")
         self._ng = halo_width(self.config.weno_order)
-        validate_weno_variant(self.weno_variant)
-        validate_riemann_variant(self.riemann_variant)
         optional(integer(1))("tiles", self.tiles)
         validate_geometry(self.config.geometry, self.layout, self.grid)
         if self.config.geometry == "axisymmetric":
@@ -319,8 +302,7 @@ class RHS(AbstractContextManager):
         # Validates an explicit width, which also asks the engine for
         # at least one tile per member; a planned one is 1 until the
         # tile counts are known.
-        floor, _ = plan_gang_width(self.threads, tiles=0,
-                                   backend=self.backend)
+        floor, _ = plan_gang_width(self.threads, tiles=0)
         #: Per-sweep data-movement tallies (strided vs. contiguous
         #: reconstruction, bytes permuted); surfaced by the CLI, the
         #: benches, and :meth:`Profile.report`.
@@ -334,26 +316,23 @@ class RHS(AbstractContextManager):
             self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
             counters=self.sweep_counters,
             sweep_layout=self.sweep_layout if ws_on else "strided",
-            fused=fused, weno_variant=self.weno_variant,
-            riemann_variant=self.riemann_variant, batch=self.batch,
-            workers=floor, tiles=self.tiles,
+            fused=fused, batch=self.batch, workers=floor, tiles=self.tiles,
             device=(get_device(self.tile_device)
                     if isinstance(self.tile_device, str)
                     else self.tile_device),
             dtype=self.dtype, stopwatch=self.stopwatch)
-        self.fusion_backend = self._engine.fusion_backend
-        #: Preallocated buffer arena; None runs the allocating
-        #: reference path.
+        #: One value when fused; the e2e fusion probe spells it.
+        self.fusion_backend = "numpy" if fused else None
         #: Resolved gang width and the reason for it (the banner text).
         self.threads, self.gang_why = plan_gang_width(
-            self.threads, backend=self.backend, tiles=max(
+            self.threads, tiles=max(
                 p.tiles for p in engine.plans.values()) if ws_on else 0)
         width = self.threads if ws_on else 1
+        #: Preallocated buffer arena; None runs the allocating
+        #: reference path.
         self.workspace = ws = (SolverWorkspace(
             self.layout, self.grid, self._ng, dtype=self.dtype,
-            weno_variant=self.weno_variant,
-            weno_order=self.config.weno_order, batch=self.batch,
-            backend=self.backend, shared=width > 1,
+            batch=self.batch, backend=self.backend, shared=width > 1,
             rows=engine.rows) if ws_on else None)
         widths = tuple(self.backend.xp.asarray(w, dtype=self.dtype)
                        for w in self.grid.width_fields())
@@ -373,8 +352,8 @@ class RHS(AbstractContextManager):
         The one construction every driver shares.  ``plan`` is the
         :class:`~repro.tuning.TuningPlan` of
         :func:`~repro.tuning.resolve_plan`, which names the layout,
-        fusion mode, backend, kernel variants and tile count; a plan
-        without a gang width leaves ``options.threads`` in charge.
+        fusion mode, backend and tile count; a plan without a gang width
+        leaves ``options.threads`` in charge.
         """
         return cls(layout, mixture, grid, bcs, config, stopwatch=stopwatch,
                    use_workspace=options.use_workspace,
@@ -382,9 +361,7 @@ class RHS(AbstractContextManager):
                             else options.threads),
                    tile_device=options.tile_device,
                    sweep_layout=plan.sweep_layout, fusion=plan.fusion,
-                   weno_variant=plan.weno_variant,
-                   riemann_variant=plan.riemann_variant, tiles=plan.tiles,
-                   backend=plan.backend,
+                   tiles=plan.tiles, backend=plan.backend,
                    dtype=precision_dtype(options.precision), batch=batch)
 
     def close(self) -> None:
@@ -582,8 +559,7 @@ class RHS(AbstractContextManager):
                              normal_direction=pd)
         with timed(sw, "weno"):
             v_l, v_r = reconstruct_faces(padded, d + 1,
-                                         self.config.weno_order,
-                                         variant=self.weno_variant)
+                                         self.config.weno_order)
             self.limited_faces += limit_face_states(
                 layout, self.mixture, padded, v_l, v_r, d, ng)
         with timed(sw, "riemann"):

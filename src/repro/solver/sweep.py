@@ -29,7 +29,7 @@ tiles; the block the hook fills and the flux a split sweep carries
 across it are block-sized, and a tile copies its part in or out — no
 kernel pass reads or writes them.
 
-Which directions sweep transposed is planned here too (paper §III.D):
+Which directions sweep transposed is the layout knob (paper §III.D):
 
 ``strided``
     Never transpose — every tile is a standard-order ``(nvars, x, y, z)``
@@ -42,19 +42,10 @@ Which directions sweep transposed is planned here too (paper §III.D):
     the *last* spatial axis is the coalesced one — the mirror image of
     the paper's Fortran layout, where x is contiguous and the y/z sweeps
     pay the strided penalty.)
-``auto``
-    Per-direction cost heuristic, informed by the device catalog: weigh
-    the bytes the two physical transposes move against the bytes the
-    strided inner loops would waste, and keep the strided layout when
-    the whole padded sweep block fits in the device's per-core share of
-    last-level cache (resident data makes strided passes cheap).
 
 Every mode and layout is bitwise identical in results — each stage is
 elementwise over faces and the slab axis is stencil-free in every stage,
-so tiles, spans and layouts only move data.  The heuristic's constants
-are deliberately coarse — the decision it must get right is "large sweep
-block, strided axis" (transpose) vs "cache-resident block or
-already-contiguous axis" (don't).
+so tiles, spans and layouts only move data.
 """
 
 from __future__ import annotations
@@ -71,7 +62,6 @@ from repro.acc.fusion import (
     fused_kernel,
     kernel_signature,
     plan_fusion,
-    select_backend,
     sweep_stage_graph,
     validate_fusion,
 )
@@ -81,33 +71,18 @@ from repro.bc.boundary import fill_axis_ghosts
 from repro.common import DTYPE, ConfigurationError, timed
 from repro.fields.transpose import sweep_perm
 from repro.hardware.devices import DeviceSpec, default_host_device
-from repro.hardware.tiling import L2_OCCUPANCY, suggest_tile_count
+from repro.hardware.tiling import suggest_tile_count
 from repro.riemann import resolve_riemann_flux
 from repro.solver.positivity import limit_face_states
 from repro.solver.workspace import TileArena
-from repro.weno import halo_width, reconstruct_faces_span
-from repro.weno.stacked import weno_passes_per_side
+from repro.weno import halo_width, reconstruct_faces_span, weno_passes_per_side
 
 __all__ = ["FUSION_MODES", "SWEEP_LAYOUTS", "SweepEngine", "SweepPlan",
-           "accumulate_divergence", "cache_budget_bytes",
-           "plan_transposed_axes", "timed", "validate_fusion",
-           "validate_sweep_layout"]
+           "accumulate_divergence", "plan_transposed_axes", "timed",
+           "validate_fusion", "validate_sweep_layout"]
 
 #: Valid values of the sweep-layout knob.
-SWEEP_LAYOUTS = ("strided", "transposed", "auto")
-
-#: Face-sized array passes of the in-place WENO kernels per sweep (both
-#: sides) whose stencil operands are offset along the sweep axis rather
-#: than the trailing one (``cells(offset)`` reads, moved-axis ``out``
-#: writes).  Counted from ``_weno{3,5}_into``; order 1 is two plain
-#: copies.  The ``auto`` waste model below prices each as a strided walk
-#: of a block too large to cache; a tile pass is not one — its operands
-#: share one memory order and the tile is cache-resident.
-STRIDED_PASSES = {1: 4, 3: 34, 5: 70}
-
-#: Cache-line size the waste model assumes (one strided element touch
-#: of an uncached block drags a whole line through the hierarchy).
-CACHE_LINE_BYTES = 128
+SWEEP_LAYOUTS = ("strided", "transposed")
 
 
 def validate_sweep_layout(mode: str) -> str:
@@ -118,89 +93,12 @@ def validate_sweep_layout(mode: str) -> str:
     return mode
 
 
-def cache_budget_bytes(device: DeviceSpec) -> float:
-    """Last-level-cache bytes one sweep may assume it owns on ``device``.
-
-    GPUs share their L2 across the whole chip; CPUs share the catalog's
-    L3 figure across cores, and a host sweep pipeline effectively runs
-    per core — so the budget is the per-core share, scaled by the same
-    occupancy margin the tile heuristic uses.
-    """
-    share = device.l2_bytes / (device.cores or 1)
-    return share * L2_OCCUPANCY
-
-
-def _transpose_wins(nvars: int, spatial: tuple[int, ...], d: int,
-                    ng: int, order: int, device: DeviceSpec) -> bool:
-    """The auto rule for one direction (reconstruction axis not last).
-
-    A whole-sweep-block model that predates tiles: it weighs the two
-    physical transposes against strided walks of the *uncached* padded
-    block.  Tiled sweeps are coalesced and cache-resident in either
-    layout, so what the rule decides today is only which copy a tile
-    pays — a gather/scatter (transposed) or a plain pack (strided); the
-    measured census is EXPERIMENTS.md "Coalesced tiles".
-    """
-    itemsize = np.dtype(DTYPE).itemsize
-    cells = 1
-    for extent in spatial:
-        cells *= extent
-    padded_cells = cells // spatial[d] * (spatial[d] + 2 * ng)
-    face_cells = cells // spatial[d] * (spatial[d] + 1)
-
-    # If the whole padded block is cache-resident, strided passes hit
-    # the cache and transposing only adds traffic.
-    if nvars * padded_cells * itemsize <= cache_budget_bytes(device):
-        return False
-
-    # Bytes the transposes move: gather the primitives in, scatter the
-    # flux and the interface velocity back.
-    bytes_moved = itemsize * (nvars * cells + nvars * face_cells + face_cells)
-
-    # Bytes the strided inner loops waste: each strided element touch
-    # drags a cache line of which only one element is used; the line is
-    # dead by the time its neighbours come around (the block exceeds the
-    # cache budget, per the test above).
-    inner = 1
-    for extent in spatial[d + 1:]:
-        inner *= extent
-    penalty = min(CACHE_LINE_BYTES // itemsize, max(1, inner))
-    bytes_saved = (STRIDED_PASSES[order] * itemsize * nvars * face_cells
-                   * (penalty - 1) / penalty)
-    return bytes_saved > bytes_moved
-
-
-def plan_transposed_axes(mode: str, nvars: int, spatial: tuple[int, ...],
-                         weno_order: int,
-                         device: DeviceSpec | None = None) -> frozenset[int]:
-    """Directions the RHS should sweep in the axis-contiguous layout.
-
-    Parameters
-    ----------
-    mode:
-        The knob: ``"strided"``, ``"transposed"``, or ``"auto"``.
-    nvars, spatial:
-        Packed-field shape (variable count and spatial extents).
-    weno_order:
-        Reconstruction order (fixes the ghost width and the strided-pass
-        count of the waste model).
-    device:
-        Catalog entry whose cache geometry informs ``auto``; defaults to
-        :func:`repro.hardware.devices.default_host_device`.
-    """
+def plan_transposed_axes(mode: str, ndim: int) -> frozenset[int]:
+    """Directions of an ``ndim``-D sweep that run axis-contiguous under
+    the layout knob ``mode``: none when strided, every one but the
+    trailing (already contiguous in C order) axis when transposed."""
     validate_sweep_layout(mode)
-    ndim = len(spatial)
-    # The trailing spatial axis is already contiguous in C order: its
-    # sweep never transposes, under any mode.
-    candidates = [d for d in range(ndim) if d != ndim - 1]
-    if mode == "strided" or not candidates:
-        return frozenset()
-    if mode == "transposed":
-        return frozenset(candidates)
-    ng = halo_width(weno_order)
-    dev = device if device is not None else default_host_device()
-    return frozenset(d for d in candidates
-                     if _transpose_wins(nvars, spatial, d, ng, weno_order, dev))
+    return frozenset(range(ndim - 1) if mode == "transposed" else ())
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +173,6 @@ class SweepEngine:
 
     def __init__(self, layout, mixture, bcs, config, shape, *, counters,
                  sweep_layout: str = "strided", fused: bool = False,
-                 weno_variant: str = "chained",
-                 riemann_variant: str = "reference",
                  batch: int | None = None, workers: int = 1,
                  tiles: int | None = None, device: DeviceSpec | None = None,
                  dtype=DTYPE, stopwatch=None, ghosts=None) -> None:
@@ -285,21 +181,16 @@ class SweepEngine:
         self.ghosts = ghosts
         self.order = order = config.weno_order
         self.ng = halo_width(order)
-        self.weno_variant = weno_variant
-        self.riemann = resolve_riemann_flux(config.riemann_solver,
-                                            riemann_variant)
+        self.riemann = resolve_riemann_flux(config.riemann_solver)
         #: Face-block ufunc passes both reconstruction sides of one
         #: sweep cost (tallied into the sweep counters).
-        self.weno_passes = 2 * weno_passes_per_side(weno_variant, order)
+        self.weno_passes = 2 * weno_passes_per_side(order)
         self.nb = nb = 0 if batch is None else 1
         spatial = tuple(shape) if batch is None else (batch, *shape)
         #: Virtual directions swept in the axis-last layout (planned on
         #: the physical shape: the batch axis is never a candidate).
         self.transposed_axes = frozenset(
-            d + nb for d in plan_transposed_axes(
-                sweep_layout, layout.nvars, tuple(shape), order,
-                device=device))
-        self.fusion_backend = select_backend(None) if fused else None
+            d + nb for d in plan_transposed_axes(sweep_layout, len(shape)))
         self._ctx = FusionContext(layout, mixture, self.riemann)
         self._kernels: dict[int, tuple] = {}
         self.plans: dict[int, SweepPlan] = {}
@@ -319,14 +210,11 @@ class SweepEngine:
             if fuse:
                 spec = FusedKernelSpec(
                     kind=kind, pack=pack, ndim=ndim, d=d, order=order,
-                    weno_variant=weno_variant,
                     riemann_solver=config.riemann_solver,
-                    riemann_variant=riemann_variant,
-                    dtype=np.dtype(dtype).name, backend=self.fusion_backend,
-                    batch=batch is not None)
+                    dtype=np.dtype(dtype).name, batch=batch is not None)
                 self._kernels[d] = (
                     fused_kernel(spec), kernel_signature(spec),
-                    region.passes_saved_per_tile(weno_variant, order))
+                    region.passes_saved_per_tile(order))
             extent = (1 if region.slab_axis is None
                       else spatial[region.slab_axis])
             if tiles is not None:
@@ -336,7 +224,6 @@ class SweepEngine:
                 # stage set (np.empty maps its pages, nothing touches
                 # them) plus the row of prim read and of dqdt updated.
                 row = TileArena(layout.nvars, spatial, self.ng, d, 1, dtype,
-                                weno_variant, order,
                                 transposed=kind == "transposed")
                 row_elems = layout.nvars * cells // extent
                 budget = dict(
@@ -424,8 +311,7 @@ class SweepEngine:
             fi = _cut(flo, fhi, axis)
             with timed(sw, "weno"):
                 reconstruct_faces_span(pad, axis, self.order, flo, fhi,
-                                       out=(vl, vr), scratch=scr.wscr,
-                                       variant=self.weno_variant)
+                                       out=(vl, vr), scratch=scr.wscr)
                 limited = limit_face_states(
                     layout, self.mixture, pad[_cut(flo, None, axis)],
                     vl[fi], vr[fi], axis - 1, ng, scratch=scr.rscr)

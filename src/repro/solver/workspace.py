@@ -62,7 +62,7 @@ from repro.grid.cartesian import StructuredGrid
 from repro.riemann.common import RiemannScratch
 from repro.state.conversions import row_spans
 from repro.state.layout import StateLayout
-from repro.weno.stacked import allocate_weno_scratch, validate_weno_variant
+from repro.weno.reconstruct import allocate_weno_scratch
 
 #: Leading words of :attr:`SolverWorkspace.control` before its dt entries.
 CONTROL_WORDS = 6
@@ -118,7 +118,7 @@ class TileArena:
     strided tile, reconstruction-axis-last for a transposed one — and
     the axis-last shape the WENO kernels ask of their scratch is a
     ``moveaxis`` view of such a block
-    (:func:`~repro.weno.stacked.allocate_weno_scratch`).  A tile's
+    (:func:`~repro.weno.reconstruct.allocate_weno_scratch`).  A tile's
     WENO → limiter → Riemann → divergence chain reads and writes only
     these blocks, so no ufunc pass mixes two memory orders and the
     iterator's inner loop is always the unit-stride one; field- and
@@ -133,16 +133,13 @@ class TileArena:
 
     def __init__(self, nvars: int, spatial: tuple[int, ...], ng: int,
                  d: int, tile_width: int, dtype,
-                 weno_variant: str, weno_order: int,
                  transposed: bool = False, xp=np, pool=None) -> None:
         ndim = len(spatial)
         self.transposed = transposed
         self.width_cap = tile_width
         self.slab_axis = sa = None if ndim == 1 else (1 if d == 0 else 0)
         self._like = partial(TileArena, nvars, spatial, ng, d, dtype=dtype,
-                             weno_variant=weno_variant,
-                             weno_order=weno_order, transposed=transposed,
-                             xp=xp)
+                             transposed=transposed, xp=xp)
         self._narrowed: dict[int, TileArena] = {}
         w = 1 if sa is None else min(tile_width, spatial[sa])
 
@@ -171,8 +168,7 @@ class TileArena:
                 self.vl, self.vr = new(std(1)), new(std(1))
             spare = alloc.used
             self.wscr = allocate_weno_scratch(
-                weno_variant, weno_order, tuple(last), dtype, xp=alloc,
-                axis=-1 if transposed else d + 1)
+                tuple(last), dtype, xp=alloc, axis=-1 if transposed else d + 1)
             spare = slice(spare, alloc.used)
             self.flux, self.uface = new(std(1)), new(std(1)[1:])
             self.dscr, self.dvscr = new(std(0)), new(std(0)[1:])
@@ -297,9 +293,7 @@ class SolverWorkspace:
     """
 
     def __init__(self, layout: StateLayout, grid: StructuredGrid, ng: int,
-                 dtype=DTYPE, weno_variant: str = "chained",
-                 weno_order: int | None = None,
-                 batch: int | None = None,
+                 dtype=DTYPE, batch: int | None = None,
                  backend=None, shared: bool = False, rows=None) -> None:
         nvars = layout.nvars
         #: The execution backend this arena allocates on; its namespace
@@ -322,21 +316,12 @@ class SolverWorkspace:
         self._ng = ng
         self._spatial = tuple(spatial)
         self._nvars = nvars
-        #: WENO kernel variant the scratch sets are shaped for (the
-        #: stacked variant's candidate-stacked/extended buffers differ
-        #: from the chained kernels' homogeneous 8-array set).
-        self.weno_variant = validate_weno_variant(weno_variant)
-        if self.weno_variant != "chained" and weno_order is None:
-            raise ValueError(
-                "weno_order is required for non-chained WENO scratch")
-        self.weno_order = weno_order if weno_order is not None else 0
 
         # The makers below close over these locals, never over ``self``:
         # a workspace in a reference cycle would outlive its RHS until
         # the cyclic collector happens to run (an ensemble rebuilds the
         # RHS at every retirement), and peak memory would wander.
         xp, np_dtype, field = self.xp, self.dtype, self.shape
-        variant, order = self.weno_variant, self.weno_order
 
         def new(shape):
             return xp.empty(shape, dtype=np_dtype)
@@ -376,7 +361,6 @@ class SolverWorkspace:
         # WENO kernels run with the reconstruction axis moved last:
         # axis-last views of blocks in the face buffers' own order.
         self.weno_scratch = _PerDirection(lambda d: allocate_weno_scratch(
-            variant, order,
             (nvars, *(n for k, n in enumerate(spatial) if k != d),
              spatial[d] + 1), np_dtype, xp=xp, axis=d + 1))
         self.riemann_scratch = _PerDirection(lambda d: RiemannScratch(
@@ -429,8 +413,7 @@ class SolverWorkspace:
         arena = self._arenas.get(key)
         if arena is None or arena.width_cap < tile_width:
             arena = TileArena(self._nvars, spatial, self._ng, d,
-                              tile_width, self.dtype, self.weno_variant,
-                              self.weno_order, transposed=transposed,
+                              tile_width, self.dtype, transposed=transposed,
                               xp=self.xp, pool=self._pool)
             if arena.pool is not self._pool:
                 # It outgrew the pool: the other arenas alias the old
@@ -443,11 +426,8 @@ class SolverWorkspace:
     # ------------------------------------------------------------------
     def compatible(self, q) -> bool:
         """Whether ``q`` matches the shape/dtype this workspace was built for."""
-        if tuple(q.shape) != self.shape:
-            return False
-        qd = getattr(q, "dtype", None)
-        # torch dtypes stringify as "torch.float64"; numpy's as "float64".
-        return qd == self.dtype or str(qd).endswith(self.dtype.name)
+        return (tuple(q.shape) == self.shape
+                and getattr(q, "dtype", None) == self.dtype)
 
     @property
     def nbytes(self) -> int:

@@ -1,11 +1,11 @@
-"""Kernel-variant registry + empirical autotuner + persistent plan cache.
+"""Execution-choice registry + empirical autotuner + persistent plan cache.
 
-The paper chose its kernel implementations at compile time, per
-platform; this package makes the same choices at first-run time, per
+The paper chose its kernel schedules at compile time, per platform;
+this package makes the same choices at first-run time, per
 ``(case signature, host fingerprint)``, and caches them:
 
 * :mod:`repro.tuning.registry` — the interchangeable (bitwise-identical)
-  implementations of the hot kernels and the candidate cross-product,
+  ways to run the hot kernels and the candidate cross-product,
 * :mod:`repro.tuning.plan` — :class:`TuningPlan` and the cache-key
   pieces (case signature, host fingerprint),
 * :mod:`repro.tuning.autotune` — the :class:`Autotuner` benchmark loop,

@@ -1,8 +1,8 @@
-"""Empirical autotuner over the kernel-variant registry.
+"""Empirical autotuner over the execution-choice registry.
 
 Given a case signature and host fingerprint, the tuner benchmarks the
-cross-product of kernel variant × sweep layout × tile count × fusion,
-all at one gang width — the configured one, else the planned one —
+cross-product of sweep layout × fusion × tile count, all at one gang
+width — the configured one, else the planned one —
 (:func:`repro.tuning.registry.candidate_plans`) with warmup/repeat
 control, *verifies each candidate bitwise* against the reference
 configuration, and picks the fastest valid plan — the Triton-autotune
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from repro.acc.gang import usable_cores
 from repro.backend import resolve_backend, to_host_array
@@ -96,10 +94,8 @@ class Autotuner:
                 backend: str = "numpy") -> TuningPlan:
         """Benchmark every candidate plan; return the fastest valid one.
 
-        Every candidate's output is validated against the reference
-        configuration before it may win — bitwise for bitwise backends,
-        dtype ULP tolerance for backends (torch, cupy) whose ufuncs
-        legitimately round differently — so a variant that is fast but
+        Every candidate's output must match the reference configuration
+        bit for bit before it may win, so a candidate that is fast but
         wrong is discarded, never selected.  The first candidate is
         always the model-heuristic default, whose time becomes the
         winner's ``modeled_ns``.  ``q`` may live on any backend; the
@@ -109,8 +105,7 @@ class Autotuner:
         q = to_host_array(q).astype(dtype, copy=False)
         reference = RHS(layout, mixture, grid, bcs, config, batch=batch,
                         threads=1, dtype=dtype)
-        expected_arr = reference(q)
-        expected = expected_arr.tobytes()
+        expected = reference(q).tobytes()
         self.timing_runs += 1
 
         candidates = candidate_plans(ndim=layout.ndim,
@@ -126,8 +121,6 @@ class Autotuner:
                       threads=cand["threads"],
                       tile_device=self.device,
                       sweep_layout=cand["sweep_layout"],
-                      weno_variant=cand["weno_variant"],
-                      riemann_variant=cand["riemann_variant"],
                       tiles=cand["tiles"],
                       fusion=cand.get("fusion", "off"),
                       batch=batch, backend=be, dtype=dtype)
@@ -136,7 +129,7 @@ class Autotuner:
             try:
                 rhs(q_c, out=out)
                 self.timing_runs += 1
-                if not self._valid(be, out, expected, expected_arr):
+                if to_host_array(out).tobytes() != expected:
                     continue  # fast-but-wrong never wins
                 for _ in range(self.warmup):
                     rhs(q_c, out=out)
@@ -159,9 +152,7 @@ class Autotuner:
         if not timed:
             return heuristic_plan(threads=threads, sweep_layout=sweep_layout)
         best_ns, winner = min(timed, key=lambda item: item[0])
-        return TuningPlan(weno_variant=winner["weno_variant"],
-                          riemann_variant=winner["riemann_variant"],
-                          sweep_layout=winner["sweep_layout"],
+        return TuningPlan(sweep_layout=winner["sweep_layout"],
                           threads=winner["threads"],
                           tiles=winner["tiles"],
                           fusion=winner.get("fusion", "off"),
@@ -169,21 +160,3 @@ class Autotuner:
                           source="tuned",
                           measured_ns=best_ns,
                           modeled_ns=modeled_ns)
-
-    @staticmethod
-    def _valid(backend, out, expected: bytes, expected_arr) -> bool:
-        """The validity gate: candidate output vs the reference.
-
-        Routes through an explicit device-to-host copy so non-NumPy
-        backends can neither crash the gate nor silently skip it.
-        Bitwise backends must match exactly; others pass within the
-        dtype's ULP-scale tolerance (a mismatch there means *different
-        rounding*, not *broken* — see :class:`repro.backend.Backend`).
-        """
-        host = to_host_array(out)
-        if backend.bitwise:
-            return host.tobytes() == expected
-        tol = 64 * np.finfo(host.dtype).eps
-        scale = np.abs(expected_arr).max() or 1.0
-        return bool(np.allclose(host, expected_arr, rtol=tol,
-                                atol=tol * scale))

@@ -1,10 +1,9 @@
 """Tuning plans, case signatures, host fingerprints, and cache keys.
 
 A :class:`TuningPlan` is one point in the execution-choice space the
-kernel-variant registry spans: which WENO and Riemann implementations to
-run, the sweep memory layout, the gang width, and the tile-count
-override.  Every registered combination is bitwise identical in results;
-a plan only moves time.
+registry spans: the sweep memory layout, kernel fusion, the backend,
+the gang width, and the tile-count override.  Every registered
+combination is bitwise identical in results; a plan only moves time.
 
 Plans are cached per ``(case signature, host fingerprint, registry
 version)``: the signature captures what the *problem* looks like (grid
@@ -24,19 +23,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.acc.gang import plan_gang_width, usable_cores
-from repro.backend import (
-    available_backends,
-    precision_dtype,
-    resolve_backend,
-    validate_backend,
-)
+from repro.backend import precision_dtype, resolve_backend, validate_backend
 from repro.common import DTYPE, ConfigurationError
 from repro.common.checks import integer, optional
 from repro.hardware.devices import default_host_device, get_device
-from repro.riemann import validate_riemann_variant
 from repro.solver.sweep import validate_fusion, validate_sweep_layout
 from repro.tuning.registry import REGISTRY_VERSION
-from repro.weno import validate_weno_variant
 
 #: Sources a plan can come from (how much to trust its timings).
 PLAN_SOURCES = ("heuristic", "tuned", "cache", "manual")
@@ -48,15 +40,13 @@ class TuningPlan:
 
     ``measured_ns`` is the plan's own benchmarked time per RHS
     evaluation; ``modeled_ns`` is the time of the model-heuristic
-    default plan (chained/reference kernels, heuristic layout and
-    tiling) measured in the same tuning session — their ratio is the
+    default plan (unfused, configured layout, heuristic tiling)
+    measured in the same tuning session — their ratio is the
     measured-vs-modeled delta the profiler report and bench records
     surface.  Both are ``None`` for plans that were never timed
     (heuristic fallbacks, hand-written plans).
     """
 
-    weno_variant: str = "chained"
-    riemann_variant: str = "reference"
     sweep_layout: str = "strided"
     #: Gang width: the width a tuned plan was measured at; ``None`` (a
     #: hand-written plan that does not say) leaves it to the driver.
@@ -68,17 +58,14 @@ class TuningPlan:
     #: version already invalidates every pre-fusion cache entry.
     fusion: str = "off"
     #: Execution backend the plan runs on.  A tuner axis, but gated:
-    #: only backends whose results pass the validity check against the
-    #: reference output may win (bitwise for bitwise backends, ULP
-    #: tolerance otherwise — see :meth:`repro.tuning.Autotuner.measure`).
+    #: only backends whose results match the reference output bit for
+    #: bit may win (see :meth:`repro.tuning.Autotuner.measure`).
     backend: str = "numpy"
     source: str = "heuristic"
     measured_ns: float | None = None
     modeled_ns: float | None = None
 
     def __post_init__(self) -> None:
-        validate_weno_variant(self.weno_variant)
-        validate_riemann_variant(self.riemann_variant)
         validate_sweep_layout(self.sweep_layout)
         validate_fusion(self.fusion)
         validate_backend(self.backend)
@@ -102,8 +89,7 @@ class TuningPlan:
         fusion = f" fusion={self.fusion}" if self.fusion != "off" else ""
         backend = (f" backend={self.backend}"
                    if self.backend != "numpy" else "")
-        line = (f"tuning ({self.source}): weno={self.weno_variant} "
-                f"riemann={self.riemann_variant} layout={self.sweep_layout} "
+        line = (f"tuning ({self.source}): layout={self.sweep_layout} "
                 f"threads={self.threads or 'planned'}{tiles}{fusion}{backend}")
         if self.measured_ns is not None:
             line += f"; measured {self.measured_ns / 1e6:.2f} ms/RHS"
@@ -138,13 +124,11 @@ def heuristic_plan(*, threads: int | None = None,
                    backend: str = "numpy") -> TuningPlan:
     """The untimed model-heuristic plan.
 
-    Reference kernels at the caller's configured knobs, tiling left to
-    the L2 heuristic — exactly what a run without the tuner does.  Used
-    whenever tuning is off, the cache is corrupt, or measurement is
-    impossible.
+    The caller's configured knobs, tiling left to the L2 heuristic —
+    exactly what a run without the tuner does.  Used whenever tuning is
+    off, the cache is corrupt, or measurement is impossible.
     """
-    return TuningPlan(weno_variant="chained", riemann_variant="reference",
-                      sweep_layout=sweep_layout, threads=threads,
+    return TuningPlan(sweep_layout=sweep_layout, threads=threads,
                       fusion=fusion, backend=backend, source="heuristic")
 
 
@@ -232,9 +216,6 @@ def host_fingerprint(device=None) -> dict:
         "device": dev.name,
         "l2_bytes": dev.l2_bytes,
         "cores": dev.cores,
-        # A host gaining (or losing) an optional backend changes the
-        # tuner's search space, so it must re-tune.
-        "backends": ",".join(available_backends()),
     }
 
 

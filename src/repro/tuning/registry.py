@@ -1,47 +1,40 @@
-"""Kernel-variant registry: the choice axes the autotuner enumerates.
+"""Execution-choice registry: the axes the autotuner enumerates.
 
-The paper's biggest wins came from choosing the right kernel
-implementation for the hardware at hand — Fypp-inlined vs
-subroutine-call WENO (§III.E), directive-loop vs vendor-library
-transposes (§III.D), compile-time-sized private arrays on CCE.  Those
-were compile-time choices; here they are first-run-time choices over
-*registered, interchangeable, bitwise-identical* implementations:
+The paper's biggest wins came from choosing the right implementation
+for the hardware at hand — directive-loop vs vendor-library transposes
+(§III.D), fused vs staged kernels (§III.C).  Those were compile-time
+choices; here they are first-run-time choices over *bitwise-identical*
+executions of the one kernel source:
 
-* WENO kernels: :data:`repro.weno.WENO_VARIANTS` (``chained`` /
-  ``stacked``),
-* Riemann kernels: :data:`repro.riemann.RIEMANN_VARIANTS`
-  (``reference`` / ``fused``),
-* sweep memory layout: ``strided`` / ``transposed`` / ``auto``,
+* sweep memory layout: ``strided`` / ``transposed``,
+* kernel fusion: staged or fused per-tile kernels (on backends whose
+  :attr:`~repro.backend.Backend.supports_fusion`),
 * per-launch tile count of the gang backend (the gang *width* is not
   an axis: every candidate runs at the configured or planned width).
 
 :data:`REGISTRY_VERSION` is baked into every tuning-cache key: it is
-*derived* from the registered variant sets themselves, so adding or
-removing a variant (a new WENO kernel, a new fusion mode) changes the
-version automatically and invalidates stale cached plans instead of
-silently replaying a winner chosen from a smaller search space.
+*derived* from the registered axes themselves, so adding or removing a
+choice (a new layout, a new fusion mode) changes the version
+automatically and invalidates stale cached plans instead of silently
+replaying a winner chosen from a different search space.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.backend import BACKEND_NAMES
-from repro.riemann import RIEMANN_VARIANTS
+from repro.backend import BACKEND_NAMES, resolve_backend
 from repro.solver.sweep import FUSION_MODES, SWEEP_LAYOUTS
-from repro.weno import WENO_VARIANTS
 
 
 def _derive_registry_version() -> str:
-    """Fingerprint of the registered variant axes.
+    """Fingerprint of the registered choice axes.
 
-    Any change to the choice space — new kernel variant, new sweep
-    layout, new fusion mode — yields a new version string, so every
-    cached plan tuned against the old space misses and re-tunes.
+    Any change to the choice space — new sweep layout, new fusion mode,
+    new backend — yields a new version string, so every cached plan
+    tuned against the old space misses and re-tunes.
     """
     axes = [
-        "weno:" + ",".join(WENO_VARIANTS),
-        "riemann:" + ",".join(RIEMANN_VARIANTS),
         "layout:" + ",".join(SWEEP_LAYOUTS),
         "fusion:" + ",".join(FUSION_MODES),
         "backend:" + ",".join(BACKEND_NAMES),
@@ -50,7 +43,7 @@ def _derive_registry_version() -> str:
     return f"2:{digest}"
 
 
-#: Derived from the variant axes (see :func:`_derive_registry_version`);
+#: Derived from the choice axes (see :func:`_derive_registry_version`);
 #: part of every cache key.  Caches written before the fusion axis
 #: existed carried the literal version ``1`` and therefore always miss.
 REGISTRY_VERSION = _derive_registry_version()
@@ -58,7 +51,7 @@ REGISTRY_VERSION = _derive_registry_version()
 
 def candidate_plans(*, ndim: int, cpu_count: int,
                     threads: int | None = None,
-                    sweep_layout: str = "auto",
+                    sweep_layout: str = "strided",
                     backends: tuple = ("numpy",)) -> list[dict]:
     """The cross-product of execution plans the autotuner benchmarks.
 
@@ -78,20 +71,19 @@ def candidate_plans(*, ndim: int, cpu_count: int,
         silently discard) an explicit configuration.
     backends:
         Backend names to enumerate (the configured backend first).
-        Candidates on non-default backends run the reference kernel
-        pair only — the backend axis asks "where", the variant axes ask
-        "how", and the cross product of both explodes the search space
-        for no information (variant choice is backend-independent).
+        Candidates on the other backends run the heuristic plan only.
+        Fusion candidates are offered only on a backend that supports
+        fusion.
 
-    Returns plan dicts with keys ``weno_variant``, ``riemann_variant``,
-    ``sweep_layout``, ``threads``, ``tiles``, ``fusion``; the first
-    entry is always the model-heuristic default plan (chained/reference
-    unfused at the configured threads and layout), whose measured time
-    becomes the tuned plan's ``modeled_ns`` reference point.
+    Returns plan dicts with keys ``sweep_layout``, ``threads``,
+    ``tiles``, ``fusion``, ``backend``; the first entry is always the
+    model-heuristic default plan (unfused at the configured threads and
+    layout), whose measured time becomes the tuned plan's
+    ``modeled_ns`` reference point.
     """
     layouts = [sweep_layout]
     if ndim > 1:
-        layouts += [m for m in ("strided", "transposed") if m != sweep_layout]
+        layouts += [m for m in SWEEP_LAYOUTS if m != sweep_layout]
     elif sweep_layout != "strided":
         layouts.append("strided")
     workers = threads if threads is not None else max(1, cpu_count)
@@ -102,8 +94,9 @@ def candidate_plans(*, ndim: int, cpu_count: int,
     tile_counts = [None] if workers == 1 else [None, workers, 2 * workers]
 
     primary = backends[0] if backends else "numpy"
-    plans = [{"weno_variant": "chained", "riemann_variant": "reference",
-              "sweep_layout": sweep_layout, "threads": threads,
+    fusions = (("off", "on") if resolve_backend(primary).supports_fusion
+               else ("off",))
+    plans = [{"sweep_layout": sweep_layout, "threads": threads,
               "tiles": None, "fusion": "off", "backend": primary}]
     for backend in dict.fromkeys(backends):
         if backend == primary:
@@ -111,18 +104,13 @@ def candidate_plans(*, ndim: int, cpu_count: int,
         plan = dict(plans[0], backend=backend)
         if plan not in plans:
             plans.append(plan)
-    for wv in WENO_VARIANTS:
-        for rv in RIEMANN_VARIANTS:
-            for mode in layouts:
-                # "auto" adds no distinct behaviour here (the tuner's
-                # candidates always run the workspace path), so the
-                # fusion axis is binary.
-                for fusion in ("off", "on"):
-                    for tiles in tile_counts:
-                        plan = {"weno_variant": wv, "riemann_variant": rv,
-                                "sweep_layout": mode, "threads": threads,
-                                "tiles": tiles, "fusion": fusion,
-                                "backend": primary}
-                        if plan not in plans:
-                            plans.append(plan)
+    # "auto" fusion adds no distinct behaviour here (the tuner's
+    # candidates always run the workspace path), so the axis is binary.
+    for mode in layouts:
+        for fusion in fusions:
+            for tiles in tile_counts:
+                plan = {"sweep_layout": mode, "threads": threads,
+                        "tiles": tiles, "fusion": fusion, "backend": primary}
+                if plan not in plans:
+                    plans.append(plan)
     return plans

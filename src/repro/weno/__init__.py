@@ -9,14 +9,10 @@ packing/coalescing optimizations target.
 
 from repro.weno.coefficients import halo_width, IDEAL_WEIGHTS, WENO_EPS
 from repro.weno.reconstruct import (
+    allocate_weno_scratch,
     reconstruct_faces,
     reconstruct_faces_span,
     weno_order_check,
-)
-from repro.weno.stacked import (
-    WENO_VARIANTS,
-    allocate_weno_scratch,
-    validate_weno_variant,
     weno_passes_per_side,
 )
 
@@ -27,8 +23,6 @@ __all__ = [
     "reconstruct_faces",
     "reconstruct_faces_span",
     "weno_order_check",
-    "WENO_VARIANTS",
     "allocate_weno_scratch",
-    "validate_weno_variant",
     "weno_passes_per_side",
 ]

@@ -93,6 +93,35 @@ def _downwind_faces(vlast: np.ndarray, start: int, count: int, order: int) -> np
 #: Scratch arrays the in-place kernels consume (order-5 worst case).
 SCRATCH_COUNT = 8
 
+#: ``np.ufunc`` invocations one side's reconstruction makes over the
+#: face block, per order — the sweep counters' "pass" unit (order 1 is
+#: a single copy).
+WENO_PASSES_PER_SIDE = {1: 1, 3: 20, 5: 66}
+
+
+def weno_passes_per_side(order: int) -> int:
+    """Face-block ufunc passes one reconstruction side costs."""
+    return WENO_PASSES_PER_SIDE[weno_order_check(order)]
+
+
+def allocate_weno_scratch(face_shape: tuple[int, ...], dtype, xp=np,
+                          axis: int = -1) -> tuple:
+    """The :data:`SCRATCH_COUNT` scratch arrays of one reconstruction side.
+
+    ``face_shape`` is the face block with the reconstruction axis last.
+    ``axis`` is the array axis the reconstruction axis occupies in the
+    face buffers the scratch is combined with.  Each array is one
+    contiguous block in *that* memory order, handed out as its
+    axis-last ``moveaxis`` view — so every operand of a kernel pass
+    (stencil views, scratch, destination) walks memory in the same
+    order and the ufunc inner loop is the unit-stride one, whichever
+    axis is reconstructed.
+    """
+    at = axis % len(face_shape)
+    shape = (*face_shape[:at], face_shape[-1], *face_shape[at:-1])
+    return tuple(xp.moveaxis(xp.empty(shape, dtype=dtype), at, -1)
+                 for _ in range(SCRATCH_COUNT))
+
 
 def _axis_last(arr: np.ndarray, axis: int, *, output: bool = False,
                xp=np) -> np.ndarray:
@@ -381,17 +410,8 @@ def run_weno_schedule(schedule, env: dict, xp=np) -> None:
 
 
 def _faces_into(vlast: np.ndarray, start: int, count: int, order: int,
-                out: np.ndarray, scratch, downwind: bool,
-                variant: str = "chained", xp=np) -> None:
+                out: np.ndarray, scratch, downwind: bool, xp=np) -> None:
     """In-place upwind/downwind reconstruction into ``out`` (axis last)."""
-    if variant != "chained":
-        from repro.weno.stacked import stacked_faces_into, validate_weno_variant
-
-        validate_weno_variant(variant)
-        stacked_faces_into(vlast, start, count, order, out, scratch, downwind,
-                           xp=xp)
-        return
-
     def cells(offset: int) -> np.ndarray:
         o = -offset if downwind else offset
         return vlast[..., start + o: start + o + count]
@@ -408,8 +428,7 @@ def _faces_into(vlast: np.ndarray, start: int, count: int, order: int,
 def reconstruct_faces(v: np.ndarray, axis: int, order: int, *,
                       n_interior: int | None = None,
                       out: tuple[np.ndarray, np.ndarray] | None = None,
-                      scratch: tuple[np.ndarray, ...] | None = None,
-                      variant: str = "chained"):
+                      scratch: tuple[np.ndarray, ...] | None = None):
     """Reconstruct left/right face states along ``axis``.
 
     Parameters
@@ -433,15 +452,7 @@ def reconstruct_faces(v: np.ndarray, axis: int, order: int, *,
     scratch:
         At least :data:`SCRATCH_COUNT` preallocated arrays shaped like
         the output with the reconstruction axis moved last; allocated on
-        the fly when omitted.  The ``"stacked"`` variant instead takes
-        the shapes of
-        :func:`repro.weno.stacked.stacked_scratch_shapes`.
-    variant:
-        Kernel implementation for the ``out=`` path: ``"chained"`` (the
-        per-candidate ufunc chains) or ``"stacked"`` (candidate-batched
-        stacked-stencil kernels; see :mod:`repro.weno.stacked`).  All
-        variants are bitwise identical; the allocating path
-        (``out=None``) always runs chained.
+        the fly when omitted.
 
     Returns
     -------
@@ -476,22 +487,18 @@ def reconstruct_faces(v: np.ndarray, axis: int, order: int, *,
     vr_last = _axis_last(out_r, axis, output=True, xp=xp)
     if scratch is None:
         # In the destination's memory order, like every arena's scratch.
-        from repro.weno.stacked import allocate_weno_scratch
-
-        scratch = allocate_weno_scratch(variant, order, vl_last.shape,
-                                        v.dtype, xp=xp, axis=axis)
+        scratch = allocate_weno_scratch(vl_last.shape, v.dtype, xp=xp,
+                                        axis=axis)
     _faces_into(vlast, ng - 1, nf, order, vl_last, scratch, downwind=False,
-                variant=variant, xp=xp)
-    _faces_into(vlast, ng, nf, order, vr_last, scratch, downwind=True,
-                variant=variant, xp=xp)
+                xp=xp)
+    _faces_into(vlast, ng, nf, order, vr_last, scratch, downwind=True, xp=xp)
     return out_l, out_r
 
 
 def reconstruct_faces_span(v: np.ndarray, axis: int, order: int,
                            lo: int, hi: int, *,
                            out: tuple[np.ndarray, np.ndarray],
-                           scratch: tuple[np.ndarray, ...],
-                           variant: str = "chained") -> None:
+                           scratch: tuple[np.ndarray, ...]) -> None:
     """Reconstruct only faces ``[lo, hi)`` along ``axis`` into ``out``.
 
     The tile entry point of the tiled sweep backend for the direction
@@ -518,13 +525,8 @@ def reconstruct_faces_span(v: np.ndarray, axis: int, order: int,
     vlast = _axis_last(v, axis, xp=xp)
     vl_last = _axis_last(out[0], axis, output=True, xp=xp)
     vr_last = _axis_last(out[1], axis, output=True, xp=xp)
-    if variant == "chained":
-        span_scratch = tuple(s[..., :count] for s in scratch)
-    else:
-        from repro.weno.stacked import narrow_scratch_faces
-
-        span_scratch = narrow_scratch_faces(scratch, variant, order, count)
+    span_scratch = tuple(s[..., :count] for s in scratch)
     _faces_into(vlast, ng - 1 + lo, count, order, vl_last[..., lo:hi],
-                span_scratch, downwind=False, variant=variant, xp=xp)
+                span_scratch, downwind=False, xp=xp)
     _faces_into(vlast, ng + lo, count, order, vr_last[..., lo:hi],
-                span_scratch, downwind=True, variant=variant, xp=xp)
+                span_scratch, downwind=True, xp=xp)

@@ -2,7 +2,6 @@
 bitwise parity, float32 policy, tuner axis, bandwidth probe, and the
 measured-vs-modeled kernel bench (see docs/backends.md)."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +15,6 @@ from repro.backend import (
     GuardArray,
     PRECISIONS,
     array_namespace,
-    available_backends,
     get_backend,
     resolve_backend,
     to_host_array,
@@ -25,7 +23,6 @@ from repro.backend import (
 )
 from repro.backend import precision_dtype
 from repro.backend.guard import GUARD_NAMESPACE
-from repro.backend.torch_adapter import torch_available
 from repro.bc import BoundarySet
 from repro.common import ConfigurationError
 from repro.eos import Mixture, StiffenedGas
@@ -35,9 +32,6 @@ from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
 AIR = StiffenedGas(1.4, 0.0, "air")
 HELIUM = StiffenedGas(1.667, 0.0, "helium")
 MIX = Mixture((AIR, HELIUM))
-
-needs_torch = pytest.mark.skipif(not torch_available(),
-                                 reason="torch not installed")
 
 
 def bubble_case(n=12, ndim=2):
@@ -77,9 +71,9 @@ def eval_rhs(case, backend, **kwargs):
 
 class TestRegistry:
     def test_host_backends_always_available(self):
-        avail = available_backends()
-        assert avail[:2] == ["numpy", "checked"]
-        assert set(avail) <= set(BACKEND_NAMES)
+        assert BACKEND_NAMES == ("numpy", "checked")
+        assert [get_backend(n).name for n in BACKEND_NAMES] == ["numpy",
+                                                                "checked"]
 
     def test_numpy_namespace_is_the_numpy_module(self):
         # Zero indirection on the default path: xp *is* numpy, which is
@@ -102,16 +96,12 @@ class TestRegistry:
 
     def test_missing_optional_backend_raises(self):
         for name in ("torch", "cupy"):
-            if name not in available_backends():
-                with pytest.raises(ConfigurationError):
-                    get_backend(name)
+            with pytest.raises(ConfigurationError, match=name):
+                get_backend(name)
 
     def test_capability_flags(self):
-        np_be = get_backend("numpy")
-        ck = get_backend("checked")
-        assert np_be.bitwise and ck.bitwise
-        assert np_be.supports_fusion and not ck.supports_fusion
-        assert np_be.supports_stacked_weno and ck.supports_stacked_weno
+        assert get_backend("numpy").supports_fusion
+        assert not get_backend("checked").supports_fusion
 
     def test_precision_validation(self):
         assert validate_precision("float32") == "float32"
@@ -179,19 +169,17 @@ class TestRHSBitwise:
     @given(weno=st.sampled_from((1, 3, 5)),
            riemann=st.sampled_from(("hllc", "hll", "rusanov")),
            layout=st.sampled_from(("strided", "transposed")),
-           threads=st.sampled_from((1, 2)),
-           variant=st.sampled_from(("chained", "stacked")))
+           threads=st.sampled_from((1, 2)))
     @settings(max_examples=12, deadline=None)
     def test_checked_backend_is_bitwise(self, weno, riemann, layout,
-                                        threads, variant):
+                                        threads):
         """The xp seam changes nothing: the guard backend — which runs
         every kernel through the namespace instead of module-level
         ``np.*`` — produces the exact bits of the NumPy reference
-        across orders x solvers x layouts x threads x variants."""
+        across orders x solvers x layouts x threads."""
         case = bubble_case(12)
         kwargs = dict(weno_order=weno, riemann_solver=riemann,
-                      sweep_layout=layout, threads=threads,
-                      weno_variant=variant)
+                      sweep_layout=layout, threads=threads)
         ref = eval_rhs(case, "numpy", **kwargs)
         got = eval_rhs(case, "checked", **kwargs)
         assert got.tobytes() == ref.tobytes()
@@ -216,34 +204,6 @@ class TestRHSBitwise:
             sim.run(n_steps=5)
             sims[name] = to_host_array(sim.q).copy()
         assert sims["checked"].tobytes() == sims["numpy"].tobytes()
-
-
-# ----------------------------------------------------------------------
-# torch parity (skip-gated; runs on hosts with the wheel installed)
-# ----------------------------------------------------------------------
-
-@needs_torch
-class TestTorchParity:
-    def test_rhs_within_ulp_tolerance(self):
-        case = bubble_case(12)
-        ref = eval_rhs(case, "numpy")
-        got = eval_rhs(case, "torch")
-        scale = np.abs(ref).max(axis=tuple(range(1, ref.ndim)),
-                               keepdims=True)
-        tol = 64 * np.finfo(np.float64).eps
-        assert np.all(np.abs(got - ref) <= tol * np.maximum(scale, 1.0))
-
-    def test_march_and_checkpoint_roundtrip(self, tmp_path):
-        case = bubble_case(12)
-        bcs = BoundarySet.all_periodic(2)
-        sim = Simulation(case, bcs, backend="torch")
-        sim.run(n_steps=3)
-        path = tmp_path / "torch.ckpt"
-        sim.save_checkpoint(path)
-        sim2 = Simulation(case, bcs, backend="torch")
-        sim2.load_checkpoint(path)
-        assert to_host_array(sim2.q).tobytes() == \
-            to_host_array(sim.q).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -375,44 +335,22 @@ class TestTunerBackendAxis:
                                 backends=("numpy", "checked"))
         names = {p["backend"] for p in plans}
         assert names == {"numpy", "checked"}
-        # Non-default backends only field the reference kernel pair:
-        # the backend axis asks *where*, the variant axes ask *how*.
-        for p in plans:
-            if p["backend"] == "checked":
-                assert p["weno_variant"] == "chained"
-                assert p["riemann_variant"] == "reference"
+        # Non-default backends only field the heuristic plan: the
+        # backend axis asks *where*, the other axes ask *how*.
+        assert [p for p in plans if p["backend"] == "checked"] == [
+            dict(plans[0], backend="checked")]
 
     def test_plan_validates_backend(self):
         from repro.tuning import TuningPlan
 
-        with pytest.raises(ConfigurationError):
-            TuningPlan(weno_variant="chained", riemann_variant="reference",
-                       backend="fortran")
-
-    def test_validity_gate_bitwise_vs_tolerant(self):
-        from repro.tuning.autotune import Autotuner
-
-        expected_arr = np.linspace(0.0, 1.0, 64)
-        expected = expected_arr.tobytes()
-        nudged = expected_arr + expected_arr * 2 * np.finfo(np.float64).eps
-
-        bitwise = get_backend("numpy")
-        assert Autotuner._valid(bitwise, expected_arr.copy(),
-                                expected, expected_arr)
-        # one-ULP drift fails the bitwise gate...
-        assert not Autotuner._valid(bitwise, nudged, expected, expected_arr)
-        # ...but passes a ULP-tolerant backend's gate
-        tolerant = dataclasses.replace(bitwise, bitwise=False)
-        assert Autotuner._valid(tolerant, nudged, expected, expected_arr)
-        # garbage fails everywhere
-        assert not Autotuner._valid(tolerant, expected_arr + 1.0,
-                                    expected, expected_arr)
+        for name in ("fortran", "torch", "cupy"):
+            with pytest.raises(ConfigurationError):
+                TuningPlan(backend=name)
 
     def test_adopted_plan_can_move_the_backend(self):
         case = bubble_case(12)
         bcs = BoundarySet.all_periodic(2)
-        plan = dict(weno_variant="chained", riemann_variant="reference",
-                    backend="checked")
+        plan = dict(backend="checked")
         sim = Simulation(case, bcs, tuning=plan)
         assert sim.backend.name == "checked"
         sim.run(n_steps=2)
@@ -503,7 +441,7 @@ class TestKernelBench:
             case.layout, MIX, case.grid, BoundarySet.all_periodic(2),
             RHSConfig(), case.initial_conservative(),
             precisions=("float64",), warmup=0, repeats=1)
-        assert [r.backend for r in results] == available_backends()
+        assert [r.backend for r in results] == list(BACKEND_NAMES)
 
 
 # ----------------------------------------------------------------------
@@ -522,23 +460,6 @@ class TestSolverOptions:
             solver_options_from_dict({"solver": {"backend": "fortran"}})
         with pytest.raises(ConfigurationError):
             solver_options_from_dict({"solver": {"precision": "float16"}})
-
-    def test_stacked_weno_falls_back_when_unsupported(self):
-        case = bubble_case(12)
-        limited = dataclasses.replace(get_backend("checked"),
-                                      supports_stacked_weno=False)
-        rhs = rhs_for(case, backend=limited, weno_variant="stacked")
-        try:
-            assert rhs.weno_variant == "chained"
-        finally:
-            rhs.close()
-
-    def test_threads_clamp_when_unsupported(self):
-        case = bubble_case(12)
-        serial = dataclasses.replace(get_backend("checked"),
-                                     supports_threads=False)
-        rhs = rhs_for(case, backend=serial, threads=4)
-        try:
-            assert rhs.threads == 1
-        finally:
-            rhs.close()
+        for name in ("torch", "cupy"):
+            with pytest.raises(ConfigurationError, match="backend"):
+                solver_options_from_dict({"solver": {"backend": name}})

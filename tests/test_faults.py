@@ -127,7 +127,7 @@ class TestRecoveredTrajectories:
     def test_recovery_identical_across_layouts_and_threads(self):
         base = self.run_with_fault(seed=31)
         for threads, layout in ((2, "strided"), (1, "transposed"),
-                                (2, "auto")):
+                                (2, "transposed")):
             other = self.run_with_fault(seed=31, threads=threads,
                                         layout=layout)
             np.testing.assert_array_equal(base.q, other.q)

@@ -6,8 +6,8 @@ is **bit-for-bit identical** to the reference staged RHS, for every
 WENO order, Riemann solver, sweep layout, thread count, and uneven
 tile split (property-tested below).  Everything else is machinery in
 service of that: the stage-graph legality pass, the spec-keyed kernel
-cache (exactly-once compile, thread-safe), the backend selector, and
-the knob plumbing through RHS / Simulation / case files.
+cache (exactly-once compile, thread-safe), the one-valued spec
+keywords, and the knob plumbing through RHS / Simulation / case files.
 """
 
 
@@ -18,22 +18,17 @@ from hypothesis import strategies as st
 
 from repro.acc.fusion import (
     FUSED_KINDS,
-    FUSION_BACKENDS,
     FUSION_MODES,
     FusedKernelCache,
     FusedKernelSpec,
     FusionError,
     StageNode,
-    available_backends,
-    backend_available,
     generate_source,
     kernel_signature,
     plan_fusion,
-    select_backend,
     sweep_stage_graph,
     validate_fusion,
 )
-from repro.acc.fusion.backends import BACKEND_ENV_VAR
 from repro.bc import BoundarySet
 from repro.common import ConfigurationError, DTYPE
 from repro.eos import Mixture, StiffenedGas
@@ -97,18 +92,9 @@ class TestBitwiseIdentity:
         q = case.initial_conservative()
         assert rhs_eval(fused, q) == rhs_eval(ref, q)
 
-    @pytest.mark.parametrize("layout", ["strided", "transposed", "auto"])
+    @pytest.mark.parametrize("layout", ["strided", "transposed"])
     def test_every_sweep_layout(self, layout):
         case, fused, ref = rhs_pair((16, 12), sweep_layout=layout)
-        q = case.initial_conservative()
-        assert rhs_eval(fused, q) == rhs_eval(ref, q)
-
-    @pytest.mark.parametrize("wv,rv", [("stacked", "reference"),
-                                       ("chained", "fused"),
-                                       ("stacked", "fused")])
-    def test_kernel_variants(self, wv, rv):
-        case, fused, ref = rhs_pair((15, 10), weno_variant=wv,
-                                    riemann_variant=rv)
         q = case.initial_conservative()
         assert rhs_eval(fused, q) == rhs_eval(ref, q)
 
@@ -174,7 +160,7 @@ class TestStageGraph:
             "pack", "weno", "limit", "riemann", "divergence"]
         region = plan_fusion(stages, d=0, ndim=2)
         assert region.slab_axis == 1
-        assert region.passes_saved_per_tile("chained", 5) > 0
+        assert region.passes_saved_per_tile(5) > 0
 
     def test_pack_false_drops_the_pack_stage(self):
         stages = sweep_stage_graph(ndim=2, nvars=6, spatial=(16, 12), d=1,
@@ -212,8 +198,7 @@ class TestStageGraph:
 # ----------------------------------------------------------------------
 def spec_for(**kw):
     base = dict(kind="strided", pack=True, ndim=2, d=0, order=5,
-                weno_variant="chained", riemann_solver="hllc",
-                riemann_variant="reference", dtype="float64")
+                riemann_solver="hllc", dtype="float64")
     base.update(kw)
     return FusedKernelSpec(**base)
 
@@ -265,47 +250,39 @@ class TestKernelCache:
 # Backends
 # ----------------------------------------------------------------------
 class TestBackends:
+    """The generated kernels are NumPy source: ``backend`` (like the
+    spec's kernel-variant keywords) holds one value."""
+
     def test_numpy_is_always_available(self):
-        assert backend_available("numpy")
-        assert available_backends()[0] == "numpy"
-        assert select_backend("numpy") == "numpy"
+        assert spec_for().backend == "numpy"
+        case, fused, ref = rhs_pair((12, 10))
+        assert (fused.fusion_backend, ref.fusion_backend) == ("numpy", None)
+        fused.close()
+        ref.close()
 
     def test_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert select_backend(None) == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert select_backend(None) == "numpy"
+        # No environment variable picks a fusion backend: a fused run
+        # with one set is the run without it, bit for bit.
+        runs = []
+        for env in (None, "numba"):
+            if env is None:
+                monkeypatch.delenv("REPRO_FUSION_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FUSION_BACKEND", env)
+            case, fused, _ = rhs_pair((14, 11))
+            runs.append(rhs_eval(fused, case.initial_conservative()))
+        assert runs[0] == runs[1]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            select_backend("fortran")
-
-    def test_unavailable_backend_rejected(self, monkeypatch):
-        missing = [b for b in FUSION_BACKENDS if not backend_available(b)]
-        for name in missing:
+        for bad in ({"backend": "fortran"}, {"weno_variant": "stacked"},
+                    {"riemann_variant": "fused"}):
             with pytest.raises(ConfigurationError):
-                select_backend(name)
+                spec_for(**bad)
 
-    @pytest.mark.parametrize("backend", ["numexpr", "numba"])
-    def test_optional_backend_source_is_valid(self, backend):
-        # The optional backends need not be installed to keep their
-        # generated source honest: it must at least be valid Python.
-        source = generate_source(spec_for(backend=backend))
-        compile(source, "<test>", "exec")
-        if backend == "numexpr":
-            assert "ne.evaluate(" in source
-
-    @pytest.mark.parametrize("backend",
-                             [b for b in ("numexpr", "numba")
-                              if backend_available(b)])
-    def test_optional_backend_is_bitwise(self, backend, monkeypatch):
-        # Runs only where the optional dependency is installed (the
-        # optional-deps CI leg); the pure-NumPy leg skips it.
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        case, fused, ref = rhs_pair((14, 11))
-        assert fused.fusion_backend == backend
-        q = case.initial_conservative()
-        assert rhs_eval(fused, q) == rhs_eval(ref, q)
+    def test_unavailable_backend_rejected(self):
+        for name in ("numexpr", "numba"):
+            with pytest.raises(ConfigurationError):
+                spec_for(backend=name)
 
 
 # ----------------------------------------------------------------------

@@ -76,23 +76,18 @@ class TestPlannedWidth:
         (None, 8, 0, 1, "numpy", (1, "1: one tile")),
         (None, 8, 10, 2, "numpy", (1, "1: ranks > 1")),
         (None, 8, 10, 1, "checked", (8, "8 of 8 cores, 10 tiles")),
-        (None, 8, 10, 1, "serial-only", (1, "1: serial-only backend")),
+        (4, 8, 10, 1, "checked", (4, "4: explicit")),
         (3, 2, 1, 1, "numpy", (3, "3: explicit")),
         (1, 8, 10, 1, "numpy", (1, "1: explicit")),
         (1, 8, 10, 4, "numpy", (1, "1: explicit")),
-        (4, 8, 10, 1, "serial-only", (1, "1: serial-only backend")),
     ])
     def test_width_table(self, monkeypatch, threads, cores, tiles, ranks,
                          backend, want):
-        import dataclasses
-
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cores)))
-        be = (dataclasses.replace(get_backend("numpy"), name=backend,
-                                  supports_threads=False)
-              if backend == "serial-only" else get_backend(backend))
-        assert plan_gang_width(threads, tiles=tiles, ranks=ranks,
-                               backend=be) == want
+        # Every registered backend gangs: the plan never consults it.
+        get_backend(backend)
+        assert plan_gang_width(threads, tiles=tiles, ranks=ranks) == want
 
     @pytest.mark.parametrize("bad", [0, -2, 2.5, False, "2"])
     def test_bad_values_and_ranks_conflict(self, bad):

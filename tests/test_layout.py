@@ -4,14 +4,11 @@ The engine must be numerically invisible: for every WENO order, Riemann
 solver, thread count, layout mode, and uneven tile split, a transposed
 RHS evaluation — and a whole transposed simulation, and a checkpoint
 round trip under the transposed engine — produces bitwise the same
-floats as the strided path.  The ``auto`` planner must follow its
-documented heuristic, the layout knob must validate everywhere it is
-plumbed (RHS, Simulation, case files, CLI), the workspace must own all
-transposed scratch (no steady-state allocations), and the sweep
+floats as the strided path.  The layout knob must validate everywhere
+it is plumbed (RHS, Simulation, case files, CLI), the workspace must
+own all transposed scratch (no steady-state allocations), and the sweep
 counters must tally what actually ran.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from repro.bc import BoundarySet
 from repro.common import ConfigurationError, DTYPE
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
-from repro.hardware.devices import get_device
 from repro.io.case_files import solver_options_from_dict
 from repro.profiling import SweepCounters, measure_call_allocations
 from repro.solver import (
@@ -36,8 +32,7 @@ from repro.solver import (
     plan_transposed_axes,
     sphere,
 )
-from repro.hardware.tiling import L2_OCCUPANCY
-from repro.solver.sweep import cache_budget_bytes, validate_sweep_layout
+from repro.solver.sweep import validate_sweep_layout
 from repro.state import StateLayout, prim_to_cons
 
 AIR = StiffenedGas(1.4, 0.0, "air")
@@ -86,69 +81,24 @@ def bubble_sim(n=16, **kwargs):
 # ----------------------------------------------------------------------
 class TestPlanner:
     def test_strided_transposes_nothing(self):
-        assert plan_transposed_axes("strided", 6, (64, 64), 5) == frozenset()
+        assert plan_transposed_axes("strided", 2) == frozenset()
 
     def test_transposed_takes_all_noncontiguous_axes(self):
-        assert plan_transposed_axes("transposed", 6, (8, 8), 5) == {0}
-        assert plan_transposed_axes("transposed", 6, (8, 8, 8), 5) == {0, 1}
+        assert plan_transposed_axes("transposed", 2) == {0}
+        assert plan_transposed_axes("transposed", 3) == {0, 1}
 
     def test_trailing_axis_never_transposed(self):
         for mode in SWEEP_LAYOUTS:
-            for spatial in [(32,), (32, 32), (16, 16, 16)]:
-                axes = plan_transposed_axes(mode, 6, spatial, 5)
-                assert len(spatial) - 1 not in axes
+            for ndim in (1, 2, 3):
+                assert ndim - 1 not in plan_transposed_axes(mode, ndim)
 
     def test_1d_has_no_candidates(self):
-        assert plan_transposed_axes("transposed", 6, (128,), 5) == frozenset()
-
-    def test_auto_keeps_cache_resident_blocks_strided(self):
-        # A tiny block fits any catalog device's budget: stay strided.
-        assert plan_transposed_axes("auto", 6, (8, 8), 5,
-                                    device=get_device("epyc9564")) == frozenset()
-
-    def test_auto_transposes_large_blocks(self):
-        # A 512^2 padded block is far beyond one core's cache share, and
-        # order-5 strided passes waste far more than three transposes.
-        axes = plan_transposed_axes("auto", 6, (512, 512), 5,
-                                    device=get_device("epyc9564"))
-        assert axes == {0}
-
-    def test_auto_defaults_to_host_device(self):
-        with_default = plan_transposed_axes("auto", 6, (512, 512), 5)
-        explicit = plan_transposed_axes("auto", 6, (512, 512), 5,
-                                        device=get_device("epyc9564"))
-        assert with_default == explicit
-
-    def test_cache_budget_scales_with_cores(self):
-        epyc = get_device("epyc9564")
-        assert cache_budget_bytes(epyc) < epyc.l2_bytes
+        assert plan_transposed_axes("transposed", 1) == frozenset()
 
     def test_validate_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            validate_sweep_layout("coalesced")
-
-    # -- device sensitivity regressions (two catalog devices) ----------
-    def test_auto_follows_device_cache_budget(self):
-        # An MI250X GCD exposes its whole 8 MiB L2 to the sweep (no
-        # per-core split), twice the EPYC core's share: at 256^2 the
-        # EPYC transposes while the GCD keeps the block resident.
-        assert plan_transposed_axes("auto", 6, (256, 256), 5,
-                                    device=get_device("epyc9564")) == {0}
-        assert plan_transposed_axes("auto", 6, (256, 256), 5,
-                                    device=get_device("mi250x")) == frozenset()
-
-    def test_auto_transposes_oversized_blocks_on_gpu_device(self):
-        # Past any budget, both devices agree: transpose the y sweep.
-        assert plan_transposed_axes("auto", 6, (512, 512), 5,
-                                    device=get_device("mi250x")) == {0}
-
-    def test_cache_budget_whole_l2_without_core_count(self):
-        gcd = get_device("mi250x")
-        epyc = get_device("epyc9564")
-        assert cache_budget_bytes(gcd) == pytest.approx(
-            gcd.l2_bytes * L2_OCCUPANCY)
-        assert cache_budget_bytes(epyc) == pytest.approx(
-            epyc.l2_bytes / epyc.cores * L2_OCCUPANCY)
+        for mode in ("coalesced", "auto"):
+            with pytest.raises(ConfigurationError):
+                validate_sweep_layout(mode)
 
 
 # ----------------------------------------------------------------------
@@ -156,16 +106,14 @@ class TestRHSBitwiseIdentity:
     @settings(max_examples=12, deadline=None)
     @given(order=st.sampled_from([1, 3, 5]),
            solver=st.sampled_from(["hllc", "hll", "rusanov"]),
-           mode=st.sampled_from(["transposed", "auto"]),
            threads=st.sampled_from([1, 2, 3]),
            nx=st.integers(7, 18), ny=st.integers(7, 18),
            seed=st.integers(0, 2**31 - 1))
-    def test_2d_matches_strided(self, order, solver, mode, threads, nx, ny,
-                                seed):
+    def test_2d_matches_strided(self, order, solver, threads, nx, ny, seed):
         q = random_q((nx, ny), seed)
         base = make_rhs((nx, ny), order=order, solver=solver)(q)
         rhs = make_rhs((nx, ny), order=order, solver=solver, threads=threads,
-                       sweep_layout=mode)
+                       sweep_layout="transposed")
         np.testing.assert_array_equal(rhs(q), base)
 
     @settings(max_examples=6, deadline=None)
@@ -235,11 +183,6 @@ class TestSimulationIdentity:
         np.testing.assert_array_equal(sim.q, ref.q)
         assert sim.time == ref.time
 
-    def test_auto_mode_runs(self):
-        sim = bubble_sim(sweep_layout="auto")
-        sim.run(n_steps=2)
-        sim.validate_state()
-
     def test_checkpoint_roundtrip_under_transposed(self, tmp_path):
         path = tmp_path / "restart.bin"
         ref = bubble_sim(sweep_layout="transposed")
@@ -302,10 +245,8 @@ class TestWorkspaceOwnership:
         """One contiguous pool block per buffer; the axis-last views the
         WENO kernels take of a strided tile's scratch are axis-permuted
         views of blocks in the tile's own (standard) order."""
-        for transposed, variant in itertools.product(
-                (False, True), ("chained", "stacked")):
-            ws = make_rhs((11, 9, 8), sweep_layout="transposed",
-                          weno_variant=variant).workspace
+        for transposed in (False, True):
+            ws = make_rhs((11, 9, 8), sweep_layout="transposed").workspace
             arena = ws.tile_arena(0, 5, transposed=transposed)
             tile = arena.narrow(4)
             assert arena.narrow(5) is arena

@@ -95,7 +95,7 @@ SETTINGS = {
     "cluster_timeout": (st.integers(1, 90),
                         lambda v: ["--cluster-timeout", str(v)]),
     "max_restarts": (st.integers(0, 3), lambda v: ["--max-restarts", str(v)]),
-    "layout": (st.sampled_from(["strided", "transposed", "auto"]),
+    "layout": (st.sampled_from(["strided", "transposed"]),
                lambda v: ["--layout", v]),
     "fusion": (st.sampled_from(["off", "on", "auto"]),
                lambda v: ["--fusion", v]),
@@ -155,6 +155,7 @@ def test_keywords_case_file_and_cli_agree(section, cfl):
     ("backend", "tpu"), ("precision", "float16"), ("checkpoint_every", -1),
     ("checkpoint_keep", 0), ("checkpoint_dir", ""), ("validate_every", 1.5),
     ("retry", 3), ("tuning", "sometimes"), ("tuning_cache", 7),
+    ("layout", "auto"), ("backend", "torch"), ("backend", "cupy"),
 ])
 def test_out_of_range_section_values_name_the_key(key, bad):
     with pytest.raises(ConfigurationError, match=key):
@@ -180,6 +181,7 @@ def test_unknown_keys_are_named():
     ("sweep_layout", "diagonal"), ("fusion", "maybe"), ("retry", 3),
     ("validate_every", -1), ("checkpoint_every", -1), ("checkpoint_keep", 0),
     ("tuning", "sometimes"), ("backend", "tpu"), ("precision", "float16"),
+    ("sweep_layout", "auto"), ("backend", "torch"),
 ])
 def test_out_of_range_keywords_name_the_field(name, bad):
     with pytest.raises(ConfigurationError, match=name):

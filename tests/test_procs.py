@@ -109,7 +109,7 @@ class TestProcessClusterBitIdentity:
     @settings(max_examples=5, deadline=None)
     @given(order=st.sampled_from([1, 3, 5]),
            riemann=st.sampled_from(["hllc", "hll", "rusanov"]),
-           layout=st.sampled_from(["strided", "transposed", "auto"]),
+           layout=st.sampled_from(["strided", "transposed"]),
            n=st.integers(min_value=19, max_value=23),
            nranks=st.sampled_from([2, 3]))
     def test_any_order_solver_layout_split(self, order, riemann, layout,

@@ -260,20 +260,18 @@ class TestFailureHandling:
 
 
 class TestDegradation:
-    def test_fusion_backend_falls_back_to_numpy(self, tmp_path, monkeypatch):
-        from repro.acc.fusion import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "not-a-backend")
+    def test_failed_fused_build_falls_back_to_unfused(self, tmp_path):
+        # The checked backend cannot fuse: fusion="on" fails to build.
         jobs = make_jobs(2)
-        _, report = run_service(jobs, tmp_path, batch_width=1,
-                                fusion="on")
+        svc, report = run_service(jobs, tmp_path, batch_width=1,
+                                  fusion="on", backend="checked")
         assert [j.status for j in report.jobs] == ["done", "done"]
         degrades = [e for e in report.events
                     if e.get("event") == "degrade"
-                    and e.get("what") == "fusion-backend"]
-        assert degrades and degrades[0]["to"] == "numpy"
-        # Sticky: the service pinned the env for subsequent batches.
-        assert os.environ[BACKEND_ENV_VAR] == "numpy"
+                    and e.get("what") == "fusion"]
+        assert len(degrades) == 1 and degrades[0]["to"] == "off"
+        # Sticky: later batches build unfused from the start.
+        assert svc.engine["options"].fusion == "off"
 
     def test_repeated_batch_failures_shrink_width(self, tmp_path):
         jobs = [EnsembleJob(bubble_case(cx=0.3 + 0.08 * i), 10.0, f"j{i}")

@@ -343,8 +343,8 @@ class TestTileBodies:
 class TestRiemannAndLimiter:
     @settings(max_examples=40, deadline=None)
     @given(fields(), st.sampled_from(["hllc", "hll", "rusanov"]),
-           st.sampled_from(["reference", "fused"]), st.booleans())
-    def test_solvers_match_the_oracle(self, field, solver, variant, spare):
+           st.booleans())
+    def test_solvers_match_the_oracle(self, field, solver, spare):
         """Face states stand in for ``prim`` (any array is a face block);
         with a spare block the per-face temporaries are carved from it."""
         lay, mix, prim_l, dtype = field
@@ -355,7 +355,7 @@ class TestRiemannAndLimiter:
         prim_r[lay.pressure] *= 1.5
         d = lay.ndim - 1
         ref = oracle_riemann(solver, lay, mix, prim_l, prim_r, d)
-        flux_fn = resolve_riemann_flux(solver, variant)
+        flux_fn = resolve_riemann_flux(solver)
         got = flux_fn(lay, mix, prim_l, prim_r, d)
         scr = RiemannScratch(prim_l.shape, dtype=dtype)
         if spare:

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.bc import BoundarySet, fill_axis_ghosts, pad_axis
 from repro.cluster import BlockDecomposition, HaloExchanger, RankSolver
-from repro.common import DTYPE
+from repro.common import DTYPE, ConfigurationError
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.profiling import measure_call_allocations, measure_step_allocations
@@ -38,7 +38,7 @@ from repro.riemann.hllc import hllc_flux
 from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
 from repro.state import StateLayout, prim_to_cons
 from repro.state.conversions import cons_to_prim
-from repro.weno import halo_width, reconstruct_faces
+from repro.weno import halo_width, reconstruct_faces, weno_passes_per_side
 
 AIR = StiffenedGas(1.4, 0.0, "air")
 WATER = StiffenedGas(4.4, 6000.0, "water")
@@ -60,11 +60,11 @@ def random_q(rng, layout, shape):
     return prim_to_cons(layout, MIX, prim)
 
 
-def make_rhs(shape, order=5, **kwargs):
+def make_rhs(shape, order=5, solver="hllc", **kwargs):
     grid = StructuredGrid.uniform(tuple((0.0, 1.0) for _ in shape), shape)
     return RHS(StateLayout(ncomp=2, ndim=len(shape)), MIX, grid,
                BoundarySet.all_extrapolation(len(shape)),
-               RHSConfig(weno_order=order), **kwargs)
+               RHSConfig(weno_order=order, riemann_solver=solver), **kwargs)
 
 
 def bubble_case(shape):
@@ -81,31 +81,37 @@ def bubble_case(shape):
 class TestSerialTilesBitwise:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), order=st.sampled_from([1, 3, 5]),
+           solver=st.sampled_from(["hllc", "hll", "rusanov"]),
            ndim=st.sampled_from([1, 2, 3]),
            layout=st.sampled_from(["strided", "transposed"]),
            fusion=st.sampled_from(["off", "on"]),
            batch=st.sampled_from([None, 3]),
            tiles=st.sampled_from([1, 2, 3, 5, "extent"]),
            gang=st.sampled_from([1, 2, 3]))
-    @example(seed=1, order=5, ndim=2, layout="strided", fusion="off",
-             batch=None, tiles=5, gang=1)  # the serial default path, uneven
-    @example(seed=2, order=5, ndim=3, layout="transposed", fusion="on",
-             batch=None, tiles="extent", gang=3)  # one-row tiles, 4/4/3
-    @example(seed=3, order=3, ndim=2, layout="transposed", fusion="off",
-             batch=3, tiles=2, gang=3)    # batch axis is the slab axis;
-    #                                       a member with no tile
-    @example(seed=4, order=5, ndim=2, layout="strided", fusion="on",
-             batch=None, tiles=5, gang=2)  # shares of 3 and 2 tiles
-    def test_every_tiling_matches_the_oracle(self, seed, order, ndim, layout,
-                                             fusion, batch, tiles, gang):
+    @example(seed=1, order=5, solver="hllc", ndim=2, layout="strided",
+             fusion="off", batch=None, tiles=5,
+             gang=1)  # the serial default path, uneven
+    @example(seed=2, order=5, solver="hllc", ndim=3, layout="transposed",
+             fusion="on", batch=None, tiles="extent",
+             gang=3)  # one-row tiles, 4/4/3
+    @example(seed=3, order=3, solver="hll", ndim=2, layout="transposed",
+             fusion="off", batch=3, tiles=2,
+             gang=3)  # batch axis is the slab axis; a member with no tile
+    @example(seed=4, order=5, solver="rusanov", ndim=2, layout="strided",
+             fusion="on", batch=None, tiles=5,
+             gang=2)  # shares of 3 and 2 tiles
+    def test_every_tiling_matches_the_oracle(self, seed, order, solver, ndim,
+                                             layout, fusion, batch, tiles,
+                                             gang):
         shape = SHAPES[ndim]
         spatial = shape if batch is None else (batch, *shape)
         if tiles == "extent":
             tiles = max(spatial)
-        oracle = make_rhs(shape, order, use_workspace=False)
+        oracle = make_rhs(shape, order, solver, use_workspace=False)
         mode = dict(sweep_layout=layout, fusion=fusion, batch=batch)
-        tiled = make_rhs(shape, order, tiles=tiles, threads=gang, **mode)
-        whole = make_rhs(shape, order, tiles=1, threads=1, **mode)
+        tiled = make_rhs(shape, order, solver, tiles=tiles, threads=gang,
+                         **mode)
+        whole = make_rhs(shape, order, solver, tiles=1, threads=1, **mode)
         q = random_q(np.random.default_rng(seed), oracle.layout, spatial)
 
         with tiled:
@@ -174,6 +180,30 @@ class TestSerialTilesBitwise:
         assert -(-64 // floored) >= 8
         # The floor never drops below one tile per worker.
         assert suggest_tile_count(64, 16, min_rows=8, **kwargs) == 16
+
+    def test_explicit_tiles_override_is_bitwise_and_reported(self):
+        rhs = make_rhs((12, 11), threads=2, tiles=3)
+        q = random_q(np.random.default_rng(5), rhs.layout, (12, 11))
+        base = make_rhs((12, 11))(q)
+        try:
+            np.testing.assert_array_equal(rhs(q), base)
+            plan = rhs.tile_plan()
+        finally:
+            rhs.close()
+        assert plan["source"] == "override"
+        assert [p["tiles"] for p in plan["directions"]] == [3, 3]
+
+    def test_rejects_unknown_inputs(self):
+        for bad in ({"tiles": 0}, {"sweep_layout": "auto"},
+                    {"backend": "torch"}):
+            with pytest.raises(ConfigurationError):
+                make_rhs((9, 9), **bad)
+
+    def test_weno_pass_counter_counts_both_sides(self):
+        rhs = make_rhs((14, 13))
+        rhs(random_q(np.random.default_rng(8), rhs.layout, (14, 13)))
+        # 2 directions x 2 sides x passes-per-side, per evaluation.
+        assert rhs.sweep_counters.weno_passes == 4 * weno_passes_per_side(5)
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +395,10 @@ class TestStrideOrderGate:
         kwargs = {"serial": {"threads": 1}, "threaded": {"threads": 2},
                   "batched": {"batch": 3}}[mode]
         spatial = (3, *shape) if mode == "batched" else shape
-        for layout, variant, fusion in itertools.product(
-                ("strided", "transposed"), ("chained", "stacked"),
-                ("off", "on")):
+        for layout, fusion in itertools.product(("strided", "transposed"),
+                                                ("off", "on")):
             rhs = make_rhs(shape, tiles=2, sweep_layout=layout,
-                           weno_variant=variant, fusion=fusion, **kwargs)
+                           fusion=fusion, **kwargs)
             gate = StrideGate(monkeypatch, [rhs._engine], [rhs.workspace],
                               len(spatial))
             rhs(random_q(np.random.default_rng(ndim), rhs.layout, spatial))

@@ -59,9 +59,9 @@ def bubble_sim(n=10, **kwargs):
 # ----------------------------------------------------------------------
 class TestTuningPlan:
     def test_round_trips_as_dict(self):
-        plan = TuningPlan(weno_variant="stacked", riemann_variant="fused",
-                          sweep_layout="transposed", threads=2, tiles=3,
-                          source="tuned", measured_ns=1.5e6, modeled_ns=3e6)
+        plan = TuningPlan(sweep_layout="transposed", threads=2, tiles=3,
+                          fusion="on", source="tuned", measured_ns=1.5e6,
+                          modeled_ns=3e6)
         assert TuningPlan.from_dict(plan.as_dict()) == plan
         assert plan.speedup_vs_modeled() == pytest.approx(2.0)
 
@@ -70,15 +70,15 @@ class TestTuningPlan:
         assert "measured" not in heuristic_plan().summary()
 
     def test_summary_names_the_choices(self):
-        line = TuningPlan(weno_variant="stacked", source="tuned",
+        line = TuningPlan(sweep_layout="transposed", source="tuned",
                           measured_ns=2e6, modeled_ns=4e6).summary()
-        assert "weno=stacked" in line
+        assert "layout=transposed" in line
         assert "tuning (tuned)" in line
         assert "2.00x vs modeled heuristic" in line
 
     @pytest.mark.parametrize("bad", [
-        {"weno_variant": "unrolled"},
-        {"riemann_variant": "split"},
+        {"sweep_layout": "auto"},
+        {"backend": "torch"},
         {"sweep_layout": "coalesced"},
         {"threads": 0},
         {"threads": True},
@@ -90,8 +90,9 @@ class TestTuningPlan:
             TuningPlan(**bad)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError):
-            TuningPlan.from_dict({"weno": "stacked"})
+        for key in ("weno", "weno_variant", "riemann_variant"):
+            with pytest.raises(ConfigurationError, match=key):
+                TuningPlan.from_dict({key: "chained"})
         with pytest.raises(ConfigurationError):
             TuningPlan.from_dict("stacked")
 
@@ -146,18 +147,18 @@ class TestCacheKey:
 class TestCandidatePlans:
     def test_first_candidate_is_the_model_heuristic(self):
         plans = candidate_plans(ndim=2, cpu_count=4, threads=2,
-                                sweep_layout="auto")
-        assert plans[0] == {"weno_variant": "chained",
-                            "riemann_variant": "reference",
-                            "sweep_layout": "auto", "threads": 2,
+                                sweep_layout="transposed")
+        assert plans[0] == {"sweep_layout": "transposed", "threads": 2,
                             "tiles": None, "fusion": "off",
                             "backend": "numpy"}
 
     def test_cross_product_covers_the_registry(self):
         plans = candidate_plans(ndim=2, cpu_count=4)
-        assert any(p["weno_variant"] == "stacked" for p in plans)
-        assert any(p["riemann_variant"] == "fused" for p in plans)
         assert any(p["sweep_layout"] == "transposed" for p in plans)
+        assert any(p["fusion"] == "on" for p in plans)
+        # layout x fusion x tile count: 2 x 2 x 3 (48 with the kernel
+        # variants the tuner no longer searches).
+        assert len(plans) == 12
         # The gang width is not an axis: every candidate carries the
         # caller's value (None = planned by the candidate's own RHS).
         assert {p["threads"] for p in plans} == {None}
@@ -171,6 +172,11 @@ class TestCandidatePlans:
     def test_1d_has_no_transposed_candidates(self):
         plans = candidate_plans(ndim=1, cpu_count=2)
         assert all(p["sweep_layout"] != "transposed" for p in plans)
+
+    def test_fusion_candidates_only_where_the_backend_fuses(self):
+        plans = candidate_plans(ndim=2, cpu_count=2, backends=("checked",))
+        assert {p["fusion"] for p in plans} == {"off"}
+        assert len(plans) == 6
 
     def test_fused_and_staged_candidates_share_tile_counts(self):
         # Staged and fused sweeps run on the same tile arenas under the
@@ -192,7 +198,7 @@ class TestCandidatePlans:
 class TestTuningCache:
     def test_store_lookup_round_trip(self, tmp_path):
         cache = TuningCache(tmp_path / "cache.json")
-        plan = TuningPlan(weno_variant="stacked", source="tuned",
+        plan = TuningPlan(sweep_layout="transposed", source="tuned",
                           measured_ns=1e6, modeled_ns=2e6)
         cache.store("k1", plan)
         assert cache.lookup("k1") == plan
@@ -280,8 +286,19 @@ class TestAutotunerEndToEnd:
         sim2 = bubble_sim(tuning="auto", tuning_cache=cache_path)
         assert sim2.tuner.timing_runs == 0  # the acceptance criterion
         assert sim2.tuning_plan.source == "cache"
-        assert sim2.tuning_plan.weno_variant == sim1.tuning_plan.weno_variant
+        assert dataclasses.replace(sim2.tuning_plan, source="tuned") == \
+            sim1.tuning_plan
         assert sim2.tuner.cache.hits == 1
+
+    def test_checked_backend_tunes_without_fusion(self, tmp_path):
+        # The checked backend cannot fuse, so the tuner never builds a
+        # fused candidate for it.
+        sim = bubble_sim(backend="checked", tuning="auto",
+                         tuning_cache=tmp_path / "c.json")
+        assert sim.tuning_plan.source == "tuned"
+        assert sim.tuning_plan.fusion == "off"
+        assert sim.tuning_plan.backend == "checked"
+        sim.close()
 
     def test_tuned_run_is_bitwise_identical_to_untuned(self, tmp_path):
         baseline = bubble_sim()
@@ -312,8 +329,8 @@ class TestAutotunerEndToEnd:
     def test_plan_configures_the_rhs(self, tmp_path):
         sim = bubble_sim(tuning="auto", tuning_cache=tmp_path / "c.json")
         plan = sim.tuning_plan
-        assert sim.rhs.weno_variant == plan.weno_variant
-        assert sim.rhs.riemann_variant == plan.riemann_variant
+        assert sim.rhs.tiles == plan.tiles
+        assert sim.rhs.fusion == plan.fusion
         assert sim.sweep_layout == plan.sweep_layout
         assert sim.threads == plan.threads
 
@@ -335,8 +352,7 @@ class TestAutotunerEndToEnd:
     def test_ensemble_and_single_case_adopt_the_same_plan_fields(self):
         from repro.ensemble import EnsembleSimulation
 
-        plan = {"weno_variant": "stacked", "riemann_variant": "fused",
-                "sweep_layout": "transposed", "fusion": "auto", "tiles": 2,
+        plan = {"sweep_layout": "transposed", "fusion": "auto", "tiles": 2,
                 "threads": 1, "backend": "checked"}
         sim = bubble_sim(tuning=plan, backend="numpy")
         with EnsembleSimulation([sim.case, sim.case], sim.bcs,
@@ -346,16 +362,17 @@ class TestAutotunerEndToEnd:
                 assert (driver.sweep_layout, driver.fusion, driver.threads,
                         driver.backend.name) == \
                     ("transposed", "auto", 1, "checked")
-                assert (driver.rhs.weno_variant, driver.rhs.riemann_variant,
-                        driver.rhs.tiles, driver.rhs.backend.name) == \
-                    ("stacked", "fused", 2, "checked")
+                assert (driver.rhs.tiles, driver.rhs.backend.name) == \
+                    (2, "checked")
 
     def test_manual_plan_dict(self):
-        sim = bubble_sim(tuning={"weno_variant": "stacked",
-                                 "riemann_variant": "fused"})
+        sim = bubble_sim(tuning={"sweep_layout": "transposed", "tiles": 2})
         assert sim.tuning_plan.source == "manual"
-        assert sim.rhs.weno_variant == "stacked"
+        assert sim.rhs.tiles == 2
         assert sim.tuner is None
+        for key in ("weno_variant", "riemann_variant"):
+            with pytest.raises(ConfigurationError, match=key):
+                bubble_sim(tuning={key: "chained"})
 
     def test_tuning_off_and_invalid(self):
         assert bubble_sim(tuning="off").tuning_plan is None
@@ -377,16 +394,16 @@ class TestPlumbing:
         opts = solver_options_from_dict({"solver": {"tuning": "auto"}})
         assert opts["tuning"] == "auto"
         opts = solver_options_from_dict(
-            {"solver": {"tuning": {"weno_variant": "stacked"},
+            {"solver": {"tuning": {"sweep_layout": "transposed"},
                         "tuning_cache": "plans.json"}})
-        assert opts["tuning"] == TuningPlan(weno_variant="stacked",
+        assert opts["tuning"] == TuningPlan(sweep_layout="transposed",
                                             source="manual")
         assert opts["tuning_cache"] == "plans.json"
 
     @pytest.mark.parametrize("solver", [
         {"tuning": "always"},
         {"tuning": 7},
-        {"tuning": {"weno_variant": "unrolled"}},
+        {"tuning": {"weno_variant": "chained"}},
         {"tuning_cache": ""},
         {"tuning_cache": 3},
     ])
@@ -430,12 +447,12 @@ class TestPlumbing:
                 {"d": 1, "kind": "strided", "slab_axis": 0, "tiles": 4,
                  "fused": True}],
             "source": "override", "gang": "1: explicit"}
-        profile.tuning = TuningPlan(weno_variant="stacked", source="tuned",
+        profile.tuning = TuningPlan(sweep_layout="transposed", source="tuned",
                                     measured_ns=1e6, modeled_ns=2e6)
         report = profile.report()
         assert ("tiling (override): d0: 2 transposed tiles, "
                 "d1: 4 strided fused tiles; gang 1: explicit") in report
-        assert "tuning (tuned): weno=stacked" in report
+        assert "tuning (tuned): layout=transposed" in report
 
 
 class TestCacheConcurrency:
