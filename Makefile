@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair rss tune examples artifacts clean
+.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-layout bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair cold-start rss tune examples artifacts clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -128,6 +128,13 @@ bench-e2e-quick:
 bench-e2e-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-e2e-pair BASE=<sha>"; exit 2; }
 	python3 benchmarks/pair.py --base $(BASE) $(PAIR_ARGS)
+
+# Cold start of the plain, fused, ranks=2 and ensemble entry paths: the
+# repro modules each loads and the top 10 of python -X importtime, with
+# the bytecode cache absent and present (COLD_ARGS="<tree> --repeats 5"
+# measures another checkout, e.g. a git archive of the parent).
+cold-start:
+	python3 benchmarks/cold_start.py $(COLD_ARGS)
 
 # Resident memory of each e2e workload, process by process: VmHWM and
 # the RssAnon / RssShmem / RssFile split of the parent after import,

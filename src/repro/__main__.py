@@ -21,10 +21,8 @@ from repro.io.case_files import (
     load_ensemble_spec,
     load_solver_options,
 )
-from repro.io.silo import export_silo
 from repro.solver import RHSConfig, Simulation
 from repro.solver.options import add_cli_flags, fold
-from repro.tuning.cache import resolve_cache_path
 
 #: ``ensemble`` flags of the durable service: (flag, ``"service"`` key,
 #: ``add_argument`` extras).  Like the knob flags, one given on the
@@ -116,6 +114,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                 time=sim.time)
         print(f"wrote snapshot {args.snapshot} ({nbytes} bytes)")
         if args.silo:
+            from repro.io.silo import export_silo
+
             export_silo(args.snapshot, args.silo, case.grid, case.mixture)
             print(f"wrote visualization database {args.silo}")
     return 0
@@ -164,6 +164,8 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.tuning.cache import resolve_cache_path
+
     case = load_case(args.case)
     bcs, config = _numerics(args, case.grid.ndim)
     # The case file's other run knobs do not apply to a tuning session.
@@ -200,6 +202,8 @@ def _cmd_devices(_args: argparse.Namespace) -> int:
 
 
 def _cmd_postprocess(args: argparse.Namespace) -> int:
+    from repro.io.silo import export_silo
+
     case = load_case(args.case)
     db = export_silo(args.snapshot, args.out, case.grid, case.mixture)
     fields = sorted(k for k in db if not k.startswith("coord") and k not in ("step", "time"))

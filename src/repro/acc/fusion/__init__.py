@@ -23,48 +23,25 @@ All fused kernels are bit-for-bit identical to the reference RHS; the
 fusion knob (``FUSION_MODES``) is a tuner axis like the sweep layout.
 Nothing here imports the :mod:`repro.solver` drivers: the sweep engine
 (:mod:`repro.solver.sweep`) imports this package, never the reverse.
+Every export resolves on first access, so a staged run loads the
+legality walk alone and the generator only when a sweep fuses.
 """
 
-from repro.acc.fusion.cache import KERNEL_CACHE, FusedKernelCache, fused_kernel
-from repro.acc.fusion.codegen import (
-    FUSED_KINDS,
-    FUSION_MODES,
-    FusedKernelSpec,
-    FusionContext,
-    exec_namespace,
-    generate_source,
-    kernel_signature,
-    make_context,
-    validate_fusion,
-)
-from repro.acc.fusion.graph import (
-    GLOBAL_HALO,
-    NONWENO_PIPELINE_PASSES,
-    FusedRegion,
-    FusionError,
-    StageNode,
-    plan_fusion,
-    sweep_stage_graph,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "FUSION_MODES",
-    "FUSED_KINDS",
-    "GLOBAL_HALO",
-    "NONWENO_PIPELINE_PASSES",
-    "FusedKernelCache",
-    "FusedKernelSpec",
-    "FusedRegion",
-    "FusionContext",
-    "FusionError",
-    "KERNEL_CACHE",
-    "StageNode",
-    "exec_namespace",
-    "fused_kernel",
-    "generate_source",
-    "kernel_signature",
-    "make_context",
-    "plan_fusion",
-    "sweep_stage_graph",
-    "validate_fusion",
-]
+#: Every export and the submodule it lives in (imported lazily).
+_EXPORTS = {
+    "KERNEL_CACHE": "cache", "FusedKernelCache": "cache",
+    "fused_kernel": "cache",
+    "FUSED_KINDS": "codegen", "FusedKernelSpec": "codegen",
+    "FusionContext": "codegen", "exec_namespace": "codegen",
+    "generate_source": "codegen", "kernel_signature": "codegen",
+    "make_context": "codegen",
+    "FUSION_MODES": "graph", "validate_fusion": "graph",
+    "GLOBAL_HALO": "graph", "NONWENO_PIPELINE_PASSES": "graph",
+    "FusedRegion": "graph", "FusionError": "graph", "StageNode": "graph",
+    "plan_fusion": "graph", "sweep_stage_graph": "graph",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS]

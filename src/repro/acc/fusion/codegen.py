@@ -45,6 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Re-exported: the knob's table lives with the legality walk, which a
+# staged run loads without this generator.
+from repro.acc.fusion.graph import FUSION_MODES, validate_fusion  # noqa: F401
 from repro.bc.boundary import fill_axis_ghosts
 from repro.common import ConfigurationError
 from repro.riemann import riemann_expression
@@ -58,22 +61,8 @@ from repro.weno.reconstruct import (
     weno_schedule,
 )
 
-#: Valid values of the kernel-fusion knob.  ``"off"`` keeps the
-#: stage-at-a-time pipeline, ``"on"`` requires the fused per-tile
-#: kernels (workspace mandatory), ``"auto"`` enables them whenever the
-#: workspace path is active.
-FUSION_MODES = ("auto", "off", "on")
-
 #: Kinds of fused sweep kernels the generator can render.
 FUSED_KINDS = ("strided", "transposed")
-
-
-def validate_fusion(mode: str) -> str:
-    """Validate and return a kernel-fusion knob value."""
-    if mode not in FUSION_MODES:
-        raise ConfigurationError(
-            f"fusion must be one of {FUSION_MODES}, got {mode!r}")
-    return mode
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,21 @@ from repro.acc.directives import Clause, LoopDirective, ParallelLoopNest
 from repro.common import ConfigurationError
 from repro.weno import halo_width, weno_passes_per_side
 
+#: Valid values of the kernel-fusion knob.  ``"off"`` keeps the
+#: stage-at-a-time pipeline, ``"on"`` requires the fused per-tile
+#: kernels (workspace mandatory), ``"auto"`` enables them whenever the
+#: workspace path is active.
+FUSION_MODES = ("auto", "off", "on")
+
+
+def validate_fusion(mode: str) -> str:
+    """Validate and return a kernel-fusion knob value."""
+    if mode not in FUSION_MODES:
+        raise ConfigurationError(
+            f"fusion must be one of {FUSION_MODES}, got {mode!r}")
+    return mode
+
+
 #: Halo-radius marker for a stage that reads the whole axis (the ghost
 #: fill's periodic wrap): the axis can never be a slab axis.
 GLOBAL_HALO = "global"

@@ -27,17 +27,19 @@ device backend would need is in ``docs/backends.md``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.common import ConfigurationError
-from repro.backend.guard import (
-    GUARD_NAMESPACE,
-    BackendLeakError,
-    GuardArray,
-)
+from repro.common.lazy import lazy_exports
+
+#: The guard types load with the ``checked`` backend, on first use.
+__getattr__ = lazy_exports(__name__, {"BackendLeakError": "guard",
+                                      "GuardArray": "guard"})
 
 __all__ = [
     "Backend",
@@ -131,12 +133,22 @@ def _np_to_host(arr):
     return np.asarray(arr)
 
 
+def _guard():
+    """:mod:`repro.backend.guard` if loaded, else None.  No
+    :class:`GuardArray` exists before the ``checked`` backend loads it,
+    so a run on NumPy never imports it."""
+    return sys.modules.get("repro.backend.guard")
+
+
 def _guard_from_host(arr, dtype):
+    from repro.backend.guard import GuardArray
+
     return GuardArray(_np_from_host(arr, dtype))
 
 
 def _guard_to_host(arr):
-    if isinstance(arr, GuardArray):
+    guard = _guard()
+    if guard is not None and isinstance(arr, guard.GuardArray):
         return arr._a
     return _np_to_host(arr)
 
@@ -144,10 +156,18 @@ def _guard_to_host(arr):
 _NUMPY = Backend("numpy", np, supports_fusion=True,
                  _from_host=_np_from_host, _to_host=_np_to_host)
 
-_CHECKED = Backend("checked", GUARD_NAMESPACE, supports_fusion=False,
+
+@cache
+def _checked() -> Backend:
+    from repro.backend.guard import GUARD_NAMESPACE
+
+    return Backend("checked", GUARD_NAMESPACE, supports_fusion=False,
                    _from_host=_guard_from_host, _to_host=_guard_to_host)
 
-_REGISTRY: dict[str, Backend] = {"numpy": _NUMPY, "checked": _CHECKED}
+
+#: Each registered name with the builder of its backend.
+_REGISTRY: dict[str, Callable[[], Backend]] = {"numpy": lambda: _NUMPY,
+                                                "checked": _checked}
 
 #: Names the registry knows.
 BACKEND_NAMES = tuple(_REGISTRY)
@@ -163,7 +183,7 @@ def validate_backend(name: str) -> str:
 
 def get_backend(name: str = "numpy") -> Backend:
     """The registered backend of that name."""
-    return _REGISTRY[validate_backend(name)]
+    return _REGISTRY[validate_backend(name)]()
 
 
 def resolve_backend(backend) -> Backend:
@@ -196,8 +216,8 @@ def array_namespace(*arrays):
     for a in arrays:
         if isinstance(a, np.ndarray):
             this = np
-        elif isinstance(a, GuardArray):
-            this = GUARD_NAMESPACE
+        elif (guard := _guard()) is not None and isinstance(a, guard.GuardArray):
+            this = guard.GUARD_NAMESPACE
         else:
             continue
         if ns is None:

@@ -90,8 +90,8 @@ class DistributedSolver:
                     rk_order: int = 3) -> list[np.ndarray]:
         """One SSP-RK step of every rank's block (bulk-synchronous).
 
-        Returns each rank's ``rk_result`` workspace buffer; the stage
-        combinations are :func:`~repro.timestepping.ssp_rk.
+        Returns each rank's stage buffer (the blocks are never written);
+        the stage combinations are :func:`~repro.timestepping.ssp_rk.
         shu_osher_combine` over each rank's row tiles, the same call the
         serial stepper makes, so a decomposed step is bitwise the serial
         one.
@@ -99,10 +99,10 @@ class DistributedSolver:
         stages = rk_stages(rk_order)
         q_n = blocks
         q_k = blocks
-        for k, (a, b, c) in enumerate(stages):
+        for a, b, c in stages:
             rhs = self.rhs_blocks(q_k)
             q_k = [shu_osher_combine(qn, qk, L,
-                                     stage_buffer(rank.ws, k, len(stages)),
+                                     stage_buffer(rank.ws, qn),
                                      a, b, c * dt, tiles=rank.ws)
                    for rank, qn, qk, L in zip(self.ranks, q_n, q_k, rhs)]
         return q_k

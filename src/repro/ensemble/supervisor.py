@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.acc.fusion import FusionError
+from repro.acc.fusion.graph import FusionError
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, ReproError, failure_class
 from repro.common.workers import (

@@ -15,26 +15,18 @@ transformation between them:
   decomposition (Listing 4).
 """
 
-from repro.fields.scalar_field import FieldBank, ScalarField
-from repro.fields.packing import pack_bank, unpack_bank
-from repro.fields.transpose import (
-    geam_transpose_cutensor,
-    geam_transpose_hipblas,
-    inverse_perm,
-    sweep_perm,
-    transpose_loop,
-    untranspose_loop,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "ScalarField",
-    "FieldBank",
-    "pack_bank",
-    "unpack_bank",
-    "transpose_loop",
-    "untranspose_loop",
-    "sweep_perm",
-    "inverse_perm",
-    "geam_transpose_cutensor",
-    "geam_transpose_hipblas",
-]
+#: Every export and the submodule it lives in, imported on first access:
+#: the sweeps need only the transpose permutation.
+_EXPORTS = {
+    "FieldBank": "scalar_field", "ScalarField": "scalar_field",
+    "pack_bank": "packing", "unpack_bank": "packing",
+    "geam_transpose_cutensor": "transpose",
+    "geam_transpose_hipblas": "transpose", "inverse_perm": "transpose",
+    "sweep_perm": "transpose", "transpose_loop": "transpose",
+    "untranspose_loop": "transpose",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS]

@@ -1,12 +1,13 @@
 """Structured grids: uniform, tanh-stretched, and cylindrical metadata (paper §III-A)."""
 
-from repro.grid.cartesian import StructuredGrid
-from repro.grid.stretching import tanh_stretched_faces, uniform_faces
-from repro.grid.cylindrical import CylindricalGrid
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "StructuredGrid",
-    "tanh_stretched_faces",
-    "uniform_faces",
-    "CylindricalGrid",
-]
+#: Every export and the submodule it lives in (imported on first access).
+_EXPORTS = {
+    "StructuredGrid": "cartesian",
+    "tanh_stretched_faces": "stretching", "uniform_faces": "stretching",
+    "CylindricalGrid": "cylindrical",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS]

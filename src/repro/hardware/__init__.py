@@ -9,49 +9,26 @@ to the paper's own quoted speedups (each factor's provenance is
 documented where it is defined).
 """
 
-from repro.hardware.devices import (
-    CPUS,
-    DEFAULT_HOST_KEY,
-    DEVICES,
-    GPUS,
-    DeviceSpec,
-    bandwidth_report,
-    default_host_device,
-    get_device,
-    measured_host_bandwidth,
-    measured_host_device,
-    stream_triad_gbps,
-)
-from repro.hardware.roofline import RooflinePoint, attainable_gflops, ridge_intensity
-from repro.hardware.costmodel import CostModel, KernelWorkload
-from repro.hardware.transfer import TransferModel
-from repro.hardware.workloads import ProblemShape, rhs_workloads, step_workloads
-from repro.hardware.cache import SetAssociativeCache, transpose_miss_ratio
-from repro.hardware.tiling import L2_OCCUPANCY, suggest_tile_count
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "L2_OCCUPANCY",
-    "suggest_tile_count",
-    "DeviceSpec",
-    "DEVICES",
-    "GPUS",
-    "CPUS",
-    "get_device",
-    "DEFAULT_HOST_KEY",
-    "default_host_device",
-    "bandwidth_report",
-    "measured_host_bandwidth",
-    "measured_host_device",
-    "stream_triad_gbps",
-    "RooflinePoint",
-    "attainable_gflops",
-    "ridge_intensity",
-    "CostModel",
-    "KernelWorkload",
-    "TransferModel",
-    "ProblemShape",
-    "rhs_workloads",
-    "step_workloads",
-    "SetAssociativeCache",
-    "transpose_miss_ratio",
-]
+#: Every export and the submodule it lives in, imported on first access:
+#: a run needs the device catalog and the tile heuristic (which it
+#: imports as leaves), never the cost, roofline, transfer or cache models.
+_EXPORTS = {
+    "CPUS": "devices", "DEFAULT_HOST_KEY": "devices", "DEVICES": "devices",
+    "GPUS": "devices", "DeviceSpec": "devices",
+    "bandwidth_report": "devices", "default_host_device": "devices",
+    "get_device": "devices", "measured_host_bandwidth": "devices",
+    "measured_host_device": "devices", "stream_triad_gbps": "devices",
+    "RooflinePoint": "roofline", "attainable_gflops": "roofline",
+    "ridge_intensity": "roofline",
+    "CostModel": "costmodel", "KernelWorkload": "costmodel",
+    "TransferModel": "transfer",
+    "ProblemShape": "workloads", "rhs_workloads": "workloads",
+    "step_workloads": "workloads",
+    "SetAssociativeCache": "cache", "transpose_miss_ratio": "cache",
+    "L2_OCCUPANCY": "tiling", "suggest_tile_count": "tiling",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS]

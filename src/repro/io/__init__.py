@@ -15,37 +15,23 @@ working analogs of all three:
   Python-dictionary input decks.
 """
 
-from repro.io.binary import (
-    SnapshotHeader,
-    read_snapshot,
-    verify_snapshot,
-    write_snapshot,
-)
-from repro.io.checkpoint import CheckpointManager
-from repro.io.parallel import (
-    gather_shared_file,
-    write_file_per_process,
-    write_shared_file,
-)
-from repro.io.silo import export_silo, load_silo
-from repro.io.case_files import case_from_dict, case_to_dict, load_case, save_case
-from repro.io.series import SeriesReader, SeriesWriter
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "SnapshotHeader",
-    "write_snapshot",
-    "read_snapshot",
-    "verify_snapshot",
-    "CheckpointManager",
-    "write_shared_file",
-    "gather_shared_file",
-    "write_file_per_process",
-    "export_silo",
-    "load_silo",
-    "case_from_dict",
-    "case_to_dict",
-    "load_case",
-    "save_case",
-    "SeriesWriter",
-    "SeriesReader",
-]
+#: Every export and the submodule it lives in, imported on first access:
+#: a run reads its case and writes snapshots (and checkpoints, when
+#: asked); the parallel writers, the post-processor and the series
+#: files load only for the commands that use them.
+_EXPORTS = {
+    "SnapshotHeader": "binary", "read_snapshot": "binary",
+    "verify_snapshot": "binary", "write_snapshot": "binary",
+    "CheckpointManager": "checkpoint",
+    "gather_shared_file": "parallel", "write_file_per_process": "parallel",
+    "write_shared_file": "parallel",
+    "export_silo": "silo", "load_silo": "silo",
+    "case_from_dict": "case_files", "case_to_dict": "case_files",
+    "load_case": "case_files", "save_case": "case_files",
+    "SeriesReader": "series", "SeriesWriter": "series",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS]

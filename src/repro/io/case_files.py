@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.common import ConfigurationError
 from repro.common.checks import integer, path as path_check
 from repro.eos import Mixture, StiffenedGas
-from repro.grid import StructuredGrid
+from repro.grid.cartesian import StructuredGrid
 from repro.solver.case import Case, Patch, box, halfspace, sphere
 from repro.solver.options import SolverOptions, section_keys
 

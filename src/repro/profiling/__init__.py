@@ -1,25 +1,21 @@
 """Kernel-time accounting and report generation (nsight/rocprof analog).
 
-The passive records (profiles, counters, reports) import eagerly; the
-*drivers* — which construct and run solvers — resolve on first access,
-so :mod:`repro.solver` and :mod:`repro.acc` can import the counters at
-module top without pulling in code that imports them back.
+Every export resolves on first access: the solver imports the one leaf
+it records into (:mod:`repro.profiling.counters`), and neither the
+report writers nor the drivers — which construct and run solvers, and
+so would import :mod:`repro.solver` back — load with it.
 """
 
 from repro.common.lazy import lazy_exports
-from repro.profiling.profiler import KernelRecord, Profile
-from repro.profiling.counters import (
-    HaloCounters,
-    KernelCounters,
-    SweepCounters,
-    counters_report,
-    kernel_counters,
-)
-from repro.profiling.reports import device_comparison_report, kernel_stats_report
-from repro.profiling.roofline_plot import roofline_chart
 
-#: Driver exports and the submodule each lives in (imported lazily).
-_DRIVERS = {
+#: Every export and the submodule it lives in (imported lazily).
+_EXPORTS = {
+    "KernelRecord": "profiler", "Profile": "profiler",
+    "HaloCounters": "counters", "KernelCounters": "counters",
+    "SweepCounters": "counters", "counters_report": "counters",
+    "kernel_counters": "counters",
+    "device_comparison_report": "reports", "kernel_stats_report": "reports",
+    "roofline_chart": "roofline_plot",
     "ModeledRun": "modeled",
     "KernelBenchResult": "kernelbench",
     "StageTiming": "kernelbench",
@@ -29,20 +25,6 @@ _DRIVERS = {
     "measure_call_allocations": "allocations",
     "measure_step_allocations": "allocations",
 }
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-
-__getattr__ = lazy_exports(__name__, _DRIVERS)
-
-__all__ = [
-    "KernelRecord",
-    "Profile",
-    "HaloCounters",
-    "KernelCounters",
-    "SweepCounters",
-    "kernel_counters",
-    "counters_report",
-    "kernel_stats_report",
-    "device_comparison_report",
-    "roofline_chart",
-    *_DRIVERS,
-]
+__all__ = [*_EXPORTS]

@@ -18,12 +18,13 @@ just timed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common import ConfigurationError
-from repro.hardware.cache import transpose_miss_ratio
-from repro.hardware.costmodel import CostModel, GPU_SATURATION_THREADS, KernelWorkload
-from repro.hardware.devices import DeviceSpec
-from repro.hardware.roofline import ridge_intensity
+
+if TYPE_CHECKING:
+    from repro.hardware.costmodel import KernelWorkload
+    from repro.hardware.devices import DeviceSpec
 
 #: Assumed read share of a kernel's DRAM traffic (reads dominate in the
 #: reconstruction/flux kernels; packing is symmetric).
@@ -66,6 +67,11 @@ class KernelCounters:
 def kernel_counters(device: DeviceSpec, work: KernelWorkload,
                     compiler: str = "nvhpc") -> KernelCounters:
     """Derive the modeled counter set of one kernel on one device."""
+    # The models load here, not with the measured counters a run records.
+    from repro.hardware.cache import transpose_miss_ratio
+    from repro.hardware.costmodel import CostModel, GPU_SATURATION_THREADS
+    from repro.hardware.roofline import ridge_intensity
+
     cost = CostModel(device, compiler)
     seconds = cost.kernel_time(work)
     if seconds <= 0.0:

@@ -11,17 +11,40 @@ interface normal velocity used by the nonconservative
 :math:`\\alpha\\,\\nabla\\!\\cdot u` term.
 """
 
-from repro.common import ConfigurationError
-from repro.riemann.common import FaceStates, decompose_faces, physical_flux
-from repro.riemann.hllc import hllc_flux
-from repro.riemann.hll import hll_flux
-from repro.riemann.rusanov import rusanov_flux
+import importlib
+from collections.abc import Mapping
 
-SOLVERS = {
-    "hllc": hllc_flux,
-    "hll": hll_flux,
-    "rusanov": rusanov_flux,
-}
+from repro.common import ConfigurationError
+from repro.common.lazy import lazy_exports
+from repro.riemann.common import FaceStates, decompose_faces, physical_flux
+
+
+class _Solvers(Mapping):
+    """Solver name -> flux kernel.  Each solver lives in the submodule of
+    its name as ``<name>_flux``, imported on first lookup, so a run
+    loads only the solver it selected."""
+
+    _NAMES = ("hllc", "hll", "rusanov")
+
+    def __getitem__(self, name: str):
+        if name not in self._NAMES:
+            raise KeyError(name)
+        return getattr(importlib.import_module(f"{__name__}.{name}"),
+                       f"{name}_flux")
+
+    def __contains__(self, name) -> bool:
+        return name in self._NAMES
+
+    def __iter__(self):
+        return iter(self._NAMES)
+
+    def __len__(self) -> int:
+        return len(self._NAMES)
+
+
+SOLVERS = _Solvers()
+
+__getattr__ = lazy_exports(__name__, {f"{name}_flux": name for name in SOLVERS})
 
 
 def resolve_riemann_flux(solver: str):

@@ -1,5 +1,9 @@
-"""The MFC-equivalent solver: RHS assembly, case setup, simulation driver."""
+"""The MFC-equivalent solver: RHS assembly, case setup, simulation driver.
 
+The post-run diagnostics resolve on first access: a run never calls them.
+"""
+
+from repro.common.lazy import lazy_exports
 from repro.solver.rhs import RHS, RHSConfig
 from repro.solver.case import Case, Patch, box, halfspace, sphere
 from repro.solver.resilience import (
@@ -10,18 +14,16 @@ from repro.solver.resilience import (
     check_state,
 )
 from repro.solver.simulation import Simulation, StepRecord
-from repro.solver.diagnostics import (
-    enstrophy,
-    interface_cells,
-    kinetic_energy,
-    max_mach,
-    mixedness,
-    phase_volumes,
-)
 from repro.solver.geometry import GEOMETRIES
 from repro.solver.positivity import limit_face_states
 from repro.solver.sweep import SWEEP_LAYOUTS, plan_transposed_axes
 from repro.solver.workspace import SolverWorkspace
+
+#: Diagnostics exports, imported from :mod:`repro.solver.diagnostics`
+#: on first access.
+_DIAGNOSTICS = ("enstrophy", "interface_cells", "kinetic_energy", "max_mach",
+                "mixedness", "phase_volumes")
+__getattr__ = lazy_exports(__name__, dict.fromkeys(_DIAGNOSTICS, "diagnostics"))
 
 __all__ = [
     "RHS",
@@ -43,10 +45,5 @@ __all__ = [
     "SWEEP_LAYOUTS",
     "plan_transposed_axes",
     "SolverWorkspace",
-    "kinetic_energy",
-    "enstrophy",
-    "max_mach",
-    "phase_volumes",
-    "mixedness",
-    "interface_cells",
+    *_DIAGNOSTICS,
 ]

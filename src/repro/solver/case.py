@@ -201,6 +201,19 @@ def distance_to_background(mask: np.ndarray) -> np.ndarray:
     return np.sqrt(d2, order="C")
 
 
+def _mean_spacing(coord: np.ndarray, axis: int) -> float:
+    """Mean gap between the distinct values of a meshgrid coordinate.
+
+    The values of ``coord`` are those of its 1-D line along ``axis``, so
+    the line is sorted and deduplicated instead of the whole field —
+    exactly the values ``np.unique`` would return (which would also
+    import ``numpy.ma``); 1.0 for a single value.
+    """
+    line = np.sort(coord[(0,) * axis + (slice(None),) + (0,) * (coord.ndim - axis - 1)])
+    distinct = line[np.concatenate(([True], line[1:] != line[:-1]))]
+    return float(np.mean(np.diff(distinct))) if distinct.size > 1 else 1.0
+
+
 def _smear_weight(mask: np.ndarray, coords: tuple[np.ndarray, ...],
                   smear: float) -> np.ndarray:
     """Smooth 0..1 blending weight around the boundary of ``mask``.
@@ -214,7 +227,6 @@ def _smear_weight(mask: np.ndarray, coords: tuple[np.ndarray, ...],
     outside = distance_to_background(~mask)
     # Convert cell-count distances to physical distances using the mean
     # local spacing (adequate for mildly stretched grids).
-    spacing = np.mean([float(np.mean(np.diff(np.unique(c)))) if np.unique(c).size > 1 else 1.0
-                       for c in coords])
+    spacing = np.mean([_mean_spacing(c, d) for d, c in enumerate(coords)])
     signed = (inside - outside) * spacing
     return 0.5 * (1.0 + np.tanh(signed / max(smear, 1e-300)))

@@ -59,7 +59,6 @@ from repro.solver.sweep import (
     validate_fusion,
     validate_sweep_layout,
 )
-from repro.solver.viscous import Viscosity, viscous_rhs
 from repro.solver.workspace import CONTROL_WORDS, SolverWorkspace
 from repro.state.conversions import cons_to_prim, cons_to_prim_tile, row_tiles
 from repro.state.layout import StateLayout
@@ -69,7 +68,8 @@ from repro.weno import halo_width, reconstruct_faces
 
 #: Words of :attr:`SolverWorkspace.control`: the launch's flags, the RK
 #: buffers (indices into ``(rk_result, rk_stage)``) the stage reads and
-#: writes, its coefficients, and from ``_DT`` on one dt per case.
+#: writes — the step input ``q_n`` is the one ``_DEST`` is not —, its
+#: coefficients, and from ``_DT`` on one dt per case.
 _FLAGS, _SRC, _DEST, _A, _B, _C = range(CONTROL_WORDS)
 _DT = CONTROL_WORDS
 #: What a launch adds around each tile's sweep: before it, zero the
@@ -111,6 +111,7 @@ class _Launch:
         flags = int(ctl[_FLAGS])
         bufs = (ws.rk_result, ws.rk_stage)
         q_k, dest = bufs[int(ctl[_SRC])], bufs[int(ctl[_DEST])]
+        q_n = bufs[1 - int(ctl[_DEST])]
         rate = None
         if flags & RATE:
             rate = (xp.zeros(ws.shape[1], dtype=ws.dtype) if nb else 0.0)
@@ -145,7 +146,7 @@ class _Launch:
             nonconservative_tile(layout, ws.prim[idx], ws.divu[idx[1:]], dq,
                                  new)
             if flags & COMBINE:
-                shu_osher_tile(ws.rk_result[idx], q_k[idx], dq, dest[idx],
+                shu_osher_tile(q_n[idx], q_k[idx], dq, dest[idx],
                                new(dq.shape), a, b, tile_of(cdt, idx[1:]))
 
         limited = self.engine.sweep(
@@ -180,6 +181,8 @@ class RHSConfig:
             raise ConfigurationError(
                 f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
         if self.viscosity is not None:
+            from repro.solver.viscous import Viscosity
+
             Viscosity(tuple(self.viscosity))  # validates
 
 
@@ -274,8 +277,12 @@ class RHS(AbstractContextManager):
                 self.grid.centers(1).reshape(1, -1), dtype=self.dtype)
         else:
             self._radius = None
-        self._viscosity = (Viscosity(tuple(self.config.viscosity))
-                           if self.config.viscosity is not None else None)
+        self._viscosity = None
+        if self.config.viscosity is not None:
+            # Viscous terms load only for a viscous run.
+            from repro.solver.viscous import Viscosity
+
+            self._viscosity = Viscosity(tuple(self.config.viscosity))
         if self._viscosity is not None and len(self._viscosity.mu) != self.layout.ncomp:
             raise ConfigurationError(
                 f"{len(self._viscosity.mu)} viscosities for "
@@ -416,7 +423,8 @@ class RHS(AbstractContextManager):
             one through this).
         stage:
             A :class:`~repro.timestepping.ssp_rk.Stage` to finish: ``q``
-            is then the workspace's ``rk_result`` or ``rk_stage`` and the
+            is then the workspace's ``rk_result`` or ``rk_stage``, the
+            step input ``q_n`` the one ``stage.dest`` is not, and the
             RHS writes the stage combination into ``stage.dest`` too.
 
         The workspace path runs one launch per direction — on the gang
@@ -456,6 +464,7 @@ class RHS(AbstractContextManager):
                 raise ConfigurationError(
                     "a folded stage runs on the workspace's RK buffers")
             ctl[_SRC], ctl[_DEST] = bufs.index(id(q)), bufs.index(id(stage.dest))
+            q_n = (ws.rk_result, ws.rk_stage)[1 - int(ctl[_DEST])]
             ctl[_A], ctl[_B], ctl[_C] = stage.a, stage.b, stage.c
         for d in dirs:
             flags = 0
@@ -481,6 +490,8 @@ class RHS(AbstractContextManager):
                 apply_axisymmetric_terms(layout, ws.prim, q, self._radius,
                                          dqdt, ws.divu)
             if self._viscosity is not None:
+                from repro.solver.viscous import viscous_rhs
+
                 with timed(sw, "other"):
                     dqdt += viscous_rhs(layout, self.grid, ws.prim,
                                         self._viscosity)
@@ -490,7 +501,7 @@ class RHS(AbstractContextManager):
                 nonconservative_tile(layout, ws.prim[idx], ws.divu[rows],
                                      dqdt[idx], new)
                 if stage is not None:
-                    shu_osher_tile(ws.rk_result[idx], q[idx], dqdt[idx],
+                    shu_osher_tile(q_n[idx], q[idx], dqdt[idx],
                                    stage.dest[idx], new(dqdt[idx].shape),
                                    stage.a, stage.b, tile_of(cdt, (rows,)))
         if out is None:
@@ -532,6 +543,8 @@ class RHS(AbstractContextManager):
             apply_axisymmetric_terms(layout, prim, q, self._radius, dqdt, divu)
 
         if self._viscosity is not None:
+            from repro.solver.viscous import viscous_rhs
+
             with timed(sw, "other"):
                 dqdt += viscous_rhs(layout, self.grid, prim, self._viscosity)
 

@@ -16,12 +16,13 @@ machine faults, so the driver layers three defenses on top of the plain
 loop (all off by default, all bitwise neutral when idle):
 
 * a **step guard** (``retry=RetryPolicy(...)``): every step is
-  validated post hoc; a failed step rolls the state back to the
-  workspace's rollback snapshot and re-runs under the policy — first at
-  the same dt (healing transient faults bitwise identically to a clean
-  run), then with dt backoff, then down the scheme-escalation ladder —
-  raising :class:`~repro.solver.resilience.SimulationDivergedError`
-  only when everything is exhausted;
+  validated post hoc; a failed step is discarded (no attempt writes the
+  step input, so the input is the rollback) and re-run under the policy
+  — first at the same dt (healing transient faults bitwise identically
+  to a clean run), then with dt backoff, then down the
+  scheme-escalation ladder — raising
+  :class:`~repro.solver.resilience.SimulationDivergedError` only when
+  everything is exhausted;
 * **periodic validation** (``validate_every``) and **rotating durable
   checkpoints** (``checkpoint_every`` + ``checkpoint_dir``) inside
   :meth:`run`, with :meth:`restore_latest` falling back past corrupt
@@ -48,7 +49,6 @@ import numpy as np
 
 from repro.acc.gang import plan_gang_width
 from repro.backend import (
-    array_namespace,
     precision_dtype,
     resolve_backend,
     to_host_array,
@@ -56,7 +56,6 @@ from repro.backend import (
 from repro.bc.boundary import BC, BoundarySet
 from repro.common import ConfigurationError, NumericsError, Stopwatch, WallTimer
 from repro.io.binary import read_snapshot, write_snapshot
-from repro.io.checkpoint import CheckpointManager
 from repro.solver.case import Case
 from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.resilience import (
@@ -212,9 +211,10 @@ class Simulation(KnobAccess, AbstractContextManager):
         body.  Without a :class:`~repro.solver.resilience.RetryPolicy`
         there is one attempt and nothing else — no snapshot, no
         post-step check.  With one the step is guarded: the post-step
-        state is validated and a failure rolls back to the workspace's
-        rollback snapshot and retries under the policy — first at the
-        same dt, then with dt backoff, then down the escalation ladder —
+        state is validated and a failure discards it (the step input,
+        which no attempt writes, is the rollback) and retries under the
+        policy — first at the same dt, then with dt backoff, then down
+        the escalation ladder —
         raising :class:`~repro.solver.resilience.SimulationDivergedError`
         when everything is exhausted (the pre-step state is left
         restored, so checkpoint-based recovery can take over).
@@ -227,16 +227,10 @@ class Simulation(KnobAccess, AbstractContextManager):
         ladder = self._escalation_ladder
         attempts = 1
         if policy is not None:
+            # No snapshot: a step never writes its input (the RK stages
+            # land in the workspace's other buffer, or in fresh arrays),
+            # so a failed attempt retries from self.q as it stands.
             attempts += policy.max_retries + len(ladder)
-            # q may alias ws.rk_result (a failed RK step clobbers it; a
-            # foreign q is copied there first), so the guard snapshots
-            # into the workspace-owned rollback buffer — no per-step
-            # allocation.
-            xp = array_namespace(self.q)
-            ws = self.rhs.workspace
-            if ws is not None:
-                xp.copyto(ws.rollback, self.q)
-            snapshot = ws.rollback if ws is not None else xp.copy(self.q)
         widths = self.grid.width_fields()
         dts: list[float] = []
         schemes: list[str] = []
@@ -268,7 +262,6 @@ class Simulation(KnobAccess, AbstractContextManager):
                 self.q = q_new
                 break
             self.recovery.guard_failures += 1
-            xp.copyto(self.q, snapshot)
             self.recovery.rollbacks += 1
             if attempt + 1 < attempts:
                 self.recovery.retries += 1
@@ -433,6 +426,8 @@ class Simulation(KnobAccess, AbstractContextManager):
             if self.checkpoint_dir is None:
                 raise ConfigurationError(
                     "no checkpoint_dir configured on this Simulation")
+            from repro.io.checkpoint import CheckpointManager
+
             self._ckpt_manager = CheckpointManager(
                 self.checkpoint_dir, keep=self.checkpoint_keep)
         return self._ckpt_manager

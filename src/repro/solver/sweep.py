@@ -55,12 +55,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.acc.fusion import (
+from repro.acc.fusion.graph import (
     FUSION_MODES,
-    FusedKernelSpec,
-    FusionContext,
-    fused_kernel,
-    kernel_signature,
     plan_fusion,
     sweep_stage_graph,
     validate_fusion,
@@ -191,7 +187,7 @@ class SweepEngine:
         #: the physical shape: the batch axis is never a candidate).
         self.transposed_axes = frozenset(
             d + nb for d in plan_transposed_axes(sweep_layout, len(shape)))
-        self._ctx = FusionContext(layout, mixture, self.riemann)
+        self._ctx = None
         self._kernels: dict[int, tuple] = {}
         self.plans: dict[int, SweepPlan] = {}
         device = device if device is not None else default_host_device()
@@ -208,6 +204,15 @@ class SweepEngine:
             # Kernels that do not pack exist for the strided layout only.
             fuse = fused and (pack or kind == "strided")
             if fuse:
+                # The generator loads only when a sweep fuses.
+                from repro.acc.fusion.cache import fused_kernel
+                from repro.acc.fusion.codegen import (
+                    FusedKernelSpec,
+                    FusionContext,
+                    kernel_signature,
+                )
+
+                self._ctx = FusionContext(layout, mixture, self.riemann)
                 spec = FusedKernelSpec(
                     kind=kind, pack=pack, ndim=ndim, d=d, order=order,
                     riemann_solver=config.riemann_solver,

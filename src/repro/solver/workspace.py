@@ -36,8 +36,8 @@ process plus forked workers.  Buffers divide into two ownership classes:
   inside their own slab span, so no synchronisation is needed beyond
   the launch barrier; ``control`` is written by the parent between
   launches only.
-* **Private per process** — everything else: the rollback snapshot
-  (only the driver writes it), the whole-block buffers of a rank-local
+* **Private per process** — everything else: the ``rollback`` buffer
+  (no step writes it), the whole-block buffers of a rank-local
   sweep, and every :class:`TileArena` and tile scratch.  A worker
   inherits the workspace copy-on-write at its fork and
   :meth:`SolverWorkspace.tile_arena` carves its arenas from its own
@@ -263,10 +263,11 @@ class SolverWorkspace:
         RHS accumulators (conservative tendency, face-velocity
         divergence).
     rk_stage, rk_result:
-        The two Shu-Osher buffers: the intermediate stages update
-        ``rk_stage`` in place, and ``rk_result`` holds the step input
-        (a foreign one is copied in) and then its output, so it is
-        safely reusable as the next step's input.
+        The two Shu-Osher buffers, trading roles each step: one holds
+        the step input (a foreign one is copied into ``rk_result``) and
+        is never written, every stage lands in the other
+        (:func:`~repro.timestepping.ssp_rk.stage_buffer`), which is then
+        the next step's input.
     control:
         The folded step's launch record (float64: flags, source and
         destination buffer, the three stage coefficients, then one dt
@@ -277,11 +278,9 @@ class SolverWorkspace:
         over — the sweep engine's own tiles when an engine built this
         workspace (:attr:`~repro.solver.sweep.SweepEngine.rows`).
     rollback:
-        Pre-step snapshot of the conserved state for the driver's
-        failure guard: the guarded step copies ``q`` here before
-        advancing and restores from it on a failed validation, so
-        rollback-retry performs zero steady-state allocations.  Written
-        only by the (serial) driver, never by kernels.
+        A state-sized buffer no step writes (a guarded step rolls back
+        to its untouched input).  Kept allocated for the guard probe of
+        ``benchmarks/e2e/probes.py``, which copies into it.
     padded, face_l, face_r, flux, u_face, weno_scratch, riemann_scratch:
         Whole-block per-direction buffers (ghost-padded primitives,
         face states, Riemann flux, interface velocity, kernel scratch),
@@ -336,14 +335,14 @@ class SolverWorkspace:
         self.prim = field_alloc.empty(self.shape, dtype=np_dtype)
         self.dqdt = field_alloc.empty(self.shape, dtype=np_dtype)
         self.divu = field_alloc.empty(spatial, dtype=np_dtype)
-        # SSP-RK buffers: the stage buffer (updated in place) + result.
+        # SSP-RK buffers: step input and stage output, trading roles.
         self.rk_stage = field_alloc.empty(self.shape, dtype=np_dtype)
         self.rk_result = field_alloc.empty(self.shape, dtype=np_dtype)
         words = (CONTROL_WORDS + (batch or 1),)
         self.control = (shared_array(words, np.float64) if shared
                         else np.zeros(words))
 
-        # Failure-guard rollback snapshot (driver-owned).
+        # Never written by a step; the e2e guard probe copies into it.
         self.rollback = new(self.shape)
         self.rows = list(rows) if rows is not None else row_spans(self.shape)
 

@@ -83,22 +83,24 @@ def shu_osher_tile(q_n, q_k, L, out, tmp, a, b, cdt) -> None:
     xp.add(out, tmp, out=out)
 
 
-def stage_buffer(workspace, k: int, n_stages: int):
-    """Destination of stage ``k``: the result buffer for the last stage,
-    else the one stage buffer.
+def stage_buffer(workspace, q_n):
+    """The RK buffer every stage of a step from ``q_n`` writes: the one
+    that is not ``q_n``.
 
-    The result buffer may alias ``q_n`` (it is the previous step's
-    output), so ``q_n`` stays intact until the final combination; the
-    intermediate stages update ``rk_stage`` in place.
+    Stage one fills it and each later stage updates it in place, so
+    ``q_n`` survives the step untouched (a failed guarded step retries
+    from it, no snapshot taken) and the two buffers trade roles from one
+    step to the next.
     """
-    return workspace.rk_result if k == n_stages - 1 else workspace.rk_stage
+    return (workspace.rk_result if q_n is workspace.rk_stage
+            else workspace.rk_stage)
 
 
 @dataclass
 class Stage:
     """One stage a folding RHS completes itself: after ``L(q_k)`` it
     writes ``dest = a*q_n + b*q_k + (c*dt)*L`` tile by tile, where
-    ``q_n`` is the workspace's ``rk_result`` (the step input).
+    ``q_n`` (the step input) is the workspace's other RK buffer.
 
     ``dt`` is the RK form of the step — a scalar or a batch's per-case
     field — or a callable :meth:`resolve` calls once: with the wave rate
@@ -138,8 +140,9 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
 
     With a :class:`~repro.solver.workspace.SolverWorkspace` the stages
     run through preallocated buffers and the returned array is the
-    workspace's ``rk_result`` (reused on the next call — copy it if you
-    need it to survive).  The workspace path requires an ``rhs``
+    workspace's RK buffer that ``q`` is not (:func:`stage_buffer`;
+    written again by the step after next — copy it if you need it to
+    survive).  The workspace path requires an ``rhs``
     accepting ``out=`` and ``prim=`` keywords (the solver's
     :class:`~repro.solver.rhs.RHS` does); ``prim0``, when given, is the
     precomputed primitive field of ``q`` forwarded to the first stage so
@@ -147,9 +150,10 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     ``cons_to_prim``.  Every combination runs tile by tile: when ``rhs``
     :func:`folds`, inside its own last sweep (``stage=`` keyword, on the
     gang's members when it has one), else on the caller over the
-    workspace's row tiles.  Intermediate stages update the one stage
-    buffer in place, and a foreign ``q`` is first copied into
-    ``rk_result``, where a folding RHS's gang members can reach it.
+    workspace's row tiles.  Every stage after the first updates the
+    stage buffer in place, so ``q`` is never written; a foreign ``q``
+    is first copied into ``rk_result``, where a folding RHS's gang
+    members can reach it.
 
     ``dt`` may be a scalar or an array broadcastable against ``q``'s
     trailing axes — the ensemble engine passes a per-case dt field of
@@ -187,13 +191,13 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     if rate and not fold:
         raise ConfigurationError(
             "rate=True needs an rhs that folds its stages on the workspace")
-    if fold and q is not ws.rk_result:
+    if fold and q is not ws.rk_result and q is not ws.rk_stage:
         array_namespace(q).copyto(ws.rk_result, q)
         q = ws.rk_result
     q_n = q
     q_k = q
+    out = stage_buffer(ws, q_n)
     for k, (a, b, c) in enumerate(stages):
-        out = stage_buffer(ws, k, len(stages))
         prim = prim0 if k == 0 else None
         if fold:
             stage = Stage(out, a, b, c, dt, rate=rate and k == 0)

@@ -16,39 +16,21 @@ Entry points: ``Simulation(tuning="auto")``, the ``tune`` CLI
 subcommand, ``make tune``; see ``docs/tuning.md``.
 """
 
-from repro.tuning.autotune import Autotuner
-from repro.tuning.cache import (
-    CACHE_ENV_VAR,
-    CACHE_FORMAT_VERSION,
-    DEFAULT_CACHE_PATH,
-    TuningCache,
-    resolve_cache_path,
-)
-from repro.tuning.plan import (
-    PLAN_SOURCES,
-    TuningPlan,
-    case_signature,
-    heuristic_plan,
-    host_fingerprint,
-    plan_cache_key,
-    resolve_plan,
-)
-from repro.tuning.registry import REGISTRY_VERSION, candidate_plans
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Autotuner",
-    "heuristic_plan",
-    "TuningCache",
-    "TuningPlan",
-    "CACHE_ENV_VAR",
-    "CACHE_FORMAT_VERSION",
-    "DEFAULT_CACHE_PATH",
-    "PLAN_SOURCES",
-    "REGISTRY_VERSION",
-    "candidate_plans",
-    "case_signature",
-    "host_fingerprint",
-    "plan_cache_key",
-    "resolve_cache_path",
-    "resolve_plan",
-]
+#: Every export and the submodule it lives in, imported on first access:
+#: an untuned run needs only :mod:`repro.tuning.plan`, never the tuner,
+#: its cache or the registry fingerprint.
+_EXPORTS = {
+    "Autotuner": "autotune",
+    "CACHE_ENV_VAR": "cache", "CACHE_FORMAT_VERSION": "cache",
+    "DEFAULT_CACHE_PATH": "cache", "TuningCache": "cache",
+    "resolve_cache_path": "cache",
+    "PLAN_SOURCES": "plan", "TuningPlan": "plan", "case_signature": "plan",
+    "heuristic_plan": "plan", "host_fingerprint": "plan",
+    "plan_cache_key": "plan", "resolve_plan": "plan",
+    "REGISTRY_VERSION": "registry", "candidate_plans": "registry",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS]

@@ -15,7 +15,6 @@ upgrade, re-tunes instead of replaying a stale plan.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -28,7 +27,6 @@ from repro.common import DTYPE, ConfigurationError
 from repro.common.checks import integer, optional
 from repro.hardware.devices import default_host_device, get_device
 from repro.solver.sweep import validate_fusion, validate_sweep_layout
-from repro.tuning.registry import REGISTRY_VERSION
 
 #: Sources a plan can come from (how much to trust its timings).
 PLAN_SOURCES = ("heuristic", "tuned", "cache", "manual")
@@ -221,8 +219,12 @@ def host_fingerprint(device=None) -> dict:
 
 def plan_cache_key(signature: dict, fingerprint: dict) -> str:
     """Deterministic cache key: signature + fingerprint + registry version."""
+    import hashlib
+
+    from repro.tuning.registry import registry_version
+
     payload = json.dumps(
         {"signature": signature, "host": fingerprint,
-         "registry": REGISTRY_VERSION},
+         "registry": registry_version()},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

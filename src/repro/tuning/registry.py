@@ -21,19 +21,25 @@ replaying a winner chosen from a different search space.
 
 from __future__ import annotations
 
-import hashlib
+from functools import cache
 
 from repro.backend import BACKEND_NAMES, resolve_backend
 from repro.solver.sweep import FUSION_MODES, SWEEP_LAYOUTS
 
 
-def _derive_registry_version() -> str:
-    """Fingerprint of the registered choice axes.
+@cache
+def registry_version() -> str:
+    """Fingerprint of the registered choice axes; part of every cache key.
 
     Any change to the choice space — new sweep layout, new fusion mode,
     new backend — yields a new version string, so every cached plan
-    tuned against the old space misses and re-tunes.
+    tuned against the old space misses and re-tunes.  Caches written
+    before the fusion axis existed carried the literal version ``1``
+    and therefore always miss.  Derived on first use: a run that never
+    tunes never imports ``hashlib``.
     """
+    import hashlib
+
     axes = [
         "layout:" + ",".join(SWEEP_LAYOUTS),
         "fusion:" + ",".join(FUSION_MODES),
@@ -43,10 +49,11 @@ def _derive_registry_version() -> str:
     return f"2:{digest}"
 
 
-#: Derived from the choice axes (see :func:`_derive_registry_version`);
-#: part of every cache key.  Caches written before the fusion axis
-#: existed carried the literal version ``1`` and therefore always miss.
-REGISTRY_VERSION = _derive_registry_version()
+def __getattr__(name: str):
+    # ``REGISTRY_VERSION`` is :func:`registry_version`, resolved on access.
+    if name == "REGISTRY_VERSION":
+        return registry_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def candidate_plans(*, ndim: int, cpu_count: int,

@@ -22,8 +22,8 @@ from hypothesis.extra import numpy as hnp
 
 import repro.solver.case as case_module
 from repro.eos import Mixture, StiffenedGas
-from repro.grid import StructuredGrid
-from repro.io.case_files import load_case, load_ensemble_spec
+from repro.grid import CylindricalGrid, StructuredGrid
+from repro.io.case_files import case_to_dict, load_case, load_ensemble_spec
 from repro.solver import Case, Patch, box, sphere
 from repro.solver.case import distance_to_background
 
@@ -164,41 +164,177 @@ class TestOneSidedMasks:
         assert (smeared == smeared[(slice(None),) + (slice(0, 1),) * 2]).all()
 
 
-COLD_START = """
-import re, sys
-from repro.bc import BoundarySet
-from repro.eos import Mixture, StiffenedGas
-from repro.grid import StructuredGrid
-from repro.solver import Case, Patch, Simulation, box, sphere
+class TestMeanSpacing:
+    """The smear spacing, from each axis's 1-D coordinate line, equals
+    the ``np.unique``-over-the-whole-field formula it replaced bit for
+    bit (and never imports ``numpy.ma``)."""
 
-grid = StructuredGrid.uniform(((0.0, 1.0), (0.0, 1.0)), (16, 16))
-case = Case(grid, Mixture((StiffenedGas(1.4, 0.0), StiffenedGas(1.667, 0.0))))
-case.add(Patch(box([0, 0], [1, 1]), (1.0, 0.0002), (0.0, 0.0), 1.0, (0.999,)))
-case.add(Patch(sphere([0.4, 0.5], 0.2), (0.001, 0.1819), (0.0, 0.0), 1.0,
-               (0.001,), smear=0.05))
-with Simulation(case, BoundarySet.all_extrapolation(2)) as sim:
-    sim.run(n_steps=1)
-    assert sim.step_count == 1
-print(sorted(m for m in sys.modules
-             if re.match(r"scipy|repro\\.cluster\\.procs|repro\\.weno\\.stacked"
-                         r"|repro\\.riemann\\.fused|repro\\.backend\\.torch_adapter",
-                         m)))
-print(sum(m.split(".")[0] == "repro" for m in sys.modules))
+    @staticmethod
+    def unique_spacing(coords):
+        return np.mean([float(np.mean(np.diff(np.unique(c))))
+                        if np.unique(c).size > 1 else 1.0 for c in coords])
+
+    @pytest.mark.parametrize("grid", [
+        StructuredGrid.uniform(((0.0, 1.0),), (17,)),
+        StructuredGrid.uniform(((0.0, 1.0), (-2.0, 3.0)), (12, 7)),
+        StructuredGrid.uniform(((0.0, 4e-3),) * 3, (9, 6, 5)),
+        StructuredGrid.uniform(((0.0, 1.0), (0.0, 1.0)), (1, 8)),
+        StructuredGrid.stretched(((0.0, 1.0), (0.0, 2.0)), (24, 31),
+                                 focus=(0.3, 1.7), strength=3.0),
+        StructuredGrid.stretched(((-1.0, 1.0),) * 3, (10, 12, 14),
+                                 focus=(0.0, 0.5, -0.5)),
+        # Axisymmetric (x, r) and the (z, r) plane of a cylindrical grid.
+        StructuredGrid.uniform(((0.0, 2.0), (0.05, 1.0)), (20, 13)),
+        CylindricalGrid(StructuredGrid.stretched(
+            ((0.0, 1.0), (0.01, 0.5)), (16, 11), focus=(0.5, 0.01)), 8).zr,
+    ], ids=["1d", "2d", "3d", "one-cell-axis", "tanh-2d", "tanh-3d",
+            "axisymmetric", "cylindrical-zr"])
+    def test_bitwise_equal_to_unique(self, grid):
+        coords = grid.meshgrid()
+        ours = np.mean([case_module._mean_spacing(c, d)
+                        for d, c in enumerate(coords)])
+        assert ours.tobytes() == self.unique_spacing(coords).tobytes()
+
+
+#: One case file per entry path, written by :func:`cold_inputs`.
+COLD_RUN = r"""
+import json, sys
+mode, path = sys.argv[1:]
+if mode == "ensemble":
+    from repro.bc import BoundarySet
+    from repro.ensemble import EnsembleService
+    from repro.io.case_files import load_ensemble_spec
+    from repro.solver import RHSConfig
+    jobs, width, options, service = load_ensemble_spec(path)
+    svc = EnsembleService(jobs, BoundarySet.all_extrapolation(2),
+                          batch_width=width, config=RHSConfig(),
+                          **options, **service)
+    assert all(job.status == "done" for job in svc.run().jobs)
+elif mode == "cli":
+    import runpy
+    sys.argv = ["repro", "run", path, "--steps", "2", "--snapshot", "q.bin"]
+    try:
+        runpy.run_module("repro", run_name="__main__")
+    except SystemExit as stop:
+        assert not stop.code, stop.code
+else:
+    from repro.bc import BoundarySet
+    from repro.io.binary import write_snapshot
+    from repro.io.case_files import load_case, load_solver_options
+    from repro.solver import RHSConfig, Simulation
+    case = load_case(path)
+    with Simulation(case, BoundarySet.all_extrapolation(case.grid.ndim),
+                    config=RHSConfig(), **load_solver_options(path)) as sim:
+        sim.run(n_steps=2)
+        sim.validate_state()
+        write_snapshot("q.bin", sim.q, step=sim.step_count, time=sim.time)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
 
-#: ``repro`` modules a plain run may load (85 measured).
-MAX_REPRO_MODULES = 86
+#: ``repro`` modules each entry path may load (measured: plain 58,
+#: fused 61, ranks=2 64, ensemble 66; 85, 85, 88 and 92 before the
+#: package exports went lazy).
+COLD_CAPS = {"plain": 60, "fused": 62, "ranks2": 64, "ensemble": 66}
+
+#: Never loaded by a run: the analytic models, the report writers, the
+#: tuner and its cache, the post-processor, parallel and series I/O,
+#: unselected Riemann solvers, inviscid-run extras, the SciPy oracle
+#: and what ``np.unique`` / the registry hash used to pull in.
+NEVER_LOADED = (
+    "repro.hardware.costmodel", "repro.hardware.roofline",
+    "repro.hardware.transfer", "repro.hardware.workloads",
+    "repro.hardware.cache", "repro.profiling.profiler",
+    "repro.profiling.reports", "repro.profiling.roofline_plot",
+    "repro.io.parallel", "repro.io.silo", "repro.io.series",
+    "repro.tuning.autotune", "repro.tuning.cache",
+    "repro.riemann.hll", "repro.riemann.rusanov",
+    "repro.solver.diagnostics", "repro.solver.viscous",
+    "scipy", "numpy.ma", "hashlib",
+)
+
+
+def _case_spec(shape, **solver) -> dict:
+    nd = len(shape)
+    case = two_fluid_case(shape, sphere([0.4] * nd, 0.2), 0.05)
+    spec = case_to_dict(case, geometries=[
+        {"kind": "box", "lo": [0.0] * nd, "hi": [1.0] * nd},
+        {"kind": "sphere", "center": [0.4] * nd, "radius": 0.2}])
+    if solver:
+        spec["solver"] = solver
+    return spec
+
+
+@pytest.fixture(scope="module")
+def cold_inputs(tmp_path_factory):
+    """Input file of each entry path: a plain 2D run, the production 3D
+    one (fused, transposed, guarded, checkpointed), two ranks, and a
+    supervised durable campaign."""
+    root = tmp_path_factory.mktemp("cold")
+    specs = {
+        "plain": _case_spec((24, 24)),
+        "fused": _case_spec((12, 12, 12), layout="transposed", fusion="on",
+                            retry={"max_retries": 4}, validate_every=2,
+                            checkpoint_every=2, checkpoint_dir="ckpt"),
+        "ranks2": _case_spec((32, 32), ranks=2, checkpoint_every=2,
+                             checkpoint_dir="ckpt"),
+        "ensemble": {
+            "batch_width": 2,
+            "jobs": [{"name": f"j{i}", "t_end": 0.004,
+                      "case": _case_spec((16, 16))} for i in range(3)],
+            "service": {"ledger": "campaign.ledger",
+                        "checkpoint_dir": "ckpt", "results_dir": "results",
+                        "checkpoint_every": 2}},
+    }
+    paths = {}
+    for name, spec in specs.items():
+        paths[name] = root / name / "input.json"
+        paths[name].parent.mkdir()
+        paths[name].write_text(json.dumps(spec))
+    return paths
+
+
+def cold_modules(mode: str, path: Path) -> set[str]:
+    """Every module a fresh interpreter holds after the path ran."""
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, mode, str(path)],
+        capture_output=True, text=True, timeout=180, cwd=path.parent,
+        env={"PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr.strip().splitlines()[-1]))
+
+
+def repro_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "repro"}
 
 
 class TestColdStart:
-    def test_plain_run_imports_neither_scipy_nor_the_cluster_stack(self):
-        done = subprocess.run(
-            [sys.executable, "-c", COLD_START], capture_output=True,
-            text=True, timeout=120, env={"PYTHONPATH": str(ROOT / "src")})
-        assert done.returncode == 0, done.stderr
-        absent, loaded = done.stdout.split("\n")[:2]
-        assert absent == "[]"
-        assert int(loaded) <= MAX_REPRO_MODULES
+    """A run imports what it runs: a budget per entry path."""
+
+    @pytest.mark.parametrize("path", sorted(COLD_CAPS))
+    def test_entry_path_budget(self, path, cold_inputs):
+        loaded = cold_modules("ensemble" if path == "ensemble" else "run",
+                              cold_inputs[path])
+        never = set(NEVER_LOADED)
+        if path == "ensemble":
+            # The service names jobs and batches by content hash.
+            never.discard("hashlib")
+        if path != "ranks2":
+            never.add("repro.cluster")
+        if path != "fused":
+            never |= {"repro.acc.fusion.codegen", "repro.acc.fusion.cache"}
+        assert sorted(never & loaded) == []
+        assert len(repro_modules(loaded)) <= COLD_CAPS[path]
+
+    def test_cli_run_loads_the_library_path(self, cold_inputs):
+        cli = repro_modules(cold_modules("cli", cold_inputs["plain"]))
+        library = repro_modules(cold_modules("run", cold_inputs["plain"]))
+        assert cli == library
+
+    def test_plain_run_imports_neither_scipy_nor_the_cluster_stack(
+            self, cold_inputs):
+        loaded = cold_modules("run", cold_inputs["plain"])
+        assert sorted(m for m in loaded if m.split(".")[0] == "scipy"
+                      or m.startswith("repro.cluster")) == []
 
     def test_no_scipy_import_under_src(self):
         pattern = re.compile(r"^\s*(from|import)\s+scipy\b", re.MULTILINE)
@@ -216,8 +352,10 @@ class TestLazyClusterExports:
         assert ProcessCluster.__module__ == "repro.cluster.procs"
         assert RankSolver.__module__ == "repro.cluster.ranksolver"
 
-    @pytest.mark.parametrize("package", ["repro.cluster", "repro.acc",
-                                         "repro.profiling"])
+    @pytest.mark.parametrize("package", [
+        "repro.cluster", "repro.acc", "repro.profiling", "repro.hardware",
+        "repro.io", "repro.tuning", "repro.riemann", "repro.grid",
+        "repro.fields", "repro.solver", "repro.acc.fusion", "repro.backend"])
     def test_every_exported_name_resolves(self, package):
         module = importlib.import_module(package)
         assert len(set(module.__all__)) == len(module.__all__)

@@ -404,16 +404,19 @@ class TestFoldedStep:
         with Simulation(bubble_case(shape), bcs,
                         tuning={"tiles": 4, "threads": 2}, **kwargs) as sim:
             gang = sim.rhs.executor
+            ws = sim.rhs.workspace
             for _ in range(3):
-                before = gang.launches
+                before, q_n = gang.launches, sim.q
                 sim.step()
                 ref.step()
                 assert gang.launches - before == launches
+                # The step's output is the shared RK buffer its input is
+                # not: the next step's input, reachable by every member
+                # without a copy.
+                assert sim.q is (ws.rk_result if q_n is ws.rk_stage
+                                 else ws.rk_stage)
             assert sim.q.tobytes() == ref.q.tobytes()
             assert sim.time == ref.time
-            # The step's output is the shared result buffer: the next
-            # step's input, reachable by every member without a copy.
-            assert sim.q is sim.rhs.workspace.rk_result
 
     @pytest.mark.parametrize("mode", ["serial", "gang", "ranks=2"])
     def test_nan_cell_raises_at_the_first_step(self, mode):
