@@ -11,40 +11,40 @@ interface normal velocity used by the nonconservative
 :math:`\\alpha\\,\\nabla\\!\\cdot u` term.
 """
 
-import importlib
+import sys
 from collections.abc import Mapping
 
 from repro.common import ConfigurationError
 from repro.common.lazy import lazy_exports
 from repro.riemann.common import FaceStates, decompose_faces, physical_flux
 
+_NAMES = ("hllc", "hll", "rusanov")
+
+#: Each solver ``<name>_flux`` lives in the submodule of its name and
+#: is imported on first access, so a run loads only the one it selected.
+__getattr__ = lazy_exports(__name__, {f"{name}_flux": name for name in _NAMES})
+
 
 class _Solvers(Mapping):
-    """Solver name -> flux kernel.  Each solver lives in the submodule of
-    its name as ``<name>_flux``, imported on first lookup, so a run
-    loads only the solver it selected."""
-
-    _NAMES = ("hllc", "hll", "rusanov")
+    """Solver name -> flux kernel, resolved through the package's lazy
+    exports."""
 
     def __getitem__(self, name: str):
-        if name not in self._NAMES:
+        if name not in _NAMES:
             raise KeyError(name)
-        return getattr(importlib.import_module(f"{__name__}.{name}"),
-                       f"{name}_flux")
+        return getattr(sys.modules[__name__], f"{name}_flux")
 
     def __contains__(self, name) -> bool:
-        return name in self._NAMES
+        return name in _NAMES
 
     def __iter__(self):
-        return iter(self._NAMES)
+        return iter(_NAMES)
 
     def __len__(self) -> int:
-        return len(self._NAMES)
+        return len(_NAMES)
 
 
 SOLVERS = _Solvers()
-
-__getattr__ = lazy_exports(__name__, {f"{name}_flux": name for name in SOLVERS})
 
 
 def resolve_riemann_flux(solver: str):

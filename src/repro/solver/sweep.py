@@ -212,7 +212,8 @@ class SweepEngine:
                     kernel_signature,
                 )
 
-                self._ctx = FusionContext(layout, mixture, self.riemann)
+                if self._ctx is None:
+                    self._ctx = FusionContext(layout, mixture, self.riemann)
                 spec = FusedKernelSpec(
                     kind=kind, pack=pack, ndim=ndim, d=d, order=order,
                     riemann_solver=config.riemann_solver,

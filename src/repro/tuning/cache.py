@@ -38,7 +38,7 @@ except ImportError:  # non-POSIX: stores fall back to lockless writes
     fcntl = None
 
 from repro.tuning.plan import TuningPlan
-from repro.tuning.registry import registry_version
+from repro.tuning.registry import REGISTRY_VERSION
 
 #: On-disk format version (the file layout, not the variant registry).
 CACHE_FORMAT_VERSION = 1
@@ -89,7 +89,7 @@ class TuningCache:
             return {}
         if (not isinstance(data, dict)
                 or data.get("version") != CACHE_FORMAT_VERSION
-                or data.get("registry") != registry_version()
+                or data.get("registry") != REGISTRY_VERSION
                 or not isinstance(data.get("entries"), dict)):
             self.corrupt_events += 1
             return {}
@@ -142,7 +142,7 @@ class TuningCache:
             entries[key] = plan.as_dict()
             payload = json.dumps(
                 {"version": CACHE_FORMAT_VERSION,
-                 "registry": registry_version(), "entries": entries},
+                 "registry": REGISTRY_VERSION, "entries": entries},
                 indent=2, sort_keys=True) + "\n"
             fd, tmp = tempfile.mkstemp(dir=self.path.parent,
                                        prefix=self.path.name, suffix=".tmp")

@@ -221,10 +221,10 @@ def plan_cache_key(signature: dict, fingerprint: dict) -> str:
     """Deterministic cache key: signature + fingerprint + registry version."""
     import hashlib
 
-    from repro.tuning.registry import registry_version
+    from repro.tuning.registry import REGISTRY_VERSION
 
     payload = json.dumps(
         {"signature": signature, "host": fingerprint,
-         "registry": registry_version()},
+         "registry": REGISTRY_VERSION},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

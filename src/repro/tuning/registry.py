@@ -21,25 +21,19 @@ replaying a winner chosen from a different search space.
 
 from __future__ import annotations
 
-from functools import cache
+import hashlib
 
 from repro.backend import BACKEND_NAMES, resolve_backend
 from repro.solver.sweep import FUSION_MODES, SWEEP_LAYOUTS
 
 
-@cache
-def registry_version() -> str:
-    """Fingerprint of the registered choice axes; part of every cache key.
+def _derive_registry_version() -> str:
+    """Fingerprint of the registered choice axes.
 
     Any change to the choice space — new sweep layout, new fusion mode,
     new backend — yields a new version string, so every cached plan
-    tuned against the old space misses and re-tunes.  Caches written
-    before the fusion axis existed carried the literal version ``1``
-    and therefore always miss.  Derived on first use: a run that never
-    tunes never imports ``hashlib``.
+    tuned against the old space misses and re-tunes.
     """
-    import hashlib
-
     axes = [
         "layout:" + ",".join(SWEEP_LAYOUTS),
         "fusion:" + ",".join(FUSION_MODES),
@@ -49,11 +43,10 @@ def registry_version() -> str:
     return f"2:{digest}"
 
 
-def __getattr__(name: str):
-    # ``REGISTRY_VERSION`` is :func:`registry_version`, resolved on access.
-    if name == "REGISTRY_VERSION":
-        return registry_version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: Derived from the choice axes (see :func:`_derive_registry_version`);
+#: part of every cache key.  Caches written before the fusion axis
+#: existed carried the literal version ``1`` and therefore always miss.
+REGISTRY_VERSION = _derive_registry_version()
 
 
 def candidate_plans(*, ndim: int, cpu_count: int,

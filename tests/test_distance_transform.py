@@ -236,20 +236,26 @@ print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 #: package exports went lazy).
 COLD_CAPS = {"plain": 60, "fused": 62, "ranks2": 64, "ensemble": 66}
 
+#: Modules deleted with the execution variants no workload ran; a run
+#: that loads one again has regrown a variant.
+DELETED_VARIANTS = ("repro.weno.stacked", "repro.riemann.fused",
+                    "repro.backend.torch_adapter")
+
 #: Never loaded by a run: the analytic models, the report writers, the
-#: tuner and its cache, the post-processor, parallel and series I/O,
-#: unselected Riemann solvers, inviscid-run extras, the SciPy oracle
-#: and what ``np.unique`` / the registry hash used to pull in.
+#: tuner, its cache and registry, the post-processor, parallel and
+#: series I/O, unselected Riemann solvers, inviscid-run extras, the
+#: deleted variants, the SciPy oracle and what ``np.unique`` / the
+#: registry hash used to pull in.
 NEVER_LOADED = (
     "repro.hardware.costmodel", "repro.hardware.roofline",
     "repro.hardware.transfer", "repro.hardware.workloads",
     "repro.hardware.cache", "repro.profiling.profiler",
     "repro.profiling.reports", "repro.profiling.roofline_plot",
     "repro.io.parallel", "repro.io.silo", "repro.io.series",
-    "repro.tuning.autotune", "repro.tuning.cache",
+    "repro.tuning.autotune", "repro.tuning.cache", "repro.tuning.registry",
     "repro.riemann.hll", "repro.riemann.rusanov",
     "repro.solver.diagnostics", "repro.solver.viscous",
-    "scipy", "numpy.ma", "hashlib",
+    *DELETED_VARIANTS, "scipy", "numpy.ma", "hashlib",
 )
 
 
@@ -334,7 +340,8 @@ class TestColdStart:
             self, cold_inputs):
         loaded = cold_modules("run", cold_inputs["plain"])
         assert sorted(m for m in loaded if m.split(".")[0] == "scipy"
-                      or m.startswith("repro.cluster")) == []
+                      or m.startswith("repro.cluster")
+                      or m in DELETED_VARIANTS) == []
 
     def test_no_scipy_import_under_src(self):
         pattern = re.compile(r"^\s*(from|import)\s+scipy\b", re.MULTILINE)

@@ -121,8 +121,8 @@ class TestCacheKey:
     def test_key_reacts_to_registry_version(self, monkeypatch):
         sig, fp = self._sim_parts()
         base = plan_cache_key(sig, fp)
-        monkeypatch.setattr("repro.tuning.registry.registry_version",
-                            lambda: REGISTRY_VERSION + "-stale")
+        monkeypatch.setattr("repro.tuning.registry.REGISTRY_VERSION",
+                            REGISTRY_VERSION + "-stale")
         assert plan_cache_key(sig, fp) != base
 
     def test_batched_signature_never_reuses_single_case_plans(self):

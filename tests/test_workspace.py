@@ -252,10 +252,10 @@ class TestAllocationBudget:
         assert stats.net_bytes < field_bytes
 
     def test_guarded_step_stays_under_budget(self):
-        # The failure guard (rollback snapshot + post-step validation)
-        # must ride on the workspace arena: its snapshot lives in
-        # ws.rollback and validation reuses ws.prim, so a guarded clean
-        # step fits the same transient budget as an unguarded one.
+        # The failure guard (retry from the untouched input buffer +
+        # post-step validation) must ride on the workspace arena: it
+        # takes no snapshot and validation reuses ws.prim, so a guarded
+        # clean step fits the same transient budget as an unguarded one.
         from repro.solver import RetryPolicy
 
         sim = Simulation(bubble_case(24), BoundarySet.all_periodic(2),
