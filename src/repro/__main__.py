@@ -69,8 +69,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"WENO{args.weno} + {args.riemann.upper()}"
           + f", gang {sim.gang_why}"
           + (f", {sim.ranks} ranks" if sim.ranks > 1 else "")
-          + (f", {options.sweep_layout} sweeps"
-             if options.sweep_layout != "strided" else "")
           + (f", fusion {sim.fusion}" if sim.fusion != "off" else "")
           + (f", backend {sim.backend.name}"
              if sim.backend.name != "numpy" else "")
@@ -152,8 +150,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
           f"width <= {batch_width}, WENO{args.weno} + {args.riemann.upper()}"
           + (f", {options.threads} threads"
              if options.threads is not None else "")
-          + (f", {options.sweep_layout} sweeps"
-             if options.sweep_layout != "strided" else "")
           + (f", fusion {options.fusion}" if options.fusion != "off" else "")
           + (f", backend {options.backend}"
              if options.backend not in (None, "numpy") else ""))

@@ -24,7 +24,7 @@ from repro.acc.fusion.codegen import (
 def _compile(spec: FusedKernelSpec):
     source = generate_source(spec)
     ns = exec_namespace()
-    code = compile(source, f"<fused:{spec.kind}:d{spec.d}:o{spec.order}>",
+    code = compile(source, f"<fused:d{spec.d}:o{spec.order}>",
                    "exec")
     exec(code, ns)
     return ns["fused_sweep"], source

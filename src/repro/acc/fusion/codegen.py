@@ -52,6 +52,7 @@ from repro.bc.boundary import fill_axis_ghosts
 from repro.common import ConfigurationError
 from repro.riemann import riemann_expression
 from repro.solver.positivity import limit_face_states
+from repro.solver.workspace import tile_axes
 from repro.weno import halo_width
 from repro.weno.coefficients import WENO_EPS
 from repro.weno.reconstruct import (
@@ -61,7 +62,9 @@ from repro.weno.reconstruct import (
     weno_schedule,
 )
 
-#: Kinds of fused sweep kernels the generator can render.
+#: Accepted spellings of a fused kernel's ``kind``: the two values of
+#: the sweep-layout knob, which plan one schedule — both render the
+#: same source (the tile's axis order is the arena layout rule's).
 FUSED_KINDS = ("strided", "transposed")
 
 
@@ -74,7 +77,7 @@ class FusedKernelSpec:
     tiles of a sweep and all grids of the same configuration.
     """
 
-    kind: str  #: "strided" (standard layout) or "transposed" (axis-last)
+    kind: str  #: one of :data:`FUSED_KINDS`; does not change the source
     pack: bool  #: kernel packs + ghost-fills its own padded block
     ndim: int  #: spatial dimensionality
     d: int  #: reconstruction direction (spatial axis)
@@ -102,10 +105,6 @@ class FusedKernelSpec:
             raise ConfigurationError(
                 f"fused kernel kind must be one of {FUSED_KINDS}, "
                 f"got {self.kind!r}")
-        if self.kind == "transposed" and not self.pack:
-            raise ConfigurationError(
-                "transposed fused kernels always pack (the gather into "
-                "the axis-last block is the kernel's first stage)")
         if not 0 <= self.d < self.ndim:
             raise ConfigurationError(
                 f"direction {self.d} outside {self.ndim} dims")
@@ -212,17 +211,16 @@ def _weno_lines(spec: FusedKernelSpec, ng: int) -> list[str]:
     return lines
 
 
-def _divergence_lines(spec: FusedKernelSpec, flux: str, uface: str) -> list[str]:
-    """The two ``_accumulate_divergence`` triplets, ufunc for ufunc."""
-    arr = spec.ndim + 1
-    fa, ua = spec.d + 1, spec.d
+def _divergence_lines(arr: int, ax: int) -> list[str]:
+    """The two ``accumulate_divergence`` triplets, ufunc for ufunc, on
+    tile array axis ``ax`` (``ax - 1`` of the interface velocity)."""
     return [
-        f"np.subtract({flux}{_index(arr, fa, '1:')}, "
-        f"{flux}{_index(arr, fa, ':-1')}, out=dscr)",
+        f"np.subtract(flux{_index(arr, ax, '1:')}, "
+        f"flux{_index(arr, ax, ':-1')}, out=dscr)",
         "np.true_divide(dscr, width, out=dscr)",
         "np.subtract(dqdt, dscr, out=dqdt)",
-        f"np.subtract({uface}{_index(spec.ndim, ua, '1:')}, "
-        f"{uface}{_index(spec.ndim, ua, ':-1')}, out=dvscr)",
+        f"np.subtract(uface{_index(arr - 1, ax - 1, '1:')}, "
+        f"uface{_index(arr - 1, ax - 1, ':-1')}, out=dvscr)",
         "np.true_divide(dvscr, width, out=dvscr)",
         "np.add(divu, dvscr, out=divu)",
     ]
@@ -230,10 +228,6 @@ def _divergence_lines(spec: FusedKernelSpec, flux: str, uface: str) -> list[str]
 
 def kernel_signature(spec: FusedKernelSpec) -> tuple[str, ...]:
     """Argument names of the generated ``fused_sweep``, in order."""
-    if spec.kind == "transposed":
-        return ("ctx", "tsrc", "tpad", "tvl", "tvr", "tflux", "tuface",
-                "flux", "uface", "flux_t", "uface_t", "wscr", "rscr",
-                "dscr", "dvscr", "dqdt", "divu", "width", "bc_lo", "bc_hi")
     if spec.pack:
         return ("ctx", "prim", "pad", "vl", "vr", "flux", "uface", "wscr",
                 "rscr", "dscr", "dvscr", "dqdt", "divu", "width",
@@ -246,60 +240,47 @@ def generate_source(spec: FusedKernelSpec) -> str:
     """Render the fused kernel source for ``spec``.
 
     The returned module source defines one function, ``fused_sweep``,
-    returning the count of positivity-limited faces in the tile.
+    returning the count of positivity-limited faces in the tile.  Every
+    array operand is in the tile's axis order
+    (:func:`~repro.solver.workspace.tile_axes`): the caller hands the
+    trailing direction's ``prim``/``dqdt``/``divu``/``width`` in as
+    views of that order, so the kernel's first line is the gather.
     """
     ng = halo_width(spec.order)
     d, ndim, arr = spec.d, spec.ndim, spec.ndim + 1
+    axes = tile_axes(ndim, d)
+    ax = axes.index(d + 1)  # tile array axis reconstructed
     # Batched sweeps: axis indexing stays virtual, but the momentum
     # component the Riemann solve and the reflective ghost fill act on
     # is the physical direction d-1 (axis 0 is the batch axis).
     phys = d - 1 if spec.batch else d
     qualname, _ = riemann_expression(spec.riemann_solver)
     body: list[str] = []
-
-    if spec.kind == "strided":
-        if spec.pack:
-            body.append(f"pad{_index(arr, d + 1, f'{ng}:-{ng}')} = prim")
-            if spec.batch:
-                body.append(f"fill_ghosts(pad, ctx.layout, {d}, {ng}, "
-                            f"bc_lo, bc_hi, normal_direction={phys})")
-            else:
-                body.append(f"fill_ghosts(pad, ctx.layout, {d}, {ng}, "
-                            f"bc_lo, bc_hi)")
-        if d == ndim - 1:
-            body += ["pv = pad", "vlL = vl", "vrL = vr"]
-        else:
-            body += [f"pv = np.moveaxis(pad, {d + 1}, -1)",
-                     f"vlL = np.moveaxis(vl, {d + 1}, -1)",
-                     f"vrL = np.moveaxis(vr, {d + 1}, -1)"]
-        body.append(f"nf = pv.shape[-1] - {2 * ng - 1}")
-        body += _weno_lines(spec, ng)
-        body.append(f"limited = limit(ctx.layout, ctx.mixture, pad, "
-                    f"vl, vr, {d}, {ng}, scratch=rscr)")
-        body.append(f"ctx.riemann(ctx.layout, ctx.mixture, vl, vr, {phys}, "
-                    f"out=flux, out_u=uface, scratch=rscr)")
-        body += _divergence_lines(spec, "flux", "uface")
-    else:
-        body.append(f"tpad[..., {ng}:-{ng}] = tsrc")
-        body.append(f"fill_ghosts(tpad, ctx.layout, {ndim - 1}, {ng}, "
+    if spec.pack:
+        body.append(f"pad{_index(arr, ax, f'{ng}:-{ng}')} = prim")
+        body.append(f"fill_ghosts(pad, ctx.layout, {ax - 1}, {ng}, "
                     f"bc_lo, bc_hi, normal_direction={phys})")
-        body += ["pv = tpad", "vlL = tvl", "vrL = tvr"]
-        body.append(f"nf = pv.shape[-1] - {2 * ng - 1}")
-        body += _weno_lines(spec, ng)
-        body.append(f"limited = limit(ctx.layout, ctx.mixture, tpad, "
-                    f"tvl, tvr, {ndim - 1}, {ng}, scratch=rscr)")
-        body.append(f"ctx.riemann(ctx.layout, ctx.mixture, tvl, tvr, {phys}, "
-                    f"out=tflux, out_u=tuface, scratch=rscr)")
-        body.append("np.copyto(flux_t, tflux)")
-        body.append("np.copyto(uface_t, tuface)")
-        body += _divergence_lines(spec, "flux", "uface")
+    if ax == arr - 1:
+        body += ["pv = pad", "vlL = vl", "vrL = vr"]
+    else:
+        body += [f"pv = np.moveaxis(pad, {ax}, -1)",
+                 f"vlL = np.moveaxis(vl, {ax}, -1)",
+                 f"vrL = np.moveaxis(vr, {ax}, -1)"]
+    body.append(f"nf = pv.shape[-1] - {2 * ng - 1}")
+    body += _weno_lines(spec, ng)
+    body.append(f"limited = limit(ctx.layout, ctx.mixture, pad, "
+                f"vl, vr, {ax - 1}, {ng}, scratch=rscr)")
+    body.append(f"ctx.riemann(ctx.layout, ctx.mixture, vl, vr, {phys}, "
+                f"out=flux, out_u=uface, scratch=rscr)")
+    body += _divergence_lines(arr, ax)
     body.append("return limited")
 
     args = ", ".join(kernel_signature(spec))
     header = [
-        f"# fused {spec.kind} sweep: d={d}/{ndim}D"
+        f"# fused sweep: d={d}/{ndim}D"
         f"{' (batched: axis 0 = ensemble)' if spec.batch else ''}, "
-        f"order {spec.order}, riemann {qualname}, dtype {spec.dtype}",
+        f"tile axes {axes}, order {spec.order}, riemann {qualname}, "
+        f"dtype {spec.dtype}",
         f"def fused_sweep({args}):",
     ]
     return "\n".join(header + [f"    {line}" for line in body]) + "\n"

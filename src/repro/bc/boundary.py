@@ -112,10 +112,11 @@ def fill_axis_ghosts(padded: np.ndarray, layout: StateLayout, axis: int, ng: int
     ``normal_direction`` names the *physical* direction the ghosts face
     (the momentum component a reflective wall negates).  It defaults to
     ``axis`` — correct in the standard layout, where spatial axes sit in
-    physical order.  In an axis-contiguous transposed layout the sweep
-    direction lives on the trailing array axis instead, so the sweep
-    engine passes the physical direction explicitly; the filled values
-    are bitwise the ones the standard layout produces.
+    physical order.  A gathered sweep tile puts its direction first
+    among the spatial axes instead (:func:`repro.solver.workspace.
+    tile_axes`), so the sweep engine passes the physical direction
+    explicitly; the filled values are bitwise the ones the standard
+    layout produces.
     """
     _fill_axis(padded, layout, axis, ng, lo, hi,
                normal_direction=normal_direction)

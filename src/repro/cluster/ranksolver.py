@@ -45,7 +45,11 @@ from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.profiling.counters import SweepCounters
 from repro.solver.rhs import RHSConfig, nonconservative_tile
-from repro.solver.sweep import SweepEngine, validate_fusion
+from repro.solver.sweep import (
+    SweepEngine,
+    validate_fusion,
+    validate_sweep_layout,
+)
 from repro.solver.workspace import SolverWorkspace
 from repro.state.conversions import cons_to_prim, row_tiles
 from repro.state.layout import StateLayout
@@ -76,11 +80,12 @@ class RankSolver:
     transport:
         Halo transport (see module docstring).
     sweep_layout / fusion:
-        The knobs of the same name (DESIGN.md "Options: one table").
-        Rank-specific: with fusion on, a strided *bulk* sweep — a
-        direction whose face span is not split for overlap — runs as one
-        generated kernel from WENO on (the ghost hook packs); split and
-        transposed directions run staged.  Bitwise identical either way.
+        The knobs of the same name (DESIGN.md "Options: one table"; both
+        layouts plan one schedule).  Rank-specific: with fusion on, a
+        *bulk* sweep — a direction whose face span is not split for
+        overlap — runs as one generated kernel from WENO on (the ghost
+        hook packs); split directions run staged.  Bitwise identical
+        either way.
     overlap:
         Compute interior faces while ghost strips land (default).
         ``False`` waits for the exchange up front — same results,
@@ -99,6 +104,7 @@ class RankSolver:
             raise ConfigurationError(
                 "distributed runs do not support viscous terms yet")
         validate_fusion(fusion)
+        validate_sweep_layout(sweep_layout)
         self.decomp = decomp
         self.rank = rank
         self.layout = layout
@@ -113,17 +119,17 @@ class RankSolver:
         self.sweep_counters = SweepCounters()
         self._engine = SweepEngine(
             layout, mixture, bcs, config, self.local,
-            counters=self.sweep_counters, sweep_layout=sweep_layout,
-            fused=fusion != "off", ghosts=self._fill_ghosts)
+            counters=self.sweep_counters, fused=fusion != "off",
+            ghosts=self._fill_ghosts)
         ng = self._engine.ng
         self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
                                   rows=self._engine.rows)
-        # Overlap needs a strided sweep with a non-empty ghost-free
-        # interior span and an actual exchange to hide; other
-        # directions sweep in bulk after the fill.
+        # Overlap needs a non-empty ghost-free interior span and an
+        # actual exchange to hide; other directions sweep in bulk after
+        # the fill.
         self._split = [
-            overlap and d not in self._engine.transposed_axes
-            and self.local[d] >= 2 * ng and decomp.neighbor_sides(rank, d) > 0
+            overlap and self.local[d] >= 2 * ng
+            and decomp.neighbor_sides(rank, d) > 0
             for d in range(layout.ndim)]
         # Per-axis cell widths sliced from the global grid, broadcast
         # shaped — the same values the serial divergence divides by.

@@ -29,12 +29,26 @@ from typing import Callable, Iterable
 import numpy as np
 
 
+def _mapped_array(shape, dtype, flags: int) -> np.ndarray:
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1),
+                    flags=flags)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
 def shared_array(shape, dtype) -> np.ndarray:
     """A zeroed array this process shares with every later fork of it (an
     anonymous ``MAP_SHARED`` mapping, unmapped with its last view)."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
-    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+    return _mapped_array(shape, dtype, mmap.MAP_SHARED)
+
+
+def private_array(shape, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous private mapping of its own (unmapped
+    with its last view): copy-on-write across forks like heap memory, but
+    never carved from the malloc heap, so a page costs memory only once
+    written — a large ``np.empty`` may instead land in a freed, still
+    resident hole of the heap and keep it."""
+    return _mapped_array(shape, dtype, mmap.MAP_PRIVATE)
 
 
 #: This process's workers that it has not reaped yet.

@@ -45,11 +45,13 @@ def _check_perm(perm: tuple[int, ...], ndim: int) -> None:
 def sweep_perm(ndim: int, axis: int) -> tuple[int, ...]:
     """Permutation moving ``axis`` last, preserving the order of the rest.
 
-    This is the generalisation of :data:`COALESCE_Z_PERM` the sweep
-    engine uses: for a packed array of ``ndim`` axes it produces the
-    axis-contiguous layout in which reconstruction along ``axis`` runs
-    with unit stride.  ``sweep_perm(n, n - 1)`` is the identity (the
-    trailing axis is already contiguous).
+    The generalisation of :data:`COALESCE_Z_PERM`: for a packed array
+    of ``ndim`` axes it produces the axis-contiguous layout in which
+    ``axis`` runs with unit stride (the transpose probe of
+    ``benchmarks/e2e/probes.py`` times it).  The sweep tiles do the
+    opposite — they keep the reconstruction axis off the innermost
+    position (:func:`repro.solver.workspace.tile_axes`).
+    ``sweep_perm(n, n - 1)`` is the identity.
     """
     if not 0 <= axis < ndim:
         raise ShapeError(f"axis {axis} outside ndim={ndim}")

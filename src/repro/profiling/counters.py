@@ -114,7 +114,7 @@ def kernel_counters(device: DeviceSpec, work: KernelWorkload,
 
 @dataclass
 class SweepCounters:
-    """Measured data-movement accounting of the layout-aware sweep engine.
+    """Measured data-movement accounting of the sweep engine.
 
     One instance lives on each :class:`~repro.solver.rhs.RHS` and is
     bumped once per direction sweep (not per tile: under the gang
@@ -123,16 +123,20 @@ class SweepCounters:
     Attributes
     ----------
     strided_sweeps / transposed_sweeps:
-        Direction sweeps whose WENO inner loops ran strided vs.
-        contiguous (the transposed engine's axis-last layout *and*
-        sweeps whose reconstruction axis is naturally contiguous both
-        count as contiguous — what matters is the inner-loop stride).
+        Direction sweeps that reconstruct across the rows of a
+        standard-order tile (every direction but the trailing one) vs.
+        sweeps whose tile was gathered into reconstruction-axis-first
+        order (the trailing direction; see
+        :func:`~repro.solver.workspace.tile_axes`).  A single-case 1D
+        sweep, reconstructing along its only spatial axis, is neither.
     bytes_reconstructed_strided / bytes_reconstructed_contiguous:
-        Face-state bytes (both sides) produced through each kind of
-        inner loop.
+        Face-state bytes (both sides) reconstructed along an outer axis
+        of the tile (both kinds of sweep above) vs. along its innermost
+        axis (a 1D sweep, or the allocating reference path's trailing
+        direction).
     transposes:
-        Physical layout permutations performed (gather in + flux and
-        interface-velocity scatters back: three per transposed sweep).
+        Physical layout permutations performed: one gather per
+        gathered sweep (its divergence accumulates back through a view).
     bytes_transposed:
         Bytes those permutations moved (each counted once, by the size
         of the permuted array).
@@ -168,8 +172,9 @@ class SweepCounters:
                        weno_passes: int = 0) -> None:
         """Count one sweep that ran in the standard layout.
 
-        ``contiguous=True`` marks the natural fast case — the sweep
-        whose reconstruction axis already is the trailing array axis.
+        ``contiguous=True`` marks a sweep whose reconstruction axis is
+        the trailing array axis (a 1D tile, or the reference path's
+        trailing direction).
         """
         if contiguous:
             self.bytes_reconstructed_contiguous += face_bytes
@@ -178,12 +183,12 @@ class SweepCounters:
             self.bytes_reconstructed_strided += face_bytes
         self.weno_passes += weno_passes
 
-    def record_transposed(self, face_bytes: int, transposed_bytes: int,
-                          transposes: int = 3, *, weno_passes: int = 0) -> None:
-        """Count one sweep that ran through the transposed engine."""
+    def record_transposed(self, face_bytes: int, transposed_bytes: int, *,
+                          weno_passes: int = 0) -> None:
+        """Count one sweep whose tiles were gathered (one transpose)."""
         self.transposed_sweeps += 1
-        self.bytes_reconstructed_contiguous += face_bytes
-        self.transposes += transposes
+        self.bytes_reconstructed_strided += face_bytes
+        self.transposes += 1
         self.bytes_transposed += transposed_bytes
         self.weno_passes += weno_passes
 
@@ -228,7 +233,7 @@ class SweepCounters:
         """One-line human summary (printed by the CLI and reports)."""
         return (f"sweeps: {self.transposed_sweeps} transposed, "
                 f"{self.strided_sweeps} strided; "
-                f"{self.bytes_transposed / 1e6:.1f} MB permuted via "
+                f"{self.bytes_transposed / 1e6:.1f} MB gathered via "
                 f"{self.transposes} transposes; reconstructed "
                 f"{self.bytes_reconstructed_contiguous / 1e6:.1f} MB "
                 f"contiguous / "

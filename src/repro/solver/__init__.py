@@ -16,7 +16,7 @@ from repro.solver.resilience import (
 from repro.solver.simulation import Simulation, StepRecord
 from repro.solver.geometry import GEOMETRIES
 from repro.solver.positivity import limit_face_states
-from repro.solver.sweep import SWEEP_LAYOUTS, plan_transposed_axes
+from repro.solver.sweep import SWEEP_LAYOUTS
 from repro.solver.workspace import SolverWorkspace
 
 #: Diagnostics exports, imported from :mod:`repro.solver.diagnostics`
@@ -43,7 +43,6 @@ __all__ = [
     "GEOMETRIES",
     "limit_face_states",
     "SWEEP_LAYOUTS",
-    "plan_transposed_axes",
     "SolverWorkspace",
     *_DIAGNOSTICS,
 ]

@@ -85,7 +85,8 @@ class SolverOptions:
         "sizes the tiles; None is the host's")
     sweep_layout: str = knob(
         "strided", choice(*SWEEP_LAYOUTS), "memory layout "
-        "of the direction sweeps (a driver's .layout is the state layout)",
+        "of the direction sweeps; both values plan the one schedule of "
+        "the tile layout rule (a driver's .layout is the state layout)",
         _ALL, key="layout", choices=SWEEP_LAYOUTS)
     fusion: str = knob(
         "off", choice(*FUSION_MODES), "sweep kernel fusion: one "

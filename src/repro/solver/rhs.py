@@ -201,7 +201,7 @@ class RHS(AbstractContextManager):
 
     Every workspace evaluation runs the one slab body of
     :class:`~repro.solver.sweep.SweepEngine` over slab tiles; serial,
-    gang, transposed and fused execution are parameters of that body
+    gang and fused execution are parameters of that body
     and all bitwise identical.  With a gang width above one the tiles
     execute across a :class:`~repro.acc.gang.GangExecutor` — this
     process plus forked workers over the workspace's shared buffers
@@ -310,20 +310,17 @@ class RHS(AbstractContextManager):
         # at least one tile per member; a planned one is 1 until the
         # tile counts are known.
         floor, _ = plan_gang_width(self.threads, tiles=0)
-        #: Per-sweep data-movement tallies (strided vs. contiguous
-        #: reconstruction, bytes permuted); surfaced by the CLI, the
-        #: benches, and :meth:`Profile.report`.
+        #: Per-sweep data-movement tallies (slab vs. gathered sweeps,
+        #: bytes gathered); surfaced by the CLI, the benches, and
+        #: :meth:`Profile.report`.
         self.sweep_counters = SweepCounters()
-        # Transposed, fused and tiled sweeps all need the workspace
-        # (transposed scratch, tile arenas, disjoint-write buffers);
-        # without one the engine only plans, and every call takes the
-        # allocating reference path.
+        # Fused and tiled sweeps need the workspace (tile arenas,
+        # disjoint-write buffers); without one the engine only plans,
+        # and every call takes the allocating reference path.
         ws_on = self.use_workspace
         self._engine = engine = SweepEngine(
             self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
-            counters=self.sweep_counters,
-            sweep_layout=self.sweep_layout if ws_on else "strided",
-            fused=fused, batch=self.batch, workers=floor, tiles=self.tiles,
+            counters=self.sweep_counters, fused=fused, batch=self.batch, workers=floor, tiles=self.tiles,
             device=(get_device(self.tile_device)
                     if isinstance(self.tile_device, str)
                     else self.tile_device),
@@ -383,14 +380,19 @@ class RHS(AbstractContextManager):
         """The chosen sweep schedule, for profiler reports and bench records.
 
         ``directions`` holds one :class:`~repro.solver.sweep.SweepPlan`
-        per swept direction as a dict (``d``, ``kind``, ``slab_axis``,
-        ``tiles``, ``fused``; virtual axis indices).  ``source`` says
+        per swept direction as a dict (``d``, ``kind`` — ``"gathered"``
+        when its tiles are gathered reconstruction-axis-first, else
+        ``"slab"`` —, ``slab_axis``, ``tiles``, ``fused``; virtual axis
+        indices).  ``source`` says
         whether the tile counts came from the explicit ``tiles``
         override (a tuning plan) or the L2 heuristic; ``gang`` is the
         resolved gang width and why (``"2 of 2 cores, 10 tiles"``).
         """
+        # Without a workspace the reference path sweeps whole
+        # standard-order fields: nothing is gathered.
+        real = ({} if self.workspace is not None else {"kind": "slab"})
         return {
-            "directions": [dataclasses.asdict(plan)
+            "directions": [dict(dataclasses.asdict(plan), **real)
                            for plan in self._engine.plans.values()],
             "fusion": self.fusion,
             "fusion_backend": self.fusion_backend,

@@ -1,9 +1,9 @@
-"""The direction sweep: one slab schedule, and the layout planning for it.
+"""The direction sweep: one slab schedule, and the layout rule it runs on.
 
 One body (:meth:`SweepEngine.sweep`) runs every workspace execution
-mode of a direction sweep — ``pack → faces(span) → [scatter] →
-divergence`` over slab tiles cut on the first spatial axis perpendicular
-to the reconstruction axis (the stage graph's slab-axis rule, see
+mode of a direction sweep — ``pack → faces(span) → divergence`` over
+slab tiles cut on the first spatial axis perpendicular to the
+reconstruction axis (the stage graph's slab-axis rule, see
 :func:`repro.acc.fusion.plan_fusion`).  The modes are parameters of
 that body, not copies of it:
 
@@ -12,9 +12,8 @@ mode           what a tile runs         ghost source           face span
 =============  =======================  =====================  ==========
 serial         the staged chain         physical BCs           whole
 gang           same, on forked workers  physical BCs           whole
-transposed     axis-last + scatter      physical BCs           whole
 fused          one generated kernel     physical BCs (kernel)  whole
-batched        any of the above         physical BCs           whole
+batched        either of the above      physical BCs           whole
 rank-local     staged, or fused bulk    walls + transport      split
 =============  =======================  =====================  ==========
 
@@ -29,23 +28,21 @@ tiles; the block the hook fills and the flux a split sweep carries
 across it are block-sized, and a tile copies its part in or out — no
 kernel pass reads or writes them.
 
-Which directions sweep transposed is the layout knob (paper §III.D):
+**Layout rule** (paper §III.D; :func:`~repro.solver.workspace.tile_axes`):
+a tile never reconstructs along its innermost axis, where NumPy cannot
+coalesce the shifted stencil views.  Every direction but the trailing
+one meets that in standard ``(nvars, x, y, z)`` order and packs a plain
+slab; the trailing direction's pack is one transposing copy — a
+*gather* — into a tile whose reconstruction axis comes first among the
+spatial axes, and its divergence accumulates back into ``dqdt``/
+``divu`` through a view of the same order.  (This repo packs C-order,
+so the *last* spatial axis is the contiguous one — the mirror image of
+the paper's Fortran layout.)  The ``sweep_layout`` knob's two values
+plan this one schedule.
 
-``strided``
-    Never transpose — every tile is a standard-order ``(nvars, x, y, z)``
-    block and the kernels' axis-last operands are views of it (same
-    memory order throughout: the inner loop runs along the trailing
-    axis, the stencil reaches across rows of the cache-resident tile).
-``transposed``
-    Transpose every direction whose reconstruction axis is not already
-    the trailing (contiguous) array axis.  (This repo packs C-order, so
-    the *last* spatial axis is the coalesced one — the mirror image of
-    the paper's Fortran layout, where x is contiguous and the y/z sweeps
-    pay the strided penalty.)
-
-Every mode and layout is bitwise identical in results — each stage is
-elementwise over faces and the slab axis is stencil-free in every stage,
-so tiles, spans and layouts only move data.
+Every mode is bitwise identical in results — each stage is elementwise
+over faces and the slab axis is stencil-free in every stage, so tiles,
+spans and memory orders only move data.
 """
 
 from __future__ import annotations
@@ -65,19 +62,19 @@ from repro.acc.gang import gang_share, tile_spans
 from repro.backend import array_namespace
 from repro.bc.boundary import fill_axis_ghosts
 from repro.common import DTYPE, ConfigurationError, timed
-from repro.fields.transpose import sweep_perm
 from repro.hardware.devices import DeviceSpec, default_host_device
 from repro.hardware.tiling import suggest_tile_count
 from repro.riemann import resolve_riemann_flux
 from repro.solver.positivity import limit_face_states
-from repro.solver.workspace import TileArena
+from repro.solver.workspace import TileArena, tile_axes
 from repro.weno import halo_width, reconstruct_faces_span, weno_passes_per_side
 
 __all__ = ["FUSION_MODES", "SWEEP_LAYOUTS", "SweepEngine", "SweepPlan",
-           "accumulate_divergence", "plan_transposed_axes", "timed",
-           "validate_fusion", "validate_sweep_layout"]
+           "accumulate_divergence", "timed", "validate_fusion",
+           "validate_sweep_layout"]
 
-#: Valid values of the sweep-layout knob.
+#: Valid values of the sweep-layout knob.  Both plan the one schedule of
+#: the layout rule (see the module docstring).
 SWEEP_LAYOUTS = ("strided", "transposed")
 
 
@@ -87,14 +84,6 @@ def validate_sweep_layout(mode: str) -> str:
         raise ConfigurationError(
             f"sweep layout must be one of {SWEEP_LAYOUTS}, got {mode!r}")
     return mode
-
-
-def plan_transposed_axes(mode: str, ndim: int) -> frozenset[int]:
-    """Directions of an ``ndim``-D sweep that run axis-contiguous under
-    the layout knob ``mode``: none when strided, every one but the
-    trailing (already contiguous in C order) axis when transposed."""
-    validate_sweep_layout(mode)
-    return frozenset(range(ndim - 1) if mode == "transposed" else ())
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +126,7 @@ class SweepPlan:
     """
 
     d: int  #: reconstruction direction
-    kind: str  #: work layout, "strided" or "transposed" (axis-last)
+    kind: str  #: "slab" (standard order) or "gathered" (axis first)
     slab_axis: int | None  #: axis the tiles cut; None in 1D (one tile)
     tiles: int  #: slab tiles per sweep
     fused: bool  #: one generated kernel per tile replaces the stages
@@ -152,7 +141,7 @@ class SweepEngine:
     whole standard-layout padded block (a rank's wall fill + halo
     transport), so such an engine packs the whole block, runs the hook
     once, cuts only the phases around it into tiles, and fuses only
-    from WENO on (``pack=False`` kernels, strided directions).
+    from WENO on (``pack=False`` kernels).
 
     Tile counts come from the ``tiles`` override, else the L2 heuristic:
     the fewest tiles that make what a tile keeps in flight (the
@@ -168,7 +157,7 @@ class SweepEngine:
     """
 
     def __init__(self, layout, mixture, bcs, config, shape, *, counters,
-                 sweep_layout: str = "strided", fused: bool = False,
+                 fused: bool = False,
                  batch: int | None = None, workers: int = 1,
                  tiles: int | None = None, device: DeviceSpec | None = None,
                  dtype=DTYPE, stopwatch=None, ghosts=None) -> None:
@@ -183,10 +172,6 @@ class SweepEngine:
         self.weno_passes = 2 * weno_passes_per_side(order)
         self.nb = nb = 0 if batch is None else 1
         spatial = tuple(shape) if batch is None else (batch, *shape)
-        #: Virtual directions swept in the axis-last layout (planned on
-        #: the physical shape: the batch axis is never a candidate).
-        self.transposed_axes = frozenset(
-            d + nb for d in plan_transposed_axes(sweep_layout, len(shape)))
         self._ctx = None
         self._kernels: dict[int, tuple] = {}
         self.plans: dict[int, SweepPlan] = {}
@@ -196,14 +181,12 @@ class SweepEngine:
         cells = int(np.prod(spatial))
         self._extent0 = spatial[0]
         for d in range(nb, ndim):
-            kind = "transposed" if d in self.transposed_axes else "strided"
+            gathered = tile_axes(ndim, d) != tuple(range(ndim + 1))
             region = plan_fusion(
                 sweep_stage_graph(ndim=ndim, nvars=layout.nvars,
                                   spatial=spatial, d=d, order=order,
                                   pack=pack), d=d, ndim=ndim)
-            # Kernels that do not pack exist for the strided layout only.
-            fuse = fused and (pack or kind == "strided")
-            if fuse:
+            if fused:
                 # The generator loads only when a sweep fuses.
                 from repro.acc.fusion.cache import fused_kernel
                 from repro.acc.fusion.codegen import (
@@ -215,7 +198,7 @@ class SweepEngine:
                 if self._ctx is None:
                     self._ctx = FusionContext(layout, mixture, self.riemann)
                 spec = FusedKernelSpec(
-                    kind=kind, pack=pack, ndim=ndim, d=d, order=order,
+                    kind="strided", pack=pack, ndim=ndim, d=d, order=order,
                     riemann_solver=config.riemann_solver,
                     dtype=np.dtype(dtype).name, batch=batch is not None)
                 self._kernels[d] = (
@@ -229,8 +212,7 @@ class SweepEngine:
                 # What one slab row keeps in flight: a width-1 arena's
                 # stage set (np.empty maps its pages, nothing touches
                 # them) plus the row of prim read and of dqdt updated.
-                row = TileArena(layout.nvars, spatial, self.ng, d, 1, dtype,
-                                transposed=kind == "transposed")
+                row = TileArena(layout.nvars, spatial, self.ng, d, 1, dtype)
                 row_elems = layout.nvars * cells // extent
                 budget = dict(
                     bytes_per_slice=(row.stage_nbytes + 2 * row_elems
@@ -240,8 +222,9 @@ class SweepEngine:
                     min_rows=-(-MIN_PASS_ELEMENTS // row_elems))
                 n_tiles = max(suggest_tile_count(extent, 1, **budget),
                               min(workers, extent))
-            self.plans[d] = SweepPlan(d, kind, region.slab_axis, n_tiles,
-                                      fuse)
+            self.plans[d] = SweepPlan(
+                d, "gathered" if gathered else "slab", region.slab_axis,
+                n_tiles, fused)
 
     @property
     def rows(self) -> list[tuple[int, int]]:
@@ -292,7 +275,6 @@ class SweepEngine:
         extent = 1 if sa is None else prim.shape[sa + 1]
         n_tiles = min(plan.tiles, extent)
         w_max = -(-extent // n_tiles)
-        transposed = plan.kind == "transposed"
         hook = self.ghosts is not None
         fused = plan.fused and not split
         if fused:
@@ -303,17 +285,25 @@ class SweepEngine:
         # every kernel pass runs on the tile's own arena blocks.
         source = ws.padded[d] if hook else prim
         block = (ws.flux[d], ws.u_face[d]) if split else None
-        if transposed:
-            perm = sweep_perm(prim.ndim, d + 1)
-            src = xp.transpose(source, perm)
-            axis = prim.ndim - 1  # work-layout array axis reconstructed
-        else:
-            src, axis = source, d + 1
+        # Standard-layout arrays meet the tile in its own axis order
+        # (the arena layout rule) through views: ``axes`` for those with
+        # the variable axis, ``spatial`` for those without it.
+        axes = tile_axes(prim.ndim - 1, d)
+        spatial = [k - 1 for k in axes[1:]]
+        gathered = plan.kind == "gathered"
+        axis = axes.index(d + 1)  # tile array axis reconstructed
         interior = _cut(ng, ng + n, axis)
+
+        def tiled(a, order=axes):
+            return xp.transpose(a, order) if gathered else a
+
+        # The cell widths broadcast against the tile's spatial axes (a
+        # batched engine's widths lack the leading ensemble axis).
+        width = tiled(width.reshape((1,) * self.nb + width.shape), spatial)
 
         def faces(scr, flo, fhi):
             # WENO -> limiter -> Riemann for faces [flo, fhi) of one tile.
-            pad, vl, vr, wflux, wuface = scr.work
+            pad, vl, vr = scr.pad, scr.vl, scr.vr
             fi = _cut(flo, fhi, axis)
             with timed(sw, "weno"):
                 reconstruct_faces_span(pad, axis, self.order, flo, fhi,
@@ -323,7 +313,7 @@ class SweepEngine:
                     vl[fi], vr[fi], axis - 1, ng, scratch=scr.rscr)
             with timed(sw, "riemann"):
                 self.riemann(layout, self.mixture, vl[fi], vr[fi], pd,
-                             out=wflux[fi], out_u=wuface[fi[1:]],
+                             out=scr.flux[fi], out_u=scr.uface[fi[1:]],
                              scratch=scr.rscr.view(_cut(0, fhi - flo, axis)))
             return limited
 
@@ -338,13 +328,13 @@ class SweepEngine:
             return limited
 
         def tile(lo, hi, std, spans=((0, n + 1),), finish=True):
-            # The work-layout index of the slab is axis 1 of every
-            # axis-last buffer.
-            tile_src = src[_cut(lo, hi, 1) if transposed else std]
-            dq, dv = dqdt[std], divu[std[1:]]
-            scr = ws.tile_arena(d, w_max, transposed=transposed
-                                ).narrow(hi - lo)
-            pad = scr.work[0]
+            tile_src = tiled(source[std])
+            dq, dv = tiled(dqdt[std]), tiled(divu[std[1:]], spatial)
+            flux, uface = ((tiled(block[0][std]),
+                            tiled(block[1][std[1:]], spatial))
+                           if block else (None, None))
+            scr = ws.tile_arena(d, w_max).narrow(hi - lo)
+            pad = scr.pad
             with timed(sw, "packing"):
                 if hook:
                     if spans:
@@ -354,15 +344,15 @@ class SweepEngine:
                     fill_axis_ghosts(pad, layout, axis - 1, ng, lo_bc, hi_bc,
                                      normal_direction=pd)
                 if block and finish:  # the faces done around the hook
-                    xp.copyto(scr.flux, block[0][std])
-                    xp.copyto(scr.uface, block[1][std[1:]])
+                    xp.copyto(scr.flux, flux)
+                    xp.copyto(scr.uface, uface)
 
             if fused:
                 # Arguments bind by name: what is not a tile operand
                 # below is an arena buffer of the same name.
-                bound = {"ctx": self._ctx, "prim": tile_src,
-                         "tsrc": tile_src, "dqdt": dq, "divu": dv,
-                         "width": width, "bc_lo": lo_bc, "bc_hi": hi_bc}
+                bound = {"ctx": self._ctx, "prim": tile_src, "dqdt": dq,
+                         "divu": dv, "width": width, "bc_lo": lo_bc,
+                         "bc_hi": hi_bc}
                 with timed(sw, "fused"):
                     return kern(*(bound[k] if k in bound else getattr(scr, k)
                                   for k in sig))
@@ -370,19 +360,15 @@ class SweepEngine:
             limited = sum(faces(scr, *span) for span in spans)
             if not finish:
                 with timed(sw, "packing"):
-                    xp.copyto(block[0][std], scr.flux)
-                    xp.copyto(block[1][std[1:]], scr.uface)
+                    xp.copyto(flux, scr.flux)
+                    xp.copyto(uface, scr.uface)
                 return limited
-            if transposed:
-                with timed(sw, "packing"):
-                    xp.copyto(scr.flux_t, scr.tflux)
-                    xp.copyto(scr.uface_t, scr.tuface)
             with timed(sw, "other"):
                 # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx.
-                accumulate_divergence(scr.flux, d + 1, width, scr.dscr, dq,
+                accumulate_divergence(scr.flux, axis, width, scr.dscr, dq,
                                       "subtract")
-                accumulate_divergence(scr.uface, d, width, scr.dvscr, dv,
-                                      "add")
+                accumulate_divergence(scr.uface, axis - 1, width, scr.dvscr,
+                                      dv, "add")
             return limited
 
         def end_strips():
@@ -392,11 +378,14 @@ class SweepEngine:
             scr, limited = ws.tile_arena(d, extent, strip=True), 0
             for f0 in (0, n - ng + 1):
                 with timed(sw, "packing"):
-                    scr.pad[...] = source[_cut(f0, f0 + 3 * ng - 1, axis)]
+                    scr.pad[...] = tiled(source[_cut(f0, f0 + 3 * ng - 1,
+                                                     d + 1)])
                 limited += faces(scr, 0, ng)
                 with timed(sw, "packing"):
-                    xp.copyto(block[0][_cut(f0, f0 + ng, axis)], scr.flux)
-                    xp.copyto(block[1][_cut(f0, f0 + ng, d)], scr.uface)
+                    xp.copyto(tiled(block[0][_cut(f0, f0 + ng, d + 1)]),
+                              scr.flux)
+                    xp.copyto(tiled(block[1][_cut(f0, f0 + ng, d)], spatial),
+                              scr.uface)
             return limited
 
         def launch(**phase):
@@ -420,16 +409,14 @@ class SweepEngine:
                         else launch())
 
         # Nominal (field-sized) byte tallies, the same in every mode:
-        # both face states reconstructed; the primitives gathered and
-        # the flux + interface velocity scattered when transposed.
+        # both face states reconstructed, and the primitives gathered
+        # into the trailing direction's tiles.
         cells = int(np.prod(prim.shape[1:]))
         face_cells = cells // n * (n + 1)
         face_bytes = layout.nvars * face_cells * ws.dtype.itemsize
-        if transposed:
+        if gathered:
             self.counters.record_transposed(
-                2 * face_bytes,
-                face_bytes + (layout.nvars * cells + face_cells)
-                * ws.dtype.itemsize,
+                2 * face_bytes, layout.nvars * cells * ws.dtype.itemsize,
                 weno_passes=self.weno_passes)
         else:
             self.counters.record_strided(

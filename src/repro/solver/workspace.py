@@ -56,8 +56,7 @@ import numpy as np
 from repro.backend import resolve_backend
 from repro.common import DTYPE
 from repro.common.scratch import Scratch
-from repro.common.workers import shared_array
-from repro.fields.transpose import sweep_perm
+from repro.common.workers import private_array, shared_array
 from repro.grid.cartesian import StructuredGrid
 from repro.riemann.common import RiemannScratch
 from repro.state.conversions import row_spans
@@ -95,6 +94,23 @@ class _Carver:
         return self.xp.moveaxis(block, source, destination)
 
 
+def tile_axes(nsp: int, d: int) -> tuple[int, ...]:
+    """Array-axis order of direction ``d``'s tile: the layout rule.
+
+    A tile never reconstructs along its innermost axis, where NumPy
+    cannot coalesce the shifted stencil views.  Every direction but the
+    trailing one meets that in standard order ``(nvars, *spatial)``; the
+    trailing direction's tile puts its reconstruction axis first among
+    the spatial axes.  ``nsp`` counts the (virtual) spatial axes; a
+    single-case 1D tile has no other spatial axis and keeps standard
+    order (moving the variable axis inside would turn the fluid sums of
+    the Riemann decomposition into pairwise reductions).
+    """
+    if nsp == 1 or d < nsp - 1:
+        return tuple(range(nsp + 1))
+    return (0, d + 1, *range(1, d + 1))
+
+
 class TileArena:
     """Every pipeline intermediate of one direction sweep, one slab tile wide.
 
@@ -107,23 +123,18 @@ class TileArena:
     tile is the whole field) — so the whole pipeline's working set can
     stay cache-resident.  Nothing in it outlives a tile.
 
-    ``transposed=True`` builds the axis-contiguous variant: the pipeline
-    buffers in reconstruction-axis-last layout (the slab is their axis
-    1) plus the standard-layout ``flux``/``uface`` the scatter and
-    divergence stages use, with axis-last views ``flux_t``/``uface_t``
-    of those for the scatter.
-
     **Layout rule.**  Every buffer is one contiguous block of the flat
-    ``pool``, carved in the tile's own axis order — standard order for a
-    strided tile, reconstruction-axis-last for a transposed one — and
-    the axis-last shape the WENO kernels ask of their scratch is a
-    ``moveaxis`` view of such a block
+    ``pool``, carved in the tile's own axis order (:func:`tile_axes`:
+    standard order, or reconstruction axis first for the trailing
+    direction — a *gathered* tile), and the axis-last shape the WENO
+    kernels ask of their scratch is a ``moveaxis`` view of such a block
     (:func:`~repro.weno.reconstruct.allocate_weno_scratch`).  A tile's
     WENO → limiter → Riemann → divergence chain reads and writes only
-    these blocks, so no ufunc pass mixes two memory orders and the
-    iterator's inner loop is always the unit-stride one; field- and
-    block-sized arrays meet a tile only in its copy in (pack or gather)
-    and its copy or accumulate out.
+    these blocks, so no kernel pass mixes two memory orders, the
+    iterator's inner loop is always the unit-stride one, and it never
+    runs along the reconstruction axis; field- and block-sized arrays
+    meet a tile only in its copy in (pack or gather) and its copy or
+    accumulate out.
 
     The pool is the one passed in when it is large enough (a worker's
     arenas for the other directions and for narrower tiles live in the
@@ -132,48 +143,44 @@ class TileArena:
     """
 
     def __init__(self, nvars: int, spatial: tuple[int, ...], ng: int,
-                 d: int, tile_width: int, dtype,
-                 transposed: bool = False, xp=np, pool=None) -> None:
+                 d: int, tile_width: int, dtype, xp=np, pool=None) -> None:
         ndim = len(spatial)
-        self.transposed = transposed
         self.width_cap = tile_width
         self.slab_axis = sa = None if ndim == 1 else (1 if d == 0 else 0)
+        #: Standard-layout array axes in the tile's order, and the tile
+        #: array axis reconstructed.
+        self.axes = axes = tile_axes(ndim, d)
+        self.gathered = axes != tuple(range(ndim + 1))
+        self.axis = ax = axes.index(d + 1)
         self._like = partial(TileArena, nvars, spatial, ng, d, dtype=dtype,
-                             transposed=transposed, xp=xp)
+                             xp=xp)
         self._narrowed: dict[int, TileArena] = {}
-        w = 1 if sa is None else min(tile_width, spatial[sa])
+        extent = [nvars, *(spatial[k - 1] for k in axes[1:])]
+        if sa is not None:
+            extent[axes.index(sa + 1)] = min(tile_width, spatial[sa])
 
-        def std(grow: int):
-            # Standard-layout tile shape, axis d grown by ``grow``.
-            s = [nvars, *spatial]
-            s[d + 1] += grow
-            if sa is not None:
-                s[sa + 1] = w
+        def tile(grow: int):
+            # Tile shape, the reconstruction axis grown by ``grow``.
+            s = list(extent)
+            s[ax] += grow
             return s
 
+        face = tile(1)
         # Reconstruction-axis-last face shape (the WENO layout).
-        last = [nvars, *(w if k == sa else spatial[k]
-                         for k in range(ndim) if k != d), spatial[d] + 1]
+        last = (*face[:ax], *face[ax + 1:], face[ax])
 
         def carve(alloc) -> int:
             def new(s):
                 return alloc.empty(s, dtype=dtype)
 
-            if transposed:
-                self.tpad = new([*last[:-1], spatial[d] + 2 * ng])
-                self.tvl, self.tvr = new(last), new(last)
-                self.tflux, self.tuface = new(last), new(last[1:])
-            else:
-                self.pad = new(std(2 * ng))
-                self.vl, self.vr = new(std(1)), new(std(1))
+            self.pad = new(tile(2 * ng))
+            self.vl, self.vr = new(face), new(face)
             spare = alloc.used
-            self.wscr = allocate_weno_scratch(
-                tuple(last), dtype, xp=alloc, axis=-1 if transposed else d + 1)
+            self.wscr = allocate_weno_scratch(last, dtype, xp=alloc, axis=ax)
             spare = slice(spare, alloc.used)
-            self.flux, self.uface = new(std(1)), new(std(1)[1:])
-            self.dscr, self.dvscr = new(std(0)), new(std(0)[1:])
-            self.rscr = RiemannScratch(tuple(last if transposed else std(1)),
-                                       dtype=dtype, xp=alloc)
+            self.flux, self.uface = new(face), new(face[1:])
+            self.dscr, self.dvscr = new(tile(0)), new(tile(0)[1:])
+            self.rscr = RiemannScratch(tuple(face), dtype=dtype, xp=alloc)
             return spare
 
         counter = _Carver(xp)
@@ -187,20 +194,10 @@ class TileArena:
         # the limiter and the Riemann solver carve their per-face
         # temporaries from it, as blocks of the face buffers' own order.
         spare = pool[carve(_Carver(xp, pool))]
-        face = self.rscr.cons_l.shape[1:]
-        rows = spare.shape[0] // math.prod(face)
-        self.rscr.spare = (spare[:rows * math.prod(face)].reshape(rows, *face)
+        cells = math.prod(face[1:])
+        rows = spare.shape[0] // cells
+        self.rscr.spare = (spare[:rows * cells].reshape(rows, *face[1:])
                            if rows else None)
-        #: The chain's buffers in the work layout: padded block, both
-        #: face states, Riemann flux and interface velocity.
-        self.work = ((self.tpad, self.tvl, self.tvr, self.tflux, self.tuface)
-                     if transposed else
-                     (self.pad, self.vl, self.vr, self.flux, self.uface))
-        if transposed:
-            perm = sweep_perm(ndim + 1, d + 1)
-            self.flux_t = xp.transpose(self.flux, perm)
-            self.uface_t = xp.transpose(self.uface,
-                                        tuple(p - 1 for p in perm[1:]))
 
     def narrow(self, count: int) -> "TileArena":
         """This arena's memory as a ``count``-wide tile arena.
@@ -209,7 +206,7 @@ class TileArena:
         allocation.  A narrowed arena is carved afresh from the same
         pool, so its arrays stay contiguous (a sliced tile's inner runs
         would be ``count`` elements long when the slab axis is the
-        trailing one); it is cached across tiles and steps.
+        innermost one); it is cached across tiles and steps.
         """
         if self.slab_axis is None or count >= self.width_cap:
             return self
@@ -225,7 +222,8 @@ class TileArena:
         padded block through its kernel scratch into both face states.
         Stages run one after another over a tile, so this — not the
         whole arena — is what has to stay cache-resident."""
-        return sum(a.nbytes for a in (*self.work[:3], *self.wscr))
+        return sum(a.nbytes for a in (self.pad, self.vl, self.vr,
+                                      *self.wscr))
 
 
 class _PerDirection:
@@ -280,7 +278,8 @@ class SolverWorkspace:
     rollback:
         A state-sized buffer no step writes (a guarded step rolls back
         to its untouched input).  Kept allocated for the guard probe of
-        ``benchmarks/e2e/probes.py``, which copies into it.
+        ``benchmarks/e2e/probes.py``, which copies into it, as a mapping
+        of its own that holds no memory until written.
     padded, face_l, face_r, flux, u_face, weno_scratch, riemann_scratch:
         Whole-block per-direction buffers (ghost-padded primitives,
         face states, Riemann flux, interface velocity, kernel scratch),
@@ -342,8 +341,10 @@ class SolverWorkspace:
         self.control = (shared_array(words, np.float64) if shared
                         else np.zeros(words))
 
-        # Never written by a step; the e2e guard probe copies into it.
-        self.rollback = new(self.shape)
+        # Never written by a step (the e2e guard probe copies into it):
+        # a mapping of its own, so it holds no memory until written.
+        self.rollback = self.backend.from_host(
+            private_array(self.shape, np_dtype))
         self.rows = list(rows) if rows is not None else row_spans(self.shape)
 
         def block(d: int, grow: int) -> list[int]:
@@ -365,10 +366,10 @@ class SolverWorkspace:
         self.riemann_scratch = _PerDirection(lambda d: RiemannScratch(
             tuple(block(d, 1)), dtype=np_dtype, xp=xp))
 
-        #: This process's tile arenas, keyed (direction, layout, end
-        #: strip), and the one memory pool they are carved from; see the
-        #: module docstring's process-ownership rule.
-        self._arenas: dict[tuple[int, bool, bool], TileArena] = {}
+        #: This process's tile arenas, keyed (direction, end strip), and
+        #: the one memory pool they are carved from; see the module
+        #: docstring's process-ownership rule.
+        self._arenas: dict[tuple[int, bool], TileArena] = {}
         self._pool = None
         #: Largest tile scratch any one :meth:`scratch` allocator asked for.
         self._high = [0]
@@ -392,7 +393,7 @@ class SolverWorkspace:
 
     # ------------------------------------------------------------------
     def tile_arena(self, d: int, tile_width: int, *,
-                   transposed: bool = False, strip: bool = False) -> TileArena:
+                   strip: bool = False) -> TileArena:
         """The calling process's private :class:`TileArena` for direction ``d``.
 
         Built lazily (or rebuilt, if a wider tile shows up) for slabs of
@@ -405,15 +406,15 @@ class SolverWorkspace:
         the ``ng - 1`` cells along ``d`` whose ``ng`` faces are the ones
         a split sweep reconstructs after its ghost hook.
         """
-        key = (d, transposed, strip)
+        key = (d, strip)
         spatial = self._spatial
         if strip:
             spatial = (*spatial[:d], self._ng - 1, *spatial[d + 1:])
         arena = self._arenas.get(key)
         if arena is None or arena.width_cap < tile_width:
             arena = TileArena(self._nvars, spatial, self._ng, d,
-                              tile_width, self.dtype, transposed=transposed,
-                              xp=self.xp, pool=self._pool)
+                              tile_width, self.dtype, xp=self.xp,
+                              pool=self._pool)
             if arena.pool is not self._pool:
                 # It outgrew the pool: the other arenas alias the old
                 # one and rebuild here on next use.

@@ -1,7 +1,7 @@
 """Empirical autotuner over the execution-choice registry.
 
 Given a case signature and host fingerprint, the tuner benchmarks the
-cross-product of sweep layout × fusion × tile count, all at one gang
+cross-product of fusion × tile count, all at one gang
 width — the configured one, else the planned one —
 (:func:`repro.tuning.registry.candidate_plans`) with warmup/repeat
 control, *verifies each candidate bitwise* against the reference

@@ -1,8 +1,9 @@
 """Tuning plans, case signatures, host fingerprints, and cache keys.
 
 A :class:`TuningPlan` is one point in the execution-choice space the
-registry spans: the sweep memory layout, kernel fusion, the backend,
-the gang width, and the tile-count override.  Every registered
+registry spans: kernel fusion, the backend, the gang width, and the
+tile-count override (it also names the sweep layout knob, whose two
+values plan one schedule).  Every registered
 combination is bitwise identical in results; a plan only moves time.
 
 Plans are cached per ``(case signature, host fingerprint, registry

@@ -6,11 +6,15 @@ for the hardware at hand — directive-loop vs vendor-library transposes
 choices; here they are first-run-time choices over *bitwise-identical*
 executions of the one kernel source:
 
-* sweep memory layout: ``strided`` / ``transposed``,
 * kernel fusion: staged or fused per-tile kernels (on backends whose
   :attr:`~repro.backend.Backend.supports_fusion`),
 * per-launch tile count of the gang backend (the gang *width* is not
   an axis: every candidate runs at the configured or planned width).
+
+The sweep memory layout is not an axis either: both values of the
+knob plan one schedule (the arena layout rule), so every candidate
+carries the configured value and a cached plan naming either layout
+runs the same sweeps.
 
 :data:`REGISTRY_VERSION` is baked into every tuning-cache key: it is
 *derived* from the registered axes themselves, so adding or removing a
@@ -32,7 +36,9 @@ def _derive_registry_version() -> str:
 
     Any change to the choice space — new sweep layout, new fusion mode,
     new backend — yields a new version string, so every cached plan
-    tuned against the old space misses and re-tunes.
+    tuned against the old space misses and re-tunes.  (The layout
+    knob's values stay in it: no longer searched, they plan one
+    schedule, so plans cached before that still hit and still hold.)
     """
     axes = [
         "layout:" + ",".join(SWEEP_LAYOUTS),
@@ -58,17 +64,15 @@ def candidate_plans(*, ndim: int, cpu_count: int,
     Parameters
     ----------
     ndim:
-        Spatial dimensionality (1D has no non-contiguous direction, so
-        the transposed layout is never a candidate there).
+        Spatial dimensionality (no axis depends on it).
     cpu_count:
         Usable cores: the widest gang a planned candidate can resolve
         to, which sizes the explicit tile counts tried.
     threads / sweep_layout:
         The caller's configured values.  Every candidate carries
         ``threads`` unchanged (an explicit width pins it, ``None`` is
-        planned by each candidate's RHS); the configured layout is
-        always a candidate, so the tuner can only improve on (never
-        silently discard) an explicit configuration.
+        planned by each candidate's RHS); the configured layout rides
+        along unchanged (both values plan the same sweeps).
     backends:
         Backend names to enumerate (the configured backend first).
         Candidates on the other backends run the heuristic plan only.
@@ -81,11 +85,6 @@ def candidate_plans(*, ndim: int, cpu_count: int,
     layout), whose measured time becomes the tuned plan's
     ``modeled_ns`` reference point.
     """
-    layouts = [sweep_layout]
-    if ndim > 1:
-        layouts += [m for m in SWEEP_LAYOUTS if m != sweep_layout]
-    elif sweep_layout != "strided":
-        layouts.append("strided")
     workers = threads if threads is not None else max(1, cpu_count)
     # Serial sweeps take the heuristic slab count, which is checked
     # against measured tile sweeps for staged and fused sweeps alike
@@ -106,11 +105,10 @@ def candidate_plans(*, ndim: int, cpu_count: int,
             plans.append(plan)
     # "auto" fusion adds no distinct behaviour here (the tuner's
     # candidates always run the workspace path), so the axis is binary.
-    for mode in layouts:
-        for fusion in fusions:
-            for tiles in tile_counts:
-                plan = {"sweep_layout": mode, "threads": threads,
-                        "tiles": tiles, "fusion": fusion, "backend": primary}
-                if plan not in plans:
-                    plans.append(plan)
+    for fusion in fusions:
+        for tiles in tile_counts:
+            plan = {"sweep_layout": sweep_layout, "threads": threads,
+                    "tiles": tiles, "fusion": fusion, "backend": primary}
+            if plan not in plans:
+                plans.append(plan)
     return plans

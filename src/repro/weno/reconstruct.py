@@ -4,9 +4,12 @@ The public entry point :func:`reconstruct_faces` takes a field padded
 with ghost cells along one axis and returns the left/right biased face
 states for every interior face.  All arithmetic is expressed as whole-
 array NumPy operations on views (no copies of the input), with the
-reconstruction axis moved to the last (contiguous) position first — the
-Python analog of the coalesced-access layout the paper engineers with
-its array transposes.
+reconstruction axis moved last *as a view*, so the stencil offsets
+slice the trailing index.  Which axis runs innermost in memory is the
+caller's layout: the sweep tiles keep it off the reconstruction axis,
+so every stencil view coalesces into one long inner loop — the Python
+analog of the coalesced access the paper engineers with its array
+transposes (DESIGN.md "The layout rule").
 
 The kernels mirror MFC's: the downwind ("right") reconstruction reuses
 the upwind formula with the stencil mirrored, exactly as the Fortran
@@ -128,8 +131,7 @@ def _axis_last(arr: np.ndarray, axis: int, *, output: bool = False,
     """``arr`` with ``axis`` moved last — guaranteed to be a view.
 
     When ``axis`` already is the trailing axis the array itself is
-    returned (the contiguous fast path the transposed sweep layout
-    hits: no wrapper view at all).  Otherwise the ``np.moveaxis`` result
+    returned (a 1D tile's case: no wrapper view at all).  Otherwise the ``np.moveaxis`` result
     is checked to actually alias ``arr`` — for destination buffers
     (``output=True``) a silent copy would mean kernel writes never land
     in the caller's array, so anything that defeats the view (an exotic

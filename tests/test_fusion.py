@@ -23,6 +23,7 @@ from repro.acc.fusion import (
     FusedKernelSpec,
     FusionError,
     StageNode,
+    fused_kernel,
     generate_source,
     kernel_signature,
     plan_fusion,
@@ -230,11 +231,39 @@ class TestKernelCache:
         assert "def fused_sweep(" in src
         assert "hllc" in src
 
-    def test_transposed_requires_pack(self):
-        with pytest.raises(ConfigurationError):
-            spec_for(kind="transposed", pack=False)
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             spec_for(kind="sideways")
+        # Either layout spelling may skip the pack (a ghost-hook sweep).
+        for kind in FUSED_KINDS:
+            assert "prim" not in kernel_signature(spec_for(kind=kind,
+                                                           pack=False))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_frozen_probe_spellings_compile_to_one_source(self, ndim):
+        """The e2e fusion probe builds ``FusedKernelSpec(kind="strided" |
+        "transposed", pack=True, ...)`` with every keyword spelled out
+        and ``backend=RHS.fusion_backend``: both kinds compile, to one
+        generated source per direction."""
+        case, fused, ref = rhs_pair((10,) * ndim)
+        backend = fused.fusion_backend
+        fused.close()
+        ref.close()
+        assert backend == "numpy"
+        sources = set()
+        for d in range(ndim):
+            per_kind = set()
+            for kind in FUSED_KINDS:
+                spec = FusedKernelSpec(
+                    kind=kind, pack=True, ndim=ndim, d=d, order=5,
+                    weno_variant="chained", riemann_solver="hllc",
+                    riemann_variant="reference", dtype="float64",
+                    backend=backend, batch=False)
+                assert callable(fused_kernel(spec))
+                per_kind.add(generate_source(spec))
+            assert len(per_kind) == 1
+            sources |= per_kind
+        assert len(sources) == ndim
 
     @pytest.mark.parametrize("kind", FUSED_KINDS)
     @pytest.mark.parametrize("order", [1, 3, 5])

@@ -1,14 +1,21 @@
-"""Tests for the coalesced sweep engine (axis-contiguous transposed sweeps).
+"""Tests for the sweep layout rule and the layout knob.
 
-The engine must be numerically invisible: for every WENO order, Riemann
-solver, thread count, layout mode, and uneven tile split, a transposed
-RHS evaluation — and a whole transposed simulation, and a checkpoint
-round trip under the transposed engine — produces bitwise the same
-floats as the strided path.  The layout knob must validate everywhere
-it is plumbed (RHS, Simulation, case files, CLI), the workspace must
-own all transposed scratch (no steady-state allocations), and the sweep
-counters must tally what actually ran.
+A tile never reconstructs along its innermost axis: every direction but
+the trailing one sweeps standard-order slabs, the trailing direction
+gathers its tiles reconstruction-axis-first.  Both values of the
+``sweep_layout`` knob plan that one schedule, so for every WENO order,
+Riemann solver, thread count, engine mode and uneven tile split they
+give bitwise the same floats, the same tile plan and the same counters
+— for an RHS evaluation, a whole simulation, and a checkpoint round
+trip.  The knob must still validate everywhere it is plumbed (RHS,
+Simulation, case files, CLI), the workspace must own every tile buffer
+(no steady-state allocations), and the sweep counters must tally what
+actually ran.
 """
+
+import dataclasses
+import hashlib
+
 
 import numpy as np
 import pytest
@@ -29,10 +36,10 @@ from repro.solver import (
     RHSConfig,
     Simulation,
     box,
-    plan_transposed_axes,
     sphere,
 )
 from repro.solver.sweep import validate_sweep_layout
+from repro.solver.workspace import tile_axes
 from repro.state import StateLayout, prim_to_cons
 
 AIR = StiffenedGas(1.4, 0.0, "air")
@@ -80,20 +87,44 @@ def bubble_sim(n=16, **kwargs):
 
 # ----------------------------------------------------------------------
 class TestPlanner:
-    def test_strided_transposes_nothing(self):
-        assert plan_transposed_axes("strided", 2) == frozenset()
+    def test_leading_directions_keep_standard_order(self):
+        # Every direction but the trailing one already reconstructs
+        # along a non-innermost axis: its tile is a plain slab.
+        assert tile_axes(2, 0) == (0, 1, 2)
+        assert tile_axes(3, 0) == (0, 1, 2, 3)
+        assert tile_axes(3, 1) == (0, 1, 2, 3)
+        for ndim in (2, 3):
+            for d in range(ndim - 1):
+                assert tile_axes(ndim, d) == tuple(range(ndim + 1))
 
-    def test_transposed_takes_all_noncontiguous_axes(self):
-        assert plan_transposed_axes("transposed", 2) == {0}
-        assert plan_transposed_axes("transposed", 3) == {0, 1}
+    def test_only_the_trailing_direction_gathers(self):
+        # Reconstruction axis first among the spatial axes; the rest
+        # keep their standard order.
+        assert tile_axes(2, 1) == (0, 2, 1)
+        assert tile_axes(3, 2) == (0, 3, 1, 2)
+        for ndim in (2, 3):
+            for d in range(ndim):
+                axes = tile_axes(ndim, d)
+                assert axes[-1] != d + 1  # never innermost
+                assert sorted(axes) == list(range(ndim + 1))
+                assert (axes == tuple(range(ndim + 1))) == (d < ndim - 1)
 
-    def test_trailing_axis_never_transposed(self):
-        for mode in SWEEP_LAYOUTS:
-            for ndim in (1, 2, 3):
-                assert ndim - 1 not in plan_transposed_axes(mode, ndim)
+    def test_both_layouts_plan_one_schedule(self):
+        for shape in ((11,), (11, 9), (11, 9, 8)):
+            plans = [make_rhs(shape, sweep_layout=mode).tile_plan()
+                     for mode in SWEEP_LAYOUTS]
+            assert plans[0] == plans[1]
+            assert [p["kind"] for p in plans[0]["directions"]] == (
+                ["slab"] * (len(shape) - 1)
+                + ["gathered" if len(shape) > 1 else "slab"])
 
     def test_1d_has_no_candidates(self):
-        assert plan_transposed_axes("transposed", 1) == frozenset()
+        # A single-case 1D tile has no other spatial axis to put inside:
+        # it keeps standard order (a batched 1D tile gathers).
+        assert tile_axes(1, 0) == (0, 1)
+        kinds = [[p["kind"] for p in make_rhs((11,), **kw).tile_plan()[
+            "directions"]] for kw in ({}, {"batch": 3})]
+        assert kinds == [["slab"], ["gathered"]]
 
     def test_validate_rejects_unknown_mode(self):
         for mode in ("coalesced", "auto"):
@@ -140,7 +171,7 @@ class TestRHSBitwiseIdentity:
                 np.testing.assert_array_equal(rhs(q), base)
 
     def test_repeated_calls_stay_identical(self):
-        # Transposed scratch is reused across calls; stale ghost or face
+        # Gathered tile buffers are reused across calls; stale ghost or face
         # data from call N must not leak into call N+1.
         shape = (12, 10)
         strided, transposed = make_rhs(shape), make_rhs(
@@ -150,10 +181,12 @@ class TestRHSBitwiseIdentity:
             np.testing.assert_array_equal(transposed(q), strided(q))
 
     def test_no_workspace_falls_back_to_strided(self):
+        # The allocating reference path sweeps whole standard-order
+        # fields: nothing is gathered.
         rhs = make_rhs((10, 9), sweep_layout="transposed",
                        use_workspace=False)
         assert [p["kind"] for p in rhs.tile_plan()["directions"]] == [
-            "strided", "strided"]
+            "slab", "slab"]
         q = random_q((10, 9), 1)
         np.testing.assert_array_equal(rhs(q), make_rhs((10, 9))(q))
 
@@ -217,74 +250,80 @@ class TestSimulationIdentity:
 # ----------------------------------------------------------------------
 class TestWorkspaceOwnership:
     def test_transposed_buffers_exist_per_axis(self):
+        """One arena per swept direction; only the trailing direction's
+        is gathered, with its reconstruction axis first."""
         rhs = make_rhs((11, 9, 8), sweep_layout="transposed", tiles=2)
         ws = rhs.workspace
         nv = rhs.layout.nvars
         ng = rhs.ghost_width
         for _ in range(2):  # a later direction may outgrow the first pool
             rhs(random_q((11, 9, 8), 2))
-        # One arena per swept direction, in that direction's layout.
-        assert sorted((d, t) for d, t, _ in ws._arenas) == [
-            (0, True), (1, True), (2, False)]
-        # Reconstruction axis last, padded by the ghost width; the slab
-        # (axis 1) holds the wider tile of the uneven 2-way split.
-        x, y = ws.tile_arena(0, 5, transposed=True), ws.tile_arena(
-            1, 6, transposed=True)
-        assert x.tpad.shape == (nv, 5, 8, 11 + 2 * ng)
-        assert y.tpad.shape == (nv, 6, 8, 9 + 2 * ng)
-        assert x.tvl.shape == x.tflux.shape == (nv, 5, 8, 12)
-        assert y.tuface.shape == (6, 8, 10)
-        # Standard-layout scatter targets and their axis-last views.
-        assert x.flux.shape == (nv, 12, 5, 8)
-        assert x.flux_t.shape == x.tflux.shape
-        assert np.shares_memory(x.flux_t, x.flux)
+        assert sorted(ws._arenas) == [(0, False), (1, False), (2, False)]
+        x, y, z = (ws.tile_arena(0, 5), ws.tile_arena(1, 6),
+                   ws.tile_arena(2, 6))
+        assert [a.gathered for a in (x, y, z)] == [False, False, True]
+        # Slab-order tiles: the slab (y for x, x otherwise) holds the
+        # wider tile of the uneven 2-way split.
+        assert x.pad.shape == (nv, 11 + 2 * ng, 5, 8)
+        assert y.pad.shape == (nv, 6, 9 + 2 * ng, 8)
+        assert x.vl.shape == x.flux.shape == (nv, 12, 5, 8)
         assert y.uface.shape == (6, 10, 8)
-        assert y.uface_t.shape == y.tuface.shape
+        # The gathered z tile: reconstruction axis, slab, then y.
+        assert z.axes == (0, 3, 1, 2) and z.axis == 1
+        assert z.pad.shape == (nv, 8 + 2 * ng, 6, 9)
+        assert z.vl.shape == z.flux.shape == (nv, 9, 6, 9)
+        assert z.uface.shape == (9, 6, 9)
+        assert z.dscr.shape == (nv, 8, 6, 9)
 
     def test_narrowed_arena_is_contiguous_and_aliases(self):
         """One contiguous pool block per buffer; the axis-last views the
-        WENO kernels take of a strided tile's scratch are axis-permuted
-        views of blocks in the tile's own (standard) order."""
-        for transposed in (False, True):
-            ws = make_rhs((11, 9, 8), sweep_layout="transposed").workspace
-            arena = ws.tile_arena(0, 5, transposed=transposed)
+        WENO kernels take of a tile's scratch are axis-permuted views of
+        blocks in the tile's own order."""
+        ws = make_rhs((11, 9, 8), sweep_layout="transposed").workspace
+        for d in range(3):
+            arena = ws.tile_arena(d, 5)
             tile = arena.narrow(4)
             assert arena.narrow(5) is arena
             assert arena.narrow(4) is tile  # cached across tiles/steps
             assert tile.pool is arena.pool and tile.nbytes < arena.nbytes
-            pad = tile.tpad if transposed else tile.pad
-            for buf in (pad, tile.flux, tile.uface, tile.dscr,
+            for buf in (tile.pad, tile.flux, tile.uface, tile.dscr,
                         *tile.wscr, tile.rscr.star_tmp):
                 order = np.argsort([-s for s in buf.strides], kind="stable")
                 assert buf.transpose(order).flags.c_contiguous
                 assert np.shares_memory(buf, arena.pool)
-            assert pad.shape[1 if transposed else 2] == 4
+            assert tile.pad.shape[tile.axes.index(arena.slab_axis + 1)] == 4
             # Scratch is handed out reconstruction-axis-last, in the
             # memory order of the face states it is combined with.
-            vl = np.moveaxis(tile.tvl if transposed else tile.vl,
-                             -1 if transposed else 1, -1)
+            vl = np.moveaxis(tile.vl, tile.axis, -1)
             plain = tile.wscr[-1]
             assert plain.shape == vl.shape and plain.strides == vl.strides
-            assert plain.flags.c_contiguous == transposed
+            assert not plain.flags.c_contiguous
 
     def test_strided_workspace_has_no_transposed_buffers(self):
-        rhs = make_rhs((11, 9))
-        for _ in range(2):
-            rhs(random_q((11, 9), 3))
-        arenas = list(rhs.workspace._arenas.values())
-        assert len(arenas) == 2
-        for arena in arenas:
-            assert not arena.transposed
-            assert not hasattr(arena, "tpad") and not hasattr(arena, "tflux")
+        # No arena keeps an axis-last variant or scatter views.
+        for mode in SWEEP_LAYOUTS:
+            rhs = make_rhs((11, 9), sweep_layout=mode)
+            for _ in range(2):
+                rhs(random_q((11, 9), 3))
+            arenas = list(rhs.workspace._arenas.values())
+            assert len(arenas) == 2
+            for arena in arenas:
+                for name in ("tpad", "tvl", "tvr", "tflux", "tuface",
+                             "flux_t", "uface_t"):
+                    assert not hasattr(arena, name)
 
     def test_transposed_bytes_counted_in_arena(self):
+        # The gathered tile is an arena of the same size as a slab one,
+        # and the workspace's byte count covers it under either knob.
         q = random_q((16, 13), 4)
         strided = make_rhs((16, 13), tiles=1)
         transposed = make_rhs((16, 13), sweep_layout="transposed", tiles=1)
         strided(q), transposed(q)
-        # The axis-last arena carries both layouts' flux and interface
-        # velocity (work buffers + scatter targets).
-        assert transposed.workspace.nbytes > strided.workspace.nbytes
+        assert transposed.workspace.nbytes == strided.workspace.nbytes
+        ws = transposed.workspace
+        assert ws.tile_arena(1, 16).gathered
+        assert ws.tile_arena(1, 16).nbytes <= ws._pool.nbytes
+        assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_steady_state_allocations_zero(self, threads):
@@ -306,23 +345,26 @@ class TestSweepCounters:
         rhs = make_rhs((10, 9))
         rhs(random_q((10, 9), 0))
         c = rhs.sweep_counters
-        # Direction 1 is naturally contiguous: only direction 0 counts
-        # as a strided sweep.
+        # Direction 0 sweeps standard-order slabs; direction 1 gathers
+        # its tiles — one transpose of the primitives.
         assert c.strided_sweeps == 1
-        assert c.transposed_sweeps == 0
+        assert c.transposed_sweeps == 1
+        assert c.transposes == 1
+        assert c.bytes_transposed == rhs.layout.nvars * 10 * 9 * 8
         assert c.bytes_reconstructed_strided > 0
-        assert c.bytes_reconstructed_contiguous > 0  # the trailing axis
+        assert c.bytes_reconstructed_contiguous == 0  # never innermost
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_transposed_run_counts_transposes(self, threads):
         rhs = make_rhs((10, 9), threads=threads, sweep_layout="transposed")
         rhs(random_q((10, 9), 0))
+        rhs.close()
+        ref = make_rhs((10, 9))
+        ref(random_q((10, 9), 0))
         c = rhs.sweep_counters
         assert c.transposed_sweeps == 1
-        assert c.strided_sweeps == 0
-        assert c.transposes == 3  # gather in, flux + u_face scatter out
-        assert c.bytes_transposed > 0
-        assert c.bytes_reconstructed_strided == 0
+        assert c.transposes == 1  # the gather; the divergence is a view
+        assert c.as_dict() == ref.sweep_counters.as_dict()
 
     def test_merge_and_dict_roundtrip(self):
         a = SweepCounters()
@@ -334,8 +376,10 @@ class TestSweepCounters:
         d = a.as_dict()
         assert d["strided_sweeps"] == 1
         assert d["transposed_sweeps"] == 1
-        assert d["bytes_reconstructed_contiguous"] == 200 + 50
+        assert d["bytes_reconstructed_strided"] == 100 + 200
+        assert d["bytes_reconstructed_contiguous"] == 50
         assert d["bytes_transposed"] == 300
+        assert d["transposes"] == 1
         assert "transposed" in a.summary()
 
     def test_profile_report_includes_sweeps(self):
@@ -347,6 +391,94 @@ class TestSweepCounters:
         c.record_transposed(1000, 2000)
         prof.sweep = c
         assert "sweeps: 1 transposed" in prof.report()
+
+
+# ----------------------------------------------------------------------
+def assert_layout_rule(workspaces, nsp):
+    """No tile arena of ``workspaces`` reconstructs along its innermost
+    axis.  Every arena buffer is one C-contiguous block in the tile's
+    own axis order, so that axis is the last one.  A single-case 1D tile
+    has no other spatial axis to put there and keeps standard order."""
+    arenas = [tile for ws in workspaces for arena in ws._arenas.values()
+              for tile in (arena, *arena._narrowed.values())]
+    assert arenas
+    for tile in arenas:
+        for buf in (tile.pad, tile.vl, tile.vr, tile.flux, tile.dscr):
+            assert buf.flags.c_contiguous
+            if nsp == 1:
+                assert tile.axes == (0, 1)
+            else:
+                assert tile.axis != buf.ndim - 1
+
+
+class TestLayoutRule:
+    """Property test of the one layout rule over every engine mode, 1D to
+    3D and WENO orders 1, 3 and 5: the rule holds in every arena, and
+    the two values of the layout knob are one schedule — same tile plan,
+    same dq/dt bits (the oracle's), same limiter count, same counters."""
+
+    SHAPES = {1: (24,), 2: (14, 11), 3: (12, 7, 8)}
+    MODES = {"serial": {}, "gang": {"threads": 2}, "fused": {"fusion": "on"},
+             "batched": {"batch": 3}}
+
+    @staticmethod
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_rhs_engines(self, mode, ndim, order):
+        shape = self.SHAPES[ndim]
+        kwargs = self.MODES[mode]
+        batch = kwargs.get("batch")
+        spatial = shape if batch is None else (batch, *shape)
+        q = random_q(spatial, seed=order) if batch is None else np.stack(
+            [random_q(shape, seed=order + b) for b in range(batch)], axis=1)
+        oracle = make_rhs(shape, order=order, use_workspace=False)
+        expect = (oracle(q) if batch is None else np.stack(
+            [oracle(q[:, b]) for b in range(batch)], axis=1))
+        runs = {}
+        for layout in SWEEP_LAYOUTS:
+            with make_rhs(shape, order=order, sweep_layout=layout, tiles=2,
+                          **kwargs) as rhs:
+                out = rhs(q)
+                assert_layout_rule([rhs.workspace], len(spatial))
+            runs[layout] = (rhs.tile_plan(), self.digest(out),
+                            rhs.limited_faces, rhs.sweep_counters.as_dict())
+        assert runs["strided"] == runs["transposed"]
+        assert runs["strided"][1] == self.digest(expect)
+        if batch is None:
+            assert runs["strided"][2] == oracle.limited_faces
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("overlap", [True, False],
+                             ids=["split", "unsplit"])
+    def test_rank_local_engines(self, overlap, ndim, order):
+        from tests.test_tiles import bubble_case, rank_team, team_rhs
+
+        shape = self.SHAPES[ndim]
+        case = bubble_case(shape)
+        bcs = BoundarySet.all_periodic(ndim)
+        config = RHSConfig(weno_order=order)
+        q = case.initial_conservative()
+        serial = RHS(case.layout, case.mixture, case.grid, bcs, config)
+        runs = {}
+        for layout in SWEEP_LAYOUTS:
+            halo, ranks = rank_team(case, bcs, (2,) + (1,) * (ndim - 1),
+                                    tiles=2, config=config,
+                                    sweep_layout=layout, overlap=overlap)
+            out = team_rhs(halo, ranks, q)
+            assert_layout_rule([rank.ws for rank in ranks], ndim)
+            assert any(ranks[0]._split) == overlap
+            runs[layout] = (
+                [[dataclasses.asdict(p) for p in rank._engine.plans.values()]
+                 for rank in ranks],
+                self.digest(out), [rank.limited_faces for rank in ranks],
+                [rank.sweep_counters.as_dict() for rank in ranks])
+        assert runs["strided"] == runs["transposed"]
+        assert runs["strided"][1] == self.digest(serial(q))
 
 
 # ----------------------------------------------------------------------

@@ -230,7 +230,9 @@ class TestThreadedBitwise:
         # perpendicular to it, never on the reconstruction axis; 1D has
         # no such axis and runs one tile.
         plans = tiled.tile_plan()["directions"]
-        assert [p["kind"] for p in plans] == ["strided"] * len(shape)
+        assert [p["kind"] for p in plans] == (
+            ["slab"] * (len(shape) - 1)
+            + ["gathered" if len(shape) > 1 else "slab"])
         if len(shape) == 1:
             assert (plans[0]["slab_axis"], plans[0]["tiles"]) == (None, 1)
         else:
@@ -322,17 +324,17 @@ class TestThreadPlumbing:
             assert np.shares_memory(buf, mine.pool)
         assert not np.shares_memory(mine.pool, ws.prim)
         # Re-asking gets the cached arena back (a narrower request fits
-        # the one it has); the strided and transposed arenas of one
+        # the one it has); the slab and end-strip arenas of one
         # direction are distinct objects on one pool.
         assert ws.tile_arena(0, 4) is mine
-        other = ws.tile_arena(0, 8, transposed=True)
+        other = ws.tile_arena(0, 8, strip=True)
         assert other is not mine
         # A wider tile outgrows the pool: the arena is rebuilt on a new
         # one, and the other arenas follow on next use.
         wider = ws.tile_arena(0, 9)
         assert wider is not mine and wider.width_cap == 9
         assert ws.tile_arena(0, 8) is wider
-        assert ws.tile_arena(0, 8, transposed=True) is not other
+        assert ws.tile_arena(0, 8, strip=True) is not other
         # The pool is the workspace's memory accounting: one per process.
         assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
         assert ws._pool is wider.pool

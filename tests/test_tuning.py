@@ -154,11 +154,12 @@ class TestCandidatePlans:
 
     def test_cross_product_covers_the_registry(self):
         plans = candidate_plans(ndim=2, cpu_count=4)
-        assert any(p["sweep_layout"] == "transposed" for p in plans)
+        # Both layouts plan one schedule: the layout rides along.
+        assert {p["sweep_layout"] for p in plans} == {"strided"}
         assert any(p["fusion"] == "on" for p in plans)
-        # layout x fusion x tile count: 2 x 2 x 3 (48 with the kernel
-        # variants the tuner no longer searches).
-        assert len(plans) == 12
+        # fusion x tile count: 2 x 3 (12 with the layout axis, 48 with
+        # the kernel variants the tuner no longer searches).
+        assert len(plans) == 6
         # The gang width is not an axis: every candidate carries the
         # caller's value (None = planned by the candidate's own RHS).
         assert {p["threads"] for p in plans} == {None}
@@ -172,11 +173,15 @@ class TestCandidatePlans:
     def test_1d_has_no_transposed_candidates(self):
         plans = candidate_plans(ndim=1, cpu_count=2)
         assert all(p["sweep_layout"] != "transposed" for p in plans)
+        for ndim in (1, 2, 3):
+            assert {p["sweep_layout"] for p in candidate_plans(
+                ndim=ndim, cpu_count=2, sweep_layout="transposed")} == {
+                    "transposed"}
 
     def test_fusion_candidates_only_where_the_backend_fuses(self):
         plans = candidate_plans(ndim=2, cpu_count=2, backends=("checked",))
         assert {p["fusion"] for p in plans} == {"off"}
-        assert len(plans) == 6
+        assert len(plans) == 3
 
     def test_fused_and_staged_candidates_share_tile_counts(self):
         # Staged and fused sweeps run on the same tile arenas under the
