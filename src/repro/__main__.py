@@ -24,20 +24,20 @@ from repro.io.case_files import (
 from repro.solver import RHSConfig, Simulation
 from repro.solver.options import add_cli_flags, fold
 
-#: ``ensemble`` flags of the durable service: (flag, ``"service"`` key,
+#: ``ensemble`` flags of the campaign service: (flag, ``"service"`` key,
 #: ``add_argument`` extras).  Like the knob flags, one given on the
 #: command line overrides (or creates) the spec's entry.
 SERVICE_FLAGS = (
     ("--ledger", "ledger", dict(
-        help="write-ahead ledger path: run as a durable, crash-tolerant "
-             "job service (resumes if the ledger exists; see "
-             "docs/ensemble.md)")),
+        help="write-ahead ledger path: make the campaign durable and "
+             "crash-tolerant (resumes if the ledger exists; without one "
+             "the campaign writes no file; see docs/ensemble.md)")),
     ("--checkpoint-dir", "checkpoint_dir", dict(
         help="per-job restart checkpoints (default: 'checkpoints' beside "
-             "the ledger)")),
+             "the ledger; needs a ledger)")),
     ("--results-dir", "results_dir", dict(
         help="final result snapshots (default: 'results' beside the "
-             "ledger)")),
+             "ledger; needs a ledger)")),
     ("--max-attempts", "max_attempts", dict(
         type=int, help="failures per job before quarantine (default 3)")),
     ("--deadline", "deadline_seconds", dict(
@@ -45,7 +45,7 @@ SERVICE_FLAGS = (
                          "(default 60)")),
     ("--checkpoint-every", "checkpoint_every", dict(
         type=int, help="stacked steps between per-job checkpoints "
-                       "(default 5)")),
+                       "(default 5; needs a ledger)")),
     ("--no-supervise", "supervise", dict(
         action="store_const", const=False,
         help="run batches in-process instead of supervised children "
@@ -121,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     # Deferred: only this command pays for the ensemble/cluster imports.
-    from repro.ensemble import EnsembleRunner, EnsembleService
+    from repro.ensemble import EnsembleService, plan_job_batches
 
     jobs, batch_width, knobs, service = load_ensemble_spec(args.spec)
     if args.batch_width is not None:
@@ -130,33 +130,22 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     bcs, config = _numerics(args, jobs[0].case.grid.ndim)
     service.update((key, getattr(args, key)) for _flag, key, _cli
                    in SERVICE_FLAGS if getattr(args, key) is not None)
-    if service and "ledger" not in service:
-        print("ensemble: durable-service flags need --ledger "
-              "(or a spec 'service' section)", file=sys.stderr)
-        return 2
-    if service:
-        svc = EnsembleService(jobs, bcs, batch_width=batch_width,
-                              config=config, options=options, **service)
-        print(f"ensemble service: {len(jobs)} jobs, width <= {batch_width}, "
-              f"ledger {svc.ledger.path}"
-              + (" (resuming)" if svc.ledger.exists() else ""))
-        report = svc.run()
-        print(report.summary())
-        return 0 if all(j.status == "done" for j in report.jobs) else 1
-    runner = EnsembleRunner(jobs, bcs, batch_width=batch_width,
-                            config=config, options=options)
-    plan = runner.plan_batches()
-    print(f"ensemble: {len(jobs)} jobs in {len(plan)} batch(es), "
+    svc = EnsembleService(jobs, bcs, batch_width=batch_width,
+                          config=config, options=options, **service)
+    batches = len(plan_job_batches(jobs, config, batch_width))
+    print(f"ensemble service: {len(jobs)} jobs in {batches} batch(es), "
           f"width <= {batch_width}, WENO{args.weno} + {args.riemann.upper()}"
           + (f", {options.threads} threads"
              if options.threads is not None else "")
           + (f", fusion {options.fusion}" if options.fusion != "off" else "")
           + (f", backend {options.backend}"
-             if options.backend not in (None, "numpy") else ""))
-    report = runner.run()
+             if options.backend not in (None, "numpy") else "")
+          + (f", ledger {svc.ledger.path}"
+             + (" (resuming)" if svc.ledger.exists() else "")
+             if svc.ledger is not None else ""))
+    report = svc.run()
     print(report.summary())
-    print(f"total batch wall {report.total_wall_seconds:.3f} s")
-    return 0
+    return 0 if all(j.status == "done" for j in report.jobs) else 1
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:

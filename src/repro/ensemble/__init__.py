@@ -1,32 +1,34 @@
 """Batched ensemble execution: one stacked RHS for N concurrent cases.
 
 See :mod:`repro.ensemble.simulation` for the bitwise contract,
-:mod:`repro.ensemble.runner` for the signature-grouping scheduler, and
-:mod:`repro.ensemble.service` for the durable, crash-tolerant job
-service (write-ahead ledger, supervised batches, retry/quarantine).
+:mod:`repro.ensemble.runner` for jobs and how they group into batches,
+and :mod:`repro.ensemble.service` for the one campaign driver: batches
+side by side in supervised children, retry/quarantine, and — with a
+write-ahead ledger — a durable, crash-tolerant campaign that resumes
+where it was killed.
 """
 
 from repro.ensemble.ledger import JobLedger, LedgerReplay, job_table
 from repro.ensemble.runner import (
-    BatchRecord,
     EnsembleJob,
-    EnsembleReport,
-    EnsembleRunner,
     batch_signature,
     plan_job_batches,
 )
-from repro.ensemble.service import EnsembleService, JobOutcome, ServiceReport
+from repro.ensemble.service import (
+    EnsembleRunner,
+    EnsembleService,
+    JobOutcome,
+    ServiceReport,
+)
 from repro.ensemble.simulation import EnsembleCaseResult, EnsembleSimulation
 from repro.ensemble.state import EnsembleState
 from repro.ensemble.supervisor import BatchSpec, BatchSupervisor, execute_batch
 
 __all__ = [
-    "BatchRecord",
     "BatchSpec",
     "BatchSupervisor",
     "EnsembleCaseResult",
     "EnsembleJob",
-    "EnsembleReport",
     "EnsembleRunner",
     "EnsembleService",
     "EnsembleSimulation",

@@ -1,16 +1,22 @@
-"""Durable, crash-tolerant ensemble job service.
+"""The campaign driver: every ensemble runs on this scheduler.
 
 :class:`EnsembleService` wraps the batched engine
 (:class:`~repro.ensemble.simulation.EnsembleSimulation`) in the
 machinery a long campaign actually needs — the host-side analog of the
-paper's checkpoint-restart discipline on 65k-device runs:
+paper's independent work per device and its checkpoint-restart
+discipline on 65k-device runs.  It is the only driver that marches
+campaign batches: without a ledger it keeps its job table and outcomes
+in memory and writes no file (``python -m repro ensemble`` without
+``--ledger``, :meth:`repro.solver.Simulation.run_ensemble`,
+:class:`EnsembleRunner`); with one it is durable:
 
-* **Write-ahead ledger** (:class:`~repro.ensemble.ledger.JobLedger`):
-  every job transition is durably recorded *before* the service acts on
-  it, so a killed ``python -m repro ensemble`` invocation resumes
-  exactly where it left off — ``done`` jobs replay from their verified
-  result snapshots, in-flight jobs restart from their newest per-job
-  checkpoint, ``quarantined`` jobs stay quarantined.
+* **Write-ahead ledger** (:class:`~repro.ensemble.ledger.JobLedger`,
+  optional): every job transition is durably recorded *before* the
+  service acts on it, so a killed ``python -m repro ensemble``
+  invocation resumes exactly where it left off — ``done`` jobs replay
+  from their verified result snapshots, in-flight jobs restart from
+  their newest per-job checkpoint, ``quarantined`` jobs stay
+  quarantined.
 * **Supervised batches**
   (:class:`~repro.ensemble.supervisor.BatchSupervisor`): each batch
   attempt runs in a child process watched through a shared-memory
@@ -31,15 +37,17 @@ paper's checkpoint-restart discipline on 65k-device runs:
 * **Graceful degradation**: repeated batch-level transient failures
   halve ``batch_width`` (down to ``min_batch_width``); a batch whose
   fused build fails falls back to unfused kernels (the supervisor's
-  degradation).  Every downgrade is a structured ledger event.
+  degradation).  Every downgrade is a structured event (in the ledger,
+  when there is one).
 
 Bitwise contract
 ----------------
 The engine guarantees each case advances bit-for-bit identically at
 any batch width, and checkpoint restart is bitwise-exact — so however
 a campaign is killed, corrupted, re-batched, or degraded, every
-recoverable job's final state is **bit-identical to a fault-free run**.
-The chaos suite asserts exactly that.
+recoverable job's final state is **bit-identical to a fault-free run**
+— and to its standalone :meth:`repro.solver.Simulation.run`.  The chaos
+suite asserts exactly that.
 """
 
 from __future__ import annotations
@@ -73,7 +81,8 @@ from repro.ensemble.runner import (
 from repro.ensemble.simulation import EnsembleCaseResult
 from repro.ensemble.supervisor import BatchSpec, BatchSupervisor
 
-__all__ = ["EnsembleService", "JobOutcome", "ServiceReport", "plan_slots"]
+__all__ = ["EnsembleRunner", "EnsembleService", "JobOutcome",
+           "ServiceReport", "plan_slots"]
 
 #: Exponential-backoff ceiling (seconds) between retries of one job.
 BACKOFF_CAP_SECONDS = 30.0
@@ -126,7 +135,8 @@ class JobOutcome:
 
 @dataclass
 class ServiceReport:
-    """What a service run accomplished, plus durability telemetry."""
+    """What a campaign accomplished: per-job outcomes (in job order),
+    per-batch telemetry, and durability telemetry."""
 
     jobs: list[JobOutcome]
     resumed: bool
@@ -140,10 +150,20 @@ class ServiceReport:
     #: How many batches ran side by side, on how many cores, and why
     #: (:func:`plan_slots`).
     slots: str = ""
+    #: Telemetry of every batch that ran to its end, in the order they
+    #: ended: :func:`~repro.ensemble.supervisor.execute_batch`'s plus
+    #: the ``jobs`` (ids) it carried.
+    batches: list[dict] = field(default_factory=list)
 
     @property
     def results(self) -> list[EnsembleCaseResult | None]:
         return [j.result for j in self.jobs]
+
+    @property
+    def total_wall_seconds(self) -> float:
+        """Sum of the batches' march walls (not the campaign's wall:
+        side-by-side batches overlap)."""
+        return sum(b["wall_seconds"] for b in self.batches)
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -162,10 +182,21 @@ class ServiceReport:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.counts().items()))
         lines.append(
             f"{'resumed' if self.resumed else 'fresh'} run: {counts}; "
-            f"{self.executed_batches} batches executed, "
-            f"{self.replayed_done} results replayed from the ledger")
+            f"{self.executed_batches} batches executed"
+            + (f", {self.replayed_done} results replayed from the ledger"
+               if self.resumed else ""))
         if self.slots:
             lines.append(f"batch slots: {self.slots}")
+        for i, b in enumerate(self.batches):
+            lines.append(
+                f"batch {i}: {_count(len(b['jobs']), 'job', 'jobs')}, "
+                f"{_count(b['steps'], 'step', 'steps')}, "
+                f"{_count(b['retire_events'], 'retire', 'retires')}, "
+                f"march {b['wall_seconds']:.3f} s, gang {b['gang']}")
+            if b["tuning"]:
+                lines.append(f"  {b['tuning']} "
+                             f"[{b['timing_runs']} timing runs]")
+        lines.append(f"total batch wall {self.total_wall_seconds:.3f} s")
         if self.ledger_skipped or self.ledger_dropped_tail:
             lines.append(
                 f"ledger damage survived: {self.ledger_skipped} records "
@@ -181,19 +212,23 @@ class ServiceReport:
 
 
 class EnsembleService:
-    """Crash-tolerant campaign driver over the batched ensemble engine.
+    """The campaign driver over the batched ensemble engine.
 
     Parameters
     ----------
     jobs / bcs:
-        As for :class:`~repro.ensemble.runner.EnsembleRunner`.
+        The :class:`~repro.ensemble.runner.EnsembleJob` list (batched
+        by :func:`~repro.ensemble.runner.plan_job_batches`) and the
+        boundary conditions every case shares.
     ledger:
-        Ledger file path (or a :class:`JobLedger`).  An existing ledger
-        for the same spec resumes the campaign; one for a *different*
-        spec is rejected.
+        Ledger file path (or a :class:`JobLedger`): the campaign is
+        durable.  An existing ledger for the same spec resumes the
+        campaign; one for a *different* spec is rejected.  None (the
+        default) keeps the job table and outcomes in memory and writes
+        no file — the options that name files then do not apply.
     checkpoint_dir / results_dir:
         Where per-job restart checkpoints and final result snapshots
-        live.  Defaults to siblings of the ledger file.
+        live.  Defaults to siblings of the ledger file; need a ledger.
     batch_width:
         Initial stacked width; degradation may narrow it.
     max_attempts:
@@ -207,7 +242,8 @@ class EnsembleService:
         Supervisor knobs (no-progress grace, hard per-attempt wall
         budget, child-process isolation on/off).
     checkpoint_every / checkpoint_keep:
-        Per-case checkpoint cadence (stacked steps) inside batches.
+        Per-case checkpoint cadence (stacked steps, default 5) inside
+        batches; needs a ledger.
     check_every:
         Validation cadence of every batch (it replaces the one in
         ``options``); defaults to 1 so a diverging case is caught on
@@ -225,7 +261,7 @@ class EnsembleService:
     """
 
     def __init__(self, jobs: list[EnsembleJob], bcs: BoundarySet, *,
-                 ledger: str | Path | JobLedger,
+                 ledger: str | Path | JobLedger | None = None,
                  checkpoint_dir: str | Path | None = None,
                  results_dir: str | Path | None = None,
                  batch_width: int = 8, max_attempts: int = 3,
@@ -233,7 +269,8 @@ class EnsembleService:
                  deadline_seconds: float = 60.0,
                  wall_limit_seconds: float | None = None,
                  supervise: bool = True,
-                 checkpoint_every: int = 5, checkpoint_keep: int = 3,
+                 checkpoint_every: int | None = None,
+                 checkpoint_keep: int = 3,
                  check_every: int = 1,
                  degrade_after: int = 2, min_batch_width: int = 1,
                  chaos: object | None = None,
@@ -250,17 +287,26 @@ class EnsembleService:
         integer(1)("degrade_after", degrade_after)
         self.jobs = list(jobs)
         self.bcs = bcs
-        self.ledger = ledger if isinstance(ledger, JobLedger) \
-            else JobLedger(ledger)
-        base = self.ledger.path.parent
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir \
-            else base / "checkpoints"
-        self.results_dir = Path(results_dir) if results_dir \
-            else base / "results"
+        if ledger is None:
+            if checkpoint_dir or results_dir or checkpoint_every is not None:
+                raise ConfigurationError(
+                    "checkpoint_dir, results_dir and checkpoint_every need "
+                    "a ledger: a campaign without one writes no file")
+            self.ledger = self.checkpoint_dir = self.results_dir = None
+            checkpoint_every = 0
+        else:
+            self.ledger = ledger if isinstance(ledger, JobLedger) \
+                else JobLedger(ledger)
+            base = self.ledger.path.parent
+            self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir \
+                else base / "checkpoints"
+            self.results_dir = Path(results_dir) if results_dir \
+                else base / "results"
         self.batch_width = batch_width
         self.max_attempts = max_attempts
         self.retry_base_seconds = retry_base_seconds
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint_every = 5 if checkpoint_every is None \
+            else checkpoint_every
         self.checkpoint_keep = checkpoint_keep
         self.degrade_after = degrade_after
         self.min_batch_width = min_batch_width
@@ -287,6 +333,7 @@ class EnsembleService:
         self._not_before = [0.0] * n
         self._results: dict[int, EnsembleCaseResult] = {}
         self._events: list[dict] = []
+        self._batch_telemetry: list[dict] = []
         self._executed_batches = 0
         self._replayed_done = 0
         self._ledger_skipped = 0
@@ -321,16 +368,24 @@ class EnsembleService:
         return hashlib.sha256(np.ascontiguousarray(q).tobytes()) \
             .hexdigest()[:16]
 
+    def _append(self, record: dict) -> None:
+        """Durably record one transition (nothing without a ledger)."""
+        if self.ledger is not None:
+            self.ledger.append(record)
+
     def _record_event(self, event: dict) -> None:
         self._events.append(event)
-        self.ledger.append({"kind": "event", **event})
+        self._append({"kind": "event", **event})
 
     # ------------------------------------------------------------------
     def _open_ledger(self) -> bool:
         """Replay (or create) the ledger; seed job states from it.
 
-        Returns whether this run resumes an existing campaign.
+        Returns whether this run resumes an existing campaign (never,
+        without a ledger).
         """
+        if self.ledger is None:
+            return False
         digest = self.spec_digest()
         existed = self.ledger.exists()
         replay = self.ledger.replay()
@@ -410,11 +465,13 @@ class EnsembleService:
 
         Whenever a slot of :func:`plan_slots` is free, the runnable jobs
         whose backoff has lapsed are planned into batches of the current
-        width and one starts: side by side the longest (:meth:`_work`),
-        in a single slot the first in plan order.  Each attempt ends in
-        one ``self.supervisor.run(spec)``; side by side, that call
-        collects the outcome of a child :meth:`BatchSupervisor.next_done`
-        saw end.  Outcomes fold into the ledger in the order children
+        width and one is submitted to the supervisor: side by side the
+        longest (:meth:`_work`), in a single slot the first in plan
+        order.  A supervised batch forks its pinned child, an
+        unsupervised one runs inline at submit; either way the attempt
+        ends in one ``self.supervisor.run(spec)`` that collects the
+        outcome :meth:`BatchSupervisor.next_done` saw ready.  Outcomes
+        fold into the job table (and the ledger) in the order batches
         end.
         """
         resumed = self._open_ledger()
@@ -432,12 +489,8 @@ class EnsembleService:
                                else ready[0])
                     spec = self._start(indices)
                     cores = free.pop(0)
-                    if side_by_side:
-                        self.supervisor.submit(spec, cores=cores)
-                        running[id(spec)] = (indices, cores)
-                    else:
-                        self._land(indices, self.supervisor.run(spec))
-                        free.append(cores)
+                    running[id(spec)] = (indices, cores)
+                    self.supervisor.submit(spec, cores=cores)
                     continue
                 backoffs = [self._not_before[i] for i in self._runnable()]
                 if not running and not backoffs:
@@ -484,7 +537,7 @@ class EnsembleService:
                                  or "attempt budget exhausted")
 
     def _quarantine(self, index: int, error: str | None) -> None:
-        self.ledger.append({
+        self._append({
             "kind": "job", "id": self.job_id(index),
             "status": "quarantined", "attempt": self._attempts[index],
             "error": error})
@@ -502,6 +555,9 @@ class EnsembleService:
 
     def _restart_seeds(self, indices: list[int]):
         """Newest valid per-job checkpoint state/time/step (or fresh)."""
+        if self.checkpoint_dir is None:
+            n = len(indices)
+            return [None] * n, [0.0] * n, [0] * n
         states, times, steps = [], [], []
         for i in indices:
             mgr = self._checkpoints(i)
@@ -529,7 +585,7 @@ class EnsembleService:
     def _start(self, indices: list[int]) -> BatchSpec:
         """Record one batch attempt as running; its spec."""
         for i in indices:
-            self.ledger.append({
+            self._append({
                 "kind": "job", "id": self.job_id(i), "status": "running",
                 "attempt": self._attempts[i]})
             self._status[i] = "running"
@@ -570,6 +626,9 @@ class EnsembleService:
         self._executed_batches += 1
         if outcome.get("ok"):
             self._consecutive_failures = 0
+            self._batch_telemetry.append({
+                "jobs": [self.job_id(i) for i in indices],
+                **outcome["telemetry"]})
             for event in outcome.get("events", []):
                 self._record_event({"event": "degrade", **{
                     k: v for k, v in event.items() if k != "kind"}})
@@ -615,7 +674,7 @@ class EnsembleService:
 
     def _record_failure(self, index: int, error_type: str, message: str,
                         failure_cls: str) -> None:
-        self.ledger.append({
+        self._append({
             "kind": "job", "id": self.job_id(index), "status": "failed",
             "attempt": self._attempts[index], "class": failure_cls,
             "type": error_type, "error": message})
@@ -633,22 +692,24 @@ class EnsembleService:
             self._record_failure(index, "NumericsError",
                                  result.error or "diverged", "permanent")
             return
-        path = self._result_path(index)
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        write_snapshot(path, result.q, step=result.steps, time=result.time)
-        self.ledger.append({
-            "kind": "job", "id": self.job_id(index), "status": "done",
-            "attempt": self._attempts[index], "result": path.name,
-            "sha": self._state_sha(result.q), "steps": result.steps,
-            "time": result.time})
+        if self.ledger is not None:
+            path = self._result_path(index)
+            self.results_dir.mkdir(parents=True, exist_ok=True)
+            write_snapshot(path, result.q, step=result.steps,
+                           time=result.time)
+            self.ledger.append({
+                "kind": "job", "id": self.job_id(index), "status": "done",
+                "attempt": self._attempts[index], "result": path.name,
+                "sha": self._state_sha(result.q), "steps": result.steps,
+                "time": result.time})
+            # Restart seeds are dead weight once the result is durable.
+            for old in self._checkpoints(index).checkpoints():
+                old.unlink(missing_ok=True)
         self._status[index] = "done"
         self._results[index] = EnsembleCaseResult(
             index=index, name=result.name, q=result.q, time=result.time,
             steps=result.steps, wall_seconds=result.wall_seconds,
             grind_time_ns=result.grind_time_ns, status="done")
-        # Restart seeds are dead weight once the result is durable.
-        for old in self._checkpoints(index).checkpoints():
-            old.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     def _report(self, resumed: bool, slots: str) -> ServiceReport:
@@ -666,4 +727,14 @@ class EnsembleService:
             ledger_skipped=self._ledger_skipped,
             ledger_dropped_tail=self._ledger_dropped,
             events=list(self._events), recovery=self.recovery,
-            slots=slots)
+            slots=slots, batches=list(self._batch_telemetry))
+
+
+class EnsembleRunner(EnsembleService):
+    """An in-memory campaign — :class:`EnsembleService` with no ledger —
+    under the name benchmark scripts build (``EnsembleRunner(jobs, bcs,
+    batch_width=w).run()``)."""
+
+    def __init__(self, jobs: list[EnsembleJob], bcs: BoundarySet,
+                 **knobs) -> None:
+        super().__init__(jobs, bcs, ledger=None, **knobs)

@@ -106,9 +106,11 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
 
     ``telemetry`` carries the batch's ``started``/``finished``
     ``time.monotonic()`` stamps (one system-wide clock on Linux, so
-    batches run side by side compare) and the gang width the batch
+    batches run side by side compare), the gang width the batch
     planned from the cores it may use (``gang``, the ``tile_plan()``
-    text).
+    text), and what tuning did: the plan's summary (``tuning``, None
+    untuned) and the timing runs it cost (``timing_runs``, 0 on a
+    cache hit).
     """
     started = time.monotonic()
     engine = dict(spec.engine)
@@ -150,6 +152,7 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     # inherited instead of carrying them through the march.
     spec.initial_states = None
     gang = sim.rhs.tile_plan()["gang"]  # retirements re-plan narrower
+    plan = sim.tuning_plan
     with sim:
         results = sim.run(t_end=spec.t_ends)
     return {
@@ -163,6 +166,9 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
             "checkpoints_written": sim.checkpoints_written,
             "fusion": options.fusion,
             "gang": gang,
+            "tuning": plan.summary() if plan is not None else None,
+            "timing_runs": (sim.tuner.timing_runs if sim.tuner is not None
+                            else 0),
             "started": started,
             "finished": time.monotonic(),
         },
@@ -204,7 +210,8 @@ class BatchSupervisor:
     :meth:`run` is one batch attempt start to finish.  To keep several
     alive at once, :meth:`submit` each, wait for whichever ends first
     with :meth:`next_done`, and collect its outcome with :meth:`run`,
-    which then returns at once.
+    which then returns at once.  Every attempt, supervised or not, ends
+    in exactly one :meth:`run` call that returns its outcome.
 
     Parameters
     ----------
@@ -215,8 +222,9 @@ class BatchSupervisor:
         Optional hard wall-clock budget per batch attempt.
     supervise:
         ``False`` runs the batch in-process (no SIGKILL protection —
-        for fast unit tests and debugging); :meth:`submit` then forks
-        nothing and :meth:`run` executes the batch.
+        for fast unit tests and debugging): :meth:`submit` then forks
+        nothing, executes the batch inline and files its outcome for
+        :meth:`next_done` and :meth:`run` like a child's.
     """
 
     def __init__(self, *, grace: float = 60.0,
@@ -235,19 +243,23 @@ class BatchSupervisor:
 
     # ------------------------------------------------------------------
     def submit(self, spec: BatchSpec, *, cores=None) -> None:
-        """Fork ``spec``'s child and return at once (no-op if already
-        submitted or unsupervised).  ``cores`` pins the child — and the
-        gang it plans from its affinity mask — to that core set.  The
-        spec's initial states go with the child (see :class:`BatchSpec`)."""
-        if not self.supervise or id(spec) in self._specs:
+        """Start ``spec``'s attempt (no-op if already submitted): fork
+        its child and return at once, or — unsupervised — run it inline
+        to its outcome.  ``cores`` pins the child — and the gang it
+        plans from its affinity mask — to that core set.  The spec's
+        initial states go with the attempt (see :class:`BatchSpec`)."""
+        if id(spec) in self._specs:
             return
-        beat = shared_array((1,), np.int64)
-        self._pool.fork(
-            id(spec), partial(_batch_worker, spec, beat), beat=beat,
-            grace=self.grace, pin=cores,
-            wall_deadline=(time.monotonic() + self.wall_limit
-                           if self.wall_limit is not None else None))
-        spec.initial_states = None
+        if self.supervise:
+            beat = shared_array((1,), np.int64)
+            self._pool.fork(
+                id(spec), partial(_batch_worker, spec, beat), beat=beat,
+                grace=self.grace, pin=cores,
+                wall_deadline=(time.monotonic() + self.wall_limit
+                               if self.wall_limit is not None else None))
+            spec.initial_states = None
+        else:
+            self._outcomes[id(spec)] = self._run_inline(spec)
         self._specs[id(spec)] = spec
 
     def next_done(self, timeout: float | None = None) -> BatchSpec | None:
@@ -270,8 +282,6 @@ class BatchSupervisor:
         failure, with the error already classified for the retry
         policy.
         """
-        if not self.supervise:
-            return self._run_inline(spec)
         self.submit(spec)
         try:
             while id(spec) not in self._outcomes:

@@ -142,7 +142,7 @@ def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
     single-case concerns).  Returns ``(jobs, batch_width,
     options)`` where ``jobs`` is a list of
     :class:`repro.ensemble.EnsembleJob` and ``options`` the keyword
-    arguments for :class:`repro.ensemble.EnsembleRunner`.
+    arguments for :class:`repro.ensemble.EnsembleService`.
     """
     # Deferred: the ensemble/cluster packages are ~80 ms of imports a
     # plain `run` never needs.
@@ -194,11 +194,11 @@ _SERVICE_PATH_KEYS = ("ledger", "checkpoint_dir", "results_dir")
 
 def service_options_from_dict(spec: dict, *,
                               base_dir: str | Path | None = None) -> dict:
-    """Validated durable-service options (``{}`` when absent).
+    """Validated campaign-service options (``{}`` when absent).
 
-    The ``"service"`` section turns a fire-and-forget ensemble run into
-    a durable campaign: a ``"ledger"`` path is mandatory once the
-    section exists, everything else defaults.  See
+    The ``"service"`` section sets the campaign's retry, deadline and
+    supervision knobs; a ``"ledger"`` path makes it durable, and the
+    keys that name files or checkpoint cadence need one.  See
     :class:`repro.ensemble.EnsembleService`.
     """
     service = spec.get("service")
@@ -213,9 +213,6 @@ def service_options_from_dict(spec: dict, *,
         raise ConfigurationError(
             f"service option(s) {unknown} not supported; "
             f"choose from {sorted(SERVICE_KEYS)}")
-    if "ledger" not in service:
-        raise ConfigurationError(
-            "a 'service' section needs a 'ledger' path")
     base = Path(base_dir) if base_dir is not None else Path(".")
     out = dict(service)
     for key in _SERVICE_PATH_KEYS:
@@ -229,19 +226,19 @@ def load_ensemble(path: str | Path):
 
     ``case_file`` references resolve relative to the spec's directory.
     Ignores any ``"service"`` section — use :func:`load_ensemble_spec`
-    for the durable-service variant.
+    for the campaign-service options too.
     """
     jobs, batch_width, options, _service = load_ensemble_spec(path)
     return jobs, batch_width, options
 
 
 def load_ensemble_spec(path: str | Path):
-    """Load an ensemble spec including its durable-service options.
+    """Load an ensemble spec including its campaign-service options.
 
     Returns ``(jobs, batch_width, options, service)`` where ``service``
-    is ``{}`` for plain in-memory specs and otherwise the validated
-    keyword arguments (ledger/checkpoint/results paths resolved
-    relative to the spec file) for
+    is ``{}`` without a ``"service"`` section and otherwise the
+    validated keyword arguments (ledger/checkpoint/results paths
+    resolved relative to the spec file) for
     :class:`repro.ensemble.EnsembleService`.
     """
     path = Path(path)

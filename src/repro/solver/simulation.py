@@ -498,26 +498,27 @@ class Simulation(KnobAccess, AbstractContextManager):
     @classmethod
     def run_ensemble(cls, jobs, bcs, *, batch_width: int = 8,
                      config: RHSConfig | None = None, **kwargs):
-        """March many same-shape cases through stacked batched drivers.
+        """March many same-shape cases as an in-memory campaign.
 
         ``jobs`` is a list of :class:`repro.ensemble.EnsembleJob` (or
         ``(case, t_end)`` tuples); compatible jobs are grouped into
-        batches of at most ``batch_width`` and advanced by ONE stacked
-        RHS per batch (see :mod:`repro.ensemble`), each case
-        bit-for-bit identical to its standalone run.  Remaining
-        keyword arguments are forwarded to
-        :class:`~repro.ensemble.EnsembleRunner` (``cfl``,
-        ``rk_order``, ``fixed_dt``, ``threads``, ``sweep_layout``,
-        ``fusion``, ``tuning``, ...).  Returns the
-        :class:`~repro.ensemble.EnsembleReport`.
+        batches of at most ``batch_width``, each advanced by ONE stacked
+        RHS (see :mod:`repro.ensemble`) in a supervised child, side by
+        side on a multi-core host — each case bit-for-bit identical to
+        its standalone run.  A diverging case is retried, then
+        quarantined with its error, not raised.  Remaining keyword
+        arguments are forwarded to
+        :class:`~repro.ensemble.EnsembleService` (``cfl``, ``rk_order``,
+        ``fixed_dt``, ``threads``, ``fusion``, ``tuning``,
+        ``max_attempts``, ``ledger``, ...).  Returns the
+        :class:`~repro.ensemble.ServiceReport`.
         """
-        from repro.ensemble import EnsembleJob, EnsembleRunner
+        from repro.ensemble import EnsembleJob, EnsembleService
 
         normalized = [job if isinstance(job, EnsembleJob)
                       else EnsembleJob(*job) for job in jobs]
-        runner = EnsembleRunner(normalized, bcs, batch_width=batch_width,
-                                config=config, **kwargs)
-        return runner.run()
+        return EnsembleService(normalized, bcs, batch_width=batch_width,
+                               config=config, **kwargs).run()
 
     # ------------------------------------------------------------------
     def grind_time_ns(self) -> float:

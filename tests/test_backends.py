@@ -302,8 +302,7 @@ class TestCheckpointSeam:
 
 class TestEnsembleBackends:
     def _run(self, backend):
-        from repro.ensemble import EnsembleRunner
-        from repro.ensemble.runner import EnsembleJob
+        from repro.ensemble import EnsembleJob, EnsembleRunner
 
         jobs = [EnsembleJob(case=bubble_case(10), t_end=0.05,
                             name=f"j{i}") for i in range(3)]
@@ -312,11 +311,13 @@ class TestEnsembleBackends:
         return runner.run()
 
     def test_checked_stacked_march_is_bitwise(self):
-        ref = self._run("numpy")
+        with Simulation(bubble_case(10), BoundarySet.all_periodic(2)) as ref:
+            ref.run(t_end=0.05)
         got = self._run("checked")
-        for a, b in zip(ref.results, got.results):
-            assert a.steps == b.steps
-            assert b.q.tobytes() == a.q.tobytes()
+        assert [j.status for j in got.jobs] == ["done"] * 3
+        for b in got.results:
+            assert (b.steps, b.time) == (ref.step_count, ref.time)
+            assert b.q.tobytes() == to_host_array(ref.q).tobytes()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -210,9 +210,10 @@ if mode == "ensemble":
                           batch_width=width, config=RHSConfig(),
                           **options, **service)
     assert all(job.status == "done" for job in svc.run().jobs)
-elif mode == "cli":
+elif mode in ("cli", "ensemble-cli"):
     import runpy
-    sys.argv = ["repro", "run", path, "--steps", "2", "--snapshot", "q.bin"]
+    sys.argv = (["repro", "run", path, "--steps", "2", "--snapshot", "q.bin"]
+                if mode == "cli" else ["repro", "ensemble", path])
     try:
         runpy.run_module("repro", run_name="__main__")
     except SystemExit as stop:
@@ -233,8 +234,10 @@ print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 
 #: ``repro`` modules each entry path may load (measured: plain 58,
 #: fused 61, ranks=2 64, ensemble 66; 85, 85, 88 and 92 before the
-#: package exports went lazy).
-COLD_CAPS = {"plain": 60, "fused": 62, "ranks2": 64, "ensemble": 66}
+#: package exports went lazy; the ledger-less ``python -m repro
+#: ensemble``, which runs on the service, 63).
+COLD_CAPS = {"plain": 60, "fused": 62, "ranks2": 64, "ensemble": 66,
+             "ensemble-cli": 63}
 
 #: Modules deleted with the execution variants no workload ran; a run
 #: that loads one again has regrown a variant.
@@ -273,8 +276,9 @@ def _case_spec(shape, **solver) -> dict:
 @pytest.fixture(scope="module")
 def cold_inputs(tmp_path_factory):
     """Input file of each entry path: a plain 2D run, the production 3D
-    one (fused, transposed, guarded, checkpointed), two ranks, and a
-    supervised durable campaign."""
+    one (fused, transposed, guarded, checkpointed), two ranks, a
+    supervised durable campaign, and ``python -m repro ensemble`` on a
+    campaign without a ledger."""
     root = tmp_path_factory.mktemp("cold")
     specs = {
         "plain": _case_spec((24, 24)),
@@ -290,6 +294,10 @@ def cold_inputs(tmp_path_factory):
             "service": {"ledger": "campaign.ledger",
                         "checkpoint_dir": "ckpt", "results_dir": "results",
                         "checkpoint_every": 2}},
+        "ensemble-cli": {
+            "batch_width": 2,
+            "jobs": [{"name": f"j{i}", "t_end": 0.004,
+                      "case": _case_spec((16, 16))} for i in range(3)]},
     }
     paths = {}
     for name, spec in specs.items():
@@ -318,10 +326,10 @@ class TestColdStart:
 
     @pytest.mark.parametrize("path", sorted(COLD_CAPS))
     def test_entry_path_budget(self, path, cold_inputs):
-        loaded = cold_modules("ensemble" if path == "ensemble" else "run",
-                              cold_inputs[path])
+        campaign = path.startswith("ensemble")
+        loaded = cold_modules(path if campaign else "run", cold_inputs[path])
         never = set(NEVER_LOADED)
-        if path == "ensemble":
+        if campaign:
             # The service names jobs and batches by content hash.
             never.discard("hashlib")
         if path != "ranks2":

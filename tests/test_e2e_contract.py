@@ -161,7 +161,9 @@ def test_side_by_side_batches_each_end_in_one_traced_run_call(
 
     def spy(self, spec):  # beneath the harness's instance-level proxy
         outcome = run(self, spec)
-        if spec.checkpoint_prefixes is not None:  # not the fork probe's
+        # The durable campaign's batches, not the fork probe's or the
+        # batching probe's in-memory ones (no checkpoint directory).
+        if spec.checkpoint_dir is not None:
             telemetry.append(outcome["telemetry"])
         return outcome
 

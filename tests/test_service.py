@@ -79,6 +79,25 @@ def run_service(jobs, tmp, name="led.jsonl", **kwargs):
     return svc, svc.run()
 
 
+def standalone(jobs):
+    """Each job marched by a standalone ``Simulation.run`` — the oracle
+    every campaign, durable or not, matches bit for bit."""
+    sims = []
+    for job in jobs:
+        with Simulation(job.case, BCS, fixed_dt=DT) as sim:
+            sim.run(t_end=job.t_end)
+        sims.append(sim)
+    return sims
+
+
+def assert_matches(results, sims, where=""):
+    for got, want in zip(results, sims, strict=True):
+        assert got.q.tobytes() == want.q.tobytes(), \
+            f"{where}{got.name} diverged"
+        assert (got.steps, got.time) == (want.step_count, want.time), \
+            f"{where}{got.name}"
+
+
 def done_record_count(ledger_path, status="done"):
     """Per-job count of ``done`` records — the double-completion check —
     or of another ``status``."""
@@ -91,15 +110,11 @@ def done_record_count(ledger_path, status="done"):
 
 # ----------------------------------------------------------------------
 class TestFreshRun:
-    def test_bitwise_identical_to_runner(self, tmp_path):
+    def test_bitwise_identical_to_standalone(self, tmp_path):
         jobs = make_jobs()
         _, report = run_service(jobs, tmp_path, batch_width=3)
-        ref = EnsembleRunner(jobs, BCS, fixed_dt=DT, batch_width=3,
-                            check_every=1).run()
         assert [j.status for j in report.jobs] == ["done"] * 3
-        for got, want in zip(report.results, ref.results):
-            assert np.array_equal(got.q, want.q)
-            assert got.steps == want.steps and got.time == want.time
+        assert_matches(report.results, standalone(jobs))
 
     def test_supervised_child_matches_inline(self, tmp_path):
         jobs = make_jobs(2)
@@ -117,20 +132,20 @@ class TestFreshRun:
         jobs = make_jobs(2)
         svc = EnsembleService(jobs, BCS, ledger=tmp_path / "led.jsonl",
                               batch_width=2, **FAST)
-        seen = []
-        run = svc.supervisor.run
+        seen = {}
+        submit = svc.supervisor.submit
 
-        def spy(spec):
-            seen.append(spec.initial_states)
+        def spy(spec, **kwargs):  # run(spec) submits again: a no-op
+            seen.setdefault(id(spec), spec.initial_states)
             # From here on (the batch itself) no case is initialised.
             monkeypatch.setattr(Case, "initial_conservative", None)
-            return run(spec)
+            return submit(spec, **kwargs)
 
-        monkeypatch.setattr(svc.supervisor, "run", spy)
+        monkeypatch.setattr(svc.supervisor, "submit", spy)
         report = svc.run()
         monkeypatch.undo()
         assert [j.status for j in report.jobs] == ["done"] * 2
-        (states,) = seen
+        (states,) = seen.values()
         for job, q in zip(jobs, states):
             assert q.tobytes() == job.case.initial_conservative().tobytes()
 
@@ -151,6 +166,49 @@ class TestFreshRun:
         leftovers = list(svc.checkpoint_dir.glob("job*.bin")) \
             if svc.checkpoint_dir.is_dir() else []
         assert leftovers == []
+
+
+class TestWithoutLedger:
+    """The one driver without a ledger: the same scheduler, the job
+    table and outcomes in memory, no file written — two signatures,
+    three batches, side by side on a multi-core host."""
+
+    def test_every_job_matches_standalone_and_no_file_is_written(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        jobs = make_jobs(3) + [EnsembleJob(bubble_case(n=16), T_END, "fine")]
+        # The frozen batching probe's spelling of an in-memory campaign.
+        report = EnsembleRunner(jobs, BCS, batch_width=2, fixed_dt=DT).run()
+        assert [j.status for j in report.jobs] == ["done"] * 4
+        assert [r.name for r in report.results] == ["j0", "j1", "j2", "fine"]
+        assert_matches(report.results, standalone(jobs))
+        assert list(tmp_path.iterdir()) == []
+        assert not report.resumed
+        assert sorted(len(b["jobs"]) for b in report.batches) == [1, 1, 2]
+        assert report.total_wall_seconds == sum(
+            b["wall_seconds"] for b in report.batches) > 0.0
+        assert "total batch wall" in report.summary()
+        assert report.slots == plan_slots(3)[1]
+        if usable_cores() >= 2:
+            assert report.slots.startswith(
+                f"{min(usable_cores(), 3)} side by side")
+
+    def test_diverging_case_is_quarantined_with_its_error(self):
+        chaos = EnsembleChaosPlan(seed=5, poison_job=1, poison_step=3)
+        report = EnsembleService(make_jobs(3), BCS, batch_width=3,
+                                 fixed_dt=DT, retry_base_seconds=0.0,
+                                 max_attempts=2, chaos=chaos).run()
+        assert [j.status for j in report.jobs] \
+            == ["done", "quarantined", "done"]
+        assert report.jobs[1].attempts == 2 and report.results[1] is None
+        assert "nan" in report.jobs[1].error.lower() \
+            or "finite" in report.jobs[1].error.lower()
+
+    def test_file_options_need_a_ledger(self):
+        for key, value in (("checkpoint_dir", "ckpt"),
+                           ("results_dir", "res"), ("checkpoint_every", 2)):
+            with pytest.raises(ConfigurationError, match="need a ledger"):
+                EnsembleService(make_jobs(1), BCS, **{key: value})
 
 
 class TestResume:
@@ -185,8 +243,7 @@ class TestResume:
         converges to the fault-free answer with no job lost or done
         twice."""
         jobs = make_jobs(3)
-        ref = EnsembleRunner(jobs, BCS, fixed_dt=DT, batch_width=3,
-                             check_every=1).run()
+        ref = standalone(jobs)
         # A clean campaign: 1 open + 3 running + 3 done = 7 appends.
         for n in range(1, 8):
             led = tmp_path / f"kill{n}" / "led.jsonl"
@@ -202,9 +259,7 @@ class TestResume:
                 results_dir=led.parent / "res")
             assert [j.status for j in report.jobs] == ["done"] * 3, \
                 f"crash after append {n}"
-            for got, want in zip(report.results, ref.results):
-                assert np.array_equal(got.q, want.q), \
-                    f"crash after append {n}: {got.name} diverged"
+            assert_matches(report.results, ref, f"crash after append {n}: ")
             assert all(v == 1 for v in done_record_count(led).values()), \
                 f"crash after append {n}: a job completed twice"
 
@@ -463,8 +518,7 @@ class TestSideBySide:
         """Three batches on two slots, the service crashed after each of
         its 7 appends in turn (children alive), then resumed."""
         jobs = make_jobs(3)
-        ref = EnsembleRunner(jobs, BCS, fixed_dt=DT, batch_width=3,
-                             check_every=1).run()
+        ref = standalone(jobs)
         knobs = dict(batch_width=1, supervise=True)
         for n in range(1, 8):
             led = tmp_path / f"kill{n}" / "led.jsonl"
@@ -478,9 +532,7 @@ class TestSideBySide:
             _, report = run_service(jobs, led.parent, **dirs, **knobs)
             assert [j.status for j in report.jobs] == ["done"] * 3, \
                 f"crash after append {n}"
-            for got, want in zip(report.results, ref.results):
-                assert np.array_equal(got.q, want.q), \
-                    f"crash after append {n}: {got.name} diverged"
+            assert_matches(report.results, ref, f"crash after append {n}: ")
             assert all(v == 1 for v in done_record_count(led).values()), \
                 f"crash after append {n}: a job completed twice"
 
