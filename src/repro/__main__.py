@@ -97,6 +97,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                            for k, v in sorted(sim.kernel_breakdown().items()))
         if shares:  # kernel laps live in the workers on multi-process runs
             print(f"kernel shares: {shares}")
+        sweep = sim.rhs.sweep_counters
+        print(f"faces evaluated: {sweep.faces_evaluated} of {sweep.faces} "
+              f"({100 * sweep.evaluated_fraction:.1f}%; the rest had "
+              f"bitwise-uniform stencils)")
         if sim.rhs.sweep_counters.transposed_sweeps:
             print(sim.rhs.sweep_counters.summary())
         if sim.halo_counters is not None:

@@ -24,7 +24,7 @@ optimization story is written in:
   :class:`repro.hardware.costmodel.CostModel`).
 * :mod:`repro.acc.gang` — the one piece that *executes* rather than
   models: a :class:`~repro.acc.gang.GangExecutor` realizes the gang
-  axis of a directive nest as contiguous tile shares on forked workers
+  axis of a directive nest as interleaved tile shares on forked workers
   over a shared workspace (vector stays NumPy SIMD), powering the
   solver's gang RHS path.
 """

@@ -8,7 +8,7 @@ mapping one row down to a multicore Python host:
 ===============  =========================  ==============================
 OpenACC axis     GPU realisation (paper)    host realisation (here)
 ===============  =========================  ==============================
-``gang``         thread block               contiguous tile share on a
+``gang``         thread block               every ``n``-th tile on a
                                             forked worker over the shared
                                             workspace
 ``vector``       SIMT lane                  NumPy SIMD inside the tile
@@ -19,8 +19,8 @@ A :class:`GangExecutor` of width ``n`` is the calling process plus
 ``n - 1`` :class:`~repro.common.workers.Worker` forks made at the first
 launch, each holding the body and all it closes over copy-on-write.  A
 launch is one fixed-size pipe message (an integer argument); every
-member runs ``body(arg, rank)`` — the body cuts its own contiguous share
-of the tile spans with :func:`gang_share` — and workers reply with their
+member runs ``body(arg, rank)`` — the body takes its own share of the
+tile spans with :func:`gang_share` — and workers reply with their
 result, their stopwatch laps and any exception.  (Not threads: handing
 the interpreter lock over costs more than a tile's ~16 µs ufunc pass;
 EXPERIMENTS.md "Real gangs".)
@@ -78,16 +78,16 @@ def tile_spans(extent: int, tiles: int) -> list[tuple[int, int]]:
 
 
 def gang_share(spans: list, rank: int, width: int) -> list:
-    """Member ``rank``'s contiguous run of ``spans`` in a gang of ``width``.
+    """Member ``rank``'s share of ``spans`` in a gang of ``width``: every
+    ``width``-th span from its ``rank``-th on.
 
-    Shares are balanced to within one tile and in rank order, so rank
-    order is span order; members beyond the tile count get none.
+    Shares are balanced to within one tile, and members beyond the tile
+    count get none.  Interleaved, not contiguous: a tile's work is its
+    active span (:func:`~repro.solver.sweep.active_faces`), and the
+    active tiles of a front or a bubble sit side by side — a contiguous
+    run can hand one member all of them.
     """
-    shares = tile_spans(len(spans), width)
-    if rank >= len(shares):
-        return []
-    lo, hi = shares[rank]
-    return spans[lo:hi]
+    return spans[rank::width]
 
 
 def usable_cores() -> int:
@@ -165,7 +165,7 @@ class GangExecutor(AbstractContextManager):
 
         Rank 0 is the caller.  If any member raises, all members are
         still waited on — shared buffers are never abandoned mid-write —
-        and the first error in rank (= span) order is re-raised.  A
+        and the first error in rank order is re-raised.  A
         worker that died or hung raises :class:`ReproError` naming the
         gang and the launch, and the gang is torn down.
         """

@@ -163,9 +163,11 @@ class RankSolver:
         divu = ws.divu
         divu.fill(0.0)
         for d in range(lay.ndim):
-            self.limited_faces += self._engine.sweep(
+            limited, skipped = self._engine.sweep(
                 ws, prim, d, self.widths[d], dqdt, divu,
                 split=self._split[d])
+            self.limited_faces += limited
+            self.sweep_counters.record_skipped(skipped)
         for rows, new in row_tiles(dqdt, ws):
             nonconservative_tile(lay, prim[:, rows], divu[rows],
                                  dqdt[:, rows], new)

@@ -156,6 +156,14 @@ class SweepCounters:
         between the first and last fused stage would each have written a
         field-sized intermediate in the unfused engine but stayed in
         L2-tile-sized scratch instead.
+    faces / faces_evaluated:
+        Cell faces (per variable) the sweeps cover — nominal, the whole
+        face range of every sweep — and the ones whose WENO, limiter
+        and Riemann kernels actually ran: a staged tile leaves out the
+        faces its active span excludes
+        (:func:`~repro.solver.sweep.active_faces`), summed over gang
+        members; fused tiles, split sweeps and the reference path
+        evaluate all of theirs.
     """
 
     strided_sweeps: int = 0
@@ -167,14 +175,17 @@ class SweepCounters:
     weno_passes: int = 0
     fused_launches: int = 0
     fused_passes_saved: int = 0
+    faces: int = 0
+    faces_evaluated: int = 0
 
     def record_strided(self, face_bytes: int, *, contiguous: bool = False,
-                       weno_passes: int = 0) -> None:
+                       weno_passes: int = 0, faces: int = 0) -> None:
         """Count one sweep that ran in the standard layout.
 
         ``contiguous=True`` marks a sweep whose reconstruction axis is
         the trailing array axis (a 1D tile, or the reference path's
-        trailing direction).
+        trailing direction).  ``faces`` is the sweep's nominal face
+        count, evaluated until :meth:`record_skipped` says otherwise.
         """
         if contiguous:
             self.bytes_reconstructed_contiguous += face_bytes
@@ -182,15 +193,28 @@ class SweepCounters:
             self.strided_sweeps += 1
             self.bytes_reconstructed_strided += face_bytes
         self.weno_passes += weno_passes
+        self.faces += faces
+        self.faces_evaluated += faces
 
     def record_transposed(self, face_bytes: int, transposed_bytes: int, *,
-                          weno_passes: int = 0) -> None:
+                          weno_passes: int = 0, faces: int = 0) -> None:
         """Count one sweep whose tiles were gathered (one transpose)."""
         self.transposed_sweeps += 1
         self.bytes_reconstructed_strided += face_bytes
         self.transposes += 1
         self.bytes_transposed += transposed_bytes
         self.weno_passes += weno_passes
+        self.faces += faces
+        self.faces_evaluated += faces
+
+    def record_skipped(self, faces: int) -> None:
+        """Take faces a sweep's tiles left out off the evaluated count."""
+        self.faces_evaluated -= faces
+
+    @property
+    def evaluated_fraction(self) -> float | None:
+        """``faces_evaluated / faces``; None before any sweep."""
+        return self.faces_evaluated / self.faces if self.faces else None
 
     def merge(self, other: "SweepCounters") -> None:
         self.strided_sweeps += other.strided_sweeps
@@ -202,6 +226,8 @@ class SweepCounters:
         self.weno_passes += other.weno_passes
         self.fused_launches += other.fused_launches
         self.fused_passes_saved += other.fused_passes_saved
+        self.faces += other.faces
+        self.faces_evaluated += other.faces_evaluated
 
     def record_fused(self, launches: int, passes_saved: int) -> None:
         """Count one direction sweep's fused per-tile kernel launches.
@@ -227,6 +253,8 @@ class SweepCounters:
             "weno_passes": self.weno_passes,
             "fused_launches": self.fused_launches,
             "fused_passes_saved": self.fused_passes_saved,
+            "faces": self.faces,
+            "faces_evaluated": self.faces_evaluated,
         }
 
     def summary(self) -> str:

@@ -115,21 +115,6 @@ class RiemannScratch:
             setattr(self, name, xp.empty(shape, dtype=dtype))
         self.spare = None
 
-    def view(self, idx) -> "RiemannScratch":
-        """A scratch set whose buffers are views sliced by ``idx``.
-
-        The tile entry point of the tiled sweep backend: a worker takes
-        its private scratch and narrows every buffer to the face-tile
-        shape it is solving, so the solvers' ``out=`` ufunc calls see
-        exactly matching extents.  Views alias this scratch — never
-        share one parent across concurrently running tiles.
-        """
-        sliced = object.__new__(RiemannScratch)
-        for name in self.BUFFERS:
-            setattr(sliced, name, getattr(self, name)[idx])
-        sliced.spare = self.spare
-        return sliced
-
     def new(self):
         """A fresh ``new(shape)`` allocator over :attr:`spare` — one per
         solve, shared by both sides (fresh arrays past its end)."""

@@ -95,7 +95,8 @@ class _Launch:
     the sweep, plus the step work the workspace's ``control`` record
     folds around each tile on that tile's own slab rows.  It holds the
     engine and the workspace — never the RHS, which must stay out of
-    reference cycles.  Returns ``(limited faces, wave rate or None)``.
+    reference cycles.  Returns ``(limited faces, faces left out, wave
+    rate or None)``.
     """
 
     def __init__(self, layout, mixture, engine, ws, widths, width,
@@ -149,12 +150,12 @@ class _Launch:
                 shu_osher_tile(q_n[idx], q_k[idx], dq, dest[idx],
                                new(dq.shape), a, b, tile_of(cdt, idx[1:]))
 
-        limited = self.engine.sweep(
+        limited, skipped = self.engine.sweep(
             ws, ws.prim, d, self.widths[d - nb], ws.dqdt, ws.divu,
             share=(rank, self.width),
             before=before if flags & (ZERO | CONVERT | RATE) else None,
             after=after if flags & FINISH else None)
-        return limited, rate
+        return limited, skipped, rate
 
 
 @dataclass(frozen=True)
@@ -386,7 +387,9 @@ class RHS(AbstractContextManager):
         indices).  ``source`` says
         whether the tile counts came from the explicit ``tiles``
         override (a tuning plan) or the L2 heuristic; ``gang`` is the
-        resolved gang width and why (``"2 of 2 cores, 10 tiles"``).
+        resolved gang width and why (``"2 of 2 cores, 10 tiles"``);
+        ``faces_evaluated`` the share of the nominal faces the sweeps so
+        far evaluated (None before the first).
         """
         # Without a workspace the reference path sweeps whole
         # standard-order fields: nothing is gathered.
@@ -398,6 +401,7 @@ class RHS(AbstractContextManager):
             "fusion_backend": self.fusion_backend,
             "source": ("override" if self.tiles is not None else "heuristic"),
             "gang": self.gang_why,
+            "faces_evaluated": self.sweep_counters.evaluated_fraction,
         }
 
     @property
@@ -481,9 +485,11 @@ class RHS(AbstractContextManager):
             ctl[_FLAGS] = flags
             results = (self.executor.launch(d) if self.executor is not None
                        else [self._launch(d, 0)])
-            self.limited_faces += sum(limited for limited, _ in results)
+            self.limited_faces += sum(limited for limited, _, _ in results)
+            self.sweep_counters.record_skipped(sum(s for _, s, _ in results))
             if d == dirs[0] and stage is not None:
-                stage.resolve(reduce(max_rate, [rate for _, rate in results])
+                stage.resolve(reduce(max_rate,
+                                     [rate for _, _, rate in results])
                               if measure else None)
 
         dqdt = ws.dqdt
@@ -587,4 +593,4 @@ class RHS(AbstractContextManager):
             divu += xp.diff(u_face, axis=d) / width
         self.sweep_counters.record_strided(
             v_l.nbytes + v_r.nbytes, contiguous=(pd == layout.ndim - 1),
-            weno_passes=self._engine.weno_passes)
+            weno_passes=self._engine.weno_passes, faces=u_face.size)

@@ -10,11 +10,11 @@ that body, not copies of it:
 =============  =======================  =====================  ==========
 mode           what a tile runs         ghost source           face span
 =============  =======================  =====================  ==========
-serial         the staged chain         physical BCs           whole
-gang           same, on forked workers  physical BCs           whole
+serial         the staged chain         physical BCs           active
+gang           same, on forked workers  physical BCs           active
 fused          one generated kernel     physical BCs (kernel)  whole
-batched        either of the above      physical BCs           whole
-rank-local     staged, or fused bulk    walls + transport      split
+batched        either of the above      physical BCs           active
+rank-local     staged, or fused bulk    walls + transport      split/active
 =============  =======================  =====================  ==========
 
 Every mode plans N slab tiles (the ``tiles`` override, else the L2
@@ -43,10 +43,18 @@ plan this one schedule.
 Every mode is bitwise identical in results — each stage is elementwise
 over faces and the slab axis is stencil-free in every stage, so tiles,
 spans and memory orders only move data.
+
+**Active spans** (DESIGN.md "Active spans"): a staged tile evaluates
+only the faces :func:`active_faces` finds in its packed block — the
+ones whose stencils are not bitwise uniform, widened by one face on
+each side — and accumulates the divergence of the cells between them.
+Everywhere else both faces of a cell would carry the same finite flux
+and add exactly ``+0.0`` to accumulators that never hold ``-0.0``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -109,6 +117,51 @@ def accumulate_divergence(faces, axis: int, width, scratch, acc, op: str) -> Non
                 out=scratch)
     xp.true_divide(scratch, width, out=scratch)
     getattr(xp, op)(acc, scratch, out=acc)
+
+
+def active_faces(pad, axis: int, ng: int, spare, spare2) -> tuple[int, int]:
+    """Faces ``[f0, f1)`` of a packed tile whose evaluation can move ``dq/dt``.
+
+    Face ``f`` of ``pad`` (ghost-padded along ``axis``) reads the
+    ``2 ng`` cells ``[f, f + 2 ng)`` in every variable and row.  One
+    bitwise compare of neighbouring cells and one reduction over
+    everything but ``axis`` bound the faces whose stencil is not
+    uniform; the span is that bound widened by one face on each side
+    (the cell beside the bound needs both its faces), and empty when
+    every stencil is uniform.  The cells it leaves out run from an
+    end of the block and equal its end cell, so finite end cells make
+    them finite; a non-finite one there makes the span whole.
+    ``spare`` / ``spare2`` are dead float buffers of the tile (the face
+    states: each at least an eighth of ``pad``) whose bytes hold the
+    compare and its reduction.
+    """
+    xp = array_namespace(pad)
+    length = pad.shape[axis]
+    nf = length - 2 * ng + 1
+    lead = math.prod(pad.shape[:axis])
+    cells = pad.reshape(lead, length, -1)
+    bits = cells.view(f"i{pad.dtype.itemsize}")
+    count = bits[:, 1:].size
+    steps = xp.not_equal(bits[:, 1:], bits[:, :-1],
+                         out=spare.reshape(-1).view(bool)[:count].reshape(
+                             bits[:, 1:].shape))
+    hit = xp.any(steps.reshape(lead, -1), axis=0,
+                 out=spare2.reshape(-1).view(bool)[:count // lead])
+    first = int(hit.argmax())
+    if not hit[first]:  # no step anywhere: every stencil is uniform
+        f0, f1 = nf, nf
+    else:
+        # Steps k0..k1 (cell k to k + 1) bound the non-uniform stencils:
+        # faces k0 - 2 ng + 2 .. k1, widened by one on each side.
+        last = hit.size - 1 - int(hit[::-1].argmax())
+        k0, k1 = first // cells.shape[2], last // cells.shape[2]
+        f0, f1 = max(0, k0 - 2 * ng + 1), min(nf, k1 + 2)
+        if (f0, f1) == (0, nf):
+            return f0, f1
+    ends = cells[:, ::length - 1]
+    finite = xp.isfinite(ends, out=spare.reshape(-1).view(bool)[:ends.size]
+                         .reshape(ends.shape))
+    return (f0, f1) if bool(finite.all()) else (0, nf)
 
 
 def _cut(lo, hi, axis: int) -> tuple:
@@ -175,6 +228,9 @@ class SweepEngine:
         self._ctx = None
         self._kernels: dict[int, tuple] = {}
         self.plans: dict[int, SweepPlan] = {}
+        #: ``(d, lo)`` of this process's tiles whose last active span
+        #: was whole: they skip the search (more faces are always exact).
+        self._whole: set[tuple[int, int]] = set()
         device = device if device is not None else default_host_device()
         pack = ghosts is None
         ndim = len(spatial)
@@ -239,10 +295,12 @@ class SweepEngine:
     def sweep(self, ws, prim, d: int, width, dqdt, divu, *,
               split: bool = False,
               share: tuple[int, int] | None = None,
-              before=None, after=None) -> int:
+              before=None, after=None) -> tuple[int, int]:
         """Accumulate direction ``d`` into ``dqdt``/``divu``.
 
-        Returns the count of positivity-limited face states.  Virtual
+        Returns the count of positivity-limited face states and of the
+        faces this call's tiles left out (:func:`active_faces`; fused
+        tiles and split sweeps evaluate all of theirs).  Virtual
         direction ``d`` sweeps array axis ``d + 1``; the physical
         direction (momentum component, BC axis) is ``d - nb``.
 
@@ -254,9 +312,9 @@ class SweepEngine:
         the face range compose bitwise into the whole-range result, and
         ``reconstruct_faces_span(0, nf)`` is the bulk call.
 
-        ``share=(rank, width)`` runs only that gang member's contiguous
-        run of the tiles (:func:`~repro.acc.gang.gang_share`); the
-        fields must then be the workspace's shared buffers.
+        ``share=(rank, width)`` runs only that gang member's share of
+        the tiles (:func:`~repro.acc.gang.gang_share`); the fields must
+        then be the workspace's shared buffers.
 
         ``before(idx)`` / ``after(idx)`` run the step's elementwise work
         on a tile's own slab rows (``idx`` indexes them in every
@@ -302,20 +360,20 @@ class SweepEngine:
         width = tiled(width.reshape((1,) * self.nb + width.shape), spatial)
 
         def faces(scr, flo, fhi):
-            # WENO -> limiter -> Riemann for faces [flo, fhi) of one tile.
-            pad, vl, vr = scr.pad, scr.vl, scr.vr
-            fi = _cut(flo, fhi, axis)
+            # WENO -> limiter -> Riemann for faces [flo, fhi) of one
+            # tile, into the span's own buffers (the arena when whole).
+            s = scr.span(fhi - flo)
+            pad = scr.pad[_cut(flo, None, axis)]
             with timed(sw, "weno"):
-                reconstruct_faces_span(pad, axis, self.order, flo, fhi,
-                                       out=(vl, vr), scratch=scr.wscr)
-                limited = limit_face_states(
-                    layout, self.mixture, pad[_cut(flo, None, axis)],
-                    vl[fi], vr[fi], axis - 1, ng, scratch=scr.rscr)
+                reconstruct_faces_span(pad, axis, self.order, 0, fhi - flo,
+                                       out=(s.vl, s.vr), scratch=s.wscr)
+                limited = limit_face_states(layout, self.mixture, pad, s.vl,
+                                            s.vr, axis - 1, ng,
+                                            scratch=s.rscr)
             with timed(sw, "riemann"):
-                self.riemann(layout, self.mixture, vl[fi], vr[fi], pd,
-                             out=scr.flux[fi], out_u=scr.uface[fi[1:]],
-                             scratch=scr.rscr.view(_cut(0, fhi - flo, axis)))
-            return limited
+                self.riemann(layout, self.mixture, s.vl, s.vr, pd,
+                             out=s.flux, out_u=s.uface, scratch=s.rscr)
+            return limited, s
 
         def slab(lo, hi, **phase):
             # Standard-layout index of this slab tile.
@@ -327,7 +385,12 @@ class SweepEngine:
                 after(std)
             return limited
 
-        def tile(lo, hi, std, spans=((0, n + 1),), finish=True):
+        skipped = 0
+
+        def tile(lo, hi, std, span=None, finish=True):
+            # Faces [f0, f1) = ``span`` run; None: the tile's active
+            # span; (): none (a split sweep's faces, in ``block``).
+            nonlocal skipped
             tile_src = tiled(source[std])
             dq, dv = tiled(dqdt[std]), tiled(divu[std[1:]], spatial)
             flux, uface = ((tiled(block[0][std]),
@@ -337,7 +400,7 @@ class SweepEngine:
             pad = scr.pad
             with timed(sw, "packing"):
                 if hook:
-                    if spans:
+                    if span != ():
                         pad[...] = tile_src
                 elif not fused:  # a packing kernel fills its own tile
                     pad[interior] = tile_src
@@ -357,18 +420,33 @@ class SweepEngine:
                     return kern(*(bound[k] if k in bound else getattr(scr, k)
                                   for k in sig))
 
-            limited = sum(faces(scr, *span) for span in spans)
+            if span is None:
+                span = (0, n + 1)
+                if (d, lo) not in self._whole:
+                    with timed(sw, "packing"):
+                        span = active_faces(pad, axis, ng, scr.vl, scr.vr)
+                    skipped += (n + 1 - (span[1] - span[0])) * (
+                        pad.size // pad.shape[axis] // layout.nvars)
+                    if span[0] == span[1]:
+                        return 0
+                    if span == (0, n + 1):
+                        self._whole.add((d, lo))
+            limited, s = faces(scr, *span) if span else (0, scr)
+            f0, f1 = span or (0, n + 1)
             if not finish:
                 with timed(sw, "packing"):
-                    xp.copyto(flux, scr.flux)
-                    xp.copyto(uface, scr.uface)
+                    xp.copyto(flux[_cut(f0, f1, axis)], s.flux)
+                    xp.copyto(uface[_cut(f0, f1, axis - 1)], s.uface)
                 return limited
             with timed(sw, "other"):
-                # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx.
-                accumulate_divergence(scr.flux, axis, width, scr.dscr, dq,
+                # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx,
+                # over the cells between the span's faces.
+                cells = _cut(f0, f1 - 1, axis)
+                w = width[cells[1:]]
+                accumulate_divergence(s.flux, axis, w, s.dscr, dq[cells],
                                       "subtract")
-                accumulate_divergence(scr.uface, axis - 1, width, scr.dvscr,
-                                      dv, "add")
+                accumulate_divergence(s.uface, axis - 1, w, s.dvscr,
+                                      dv[cells[1:]], "add")
             return limited
 
         def end_strips():
@@ -380,7 +458,7 @@ class SweepEngine:
                 with timed(sw, "packing"):
                     scr.pad[...] = tiled(source[_cut(f0, f0 + 3 * ng - 1,
                                                      d + 1)])
-                limited += faces(scr, 0, ng)
+                limited += faces(scr, 0, ng)[0]
                 with timed(sw, "packing"):
                     xp.copyto(tiled(block[0][_cut(f0, f0 + ng, d + 1)]),
                               scr.flux)
@@ -402,26 +480,26 @@ class SweepEngine:
                 source[_cut(ng, ng + n, d + 1)] = prim
             # Faces whose stencils reach no ghost cell can run before
             # the hook completes the block.
-            limited = (launch(spans=((ng, n - ng + 1),), finish=False)
+            limited = (launch(span=(ng, n - ng + 1), finish=False)
                        if split else 0)
             self.ghosts(pd, source)
-            limited += (end_strips() + launch(spans=()) if split
+            limited += (end_strips() + launch(span=()) if split
                         else launch())
 
-        # Nominal (field-sized) byte tallies, the same in every mode:
-        # both face states reconstructed, and the primitives gathered
-        # into the trailing direction's tiles.
+        # Nominal (field-sized) tallies, the same in every mode: both
+        # face states reconstructed at every face, and the primitives
+        # gathered into the trailing direction's tiles.
         cells = int(np.prod(prim.shape[1:]))
         face_cells = cells // n * (n + 1)
         face_bytes = layout.nvars * face_cells * ws.dtype.itemsize
         if gathered:
             self.counters.record_transposed(
                 2 * face_bytes, layout.nvars * cells * ws.dtype.itemsize,
-                weno_passes=self.weno_passes)
+                weno_passes=self.weno_passes, faces=face_cells)
         else:
             self.counters.record_strided(
                 2 * face_bytes, contiguous=(pd == layout.ndim - 1),
-                weno_passes=self.weno_passes)
+                weno_passes=self.weno_passes, faces=face_cells)
         if fused:
             self.counters.record_fused(n_tiles, n_tiles * passes_saved)
-        return limited
+        return limited, skipped

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -155,49 +156,61 @@ class TileArena:
         self._like = partial(TileArena, nvars, spatial, ng, d, dtype=dtype,
                              xp=xp)
         self._narrowed: dict[int, TileArena] = {}
+        self._spans: dict[int, SimpleNamespace] = {}
         extent = [nvars, *(spatial[k - 1] for k in axes[1:])]
         if sa is not None:
             extent[axes.index(sa + 1)] = min(tile_width, spatial[sa])
-
-        def tile(grow: int):
-            # Tile shape, the reconstruction axis grown by ``grow``.
-            s = list(extent)
-            s[ax] += grow
-            return s
-
-        face = tile(1)
-        # Reconstruction-axis-last face shape (the WENO layout).
-        last = (*face[:ax], *face[ax + 1:], face[ax])
-
-        def carve(alloc) -> int:
-            def new(s):
-                return alloc.empty(s, dtype=dtype)
-
-            self.pad = new(tile(2 * ng))
-            self.vl, self.vr = new(face), new(face)
-            spare = alloc.used
-            self.wscr = allocate_weno_scratch(last, dtype, xp=alloc, axis=ax)
-            spare = slice(spare, alloc.used)
-            self.flux, self.uface = new(face), new(face[1:])
-            self.dscr, self.dvscr = new(tile(0)), new(tile(0)[1:])
-            self.rscr = RiemannScratch(tuple(face), dtype=dtype, xp=alloc)
-            return spare
+        self._extent, self._dtype, self._xp = extent, dtype, xp
+        pad = list(extent)
+        pad[ax] += 2 * ng
+        faces = extent[ax] + 1
 
         counter = _Carver(xp)
-        carve(counter)
+        counter.empty(pad)
+        self._carve_faces(counter, faces)
         size = counter.used
         if pool is None or pool.shape[0] < size:
             pool = xp.empty(size, dtype=dtype)
         self.pool = pool
         self.nbytes = size * np.dtype(dtype).itemsize
-        # The WENO scratch is dead once a tile's faces are reconstructed:
-        # the limiter and the Riemann solver carve their per-face
-        # temporaries from it, as blocks of the face buffers' own order.
-        spare = pool[carve(_Carver(xp, pool))]
-        cells = math.prod(face[1:])
-        rows = spare.shape[0] // cells
-        self.rscr.spare = (spare[:rows * cells].reshape(rows, *face[1:])
-                           if rows else None)
+        alloc = _Carver(xp, pool)
+        self.pad = alloc.empty(pad, dtype=dtype)
+        self._faces_at = alloc.used
+        vars(self).update(self._carve_faces(alloc, faces))
+
+    def _carve_faces(self, alloc, count: int) -> dict:
+        """The face-sized buffers of a ``count``-face run of this tile,
+        carved in order from ``alloc``: both face states, the WENO
+        scratch, flux, interface velocity, the divergence temporaries
+        and the Riemann scratch."""
+        ax, dtype = self.axis, self._dtype
+        face = list(self._extent)
+        face[ax] = count
+        cells = [*face[:ax], count - 1, *face[ax + 1:]]
+
+        def new(s):
+            return alloc.empty(s, dtype=dtype)
+
+        out = {"vl": new(face), "vr": new(face)}
+        spare = alloc.used
+        # Reconstruction-axis-last face shape (the WENO layout).
+        out["wscr"] = allocate_weno_scratch(
+            (*face[:ax], *face[ax + 1:], count), dtype, xp=alloc, axis=ax)
+        spare = slice(spare, alloc.used)
+        out["flux"], out["uface"] = new(face), new(face[1:])
+        out["dscr"], out["dvscr"] = new(cells), new(cells[1:])
+        out["rscr"] = rscr = RiemannScratch(tuple(face), dtype=dtype,
+                                            xp=alloc)
+        if alloc.pool is not None:
+            # The WENO scratch is dead once the faces are reconstructed:
+            # the limiter and the Riemann solver carve their per-face
+            # temporaries from it, as blocks of the face buffers' order.
+            spare = alloc.pool[spare]
+            row = math.prod(face[1:])
+            rows = spare.shape[0] // row
+            rscr.spare = (spare[:rows * row].reshape(rows, *face[1:])
+                          if rows else None)
+        return out
 
     def narrow(self, count: int) -> "TileArena":
         """This arena's memory as a ``count``-wide tile arena.
@@ -215,6 +228,23 @@ class TileArena:
             tile = self._narrowed[count] = self._like(tile_width=count,
                                                       pool=self.pool)
         return tile
+
+    def span(self, count: int):
+        """The face buffers of a ``count``-face span of this tile.
+
+        An active span (:func:`~repro.solver.sweep.active_faces`) runs
+        on its own set, carved afresh where the whole tile's lies (after
+        ``pad``), so every buffer stays contiguous: slices of the whole
+        tile's measured up to 2x per pass on a batched tile.  The whole
+        face range is the arena itself; other counts are cached.
+        """
+        if count == self.vl.shape[self.axis]:
+            return self
+        got = self._spans.get(count)
+        if got is None:
+            got = self._spans[count] = SimpleNamespace(**self._carve_faces(
+                _Carver(self._xp, self.pool[self._faces_at:]), count))
+        return got
 
     @property
     def stage_nbytes(self) -> int:

@@ -145,7 +145,11 @@ class TestProcessClusterBitIdentity:
             for overlap in (True, False))
         np.testing.assert_array_equal(split.q, sim.q)
         np.testing.assert_array_equal(bulk.q, sim.q)
-        assert split.sweep.as_dict() == bulk.sweep.as_dict()
+        # Only the evaluated faces differ: a split sweep evaluates all
+        # of its faces, a bulk one only its tiles' active spans.
+        got, ref = split.sweep.as_dict(), bulk.sweep.as_dict()
+        assert got.pop("faces_evaluated") >= ref.pop("faces_evaluated")
+        assert got == ref
 
     def test_overlap_off_identical(self):
         case = bubble_case((24, 24))
@@ -192,7 +196,12 @@ class TestRankSolverIsTheSerialSweep:
         q = case.initial_conservative()
         assert rank.rhs(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
-        assert rank.sweep_counters.as_dict() == rhs.sweep_counters.as_dict()
+        got, ref = (r.sweep_counters.as_dict() for r in (rank, rhs))
+        # A split sweep evaluates every face (its interior runs before
+        # the ghost cells exist); a bulk one skips what the RHS skips.
+        evaluated = got.pop("faces_evaluated"), ref.pop("faces_evaluated")
+        assert got == ref
+        assert evaluated[0] == (got["faces"] if periodic else evaluated[1])
         assert (rhs.sweep_counters.fused_launches > 0) == (fusion == "on")
 
 

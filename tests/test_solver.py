@@ -149,7 +149,11 @@ class TestRHS:
             RHSConfig(weno_order=4)
 
     def test_stopwatch_records_kernel_families(self):
+        # A uniform field's tiles evaluate no face (its stencils are all
+        # bitwise uniform): a bubble gives the kernels work.
         case = uniform_case_2d(n=12)
+        case.add(Patch(sphere([0.5, 0.5], 0.25), alpha_rho=(1.0, 1.0),
+                       velocity=(0.0, 0.0), pressure=2.0, alpha=(0.5,)))
         sw = Stopwatch()
         rhs = RHS(case.layout, MIX, case.grid, BoundarySet.all_periodic(2),
                   stopwatch=sw)

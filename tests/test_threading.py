@@ -109,15 +109,18 @@ class TestGangExecutor:
         assert ex.launch(10) == [(10, 0, os.getpid())]
         assert ex._workers == []  # zero executor overhead at threads=1
 
-    def test_results_in_span_order(self):
+    def test_results_in_rank_order(self):
         spans = tile_spans(10, 7)
         with GangExecutor(4, lambda n, rank: (
                 os.getpid(), gang_share(tile_spans(10, n), rank, 4))) as ex:
             out = ex.launch(7)
             again = ex.launch(7)
-        # Rank order is span order; every member is its own process,
-        # and the same workers serve every launch.
-        assert [s for _, share in out for s in share] == spans
+        # Results come back in rank order, member r holding every 4th
+        # span from the r-th on (balanced to within one tile, together
+        # every span once); every member is its own process, and the
+        # same workers serve every launch.
+        assert [share for _, share in out] == [spans[r::4] for r in range(4)]
+        assert sorted(s for _, share in out for s in share) == spans
         assert [len(share) for _, share in out] == [2, 2, 2, 1]
         assert len({pid for pid, _ in out}) == 4
         assert out[0][0] == os.getpid() and again == out

@@ -266,7 +266,12 @@ class TestRankLocalTiles:
         q = case.initial_conservative()
         assert rank.rhs(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
-        assert rank.sweep_counters.as_dict() == rhs.sweep_counters.as_dict()
+        got, ref = (r.sweep_counters.as_dict() for r in (rank, rhs))
+        # A split sweep evaluates every face (its interior runs before
+        # the ghost cells exist); a bulk one skips what the RHS skips.
+        evaluated = got.pop("faces_evaluated"), ref.pop("faces_evaluated")
+        assert got == ref
+        assert evaluated[0] == (got["faces"] if periodic else evaluated[1])
         # Only the block the hook fills and the flux a split sweep
         # carries across it are block-sized.
         ws = rank.ws
