@@ -2,7 +2,9 @@
 
 For the four end-to-end workloads' entry paths — the plain 2D run, the
 production 3D one (fused, transposed, guarded, checkpointed), two ranks
-and the durable campaign service — runs one fresh interpreter per path
+and the durable campaign service — and the ledger-less ``python -m repro
+ensemble`` (the campaign's jobs without its service section), runs one
+fresh interpreter per path
 under ``python -X importtime`` on a scratch copy of ``TREE/src`` and
 prints the ``repro`` modules it loaded, the total import time (the sum
 of every module's self time, lazy imports during construction and the
@@ -36,7 +38,8 @@ from pathlib import Path
 
 #: Entry path -> the e2e workload whose inputs it runs.
 PATHS = {"plain": "march2d-256", "fused": "prod3d-48",
-         "ranks2": "ranks2-192", "ensemble": "campaign-svc"}
+         "ranks2": "ranks2-192", "ensemble": "campaign-svc",
+         "ensemble-cli": "campaign-svc"}
 
 RUNNER = r"""
 import sys
@@ -51,6 +54,18 @@ if kind == "ensemble":
                           batch_width=width, config=RHSConfig(), cfl=0.5,
                           **options, **service)
     svc.run()
+elif kind == "ensemble-cli":
+    import json
+    import runpy
+    spec = json.loads(open("spec.json").read())
+    spec.pop("service", None)  # no ledger: nothing written
+    with open("cli.json", "w") as f:
+        json.dump(spec, f)
+    sys.argv = ["repro", "ensemble", "cli.json"]
+    try:
+        runpy.run_module("repro", run_name="__main__")
+    except SystemExit as stop:
+        assert not stop.code, stop.code
 else:
     from repro.bc import BoundarySet
     from repro.io.binary import write_snapshot
@@ -111,7 +126,7 @@ def measure(tree: Path, path: str, repeats: int, scratch: Path,
                "PATH": os.environ.get("PATH", "")}
     subprocess.run([sys.executable, "-c", GENERATE, PATHS[path], str(workdir)],
                    env=gen_env, check=True, timeout=600)
-    kind = "ensemble" if path == "ensemble" else "run"
+    kind = path if path.startswith("ensemble") else "run"
     for cached in (False, True):
         src = scratch / f"src-{path}-{'cached' if cached else 'cold'}"
         shutil.copytree(tree / "src", src,
@@ -142,7 +157,7 @@ def main() -> int:
                         help="checkout whose src/ is measured")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--path", action="append", choices=sorted(PATHS),
-                        help="entry path(s) to measure (default: all four)")
+                        help="entry path(s) to measure (default: all)")
     args = parser.parse_args()
     tree = Path(args.tree).resolve()
     with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:

@@ -31,7 +31,6 @@ from repro.cluster.ranksolver import RankSolver
 from repro.common import ConfigurationError
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
-from repro.profiling.counters import SweepCounters
 from repro.solver.rhs import RHSConfig
 from repro.state.layout import StateLayout
 from repro.timestepping.ssp_rk import (
@@ -117,11 +116,3 @@ class DistributedSolver:
             for block, result in zip(blocks, stepped):
                 block[...] = result
         return self.halo.gather(blocks)
-
-    # ------------------------------------------------------------------
-    def merged_sweep_counters(self) -> SweepCounters:
-        """Cluster-wide sweep counters (sum over ranks)."""
-        total = SweepCounters()
-        for rank in self.ranks:
-            total.merge(rank.sweep_counters)
-        return total

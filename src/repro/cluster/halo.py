@@ -186,11 +186,6 @@ class HaloExchanger:
             self.counters.messages += 1
             self.counters.bytes_exchanged += box.nbytes
 
-    def fill_walls(self, rank: int, axis: int, padded: np.ndarray) -> None:
-        """Apply physical BCs on ``rank``'s global-wall side(s) of ``axis``."""
-        fill_wall_ghosts(padded, self.layout, self.bcs, self.decomp,
-                         rank, axis, self.ng)
-
     # -- field scatter/gather ------------------------------------------------
     def split(self, global_field: np.ndarray) -> list[np.ndarray]:
         """Per-rank interior blocks of a global ``(nvars, ...)`` field."""

@@ -2,8 +2,10 @@
 
 This is the executable counterpart of the analytic cluster models: one
 forked :class:`~repro.common.workers.Worker` per rank of the 3D block
-decomposition, each running a :class:`~repro.cluster.ranksolver.
-RankSolver` over its own block, with halo buffers packed zero-copy into
+decomposition, each running the march loop (:class:`repro.solver.march.
+March`) on a :class:`~repro.cluster.ranksolver.RankSolver` over its own
+block — the loop every driver runs, with the CFL rate and the state
+check reduced across ranks — with halo buffers packed zero-copy into
 one anonymous shared mapping (:func:`~repro.common.workers.
 shared_array` — no ``/dev/shm`` name, nothing to unlink) and exchanged
 through a lightweight mailbox protocol (the single-node stand-in for
@@ -97,10 +99,10 @@ from repro.grid.cartesian import StructuredGrid
 from repro.io.binary import read_snapshot
 from repro.io.checkpoint import CheckpointManager
 from repro.profiling.counters import HaloCounters, SweepCounters
+from repro.solver.march import March
 from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.rhs import RHSConfig
 from repro.state.layout import StateLayout
-from repro.timestepping import horizon_reached, time_step
 from repro.weno import halo_width
 
 #: Exit code a worker uses to simulate a hardware fault (vs. 1 for a
@@ -431,6 +433,53 @@ class ClusterResult:
     limited_faces: int
 
 
+class _RankMarch(March):
+    """One rank: one slot of the march loop on its :class:`RankSolver`,
+    the state marched in place in the rank's arena block and the CFL
+    rate reduced across ranks.  The cadence check is collective (a max
+    of the failure flag): every rank stops at the step any block fails,
+    so no peer waits out ``cluster_timeout`` on a halo post."""
+
+    def __init__(self, arena: ShmArena, rank: int, grid: StructuredGrid,
+                 layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
+                 config: RHSConfig, options: SolverOptions, march: dict):
+        self.transport = transport = SharedMemoryTransport(
+            arena, rank, timeout=options.cluster_timeout)
+        self.rhs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
+                              grid, transport, sweep_layout=options.sweep_layout,
+                              overlap=march["overlap"], fusion=options.fusion)
+        self.options, self.layout, self.mixture = options, layout, mixture
+        self.config, self.widths, self.stopwatch = config, self.rhs.widths, None
+        self._block = arena.block(rank)
+
+        def reduce(rate):
+            # Post the local wave rate now and collect the global max
+            # once stage one's RHS — which does not depend on dt — is
+            # done, so the other ranks' contributions arrive while this
+            # rank computes; the max is bitwise the blocking one.
+            transport.reduce_max_begin(rate)
+            return partial(transport.reduce_max_finish, overlapped=True)
+
+        super().__init__(times=[march["base_time"]], steps=[march["base_step"]],
+                         step_count=march["base_step"],
+                         prefixes=[f"rank{rank:04d}"], reduce=reduce)
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._block
+
+    @q.setter
+    def q(self, value) -> None:
+        self._block[...] = value
+
+    def _failures(self) -> dict[int, str]:
+        failed = super()._failures()
+        if self.transport.reduce_max(float(bool(failed))) and not failed:
+            raise NumericsError(
+                f"a peer rank's block is unphysical at step {self.step_count}")
+        return failed
+
+
 def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
             layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
             config: RHSConfig, options: SolverOptions, march: dict,
@@ -438,90 +487,47 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
     """One rank's process body (fork-inherited arguments, no pickling).
 
     ``march`` carries what one :meth:`ProcessCluster.run` adds to the
-    options: ``overlap fault t_end n_steps base_time base_step``.
+    options: ``overlap fault t_end n_steps base_time base_step``.  The
+    rank marches on the driver's absolute clock, so its checkpoint
+    headers and history carry the time/step a serial run would.
     """
-    transport = SharedMemoryTransport(arena, rank,
-                                      timeout=options.cluster_timeout)
-    rs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
-                    grid, transport, sweep_layout=options.sweep_layout,
-                    overlap=march["overlap"], fusion=options.fusion)
-    q = arena.block(rank)
-    mgr = None
-    if options.checkpoint_dir is not None:
-        mgr = CheckpointManager(options.checkpoint_dir,
-                                keep=options.checkpoint_keep,
-                                prefix=f"rank{rank:04d}")
-    # The march runs on the driver's absolute clock: checkpoint
-    # headers and history records carry the same time/step a serial
-    # Simulation would, even when the cluster continues a run that
-    # already advanced to base_time/base_step.
-    sim_time = march["base_time"]
-    step_count = march["base_step"]
+    m = _RankMarch(arena, rank, grid, layout, mixture, bcs, config, options,
+                   march)
     if restore_step is not None:
-        header, saved = read_snapshot(mgr.path_for(restore_step))
-        q[...] = saved
-        sim_time = header.time
-        step_count = header.step
-
+        header, m.q = read_snapshot(m._manager(0).path_for(restore_step))
+        m.times[0], m.steps[0] = header.time, header.step
+        m.step_count = header.step
     fault = march["fault"]
-    history = []
 
-    def reduce(rate):
-        # Post the local wave rate now and collect the global max
-        # only once stage one's RHS — which does not depend on dt —
-        # is done, so the other ranks' contributions arrive while
-        # this rank computes.  The reduction order and values are
-        # unchanged, so the overlapped dt is bitwise the blocking one.
-        transport.reduce_max_begin(rate)
-        return partial(transport.reduce_max_finish, overlapped=True)
-
-    def march_one(dt_limit=None):
-        nonlocal sim_time, step_count
-        t0 = time.perf_counter()
-        q_new, dt, _ = time_step(
-            rs.rhs, q, layout=layout, mixture=mixture, widths=rs.widths,
-            options=options, workspace=rs.ws, dt_limit=dt_limit,
-            reduce=reduce)
-        q[...] = q_new
-        sim_time += dt
-        step_count += 1
-        history.append((step_count, sim_time, dt,
-                        time.perf_counter() - t0))
-        transport.beat()
+    def after_step(m, rec) -> None:
+        m.transport.beat()
         quit_if_orphaned()
         if (fault is not None and attempt == 0
-                and rank == fault.rank and step_count == fault.step):
+                and rank == fault.rank and m.step_count == fault.step):
             # Die as a crashed process would: no cleanup, no final
             # checkpoint, peers left mid-protocol.
             os._exit(_FAULT_EXIT)
-        if (mgr is not None and options.checkpoint_every
-                and step_count % options.checkpoint_every == 0):
-            mgr.save(q, step=step_count, time=sim_time)
 
     try:
         if march["n_steps"] is not None:
-            end_step = march["base_step"] + march["n_steps"]
-            while step_count < end_step:
-                march_one()
+            m.run(n_steps=march["base_step"] + march["n_steps"]
+                  - m.step_count, callback=after_step)
         else:
-            t_end = march["t_end"]
-            while not horizon_reached(sim_time, t_end):
-                march_one(dt_limit=t_end - sim_time)
+            m.run(t_end=march["t_end"], callback=after_step)
     except NumericsError as err:
-        # Deterministic: a restart would replay it.  Every rank reaches
-        # the same reduced dt, so they all stop here.
-        conn.send({"rank": rank, "error": f"rank {rank}, step "
-                   f"{step_count + 1}: {err}"})
+        # Deterministic (a restart would replay it), and every rank
+        # stops at it: the reduced dt and the check are collective.
+        conn.send({"rank": rank, "error": f"rank {rank}: {err}"})
         return
-
     conn.send({
         "rank": rank,
-        "time": sim_time,
-        "step_count": step_count,
-        "halo": transport.counters.as_dict(),
-        "sweep": rs.sweep_counters.as_dict(),
-        "limited_faces": rs.limited_faces,
-        "history": history if rank == 0 else [],
+        "time": float(m.times[0]),
+        "step_count": m.step_count,
+        "halo": m.transport.counters.as_dict(),
+        "sweep": m.rhs.sweep_counters.as_dict(),
+        "limited_faces": m.rhs.limited_faces,
+        "history": ([(r.step, r.time, r.dt, r.wall_seconds)
+                     for r in m.history] if rank == 0 else []),
     })
 
 
@@ -624,9 +630,10 @@ class ProcessCluster(KnobAccess):
         checkpoint-coordinated restart; stale rank checkpoints from a
         previous run in the same directory are discarded up front (see
         :meth:`_discard_stale_checkpoints`).  A :class:`NumericsError` on
-        the ranks (a NaN wave rate: the reduction hands every rank the
-        same one) is raised here naming the rank and step — it would
-        recur on restart.
+        the ranks — a NaN wave rate, which the reduction hands to every
+        rank, or a block failing the collective cadence check — is
+        raised here naming each rank's reason and step, unrestarted (it
+        would recur).
         """
         if (t_end is None) == (n_steps is None):
             raise ConfigurationError("specify exactly one of t_end or n_steps")
@@ -653,9 +660,9 @@ class ProcessCluster(KnobAccess):
                  for r in range(self.decomp.nranks)],
                 arena.view("beat"), grace=self.cluster_timeout + 60.0)
             if failed is None:
-                for res in results:
-                    if "error" in res:
-                        raise NumericsError(res["error"])
+                errors = [res["error"] for res in results if "error" in res]
+                if errors:
+                    raise NumericsError("; ".join(errors))
                 return self._collect(arena, results, restarts)
             restarts += 1
             if restarts > self.max_restarts:

@@ -179,6 +179,13 @@ class RankSolver:
         prim = self.rhs_begin(q, prim=prim)
         return self.rhs_finish(prim, out=out)
 
+    #: The march loop calls the solver as its ``rhs``, on its workspace.
+    __call__ = rhs
+
+    @property
+    def workspace(self) -> SolverWorkspace:
+        return self.ws
+
     def _fill_ghosts(self, d: int, padded: np.ndarray) -> None:
         """The engine's ghost hook: wall BCs, then the neighbours' strips."""
         fill_wall_ghosts(padded, self.layout, self.bcs, self.decomp,

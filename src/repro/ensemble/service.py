@@ -67,7 +67,6 @@ from repro.bc.boundary import BoundarySet
 from repro.common import CheckpointError, ConfigurationError
 from repro.common.checks import integer
 from repro.io.binary import read_snapshot, write_snapshot
-from repro.io.checkpoint import CheckpointManager
 from repro.solver.options import SolverOptions, fold
 from repro.solver.resilience import RecoveryCounters
 from repro.solver.rhs import RHSConfig
@@ -358,7 +357,10 @@ class EnsembleService:
     def _result_path(self, index: int) -> Path:
         return self.results_dir / f"{self.job_id(index)}.bin"
 
-    def _checkpoints(self, index: int) -> CheckpointManager:
+    def _checkpoints(self, index: int):
+        """The job's rotating checkpoints (a durable campaign's only)."""
+        from repro.io.checkpoint import CheckpointManager
+
         return CheckpointManager(self.checkpoint_dir,
                                  keep=self.checkpoint_keep,
                                  prefix=self.job_id(index))

@@ -89,7 +89,8 @@ class BatchSpec:
     #: Attempt number (0-based) — fault plans use it to relent or not,
     #: chaos kill switches arm only on attempt 0.
     attempt: int = 0
-    #: Optional chaos hook called after every stacked step.
+    #: Optional chaos hook called with the batch after every stacked
+    #: step, before its checkpoints.
     step_callback: object | None = None
 
 
@@ -118,7 +119,7 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     options = fold(engine.pop("options", None), engine)
     events: list[dict] = []
 
-    def on_every_step(sim) -> None:
+    def on_every_step(sim, rec) -> None:
         if on_step is not None:
             on_step(sim)
         if spec.step_callback is not None:
@@ -136,8 +137,7 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
             checkpoint_keep=spec.checkpoint_keep,
             checkpoint_prefixes=spec.checkpoint_prefixes,
             fault_plans=spec.fault_plans,
-            fault_attempt=spec.attempt,
-            step_callback=on_every_step, config=config, options=options)
+            fault_attempt=spec.attempt, config=config, options=options)
 
     try:
         sim = build()
@@ -154,16 +154,16 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     gang = sim.rhs.tile_plan()["gang"]  # retirements re-plan narrower
     plan = sim.tuning_plan
     with sim:
-        results = sim.run(t_end=spec.t_ends)
+        results = sim.run(t_end=spec.t_ends, callback=on_every_step)
     return {
         "results": results,
         "events": events,
         "telemetry": {
             "steps": sim.step_count,
             "retire_events": sim.retire_events,
-            "wall_seconds": sim.wall_seconds_total,
-            "faults_injected": sim.faults_injected,
-            "checkpoints_written": sim.checkpoints_written,
+            "wall_seconds": sum(r.wall_seconds for r in sim.history),
+            "faults_injected": sim.recovery.faults_injected,
+            "checkpoints_written": sim.recovery.checkpoints_written,
             "fusion": options.fusion,
             "gang": gang,
             "tuning": plan.summary() if plan is not None else None,

@@ -341,7 +341,7 @@ class HaloCounters:
                 f"{self.bytes_exchanged / 1e6:.1f} MB exchanged, "
                 f"{self.posts} posts; {self.waits} waits "
                 f"({self.wait_ns / 1e6:.1f} ms un-hidden); "
-                f"{self.reductions} dt reductions "
+                f"{self.reductions} reductions "
                 f"({self.reductions_overlapped} overlapped)")
 
 

@@ -37,18 +37,17 @@ class ModeledRun:
     # ------------------------------------------------------------------
     def step(self):
         """Advance the real simulation one step; account its modeled cost."""
-        rec = self.sim.step()
-        rhs_evals = len(SSP_SCHEMES[self.sim.rk_order])
-        for _ in range(rhs_evals):
+        return self.sim.step(callback=self._account)
+
+    def run(self, *, n_steps: int):
+        self.sim.run(n_steps=n_steps, callback=self._account)
+
+    def _account(self, sim, rec) -> None:
+        for _ in range(len(SSP_SCHEMES[sim.rk_order])):
             for w in self._per_rhs:
                 self.profile.record(w.name, w.kernel_class,
                                     self.cost.kernel_time(w),
                                     flops=w.flops, nbytes=w.bytes)
-        return rec
-
-    def run(self, *, n_steps: int):
-        for _ in range(n_steps):
-            self.step()
 
     # ------------------------------------------------------------------
     def modeled_grind_ns(self) -> float:

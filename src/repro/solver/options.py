@@ -99,8 +99,8 @@ class SolverOptions:
         "(--retries N sets its max_retries)", _RUN, flag="--retries",
         type=int, from_cli=_retries)
     validate_every: int = knob(
-        0, integer(0), "extra state validation every N steps of run(); "
-        "0 off", _RUN, type=int)
+        0, integer(0), "extra state validation every N steps; 0 off",
+        _RUN, type=int)
     checkpoint_every: int = knob(
         0, integer(0), "rotating durable checkpoint every N steps; 0 off",
         _RUN, type=int)
@@ -242,10 +242,9 @@ REFUSALS = (
     (lambda o: o.rank_fault is not None and not o.checkpoint_every,
      "fault injection requires checkpointing (set checkpoint_every and "
      "checkpoint_dir)"),
-    (lambda o: o.batched and (o.ranks > 1 or o.retry or o.validate_every
+    (lambda o: o.batched and (o.ranks > 1 or o.retry
                               or o.precision != "float64"
                               or not o.use_workspace),
-     "the batched ensemble engine does not take ranks, retry, "
-     "validate_every, precision or use_workspace=False (a case needing "
-     "them runs standalone)"),
+     "the batched ensemble engine does not take ranks, retry, precision "
+     "or use_workspace=False (a case needing them runs standalone)"),
 )

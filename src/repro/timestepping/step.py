@@ -1,14 +1,11 @@
 """The time step: one body for every driver.
 
-``prim → dt → clip → RK stages`` is spelled once, here.  The serial
-driver (guarded or not), the batched ensemble driver and each rank of a
-process cluster call :func:`time_step` and keep only their own
-bookkeeping — clocks, history, checkpoints, retirement, heartbeats.
+``prim → dt → clip → RK stages`` is spelled once, here, and called
+from one place: the march loop (:class:`repro.solver.march.March`) that
+a standalone case, a batch and each rank of a process cluster run.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -22,7 +19,7 @@ from repro.timestepping.ssp_rk import folds, ssp_rk_step
 def horizon_reached(time_now, t_end):
     """Whether a clock (scalar or per-case vector) has landed on ``t_end``.
 
-    The one horizon predicate of every run loop; the relative slack
+    The horizon predicate of the march loop; the relative slack
     absorbs the rounding of a final step clipped onto the horizon.
     """
     return time_now >= t_end * (1.0 - 1e-12)
@@ -39,7 +36,7 @@ def _clip(dt, dt_limit):
 
 def time_step(rhs, q, *, layout, mixture, widths, options, workspace=None,
               dt=None, dt_limit=None, reduce=None, stopwatch=None):
-    """Advance ``q`` one step; returns ``(q_new, dt, rk_start)``.
+    """Advance ``q`` one step; returns ``(q_new, dt)``.
 
     Parameters
     ----------
@@ -71,8 +68,7 @@ def time_step(rhs, q, *, layout, mixture, widths, options, workspace=None,
 
     A batch-stacked ``q`` of shape ``(nvars, B, *grid)`` takes (and
     returns, on the host) a length-``B`` dt vector: each case advances
-    with its own dt, bitwise as in a standalone step.  ``rk_start`` is
-    the ``time.perf_counter()`` stamp at which the RK stages began.
+    with its own dt, bitwise as in a standalone step.
     """
     ws = workspace
     batch = q.shape[1] if q.ndim == layout.ndim + 2 else None
@@ -117,8 +113,7 @@ def time_step(rhs, q, *, layout, mixture, widths, options, workspace=None,
             def dt_rk():
                 return from_rate(finish())
 
-    rk_start = time.perf_counter()
     q_new = ssp_rk_step(rhs, q, dt_rk, options.rk_order, workspace=ws,
                         prim0=prim0 if ws is not None else None,
                         rate=measure)
-    return q_new, dt, rk_start
+    return q_new, dt

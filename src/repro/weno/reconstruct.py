@@ -390,27 +390,6 @@ def weno_schedule(order: int):
     return {1: (), 3: WENO3_SCHEDULE, 5: WENO5_SCHEDULE}[order]
 
 
-def run_weno_schedule(schedule, env: dict, xp=np) -> None:
-    """Execute a schedule against an environment of named arrays.
-
-    The interpreter twin of the fusion code generator's rendered
-    source — used by the schedule pin tests to prove the tables
-    reproduce ``_weno{3,5}_into`` bit for bit without going through
-    ``compile()``.
-    """
-    def operand(sym):
-        if isinstance(sym, str):
-            return WENO_EPS if sym == "EPS" else env[sym]
-        return sym
-
-    for op, a, b, out in schedule:
-        ufunc = getattr(xp, op)
-        if b is None:
-            ufunc(operand(a), out=env[out])
-        else:
-            ufunc(operand(a), operand(b), out=env[out])
-
-
 def _faces_into(vlast: np.ndarray, start: int, count: int, order: int,
                 out: np.ndarray, scratch, downwind: bool, xp=np) -> None:
     """In-place upwind/downwind reconstruction into ``out`` (axis last)."""

@@ -442,7 +442,7 @@ class TestRetireOnFailure:
             np.testing.assert_array_equal(results[i].q, q)
             assert results[i].steps == steps
         assert sim.retire_events >= 2  # poison retired, then finishers
-        assert sim.faults_injected > 0
+        assert sim.recovery.faults_injected > 0
 
     def test_raise_mode_still_aborts_the_batch(self):
         from repro.common import NumericsError
@@ -460,3 +460,41 @@ class TestRetireOnFailure:
         with pytest.raises(ConfigurationError, match="on_failure"):
             EnsembleSimulation(variants(), BoundarySet.all_periodic(2),
                                on_failure="shrug")
+
+
+class TestValidateEvery:
+    """``validate_every`` is the march loop's cadence, so a batch takes
+    it: bitwise the standalone run per case, and a failing case retires
+    alone with a diagnostic naming it."""
+
+    def test_each_case_matches_its_standalone_run(self):
+        cases = variants()
+        bcs = BoundarySet.all_periodic(2)
+        t_ends = [6e-3, 1e-2, 8e-3]
+        knobs = dict(cfl=0.4, check_every=0, validate_every=2)
+        with EnsembleSimulation(cases, bcs, **knobs) as ens:
+            results = ens.run(t_end=t_ends)
+        for case, t_end, res in zip(cases, t_ends, results):
+            q, time, steps = standalone(case, bcs, t_end=t_end, **knobs)
+            assert res.q.tobytes() == q.tobytes()
+            assert (res.time, res.steps) == (time, steps)
+
+    def test_failing_case_retires_named(self):
+        from repro.faults import CellFaultPlan
+
+        cases = variants()
+        bcs = BoundarySet.all_periodic(2)
+        knobs = dict(fixed_dt=1e-3, check_every=0, validate_every=3)
+        with EnsembleSimulation(
+                cases, bcs, names=["healthy0", "poisoned", "healthy2"],
+                on_failure="retire", **knobs,
+                fault_plans={1: CellFaultPlan(step=3, seed=11, mode="nan",
+                                              attempts=None)}) as ens:
+            results = ens.run(t_end=[6e-3] * 3)
+        assert [r.status for r in results] == ["done", "failed", "done"]
+        assert "'poisoned'" in results[1].error
+        assert "case step 3" in results[1].error
+        for i in (0, 2):
+            q, _, steps = standalone(cases[i], bcs, t_end=6e-3, **knobs)
+            assert results[i].q.tobytes() == q.tobytes()
+            assert results[i].steps == steps

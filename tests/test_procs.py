@@ -268,7 +268,7 @@ class TestRankFaultRestart:
         # A genuine rank death (not an injected fault) in a run with
         # checkpointing disabled must surface as a ClusterError, not a
         # TypeError from CheckpointManager(None, ...).
-        import repro.cluster.procs as procs
+        import repro.solver.march as march
 
         def crash(*args, **kwargs):
             raise RuntimeError("rank crashed")
@@ -276,7 +276,7 @@ class TestRankFaultRestart:
         case = bubble_case((32,))
         bcs = BoundarySet.all_extrapolation(1)
         pc = cluster_for(case, bcs, 2, cfl=0.5)
-        monkeypatch.setattr(procs, "time_step", crash)  # forked workers die
+        monkeypatch.setattr(march, "time_step", crash)  # forked workers die
         with pytest.raises(ClusterError, match="checkpoint"):
             pc.run(case.initial_conservative(), n_steps=2)
 
@@ -290,6 +290,22 @@ class TestRankFaultRestart:
         q0[case.layout.energy, 20] = np.nan  # on rank 1's block only
         with pytest.raises(NumericsError, match=r"step 1: .*rate nan"):
             pc.run(q0, n_steps=2)
+
+    def test_an_unphysical_block_stops_every_rank_together(self):
+        # Finite but unphysical on rank 1's block only: a negative minor
+        # partial density, which the wave rate does not see.  Every rank
+        # checks its block on the check_every cadence and the stop is
+        # collective (a max of the failure flag), so rank 0 does not
+        # wait out its halo timeout into a ClusterError and a restart.
+        case = bubble_case((32,))
+        bcs = BoundarySet.all_extrapolation(1)
+        pc = cluster_for(case, bcs, 2, cfl=0.5, check_every=4,
+                         cluster_timeout=5.0)
+        q0 = case.initial_conservative()
+        q0[1, 24] = -0.3  # alpha_rho[1] of cell 8 of rank 1's block
+        with pytest.raises(NumericsError, match=r"rank 1: unphysical state "
+                           r"at step 4: negative-density: alpha_rho\[1\]"):
+            pc.run(q0, n_steps=12)
 
     def test_stale_checkpoints_from_previous_run_not_restored(self, tmp_path):
         # Run 1 leaves rank checkpoints at steps 4/6/8 in the
@@ -493,7 +509,7 @@ def _refusal_cases():
         "requires checkpointing": lambda: cluster_for(
             case, bcs, 2, fault=RankFault(rank=0, step=1)),
         "batched ensemble engine": lambda: EnsembleSimulation(
-            [case], bcs, validate_every=2),
+            [case], bcs, retry={"max_retries": 1}),
     }
 
 

@@ -226,3 +226,24 @@ class TestBatchedCFL:
         stacked = np.stack([self.make_prim()], axis=1)
         with pytest.raises(NumericsError):
             cfl_dt(self.lay, self.mix, stacked, self.grid, 0.0)
+
+
+class TestOneMarchLoop:
+    """Regrowth guard: every march goes through one loop.  A second
+    module calling the step body or the horizon predicate is a second
+    march loop growing back."""
+
+    @pytest.mark.parametrize("name", ["time_step", "horizon_reached"])
+    def test_called_from_the_loop_module_only(self, name):
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        callers = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and name in (
+                        getattr(func, "id", None), getattr(func, "attr", None)):
+                    callers.add(path.relative_to(src).as_posix())
+        assert callers == {"repro/solver/march.py"}
