@@ -1,8 +1,13 @@
 """``make bench-e2e-pair BASE=<sha>``: base commit vs this tree, paired.
 
-Exports ``BASE`` with ``git archive`` into a throw-away directory and
-runs ``benchmarks/e2e/run.py --workload W --trace 0`` in that tree and
-in this one, alternating which side goes first, once per seed: seeds
+Exports both sides with ``git archive`` into sibling throw-away
+directories whose paths have the same length (a path's length moves
+the heap layout, and with it ``peak_rss_mb``): ``BASE``, and this
+checkout's working tree as ``git stash create`` records it (tracked
+files, staged or not; ``HEAD`` when the tree is clean; untracked files
+are left out, so ``git add`` a new file first).  It then runs
+``benchmarks/e2e/run.py --workload W --trace 0`` in each export,
+alternating which side goes first, once per seed: seeds
 ``1..--pairs`` plus one seed kept out of development (``--held-out``).
 Every invocation is the benchmark's own driver mode — fresh child
 processes, oracles on — so each side is measured by the benchmark code
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -63,6 +69,15 @@ def sha_of(tree: Path, rev: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def export(rev: str, prefix: str) -> Path:
+    """``rev``'s tree in a new temporary directory named ``prefix*``."""
+    tree = Path(tempfile.mkdtemp(prefix=prefix))
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="commit to compare against")
@@ -81,15 +96,20 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with tempfile.TemporaryDirectory(prefix="bench_pair_base_") as tmp:
-        base = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"base": base, "change": ROOT}
+    stash = subprocess.run(["git", "stash", "create"], cwd=ROOT,
+                           capture_output=True, text=True,
+                           check=True).stdout.strip()
+    # Equal-length prefixes: mkdtemp adds the same number of characters.
+    sides = {"base": export(args.base, "bench_pair_base_"),
+             "change": export(stash or "HEAD", "bench_pair_chng_")}
+    assert len(str(sides["base"])) == len(str(sides["change"]))
+    for side, tree in sides.items():
+        print(f"{side}: {tree}", flush=True)
+    try:
         files = {side: {"seed": seeds[0], "workloads": {}, "stamp": {
-            "git_sha": sha_of(ROOT, args.base if side == "base" else "HEAD")
-            + ("" if side == "base" else "+tree")}} for side in sides}
+            "git_sha": sha_of(ROOT, args.base) if side == "base"
+            else sha_of(ROOT, "HEAD") + ("+tree" if stash else "")}}
+            for side in sides}
         for name in workloads:
             runs = {side: [] for side in sides}
             for i, seed in enumerate(seeds):
@@ -153,6 +173,9 @@ def main() -> int:
         print()
         return subprocess.run([sys.executable, str(ROOT.joinpath(*RUN)),
                                "--compare", *map(str, paths)]).returncode
+    finally:
+        for tree in sides.values():
+            shutil.rmtree(tree, ignore_errors=True)
 
 
 if __name__ == "__main__":

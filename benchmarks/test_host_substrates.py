@@ -1,5 +1,6 @@
-"""Host-side benchmarks of the remaining substrates: halo pack/unpack,
-FFT filtering, conversions, boundary fills, and the IBM build.
+"""Host-side benchmarks of the remaining substrates: the halo
+transport's post/fill, FFT filtering, conversions, boundary fills, and
+the IBM build.
 
 These keep every hot path of the functional layer under
 pytest-benchmark regression tracking.
@@ -8,9 +9,8 @@ pytest-benchmark regression tracking.
 import numpy as np
 import pytest
 
-from repro.bc import BC, BoundarySet, fill_axis_ghosts, pad_axis
-from repro.cluster import BlockDecomposition, HaloExchanger
-from repro.cluster.halo import pack_face, unpack_face
+from repro.bc import BC, fill_axis_ghosts, pad_axis
+from repro.cluster import BlockDecomposition, SharedMemoryTransport, ShmArena
 from repro.eos import Mixture, StiffenedGas
 from repro.fftfilter import FFTFilterPlan
 from repro.grid import CylindricalGrid, StructuredGrid
@@ -56,26 +56,44 @@ def test_ghost_fill_cost(benchmark, field3d):
     assert p.shape[1] == 54
 
 
-def test_halo_pack_unpack_cost(benchmark, field3d):
+def test_halo_post_fill_cost(benchmark, field3d):
+    """One rank wrapped onto itself along x: both strips posted into the
+    shared mailboxes, then unpacked into its own ghost layers."""
     lay, prim = field3d
+    decomp = BlockDecomposition((48, 48, 48), (1, 1, 1), (True, False, False))
+    transport = SharedMemoryTransport(ShmArena(decomp, lay.nvars, 3), 0)
     padded = pad_axis(prim, 0, 3)
 
-    def roundtrip():
-        buf = pack_face(padded, 0, 3, -1)
-        unpack_face(padded, 0, 3, 1, buf)
-        return buf
+    def exchange():
+        transport.post(0, 0, prim)
+        transport.fill(0, 0, padded)
 
-    buf = benchmark(roundtrip)
-    assert buf.size == lay.nvars * 3 * 48 * 48
+    benchmark(exchange)
+    assert transport.counters.messages == transport.counters.posts
+    np.testing.assert_array_equal(padded[:, -3:], prim[:, :3])
+    np.testing.assert_array_equal(padded[:, :3], prim[:, -3:])
 
 
 def test_full_halo_exchange_cost(benchmark, field3d):
+    """A 2 x 2 team in one process: every rank posts its x strips, then
+    every rank fills its x ghosts (the order a team needs to never wait)."""
     lay, prim = field3d
     decomp = BlockDecomposition((48, 48, 48), (2, 2, 1), (False, False, False))
-    h = HaloExchanger(decomp, lay, BoundarySet.all_extrapolation(3), 3)
-    blocks = h.split(prim)
-    padded = benchmark(h.padded_axis, blocks, 0)
-    assert len(padded) == 4
+    arena = ShmArena(decomp, lay.nvars, 3)
+    arena.scatter(prim)
+    team = [SharedMemoryTransport(arena, r) for r in range(decomp.nranks)]
+    padded = [pad_axis(arena.block(r), 0, 3) for r in range(decomp.nranks)]
+
+    def exchange():
+        for t in team:
+            t.post(t.rank, 0, arena.block(t.rank))
+        for t, p in zip(team, padded):
+            t.fill(t.rank, 0, p)
+
+    benchmark(exchange)
+    assert sum(t.counters.waits for t in team) == 0
+    hi = decomp.neighbor(0, 0, 1)
+    np.testing.assert_array_equal(padded[0][:, -3:], arena.block(hi)[:, :3])
 
 
 def test_fft_filter_cost(benchmark):

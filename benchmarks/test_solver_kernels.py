@@ -41,7 +41,7 @@ def test_rhs_evaluation(benchmark, ndim, n):
 def test_full_step_3d(benchmark):
     case = two_phase_case(32, 3)
     sim = Simulation(case, BoundarySet.all_periodic(3), fixed_dt=1e-4,
-                     check_every=0)
+                     validate_every=0)
     benchmark(sim.step)
     assert np.all(np.isfinite(sim.q))
 
@@ -49,7 +49,7 @@ def test_full_step_3d(benchmark):
 def test_host_grind_time_3d(benchmark, record_rows):
     case = two_phase_case(32, 3)
     sim = Simulation(case, BoundarySet.all_periodic(3), fixed_dt=1e-4,
-                     check_every=0)
+                     validate_every=0)
 
     def five_steps():
         for _ in range(5):

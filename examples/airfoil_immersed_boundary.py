@@ -45,7 +45,7 @@ def main() -> None:
     bcs = BoundarySet(((BC.EXTRAPOLATION, BC.EXTRAPOLATION),
                        (BC.EXTRAPOLATION, BC.EXTRAPOLATION)))
     sim = Simulation(case, bcs, config=RHSConfig(weno_order=5), cfl=0.4,
-                     check_every=0)
+                     validate_every=0)
     sim.q = ib.apply(sim.q)
     lay = sim.layout
 

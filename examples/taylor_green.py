@@ -36,7 +36,7 @@ def taylor_green_sim(viscosity, n=64):
     case.add(Patch(box([0.0, 0.0], [7.0, 7.0]), (0.5, 0.5), (0.0, 0.0),
                    100.0, (0.5,)))
     sim = Simulation(case, BoundarySet.all_periodic(2), cfl=0.4,
-                     config=RHSConfig(viscosity=viscosity), check_every=0)
+                     config=RHSConfig(viscosity=viscosity), validate_every=0)
     X, Y = grid.meshgrid()
     prim = sim.primitive()
     lay = sim.layout

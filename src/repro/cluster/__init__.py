@@ -1,5 +1,6 @@
-"""Distributed-run substrate: decomposition, simulated MPI, halo exchange,
-I/O model, machine topologies, and the scaling experiment drivers."""
+"""Distributed-run substrate: decomposition, simulated MPI, the
+shared-memory halo exchange of multi-process runs, I/O model, machine
+topologies, and the scaling experiment drivers."""
 
 from repro.common.lazy import lazy_exports
 from repro.cluster.decomposition import BlockDecomposition, factor3d
@@ -10,9 +11,8 @@ from repro.cluster.decomposition import BlockDecomposition, factor3d
 _EXPORTS = {
     "MachineSpec": "topology", "SUMMIT": "topology", "FRONTIER": "topology",
     "NetworkModel": "mpi_sim", "CommModel": "mpi_sim",
-    "HaloExchanger": "halo", "validate_periodicity": "halo",
+    "validate_periodicity": "halo",
     "RankSolver": "ranksolver",
-    "DistributedSolver": "distributed",
     "ProcessCluster": "procs", "ClusterResult": "procs", "RankFault": "procs",
     "SharedMemoryTransport": "procs", "ShmArena": "procs",
     "Event": "events", "EventSimulator": "events", "StepTimeline": "events",

@@ -6,7 +6,11 @@ surface-to-volume ratio of each rank's subdomain, and therefore the
 halo traffic per unit of compute.  :func:`factor3d` produces the most
 cubic factorisation of a rank count; :class:`BlockDecomposition` maps
 ranks to blocks, assigns neighbours, and computes exactly the
-communication surface the scaling models charge for.
+communication surface the scaling models charge for: its
+:meth:`~BlockDecomposition.total_messages` and
+:meth:`~BlockDecomposition.total_halo_bytes` equal what the ranks'
+shared-memory transport tallies in its ``HaloCounters`` per RHS
+evaluation.
 """
 
 from __future__ import annotations
@@ -208,9 +212,10 @@ class BlockDecomposition:
     def total_messages(self) -> int:
         """Halo messages per full exchange, summed over ranks and axes.
 
-        ``HaloExchanger.messages`` after one exchange equals exactly
-        this (tests assert it), which is what keeps the analytic model
-        and the functional transport reconciled.
+        The ranks' :class:`~repro.cluster.procs.SharedMemoryTransport`
+        counters (``HaloCounters.messages``, merged over ranks) grow by
+        exactly this per RHS evaluation (tests assert it), which is what
+        keeps the analytic model and the transport reconciled.
         """
         return sum(self.neighbor_sides(r, axis)
                    for r in range(self.nranks)

@@ -9,7 +9,13 @@ check reduced across ranks — with halo buffers packed zero-copy into
 one anonymous shared mapping (:func:`~repro.common.workers.
 shared_array` — no ``/dev/shm`` name, nothing to unlink) and exchanged
 through a lightweight mailbox protocol (the single-node stand-in for
-``MPI_Sendrecv``).
+``MPI_Sendrecv``).  :class:`SharedMemoryTransport` is the one halo
+transport: its per-rank :class:`~repro.profiling.counters.HaloCounters`
+are what the decomposition's ``total_messages()`` and
+``total_halo_bytes()`` reconcile against, one full exchange per RHS
+evaluation.  Ranks need not be processes to use it: one arena and one
+transport per rank in a single process form an in-process team, as
+long as every rank posts before any rank fills.
 
 Mailbox protocol
 ----------------
@@ -88,7 +94,6 @@ from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import boundary_strip, ghost_strip, validate_periodicity
 from repro.cluster.ranksolver import RankSolver
 from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
-from repro.common.checks import integer
 from repro.common.workers import (
     drain_and_join,
     quit_if_orphaned,
@@ -156,7 +161,8 @@ class ShmArena:
     * per-``(rank, axis, side)`` halo mailboxes (boundary-strip shaped)
       with their ``post``/``ack`` sequence words;
     * the dt-reduction triple: ``slots`` float64 and
-      ``wrote``/``read`` sequence words, one each per rank;
+      ``wrote``/``read`` sequence words, one each per rank (the CFL
+      rate and the state-check flag are scalars);
     * a per-rank ``beat`` heartbeat word (bumped by workers on every
       step and transport operation; the parent's liveness monitor).
 
@@ -168,14 +174,10 @@ class ShmArena:
     weakly-ordered CPUs (see the module docstring).
     """
 
-    def __init__(self, decomp: BlockDecomposition, nvars: int, ng: int, *,
-                 red_width: int = 1):
+    def __init__(self, decomp: BlockDecomposition, nvars: int, ng: int):
         self.decomp = decomp
         self.nvars = nvars
         self.ng = ng
-        #: Payload width of one dt-reduction round: 1 for the scalar
-        #: single-case rate, B for an ensemble's per-case dt vector.
-        self.red_width = integer(1)("red_width", red_width)
         self._slots: dict[object, tuple[int, tuple[int, ...], np.dtype]] = {}
         offset = 0
 
@@ -203,7 +205,7 @@ class ShmArena:
                     add(("post", r, axis, side), (1,), np.int64)
                     add(("ack", r, axis, side), (1,), np.int64)
                     self.locks[(r, axis, side)] = ctx.Lock()
-        add("slots", (decomp.nranks, red_width), DTYPE)
+        add("slots", (decomp.nranks,), DTYPE)
         add("wrote", (decomp.nranks,), np.int64)
         add("read", (decomp.nranks,), np.int64)
         add("beat", (decomp.nranks,), np.int64)
@@ -220,12 +222,23 @@ class ShmArena:
     def block(self, rank: int) -> np.ndarray:
         return self.view(("block", rank))
 
+    def scatter(self, q: np.ndarray) -> None:
+        """Copy a global ``(nvars, *cells)`` field into the rank blocks."""
+        for r in range(self.decomp.nranks):
+            self.block(r)[...] = q[(slice(None), *self.decomp.local_slices(r))]
+
+    def gather(self) -> np.ndarray:
+        """The global field reassembled from the rank blocks (a copy)."""
+        q = np.empty((self.nvars, *self.decomp.global_cells), dtype=DTYPE)
+        for r in range(self.decomp.nranks):
+            q[(slice(None), *self.decomp.local_slices(r))] = self.block(r)
+        return q
+
 
 class SharedMemoryTransport:
-    """One worker's halo endpoint over the arena (see module docstring).
+    """One rank's halo endpoint over the arena (see module docstring).
 
-    Duck-type compatible with :class:`~repro.cluster.halo.HaloExchanger`
-    as a :class:`RankSolver` transport: :meth:`post` packs boundary
+    A :class:`RankSolver`'s transport: :meth:`post` packs boundary
     strips straight into the shared mailboxes, :meth:`fill` completes
     the sendrecv into the ghost layers.
     """
@@ -363,17 +376,13 @@ class SharedMemoryTransport:
         caller overlaps independent compute (the first RK stage's RHS,
         which does not depend on dt) before collecting the result with
         :meth:`reduce_max_finish`.
-
-        ``value`` may be a scalar (broadcast across the slot row) or a
-        vector of the arena's ``red_width`` — the latter carries an
-        ensemble's per-case dt payload through one reduction round.
         """
         s = self._reduced + 1
         for r in range(self.decomp.nranks):
             self._wait(self._read[r:r + 1], s - 1,
                        f"rank {r} to consume reduction {s - 1}",
                        self._locks[("red", r)])
-        self._slots[self.rank, :] = value
+        self._slots[self.rank] = value
         self._publish(self._locks[("red", self.rank)], self._wrote,
                       self.rank, s, f"reduction value {s}")
         self.beat()
@@ -381,14 +390,12 @@ class SharedMemoryTransport:
     def reduce_max_finish(self, *, overlapped: bool = False) -> float:
         """Complete the reduction started by :meth:`reduce_max_begin`.
 
-        Waits for every rank's slot of this round, takes the
-        elementwise max in rank order — bitwise identical on every
-        rank, and bitwise equal to the serial whole-domain max
-        (floating max is exact under any grouping) — then releases the
-        slots for the next round.  Returns a float for width-1 arenas
-        (the historical scalar contract) and the reduced vector for
-        wider payloads.  ``overlapped=True`` tallies the reduction as
-        hidden behind compute
+        Waits for every rank's slot of this round, takes the max in
+        rank order — bitwise identical on every rank, and bitwise equal
+        to the serial whole-domain max (floating max is exact under any
+        grouping; a NaN anywhere is NaN everywhere) — then releases the
+        slots for the next round.  ``overlapped=True`` tallies the
+        reduction as hidden behind compute
         (:attr:`HaloCounters.reductions_overlapped`).
         """
         s = self._reduced + 1
@@ -397,9 +404,9 @@ class SharedMemoryTransport:
             self._wait(self._wrote[r:r + 1], s,
                        f"rank {r}'s reduction value {s}",
                        self._locks[("red", r)])
-        row = self._slots[0].copy()
+        value = self._slots[0]
         for r in range(1, n):
-            np.maximum(row, self._slots[r], out=row)
+            value = np.maximum(value, self._slots[r])
         self._publish(self._locks[("red", self.rank)], self._read,
                       self.rank, s, f"reduction consume {s}")
         self._reduced = s
@@ -407,7 +414,7 @@ class SharedMemoryTransport:
         if overlapped:
             self.counters.reductions_overlapped += 1
         self.beat()
-        return float(row[0]) if row.shape[0] == 1 else row
+        return float(value)
 
     def reduce_max(self, value: float) -> float:
         """Blocking cluster-wide max: begin + finish back to back."""
@@ -446,8 +453,7 @@ class _RankMarch(March):
         self.transport = transport = SharedMemoryTransport(
             arena, rank, timeout=options.cluster_timeout)
         self.rhs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
-                              grid, transport, sweep_layout=options.sweep_layout,
-                              overlap=march["overlap"], fusion=options.fusion)
+                              grid, transport, fusion=options.fusion)
         self.options, self.layout, self.mixture = options, layout, mixture
         self.config, self.widths, self.stopwatch = config, self.rhs.widths, None
         self._block = arena.block(rank)
@@ -487,7 +493,7 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
     """One rank's process body (fork-inherited arguments, no pickling).
 
     ``march`` carries what one :meth:`ProcessCluster.run` adds to the
-    options: ``overlap fault t_end n_steps base_time base_step``.  The
+    options: ``fault t_end n_steps base_time base_step``.  The
     rank marches on the driver's absolute clock, so its checkpoint
     headers and history carry the time/step a serial run would.
     """
@@ -537,31 +543,28 @@ class ProcessCluster(KnobAccess):
     Runs ``decomp.nranks`` forked workers over a
     shared-memory arena and marches them bulk-synchronously via the
     mailbox protocol.  Results are bit-identical to the single-block
-    :class:`~repro.solver.simulation.Simulation` and to the in-process
-    :class:`~repro.cluster.distributed.DistributedSolver` — including
-    across an injected rank failure recovered through
-    checkpoint-coordinated restart.
+    :class:`~repro.solver.simulation.Simulation` — including across an
+    injected rank failure recovered through checkpoint-coordinated
+    restart.
 
     ``options`` and/or loose keyword knobs say how to march (DESIGN.md
     "Options: one table"; ``ranks`` is the decomposition's).  The halo
     waits spin for ``cluster_timeout`` seconds and the parent's join
     uses ``cluster_timeout + 60`` as its *no-progress* deadline (a
-    hang's bound, not a legitimate run's).  ``overlap=False``
-    waits for the exchange up front (same results, no hiding; an A/B
-    toggle); ``fault`` is an injected :class:`RankFault`.
+    hang's bound, not a legitimate run's).  ``fault`` is an injected
+    :class:`RankFault`.
     """
 
     def __init__(self, grid: StructuredGrid, layout: StateLayout,
                  mixture: Mixture, bcs: BoundarySet,
                  decomp: BlockDecomposition, config: RHSConfig,
                  options: SolverOptions | None = None, *,
-                 overlap: bool = True, fault: RankFault | None = None,
-                 **knobs) -> None:
+                 fault: RankFault | None = None, **knobs) -> None:
         self.options = fold(options, {**knobs, "ranks": decomp.nranks})
         self.options.require_compatible(rank_fault=fault)
         self.grid, self.layout, self.mixture = grid, layout, mixture
         self.bcs, self.decomp, self.config = bcs, decomp, config
-        self.overlap, self.fault = overlap, fault
+        self.fault = fault
         if decomp.global_cells != grid.shape:
             raise ConfigurationError(
                 f"decomposition covers {decomp.global_cells}, "
@@ -573,8 +576,7 @@ class ProcessCluster(KnobAccess):
         # Validate numerics knobs up front (in-process, good tracebacks)
         # by building rank 0's solver against a throwaway transport.
         RankSolver(decomp, 0, layout, mixture, bcs, config, grid,
-                   transport=None, sweep_layout=self.sweep_layout,
-                   overlap=overlap, fusion=self.fusion)
+                   transport=None, fusion=self.fusion)
 
     def _discard_stale_checkpoints(self) -> None:
         """Remove rank checkpoints left by a previous run.
@@ -642,17 +644,14 @@ class ProcessCluster(KnobAccess):
                 f"q0 has shape {q0.shape}, expected "
                 f"{(self.layout.nvars, *self.grid.shape)}")
         self._discard_stale_checkpoints()
-        march = dict(overlap=self.overlap, fault=self.fault, t_end=t_end,
-                     n_steps=n_steps, base_time=base_time,
-                     base_step=base_step)
+        march = dict(fault=self.fault, t_end=t_end, n_steps=n_steps,
+                     base_time=base_time, base_step=base_step)
         restarts = 0
         restore_step = None
         while True:
             arena = ShmArena(self.decomp, self.layout.nvars,
                              halo_width(self.config.weno_order))
-            for r in range(self.decomp.nranks):
-                arena.block(r)[...] = q0[
-                    (slice(None), *self.decomp.local_slices(r))]
+            arena.scatter(q0)
             results, failed = drain_and_join(
                 [partial(_worker, arena, r, self.grid, self.layout,
                          self.mixture, self.bcs, self.config, self.options,
@@ -674,9 +673,6 @@ class ProcessCluster(KnobAccess):
     # ------------------------------------------------------------------
     def _collect(self, arena: ShmArena, results: list[dict],
                  restarts: int) -> ClusterResult:
-        q = np.empty((self.layout.nvars, *self.grid.shape), dtype=DTYPE)
-        for r in range(self.decomp.nranks):
-            q[(slice(None), *self.decomp.local_slices(r))] = arena.block(r)
         halo = HaloCounters()
         sweep = SweepCounters()
         history: list = []
@@ -689,6 +685,6 @@ class ProcessCluster(KnobAccess):
                 history = res["history"]
         r0 = next(res for res in results if res["rank"] == 0)
         return ClusterResult(
-            q=q, time=r0["time"], step_count=r0["step_count"], halo=halo,
-            sweep=sweep, history=tuple(tuple(h) for h in history),
+            q=arena.gather(), time=r0["time"], step_count=r0["step_count"],
+            halo=halo, sweep=sweep, history=tuple(tuple(h) for h in history),
             restarts=restarts, limited_faces=limited)

@@ -9,14 +9,19 @@ owns a full :class:`~repro.solver.workspace.SolverWorkspace` sized for
 the block, so a steady-state RHS evaluation performs no new large-array
 allocations (the distributed analog of the serial ``out=`` paths).
 
-The transport is duck-typed with two methods:
+The transport is the rank's
+:class:`~repro.cluster.procs.SharedMemoryTransport`, used through two
+methods:
 
 * ``post(rank, axis, field)`` — pack the rank's boundary strips along
-  ``axis`` into the neighbours' mailboxes (in-process arrays for
-  :class:`~repro.cluster.halo.HaloExchanger`, shared-memory segments
-  for :class:`~repro.cluster.procs.SharedMemoryTransport`);
+  ``axis`` into its shared mailboxes;
 * ``fill(rank, axis, padded)`` — complete the sendrecv by unpacking the
   neighbours' posted strips into the rank's ghost layers.
+
+Its ``HaloCounters`` tally one message per neighboured side and axis on
+every evaluation, so a team's merged ``messages`` and
+``bytes_exchanged`` per RHS evaluation equal the decomposition's
+``total_messages()`` and ``total_halo_bytes(ng, nvars)``.
 
 Communication hiding
 --------------------
@@ -28,9 +33,11 @@ posted up front, and each sweep first reconstructs the faces whose WENO
 stencils touch no ghost cell, only then waits for the neighbours'
 strips, and finishes with the ``ng`` boundary faces on each end.  The
 interior compute runs while the ghosts land: the paper's
-interior/boundary overlap, host-side.  Span-composed reconstruction is
-bitwise identical to the bulk call (the kernels are elementwise over
-faces), so overlap never changes a result bit.
+interior/boundary overlap, host-side.  A direction splits wherever the
+block has a neighbour along it and at least ``2 ng`` cells; any other
+direction sweeps in bulk after the fill.  Span-composed reconstruction
+is bitwise identical to the bulk call (the kernels are elementwise over
+faces), so the split never changes a result bit.
 """
 
 from __future__ import annotations
@@ -45,11 +52,7 @@ from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
 from repro.profiling.counters import SweepCounters
 from repro.solver.rhs import RHSConfig, nonconservative_tile
-from repro.solver.sweep import (
-    SweepEngine,
-    validate_fusion,
-    validate_sweep_layout,
-)
+from repro.solver.sweep import SweepEngine, validate_fusion
 from repro.solver.workspace import SolverWorkspace
 from repro.state.conversions import cons_to_prim, row_tiles
 from repro.state.layout import StateLayout
@@ -78,24 +81,19 @@ class RankSolver:
         widths from it so a decomposed divergence is bitwise identical
         to the serial one.
     transport:
-        Halo transport (see module docstring).
-    sweep_layout / fusion:
-        The knobs of the same name (DESIGN.md "Options: one table"; both
-        layouts plan one schedule).  Rank-specific: with fusion on, a
-        *bulk* sweep — a direction whose face span is not split for
-        overlap — runs as one generated kernel from WENO on (the ghost
-        hook packs); split directions run staged.  Bitwise identical
-        either way.
-    overlap:
-        Compute interior faces while ghost strips land (default).
-        ``False`` waits for the exchange up front — same results,
-        no hiding; kept as a toggle for A/B timing.
+        Halo transport (see module docstring); None builds a solver
+        that is never evaluated (knob validation, cell widths).
+    fusion:
+        The knob of the same name (DESIGN.md "Options: one table").
+        Rank-specific: with fusion on, a *bulk* sweep — a direction
+        whose face span is not split for overlap — runs as one
+        generated kernel from WENO on (the ghost hook packs); split
+        directions run staged.  Bitwise identical either way.
     """
 
     def __init__(self, decomp: BlockDecomposition, rank: int,
                  layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
                  config: RHSConfig, grid: StructuredGrid, transport, *,
-                 sweep_layout: str = "strided", overlap: bool = True,
                  fusion: str = "off") -> None:
         if config.geometry != "cartesian":
             raise ConfigurationError(
@@ -104,7 +102,6 @@ class RankSolver:
             raise ConfigurationError(
                 "distributed runs do not support viscous terms yet")
         validate_fusion(fusion)
-        validate_sweep_layout(sweep_layout)
         self.decomp = decomp
         self.rank = rank
         self.layout = layout
@@ -112,7 +109,6 @@ class RankSolver:
         self.bcs = bcs
         self.config = config
         self.transport = transport
-        self.overlap = overlap
         self.fusion = fusion
         self.local = decomp.local_cells(rank)
         self.limited_faces = 0
@@ -124,11 +120,11 @@ class RankSolver:
         ng = self._engine.ng
         self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
                                   rows=self._engine.rows)
-        # Overlap needs a non-empty ghost-free interior span and an
+        # The split needs a non-empty ghost-free interior span and an
         # actual exchange to hide; other directions sweep in bulk after
         # the fill.
         self._split = [
-            overlap and self.local[d] >= 2 * ng
+            self.local[d] >= 2 * ng
             and decomp.neighbor_sides(rank, d) > 0
             for d in range(layout.ndim)]
         # Per-axis cell widths sliced from the global grid, broadcast

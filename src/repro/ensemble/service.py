@@ -243,7 +243,7 @@ class EnsembleService:
     checkpoint_every / checkpoint_keep:
         Per-case checkpoint cadence (stacked steps, default 5) inside
         batches; needs a ledger.
-    check_every:
+    validate_every:
         Validation cadence of every batch (it replaces the one in
         ``options``); defaults to 1 so a diverging case is caught on
         the step it breaks (and never checkpointed broken).
@@ -270,7 +270,7 @@ class EnsembleService:
                  supervise: bool = True,
                  checkpoint_every: int | None = None,
                  checkpoint_keep: int = 3,
-                 check_every: int = 1,
+                 validate_every: int = 1,
                  degrade_after: int = 2, min_batch_width: int = 1,
                  chaos: object | None = None,
                  config: RHSConfig | None = None,
@@ -311,7 +311,7 @@ class EnsembleService:
         self.min_batch_width = min_batch_width
         self.chaos = chaos
         self.config = config if config is not None else RHSConfig()
-        options = fold(options, {**knobs, "check_every": check_every})
+        options = fold(options, {**knobs, "validate_every": validate_every})
         options.require_compatible(batched=True)
         #: ``EnsembleSimulation`` keywords of every batch.  The backend
         #: is normalised to its name so the dict pickles into supervised

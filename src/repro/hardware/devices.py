@@ -107,8 +107,8 @@ def default_host_device() -> DeviceSpec:
     """The catalog's generic host stand-in (see :data:`DEFAULT_HOST_KEY`).
 
     Heuristics that are "informed by the device catalog" — the sweep
-    engine's auto layout choice, tile sizing — fall back to this spec
-    when no explicit ``tile_device`` / ``--device`` was given.
+    engine's tile sizing, the tuner's host fingerprint — fall back to
+    this spec when the caller passed no device.
     """
     return DEVICES[DEFAULT_HOST_KEY]
 

@@ -273,11 +273,10 @@ class SweepCounters:
 
 @dataclass
 class HaloCounters:
-    """Measured communication accounting of the halo-exchange transports.
+    """Measured communication accounting of the halo-exchange transport.
 
-    One instance lives on each transport (the in-process
-    :class:`~repro.cluster.halo.HaloExchanger` and the shared-memory
-    :class:`~repro.cluster.procs.SharedMemoryTransport`); multi-process
+    One instance lives on each rank's
+    :class:`~repro.cluster.procs.SharedMemoryTransport`; multi-process
     runs merge the per-rank instances into one cluster-wide tally, the
     comm-side counterpart of :class:`SweepCounters`.
 
@@ -285,15 +284,15 @@ class HaloCounters:
     ----------
     messages:
         Halo buffers received and unpacked into ghost layers (the
-        in-process analog of one ``MPI_Sendrecv`` completion).
+        shared-memory analog of one ``MPI_Sendrecv`` completion).
     bytes_exchanged:
         Payload bytes those messages carried.
     posts:
         Boundary regions packed and posted to a neighbour's mailbox.
     waits:
         Receives that found the neighbour's mailbox not yet posted and
-        had to spin (zero for the in-process transport, where posting
-        is bulk-synchronous).
+        had to spin (zero when every rank posts before any rank fills,
+        as an in-process team does).
     wait_ns:
         Nanoseconds spent in those spins — the un-hidden fraction of
         the exchange that interior-compute overlap exists to shrink.

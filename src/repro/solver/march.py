@@ -16,7 +16,7 @@ step, in order:
    candidate first passes the per-slot fault hooks
    (``apply(view, step=, attempt=) -> cells``);
 2. clocks, per-slot wall shares and :attr:`~March.history`;
-3. the ``check_every``/``validate_every`` cadence: an unphysical slot
+3. the ``validate_every`` cadence: an unphysical slot
    raises :class:`~repro.common.NumericsError` naming it or, with
    ``on_failure="retire"``, retires alone with that diagnostic;
 4. ``callback(march, record)`` (a rank's heartbeat and injected death);
@@ -279,7 +279,7 @@ class March(KnobAccess, AbstractContextManager):
                          else float(self.times[0]), dt, wall, len(dts) - 1)
         self.history.append(rec)
         failed: dict[int, str] = {}
-        if self._due(self.check_every) or self._due(self.validate_every):
+        if self._due(self.validate_every):
             if self.on_failure == "raise":
                 self.validate_state()  # looked up here: callers may wrap it
             else:

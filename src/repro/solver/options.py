@@ -62,9 +62,6 @@ class SolverOptions:
     rk_order: int = knob(3, choice(*SSP_SCHEMES), "SSP-RK order (MFC uses 3)")
     fixed_dt: float | None = knob(
         None, lambda label, v: v, "fixed step; None steps at the CFL bound")
-    check_every: int = knob(
-        10, integer(0), "validate the state every N steps; 0 never (the "
-        "durable ensemble service defaults to 1)")
     use_workspace: bool = knob(
         True, choice(True, False), "preallocate every RHS/RK buffer once; "
         "False is the allocating reference path (bitwise identical)")
@@ -80,9 +77,6 @@ class SolverOptions:
     max_restarts: int = knob(
         1, integer(0), "rank-failure restarts from the newest common "
         "checkpoint a multi-process run may attempt", _RUN, type=int)
-    tile_device: object = knob(
-        None, lambda label, v: v, "DeviceSpec or catalog name whose L2 "
-        "sizes the tiles; None is the host's")
     sweep_layout: str = knob(
         "strided", choice(*SWEEP_LAYOUTS), "memory layout "
         "of the direction sweeps; both values plan the one schedule of "
@@ -99,8 +93,8 @@ class SolverOptions:
         "(--retries N sets its max_retries)", _RUN, flag="--retries",
         type=int, from_cli=_retries)
     validate_every: int = knob(
-        0, integer(0), "extra state validation every N steps; 0 off",
-        _RUN, type=int)
+        10, integer(0), "validate the state every N steps; 0 never (the "
+        "durable ensemble service defaults to 1)", _RUN, type=int)
     checkpoint_every: int = knob(
         0, integer(0), "rotating durable checkpoint every N steps; 0 off",
         _RUN, type=int)

@@ -44,7 +44,6 @@ from repro.common import DTYPE, ConfigurationError, Stopwatch
 from repro.common.checks import integer, optional
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
-from repro.hardware.devices import DeviceSpec, get_device
 from repro.profiling.counters import SweepCounters
 from repro.riemann import SOLVERS
 from repro.solver.geometry import (
@@ -210,8 +209,8 @@ class RHS(AbstractContextManager):
     sweep: self-contained stencils, disjoint writes) — and the resolved
     width and its reason end up in ``threads`` / ``gang_why``.
 
-    The execution knobs (``use_workspace threads tile_device
-    sweep_layout fusion backend`` and, as ``dtype``, ``precision``) are
+    The execution knobs (``use_workspace threads sweep_layout fusion
+    backend`` and, as ``dtype``, ``precision``) are
     :class:`~repro.solver.options.SolverOptions` fields, documented
     once in DESIGN.md "Options: one table"; ``tiles`` is the remaining
     axis of a :class:`~repro.tuning.TuningPlan`.  Drivers build theirs
@@ -226,7 +225,6 @@ class RHS(AbstractContextManager):
     stopwatch: Stopwatch | None = None
     use_workspace: bool = True
     threads: int | None = None
-    tile_device: DeviceSpec | str | None = None
     sweep_layout: str = "strided"
     #: Explicit per-launch tile count overriding the L2 heuristic
     #: (a tuner knob); None keeps the heuristic.
@@ -321,11 +319,9 @@ class RHS(AbstractContextManager):
         ws_on = self.use_workspace
         self._engine = engine = SweepEngine(
             self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
-            counters=self.sweep_counters, fused=fused, batch=self.batch, workers=floor, tiles=self.tiles,
-            device=(get_device(self.tile_device)
-                    if isinstance(self.tile_device, str)
-                    else self.tile_device),
-            dtype=self.dtype, stopwatch=self.stopwatch)
+            counters=self.sweep_counters, fused=fused, batch=self.batch,
+            workers=floor, tiles=self.tiles, dtype=self.dtype,
+            stopwatch=self.stopwatch)
         #: One value when fused; the e2e fusion probe spells it.
         self.fusion_backend = "numpy" if fused else None
         #: Resolved gang width and the reason for it (the banner text).
@@ -364,7 +360,6 @@ class RHS(AbstractContextManager):
                    use_workspace=options.use_workspace,
                    threads=(plan.threads if plan.threads is not None
                             else options.threads),
-                   tile_device=options.tile_device,
                    sweep_layout=plan.sweep_layout, fusion=plan.fusion,
                    tiles=plan.tiles, backend=plan.backend,
                    dtype=precision_dtype(options.precision), batch=batch)

@@ -5,8 +5,8 @@ periodic state check, the conserved totals and wall-time statistics the
 paper's performance figures are built from — and is a constructor
 around the march loop (:class:`repro.solver.march.March`): one slot on
 its own unbatched :class:`~repro.solver.rhs.RHS`.  The loop owns the
-step guard (``retry=RetryPolicy(...)``), the ``check_every``/
-``validate_every`` cadence, rotating durable checkpoints and the
+step guard (``retry=RetryPolicy(...)``), the ``validate_every``
+cadence, rotating durable checkpoints and the
 fault-injector hook; the driver adds the tuning plan, restarts
 (:meth:`Simulation.restore_latest` falls back past corrupt checkpoints)
 and, with ``ranks > 1``, the hand-off of a whole march to a

@@ -43,15 +43,11 @@ class Autotuner:
         Timed-loop control per candidate: ``warmup`` untimed RHS
         evaluations (page in scratch, settle the allocator), then the
         minimum of ``repeats`` timed ones.
-    device:
-        Optional catalog device pinned for the layout/tile heuristics
-        and the host fingerprint.
     """
 
     cache: TuningCache | None = None
     warmup: int = 1
     repeats: int = 3
-    device: object | None = None
     #: RHS evaluations performed for timing/validation (0 on a cache
     #: hit — the round-trip acceptance criterion).
     timing_runs: int = field(default=0, init=False)
@@ -73,7 +69,7 @@ class Autotuner:
         """
         sig = case_signature(layout, grid, config, dtype, batch=batch,
                              backend=backend, threads=threads)
-        fp = host_fingerprint(self.device)
+        fp = host_fingerprint()
         key = plan_cache_key(sig, fp)
         if self.cache is not None:
             cached = self.cache.lookup(key)
@@ -119,7 +115,6 @@ class Autotuner:
             be = resolve_backend(cand.get("backend", "numpy"))
             rhs = RHS(layout, mixture, grid, bcs, config,
                       threads=cand["threads"],
-                      tile_device=self.device,
                       sweep_layout=cand["sweep_layout"],
                       tiles=cand["tiles"],
                       fusion=cand.get("fusion", "off"),

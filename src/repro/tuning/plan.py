@@ -26,7 +26,7 @@ from repro.acc.gang import plan_gang_width, usable_cores
 from repro.backend import precision_dtype, resolve_backend, validate_backend
 from repro.common import DTYPE, ConfigurationError
 from repro.common.checks import integer, optional
-from repro.hardware.devices import default_host_device, get_device
+from repro.hardware.devices import default_host_device
 from repro.solver.sweep import validate_fusion, validate_sweep_layout
 
 #: Sources a plan can come from (how much to trust its timings).
@@ -154,10 +154,7 @@ def resolve_plan(options, layout, mixture, grid, bcs, config, q,
     # module in the package graph.
     from repro.tuning.autotune import Autotuner, TuningCache
 
-    device = options.tile_device
-    if isinstance(device, str):
-        device = get_device(device)
-    tuner = Autotuner(cache=TuningCache(options.tuning_cache), device=device)
+    tuner = Autotuner(cache=TuningCache(options.tuning_cache))
     plan = tuner.plan_for(
         layout, mixture, grid, bcs, config, q, threads=options.threads,
         sweep_layout=options.sweep_layout,

@@ -5,7 +5,8 @@ Every draw is a piecewise-constant field — planted uniform boxes, zero
 velocities of either sign (a lone ``-0.0`` among ``+0.0`` is a step the
 bitwise compare must see), and optionally a NaN or an infinity in one
 cell or in a box reaching the end of the block — swept by every staged mode the skip runs
-in (tiles, a gang, a batched stack, a two-rank team's bulk sweeps) and
+in (tiles, a gang, a batched stack, a two-rank team's bulk sweeps along
+its undecomposed axes) and
 compared with the allocating ``use_workspace=False`` reference, which
 never skips.  See DESIGN.md "Active spans" for why this is exact.
 """
@@ -129,13 +130,13 @@ class TestActiveSpansBitwise:
 
         with np.errstate(all="ignore"):
             if ranks:
-                # Two ranks along the first axis, bulk sweeps (no
-                # overlap split): the hook-filled block's tiles skip.
-                halo, team = rank_team(bubble_case(shape), bcs,
-                                       (2,) + (1,) * (ndim - 1),
-                                       tiles=tiles, config=config,
-                                       overlap=False)
-                out = team_rhs(halo, team, q)
+                # Two ranks along the first axis: it sweeps split, and
+                # the other axes sweep in bulk, where the hook-filled
+                # block's tiles skip.
+                arena, team = rank_team(bubble_case(shape), bcs,
+                                        (2,) + (1,) * (ndim - 1),
+                                        tiles=tiles, config=config)
+                out = team_rhs(arena, team, q)
                 got = sum(r.limited_faces for r in team)
                 counters = [r.sweep_counters for r in team]
                 # The ranks share the faces on their cut.

@@ -39,7 +39,7 @@ def collapse_sim(delta_p, *, n=48, r0=0.15, rho_l=1000.0):
     bcs = BoundarySet(((BC.EXTRAPOLATION, BC.EXTRAPOLATION),
                        (BC.REFLECTIVE, BC.EXTRAPOLATION)))
     return Simulation(case, bcs, config=RHSConfig(geometry="axisymmetric"),
-                      cfl=0.4, check_every=0)
+                      cfl=0.4, validate_every=0)
 
 
 def time_to_min_volume(sim, *, t_max, rayleigh_estimate):

@@ -1,4 +1,10 @@
-"""Tests for decomposition, halo exchange, comm/I-O models, and scaling."""
+"""Tests for decomposition, halo exchange, comm/I-O models, and scaling.
+
+Decomposed runs go through the ranks' one transport: multi-step runs
+through ``ProcessCluster`` (forked ranks), single RHS evaluations
+through an in-process team (``tests/test_tiles.py::rank_team``) whose
+ranks share one ``ShmArena``.
+"""
 
 import numpy as np
 import pytest
@@ -8,22 +14,23 @@ from hypothesis import strategies as st
 from repro.bc import BC, BoundarySet
 from repro.cluster import (
     BlockDecomposition,
-    DistributedSolver,
     FRONTIER,
-    HaloExchanger,
     IOModel,
     CommModel,
     NetworkModel,
+    ProcessCluster,
     ScalingDriver,
+    ShmArena,
     SUMMIT,
     factor3d,
 )
-from repro.cluster.halo import pack_face, unpack_face
+from repro.cluster.halo import boundary_strip, ghost_strip
 from repro.common import ConfigurationError, DTYPE
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.solver import Case, Patch, RHSConfig, Simulation, box, sphere
 from repro.state import StateLayout
+from tests.test_tiles import rank_team, team_rhs
 
 AIR = StiffenedGas(1.4)
 MIX = Mixture((AIR, AIR))
@@ -123,19 +130,15 @@ class TestBlockDecomposition:
 
 class TestPackUnpack:
     def test_roundtrip(self):
+        # A block's low boundary strip is its low neighbour's high
+        # ghost layer: the transport's pack and unpack.
         lay = StateLayout(2, 1)
         rng = np.random.default_rng(0)
-        padded = rng.random((lay.nvars, 14))
-        buf = pack_face(padded, 0, 3, -1)
-        assert buf.ndim == 1
-        other = np.zeros_like(padded)
-        unpack_face(other, 0, 3, 1, buf)
-        np.testing.assert_array_equal(other[:, -3:], padded[:, 3:6])
-
-    def test_buffer_size_checked(self):
-        padded = np.zeros((5, 14))
-        with pytest.raises(ConfigurationError):
-            unpack_face(padded, 0, 3, -1, np.zeros(7))
+        block = rng.random((lay.nvars, 8))
+        padded = np.zeros((lay.nvars, 14))
+        ghost_strip(padded, 0, 3, 1)[...] = boundary_strip(block, 0, 3, -1)
+        np.testing.assert_array_equal(padded[:, -3:], block[:, :3])
+        np.testing.assert_array_equal(padded[:, :-3], 0.0)
 
 
 def sod_like_setup(n=48, ndim=1):
@@ -161,7 +164,7 @@ class TestDistributedEqualsSerial:
     def test_bitwise_identical(self, nranks, ndim, bc_factory):
         case = sod_like_setup(24 if ndim == 2 else 48, ndim)
         bcs = bc_factory(ndim)
-        sim = Simulation(case, bcs, fixed_dt=5e-4, check_every=0)
+        sim = Simulation(case, bcs, fixed_dt=5e-4, validate_every=0)
         q0 = sim.q.copy()
         for _ in range(4):
             sim.step()
@@ -169,34 +172,36 @@ class TestDistributedEqualsSerial:
         periodic = tuple(b[0] is BC.PERIODIC for b in bcs.per_axis)
         decomp = BlockDecomposition.balanced(case.grid.shape, nranks,
                                              periodic=periodic)
-        ds = DistributedSolver(case.grid, case.layout, MIX, bcs, decomp,
-                               RHSConfig())
-        q_dist = ds.run(q0, dt=5e-4, n_steps=4)
-        np.testing.assert_array_equal(q_dist, sim.q)
+        pc = ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
+                            RHSConfig(), fixed_dt=5e-4, validate_every=0)
+        np.testing.assert_array_equal(pc.run(q0, n_steps=4).q, sim.q)
 
     def test_halo_byte_accounting(self):
         case = sod_like_setup(48, 1)
         bcs = BoundarySet.all_extrapolation(1)
         decomp = BlockDecomposition((48,), (4,), (False,))
-        ds = DistributedSolver(case.grid, case.layout, MIX, bcs, decomp, RHSConfig())
-        ds.run(case.initial_conservative(), dt=5e-4, n_steps=1)
+        pc = ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
+                            RHSConfig(), fixed_dt=5e-4)
+        halo = pc.run(case.initial_conservative(), n_steps=1).halo
         # 3 interior faces x 2 directions x 3 RK stages x 1 axis sweep.
-        assert ds.halo.messages == 3 * 2 * 3
-        assert ds.halo.bytes_exchanged == ds.halo.messages * 3 * case.layout.nvars * 8
+        assert halo.messages == 3 * 2 * 3
+        assert halo.bytes_exchanged == halo.messages * 3 * case.layout.nvars * 8
 
     def test_split_gather_roundtrip(self):
         lay = StateLayout(2, 2)
         decomp = BlockDecomposition((12, 8), (3, 2))
-        h = HaloExchanger(decomp, lay, BoundarySet.all_extrapolation(2), 3)
+        arena = ShmArena(decomp, lay.nvars, 3)
         rng = np.random.default_rng(5)
         field = rng.random((lay.nvars, 12, 8))
-        np.testing.assert_array_equal(h.gather(h.split(field)), field)
+        arena.scatter(field)
+        np.testing.assert_array_equal(arena.gather(), field)
 
     def test_periodicity_mismatch_rejected(self):
-        lay = StateLayout(2, 1)
+        case = sod_like_setup(8, 1)
         decomp = BlockDecomposition((8,), (2,), (False,))
-        with pytest.raises(ConfigurationError):
-            HaloExchanger(decomp, lay, BoundarySet.all_periodic(1), 2)
+        with pytest.raises(ConfigurationError, match="periodicity"):
+            ProcessCluster(case.grid, case.layout, MIX,
+                           BoundarySet.all_periodic(1), decomp, RHSConfig())
 
 
 class TestModelMeasuredReconciliation:
@@ -221,14 +226,16 @@ class TestModelMeasuredReconciliation:
             (BC.PERIODIC, BC.PERIODIC) if p
             else (BC.EXTRAPOLATION, BC.EXTRAPOLATION) for p in periodic))
         decomp = BlockDecomposition(shape, rank_grid, periodic)
-        ds = DistributedSolver(grid, case.layout, MIX, bcs, decomp,
-                               RHSConfig())
-        ds.run(case.initial_conservative(), dt=1e-4, n_steps=1)
-        rhs_evals = 3  # SSP-RK3
-        ng = halo_width(ds.config.weno_order)
-        assert ds.halo.messages == decomp.total_messages() * rhs_evals
-        assert ds.halo.bytes_exchanged == \
-            decomp.total_halo_bytes(ng, case.layout.nvars) * rhs_evals
+        arena, ranks = rank_team(case, bcs, rank_grid)
+        ng = halo_width(RHSConfig().weno_order)
+        q = case.initial_conservative()
+        for evaluation in range(1, 4):  # one SSP-RK3 step's evaluations
+            team_rhs(arena, ranks, q)
+            counters = [rank.transport.counters for rank in ranks]
+            assert sum(c.messages for c in counters) == \
+                decomp.total_messages() * evaluation
+            assert sum(c.bytes_exchanged for c in counters) == \
+                decomp.total_halo_bytes(ng, case.layout.nvars) * evaluation
 
     def test_undecomposed_axis_billed_zero_by_model(self):
         # The satellite-1 regression in model terms: a (2, 1) rank grid
@@ -243,9 +250,9 @@ class TestModelMeasuredReconciliation:
         assert charged < flat
 
     def test_one_sided_periodic_rejected_naming_axis(self):
-        # Satellite 4: a malformed BoundarySet (frozen-dataclass
-        # validation bypassed, as a hand-built config could) must be
-        # rejected by the exchanger naming the axis, not half-wrapped.
+        # A malformed BoundarySet (frozen-dataclass validation
+        # bypassed, as a hand-built config could) must be rejected by
+        # the cluster naming the axis, not half-wrapped.
         from repro.cluster import validate_periodicity
 
         bcs = BoundarySet.all_extrapolation(2)
@@ -255,37 +262,39 @@ class TestModelMeasuredReconciliation:
         decomp = BlockDecomposition((8, 8), (2, 2), (False, True))
         with pytest.raises(ConfigurationError, match="axis 1"):
             validate_periodicity(decomp, bcs)
-        lay = StateLayout(2, 2)
+        case = sod_like_setup(8, 2)
         with pytest.raises(ConfigurationError, match="axis 1"):
-            HaloExchanger(decomp, lay, bcs, 3)
+            ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
+                           RHSConfig())
 
 
 class TestDistributedAllocationBudget:
-    """Satellite 3: ``rhs_blocks`` must reuse per-rank workspace buffers."""
+    """A team evaluation reuses every rank's workspace buffers."""
 
-    def _solver(self):
+    def _team(self):
         case = sod_like_setup(24, 2)
-        bcs = BoundarySet.all_extrapolation(2)
-        decomp = BlockDecomposition.balanced(case.grid.shape, 2)
-        ds = DistributedSolver(case.grid, case.layout, MIX, bcs, decomp,
-                               RHSConfig())
-        return ds, case.initial_conservative()
+        arena, ranks = rank_team(case, BoundarySet.all_extrapolation(2),
+                                 (2, 1))
+        q0 = case.initial_conservative()
+        arena.scatter(q0)
+
+        def evaluate():
+            prims = [rank.rhs_begin(arena.block(rank.rank)) for rank in ranks]
+            return [rank.rhs_finish(prim) for rank, prim in zip(ranks, prims)]
+        return evaluate, ranks, q0
 
     def test_returns_same_buffers_every_call(self):
-        ds, q0 = self._solver()
-        blocks = ds.halo.split(q0)
-        first = ds.rhs_blocks(blocks)
-        second = ds.rhs_blocks(blocks)
-        for a, b in zip(first, second):
-            assert a is b
+        evaluate, ranks, _ = self._team()
+        first = evaluate()
+        second = evaluate()
+        for rank, a, b in zip(ranks, first, second):
+            assert a is b is rank.ws.dqdt
 
     def test_steady_state_rhs_stays_under_budget(self):
         from repro.profiling import measure_call_allocations
 
-        ds, q0 = self._solver()
-        blocks = ds.halo.split(q0)
-        stats = measure_call_allocations(lambda: ds.rhs_blocks(blocks),
-                                         warmup=2, repeats=3)
+        evaluate, _, q0 = self._team()
+        stats = measure_call_allocations(evaluate, warmup=2, repeats=3)
         # Same budget shape as the serial workspace test: transients
         # stay under a few fields (kernel temporaries), and nothing
         # leaks a field per call.

@@ -1,6 +1,6 @@
 """Property-based tests for the cluster substrate: random decompositions,
-random fields, random BCs — the distributed path must always agree with
-the serial one."""
+random fields, random BCs — a rank team on the shared-memory transport
+must always agree with the serial RHS."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bc import BC, BoundarySet
-from repro.cluster import BlockDecomposition, DistributedSolver, HaloExchanger
+from repro.cluster import BlockDecomposition, ShmArena
 from repro.cluster.mpi_sim import NetworkModel, allreduce_time
 from repro.cluster.topology import FRONTIER
 from repro.common import ConfigurationError, DTYPE
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
-from repro.solver import RHS, RHSConfig
+from repro.solver import RHS, Case
 from repro.state import StateLayout
+from tests.test_tiles import rank_team, team_rhs
 
 AIR = StiffenedGas(1.4)
 MIX = Mixture((AIR, AIR))
@@ -50,22 +51,19 @@ class TestHaloProperty:
         q = prim_to_cons(lay, MIX, prim)
 
         serial = RHS(lay, MIX, grid, bcs)(q)
-        decomp = BlockDecomposition((cells,), (nranks,), (periodic,))
-        ds = DistributedSolver(grid, lay, MIX, bcs, decomp, RHSConfig())
-        blocks = ds.halo.split(q)
-        dist = ds.halo.gather(ds.rhs_blocks(blocks))
-        np.testing.assert_array_equal(dist, serial)
+        arena, ranks = rank_team(Case(grid, MIX), bcs, (nranks,))
+        np.testing.assert_array_equal(team_rhs(arena, ranks, q), serial)
 
     @given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_split_gather_identity_2d(self, rx, ry, seed):
         lay = StateLayout(2, 2)
         cells = (rx * 5, ry * 4)
-        decomp = BlockDecomposition(cells, (rx, ry))
-        h = HaloExchanger(decomp, lay, BoundarySet.all_extrapolation(2), 3)
+        arena = ShmArena(BlockDecomposition(cells, (rx, ry)), lay.nvars, 3)
         rng = np.random.default_rng(seed)
         field = rng.random((lay.nvars, *cells))
-        np.testing.assert_array_equal(h.gather(h.split(field)), field)
+        arena.scatter(field)
+        np.testing.assert_array_equal(arena.gather(), field)
 
     @given(st.integers(1, 512))
     @settings(max_examples=30)

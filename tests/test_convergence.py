@@ -24,7 +24,7 @@ def entropy_wave_sim(n, order, *, amplitude=0.2, u0=1.0):
     case.add(Patch(box([0.0], [1.0]), (0.5, 0.5), (u0,), 1.0, (0.5,)))
     sim = Simulation(case, BoundarySet.all_periodic(1),
                      config=RHSConfig(weno_order=order), cfl=0.4,
-                     check_every=0)
+                     validate_every=0)
     x = grid.centers(0)
     prim = sim.primitive()
     lay = sim.layout
@@ -102,7 +102,7 @@ class TestThreeFluids:
     def test_three_fluid_equilibrium_preserved(self):
         case = self.make_case()
         sim = Simulation(case, BoundarySet.all_extrapolation(1), cfl=0.3,
-                         check_every=1)
+                         validate_every=1)
         sim.run(n_steps=30)
         sim.validate_state()
         prim = sim.primitive()
@@ -118,7 +118,7 @@ class TestThreeFluids:
                        ((1 - 2e-6) * 2.4, 1e-6 * 0.16, 1e-6 * 1000.0),
                        (0.0,), 1e6, (1 - 2e-6, 1e-6)))
         sim = Simulation(case, BoundarySet.all_extrapolation(1), cfl=0.3,
-                         check_every=5)
+                         validate_every=5)
         sim.run(n_steps=60)
         sim.validate_state()
 

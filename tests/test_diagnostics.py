@@ -106,7 +106,7 @@ class TestTaylorGreen:
         case.add(Patch(box([0.0, 0.0], [7.0, 7.0]), (0.5, 0.5),
                        (0.0, 0.0), 100.0, (0.5,)))  # p >> rho u^2: Mach ~ 0.08
         sim = Simulation(case, BoundarySet.all_periodic(2), cfl=0.4,
-                         check_every=0)
+                         validate_every=0)
         X, Y = grid.meshgrid()
         prim = sim.primitive()
         lay = sim.layout

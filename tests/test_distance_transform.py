@@ -360,10 +360,10 @@ class TestColdStart:
 
 class TestLazyClusterExports:
     def test_named_imports_resolve(self):
-        from repro.cluster import (BlockDecomposition, HaloExchanger,
-                                   ProcessCluster, RankSolver)
+        from repro.cluster import (BlockDecomposition, ProcessCluster,
+                                   RankSolver, validate_periodicity)
         assert BlockDecomposition.__module__ == "repro.cluster.decomposition"
-        assert HaloExchanger.__module__ == "repro.cluster.halo"
+        assert validate_periodicity.__module__ == "repro.cluster.halo"
         assert ProcessCluster.__module__ == "repro.cluster.procs"
         assert RankSolver.__module__ == "repro.cluster.ranksolver"
 

@@ -128,7 +128,7 @@ class TestBitwiseIdentity:
         t_ends = [8e-3, 4e-3, 1.2e-2]
         kwargs = dict(config=RHSConfig(weno_order=order,
                                        riemann_solver=riemann),
-                      fixed_dt=2e-3, check_every=2, threads=threads,
+                      fixed_dt=2e-3, validate_every=2, threads=threads,
                       sweep_layout=layout, fusion=fusion)
         ens = EnsembleSimulation(cases, bcs, **kwargs)
         results = ens.run(t_end=t_ends)
@@ -145,7 +145,7 @@ class TestBitwiseIdentity:
         cases = variants()
         bcs = BoundarySet.all_periodic(2)
         t_ends = [0.02, 0.01, 0.03]
-        kwargs = dict(cfl=0.4, check_every=3)
+        kwargs = dict(cfl=0.4, validate_every=3)
         ens = EnsembleSimulation(cases, bcs, **kwargs)
         results = ens.run(t_end=t_ends)
         for case, t_end, res in zip(cases, t_ends, results):
@@ -157,10 +157,10 @@ class TestBitwiseIdentity:
     def test_n_steps_march_is_bitwise(self):
         cases = variants()
         bcs = BoundarySet.all_periodic(2)
-        ens = EnsembleSimulation(cases, bcs, fixed_dt=2e-3, check_every=0)
+        ens = EnsembleSimulation(cases, bcs, fixed_dt=2e-3, validate_every=0)
         ens.run(n_steps=5)
         for i, case in enumerate(cases):
-            sim = Simulation(case, bcs, fixed_dt=2e-3, check_every=0)
+            sim = Simulation(case, bcs, fixed_dt=2e-3, validate_every=0)
             sim.run(n_steps=5)
             assert ens.state.view(i).tobytes() == sim.q.tobytes()
 
@@ -399,7 +399,7 @@ class TestAllocationBudget:
         # and the net growth over repeats is ~zero (no leak per step).
         cases = variants()
         bcs = BoundarySet.all_periodic(2)
-        ens = EnsembleSimulation(cases, bcs, fixed_dt=2e-3, check_every=0)
+        ens = EnsembleSimulation(cases, bcs, fixed_dt=2e-3, validate_every=0)
         field_bytes = ens.state.stacked.nbytes
         stats = measure_call_allocations(lambda: ens.step(),
                                          warmup=3, repeats=3)
@@ -417,7 +417,7 @@ class TestRetireOnFailure:
 
         sim = EnsembleSimulation(
             cases, bcs, names=["healthy0", "poisoned", "healthy2"],
-            fixed_dt=1e-3, check_every=1, on_failure="retire",
+            fixed_dt=1e-3, validate_every=1, on_failure="retire",
             fault_plans={1: CellFaultPlan(step=3, seed=11, mode="nan",
                                           attempts=None)},
             **kwargs)
@@ -438,7 +438,7 @@ class TestRetireOnFailure:
         # The survivors never noticed: bitwise equal to standalone runs.
         for i in (0, 2):
             q, time, steps = standalone(cases[i], bcs, t_end=6e-3,
-                                        fixed_dt=1e-3, check_every=1)
+                                        fixed_dt=1e-3, validate_every=1)
             np.testing.assert_array_equal(results[i].q, q)
             assert results[i].steps == steps
         assert sim.retire_events >= 2  # poison retired, then finishers
@@ -451,7 +451,7 @@ class TestRetireOnFailure:
         cases = variants()
         sim = EnsembleSimulation(
             cases, BoundarySet.all_periodic(2), fixed_dt=1e-3,
-            check_every=1, on_failure="raise",
+            validate_every=1, on_failure="raise",
             fault_plans={1: CellFaultPlan(step=2, seed=11, mode="nan")})
         with pytest.raises(NumericsError, match="case 1"):
             sim.run(t_end=[6e-3] * 3)
@@ -471,7 +471,7 @@ class TestValidateEvery:
         cases = variants()
         bcs = BoundarySet.all_periodic(2)
         t_ends = [6e-3, 1e-2, 8e-3]
-        knobs = dict(cfl=0.4, check_every=0, validate_every=2)
+        knobs = dict(cfl=0.4, validate_every=2)
         with EnsembleSimulation(cases, bcs, **knobs) as ens:
             results = ens.run(t_end=t_ends)
         for case, t_end, res in zip(cases, t_ends, results):
@@ -484,7 +484,7 @@ class TestValidateEvery:
 
         cases = variants()
         bcs = BoundarySet.all_periodic(2)
-        knobs = dict(fixed_dt=1e-3, check_every=0, validate_every=3)
+        knobs = dict(fixed_dt=1e-3, validate_every=3)
         with EnsembleSimulation(
                 cases, bcs, names=["healthy0", "poisoned", "healthy2"],
                 on_failure="retire", **knobs,

@@ -131,7 +131,7 @@ class TestBitwiseIdentity:
         for fusion in ("on", "off"):
             sim = Simulation(bubble_case((18, 14)),
                              BoundarySet.all_extrapolation(2),
-                             check_every=0, fusion=fusion)
+                             validate_every=0, fusion=fusion)
             sim.run(n_steps=3)
             q_bytes.append(sim.q.tobytes())
         assert q_bytes[0] == q_bytes[1]
@@ -356,7 +356,7 @@ class TestDistributedFusion:
 
         case = bubble_case((20, 14))
         bcs = BoundarySet.all_extrapolation(2)
-        sim = Simulation(case, bcs, check_every=0)
+        sim = Simulation(case, bcs, validate_every=0)
         sim.run(n_steps=3)
         decomp = BlockDecomposition.balanced(case.grid.shape, 2,
                                              periodic=(False, False))

@@ -167,7 +167,7 @@ def Simulation_with_ib():
     from repro.solver import Simulation
     case = circle_case(32)
     sim = Simulation(case, BoundarySet.all_extrapolation(2), cfl=0.4,
-                     check_every=0)
+                     validate_every=0)
     ib = ImmersedBoundary(case.grid, LAY, MIX, Circle((0.5, 0.5), 0.15))
     sim.q = ib.apply(sim.q)
     for _ in range(5):

@@ -52,8 +52,8 @@ SERVICE = [
     "degrade_after", "ledger", "max_attempts", "min_batch_width", "results_dir",
     "retry_base_seconds", "supervise", "wall_limit_seconds"]
 FIELDS = (
-    "cfl rk_order fixed_dt check_every use_workspace threads ranks "
-    "cluster_timeout max_restarts tile_device sweep_layout fusion retry "
+    "cfl rk_order fixed_dt use_workspace threads ranks "
+    "cluster_timeout max_restarts sweep_layout fusion retry "
     "validate_every checkpoint_every checkpoint_dir checkpoint_keep tuning "
     "tuning_cache backend precision").split()
 
@@ -78,14 +78,15 @@ def test_no_knob_added_none_lost():
 
 def test_defaults_are_heads():
     o = SolverOptions()
-    assert (o.cfl, o.rk_order, o.fixed_dt, o.check_every, o.use_workspace,
+    assert (o.cfl, o.rk_order, o.fixed_dt, o.use_workspace,
             o.threads, o.ranks, o.cluster_timeout, o.max_restarts,
-            o.tile_device, o.sweep_layout, o.fusion, o.retry,
+            o.sweep_layout, o.fusion, o.retry,
             o.validate_every, o.checkpoint_every, o.checkpoint_dir,
             o.checkpoint_keep, o.tuning, o.tuning_cache, o.backend,
             o.precision) == (
-        0.5, 3, None, 10, True, None, 1, 30.0, 1, None, "strided", "off",
-        None, 0, 0, None, 3, "off", None, None, "float64")
+        0.5, 3, None, True, None, 1, 30.0, 1, "strided", "off",
+        None, 10, 0, None, 3, "off", None, None, "float64")
+    assert len(KNOBS) == 19
 
 
 #: One drawable setting per ``run`` knob: JSON value -> CLI arguments.
@@ -176,7 +177,7 @@ def test_unknown_keys_are_named():
 
 @pytest.mark.parametrize("name,bad", [
     ("cfl", 0.0), ("cfl", 1.5), ("cfl", "0.5"), ("rk_order", 4),
-    ("check_every", -1), ("use_workspace", 1.5), ("threads", 0),
+    ("use_workspace", 1.5), ("threads", 0),
     ("ranks", 0), ("cluster_timeout", -1.0), ("max_restarts", -1),
     ("sweep_layout", "diagonal"), ("fusion", "maybe"), ("retry", 3),
     ("validate_every", -1), ("checkpoint_every", -1), ("checkpoint_keep", 0),
@@ -193,10 +194,10 @@ def test_drivers_fold_loose_knobs_into_the_options():
     from repro.bc import BoundarySet
     from repro.solver import Simulation
 
-    base = SolverOptions(cfl=0.4, fusion="on", check_every=0)
+    base = SolverOptions(cfl=0.4, fusion="on", validate_every=0)
     with Simulation(bubble_case((12, 12)), BoundarySet.all_periodic(2),
                     options=base, threads=1, retry={"max_retries": 2}) as sim:
-        assert (sim.cfl, sim.fusion, sim.check_every, sim.threads) == \
+        assert (sim.cfl, sim.fusion, sim.validate_every, sim.threads) == \
             (0.4, "on", 0, 1)
         assert sim.retry == RetryPolicy(max_retries=2)
         assert sim.options.retry is sim.retry

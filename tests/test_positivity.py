@@ -146,7 +146,7 @@ class TestVolumeFractionConsistency:
         case.add(Patch(box([1.2e-3], [2.0e-3]), (eps * 1.204, (1 - eps) * 1000.0),
                        (0.0,), 101325.0, (eps,)))
         sim = Simulation(case, BoundarySet.all_extrapolation(1), cfl=0.35,
-                         check_every=1)
+                         validate_every=1)
         sim.run(n_steps=120)
         sim.validate_state()
         prim = sim.primitive()

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.bc import BoundarySet
 from repro.cluster import (
     BlockDecomposition,
-    HaloExchanger,
     ProcessCluster,
     RankFault,
     RankSolver,
@@ -62,7 +61,7 @@ def cluster_for(case, bcs, nranks, **kwargs):
 
 
 def serial_march(case, bcs, *, n_steps=None, t_end=None, **kwargs):
-    sim = Simulation(case, bcs, check_every=0, **kwargs)
+    sim = Simulation(case, bcs, validate_every=0, **kwargs)
     sim.run(n_steps=n_steps, t_end=t_end)
     return sim
 
@@ -137,28 +136,13 @@ class TestProcessClusterBitIdentity:
         case = bubble_case((13, 13))
         bcs = BoundarySet.all_extrapolation(2)
         sim = serial_march(case, bcs, n_steps=2, fixed_dt=2e-4)
-        split, bulk = (
-            ProcessCluster(case.grid, case.layout, MIX, bcs,
-                           BlockDecomposition((13, 13), rank_grid),
-                           RHSConfig(), fixed_dt=2e-4, overlap=overlap
-                           ).run(case.initial_conservative(), n_steps=2)
-            for overlap in (True, False))
+        decomp = BlockDecomposition((13, 13), rank_grid)
+        split = ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
+                               RHSConfig(), fixed_dt=2e-4,
+                               ).run(case.initial_conservative(), n_steps=2)
         np.testing.assert_array_equal(split.q, sim.q)
-        np.testing.assert_array_equal(bulk.q, sim.q)
-        # Only the evaluated faces differ: a split sweep evaluates all
-        # of its faces, a bulk one only its tiles' active spans.
-        got, ref = split.sweep.as_dict(), bulk.sweep.as_dict()
-        assert got.pop("faces_evaluated") >= ref.pop("faces_evaluated")
-        assert got == ref
-
-    def test_overlap_off_identical(self):
-        case = bubble_case((24, 24))
-        bcs = BoundarySet.all_periodic(2)
-        q0 = case.initial_conservative()
-        on = cluster_for(case, bcs, 4, fixed_dt=2e-4, overlap=True)
-        off = cluster_for(case, bcs, 4, fixed_dt=2e-4, overlap=False)
-        np.testing.assert_array_equal(on.run(q0, n_steps=2).q,
-                                      off.run(q0, n_steps=2).q)
+        # One full exchange per RHS evaluation, three per RK3 step.
+        assert split.halo.messages == decomp.total_messages() * 3 * 2
 
 
 class TestRankSolverIsTheSerialSweep:
@@ -182,10 +166,10 @@ class TestRankSolverIsTheSerialSweep:
         config = RHSConfig()
         decomp = BlockDecomposition.balanced(shape, 1,
                                              periodic=(periodic,) * ndim)
-        halo = HaloExchanger(decomp, case.layout, bcs, 3)
+        transport = SharedMemoryTransport(
+            ShmArena(decomp, case.layout.nvars, 3), 0, timeout=5.0)
         rank = RankSolver(decomp, 0, case.layout, MIX, bcs, config,
-                          case.grid, halo, sweep_layout=layout,
-                          fusion=fusion)
+                          case.grid, transport, fusion=fusion)
         # A rank takes the heuristic tile count, one tile on a block
         # this small (tests/test_tiles.py pins it higher); pin the
         # serial fused RHS to the same count so the launch counters are
@@ -294,12 +278,12 @@ class TestRankFaultRestart:
     def test_an_unphysical_block_stops_every_rank_together(self):
         # Finite but unphysical on rank 1's block only: a negative minor
         # partial density, which the wave rate does not see.  Every rank
-        # checks its block on the check_every cadence and the stop is
+        # checks its block on the validate_every cadence and the stop is
         # collective (a max of the failure flag), so rank 0 does not
         # wait out its halo timeout into a ClusterError and a restart.
         case = bubble_case((32,))
         bcs = BoundarySet.all_extrapolation(1)
-        pc = cluster_for(case, bcs, 2, cfl=0.5, check_every=4,
+        pc = cluster_for(case, bcs, 2, cfl=0.5, validate_every=4,
                          cluster_timeout=5.0)
         q0 = case.initial_conservative()
         q0[1, 24] = -0.3  # alpha_rho[1] of cell 8 of rank 1's block
@@ -329,52 +313,9 @@ class TestRankFaultRestart:
 
 
 class TestShmArena:
-    def test_red_width_sizes_reduction_slots(self):
-        decomp = BlockDecomposition.balanced((10, 8), 2)
-        arena = ShmArena(decomp, nvars=3, ng=2, red_width=4)
-        assert arena.red_width == 4
-        assert arena.view("slots").shape == (2, 4)
-        default = ShmArena(decomp, nvars=3, ng=2)
-        assert default.view("slots").shape == (2, 1)
-
-    def test_red_width_validated(self):
-        decomp = BlockDecomposition.balanced((10, 8), 2)
-        for bad in (0, -1, 2.0, True):
-            with pytest.raises(ConfigurationError):
-                ShmArena(decomp, nvars=3, ng=2, red_width=bad)
-
-    def test_vector_reduce_max_round_trip(self):
-        # An ensemble carries a per-case dt vector through one
-        # reduction round; the result must be the elementwise max
-        # over ranks, identical on every rank.
-        decomp = BlockDecomposition.balanced((16,), 2)
-        arena = ShmArena(decomp, nvars=3, ng=2, red_width=3)
-        t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
-        t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
-        t0.reduce_max_begin(np.array([1.0, 5.0, 2.0]))
-        t1.reduce_max_begin(np.array([4.0, 0.5, 2.5]))
-        r0 = t0.reduce_max_finish()
-        r1 = t1.reduce_max_finish()
-        np.testing.assert_array_equal(r0, [4.0, 5.0, 2.5])
-        np.testing.assert_array_equal(r1, r0)
-
-    def test_scalar_broadcast_into_vector_slots(self):
-        # A scalar contribution (e.g. a rank with no ensemble payload)
-        # broadcasts across the slot row.
-        decomp = BlockDecomposition.balanced((16,), 2)
-        arena = ShmArena(decomp, nvars=3, ng=2, red_width=2)
-        t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
-        t1 = SharedMemoryTransport(arena, 1, timeout=5.0)
-        t0.reduce_max_begin(3.0)
-        t1.reduce_max_begin(np.array([1.0, 7.0]))
-        np.testing.assert_array_equal(t0.reduce_max_finish(),
-                                      [3.0, 7.0])
-        np.testing.assert_array_equal(t1.reduce_max_finish(),
-                                      [3.0, 7.0])
-
     def test_width_one_still_returns_float(self):
-        # The historical scalar contract: width-1 arenas return a bare
-        # float, so existing cluster dt logic is untouched.
+        # Two transports over one arena in one process: the reduction
+        # hands every rank the same bare float, the max in rank order.
         decomp = BlockDecomposition.balanced((16,), 2)
         arena = ShmArena(decomp, nvars=3, ng=2)
         t0 = SharedMemoryTransport(arena, 0, timeout=5.0)
@@ -403,7 +344,7 @@ class TestSimulationRanksWiring:
         bcs = BoundarySet.all_periodic(2)
         serial = serial_march(case, bcs, n_steps=3, fixed_dt=2e-4)
         sim = Simulation(bubble_case((24, 24)), bcs, fixed_dt=2e-4,
-                         check_every=0, ranks=2)
+                         validate_every=0, ranks=2)
         sim.run(n_steps=3)
         np.testing.assert_array_equal(sim.q, serial.q)
         assert sim.step_count == 3
@@ -424,7 +365,7 @@ class TestSimulationRanksWiring:
 
         bcs = BoundarySet.all_extrapolation(1)
         sim = Simulation(bubble_case((24,)), bcs, fixed_dt=2e-4,
-                         check_every=0, ranks=2,
+                         validate_every=0, ranks=2,
                          checkpoint_every=2, checkpoint_dir=tmp_path)
         sim.run(n_steps=3)
         sim.run(n_steps=3)  # steps 4..6 — checkpoints at 4 and 6
@@ -447,7 +388,7 @@ class TestSimulationRanksWiring:
         # validated there.
         case = bubble_case((16, 16))
         sim = Simulation(case, BoundarySet.all_periodic(2), ranks=2,
-                         fixed_dt=2e-4, check_every=0,
+                         fixed_dt=2e-4, validate_every=0,
                          cluster_timeout=120.0, max_restarts=2)
         sim.run(n_steps=1)
         assert sim.step_count == 1

@@ -241,7 +241,7 @@ class TestGuardedStep:
         # must detect it (no injector involved) and eventually diverge.
         sim = make_sim(retry=RetryPolicy(max_retries=0, same_dt_retries=0,
                                          escalation=()),
-                       fixed_dt=10.0, check_every=0)
+                       fixed_dt=10.0, validate_every=0)
         with pytest.raises(SimulationDivergedError):
             sim.run(n_steps=1)
         assert sim.recovery.guard_failures >= 1
@@ -256,7 +256,7 @@ class TestValidateState:
 
     def test_validate_every_cadence(self):
         calls = []
-        sim = make_sim(validate_every=3, check_every=0)
+        sim = make_sim(validate_every=3)
         original = sim.validate_state
         sim.validate_state = lambda: calls.append(sim.step_count) or original()
         sim.run(n_steps=7)
@@ -267,7 +267,7 @@ class TestValidateState:
             make_sim(validate_every=-1)
 
     def test_validate_every_catches_poisoned_state(self):
-        sim = make_sim(validate_every=1, check_every=0,
+        sim = make_sim(validate_every=1,
                        fault_injector=InjectOnce(step=2))  # no retry ⇒ fault sticks
         with pytest.raises(NumericsError, match="unphysical state at step 2"):
             sim.run(n_steps=4)

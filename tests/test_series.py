@@ -77,7 +77,7 @@ class Test3DSimulation:
         case.add(Patch(box([0.0, 0.0, 0.0], [0.2, 1.0, 1.0]), (1.0, 1.0),
                        (1.0, 0.0, 0.0), 3.0, (0.5,)))
         return Simulation(case, BoundarySet.all_extrapolation(3), cfl=0.4,
-                          check_every=5)
+                          validate_every=5)
 
     def test_3d_run_stays_physical(self):
         sim = self.make_sim()
@@ -93,7 +93,7 @@ class Test3DSimulation:
         case.add(Patch(sphere([0.5] * 3, 0.25), (1.0, 1.0),
                        (0.0, 0.0, 0.0), 2.0, (0.5,)))
         sim = Simulation(case, BoundarySet.all_periodic(3), cfl=0.4,
-                         check_every=0)
+                         validate_every=0)
         t0 = sim.conserved_totals()
         sim.run(n_steps=8)
         t1 = sim.conserved_totals()

@@ -22,7 +22,7 @@ class TestMirrorSymmetry1D:
         case.add(Patch(box([0.4], [0.6]), (0.5, 0.5), (0.0,), 5.0, (0.5,)))
         sim = Simulation(case, BoundarySet.all_reflective(1),
                          config=RHSConfig(weno_order=order), cfl=0.4,
-                         check_every=0)
+                         validate_every=0)
         sim.run(n_steps=40)
         return sim
 
@@ -50,7 +50,7 @@ class TestQuadrantSymmetry2D:
         case.add(Patch(sphere([0.5, 0.5], 0.2), (1.0, 1.0), (0.0, 0.0), 6.0,
                        (0.5,)))
         sim = Simulation(case, BoundarySet.all_reflective(2), cfl=0.4,
-                         check_every=0)
+                         validate_every=0)
         sim.run(n_steps=25)
         return sim
 
@@ -92,7 +92,7 @@ class TestRotationalInvariance:
             else:
                 case.add(Patch(box([0.0, 0.0], [1.0, 0.5]), (0.5, 0.5),
                                (0.0, 0.0), 1.0, (0.5,)))
-            sim = Simulation(case, bcs, fixed_dt=5e-4, check_every=0)
+            sim = Simulation(case, bcs, fixed_dt=5e-4, validate_every=0)
             sim.run(n_steps=30)
             return sim
 

@@ -28,7 +28,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bc import BoundarySet, fill_axis_ghosts, pad_axis
-from repro.cluster import BlockDecomposition, HaloExchanger, RankSolver
+from repro.cluster import (
+    BlockDecomposition,
+    RankSolver,
+    SharedMemoryTransport,
+    ShmArena,
+)
 from repro.common import DTYPE, ConfigurationError
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
@@ -171,10 +176,14 @@ class TestSerialTilesBitwise:
         cut = make_rhs((96, 96))
         assert [p["tiles"] for p in cut.tile_plan()["directions"]] == [2, 2]
         assert cut.tile_plan()["source"] == "heuristic"
-        roomy = make_rhs((96, 96), tile_device="a100")
-        assert [p["tiles"] for p in roomy.tile_plan()["directions"]] == [1, 1]
+        from repro.hardware.devices import get_device
+        from repro.solver.sweep import SweepEngine
+
+        roomy = SweepEngine(cut.layout, MIX, cut.bcs, cut.config, (96, 96),
+                            counters=None, device=get_device("a100"))
+        assert [p.tiles for p in roomy.plans.values()] == [1, 1]
         q = random_q(np.random.default_rng(5), cut.layout, (96, 96))
-        assert cut(q).tobytes() == roomy(q).tobytes()
+        assert cut(q).tobytes() == make_rhs((96, 96), tiles=1)(q).tobytes()
 
     def test_tile_floor_bounds_dispatch(self):
         from repro.hardware import suggest_tile_count
@@ -215,30 +224,35 @@ class TestSerialTilesBitwise:
 
 # ----------------------------------------------------------------------
 def rank_team(case, bcs, rank_grid, tiles=None, **kwargs):
-    """In-process ``RankSolver`` team over ``rank_grid`` and its exchanger."""
+    """In-process ``RankSolver`` team over ``rank_grid`` on the ranks'
+    own transport: one arena, one ``SharedMemoryTransport`` per rank."""
     from repro.bc import BC
 
     periodic = tuple(lo is BC.PERIODIC for lo, _ in bcs.per_axis)
     config = kwargs.pop("config", RHSConfig())
     decomp = BlockDecomposition(case.grid.shape, tuple(rank_grid), periodic)
-    halo = HaloExchanger(decomp, case.layout, bcs,
-                         halo_width(config.weno_order))
-    ranks = [RankSolver(decomp, r, case.layout, MIX, bcs, config, case.grid,
-                        halo, **kwargs) for r in range(decomp.nranks)]
+    arena = ShmArena(decomp, case.layout.nvars, halo_width(config.weno_order))
+    ranks = [RankSolver(decomp, r, case.layout, case.mixture, bcs, config,
+                        case.grid, SharedMemoryTransport(arena, r, timeout=5.0),
+                        **kwargs)
+             for r in range(decomp.nranks)]
     if tiles is not None:  # ranks take the heuristic count: pin it
         for rank in ranks:
             plans = rank._engine.plans
             for d, plan in plans.items():
                 plans[d] = dataclasses.replace(plan, tiles=tiles)
-    return halo, ranks
+    return arena, ranks
 
 
-def team_rhs(halo, ranks, q):
-    """The gathered ``dq/dt`` of one bulk-synchronous team evaluation."""
-    prims = [rank.rhs_begin(block)
-             for rank, block in zip(ranks, halo.split(q))]
-    return halo.gather([rank.rhs_finish(prim).copy()
-                        for rank, prim in zip(ranks, prims)])
+def team_rhs(arena, ranks, q):
+    """The gathered ``dq/dt`` of one team evaluation: every rank posts
+    its strips before any rank fills, so no transport wait ever spins.
+    A rank's tendency replaces its block once every block is converted."""
+    arena.scatter(q)
+    prims = [rank.rhs_begin(arena.block(rank.rank)) for rank in ranks]
+    for rank, prim in zip(ranks, prims):
+        arena.block(rank.rank)[...] = rank.rhs_finish(prim)
+    return arena.gather()
 
 
 class TestRankLocalTiles:
@@ -259,7 +273,7 @@ class TestRankLocalTiles:
         bcs = (BoundarySet.all_periodic(ndim) if periodic
                else BoundarySet.all_extrapolation(ndim))
         _, (rank,) = rank_team(case, bcs, (1,) * ndim, tiles=tiles,
-                               sweep_layout=layout, fusion=fusion)
+                               fusion=fusion)
         plans = rank._engine.plans
         rhs = RHS(case.layout, MIX, case.grid, bcs, RHSConfig(),
                   sweep_layout=layout, fusion=fusion, tiles=tiles)
@@ -299,8 +313,8 @@ class TestRankLocalTiles:
                                                  layout, fusion, tiles):
         """Two ranks along any axis, blocks from ``ng`` cells (no
         ghost-free face: the sweep runs in bulk) through ``2 ng`` (one)
-        and up: the gathered tendency is the serial one, and splitting
-        the face range moves no limiter count and no counter."""
+        and up: the gathered tendency is the serial one (of either
+        layout), and every rank makes the serial RHS's WENO passes."""
         axis %= ndim
         ng = halo_width(order)
         shape = list(SHAPES[ndim])
@@ -312,27 +326,18 @@ class TestRankLocalTiles:
         q = random_q(np.random.default_rng(seed), case.layout, tuple(shape))
         rank_grid = [1] * ndim
         rank_grid[axis] = 2
-        mode = dict(sweep_layout=layout, fusion=fusion)
-        serial = RHS(case.layout, MIX, case.grid, bcs, config, **mode)
+        serial = RHS(case.layout, MIX, case.grid, bcs, config,
+                     sweep_layout=layout, fusion=fusion)
         expect = serial(q).tobytes()
-        teams = {overlap: rank_team(case, bcs, rank_grid, tiles=tiles,
-                                    config=config, overlap=overlap, **mode)
-                 for overlap in (True, False)}
-        for halo, ranks in teams.values():
-            assert team_rhs(halo, ranks, q).tobytes() == expect
-        for split, bulk in zip(teams[True][1], teams[False][1]):
-            assert split._split[axis] == (split.local[axis] >= 2 * ng)
-            assert not any(bulk._split)
-            assert split.limited_faces == bulk.limited_faces
-            got, ref = (r.sweep_counters.as_dict() for r in (split, bulk))
-            for fused_only in ("fused_launches", "fused_passes_saved"):
-                # A split sweep runs staged; a bulk one may fuse.
-                assert got.pop(fused_only) <= ref.pop(fused_only)
-            assert got == ref
-            assert got["weno_passes"] == serial.sweep_counters.weno_passes
+        arena, ranks = rank_team(case, bcs, rank_grid, tiles=tiles,
+                                 config=config, fusion=fusion)
+        assert team_rhs(arena, ranks, q).tobytes() == expect
+        for rank in ranks:
+            assert rank._split[axis] == (rank.local[axis] >= 2 * ng)
+            assert (rank.sweep_counters.weno_passes
+                    == serial.sweep_counters.weno_passes)
         # Both ranks reconstruct the faces they share.
-        assert (sum(r.limited_faces for r in teams[True][1])
-                >= serial.limited_faces)
+        assert sum(r.limited_faces for r in ranks) >= serial.limited_faces
 
 
 # ----------------------------------------------------------------------
@@ -420,22 +425,25 @@ class TestStrideOrderGate:
             assert gate.calls["weno"] == (0 if fusion == "on" else 2 * tiles)
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_rank_local_modes(self, monkeypatch, overlap, ndim):
+    @pytest.mark.parametrize("split", [True, False])
+    def test_rank_local_modes(self, monkeypatch, split, ndim):
+        """Split sweeps (two periodic ranks) and bulk ones (one rank
+        between walls, whose hook fills walls only)."""
         shape = self.SHAPES[ndim]
-        case, bcs = bubble_case(shape), BoundarySet.all_periodic(ndim)
+        case = bubble_case(shape)
+        bcs = (BoundarySet.all_periodic(ndim) if split
+               else BoundarySet.all_extrapolation(ndim))
+        rank_grid = ((2,) if split else (1,)) + (1,) * (ndim - 1)
         q = case.initial_conservative()
-        for layout, fusion in itertools.product(
-                ("strided", "transposed"), ("off", "on")):
-            halo, ranks = rank_team(case, bcs, (2,) + (1,) * (ndim - 1),
-                                    tiles=2, sweep_layout=layout,
-                                    fusion=fusion, overlap=overlap)
+        for fusion in ("off", "on"):
+            arena, ranks = rank_team(case, bcs, rank_grid, tiles=2,
+                                     fusion=fusion)
             gate = StrideGate(monkeypatch, [rank._engine for rank in ranks],
                               [rank.ws for rank in ranks], ndim)
-            team_rhs(halo, ranks, q)
+            team_rhs(arena, ranks, q)
             monkeypatch.undo()
             assert gate.calls["riemann"] > 0
-            assert ranks[0]._split == [overlap] * ndim
+            assert ranks[0]._split == [split] * ndim
 
 
 # ----------------------------------------------------------------------
@@ -541,8 +549,8 @@ class TestResourceGates:
             decomp = BlockDecomposition(shape, (1,) * ndim,
                                         periodic=(False,) * ndim)
             rank = RankSolver(decomp, 0, case.layout, MIX, bcs, RHSConfig(),
-                              case.grid, HaloExchanger(decomp, case.layout,
-                                                       bcs, 3))
+                              case.grid, SharedMemoryTransport(ShmArena(
+                                  decomp, case.layout.nvars, 3), 0))
             q = case.initial_conservative()
 
             def step():

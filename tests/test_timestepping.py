@@ -188,7 +188,7 @@ class TestBatchedCFL:
         arithmetic ``RankSolver.wave_rate`` spelled out (below), and
         the max over ranks is bitwise the whole-domain rate."""
         from repro.bc import BoundarySet
-        from repro.cluster import BlockDecomposition, HaloExchanger, RankSolver
+        from repro.cluster import BlockDecomposition, RankSolver
         from repro.solver import RHSConfig
         from repro.state import cons_to_prim, full_alphas
         from tests.test_procs import MIX, bubble_case
@@ -197,11 +197,10 @@ class TestBatchedCFL:
         lay, bcs = case.layout, BoundarySet.all_periodic(2)
         prim = cons_to_prim(lay, MIX, case.initial_conservative())
         decomp = BlockDecomposition((14, 12), (2, 2), periodic=(True, True))
-        halo = HaloExchanger(decomp, lay, bcs, 3)
         rates = []
         for r in range(decomp.nranks):
             rank = RankSolver(decomp, r, lay, MIX, bcs, RHSConfig(),
-                              case.grid, halo)
+                              case.grid, transport=None)
             block = prim[(slice(None), *decomp.local_slices(r))]
             rho = block[lay.partial_densities].sum(axis=0)
             c = MIX.sound_speed(full_alphas(lay, block[lay.advected]), rho,
@@ -235,15 +234,55 @@ class TestOneMarchLoop:
 
     @pytest.mark.parametrize("name", ["time_step", "horizon_reached"])
     def test_called_from_the_loop_module_only(self, name):
-        import ast
-        from pathlib import Path
+        assert callers_of(name) == {"repro/solver/march.py"}
 
-        src = Path(__file__).resolve().parents[1] / "src"
-        callers = set()
-        for path in src.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                func = getattr(node, "func", None)
-                if isinstance(node, ast.Call) and name in (
-                        getattr(func, "id", None), getattr(func, "attr", None)):
-                    callers.add(path.relative_to(src).as_posix())
-        assert callers == {"repro/solver/march.py"}
+
+def src_trees():
+    """``(module path under src/, parsed tree)`` of every source file."""
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    return [(path.relative_to(src).as_posix(), ast.parse(path.read_text()))
+            for path in sorted(src.rglob("*.py"))]
+
+
+def callers_of(name: str) -> set[str]:
+    """Modules under src/ that call ``name`` (bare or as an attribute)."""
+    import ast
+
+    return {module for module, tree in src_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))}
+
+
+class TestOneHaloExchange:
+    """Regrowth guard: one halo transport and one RK step body.  A second
+    class with the transport's ``post``/``fill`` pair is a second halo
+    exchange growing back; a caller of the stage tableau or the
+    Shu-Osher combination outside ``repro.timestepping`` is a second
+    step driver."""
+
+    def test_one_class_defines_post_and_fill(self):
+        import ast
+
+        transports = [
+            f"{module}:{node.name}" for module, tree in src_trees()
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and {"post", "fill"} <= {item.name for item in node.body
+                                     if isinstance(item, ast.FunctionDef)}]
+        assert transports == ["repro/cluster/procs.py:SharedMemoryTransport"]
+
+    @pytest.mark.parametrize("name", ["rk_stages", "shu_osher_combine"])
+    def test_stage_arithmetic_called_in_timestepping_only(self, name):
+        callers = callers_of(name)
+        assert callers and all(module.startswith("repro/timestepping/")
+                               for module in callers), callers
+
+    def test_removed_drivers_are_not_exported(self):
+        import repro.cluster as cluster
+
+        for name in ("DistributedSolver", "HaloExchanger"):
+            assert name not in cluster.__all__
+            assert not hasattr(cluster, name)
