@@ -11,6 +11,7 @@ import pytest
 
 from repro.bc import BC, fill_axis_ghosts, pad_axis
 from repro.cluster import BlockDecomposition, SharedMemoryTransport, ShmArena
+from repro.cluster.halo import ghost_strip
 from repro.eos import Mixture, StiffenedGas
 from repro.fftfilter import FFTFilterPlan
 from repro.grid import CylindricalGrid, StructuredGrid
@@ -56,6 +57,15 @@ def test_ghost_fill_cost(benchmark, field3d):
     assert p.shape[1] == 54
 
 
+def unpack(transport, padded, axis: int = 0) -> None:
+    """Receive one exchange along ``axis`` into a whole padded block
+    (as every tile of a sweep does for its own rows)."""
+    with transport.fill(transport.rank, axis) as strips:
+        for side, strip in zip((-1, 1), strips):
+            if strip is not None:
+                ghost_strip(padded, axis, 3, side)[...] = strip
+
+
 def test_halo_post_fill_cost(benchmark, field3d):
     """One rank wrapped onto itself along x: both strips posted into the
     shared mailboxes, then unpacked into its own ghost layers."""
@@ -66,7 +76,7 @@ def test_halo_post_fill_cost(benchmark, field3d):
 
     def exchange():
         transport.post(0, 0, prim)
-        transport.fill(0, 0, padded)
+        unpack(transport, padded)
 
     benchmark(exchange)
     assert transport.counters.messages == transport.counters.posts
@@ -88,7 +98,7 @@ def test_full_halo_exchange_cost(benchmark, field3d):
         for t in team:
             t.post(t.rank, 0, arena.block(t.rank))
         for t, p in zip(team, padded):
-            t.fill(t.rank, 0, p)
+            unpack(t, p)
 
     benchmark(exchange)
     assert sum(t.counters.waits for t in team) == 0

@@ -135,10 +135,11 @@ def sweep_stage_graph(*, ndim: int, nvars: int, spatial: tuple[int, ...],
     """The stage graph of one direction sweep along spatial axis ``d``.
 
     ``pack=False`` models the rank-local solvers of distributed runs,
-    where the ghost fill happens outside the fused region (the halo
-    transport writes the padded block before the kernel runs): the
-    pack/fill stage — the only one with a global-halo read along ``d``
-    — is excluded, so the remaining chain has purely local stencils.
+    where the ghost fill happens outside the fused region (a rank tile
+    packs itself and copies its rows of the neighbours' posted strips
+    before the kernel runs): the pack/fill stage — the only one with a
+    global-halo read along ``d`` — is excluded, so the remaining chain
+    has purely local stencils.
     """
     if not 0 <= d < ndim:
         raise FusionError(f"direction {d} outside {ndim} dims")

@@ -11,8 +11,9 @@ the three supported conditions act identically on both layouts:
   (MFC's non-reflecting outflow workhorse).
 
 In distributed runs, faces interior to the global domain are instead
-filled by the halo exchange (:mod:`repro.cluster.halo`); these routines
-handle only true physical boundaries.
+filled from the halo exchange (:mod:`repro.cluster.halo`): a rank's sweep
+passes ``None`` for such a side, and these routines fill only the true
+physical boundaries.
 """
 
 from __future__ import annotations
@@ -106,8 +107,12 @@ def pad_axis(field: np.ndarray, axis: int, ng: int,
 
 
 def fill_axis_ghosts(padded: np.ndarray, layout: StateLayout, axis: int, ng: int,
-                     lo: BC, hi: BC, *, normal_direction: int | None = None) -> None:
+                     lo: BC | None, hi: BC | None, *,
+                     normal_direction: int | None = None) -> None:
     """Fill the ghost cells of one spatial ``axis`` of a per-axis padded field.
+
+    A side given ``None`` is left as it is (a rank fills it from its
+    neighbour's strip); the other side's fill reads interior cells only.
 
     ``normal_direction`` names the *physical* direction the ghosts face
     (the momentum component a reflective wall negates).  It defaults to
@@ -143,7 +148,8 @@ def fill_ghosts(padded: np.ndarray, layout: StateLayout, bcs: BoundarySet, ng: i
 
 
 def _fill_axis(padded: np.ndarray, layout: StateLayout, axis: int, ng: int,
-               lo: BC, hi: BC, *, normal_direction: int | None = None) -> None:
+               lo: BC | None, hi: BC | None, *,
+               normal_direction: int | None = None) -> None:
     ax, n = _axis_slices(padded, axis, ng)
     normal = axis if normal_direction is None else normal_direction
     if n < ng:
@@ -165,7 +171,7 @@ def _fill_axis(padded: np.ndarray, layout: StateLayout, axis: int, ng: int,
         padded[sl(0, ng)] = padded[sl(n, n + ng)]
     elif lo is BC.EXTRAPOLATION:
         padded[sl(0, ng)] = padded[sl(ng, ng + 1)]
-    else:  # REFLECTIVE: mirror and negate normal component
+    elif lo is not None:  # REFLECTIVE: mirror and negate normal component
         padded[sl(0, ng)] = padded[sl_rev(ng, ng + ng)]
         comp = layout.momentum_component(normal)
         padded[(comp,) + sl(0, ng)[1:]] *= -1.0
@@ -175,7 +181,7 @@ def _fill_axis(padded: np.ndarray, layout: StateLayout, axis: int, ng: int,
         padded[sl(ng + n, ng + n + ng)] = padded[sl(ng, ng + ng)]
     elif hi is BC.EXTRAPOLATION:
         padded[sl(ng + n, ng + n + ng)] = padded[sl(ng + n - 1, ng + n)]
-    else:
+    elif hi is not None:
         padded[sl(ng + n, ng + n + ng)] = padded[sl_rev(n, ng + n)]
         comp = layout.momentum_component(normal)
         padded[(comp,) + sl(ng + n, ng + n + ng)[1:]] *= -1.0

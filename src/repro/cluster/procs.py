@@ -25,15 +25,18 @@ mailbox in the arena plus two int64 sequence words:
 * the **producer** (the strip's owner) waits until ``ack >= s - 1``
   (the consumer finished with the previous exchange), writes the strip
   directly into the shared mapping, then publishes ``post = s``;
-* the **consumer** (the neighbour) waits until ``post >= s``, unpacks
-  the strip into its ghost layer, then publishes ``ack = s``.
+* the **consumer** (the neighbour) waits until ``post >= s``, its
+  sweep's tiles copy their rows of the strip into their ghost layers,
+  then it publishes ``ack = s``.
 
 Posts of exchange ``s`` wait only on fills of ``s - 1`` and fills of
 ``s`` wait only on posts of ``s``, so the dependency graph is acyclic —
 no deadlock for any decomposition, periodic or not.  Waits spin with a
 deadline and are tallied in :class:`~repro.profiling.counters.
-HaloCounters` (``waits``/``wait_ns`` — the un-hidden communication the
-interior-compute overlap exists to shrink).
+HaloCounters` (``waits``/``wait_ns`` — time a rank spent waiting on a
+peer; on one host that is load imbalance, not wire latency).  All strips
+are posted before the first sweep, so nothing but the dt reduction is
+overlapped with compute.
 
 Plain stores give no cross-process ordering on weakly-ordered CPUs
 (aarch64), so every sequence word is *published* inside a per-mailbox
@@ -83,6 +86,7 @@ import multiprocessing
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -91,7 +95,7 @@ import numpy as np
 
 from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
-from repro.cluster.halo import boundary_strip, ghost_strip, validate_periodicity
+from repro.cluster.halo import boundary_strip, validate_periodicity
 from repro.cluster.ranksolver import RankSolver
 from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
 from repro.common.workers import (
@@ -239,8 +243,9 @@ class SharedMemoryTransport:
     """One rank's halo endpoint over the arena (see module docstring).
 
     A :class:`RankSolver`'s transport: :meth:`post` packs boundary
-    strips straight into the shared mailboxes, :meth:`fill` completes
-    the sendrecv into the ghost layers.
+    strips straight into the shared mailboxes, :meth:`fill` lends the
+    neighbours' strips to the sweep's tiles, which copy them into their
+    ghost layers.
     """
 
     def __init__(self, arena: ShmArena, rank: int, *,
@@ -345,24 +350,33 @@ class SharedMemoryTransport:
         self._posted[(rank, axis)] = seq
         self.beat()
 
-    def fill(self, rank: int, axis: int, padded: np.ndarray) -> None:
-        """Fill ``rank``'s interior-face ghosts along ``axis`` from the
-        neighbours' shared mailboxes."""
-        ng = self.ng
+    @contextmanager
+    def fill(self, rank: int, axis: int):
+        """Deliver the neighbours' strips along ``axis`` into ``rank``'s
+        ghost layers, tile by tile.
+
+        Waits for the neighbours' posts and yields ``(lo, hi)``: the
+        strip each neighbour posted for that side of the block (a view
+        of its shared mailbox), or None on a global-edge side.  The caller's
+        tiles copy their rows of them into their ghost layers; leaving
+        the context acknowledges the strips, which frees the neighbours
+        to post the next exchange.
+        """
         seq = self._filled.get((rank, axis), 0) + 1
-        for side in (-1, 1):
-            nb = self.decomp.neighbor(rank, axis, side)
-            if nb is None:
-                continue
-            lock = self._locks[(nb, axis, -side)]
-            self._wait(self._view[("post", nb, axis, -side)], seq,
-                       f"post {seq} from rank {nb} on axis {axis}", lock)
-            box = self._view[("box", nb, axis, -side)]
-            ghost_strip(padded, axis, ng, side)[...] = box
-            self._publish(lock, self._view[("ack", nb, axis, -side)], 0,
-                          seq, f"ack {seq} to rank {nb} on axis {axis}")
+        # The mailbox each side's neighbour posted for this side.
+        peers = {side: (nb, axis, -side) for side in (-1, 1)
+                 if (nb := self.decomp.neighbor(rank, axis, side)) is not None}
+        for key in peers.values():
+            self._wait(self._view[("post", *key)], seq,
+                       f"post {seq} from rank {key[0]} on axis {axis}",
+                       self._locks[key])
             self.counters.messages += 1
-            self.counters.bytes_exchanged += box.nbytes
+            self.counters.bytes_exchanged += self._view[("box", *key)].nbytes
+        yield tuple(self._view[("box", *peers[side])] if side in peers
+                    else None for side in (-1, 1))
+        for key in peers.values():
+            self._publish(self._locks[key], self._view[("ack", *key)], 0, seq,
+                          f"ack {seq} to rank {key[0]} on axis {axis}")
         self._filled[(rank, axis)] = seq
         self.beat()
 

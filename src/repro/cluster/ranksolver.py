@@ -2,11 +2,13 @@
 
 A :class:`RankSolver` runs the serial workspace RHS pipeline on one
 rank's local block: the same :class:`~repro.solver.sweep.SweepEngine`
-slab body the serial :class:`~repro.solver.rhs.RHS` runs, given a
-ghost-fill hook (wall BCs + a halo *transport*) in place of the physical
-boundary fill and a face-span split in place of whole-range faces.  It
-owns a full :class:`~repro.solver.workspace.SolverWorkspace` sized for
-the block, so a steady-state RHS evaluation performs no new large-array
+slab body the serial :class:`~repro.solver.rhs.RHS` runs, with one more
+ghost source.  A rank tile packs its rows of ``prim`` as a serial tile
+does, fills the block's global-edge sides with the physical BCs, and
+copies its rows of the neighbour's posted strip into the other sides;
+it then skips uniform faces like a serial tile.  It owns a full
+:class:`~repro.solver.workspace.SolverWorkspace` sized for the block,
+so a steady-state RHS evaluation performs no new large-array
 allocations (the distributed analog of the serial ``out=`` paths).
 
 The transport is the rank's
@@ -15,29 +17,20 @@ methods:
 
 * ``post(rank, axis, field)`` — pack the rank's boundary strips along
   ``axis`` into its shared mailboxes;
-* ``fill(rank, axis, padded)`` — complete the sendrecv by unpacking the
-  neighbours' posted strips into the rank's ghost layers.
+* ``fill(rank, axis)`` — a context that waits for the neighbours'
+  strips along ``axis``, lends them to the sweep's tiles, and
+  acknowledges them when the sweep is done.
 
 Its ``HaloCounters`` tally one message per neighboured side and axis on
 every evaluation, so a team's merged ``messages`` and
 ``bytes_exchanged`` per RHS evaluation equal the decomposition's
 ``total_messages()`` and ``total_halo_bytes(ng, nvars)``.
 
-Communication hiding
---------------------
 The RHS is split into :meth:`rhs_begin` (convert to primitives, post
 *every* axis's boundary strips) and :meth:`rhs_finish` (sweep the
-directions).  Because the exchange is dimension-split — each sweep pads
-along its own axis only, no corner dependencies — all packs can be
-posted up front, and each sweep first reconstructs the faces whose WENO
-stencils touch no ghost cell, only then waits for the neighbours'
-strips, and finishes with the ``ng`` boundary faces on each end.  The
-interior compute runs while the ghosts land: the paper's
-interior/boundary overlap, host-side.  A direction splits wherever the
-block has a neighbour along it and at least ``2 ng`` cells; any other
-direction sweeps in bulk after the fill.  Span-composed reconstruction
-is bitwise identical to the bulk call (the kernels are elementwise over
-faces), so the split never changes a result bit.
+directions).  The exchange is dimension-split — each sweep pads along
+its own axis only, no corner dependencies — so all strips are posted
+before the first sweep, and a sweep waits only for its own axis.
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ import numpy as np
 
 from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
-from repro.cluster.halo import fill_wall_ghosts
 from repro.common import ConfigurationError
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
@@ -85,10 +77,8 @@ class RankSolver:
         that is never evaluated (knob validation, cell widths).
     fusion:
         The knob of the same name (DESIGN.md "Options: one table").
-        Rank-specific: with fusion on, a *bulk* sweep — a direction
-        whose face span is not split for overlap — runs as one
-        generated kernel from WENO on (the ghost hook packs); split
-        directions run staged.  Bitwise identical either way.
+        With fusion on, a tile runs one generated kernel from WENO on,
+        after its own pack and ghost fill.  Bitwise identical either way.
     """
 
     def __init__(self, decomp: BlockDecomposition, rank: int,
@@ -115,18 +105,9 @@ class RankSolver:
         self.sweep_counters = SweepCounters()
         self._engine = SweepEngine(
             layout, mixture, bcs, config, self.local,
-            counters=self.sweep_counters, fused=fusion != "off",
-            ghosts=self._fill_ghosts)
-        ng = self._engine.ng
-        self.ws = SolverWorkspace(layout, _BlockShape(self.local), ng,
-                                  rows=self._engine.rows)
-        # The split needs a non-empty ghost-free interior span and an
-        # actual exchange to hide; other directions sweep in bulk after
-        # the fill.
-        self._split = [
-            self.local[d] >= 2 * ng
-            and decomp.neighbor_sides(rank, d) > 0
-            for d in range(layout.ndim)]
+            counters=self.sweep_counters, fused=fusion != "off", halo=True)
+        self.ws = SolverWorkspace(layout, _BlockShape(self.local),
+                                  self._engine.ng, rows=self._engine.rows)
         # Per-axis cell widths sliced from the global grid, broadcast
         # shaped — the same values the serial divergence divides by.
         # They also serve the block's CFL rate (timestepping.wave_rate).
@@ -138,7 +119,7 @@ class RankSolver:
             newshape[d] = w.size
             self.widths.append(w.reshape(newshape))
 
-    # -- the split RHS -------------------------------------------------------
+    # -- the RHS, posted then swept ------------------------------------------
     def rhs_begin(self, q: np.ndarray, *, prim: np.ndarray | None = None
                   ) -> np.ndarray:
         """Convert to primitives (tile by tile) and post every axis's
@@ -159,9 +140,9 @@ class RankSolver:
         divu = ws.divu
         divu.fill(0.0)
         for d in range(lay.ndim):
-            limited, skipped = self._engine.sweep(
-                ws, prim, d, self.widths[d], dqdt, divu,
-                split=self._split[d])
+            with self.transport.fill(self.rank, d) as halo:
+                limited, skipped = self._engine.sweep(
+                    ws, prim, d, self.widths[d], dqdt, divu, halo=halo)
             self.limited_faces += limited
             self.sweep_counters.record_skipped(skipped)
         for rows, new in row_tiles(dqdt, ws):
@@ -181,9 +162,3 @@ class RankSolver:
     @property
     def workspace(self) -> SolverWorkspace:
         return self.ws
-
-    def _fill_ghosts(self, d: int, padded: np.ndarray) -> None:
-        """The engine's ghost hook: wall BCs, then the neighbours' strips."""
-        fill_wall_ghosts(padded, self.layout, self.bcs, self.decomp,
-                         self.rank, d, self._engine.ng)
-        self.transport.fill(self.rank, d, padded)

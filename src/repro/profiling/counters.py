@@ -162,8 +162,8 @@ class SweepCounters:
         and Riemann kernels actually ran: a staged tile leaves out the
         faces its active span excludes
         (:func:`~repro.solver.sweep.active_faces`), summed over gang
-        members; fused tiles, split sweeps and the reference path
-        evaluate all of theirs.
+        members and ranks; fused tiles and the reference path evaluate
+        all of theirs.
     """
 
     strided_sweeps: int = 0
@@ -290,19 +290,23 @@ class HaloCounters:
     posts:
         Boundary regions packed and posted to a neighbour's mailbox.
     waits:
-        Receives that found the neighbour's mailbox not yet posted and
-        had to spin (zero when every rank posts before any rank fills,
-        as an in-process team does).
+        Spins on a peer: a receive that found the neighbour's mailbox
+        not yet posted, a post whose previous strip was not yet
+        acknowledged, or a reduction slot not yet written (zero for
+        the halo when every rank posts before any rank fills, as an
+        in-process team does).
     wait_ns:
-        Nanoseconds spent in those spins — the un-hidden fraction of
-        the exchange that interior-compute overlap exists to shrink.
+        Nanoseconds spent in those spins: time a rank sat idle on a
+        peer.  Every strip is posted before the first sweep, so on one
+        host this is load imbalance between the ranks, not hidden or
+        un-hidden wire latency.
     reductions:
         Cluster-wide dt min-reductions performed (one per CFL step).
     reductions_overlapped:
         The subset of those reductions whose completion was overlapped
-        with the first RK stage's interior compute (the split
-        ``reduce_max_begin``/``reduce_max_finish`` path) instead of
-        blocking the step up front.
+        with the first RK stage's RHS (``reduce_max_begin`` before it,
+        ``reduce_max_finish`` after it) instead of blocking the step up
+        front — the one communication the rank step overlaps.
     """
 
     messages: int = 0
@@ -339,7 +343,7 @@ class HaloCounters:
         return (f"halo: {self.messages} messages, "
                 f"{self.bytes_exchanged / 1e6:.1f} MB exchanged, "
                 f"{self.posts} posts; {self.waits} waits "
-                f"({self.wait_ns / 1e6:.1f} ms un-hidden); "
+                f"({self.wait_ns / 1e6:.1f} ms waiting); "
                 f"{self.reductions} reductions "
                 f"({self.reductions_overlapped} overlapped)")
 

@@ -57,7 +57,7 @@ class Profile:
     strided-vs-contiguous picture next to the kernel times; ``halo``
     attaches a cluster run's merged
     :class:`~repro.profiling.counters.HaloCounters` (messages, bytes,
-    un-hidden wait time) the same way; ``recovery``
+    time spent waiting on a peer) the same way; ``recovery``
     likewise attaches a simulation's
     :class:`~repro.solver.resilience.RecoveryCounters` so reports show
     what the resilience machinery did (retries, rollbacks, checkpoints).

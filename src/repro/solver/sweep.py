@@ -7,26 +7,26 @@ reconstruction axis (the stage graph's slab-axis rule, see
 :func:`repro.acc.fusion.plan_fusion`).  The modes are parameters of
 that body, not copies of it:
 
-=============  =======================  =====================  ==========
-mode           what a tile runs         ghost source           face span
-=============  =======================  =====================  ==========
-serial         the staged chain         physical BCs           active
-gang           same, on forked workers  physical BCs           active
-fused          one generated kernel     physical BCs (kernel)  whole
-batched        either of the above      physical BCs           active
-rank-local     staged, or fused bulk    walls + transport      split/active
-=============  =======================  =====================  ==========
+=============  =======================  ======================  ==========
+mode           what a tile runs         ghost source            face span
+=============  =======================  ======================  ==========
+serial         the staged chain         physical BCs            active
+gang           same, on forked workers  physical BCs            active
+fused          one generated kernel     physical BCs (kernel)   whole
+batched        either of the above      physical BCs            active
+rank-local     either of the above      BCs + posted strips     active
+=============  =======================  ======================  ==========
 
 Every mode plans N slab tiles (the ``tiles`` override, else the L2
 heuristic; a batched engine's slab axis is the ensemble axis) and keeps
 every pipeline intermediate in the calling worker's
 :class:`~repro.solver.workspace.TileArena`, one tile wide and in one
 memory order (the arena's layout rule), so every ufunc pass of every
-mode is coalesced.  A rank-local engine packs its whole block once,
-runs the ghost hook once, and cuts the phases around it into the same
-tiles; the block the hook fills and the flux a split sweep carries
-across it are block-sized, and a tile copies its part in or out — no
-kernel pass reads or writes them.
+mode is coalesced.  A rank-local tile is a serial tile with another
+ghost source: it packs its rows of ``prim``, fills the block's
+global-edge sides with the physical BCs and copies its rows of each
+neighbour's posted strip into the other sides (``halo``), and its fused
+kernel starts after that pack (``pack=False``).
 
 **Layout rule** (paper §III.D; :func:`~repro.solver.workspace.tile_axes`):
 a tile never reconstructs along its innermost axis, where NumPy cannot
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -189,12 +188,10 @@ class SweepEngine:
     """Plans and runs the direction sweeps of one RHS on a workspace.
 
     ``shape`` is the physical spatial shape; ``batch`` prepends the
-    ensemble axis.  ``ghosts(d, padded)``, when given, replaces the
-    physical boundary fill: it must complete the ghost layers of the
-    whole standard-layout padded block (a rank's wall fill + halo
-    transport), so such an engine packs the whole block, runs the hook
-    once, cuts only the phases around it into tiles, and fuses only
-    from WENO on (``pack=False`` kernels).
+    ensemble axis.  A ``halo`` engine (a rank's) takes some ghost layers
+    from a neighbour's posted strip (:meth:`sweep`'s ``halo``), so its
+    tiles always pack themselves and fuse only from WENO on
+    (``pack=False`` kernels).
 
     Tile counts come from the ``tiles`` override, else the L2 heuristic:
     the fewest tiles that make what a tile keeps in flight (the
@@ -213,10 +210,10 @@ class SweepEngine:
                  fused: bool = False,
                  batch: int | None = None, workers: int = 1,
                  tiles: int | None = None, device: DeviceSpec | None = None,
-                 dtype=DTYPE, stopwatch=None, ghosts=None) -> None:
+                 dtype=DTYPE, stopwatch=None, halo: bool = False) -> None:
         self.layout, self.mixture, self.bcs = layout, mixture, bcs
         self.counters, self.stopwatch = counters, stopwatch
-        self.ghosts = ghosts
+        self.halo = halo
         self.order = order = config.weno_order
         self.ng = halo_width(order)
         self.riemann = resolve_riemann_flux(config.riemann_solver)
@@ -232,7 +229,7 @@ class SweepEngine:
         #: was whole: they skip the search (more faces are always exact).
         self._whole: set[tuple[int, int]] = set()
         device = device if device is not None else default_host_device()
-        pack = ghosts is None
+        pack = not halo
         ndim = len(spatial)
         cells = int(np.prod(spatial))
         self._extent0 = spatial[0]
@@ -293,24 +290,22 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
     def sweep(self, ws, prim, d: int, width, dqdt, divu, *,
-              split: bool = False,
+              halo=(None, None),
               share: tuple[int, int] | None = None,
               before=None, after=None) -> tuple[int, int]:
         """Accumulate direction ``d`` into ``dqdt``/``divu``.
 
         Returns the count of positivity-limited face states and of the
         faces this call's tiles left out (:func:`active_faces`; fused
-        tiles and split sweeps evaluate all of theirs).  Virtual
-        direction ``d`` sweeps array axis ``d + 1``; the physical
-        direction (momentum component, BC axis) is ``d - nb``.
+        tiles evaluate all of theirs).  Virtual direction ``d`` sweeps
+        array axis ``d + 1``; the physical direction (momentum
+        component, BC axis) is ``d - nb``.
 
-        ``split`` (ghost-hook engines) reconstructs the faces whose
-        stencils touch no ghost cell *before* calling the hook and the
-        ``ng`` faces at each end after it (once per block, not per
-        tile: at ``ng`` faces a pass is pure dispatch), so the interior
-        computes while the neighbours' strips land; spans partitioning
-        the face range compose bitwise into the whole-range result, and
-        ``reconstruct_faces_span(0, nf)`` is the bulk call.
+        ``halo=(lo, hi)`` names each side's ghost source: ``None`` takes
+        the physical BC, an array is the ``ng`` rows a neighbour posted
+        for that side (standard layout, block-wide across the other
+        axes), of which every tile copies its own rows into its ghost
+        layer (a ``halo`` engine's sweeps).
 
         ``share=(rank, width)`` runs only that gang member's share of
         the tiles (:func:`~repro.acc.gang.gang_share`); the fields must
@@ -322,7 +317,7 @@ class SweepEngine:
         the rows of ``prim`` it is about to read — and ``after`` once
         its divergence has landed in ``dqdt``/``divu``.  Both may carve
         :meth:`~repro.solver.workspace.SolverWorkspace.scratch`: no
-        arena buffer is live around them.  (Hook engines take neither.)
+        arena buffer is live around them.
         """
         layout, ng, sw, xp = self.layout, self.ng, self.stopwatch, ws.xp
         plan = self.plans[d]
@@ -333,16 +328,9 @@ class SweepEngine:
         extent = 1 if sa is None else prim.shape[sa + 1]
         n_tiles = min(plan.tiles, extent)
         w_max = -(-extent // n_tiles)
-        hook = self.ghosts is not None
-        fused = plan.fused and not split
+        fused = plan.fused
         if fused:
             kern, sig, passes_saved = self._kernels[d]
-        # A ghost hook fills the whole standard-layout block, and the
-        # flux of a split sweep crosses the hook: those outlive the
-        # tiles, and meet each tile in one copy in and one copy out —
-        # every kernel pass runs on the tile's own arena blocks.
-        source = ws.padded[d] if hook else prim
-        block = (ws.flux[d], ws.u_face[d]) if split else None
         # Standard-layout arrays meet the tile in its own axis order
         # (the arena layout rule) through views: ``axes`` for those with
         # the variable axis, ``spatial`` for those without it.
@@ -351,6 +339,12 @@ class SweepEngine:
         gathered = plan.kind == "gathered"
         axis = axes.index(d + 1)  # tile array axis reconstructed
         interior = _cut(ng, ng + n, axis)
+        # A side with a posted strip takes no physical BC.
+        walls = [None if strip is not None else bc
+                 for strip, bc in zip(halo, (lo_bc, hi_bc))]
+        strips = [(strip, ghost) for strip, ghost in
+                  zip(halo, (_cut(0, ng, axis), _cut(n + ng, None, axis)))
+                  if strip is not None]
 
         def tiled(a, order=axes):
             return xp.transpose(a, order) if gathered else a
@@ -359,56 +353,31 @@ class SweepEngine:
         # batched engine's widths lack the leading ensemble axis).
         width = tiled(width.reshape((1,) * self.nb + width.shape), spatial)
 
-        def faces(scr, flo, fhi):
-            # WENO -> limiter -> Riemann for faces [flo, fhi) of one
-            # tile, into the span's own buffers (the arena when whole).
-            s = scr.span(fhi - flo)
-            pad = scr.pad[_cut(flo, None, axis)]
-            with timed(sw, "weno"):
-                reconstruct_faces_span(pad, axis, self.order, 0, fhi - flo,
-                                       out=(s.vl, s.vr), scratch=s.wscr)
-                limited = limit_face_states(layout, self.mixture, pad, s.vl,
-                                            s.vr, axis - 1, ng,
-                                            scratch=s.rscr)
-            with timed(sw, "riemann"):
-                self.riemann(layout, self.mixture, s.vl, s.vr, pd,
-                             out=s.flux, out_u=s.uface, scratch=s.rscr)
-            return limited, s
-
-        def slab(lo, hi, **phase):
+        def slab(lo, hi):
             # Standard-layout index of this slab tile.
             std = () if sa is None else _cut(lo, hi, sa + 1)
             if before is not None:
                 before(std)
-            limited = tile(lo, hi, std, **phase)
+            limited = tile(lo, std, hi - lo)
             if after is not None:
                 after(std)
             return limited
 
         skipped = 0
 
-        def tile(lo, hi, std, span=None, finish=True):
-            # Faces [f0, f1) = ``span`` run; None: the tile's active
-            # span; (): none (a split sweep's faces, in ``block``).
+        def tile(lo, std, rows):
             nonlocal skipped
-            tile_src = tiled(source[std])
+            tile_src = tiled(prim[std])
             dq, dv = tiled(dqdt[std]), tiled(divu[std[1:]], spatial)
-            flux, uface = ((tiled(block[0][std]),
-                            tiled(block[1][std[1:]], spatial))
-                           if block else (None, None))
-            scr = ws.tile_arena(d, w_max).narrow(hi - lo)
+            scr = ws.tile_arena(d, w_max).narrow(rows)
             pad = scr.pad
-            with timed(sw, "packing"):
-                if hook:
-                    if span != ():
-                        pad[...] = tile_src
-                elif not fused:  # a packing kernel fills its own tile
+            if self.halo or not fused:  # a pack=True kernel packs itself
+                with timed(sw, "packing"):
                     pad[interior] = tile_src
-                    fill_axis_ghosts(pad, layout, axis - 1, ng, lo_bc, hi_bc,
+                    fill_axis_ghosts(pad, layout, axis - 1, ng, *walls,
                                      normal_direction=pd)
-                if block and finish:  # the faces done around the hook
-                    xp.copyto(scr.flux, flux)
-                    xp.copyto(scr.uface, uface)
+                    for strip, ghost in strips:
+                        pad[ghost] = tiled(strip[std])
 
             if fused:
                 # Arguments bind by name: what is not a tile operand
@@ -420,24 +389,29 @@ class SweepEngine:
                     return kern(*(bound[k] if k in bound else getattr(scr, k)
                                   for k in sig))
 
-            if span is None:
-                span = (0, n + 1)
-                if (d, lo) not in self._whole:
-                    with timed(sw, "packing"):
-                        span = active_faces(pad, axis, ng, scr.vl, scr.vr)
-                    skipped += (n + 1 - (span[1] - span[0])) * (
-                        pad.size // pad.shape[axis] // layout.nvars)
-                    if span[0] == span[1]:
-                        return 0
-                    if span == (0, n + 1):
-                        self._whole.add((d, lo))
-            limited, s = faces(scr, *span) if span else (0, scr)
-            f0, f1 = span or (0, n + 1)
-            if not finish:
+            f0, f1 = 0, n + 1
+            if (d, lo) not in self._whole:
                 with timed(sw, "packing"):
-                    xp.copyto(flux[_cut(f0, f1, axis)], s.flux)
-                    xp.copyto(uface[_cut(f0, f1, axis - 1)], s.uface)
-                return limited
+                    f0, f1 = active_faces(pad, axis, ng, scr.vl, scr.vr)
+                skipped += (n + 1 - (f1 - f0)) * (
+                    pad.size // pad.shape[axis] // layout.nvars)
+                if f0 == f1:
+                    return 0
+                if (f0, f1) == (0, n + 1):
+                    self._whole.add((d, lo))
+            # WENO -> limiter -> Riemann for faces [f0, f1), into the
+            # span's own buffers (the arena when whole).
+            s = scr.span(f1 - f0)
+            span_pad = pad[_cut(f0, None, axis)]
+            with timed(sw, "weno"):
+                reconstruct_faces_span(span_pad, axis, self.order, 0, f1 - f0,
+                                       out=(s.vl, s.vr), scratch=s.wscr)
+                limited = limit_face_states(layout, self.mixture, span_pad,
+                                            s.vl, s.vr, axis - 1, ng,
+                                            scratch=s.rscr)
+            with timed(sw, "riemann"):
+                self.riemann(layout, self.mixture, s.vl, s.vr, pd,
+                             out=s.flux, out_u=s.uface, scratch=s.rscr)
             with timed(sw, "other"):
                 # dq/dt += (F_{i-1/2} - F_{i+1/2}) / dx = -diff(F)/dx,
                 # over the cells between the span's faces.
@@ -449,42 +423,10 @@ class SweepEngine:
                                       dv[cells[1:]], "add")
             return limited
 
-        def end_strips():
-            # The ng faces at each end of a split sweep, once per block:
-            # an end's 3 ng - 1 padded cells are the padded block of an
-            # (ng - 1)-cell sweep, run as one tile spanning the slab.
-            scr, limited = ws.tile_arena(d, extent, strip=True), 0
-            for f0 in (0, n - ng + 1):
-                with timed(sw, "packing"):
-                    scr.pad[...] = tiled(source[_cut(f0, f0 + 3 * ng - 1,
-                                                     d + 1)])
-                limited += faces(scr, 0, ng)[0]
-                with timed(sw, "packing"):
-                    xp.copyto(tiled(block[0][_cut(f0, f0 + ng, d + 1)]),
-                              scr.flux)
-                    xp.copyto(tiled(block[1][_cut(f0, f0 + ng, d)], spatial),
-                              scr.uface)
-            return limited
-
-        def launch(**phase):
-            body = partial(slab, **phase)
-            spans = tile_spans(extent, plan.tiles)
-            if share is not None:
-                spans = gang_share(spans, *share)
-            return sum(body(lo, hi) for lo, hi in spans)
-
-        if not hook:
-            limited = launch()
-        else:
-            with timed(sw, "packing"):
-                source[_cut(ng, ng + n, d + 1)] = prim
-            # Faces whose stencils reach no ghost cell can run before
-            # the hook completes the block.
-            limited = (launch(span=(ng, n - ng + 1), finish=False)
-                       if split else 0)
-            self.ghosts(pd, source)
-            limited += (end_strips() + launch(span=()) if split
-                        else launch())
+        spans = tile_spans(extent, plan.tiles)
+        if share is not None:
+            spans = gang_share(spans, *share)
+        limited = sum(slab(lo, hi) for lo, hi in spans)
 
         # Nominal (field-sized) tallies, the same in every mode: both
         # face states reconstructed at every face, and the primitives

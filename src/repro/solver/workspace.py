@@ -37,8 +37,8 @@ process plus forked workers.  Buffers divide into two ownership classes:
   the launch barrier; ``control`` is written by the parent between
   launches only.
 * **Private per process** — everything else: the ``rollback`` buffer
-  (no step writes it), the whole-block buffers of a rank-local
-  sweep, and every :class:`TileArena` and tile scratch.  A worker
+  (no step writes it), the whole-field probe buffers, and every
+  :class:`TileArena` and tile scratch.  A worker
   inherits the workspace copy-on-write at its fork and
   :meth:`SolverWorkspace.tile_arena` carves its arenas from its own
   memory pool (allocated lazily, reused across its later tiles,
@@ -313,11 +313,10 @@ class SolverWorkspace:
     padded, face_l, face_r, flux, u_face, weno_scratch, riemann_scratch:
         Whole-block per-direction buffers (ghost-padded primitives,
         face states, Riemann flux, interface velocity, kernel scratch),
-        indexed by direction and allocated on first access.  The sweeps
-        of a plain RHS never touch them — their intermediates are
-        :class:`TileArena` tiles; a rank-local sweep holds ``padded``/
-        ``flux``/``u_face`` across its ghost hook, and whole-field
-        kernel probes (``benchmarks/e2e/probes.py``) run on all seven.
+        indexed by direction and allocated on first access.  No sweep
+        touches them — its intermediates are :class:`TileArena` tiles;
+        whole-field kernel probes (``benchmarks/e2e/probes.py``) run on
+        all seven.
     """
 
     def __init__(self, layout: StateLayout, grid: StructuredGrid, ng: int,
@@ -396,10 +395,10 @@ class SolverWorkspace:
         self.riemann_scratch = _PerDirection(lambda d: RiemannScratch(
             tuple(block(d, 1)), dtype=np_dtype, xp=xp))
 
-        #: This process's tile arenas, keyed (direction, end strip), and
-        #: the one memory pool they are carved from; see the module
-        #: docstring's process-ownership rule.
-        self._arenas: dict[tuple[int, bool], TileArena] = {}
+        #: This process's tile arenas, keyed by direction, and the one
+        #: memory pool they are carved from; see the module docstring's
+        #: process-ownership rule.
+        self._arenas: dict[int, TileArena] = {}
         self._pool = None
         #: Largest tile scratch any one :meth:`scratch` allocator asked for.
         self._high = [0]
@@ -422,8 +421,7 @@ class SolverWorkspace:
         return Scratch(pool, xp=self.xp, dtype=self.dtype, high=self._high)
 
     # ------------------------------------------------------------------
-    def tile_arena(self, d: int, tile_width: int, *,
-                   strip: bool = False) -> TileArena:
+    def tile_arena(self, d: int, tile_width: int) -> TileArena:
         """The calling process's private :class:`TileArena` for direction ``d``.
 
         Built lazily (or rebuilt, if a wider tile shows up) for slabs of
@@ -431,18 +429,10 @@ class SolverWorkspace:
         steps; callers take :meth:`TileArena.narrow` views for their
         exact tile extent.  All arenas share one pool — a process sweeps
         one direction at a time and nothing outlives a tile.
-
-        ``strip=True`` sizes the arena for a block's end strip instead:
-        the ``ng - 1`` cells along ``d`` whose ``ng`` faces are the ones
-        a split sweep reconstructs after its ghost hook.
         """
-        key = (d, strip)
-        spatial = self._spatial
-        if strip:
-            spatial = (*spatial[:d], self._ng - 1, *spatial[d + 1:])
-        arena = self._arenas.get(key)
+        arena = self._arenas.get(d)
         if arena is None or arena.width_cap < tile_width:
-            arena = TileArena(self._nvars, spatial, self._ng, d,
+            arena = TileArena(self._nvars, self._spatial, self._ng, d,
                               tile_width, self.dtype, xp=self.xp,
                               pool=self._pool)
             if arena.pool is not self._pool:
@@ -450,7 +440,7 @@ class SolverWorkspace:
                 # one and rebuild here on next use.
                 self._arenas.clear()
                 self._pool = arena.pool
-            self._arenas[key] = arena
+            self._arenas[d] = arena
         return arena
 
     # ------------------------------------------------------------------

@@ -130,9 +130,9 @@ class TestActiveSpansBitwise:
 
         with np.errstate(all="ignore"):
             if ranks:
-                # Two ranks along the first axis: it sweeps split, and
-                # the other axes sweep in bulk, where the hook-filled
-                # block's tiles skip.
+                # Two ranks along the first axis: its tiles' ghosts
+                # come from the neighbour's strips (or the BCs), and
+                # every direction's tiles skip.
                 arena, team = rank_team(bubble_case(shape), bcs,
                                         (2,) + (1,) * (ndim - 1),
                                         tiles=tiles, config=config)

@@ -256,7 +256,7 @@ class TestWorkspaceOwnership:
         ng = rhs.ghost_width
         for _ in range(2):  # a later direction may outgrow the first pool
             rhs(random_q((11, 9, 8), 2))
-        assert sorted(ws._arenas) == [(0, False), (1, False), (2, False)]
+        assert sorted(ws._arenas) == [0, 1, 2]
         x, y, z = (ws.tile_arena(0, 5), ws.tile_arena(1, 6),
                    ws.tile_arena(2, 6))
         assert [a.gathered for a in (x, y, z)] == [False, False, True]
@@ -451,26 +451,27 @@ class TestLayoutRule:
 
     @pytest.mark.parametrize("order", [1, 3, 5])
     @pytest.mark.parametrize("ndim", [1, 2, 3])
-    @pytest.mark.parametrize("split", [True, False],
+    @pytest.mark.parametrize("decomposed", [True, False],
                              ids=["split", "unsplit"])
-    def test_rank_local_engines(self, split, ndim, order):
-        """A rank's engine has no layout knob: split sweeps (two
-        periodic ranks) and bulk ones (one rank between walls) plan the
+    def test_rank_local_engines(self, decomposed, ndim, order):
+        """A rank's engine has no layout knob: tiles whose ghosts come
+        from the neighbours' strips (the domain split over two periodic
+        ranks) and from the BCs only (one rank between walls) plan the
         one schedule and obey the layout rule."""
         from tests.test_tiles import bubble_case, rank_team, team_rhs
 
         shape = self.SHAPES[ndim]
         case = bubble_case(shape)
-        bcs = (BoundarySet.all_periodic(ndim) if split
+        bcs = (BoundarySet.all_periodic(ndim) if decomposed
                else BoundarySet.all_extrapolation(ndim))
-        rank_grid = ((2,) if split else (1,)) + (1,) * (ndim - 1)
+        rank_grid = ((2,) if decomposed else (1,)) + (1,) * (ndim - 1)
         config = RHSConfig(weno_order=order)
         q = case.initial_conservative()
         serial = RHS(case.layout, case.mixture, case.grid, bcs, config)
         arena, ranks = rank_team(case, bcs, rank_grid, tiles=2, config=config)
         out = team_rhs(arena, ranks, q)
         assert_layout_rule([rank.ws for rank in ranks], ndim)
-        assert any(ranks[0]._split) == split
+        assert bool(ranks[0].transport.counters.messages) == decomposed
         assert self.digest(out) == self.digest(serial(q))
 
 

@@ -130,32 +130,38 @@ class TestProcessClusterBitIdentity:
     @pytest.mark.parametrize("rank_grid", [(2, 1), (1, 2)])
     def test_two_ranks_along_each_axis_at_minimal_split_extents(
             self, rank_grid):
-        # 13 cells over two ranks are blocks of 2 ng + 1 and 2 ng: the
-        # ghost-free face span a split sweep runs before the exchange
-        # is two faces on one rank and one on the other.
+        # 13 cells over two ranks are blocks of 2 ng + 1 and 2 ng: only
+        # two faces on one rank and one on the other read no ghost.
         case = bubble_case((13, 13))
         bcs = BoundarySet.all_extrapolation(2)
         sim = serial_march(case, bcs, n_steps=2, fixed_dt=2e-4)
         decomp = BlockDecomposition((13, 13), rank_grid)
-        split = ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
-                               RHSConfig(), fixed_dt=2e-4,
-                               ).run(case.initial_conservative(), n_steps=2)
+        split, again = (
+            ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
+                           RHSConfig(), fixed_dt=2e-4,
+                           ).run(case.initial_conservative(), n_steps=2)
+            for _ in range(2))
         np.testing.assert_array_equal(split.q, sim.q)
         # One full exchange per RHS evaluation, three per RK3 step.
         assert split.halo.messages == decomp.total_messages() * 3 * 2
+        # The ranks skip uniform faces, the same ones on every run.
+        assert split.sweep.as_dict() == again.sweep.as_dict()
+        assert 0 < split.sweep.faces_evaluated < split.sweep.faces
 
 
 class TestRankSolverIsTheSerialSweep:
     """A 1-rank ``RankSolver`` runs the same sweep body as ``RHS`` with
-    the ghost hook and the face-span split as its only parameters, so
-    the two agree on every observable: bytes, limiter count, counters."""
+    the posted strips as its only other ghost source, so the two agree
+    on every observable: bytes, limiter count, counters (faces evaluated
+    included)."""
 
     @pytest.mark.parametrize("layout,fusion,periodic", [
-        ("strided", "off", True),      # self-exchange: split face spans
-        ("strided", "off", False),     # walls only: bulk span
+        ("strided", "off", True),      # self-exchange: ghosts from strips
+        ("strided", "off", False),     # walls only: ghosts from the BCs
         ("transposed", "off", True),
         ("transposed", "off", False),
-        ("strided", "on", False),      # bulk sweeps fuse (pack=False)
+        ("strided", "on", False),      # tiles fuse (pack=False)
+        ("strided", "on", True),
     ])
     @pytest.mark.parametrize("shape", [(21, 16), (9, 8, 7)])
     def test_one_rank_equals_rhs(self, layout, fusion, periodic, shape):
@@ -180,12 +186,8 @@ class TestRankSolverIsTheSerialSweep:
         q = case.initial_conservative()
         assert rank.rhs(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
-        got, ref = (r.sweep_counters.as_dict() for r in (rank, rhs))
-        # A split sweep evaluates every face (its interior runs before
-        # the ghost cells exist); a bulk one skips what the RHS skips.
-        evaluated = got.pop("faces_evaluated"), ref.pop("faces_evaluated")
-        assert got == ref
-        assert evaluated[0] == (got["faces"] if periodic else evaluated[1])
+        assert (rank.sweep_counters.as_dict()
+                == rhs.sweep_counters.as_dict())
         assert (rhs.sweep_counters.fused_launches > 0) == (fusion == "on")
 
 

@@ -327,17 +327,13 @@ class TestThreadPlumbing:
             assert np.shares_memory(buf, mine.pool)
         assert not np.shares_memory(mine.pool, ws.prim)
         # Re-asking gets the cached arena back (a narrower request fits
-        # the one it has); the slab and end-strip arenas of one
-        # direction are distinct objects on one pool.
+        # the one it has).
         assert ws.tile_arena(0, 4) is mine
-        other = ws.tile_arena(0, 8, strip=True)
-        assert other is not mine
         # A wider tile outgrows the pool: the arena is rebuilt on a new
         # one, and the other arenas follow on next use.
         wider = ws.tile_arena(0, 9)
         assert wider is not mine and wider.width_cap == 9
         assert ws.tile_arena(0, 8) is wider
-        assert ws.tile_arena(0, 8, strip=True) is not other
         # The pool is the workspace's memory accounting: one per process.
         assert ws.nbytes == sum(a.nbytes for a in ws._all_arrays())
         assert ws._pool is wider.pool

@@ -256,14 +256,16 @@ def team_rhs(arena, ranks, q):
 
 
 class TestRankLocalTiles:
-    """A ghost-hook engine packs and fills its whole block once and cuts
-    the phases around the hook into the same tiles."""
+    """A rank tile is a serial tile with another ghost source: it packs
+    its own rows of ``prim``, fills walls from the BCs and the other
+    sides from the neighbours' posted strips, and skips uniform faces."""
 
     @pytest.mark.parametrize("layout,fusion,periodic", [
-        ("strided", "off", True),      # self-exchange: split face spans
-        ("strided", "off", False),     # walls only: bulk span
+        ("strided", "off", True),      # self-exchange: ghosts from strips
+        ("strided", "off", False),     # walls only: ghosts from the BCs
         ("transposed", "off", True),
-        ("strided", "on", False),      # bulk sweeps fuse (pack=False)
+        ("strided", "on", False),      # tiles fuse (pack=False)
+        ("strided", "on", True),
     ])
     @pytest.mark.parametrize("shape,tiles", [((21, 16), 3), ((9, 8, 7), 8)])
     def test_tiled_rank_equals_tiled_rhs(self, layout, fusion, periodic,
@@ -274,28 +276,19 @@ class TestRankLocalTiles:
                else BoundarySet.all_extrapolation(ndim))
         _, (rank,) = rank_team(case, bcs, (1,) * ndim, tiles=tiles,
                                fusion=fusion)
-        plans = rank._engine.plans
         rhs = RHS(case.layout, MIX, case.grid, bcs, RHSConfig(),
                   sweep_layout=layout, fusion=fusion, tiles=tiles)
         q = case.initial_conservative()
         assert rank.rhs(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
-        got, ref = (r.sweep_counters.as_dict() for r in (rank, rhs))
-        # A split sweep evaluates every face (its interior runs before
-        # the ghost cells exist); a bulk one skips what the RHS skips.
-        evaluated = got.pop("faces_evaluated"), ref.pop("faces_evaluated")
-        assert got == ref
-        assert evaluated[0] == (got["faces"] if periodic else evaluated[1])
-        # Only the block the hook fills and the flux a split sweep
-        # carries across it are block-sized.
+        # Faces evaluated included: a rank skips what the RHS skips.
+        assert (rank.sweep_counters.as_dict()
+                == rhs.sweep_counters.as_dict())
+        # No sweep touches a block-sized buffer.
         ws = rank.ws
-        assert sorted(ws.padded.made) == list(range(ndim))
-        assert not ws.face_l.made and not ws.weno_scratch.made
-        split = [d for d in range(ndim) if rank._split[d]]
-        assert split == (list(range(ndim)) if periodic else [])
-        assert sorted(ws.flux.made) == sorted(ws.u_face.made) == split
-
-
+        assert not any(getattr(ws, name).made for name in (
+            "padded", "face_l", "face_r", "flux", "u_face", "weno_scratch",
+            "riemann_scratch"))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), order=st.sampled_from([1, 3, 5]),
@@ -307,14 +300,15 @@ class TestRankLocalTiles:
     @example(seed=4, order=5, ndim=2, axis=0, extra=1, periodic=False,
              layout="strided", fusion="off", tiles=2)  # blocks of 2 ng + 1, 2 ng
     @example(seed=5, order=3, ndim=3, axis=1, extra=0, periodic=True,
-             layout="transposed", fusion="off", tiles=3)  # too short to split
+             layout="transposed", fusion="off", tiles=3)  # blocks of ng
     def test_two_rank_teams_match_the_serial_rhs(self, seed, order, ndim,
                                                  axis, extra, periodic,
                                                  layout, fusion, tiles):
-        """Two ranks along any axis, blocks from ``ng`` cells (no
-        ghost-free face: the sweep runs in bulk) through ``2 ng`` (one)
-        and up: the gathered tendency is the serial one (of either
-        layout), and every rank makes the serial RHS's WENO passes."""
+        """Two ranks along any axis, blocks from ``ng`` cells (every
+        face reads a ghost) through ``2 ng`` and up: the gathered
+        tendency is the serial one (of either layout), every rank makes
+        the serial RHS's WENO passes, and no rank evaluates a face more
+        than once."""
         axis %= ndim
         ng = halo_width(order)
         shape = list(SHAPES[ndim])
@@ -333,9 +327,10 @@ class TestRankLocalTiles:
                                  config=config, fusion=fusion)
         assert team_rhs(arena, ranks, q).tobytes() == expect
         for rank in ranks:
-            assert rank._split[axis] == (rank.local[axis] >= 2 * ng)
-            assert (rank.sweep_counters.weno_passes
-                    == serial.sweep_counters.weno_passes)
+            counters = rank.sweep_counters
+            assert counters.weno_passes == serial.sweep_counters.weno_passes
+            assert counters.faces_evaluated <= counters.faces
+            assert not rank.ws.padded.made
         # Both ranks reconstruct the faces they share.
         assert sum(r.limited_faces for r in ranks) >= serial.limited_faces
 
@@ -425,15 +420,15 @@ class TestStrideOrderGate:
             assert gate.calls["weno"] == (0 if fusion == "on" else 2 * tiles)
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
-    @pytest.mark.parametrize("split", [True, False])
-    def test_rank_local_modes(self, monkeypatch, split, ndim):
-        """Split sweeps (two periodic ranks) and bulk ones (one rank
-        between walls, whose hook fills walls only)."""
+    @pytest.mark.parametrize("exchange", [True, False])
+    def test_rank_local_modes(self, monkeypatch, exchange, ndim):
+        """Ghosts from the neighbours' strips (two periodic ranks) and
+        from the BCs only (one rank between walls)."""
         shape = self.SHAPES[ndim]
         case = bubble_case(shape)
-        bcs = (BoundarySet.all_periodic(ndim) if split
+        bcs = (BoundarySet.all_periodic(ndim) if exchange
                else BoundarySet.all_extrapolation(ndim))
-        rank_grid = ((2,) if split else (1,)) + (1,) * (ndim - 1)
+        rank_grid = ((2,) if exchange else (1,)) + (1,) * (ndim - 1)
         q = case.initial_conservative()
         for fusion in ("off", "on"):
             arena, ranks = rank_team(case, bcs, rank_grid, tiles=2,
@@ -443,7 +438,9 @@ class TestStrideOrderGate:
             team_rhs(arena, ranks, q)
             monkeypatch.undo()
             assert gate.calls["riemann"] > 0
-            assert ranks[0]._split == [split] * ndim
+            messages = sum(r.transport.counters.messages for r in ranks)
+            assert messages == ranks[0].decomp.total_messages()
+            assert bool(messages) == exchange
 
 
 # ----------------------------------------------------------------------

@@ -286,3 +286,36 @@ class TestOneHaloExchange:
         for name in ("DistributedSolver", "HaloExchanger"):
             assert name not in cluster.__all__
             assert not hasattr(cluster, name)
+
+
+class TestOneRankTileBody:
+    """Regrowth guard: a rank tile is a serial tile with another ghost
+    source.  A face-span split around the halo wait (its ``split=``
+    sweep, end-strip arenas and per-direction ``_split`` flags) keeps a
+    rank's faces out of the active spans; it must not grow back."""
+
+    def test_no_split_phases(self):
+        import inspect
+
+        from repro.solver.sweep import SweepEngine
+        from repro.solver.workspace import SolverWorkspace
+
+        assert "split" not in inspect.signature(SweepEngine.sweep).parameters
+        assert "strip" not in inspect.signature(
+            SolverWorkspace.tile_arena).parameters
+
+    def test_two_rank_team_skips_uniform_faces(self):
+        from repro.bc import BoundarySet
+        from repro.profiling.counters import SweepCounters
+        from tests.test_tiles import bubble_case, rank_team, team_rhs
+
+        # Periodic on both axes: every direction of both ranks has a
+        # neighbour, and every tile still skips its uniform faces.
+        case = bubble_case((24, 16))
+        arena, team = rank_team(case, BoundarySet.all_periodic(2), (2, 1))
+        team_rhs(arena, team, case.initial_conservative())
+        merged = SweepCounters()
+        for rank in team:
+            assert not hasattr(rank, "_split")
+            merged.merge(rank.sweep_counters)
+        assert 0 < merged.faces_evaluated < merged.faces
