@@ -105,6 +105,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(sim.rhs.sweep_counters.summary())
         if sim.halo_counters is not None:
             print(sim.halo_counters.summary())
+            for rank, (wait, done, faces) in enumerate(sim.rank_loads):
+                print(f"rank {rank}: faces evaluated {done} of {faces} "
+                      f"({100 * done / faces:.1f}%), {wait / 1e6:.1f} ms "
+                      f"waiting on peers")
     else:
         print(f"done: horizon t_end already reached; no steps taken "
               f"(t = {sim.time:.6g})")

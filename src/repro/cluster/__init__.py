@@ -12,7 +12,6 @@ _EXPORTS = {
     "MachineSpec": "topology", "SUMMIT": "topology", "FRONTIER": "topology",
     "NetworkModel": "mpi_sim", "CommModel": "mpi_sim",
     "validate_periodicity": "halo",
-    "RankSolver": "ranksolver",
     "ProcessCluster": "procs", "ClusterResult": "procs", "RankFault": "procs",
     "SharedMemoryTransport": "procs", "ShmArena": "procs",
     "Event": "events", "EventSimulator": "events", "StepTimeline": "events",

@@ -164,6 +164,13 @@ class BlockDecomposition:
             out.append(slice(start, start + size))
         return tuple(out)
 
+    def block_grid(self, grid, rank: int):
+        """``rank``'s block of the global ``grid``: the faces bounding
+        its cells, so its widths and centres are bitwise the slices of
+        the global ones."""
+        return type(grid)(tuple(f[s.start:s.stop + 1] for f, s in
+                                zip(grid.faces, self.local_slices(rank))))
+
     def neighbor(self, rank: int, axis: int, side: int) -> int | None:
         """Neighbouring rank across ``axis`` (side -1 or +1), or None at a wall."""
         if side not in (-1, 1):

@@ -6,9 +6,10 @@ transport, :class:`~repro.cluster.procs.SharedMemoryTransport`, packs
 :func:`boundary_strip` straight into a shared mailbox, and each sweep
 tile copies its rows of the neighbour's strip into its ghost layer (the
 rows :func:`ghost_strip` names on a whole padded block); the sides of a
-block that touch the global domain edge take the physical BCs, and
+block that touch the global domain edge take the physical BCs.
 :func:`validate_periodicity` rejects a boundary set the decomposition
-cannot wrap.  The transport's :class:`~repro.profiling.counters.
+cannot wrap, and :func:`validate_block_extents` a block too narrow to
+post its strips.  The transport's :class:`~repro.profiling.counters.
 HaloCounters` tally every strip it moves, which is what
 :meth:`~repro.cluster.decomposition.BlockDecomposition.total_messages`
 and :meth:`~repro.cluster.decomposition.BlockDecomposition.
@@ -45,6 +46,19 @@ def validate_periodicity(decomp: BlockDecomposition, bcs: BoundarySet) -> None:
             raise ConfigurationError(
                 f"axis {axis}: BoundarySet periodicity must match the "
                 f"decomposition's periodic flags")
+
+
+def validate_block_extents(decomp: BlockDecomposition, ng: int) -> None:
+    """Reject a block narrower than ``ng`` cells along an axis it
+    exchanges on: the strip it posts is its ``ng`` cells nearest the
+    neighbour."""
+    for rank in range(decomp.nranks):
+        for axis, extent in enumerate(decomp.local_cells(rank)):
+            if extent < ng and decomp.neighbor_sides(rank, axis):
+                raise ConfigurationError(
+                    f"rank {rank}: its block has {extent} cells along axis "
+                    f"{axis}, fewer than the ghost width ng = {ng} a halo "
+                    f"strip holds; use fewer ranks along that axis")
 
 
 def boundary_strip(field: np.ndarray, axis: int, ng: int, side: int) -> np.ndarray:

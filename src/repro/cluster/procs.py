@@ -3,9 +3,10 @@
 This is the executable counterpart of the analytic cluster models: one
 forked :class:`~repro.common.workers.Worker` per rank of the 3D block
 decomposition, each running the march loop (:class:`repro.solver.march.
-March`) on a :class:`~repro.cluster.ranksolver.RankSolver` over its own
-block — the loop every driver runs, with the CFL rate and the state
-check reduced across ranks — with halo buffers packed zero-copy into
+March`) on the serial :class:`~repro.solver.rhs.RHS` over its own block
+grid with its transport as the other ghost source — the loop and the
+RHS every driver runs, with the CFL rate and the state check reduced
+across ranks — with halo buffers packed zero-copy into
 one anonymous shared mapping (:func:`~repro.common.workers.
 shared_array` — no ``/dev/shm`` name, nothing to unlink) and exchanged
 through a lightweight mailbox protocol (the single-node stand-in for
@@ -14,8 +15,8 @@ transport: its per-rank :class:`~repro.profiling.counters.HaloCounters`
 are what the decomposition's ``total_messages()`` and
 ``total_halo_bytes()`` reconcile against, one full exchange per RHS
 evaluation.  Ranks need not be processes to use it: one arena and one
-transport per rank in a single process form an in-process team, as
-long as every rank posts before any rank fills.
+transport per rank in a single process form an in-process team, one
+thread per rank (a rank's RHS posts, then waits on its neighbours').
 
 Mailbox protocol
 ----------------
@@ -36,7 +37,7 @@ deadline and are tallied in :class:`~repro.profiling.counters.
 HaloCounters` (``waits``/``wait_ns`` — time a rank spent waiting on a
 peer; on one host that is load imbalance, not wire latency).  All strips
 are posted before the first sweep, so nothing but the dt reduction is
-overlapped with compute.
+overlapped with compute (stage one's first sweep).
 
 Plain stores give no cross-process ordering on weakly-ordered CPUs
 (aarch64), so every sequence word is *published* inside a per-mailbox
@@ -95,8 +96,11 @@ import numpy as np
 
 from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
-from repro.cluster.halo import boundary_strip, validate_periodicity
-from repro.cluster.ranksolver import RankSolver
+from repro.cluster.halo import (
+    boundary_strip,
+    validate_block_extents,
+    validate_periodicity,
+)
 from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
 from repro.common.workers import (
     drain_and_join,
@@ -110,8 +114,9 @@ from repro.io.checkpoint import CheckpointManager
 from repro.profiling.counters import HaloCounters, SweepCounters
 from repro.solver.march import March
 from repro.solver.options import KnobAccess, SolverOptions, fold
-from repro.solver.rhs import RHSConfig
+from repro.solver.rhs import RHS, RHSConfig
 from repro.state.layout import StateLayout
+from repro.tuning.plan import heuristic_plan
 from repro.weno import halo_width
 
 #: Exit code a worker uses to simulate a hardware fault (vs. 1 for a
@@ -242,10 +247,10 @@ class ShmArena:
 class SharedMemoryTransport:
     """One rank's halo endpoint over the arena (see module docstring).
 
-    A :class:`RankSolver`'s transport: :meth:`post` packs boundary
-    strips straight into the shared mailboxes, :meth:`fill` lends the
-    neighbours' strips to the sweep's tiles, which copy them into their
-    ghost layers.
+    A rank's :class:`~repro.solver.rhs.RHS` ``transport``: :meth:`post`
+    packs boundary strips straight into the shared mailboxes,
+    :meth:`fill` lends the neighbours' strips to the sweep's tiles,
+    which copy them into their ghost layers.
     """
 
     def __init__(self, arena: ShmArena, rank: int, *,
@@ -452,25 +457,33 @@ class ClusterResult:
     history: tuple[tuple[int, float, float, float], ...]
     restarts: int
     limited_faces: int
+    #: Per rank ``(wait_ns, faces_evaluated, faces)``: the merged
+    #: ``halo``/``sweep`` split, which shows a rank idling on its peers.
+    ranks: tuple[tuple[int, int, int], ...]
 
 
 class _RankMarch(March):
-    """One rank: one slot of the march loop on its :class:`RankSolver`,
-    the state marched in place in the rank's arena block and the CFL
-    rate reduced across ranks.  The cadence check is collective (a max
-    of the failure flag): every rank stops at the step any block fails,
-    so no peer waits out ``cluster_timeout`` on a halo post."""
+    """One rank: one slot of the march loop on the serial RHS over its
+    block grid, the transport its other ghost source, marched on the
+    RHS's workspace from its arena block, with the CFL rate reduced
+    across ranks.  The cadence check is collective (a max of the
+    failure flag): every rank stops at the step any block fails, so no
+    peer waits out ``cluster_timeout`` on a halo post."""
 
     def __init__(self, arena: ShmArena, rank: int, grid: StructuredGrid,
                  layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
                  config: RHSConfig, options: SolverOptions, march: dict):
         self.transport = transport = SharedMemoryTransport(
             arena, rank, timeout=options.cluster_timeout)
-        self.rhs = RankSolver(arena.decomp, rank, layout, mixture, bcs, config,
-                              grid, transport, fusion=options.fusion)
+        self.rhs = RHS.planned(
+            layout, mixture, arena.decomp.block_grid(grid, rank), bcs, config,
+            options, heuristic_plan(sweep_layout=options.sweep_layout,
+                                    fusion=options.fusion),
+            transport=transport)
         self.options, self.layout, self.mixture = options, layout, mixture
-        self.config, self.widths, self.stopwatch = config, self.rhs.widths, None
-        self._block = arena.block(rank)
+        self.config, self.stopwatch = config, None
+        self.widths = self.rhs.grid.width_fields()
+        self.q = arena.block(rank)
 
         def reduce(rate):
             # Post the local wave rate now and collect the global max
@@ -483,14 +496,6 @@ class _RankMarch(March):
         super().__init__(times=[march["base_time"]], steps=[march["base_step"]],
                          step_count=march["base_step"],
                          prefixes=[f"rank{rank:04d}"], reduce=reduce)
-
-    @property
-    def q(self) -> np.ndarray:
-        return self._block
-
-    @q.setter
-    def q(self, value) -> None:
-        self._block[...] = value
 
     def _failures(self) -> dict[int, str]:
         failed = super()._failures()
@@ -539,6 +544,7 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
         # stops at it: the reduced dt and the check are collective.
         conn.send({"rank": rank, "error": f"rank {rank}: {err}"})
         return
+    arena.block(rank)[...] = m.q
     conn.send({
         "rank": rank,
         "time": float(m.times[0]),
@@ -584,13 +590,16 @@ class ProcessCluster(KnobAccess):
                 f"decomposition covers {decomp.global_cells}, "
                 f"grid has {grid.shape}")
         validate_periodicity(decomp, bcs)
+        ng = halo_width(config.weno_order)
+        validate_block_extents(decomp, ng)
         if not 0 <= getattr(fault, "rank", 0) < decomp.nranks:
             raise ConfigurationError(
                 f"fault rank {fault.rank} outside 0..{decomp.nranks - 1}")
-        # Validate numerics knobs up front (in-process, good tracebacks)
-        # by building rank 0's solver against a throwaway transport.
-        RankSolver(decomp, 0, layout, mixture, bcs, config, grid,
-                   transport=None, fusion=self.fusion)
+        # Validate the numerics up front (in-process, before any fork)
+        # by building rank 0's march as its worker will.
+        _RankMarch(ShmArena(decomp, layout.nvars, ng), 0, grid, layout,
+                   mixture, bcs, config, self.options,
+                   dict(base_time=0.0, base_step=0)).close()
 
     def _discard_stale_checkpoints(self) -> None:
         """Remove rank checkpoints left by a previous run.
@@ -687,18 +696,18 @@ class ProcessCluster(KnobAccess):
     # ------------------------------------------------------------------
     def _collect(self, arena: ShmArena, results: list[dict],
                  restarts: int) -> ClusterResult:
-        halo = HaloCounters()
-        sweep = SweepCounters()
-        history: list = []
-        limited = 0
-        for res in results:
-            halo.merge(HaloCounters(**res["halo"]))
-            sweep.merge(SweepCounters(**res["sweep"]))
-            limited += res["limited_faces"]
-            if res["rank"] == 0:
-                history = res["history"]
+        halo, sweep, loads = HaloCounters(), SweepCounters(), []
+        for res in sorted(results, key=lambda res: res["rank"]):
+            rank_halo = HaloCounters(**res["halo"])
+            rank_sweep = SweepCounters(**res["sweep"])
+            halo.merge(rank_halo)
+            sweep.merge(rank_sweep)
+            loads.append((rank_halo.wait_ns, rank_sweep.faces_evaluated,
+                          rank_sweep.faces))
         r0 = next(res for res in results if res["rank"] == 0)
         return ClusterResult(
             q=arena.gather(), time=r0["time"], step_count=r0["step_count"],
-            halo=halo, sweep=sweep, history=tuple(tuple(h) for h in history),
-            restarts=restarts, limited_faces=limited)
+            halo=halo, sweep=sweep,
+            history=tuple(tuple(h) for h in r0["history"]), restarts=restarts,
+            limited_faces=sum(res["limited_faces"] for res in results),
+            ranks=tuple(loads))

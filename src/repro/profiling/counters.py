@@ -292,9 +292,7 @@ class HaloCounters:
     waits:
         Spins on a peer: a receive that found the neighbour's mailbox
         not yet posted, a post whose previous strip was not yet
-        acknowledged, or a reduction slot not yet written (zero for
-        the halo when every rank posts before any rank fills, as an
-        in-process team does).
+        acknowledged, or a reduction slot not yet written.
     wait_ns:
         Nanoseconds spent in those spins: time a rank sat idle on a
         peer.  Every strip is posted before the first sweep, so on one
@@ -304,9 +302,10 @@ class HaloCounters:
         Cluster-wide dt min-reductions performed (one per CFL step).
     reductions_overlapped:
         The subset of those reductions whose completion was overlapped
-        with the first RK stage's RHS (``reduce_max_begin`` before it,
-        ``reduce_max_finish`` after it) instead of blocking the step up
-        front — the one communication the rank step overlaps.
+        with the first sweep of RK stage one (``reduce_max_begin``
+        before the stage, ``reduce_max_finish`` after that sweep)
+        instead of blocking the step up front — the one communication
+        the rank step overlaps.
     """
 
     messages: int = 0

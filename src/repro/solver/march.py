@@ -5,8 +5,9 @@ the one caller of :func:`~repro.timestepping.time_step`.  The drivers are
 constructors around it: a standalone :class:`~repro.solver.simulation.
 Simulation` is one slot on its own unbatched RHS, an :class:`~repro.
 ensemble.simulation.EnsembleSimulation` ``B`` slots on one stacked RHS,
-a rank of :class:`~repro.cluster.procs.ProcessCluster` one slot on its
-:class:`~repro.cluster.ranksolver.RankSolver` with ``reduce=``.  Each
+a rank of :class:`~repro.cluster.procs.ProcessCluster` one slot on the
+same :class:`~repro.solver.rhs.RHS` over its block grid with
+``reduce=``.  Each
 step, in order:
 
 1. the attempt ladder: a :class:`~repro.solver.resilience.RetryPolicy`

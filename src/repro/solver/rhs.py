@@ -3,7 +3,7 @@
 Per direction ``d`` the dimension-split pipeline is exactly MFC's:
 
 1. pad primitives with ghost cells along ``d`` and fill them
-   (physical BCs here; halo exchange in distributed runs),
+   (physical BCs; on a rank's block, the neighbours' posted strips too),
 2. WENO-reconstruct left/right face states,
 3. solve the face Riemann problems (HLLC by default),
 4. accumulate the conservative flux divergence and the face-velocity
@@ -26,7 +26,7 @@ rows of the Shu-Osher combination.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -92,9 +92,10 @@ class _Launch:
     The body the :class:`~repro.acc.gang.GangExecutor` runs on every
     member (the serial path calls it with rank 0): the member's tiles of
     the sweep, plus the step work the workspace's ``control`` record
-    folds around each tile on that tile's own slab rows.  It holds the
-    engine and the workspace — never the RHS, which must stay out of
-    reference cycles.  Returns ``(limited faces, faces left out, wave
+    folds around each tile on that tile's own slab rows, with ``halo``
+    the sweep's posted strips on a rank (which runs no gang).  It holds
+    the engine and the workspace — never the RHS, which must stay out
+    of reference cycles.  Returns ``(limited faces, faces left out, wave
     rate or None)``.
     """
 
@@ -104,7 +105,7 @@ class _Launch:
         self.ws, self.widths, self.width = ws, widths, width
         self.stopwatch = stopwatch
 
-    def __call__(self, d: int, rank: int):
+    def __call__(self, d: int, rank: int, halo=(None, None)):
         layout, mixture, ws, sw = (self.layout, self.mixture, self.ws,
                                    self.stopwatch)
         xp, ctl, nb = ws.xp, ws.control, self.engine.nb
@@ -151,7 +152,7 @@ class _Launch:
 
         limited, skipped = self.engine.sweep(
             ws, ws.prim, d, self.widths[d - nb], ws.dqdt, ws.divu,
-            share=(rank, self.width),
+            halo=halo, share=(rank, self.width),
             before=before if flags & (ZERO | CONVERT | RATE) else None,
             after=after if flags & FINISH else None)
         return limited, skipped, rate
@@ -201,7 +202,7 @@ class RHS(AbstractContextManager):
 
     Every workspace evaluation runs the one slab body of
     :class:`~repro.solver.sweep.SweepEngine` over slab tiles; serial,
-    gang and fused execution are parameters of that body
+    gang, fused, batched and rank execution are parameters of that body
     and all bitwise identical.  With a gang width above one the tiles
     execute across a :class:`~repro.acc.gang.GangExecutor` — this
     process plus forked workers over the workspace's shared buffers
@@ -246,6 +247,12 @@ class RHS(AbstractContextManager):
     #: components, boundary sets, cell widths) keep their physical
     #: direction index.  Every case advances bitwise as it would alone.
     batch: int | None = None
+    #: A rank's halo source, its :class:`~repro.cluster.procs.
+    #: SharedMemoryTransport` (``grid`` is then the rank's block grid,
+    #: :meth:`~repro.cluster.decomposition.BlockDecomposition.block_grid`);
+    #: None is a whole domain.  A rank runs on its workspace, with gang
+    #: width 1: the ranks are the gang.
+    transport: object = None
 
     def __post_init__(self) -> None:
         self.backend = resolve_backend(self.backend)
@@ -268,6 +275,13 @@ class RHS(AbstractContextManager):
             if not self.use_workspace:
                 raise ConfigurationError(
                     "batched (ensemble) RHS requires use_workspace=True")
+        if self.transport is not None:
+            if self.config.viscosity is not None:
+                # Viscous fluxes read neighbour cells no strip carries.
+                raise ConfigurationError(
+                    "distributed runs do not support viscous terms yet")
+            # The strips meet the tiles on the workspace, on this process.
+            self.use_workspace, self.threads = True, 1
         self._ng = halo_width(self.config.weno_order)
         optional(integer(1))("tiles", self.tiles)
         validate_geometry(self.config.geometry, self.layout, self.grid)
@@ -321,7 +335,7 @@ class RHS(AbstractContextManager):
             self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
             counters=self.sweep_counters, fused=fused, batch=self.batch,
             workers=floor, tiles=self.tiles, dtype=self.dtype,
-            stopwatch=self.stopwatch)
+            stopwatch=self.stopwatch, halo=self.transport is not None)
         #: One value when fused; the e2e fusion probe spells it.
         self.fusion_backend = "numpy" if fused else None
         #: Resolved gang width and the reason for it (the banner text).
@@ -347,7 +361,8 @@ class RHS(AbstractContextManager):
 
     @classmethod
     def planned(cls, layout, mixture, grid, bcs, config, options, plan, *,
-                stopwatch=None, batch: int | None = None) -> "RHS":
+                stopwatch=None, batch: int | None = None,
+                transport=None) -> "RHS":
         """The RHS a driver runs: ``options`` resolved into ``plan``.
 
         The one construction every driver shares.  ``plan`` is the
@@ -362,7 +377,8 @@ class RHS(AbstractContextManager):
                             else options.threads),
                    sweep_layout=plan.sweep_layout, fusion=plan.fusion,
                    tiles=plan.tiles, backend=plan.backend,
-                   dtype=precision_dtype(options.precision), batch=batch)
+                   dtype=precision_dtype(options.precision), batch=batch,
+                   transport=transport)
 
     def close(self) -> None:
         """Stop and reap the gang's workers (idempotent)."""
@@ -442,7 +458,11 @@ class RHS(AbstractContextManager):
         either (or a 1D stage whose dt waits on its one launch) the
         finish runs as a row-tile loop after the launches instead.  A
         plain call converts ``q`` on the caller first: gang members
-        reach only the workspace.  Bitwise identical in every case.
+        reach only the workspace.  So does a rank, which then posts
+        every axis's boundary strips of the whole converted block and
+        runs each direction's launch inside its transport's ``fill``,
+        the neighbours' strips its tiles' other ghost source.  Bitwise
+        identical in every case.
         """
         ws = self.workspace
         if ws is None or not ws.compatible(q):
@@ -451,8 +471,9 @@ class RHS(AbstractContextManager):
         dirs = range(self._nb, self._nb + layout.ndim)
         if prim is not None and prim is not ws.prim:
             xp.copyto(ws.prim, prim)
-        convert = prim is None and stage is not None
-        if prim is None and stage is None:
+        transport = self.transport
+        convert = prim is None and stage is not None and transport is None
+        if prim is None and not convert:
             with timed(sw, "other"):
                 cons_to_prim(layout, self.mixture, q, out=ws.prim, tiles=ws)
         measure = stage is not None and stage.rate
@@ -467,6 +488,10 @@ class RHS(AbstractContextManager):
             ctl[_SRC], ctl[_DEST] = bufs.index(id(q)), bufs.index(id(stage.dest))
             q_n = (ws.rk_result, ws.rk_stage)[1 - int(ctl[_DEST])]
             ctl[_A], ctl[_B], ctl[_C] = stage.a, stage.b, stage.c
+        if transport is not None:
+            # Dimension-split: a sweep waits on its own axis's strips only.
+            for d in dirs:
+                transport.post(transport.rank, d, ws.prim)
         for d in dirs:
             flags = 0
             if d == dirs[0]:
@@ -478,8 +503,10 @@ class RHS(AbstractContextManager):
                         stage.dt if ws.batch is None
                         else to_host_array(stage.dt), -1)
             ctl[_FLAGS] = flags
-            results = (self.executor.launch(d) if self.executor is not None
-                       else [self._launch(d, 0)])
+            with (nullcontext((None, None)) if transport is None
+                  else transport.fill(transport.rank, d)) as halo:
+                results = (self.executor.launch(d) if self.executor is not None
+                           else [self._launch(d, 0, halo)])
             self.limited_faces += sum(limited for limited, _, _ in results)
             self.sweep_counters.record_skipped(sum(s for _, s, _ in results))
             if d == dirs[0] and stage is not None:

@@ -105,8 +105,9 @@ class Simulation(March):
             options, threads=self.rhs.threads, backend=backend,
             sweep_layout=plan.sweep_layout, fusion=plan.fusion)
         #: Merged :class:`~repro.profiling.counters.HaloCounters` of the
-        #: last multi-process :meth:`run` (None until one completes).
-        self.halo_counters = None
+        #: last multi-process :meth:`run` (None until one completes), and
+        #: its per-rank split (:attr:`~repro.cluster.ClusterResult.ranks`).
+        self.halo_counters = self.rank_loads = None
         super().__init__(prefixes=["ckpt"], fault_plans=(
             None if fault_injector is None else {0: fault_injector}))
 
@@ -171,7 +172,8 @@ class Simulation(March):
         decomposition, seeded with the driver's absolute clock and
         bitwise identical to the serial march; the driver's state,
         clock, history, counters and restart tally absorb its result and
-        the merged halo counters land in :attr:`halo_counters`.
+        the merged halo counters land in :attr:`halo_counters`, each
+        rank's wait and faces in :attr:`rank_loads`.
         """
         if self.ranks == 1:
             super().run(t_end=t_end, n_steps=n_steps, callback=callback)
@@ -193,7 +195,7 @@ class Simulation(March):
         self.q = self.backend.from_host(result.q, dtype=self._dtype)
         self._set_clock(result.step_count, result.time)
         self.history.extend(StepRecord(*h) for h in result.history)
-        self.halo_counters = result.halo
+        self.halo_counters, self.rank_loads = result.halo, result.ranks
         self.rhs.sweep_counters.merge(result.sweep)
         self.rhs.limited_faces += result.limited_faces
         self.recovery.restarts += result.restarts

@@ -165,9 +165,9 @@ def ssp_rk_step(rhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     dt`` is first formed: a zero-argument one after stage one's
     ``rhs(...)`` returns (or, folding, after its first sweep).  Stage
     one's RHS does not depend on dt, so a cluster rank posts its wave
-    rate, evaluates that RHS while the other ranks' contributions
-    arrive, and collects the reduced dt here — the same values in the
-    same order as a blocking reduction.  With ``rate=True`` (folding
+    rate, sweeps while the other ranks' contributions arrive, and
+    collects the reduced dt then — the same values in the same order as
+    a blocking reduction.  With ``rate=True`` (folding
     only) it is called with the wave rate of ``q`` that stage one's
     first sweep measures while it converts ``q`` to primitives.
 

@@ -63,8 +63,9 @@ def time_step(rhs, q, *, layout, mixture, widths, options, workspace=None,
     reduce:
         ``reduce(local_rate)`` starts a cross-rank max-reduction and
         returns the zero-argument call that completes it.  The CFL dt is
-        then resolved inside :func:`ssp_rk_step`, after stage one's RHS,
-        so the reduction overlaps that RHS.
+        then resolved inside :func:`ssp_rk_step`, after stage one's
+        first sweep (a folding RHS, such as a rank's) or its whole RHS,
+        so the reduction overlaps that compute.
 
     A batch-stacked ``q`` of shape ``(nvars, B, *grid)`` takes (and
     returns, on the host) a length-``B`` dt vector: each case advances

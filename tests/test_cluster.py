@@ -30,7 +30,7 @@ from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.solver import Case, Patch, RHSConfig, Simulation, box, sphere
 from repro.state import StateLayout
-from tests.test_tiles import rank_team, team_rhs
+from tests.test_tiles import rank_team, team_call, team_rhs
 
 AIR = StiffenedGas(1.4)
 MIX = Mixture((AIR, AIR))
@@ -277,18 +277,14 @@ class TestDistributedAllocationBudget:
                                  (2, 1))
         q0 = case.initial_conservative()
         arena.scatter(q0)
-
-        def evaluate():
-            prims = [rank.rhs_begin(arena.block(rank.rank)) for rank in ranks]
-            return [rank.rhs_finish(prim) for rank, prim in zip(ranks, prims)]
-        return evaluate, ranks, q0
+        return (lambda: team_call(arena, ranks)), ranks, q0
 
     def test_returns_same_buffers_every_call(self):
         evaluate, ranks, _ = self._team()
         first = evaluate()
         second = evaluate()
         for rank, a, b in zip(ranks, first, second):
-            assert a is b is rank.ws.dqdt
+            assert a is b is rank.workspace.dqdt
 
     def test_steady_state_rhs_stays_under_budget(self):
         from repro.profiling import measure_call_allocations

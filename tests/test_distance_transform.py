@@ -361,11 +361,11 @@ class TestColdStart:
 class TestLazyClusterExports:
     def test_named_imports_resolve(self):
         from repro.cluster import (BlockDecomposition, ProcessCluster,
-                                   RankSolver, validate_periodicity)
+                                   ClusterResult, validate_periodicity)
         assert BlockDecomposition.__module__ == "repro.cluster.decomposition"
         assert validate_periodicity.__module__ == "repro.cluster.halo"
         assert ProcessCluster.__module__ == "repro.cluster.procs"
-        assert RankSolver.__module__ == "repro.cluster.ranksolver"
+        assert ClusterResult.__module__ == "repro.cluster.procs"
 
     @pytest.mark.parametrize("package", [
         "repro.cluster", "repro.acc", "repro.profiling", "repro.hardware",

@@ -470,7 +470,7 @@ class TestLayoutRule:
         serial = RHS(case.layout, case.mixture, case.grid, bcs, config)
         arena, ranks = rank_team(case, bcs, rank_grid, tiles=2, config=config)
         out = team_rhs(arena, ranks, q)
-        assert_layout_rule([rank.ws for rank in ranks], ndim)
+        assert_layout_rule([rank.workspace for rank in ranks], ndim)
         assert bool(ranks[0].transport.counters.messages) == decomposed
         assert self.digest(out) == self.digest(serial(q))
 

@@ -23,7 +23,6 @@ from repro.cluster import (
     BlockDecomposition,
     ProcessCluster,
     RankFault,
-    RankSolver,
     SharedMemoryTransport,
     ShmArena,
 )
@@ -150,9 +149,9 @@ class TestProcessClusterBitIdentity:
 
 
 class TestRankSolverIsTheSerialSweep:
-    """A 1-rank ``RankSolver`` runs the same sweep body as ``RHS`` with
-    the posted strips as its only other ghost source, so the two agree
-    on every observable: bytes, limiter count, counters (faces evaluated
+    """A 1-rank block runs the serial ``RHS`` with the posted strips as
+    its only other ghost source, so it agrees with a whole-domain RHS on
+    every observable: bytes, limiter count, counters (faces evaluated
     included)."""
 
     @pytest.mark.parametrize("layout,fusion,periodic", [
@@ -174,21 +173,82 @@ class TestRankSolverIsTheSerialSweep:
                                              periodic=(periodic,) * ndim)
         transport = SharedMemoryTransport(
             ShmArena(decomp, case.layout.nvars, 3), 0, timeout=5.0)
-        rank = RankSolver(decomp, 0, case.layout, MIX, bcs, config,
-                          case.grid, transport, fusion=fusion)
-        # A rank takes the heuristic tile count, one tile on a block
-        # this small (tests/test_tiles.py pins it higher); pin the
-        # serial fused RHS to the same count so the launch counters are
-        # comparable on any host's cache size.
+        rank = RHS(case.layout, MIX, decomp.block_grid(case.grid, 0), bcs,
+                   config, fusion=fusion, transport=transport)
+        # Both take the heuristic tile count; a whole-domain RHS plans
+        # a gang of it on a multi-core host, so pin it serial.
         rhs = RHS(case.layout, MIX, case.grid, bcs, config,
-                  sweep_layout=layout, fusion=fusion,
-                  tiles=1 if fusion == "on" else None)
+                  sweep_layout=layout, fusion=fusion, threads=1)
         q = case.initial_conservative()
-        assert rank.rhs(q).tobytes() == rhs(q).tobytes()
+        assert rank(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
         assert (rank.sweep_counters.as_dict()
                 == rhs.sweep_counters.as_dict())
         assert (rhs.sweep_counters.fused_launches > 0) == (fusion == "on")
+
+
+class TestRankBlocks:
+    """What a rank's block grid brings along: its own radii, per-rank
+    figures, and a declared refusal of blocks too narrow to post."""
+
+    def test_narrow_block_refused_before_any_fork(self):
+        # Blocks of 3 and 2 cells along x: WENO5's ng = 3 strip does not
+        # fit rank 1's block, WENO3's ng = 2 does.
+        case = bubble_case((5, 8))
+        bcs = BoundarySet.all_extrapolation(2)
+        decomp = BlockDecomposition((5, 8), (2, 1), (False, False))
+        with pytest.raises(ConfigurationError,
+                           match=r"rank 1: .* 2 cells along axis 0.*ng = 3"):
+            ProcessCluster(case.grid, case.layout, MIX, bcs, decomp,
+                           RHSConfig())
+        config = RHSConfig(weno_order=3)
+        result = ProcessCluster(
+            case.grid, case.layout, MIX, bcs, decomp, config,
+            fixed_dt=2e-4).run(case.initial_conservative(), n_steps=2)
+        serial = serial_march(case, bcs, n_steps=2, fixed_dt=2e-4,
+                              config=config)
+        np.testing.assert_array_equal(result.q, serial.q)
+
+    def test_rank_loads_sum_to_the_merged_counters(self):
+        sim = Simulation(bubble_case((24, 24)),
+                         BoundarySet.all_extrapolation(2), validate_every=0,
+                         ranks=2)
+        sim.run(n_steps=3)
+        sweep = sim.rhs.sweep_counters
+        waits, evaluated, faces = zip(*sim.rank_loads)
+        assert len(waits) == 2
+        assert sum(waits) == sim.halo_counters.wait_ns
+        assert sum(evaluated) == sweep.faces_evaluated
+        assert sum(faces) == sweep.faces
+        assert all(0 < e <= f for e, f in zip(evaluated, faces))
+
+    @pytest.mark.parametrize("rank_grid", [(2, 1), (1, 2)],
+                             ids=["split-x", "split-r"])
+    def test_axisymmetric_ranks_match_serial(self, rank_grid):
+        from repro.bc import BC
+
+        grid = StructuredGrid.uniform(((0.0, 1.0), (0.0, 0.5)), (16, 12))
+        case = Case(grid, MIX)
+        case.add(Patch(box([0.0, 0.0], [1.0, 1.0]), (0.5, 0.5),
+                       (0.2, 0.0), 1.0, (0.5,)))
+        case.add(Patch(sphere([0.5, 0.0], 0.2), (1.0, 1.0),
+                       (0.0, 0.0), 2.0, (0.5,)))
+        bcs = BoundarySet(((BC.EXTRAPOLATION, BC.EXTRAPOLATION),
+                           (BC.REFLECTIVE, BC.EXTRAPOLATION)))
+        config = RHSConfig(geometry="axisymmetric")
+        serial = serial_march(case, bcs, n_steps=3, config=config)
+        decomp = BlockDecomposition((16, 12), rank_grid, (False, False))
+        result = ProcessCluster(grid, case.layout, MIX, bcs, decomp, config,
+                                validate_every=0).run(
+            case.initial_conservative(), n_steps=3)
+        np.testing.assert_array_equal(result.q, serial.q)
+        assert result.time == serial.time
+
+    def test_viscous_ranks_refused(self):
+        # Viscous fluxes read neighbour cells no halo strip carries.
+        with pytest.raises(ConfigurationError, match="viscous"):
+            cluster_for(bubble_case((16, 16)), BoundarySet.all_periodic(2),
+                        2, config=RHSConfig(viscosity=(1e-3, 1e-3)))
 
 
 class TestJoinAndDrain:
@@ -548,6 +608,8 @@ class TestCaseFileAndCLI:
         out = capsys.readouterr().out
         assert "2 ranks" in out
         assert "halo:" in out
+        assert "rank 0: faces evaluated" in out
+        assert "rank 1: faces evaluated" in out
         _, q_serial = read_snapshot(serial_snap)
         _, q_ranks = read_snapshot(ranks_snap)
         np.testing.assert_array_equal(q_ranks, q_serial)

@@ -12,7 +12,6 @@ per-direction buffers survive only as lazily allocated oracle buffers
 (the contract ``benchmarks/e2e/probes.py`` relies on).
 """
 
-import dataclasses
 import gc
 import itertools
 import mmap
@@ -28,12 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bc import BoundarySet, fill_axis_ghosts, pad_axis
-from repro.cluster import (
-    BlockDecomposition,
-    RankSolver,
-    SharedMemoryTransport,
-    ShmArena,
-)
+from repro.cluster import BlockDecomposition, SharedMemoryTransport, ShmArena
 from repro.common import DTYPE, ConfigurationError
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
@@ -223,35 +217,49 @@ class TestSerialTilesBitwise:
 
 
 # ----------------------------------------------------------------------
-def rank_team(case, bcs, rank_grid, tiles=None, **kwargs):
-    """In-process ``RankSolver`` team over ``rank_grid`` on the ranks'
-    own transport: one arena, one ``SharedMemoryTransport`` per rank."""
+def rank_team(case, bcs, rank_grid, **kwargs):
+    """In-process team over ``rank_grid``: one arena and, per rank, the
+    serial ``RHS`` over its block grid with its own
+    ``SharedMemoryTransport`` as the other ghost source (``kwargs`` go
+    to every rank's RHS)."""
     from repro.bc import BC
 
     periodic = tuple(lo is BC.PERIODIC for lo, _ in bcs.per_axis)
     config = kwargs.pop("config", RHSConfig())
     decomp = BlockDecomposition(case.grid.shape, tuple(rank_grid), periodic)
     arena = ShmArena(decomp, case.layout.nvars, halo_width(config.weno_order))
-    ranks = [RankSolver(decomp, r, case.layout, case.mixture, bcs, config,
-                        case.grid, SharedMemoryTransport(arena, r, timeout=5.0),
-                        **kwargs)
+    ranks = [RHS(case.layout, case.mixture, decomp.block_grid(case.grid, r),
+                 bcs, config,
+                 transport=SharedMemoryTransport(arena, r, timeout=5.0),
+                 **kwargs)
              for r in range(decomp.nranks)]
-    if tiles is not None:  # ranks take the heuristic count: pin it
-        for rank in ranks:
-            plans = rank._engine.plans
-            for d, plan in plans.items():
-                plans[d] = dataclasses.replace(plan, tiles=tiles)
     return arena, ranks
 
 
+def team_call(arena, ranks):
+    """Every rank's ``dq/dt`` of its arena block (its workspace's
+    ``dqdt``), one thread per rank: a rank posts its strips, then waits
+    on its neighbours'.  Each thread runs in a copy of the caller's
+    context, so an ``np.errstate`` around the call holds in it too."""
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    def call(rank):
+        return rank(arena.block(rank.transport.rank),
+                    out=rank.workspace.dqdt)
+
+    with ThreadPoolExecutor(len(ranks)) as pool:
+        calls = [pool.submit(contextvars.copy_context().run, call, rank)
+                 for rank in ranks]
+        return [c.result() for c in calls]
+
+
 def team_rhs(arena, ranks, q):
-    """The gathered ``dq/dt`` of one team evaluation: every rank posts
-    its strips before any rank fills, so no transport wait ever spins.
-    A rank's tendency replaces its block once every block is converted."""
+    """The gathered ``dq/dt`` of one team evaluation of ``q``: a rank's
+    tendency replaces its block once every rank is done."""
     arena.scatter(q)
-    prims = [rank.rhs_begin(arena.block(rank.rank)) for rank in ranks]
-    for rank, prim in zip(ranks, prims):
-        arena.block(rank.rank)[...] = rank.rhs_finish(prim)
+    for rank, dqdt in zip(ranks, team_call(arena, ranks)):
+        arena.block(rank.transport.rank)[...] = dqdt
     return arena.gather()
 
 
@@ -279,13 +287,13 @@ class TestRankLocalTiles:
         rhs = RHS(case.layout, MIX, case.grid, bcs, RHSConfig(),
                   sweep_layout=layout, fusion=fusion, tiles=tiles)
         q = case.initial_conservative()
-        assert rank.rhs(q).tobytes() == rhs(q).tobytes()
+        assert rank(q).tobytes() == rhs(q).tobytes()
         assert rank.limited_faces == rhs.limited_faces
         # Faces evaluated included: a rank skips what the RHS skips.
         assert (rank.sweep_counters.as_dict()
                 == rhs.sweep_counters.as_dict())
         # No sweep touches a block-sized buffer.
-        ws = rank.ws
+        ws = rank.workspace
         assert not any(getattr(ws, name).made for name in (
             "padded", "face_l", "face_r", "flux", "u_face", "weno_scratch",
             "riemann_scratch"))
@@ -330,7 +338,7 @@ class TestRankLocalTiles:
             counters = rank.sweep_counters
             assert counters.weno_passes == serial.sweep_counters.weno_passes
             assert counters.faces_evaluated <= counters.faces
-            assert not rank.ws.padded.made
+            assert not rank.workspace.padded.made
         # Both ranks reconstruct the faces they share.
         assert sum(r.limited_faces for r in ranks) >= serial.limited_faces
 
@@ -434,12 +442,12 @@ class TestStrideOrderGate:
             arena, ranks = rank_team(case, bcs, rank_grid, tiles=2,
                                      fusion=fusion)
             gate = StrideGate(monkeypatch, [rank._engine for rank in ranks],
-                              [rank.ws for rank in ranks], ndim)
+                              [rank.workspace for rank in ranks], ndim)
             team_rhs(arena, ranks, q)
             monkeypatch.undo()
             assert gate.calls["riemann"] > 0
             messages = sum(r.transport.counters.messages for r in ranks)
-            assert messages == ranks[0].decomp.total_messages()
+            assert messages == ranks[0].transport.decomp.total_messages()
             assert bool(messages) == exchange
 
 
@@ -543,18 +551,14 @@ class TestResourceGates:
         case, ndim = bubble_case(shape), len(shape)
         bcs = BoundarySet.all_extrapolation(ndim)
         if mode == "rank-local":
-            decomp = BlockDecomposition(shape, (1,) * ndim,
-                                        periodic=(False,) * ndim)
-            rank = RankSolver(decomp, 0, case.layout, MIX, bcs, RHSConfig(),
-                              case.grid, SharedMemoryTransport(ShmArena(
-                                  decomp, case.layout.nvars, 3), 0))
+            _, (rank,) = rank_team(case, bcs, (1,) * ndim)
             q = case.initial_conservative()
 
             def step():
-                q[...] = time_step(rank.rhs, q, layout=case.layout,
-                                   mixture=MIX, widths=rank.widths,
+                q[...] = time_step(rank, q, layout=case.layout, mixture=MIX,
+                                   widths=rank.grid.width_fields(),
                                    options=SolverOptions(cfl=0.4),
-                                   workspace=rank.ws)[0]
+                                   workspace=rank.workspace)[0]
         else:
             sim = Simulation(case, bcs, cfl=0.4, **{
                 "serial": {"threads": 1}, "gang": {"threads": 2},

@@ -184,23 +184,20 @@ class TestBatchedCFL:
             assert dts[i] == cfl_dt(self.lay, self.mix, prim, self.grid, 0.5)
 
     def test_rank_blocks_reduce_to_the_whole_domain_rate(self):
-        """``wave_rate`` on a rank's block and sliced widths is the
-        arithmetic ``RankSolver.wave_rate`` spelled out (below), and
-        the max over ranks is bitwise the whole-domain rate."""
-        from repro.bc import BoundarySet
-        from repro.cluster import BlockDecomposition, RankSolver
-        from repro.solver import RHSConfig
+        """``wave_rate`` on a rank's block and its block grid's widths
+        is the arithmetic spelled out (below), and the max over ranks is
+        bitwise the whole-domain rate."""
+        from repro.cluster import BlockDecomposition
         from repro.state import cons_to_prim, full_alphas
         from tests.test_procs import MIX, bubble_case
 
         case = bubble_case((14, 12))
-        lay, bcs = case.layout, BoundarySet.all_periodic(2)
+        lay = case.layout
         prim = cons_to_prim(lay, MIX, case.initial_conservative())
         decomp = BlockDecomposition((14, 12), (2, 2), periodic=(True, True))
         rates = []
         for r in range(decomp.nranks):
-            rank = RankSolver(decomp, r, lay, MIX, bcs, RHSConfig(),
-                              case.grid, transport=None)
+            widths = decomp.block_grid(case.grid, r).width_fields()
             block = prim[(slice(None), *decomp.local_slices(r))]
             rho = block[lay.partial_densities].sum(axis=0)
             c = MIX.sound_speed(full_alphas(lay, block[lay.advected]), rho,
@@ -208,8 +205,8 @@ class TestBatchedCFL:
             old = 0.0
             for d in range(lay.ndim):
                 speed = np.abs(block[lay.momentum_component(d)]) + c
-                old = max(old, float((speed / rank.widths[d]).max()))
-            rates.append(wave_rate(lay, MIX, block, rank.widths))
+                old = max(old, float((speed / widths[d]).max()))
+            rates.append(wave_rate(lay, MIX, block, widths))
             assert rates[-1] == old
         assert max(rates) == wave_rate(lay, MIX, prim,
                                        case.grid.width_fields())
@@ -286,6 +283,24 @@ class TestOneHaloExchange:
         for name in ("DistributedSolver", "HaloExchanger"):
             assert name not in cluster.__all__
             assert not hasattr(cluster, name)
+
+
+class TestOneRHS:
+    """Regrowth guard: a rank runs the serial RHS over its block grid.
+    A second module building a sweep engine or a workspace, or adding
+    the nonconservative term itself, is a second RHS driver growing
+    back."""
+
+    @pytest.mark.parametrize("name", ["SweepEngine", "SolverWorkspace",
+                                      "nonconservative_tile"])
+    def test_called_from_the_rhs_module_only(self, name):
+        assert callers_of(name) == {"repro/solver/rhs.py"}
+
+    def test_no_rank_solver_export(self):
+        import repro.cluster as cluster
+
+        assert "RankSolver" not in cluster.__all__
+        assert not hasattr(cluster, "RankSolver")
 
 
 class TestOneRankTileBody:
