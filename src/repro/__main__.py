@@ -24,34 +24,6 @@ from repro.io.case_files import (
 from repro.solver import RHSConfig, Simulation
 from repro.solver.options import add_cli_flags, fold
 
-#: ``ensemble`` flags of the campaign service: (flag, ``"service"`` key,
-#: ``add_argument`` extras).  Like the knob flags, one given on the
-#: command line overrides (or creates) the spec's entry.
-SERVICE_FLAGS = (
-    ("--ledger", "ledger", dict(
-        help="write-ahead ledger path: make the campaign durable and "
-             "crash-tolerant (resumes if the ledger exists; without one "
-             "the campaign writes no file; see docs/ensemble.md)")),
-    ("--checkpoint-dir", "checkpoint_dir", dict(
-        help="per-job restart checkpoints (default: 'checkpoints' beside "
-             "the ledger; needs a ledger)")),
-    ("--results-dir", "results_dir", dict(
-        help="final result snapshots (default: 'results' beside the "
-             "ledger; needs a ledger)")),
-    ("--max-attempts", "max_attempts", dict(
-        type=int, help="failures per job before quarantine (default 3)")),
-    ("--deadline", "deadline_seconds", dict(
-        type=float, help="no-progress deadline per batch attempt, seconds "
-                         "(default 60)")),
-    ("--checkpoint-every", "checkpoint_every", dict(
-        type=int, help="stacked steps between per-job checkpoints "
-                       "(default 5; needs a ledger)")),
-    ("--no-supervise", "supervise", dict(
-        action="store_const", const=False,
-        help="run batches in-process instead of supervised children "
-             "(debugging; no SIGKILL protection)")),
-)
-
 
 def _numerics(args: argparse.Namespace, ndim: int):
     """``(bcs, config)`` of the numerics flags every marching command takes."""
@@ -134,12 +106,10 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     jobs, batch_width, knobs, service = load_ensemble_spec(args.spec)
     if args.batch_width is not None:
         batch_width = args.batch_width
-    options = fold(None, knobs).overridden_by(args)
+    options = fold(None, {**knobs, **service}).overridden_by(args)
     bcs, config = _numerics(args, jobs[0].case.grid.ndim)
-    service.update((key, getattr(args, key)) for _flag, key, _cli
-                   in SERVICE_FLAGS if getattr(args, key) is not None)
     svc = EnsembleService(jobs, bcs, batch_width=batch_width,
-                          config=config, options=options, **service)
+                          config=config, options=options)
     batches = len(plan_job_batches(jobs, config, batch_width))
     print(f"ensemble service: {len(jobs)} jobs in {batches} batch(es), "
           f"width <= {batch_width}, WENO{args.weno} + {args.riemann.upper()}"
@@ -246,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "batch_width, else 8)")
     _add_numerics_flags(ens)
     add_cli_flags(ens, "ensemble")
-    for flag, key, cli in SERVICE_FLAGS:
-        ens.add_argument(flag, dest=key, default=None, **cli)
     ens.set_defaults(func=_cmd_ensemble)
 
     tune = sub.add_parser("tune",

@@ -116,7 +116,6 @@ from repro.solver.march import March
 from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.rhs import RHS, RHSConfig
 from repro.state.layout import StateLayout
-from repro.tuning.plan import heuristic_plan
 from repro.weno import halo_width
 
 #: Exit code a worker uses to simulate a hardware fault (vs. 1 for a
@@ -475,11 +474,8 @@ class _RankMarch(March):
                  config: RHSConfig, options: SolverOptions, march: dict):
         self.transport = transport = SharedMemoryTransport(
             arena, rank, timeout=options.cluster_timeout)
-        self.rhs = RHS.planned(
-            layout, mixture, arena.decomp.block_grid(grid, rank), bcs, config,
-            options, heuristic_plan(sweep_layout=options.sweep_layout,
-                                    fusion=options.fusion),
-            transport=transport)
+        self.rhs = RHS(layout, mixture, arena.decomp.block_grid(grid, rank),
+                       bcs, config, options, transport=transport)
         self.options, self.layout, self.mixture = options, layout, mixture
         self.config, self.stopwatch = config, None
         self.widths = self.rhs.grid.width_fields()

@@ -67,7 +67,7 @@ from repro.bc.boundary import BoundarySet
 from repro.common import CheckpointError, ConfigurationError
 from repro.common.checks import integer
 from repro.io.binary import read_snapshot, write_snapshot
-from repro.solver.options import SolverOptions, fold
+from repro.solver.options import KnobAccess, SolverOptions, fold, section_keys
 from repro.solver.resilience import RecoveryCounters
 from repro.solver.rhs import RHSConfig
 
@@ -210,7 +210,7 @@ class ServiceReport:
         return "\n".join(lines)
 
 
-class EnsembleService:
+class EnsembleService(KnobAccess):
     """The campaign driver over the batched ensemble engine.
 
     Parameters
@@ -219,108 +219,67 @@ class EnsembleService:
         The :class:`~repro.ensemble.runner.EnsembleJob` list (batched
         by :func:`~repro.ensemble.runner.plan_job_batches`) and the
         boundary conditions every case shares.
-    ledger:
-        Ledger file path (or a :class:`JobLedger`): the campaign is
-        durable.  An existing ledger for the same spec resumes the
-        campaign; one for a *different* spec is rejected.  None (the
-        default) keeps the job table and outcomes in memory and writes
-        no file — the options that name files then do not apply.
-    checkpoint_dir / results_dir:
-        Where per-job restart checkpoints and final result snapshots
-        live.  Defaults to siblings of the ledger file; need a ledger.
     batch_width:
-        Initial stacked width; degradation may narrow it.
-    max_attempts:
-        Recorded failures a job may accumulate before quarantine.
-    retry_base_seconds:
-        Backoff base: retry ``a`` of a job starts no sooner than ``base
-        * 2**(a-1)`` seconds (capped) after its failure was recorded;
-        other batches keep running and starting meanwhile.  Zero
-        retries at once (tests).
-    deadline_seconds / wall_limit_seconds / supervise:
-        Supervisor knobs (no-progress grace, hard per-attempt wall
-        budget, child-process isolation on/off).
-    checkpoint_every / checkpoint_keep:
-        Per-case checkpoint cadence (stacked steps, default 5) inside
-        batches; needs a ledger.
-    validate_every:
-        Validation cadence of every batch (it replaces the one in
-        ``options``); defaults to 1 so a diverging case is caught on
-        the step it breaks (and never checkpointed broken).
-    degrade_after / min_batch_width:
-        Halve the width after this many *consecutive* batch-level
-        failures, never below the floor.
+        Initial stacked width; degradation may narrow it (down to the
+        ``min_batch_width`` knob after ``degrade_after`` consecutive
+        batch-level failures).
     chaos:
         Optional :class:`repro.faults.EnsembleChaosPlan` — deterministic
         fault schedule for the chaos suite.
     config / options / knobs:
-        The engine every batch is built with, as for
-        :class:`~repro.ensemble.simulation.EnsembleSimulation`
-        (DESIGN.md "Options: one table"); :attr:`engine` holds them.
+        Numerics, and how to march and run the campaign, as for every
+        driver (DESIGN.md "Options: one table"; ``svc.max_attempts``
+        reads :attr:`options`, which holds the resolved directories and
+        cadences).  A ``ledger`` (a path, or a :class:`JobLedger`) makes
+        the campaign durable — an existing ledger for the same spec
+        resumes it, one for a *different* spec is rejected — and puts
+        ``checkpoint_dir`` / ``results_dir`` beside it by default;
+        without one nothing is written.  :attr:`engine` builds every
+        batch: the campaign knobs at their defaults (a
+        :class:`BatchSpec` carries each attempt's checkpoint settings)
+        and ``validate_every`` None read as every step, so a diverging
+        case is caught on the step it breaks, never checkpointed broken.
     """
 
     def __init__(self, jobs: list[EnsembleJob], bcs: BoundarySet, *,
-                 ledger: str | Path | JobLedger | None = None,
-                 checkpoint_dir: str | Path | None = None,
-                 results_dir: str | Path | None = None,
-                 batch_width: int = 8, max_attempts: int = 3,
-                 retry_base_seconds: float = 0.5,
-                 deadline_seconds: float = 60.0,
-                 wall_limit_seconds: float | None = None,
-                 supervise: bool = True,
-                 checkpoint_every: int | None = None,
-                 checkpoint_keep: int = 3,
-                 validate_every: int = 1,
-                 degrade_after: int = 2, min_batch_width: int = 1,
-                 chaos: object | None = None,
+                 batch_width: int = 8, chaos: object | None = None,
                  config: RHSConfig | None = None,
                  options: SolverOptions | None = None, **knobs) -> None:
         if not jobs:
             raise ConfigurationError("ensemble service needs at least one job")
-        integer(1)("max_attempts", max_attempts)
         integer(1)("batch_width", batch_width)
-        if min_batch_width < 1 or min_batch_width > batch_width:
+        self.options = options = fold(options, knobs)
+        options.require_compatible(campaign=True)
+        if options.min_batch_width > batch_width:
             raise ConfigurationError(
                 f"min_batch_width must lie in [1, {batch_width}], "
-                f"got {min_batch_width}")
-        integer(1)("degrade_after", degrade_after)
+                f"got {options.min_batch_width}")
         self.jobs = list(jobs)
         self.bcs = bcs
-        if ledger is None:
-            if checkpoint_dir or results_dir or checkpoint_every is not None:
-                raise ConfigurationError(
-                    "checkpoint_dir, results_dir and checkpoint_every need "
-                    "a ledger: a campaign without one writes no file")
-            self.ledger = self.checkpoint_dir = self.results_dir = None
-            checkpoint_every = 0
-        else:
-            self.ledger = ledger if isinstance(ledger, JobLedger) \
-                else JobLedger(ledger)
+        if options.ledger is not None:
+            if not isinstance(options.ledger, JobLedger):
+                self.ledger = JobLedger(options.ledger)
             base = self.ledger.path.parent
-            self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir \
-                else base / "checkpoints"
-            self.results_dir = Path(results_dir) if results_dir \
-                else base / "results"
+            self.checkpoint_dir = Path(options.checkpoint_dir
+                                       or base / "checkpoints")
+            self.results_dir = Path(options.results_dir or base / "results")
+        if options.checkpoint_every is None:
+            self.checkpoint_every = 5 if options.ledger is not None else 0
         self.batch_width = batch_width
-        self.max_attempts = max_attempts
-        self.retry_base_seconds = retry_base_seconds
-        self.checkpoint_every = 5 if checkpoint_every is None \
-            else checkpoint_every
-        self.checkpoint_keep = checkpoint_keep
-        self.degrade_after = degrade_after
-        self.min_batch_width = min_batch_width
         self.chaos = chaos
         self.config = config if config is not None else RHSConfig()
-        options = fold(options, {**knobs, "validate_every": validate_every})
-        options.require_compatible(batched=True)
         #: ``EnsembleSimulation`` keywords of every batch.  The backend
         #: is normalised to its name so the dict pickles into supervised
         #: batch children (the child re-resolves it).
         self.engine = dict(config=self.config, options=dataclasses.replace(
-            options, backend=resolve_backend(options.backend).name))
+            options, backend=resolve_backend(options.backend).name,
+            validate_every=(1 if options.validate_every is None
+                            else options.validate_every),
+            **{f.name: f.default
+               for f in section_keys("ensemble", "service").values()}))
         self.supervisor = BatchSupervisor(
-            grace=deadline_seconds, wall_limit=wall_limit_seconds,
-            supervise=supervise)
+            grace=self.deadline_seconds, wall_limit=self.wall_limit_seconds,
+            supervise=self.supervise)
         #: Recovery tallies (checkpoint skips, restarts) across the run.
         self.recovery = RecoveryCounters()
 

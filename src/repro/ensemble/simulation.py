@@ -21,12 +21,11 @@ neighbour.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend, to_host_array
+from repro.backend import to_host_array
 from repro.bc.boundary import BoundarySet
 from repro.common import ConfigurationError, Stopwatch
 from repro.solver.case import Case
@@ -125,23 +124,17 @@ class EnsembleSimulation(March):
             raise ConfigurationError(
                 f"{len(names)} names for {B} cases")
         self.names = list(names)
-        #: The resolved plan every width's RHS is built from.  The
-        #: tuning signature is the initial width: retirement narrows
-        #: the batch but never re-tunes.
-        self._plan = self._setup(self.state, bcs, config, stopwatch, options,
-                                 self.state.stacked, batch=B)
         # The per-case bookkeeping (views, fault plans, checkpoints,
         # retirement) stays on the host; :attr:`q` is the stacked block
         # through the H2D/D2H seam — an identity on the host backends,
         # so the NumPy default is bitwise unchanged.  ``threads`` stays
         # the requested (or the plan's) width, not the resolved one:
         # every retirement re-plans the gang for the narrower batch.
-        plan = self._plan
-        self.options = dataclasses.replace(
-            options, backend=resolve_backend(plan.backend),
-            threads=(plan.threads if plan.threads is not None
-                     else options.threads),
-            sweep_layout=plan.sweep_layout, fusion=plan.fusion)
+        # The tuning signature is the initial width: retirement narrows
+        # the batch but never re-tunes.
+        self.options, self._tiles = self._setup(
+            self.state, bcs, config, stopwatch, options, self.state.stacked,
+            batch=B)
         self.rhs = self._build_rhs(B)
         self._results: dict[int, EnsembleCaseResult] = {}
         super().__init__(
@@ -151,9 +144,9 @@ class EnsembleSimulation(March):
 
     # ------------------------------------------------------------------
     def _build_rhs(self, batch: int) -> RHS:
-        return RHS.planned(self.layout, self.mixture, self.grid, self.bcs,
-                           self.config, self.options, self._plan,
-                           stopwatch=self.stopwatch, batch=batch)
+        return RHS(self.layout, self.mixture, self.grid, self.bcs,
+                   self.config, self.options, tiles=self._tiles, batch=batch,
+                   stopwatch=self.stopwatch)
 
     # ------------------------------------------------------------------
     @property

@@ -11,10 +11,11 @@ saved, versioned, and launched from the command line
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.common import ConfigurationError
-from repro.common.checks import integer, path as path_check
+from repro.common.checks import integer
 from repro.eos import Mixture, StiffenedGas
 from repro.grid.cartesian import StructuredGrid
 from repro.solver.case import Case, Patch, box, halfspace, sphere
@@ -24,20 +25,28 @@ from repro.solver.options import SolverOptions, section_keys
 GEOMETRY_KINDS = ("box", "sphere", "halfspace")
 
 
-def solver_options_from_dict(spec: dict, *, command: str = "run") -> dict:
-    """Validated knobs of a spec's optional ``"solver"`` section.
+def solver_options_from_dict(spec: dict, *, command: str = "run",
+                             section: str = "solver",
+                             base_dir: str | Path | None = None) -> dict:
+    """Validated knobs of a spec's optional ``section``.
 
     :meth:`SolverOptions.from_mapping` is the validation; the keys are
-    the ones DESIGN.md "Options: one table" lists for ``command``.
-    Returns a plain dict of only the knobs the section sets, keyed by
-    field name — keyword arguments for the drivers; an absent section
-    yields ``{}``.
+    the ones DESIGN.md "Options: one table" lists for ``command`` in
+    that section.  Returns a plain dict of only the knobs the section
+    sets, keyed by field name — keyword arguments for the drivers; an
+    absent section yields ``{}``.  With ``base_dir`` the section's
+    paths (the ``"service"`` section's only strings) resolve against it.
     """
-    section = spec.get("solver")
-    options = SolverOptions.from_mapping(section, command=command)
-    return {f.name: getattr(options, f.name)
-            for key, f in section_keys(command).items()
-            if key in (section or {})}
+    mapping = spec.get(section)
+    options = SolverOptions.from_mapping(mapping, command=command,
+                                         section=section)
+    out = {f.name: getattr(options, f.name)
+           for key, f in section_keys(command, section).items()
+           if key in (mapping or {})}
+    if base_dir is not None:
+        out.update((name, Path(base_dir) / value) for name, value
+                   in out.items() if isinstance(value, str | os.PathLike))
+    return out
 
 
 def _geometry_from_dict(g: dict):
@@ -181,46 +190,6 @@ def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
     return jobs, batch_width, options
 
 
-#: Keys the ensemble spec's optional ``"service"`` section accepts —
-#: knobs of :class:`repro.ensemble.EnsembleService`.  Path-valued keys
-#: resolve relative to the spec file's directory.
-SERVICE_KEYS = ("ledger", "checkpoint_dir", "results_dir",
-                "max_attempts", "retry_base_seconds", "deadline_seconds",
-                "wall_limit_seconds", "supervise", "checkpoint_every",
-                "checkpoint_keep", "degrade_after", "min_batch_width")
-
-_SERVICE_PATH_KEYS = ("ledger", "checkpoint_dir", "results_dir")
-
-
-def service_options_from_dict(spec: dict, *,
-                              base_dir: str | Path | None = None) -> dict:
-    """Validated campaign-service options (``{}`` when absent).
-
-    The ``"service"`` section sets the campaign's retry, deadline and
-    supervision knobs; a ``"ledger"`` path makes it durable, and the
-    keys that name files or checkpoint cadence need one.  See
-    :class:`repro.ensemble.EnsembleService`.
-    """
-    service = spec.get("service")
-    if service is None:
-        return {}
-    if not isinstance(service, dict):
-        raise ConfigurationError(
-            f"'service' section must be a mapping, "
-            f"got {type(service).__name__}")
-    unknown = sorted(set(service) - set(SERVICE_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"service option(s) {unknown} not supported; "
-            f"choose from {sorted(SERVICE_KEYS)}")
-    base = Path(base_dir) if base_dir is not None else Path(".")
-    out = dict(service)
-    for key in _SERVICE_PATH_KEYS:
-        if key in out:
-            out[key] = base / path_check(f"service option {key!r}", out[key])
-    return out
-
-
 def load_ensemble(path: str | Path):
     """Load an ensemble spec from JSON; see :func:`ensemble_from_dict`.
 
@@ -246,7 +215,9 @@ def load_ensemble_spec(path: str | Path):
         spec = json.load(fh)
     jobs, batch_width, options = ensemble_from_dict(
         spec, base_dir=path.parent)
-    service = service_options_from_dict(spec, base_dir=path.parent)
+    service = solver_options_from_dict(spec, command="ensemble",
+                                       section="service",
+                                       base_dir=path.parent)
     return jobs, batch_width, options, service
 
 

@@ -17,7 +17,7 @@ just timed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from repro.common import ConfigurationError
@@ -112,8 +112,29 @@ def kernel_counters(device: DeviceSpec, work: KernelWorkload,
     )
 
 
+class Tally:
+    """Counter dataclass mixin: every field is a tally, spelled once."""
+
+    def merge(self, other) -> None:
+        """Add ``other``'s tallies into these, field by field."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, f.name, mine + theirs)
+
+    def as_dict(self) -> dict:
+        """Plain dict for JSON records: the fields in declaration order
+        (a dict field copied)."""
+        return {f.name: (dict(value) if isinstance(
+            value := getattr(self, f.name), dict) else value)
+            for f in fields(self)}
+
+
 @dataclass
-class SweepCounters:
+class SweepCounters(Tally):
     """Measured data-movement accounting of the sweep engine.
 
     One instance lives on each :class:`~repro.solver.rhs.RHS` and is
@@ -216,19 +237,6 @@ class SweepCounters:
         """``faces_evaluated / faces``; None before any sweep."""
         return self.faces_evaluated / self.faces if self.faces else None
 
-    def merge(self, other: "SweepCounters") -> None:
-        self.strided_sweeps += other.strided_sweeps
-        self.transposed_sweeps += other.transposed_sweeps
-        self.bytes_reconstructed_strided += other.bytes_reconstructed_strided
-        self.bytes_reconstructed_contiguous += other.bytes_reconstructed_contiguous
-        self.transposes += other.transposes
-        self.bytes_transposed += other.bytes_transposed
-        self.weno_passes += other.weno_passes
-        self.fused_launches += other.fused_launches
-        self.fused_passes_saved += other.fused_passes_saved
-        self.faces += other.faces
-        self.faces_evaluated += other.faces_evaluated
-
     def record_fused(self, launches: int, passes_saved: int) -> None:
         """Count one direction sweep's fused per-tile kernel launches.
 
@@ -240,22 +248,6 @@ class SweepCounters:
         """
         self.fused_launches += launches
         self.fused_passes_saved += passes_saved
-
-    def as_dict(self) -> dict:
-        """Plain dict for JSON benchmark records."""
-        return {
-            "strided_sweeps": self.strided_sweeps,
-            "transposed_sweeps": self.transposed_sweeps,
-            "bytes_reconstructed_strided": self.bytes_reconstructed_strided,
-            "bytes_reconstructed_contiguous": self.bytes_reconstructed_contiguous,
-            "transposes": self.transposes,
-            "bytes_transposed": self.bytes_transposed,
-            "weno_passes": self.weno_passes,
-            "fused_launches": self.fused_launches,
-            "fused_passes_saved": self.fused_passes_saved,
-            "faces": self.faces,
-            "faces_evaluated": self.faces_evaluated,
-        }
 
     def summary(self) -> str:
         """One-line human summary (printed by the CLI and reports)."""
@@ -272,7 +264,7 @@ class SweepCounters:
 
 
 @dataclass
-class HaloCounters:
+class HaloCounters(Tally):
     """Measured communication accounting of the halo-exchange transport.
 
     One instance lives on each rank's
@@ -315,27 +307,6 @@ class HaloCounters:
     wait_ns: int = 0
     reductions: int = 0
     reductions_overlapped: int = 0
-
-    def merge(self, other: "HaloCounters") -> None:
-        self.messages += other.messages
-        self.bytes_exchanged += other.bytes_exchanged
-        self.posts += other.posts
-        self.waits += other.waits
-        self.wait_ns += other.wait_ns
-        self.reductions += other.reductions
-        self.reductions_overlapped += other.reductions_overlapped
-
-    def as_dict(self) -> dict:
-        """Plain dict for JSON benchmark records."""
-        return {
-            "messages": self.messages,
-            "bytes_exchanged": self.bytes_exchanged,
-            "posts": self.posts,
-            "waits": self.waits,
-            "wait_ns": self.wait_ns,
-            "reductions": self.reductions,
-            "reductions_overlapped": self.reductions_overlapped,
-        }
 
     def summary(self) -> str:
         """One-line human summary (printed by the CLI and reports)."""

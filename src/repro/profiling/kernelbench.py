@@ -171,7 +171,7 @@ def bench_kernels(layout, mixture, grid, bcs, config, q, *,
     dtype = precision_dtype(precision)
     sw = Stopwatch()
     rhs = RHS(layout, mixture, grid, bcs, config, stopwatch=sw,
-              backend=be, dtype=dtype, **rhs_kwargs)
+              backend=be, precision=precision, **rhs_kwargs)
     try:
         q_dev = be.from_host(np.ascontiguousarray(q), dtype=dtype)
         for _ in range(warmup):

@@ -47,7 +47,7 @@ from repro.common import (
     WallTimer,
 )
 from repro.common.checks import choice
-from repro.solver.options import KnobAccess
+from repro.solver.options import KnobAccess, fold
 from repro.solver.resilience import (
     ESCALATION_ORDERS,
     RecoveryCounters,
@@ -58,6 +58,10 @@ from repro.solver.rhs import RHSConfig
 from repro.state.conversions import cons_to_prim
 from repro.timestepping import SSP_SCHEMES, horizon_reached, time_step
 from repro.tuning.plan import resolve_plan
+
+#: A driver's cadences, for the knobs left at None: validate every 10
+#: steps, write no checkpoint (a campaign sets its batches' own).
+CADENCES = {"validate_every": 10, "checkpoint_every": 0}
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,8 @@ class March(KnobAccess, AbstractContextManager):
     ``{original slot: fault hook}``, the offset added to the ladder's
     attempt number (``fault_attempt``), what a failed check does
     (``on_failure``) and a rank's cross-rank ``reduce``
-    (:func:`~repro.timestepping.time_step`).
+    (:func:`~repro.timestepping.time_step`).  A cadence knob left at None
+    takes its :data:`CADENCES` value.
     """
 
     #: Original positions of the active slots (a batch overrides).
@@ -99,6 +104,9 @@ class March(KnobAccess, AbstractContextManager):
                  step_count: int = 0, prefixes: list[str] | None = None,
                  fault_plans: dict | None = None, fault_attempt: int = 0,
                  on_failure: str = "raise", reduce=None) -> None:
+        self.options = fold(self.options, {
+            name: every for name, every in CADENCES.items()
+            if getattr(self.options, name) is None})
         self.batched, self.batch0 = batched, self.batch
         self.times = self._clock(times, DTYPE)
         self.steps = self._clock(steps, np.int64)
@@ -124,17 +132,18 @@ class March(KnobAccess, AbstractContextManager):
         self._fallback_rhs_cache: dict[int, object] = {}
 
     def _setup(self, case, bcs, config, stopwatch, options, q, **batch):
-        """A driver's numerics, and the plan resolved for them (the tuner
-        measures on the host state ``q``)."""
+        """A driver's numerics, and ``(options, tiles)`` with the plan
+        resolved for them applied (the tuner measures on the host state
+        ``q``)."""
         self.layout, self.mixture, self.grid = case.layout, case.mixture, case.grid
         self.widths = self.grid.width_fields()
         self.bcs = bcs
         self.config = config if config is not None else RHSConfig()
         self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
-        plan, self.tuner = resolve_plan(options, self.layout, self.mixture,
-                                        self.grid, bcs, self.config, q, **batch)
-        self.tuning_plan = plan if options.tuning != "off" else None
-        return plan
+        options, self.tuning_plan, self.tuner = resolve_plan(
+            options, self.layout, self.mixture, self.grid, bcs, self.config,
+            q, **batch)
+        return options, getattr(self.tuning_plan, "tiles", None)
 
     def _clock(self, values, dtype) -> np.ndarray:
         vec = np.array(np.zeros(self.batch) if values is None else values,

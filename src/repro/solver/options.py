@@ -7,6 +7,8 @@ validation, the ``"solver"`` section parser (:meth:`~SolverOptions.
 from_mapping`), the argparse flags (:func:`add_cli_flags`), the "CLI
 beats file" rule (:meth:`~SolverOptions.overridden_by`) and DESIGN.md's
 reference table.  Knob *combinations* no driver runs are :data:`REFUSALS`.
+A case file has one section, ``"solver"``; a campaign spec reads its
+durability knobs from a second, ``"service"`` (:func:`section_of`).
 """
 
 from __future__ import annotations
@@ -23,16 +25,19 @@ from repro.timestepping.ssp_rk import SSP_SCHEMES
 from repro.tuning.plan import TuningPlan
 
 _ALL, _RUN, _BATCHED = ("run", "ensemble", "tune"), ("run",), ("run", "ensemble")
+_CAMPAIGN = ("ensemble",)
 
 
-def knob(default, check, help, on=(), *, key="", flag="", from_cli=None, **cli):
+def knob(default, check, help, on=(), *, key="", flag="", from_cli=None,
+         service=False, **cli):
     """One knob: ``check(label, value)`` normalises or raises; sub-commands
-    ``on`` read its case-file ``key`` (default the field name, None for none)
-    and take its ``flag`` (default from the key; ``add_argument`` extras in
-    ``cli``; ``from_cli(given, current)`` when the flag is not the value)."""
+    ``on`` read its case-file ``key`` (default the field name, None for none;
+    a campaign from its ``"service"`` section when ``service``) and take its
+    ``flag`` (default from the key, None for none; ``add_argument`` extras
+    in ``cli``; ``from_cli(given, current)`` when the flag is not the value)."""
     return dataclasses.field(default=default, metadata=dict(
         check=check, help=help, on=on, key=key, flag=flag, from_cli=from_cli,
-        cli=cli))
+        service=service, cli=cli))
 
 
 def _retries(count, policy):
@@ -41,6 +46,11 @@ def _retries(count, policy):
     return dataclasses.replace(
         policy, max_retries=count,
         same_dt_retries=min(policy.same_dt_retries, count))
+
+
+def _ledger(label, value):
+    """A ledger path, or an open :class:`~repro.ensemble.ledger.JobLedger`."""
+    return value if hasattr(value, "replay") else path(label, value)
 
 
 def _tuning(label, value):
@@ -92,16 +102,21 @@ class SolverOptions:
         "rollback-retry guard of every step: a RetryPolicy or its mapping "
         "(--retries N sets its max_retries)", _RUN, flag="--retries",
         type=int, from_cli=_retries)
-    validate_every: int = knob(
-        10, integer(0), "validate the state every N steps; 0 never (the "
-        "durable ensemble service defaults to 1)", _RUN, type=int)
-    checkpoint_every: int = knob(
-        0, integer(0), "rotating durable checkpoint every N steps; 0 off",
+    validate_every: int | None = knob(
+        None, optional(integer(0)), "validate the state every N steps; 0 "
+        "never, None the driver's cadence (a campaign's batches: 1, else 10)",
         _RUN, type=int)
+    checkpoint_every: int | None = knob(
+        None, optional(integer(0)), "rotating durable checkpoint every N "
+        "steps; 0 off, None the driver's cadence (a campaign with a ledger: "
+        "5, else off)", _BATCHED, service=True, type=int)
     checkpoint_dir: object = knob(
-        None, optional(path), "directory of the rotating checkpoints", _RUN)
+        None, optional(path), "directory of the rotating checkpoints (a "
+        "campaign's: 'checkpoints' beside the ledger)", _BATCHED,
+        service=True)
     checkpoint_keep: int = knob(
-        3, integer(1), "rotating checkpoints to retain", _RUN, type=int)
+        3, integer(1), "rotating checkpoints to retain", _BATCHED,
+        service=True, type=int)
     tuning: object = knob(
         "off", _tuning, "execution plan: off, auto (the cached autotuner; "
         "--tune) or a hand-picked plan mapping", _BATCHED, flag="--tune",
@@ -117,6 +132,39 @@ class SolverOptions:
     precision: str = knob(
         "float64", choice(*PRECISIONS), "state precision; float32 is a "
         "validated-tolerance mode, not bitwise", _RUN, choices=PRECISIONS)
+    ledger: object = knob(
+        None, optional(_ledger), "write-ahead ledger of a campaign: durable "
+        "and crash-tolerant, resumed if it exists; None writes no file (see "
+        "docs/ensemble.md)", _CAMPAIGN, service=True)
+    results_dir: object = knob(
+        None, optional(path), "final result snapshots of a durable campaign "
+        "(default: 'results' beside the ledger)", _CAMPAIGN, service=True)
+    max_attempts: int = knob(
+        3, integer(1), "recorded failures per job before quarantine",
+        _CAMPAIGN, service=True, type=int)
+    retry_base_seconds: float = knob(
+        0.5, real(lambda v: v >= 0, "a number >= 0"), "backoff base: retry "
+        "a of a job starts no sooner than base * 2**(a-1) s (capped) after "
+        "its failure; 0 retries at once", _CAMPAIGN, service=True, flag=None)
+    deadline_seconds: float = knob(
+        60.0, real(lambda v: v > 0, "a positive number"), "no-progress "
+        "deadline (s) of a batch attempt", _CAMPAIGN, service=True,
+        flag="--deadline", type=float)
+    wall_limit_seconds: float | None = knob(
+        None, optional(real(lambda v: v > 0, "a positive number")),
+        "hard wall budget (s) of a batch attempt; None unbounded",
+        _CAMPAIGN, service=True, flag=None)
+    supervise: bool = knob(
+        True, choice(True, False), "run each batch in a supervised child; "
+        "--no-supervise runs it in-process (debugging; no SIGKILL "
+        "protection)", _CAMPAIGN, service=True, flag="--no-supervise",
+        action="store_const", const=False)
+    degrade_after: int = knob(
+        2, integer(1), "consecutive batch failures that halve the batch "
+        "width", _CAMPAIGN, service=True, flag=None)
+    min_batch_width: int = knob(
+        1, integer(1), "floor of that halving", _CAMPAIGN, service=True,
+        flag=None)
 
     def __post_init__(self) -> None:
         for f in KNOBS:
@@ -124,26 +172,27 @@ class SolverOptions:
                 f.name, getattr(self, f.name)))
 
     @classmethod
-    def from_mapping(cls, section, *, command: str = "run"):
-        """Options from a spec's ``"solver"`` section (None = defaults),
-        restricted to the keys ``command`` takes; errors name the key."""
-        if not isinstance(section, dict | None):
+    def from_mapping(cls, mapping, *, command: str = "run",
+                     section: str = "solver"):
+        """Options from a spec's ``section`` (None = defaults), restricted
+        to the keys ``command`` reads there; errors name the key."""
+        if not isinstance(mapping, dict | None):
             raise ConfigurationError(
-                f"'solver' section must be a mapping, got {section!r}")
-        section, by_key = section or {}, section_keys(command)
-        unknown = sorted(set(section) - set(by_key))
+                f"'{section}' section must be a mapping, got {mapping!r}")
+        mapping, by_key = mapping or {}, section_keys(command, section)
+        unknown = sorted(set(mapping) - set(by_key))
         if unknown:
             raise ConfigurationError(
-                f"unknown {command} solver option(s) {unknown}; "
+                f"unknown {command} {section} option(s) {unknown}; "
                 f"choose from {sorted(by_key)}")
         return cls(**{by_key[key].name: by_key[key].metadata["check"](
-            f"solver {key}", value) for key, value in section.items()})
+            f"{section} {key}", value) for key, value in mapping.items()})
 
     def overridden_by(self, args) -> "SolverOptions":
         """The one "CLI beats file" rule: every knob flag of ``args.command``
         given on the command line replaces the value held here."""
         changes = {}
-        for f in knobs_of(args.command):
+        for f in flagged(args.command):
             dest = spelling(f)[1][2:].replace("-", "_")  # argparse's own
             given, convert = getattr(args, dest), f.metadata["from_cli"]
             if given is not None:
@@ -157,12 +206,14 @@ class SolverOptions:
                            for f in knobs_of(command)})
 
     def require_compatible(self, *, fault_injector=None, callback=None,
-                           rank_fault=None, batched=False) -> None:
+                           rank_fault=None, batched=False,
+                           campaign=False) -> None:
         """Raise the reason of the first of :data:`REFUSALS` that holds for
-        these options and what else the driver holds (the keywords)."""
+        these options and what else the driver holds (the keywords; a
+        ``campaign`` is batched too)."""
         o = SimpleNamespace(**vars(self), fault_injector=fault_injector,
                             callback=callback, rank_fault=rank_fault,
-                            batched=batched)
+                            batched=batched or campaign, campaign=campaign)
         for refused, reason in REFUSALS:
             if refused(o):
                 raise ConfigurationError(reason)
@@ -194,27 +245,49 @@ def knobs_of(command: str) -> list:
     return [f for f in KNOBS if command in f.metadata["on"]]
 
 
+def flagged(command: str) -> list:
+    """The knobs ``command`` takes a flag for."""
+    return [f for f in knobs_of(command) if spelling(f)[1]]
+
+
 def spelling(f) -> tuple:
-    """``(case-file key or None, CLI flag)`` of a knob some command takes."""
+    """``(case-file key or None, CLI flag or None)`` of a knob."""
     key = f.name if f.metadata["key"] == "" else f.metadata["key"]
-    return key, f.metadata["flag"] or "--" + (key or f.name).replace("_", "-")
+    flag = f.metadata["flag"]
+    return key, ("--" + (key or f.name).replace("_", "-") if flag == ""
+                 else flag)
 
 
-def section_keys(command: str = "run") -> dict:
-    """``{case-file key: field}`` of the ``"solver"`` keys ``command`` reads."""
-    return {spelling(f)[0]: f for f in knobs_of(command) if spelling(f)[0]}
+def section_of(f, command: str) -> str:
+    """The spec section ``command`` reads knob ``f`` from: a campaign's
+    durability knobs sit in its ``"service"`` section, the rest (and every
+    knob of a case file) in ``"solver"``."""
+    return "service" if command == "ensemble" and f.metadata["service"] \
+        else "solver"
+
+
+def section_keys(command: str = "run", section: str = "solver") -> dict:
+    """``{key: field}`` of the ``section`` keys ``command`` reads."""
+    return {spelling(f)[0]: f for f in knobs_of(command)
+            if spelling(f)[0] and section_of(f, command) == section}
 
 
 def add_cli_flags(parser, command: str) -> None:
     """Generate ``command``'s knob flags (absent = keep the file's value)."""
-    for f in knobs_of(command):
+    for f in flagged(command):
         parser.add_argument(spelling(f)[1], default=None,
                             help=f.metadata["help"], **f.metadata["cli"])
 
 
 #: Knob combinations no driver runs: ``(refused(namespace), reason)``.
 REFUSALS = (
-    (lambda o: o.checkpoint_every and o.checkpoint_dir is None,
+    (lambda o: o.campaign and o.ledger is None
+     and (o.checkpoint_dir or o.results_dir or o.checkpoint_every is not None),
+     "checkpoint_dir, results_dir and checkpoint_every need a ledger: a "
+     "campaign without one writes no file"),
+    # A campaign's ledger names its checkpoint_dir.
+    (lambda o: o.checkpoint_every and o.checkpoint_dir is None
+     and not o.campaign,
      "checkpoint_every requires a checkpoint_dir"),
     (lambda o: o.ranks > 1 and (o.threads or 1) > 1,
      "ranks > 1 is incompatible with threads > 1 (pick one parallel backend)"),

@@ -39,6 +39,7 @@ import numpy as np
 from repro.backend import array_namespace
 from repro.common import ConfigurationError, NumericsError
 from repro.eos.mixture import Mixture
+from repro.profiling.counters import Tally
 from repro.solver.positivity import pressure_floor
 from repro.state.conversions import cons_to_prim, row_tiles
 from repro.state.layout import StateLayout
@@ -210,7 +211,7 @@ class RetryPolicy:
 
 
 @dataclass
-class RecoveryCounters:
+class RecoveryCounters(Tally):
     """Every recovery action a resilient run performed.
 
     Surfaced by :meth:`Simulation summaries <repro.solver.simulation.
@@ -239,23 +240,6 @@ class RecoveryCounters:
                     self.faults_injected, self.checkpoints_written,
                     self.checkpoints_verified, self.checkpoints_rejected,
                     self.restarts))
-
-    def as_dict(self) -> dict:
-        """Plain dict for JSON benchmark records."""
-        return {
-            "retries": self.retries,
-            "rollbacks": self.rollbacks,
-            "dt_halvings": self.dt_halvings,
-            "escalations": self.escalations,
-            "guard_failures": self.guard_failures,
-            "faults_injected": self.faults_injected,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoints_verified": self.checkpoints_verified,
-            "checkpoints_rejected": self.checkpoints_rejected,
-            "restarts": self.restarts,
-            "checkpoint_seconds": self.checkpoint_seconds,
-            "checkpoint_skip_reasons": dict(self.checkpoint_skip_reasons),
-        }
 
     def summary(self) -> str:
         """One-line human summary (printed by the CLI and reports)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -40,7 +40,7 @@ from repro.backend import (
     to_host_array,
 )
 from repro.bc.boundary import BoundarySet, fill_axis_ghosts, pad_axis
-from repro.common import DTYPE, ConfigurationError, Stopwatch
+from repro.common import ConfigurationError, Stopwatch
 from repro.common.checks import integer, optional
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
@@ -51,13 +51,9 @@ from repro.solver.geometry import (
     apply_axisymmetric_terms,
     validate_geometry,
 )
+from repro.solver.options import KnobAccess, SolverOptions, fold
 from repro.solver.positivity import limit_face_states
-from repro.solver.sweep import (
-    SweepEngine,
-    timed,
-    validate_fusion,
-    validate_sweep_layout,
-)
+from repro.solver.sweep import SweepEngine, timed
 from repro.solver.workspace import CONTROL_WORDS, SolverWorkspace
 from repro.state.conversions import cons_to_prim, cons_to_prim_tile, row_tiles
 from repro.state.layout import StateLayout
@@ -187,8 +183,7 @@ class RHSConfig:
             Viscosity(tuple(self.viscosity))  # validates
 
 
-@dataclass
-class RHS(AbstractContextManager):
+class RHS(KnobAccess, AbstractContextManager):
     """Callable computing :math:`dq/dt` for a conservative field ``q``.
 
     With ``use_workspace`` (the default) the primitive field and the
@@ -210,119 +205,114 @@ class RHS(AbstractContextManager):
     sweep: self-contained stencils, disjoint writes) — and the resolved
     width and its reason end up in ``threads`` / ``gang_why``.
 
-    The execution knobs (``use_workspace threads sweep_layout fusion
-    backend`` and, as ``dtype``, ``precision``) are
-    :class:`~repro.solver.options.SolverOptions` fields, documented
-    once in DESIGN.md "Options: one table"; ``tiles`` is the remaining
-    axis of a :class:`~repro.tuning.TuningPlan`.  Drivers build theirs
-    with :meth:`planned`.
+    ``options`` and/or loose keyword knobs are the execution knobs, as
+    for every driver (DESIGN.md "Options: one table"; this class reads
+    ``use_workspace threads sweep_layout fusion backend precision``);
+    :attr:`options` holds them resolved — the backend object, the gang
+    width — and knob reads (``rhs.fusion``) go through it.  The rest:
+
+    tiles:
+        Explicit per-launch tile count overriding the L2 heuristic (the
+        remaining axis of a :class:`~repro.tuning.TuningPlan`); None
+        keeps the heuristic.
+    batch:
+        Ensemble batch width: ``batch=B`` evaluates B same-grid cases
+        stacked as ``q[:, b, ...]`` in ONE call, amortizing every ufunc
+        pass (and every fused-kernel launch) B-fold.  The batch axis is
+        treated as a leading *virtual spatial axis* that is never swept:
+        all sweeps, tile plans, and fused kernels see the virtual shape
+        ``(B, *grid.shape)`` while physical quantities (momentum
+        components, boundary sets, cell widths) keep their physical
+        direction index.  Every case advances bitwise as it would alone.
+    transport:
+        A rank's halo source, its :class:`~repro.cluster.procs.
+        SharedMemoryTransport` (``grid`` is then the rank's block grid,
+        :meth:`~repro.cluster.decomposition.BlockDecomposition.
+        block_grid`); None is a whole domain.  A rank runs on its
+        workspace, with gang width 1: the ranks are the gang.
+    stopwatch:
+        Per-kernel-family wall-time laps.
     """
 
-    layout: StateLayout
-    mixture: Mixture
-    grid: StructuredGrid
-    bcs: BoundarySet
-    config: RHSConfig = field(default_factory=RHSConfig)
-    stopwatch: Stopwatch | None = None
-    use_workspace: bool = True
-    threads: int | None = None
-    sweep_layout: str = "strided"
-    #: Explicit per-launch tile count overriding the L2 heuristic
-    #: (a tuner knob); None keeps the heuristic.
-    tiles: int | None = None
-    fusion: str = "off"
-    #: Owns the array namespace the kernels resolve and the workspace
-    #: allocator.  A backend the fusion code generator cannot target
-    #: never fuses (see ``docs/backends.md``).
-    backend: object = None
-    #: Array dtype of the state/workspace (``precision`` seam);
-    #: ``numpy.float64`` keeps the bitwise-identical default.
-    dtype: object = DTYPE
-    #: Ensemble batch width: ``batch=B`` evaluates B same-grid cases
-    #: stacked as ``q[:, b, ...]`` in ONE call, amortizing every ufunc
-    #: pass (and every fused-kernel launch) B-fold.  The batch axis is
-    #: treated as a leading *virtual spatial axis* that is never swept:
-    #: all sweeps, tile plans, and fused kernels see the virtual shape
-    #: ``(B, *grid.shape)`` while physical quantities (momentum
-    #: components, boundary sets, cell widths) keep their physical
-    #: direction index.  Every case advances bitwise as it would alone.
-    batch: int | None = None
-    #: A rank's halo source, its :class:`~repro.cluster.procs.
-    #: SharedMemoryTransport` (``grid`` is then the rank's block grid,
-    #: :meth:`~repro.cluster.decomposition.BlockDecomposition.block_grid`);
-    #: None is a whole domain.  A rank runs on its workspace, with gang
-    #: width 1: the ranks are the gang.
-    transport: object = None
-
-    def __post_init__(self) -> None:
-        self.backend = resolve_backend(self.backend)
-        self.dtype = np.dtype(self.dtype)
-        if self.grid.ndim != self.layout.ndim:
+    def __init__(self, layout: StateLayout, mixture: Mixture,
+                 grid: StructuredGrid, bcs: BoundarySet,
+                 config: RHSConfig | None = None,
+                 options: SolverOptions | None = None, *,
+                 tiles: int | None = None, batch: int | None = None,
+                 transport=None, stopwatch: Stopwatch | None = None,
+                 **knobs) -> None:
+        options = fold(options, knobs)
+        if transport is not None:
+            # The strips meet the tiles on the workspace, on this process.
+            options = fold(options, {"use_workspace": True, "threads": 1})
+        self.layout, self.mixture, self.grid, self.bcs = (layout, mixture,
+                                                          grid, bcs)
+        self.config = config = config if config is not None else RHSConfig()
+        self.stopwatch, self.transport = stopwatch, transport
+        self.tiles = optional(integer(1))("tiles", tiles)
+        self.batch = optional(integer(1))("batch", batch)
+        backend = resolve_backend(options.backend)
+        dtype = precision_dtype(options.precision)
+        ws_on = options.use_workspace
+        if grid.ndim != layout.ndim:
             raise ConfigurationError(
-                f"grid is {self.grid.ndim}D but layout expects {self.layout.ndim}D")
-        if self.bcs.ndim() != self.layout.ndim:
+                f"grid is {grid.ndim}D but layout expects {layout.ndim}D")
+        if bcs.ndim() != layout.ndim:
             raise ConfigurationError("boundary set dimensionality mismatch")
-        optional(integer(1))("batch", self.batch)
         #: Number of leading virtual (non-swept) axes: 1 when batched.
-        self._nb = 0 if self.batch is None else 1
-        if self.batch is not None:
-            if self.config.geometry != "cartesian":
+        self._nb = 0 if batch is None else 1
+        if batch is not None:
+            if config.geometry != "cartesian":
                 raise ConfigurationError(
                     "batched (ensemble) RHS supports cartesian geometry only")
-            if self.config.viscosity is not None:
+            if config.viscosity is not None:
                 raise ConfigurationError(
                     "batched (ensemble) RHS does not support viscosity yet")
-            if not self.use_workspace:
+            if not ws_on:
                 raise ConfigurationError(
                     "batched (ensemble) RHS requires use_workspace=True")
-        if self.transport is not None:
-            if self.config.viscosity is not None:
-                # Viscous fluxes read neighbour cells no strip carries.
-                raise ConfigurationError(
-                    "distributed runs do not support viscous terms yet")
-            # The strips meet the tiles on the workspace, on this process.
-            self.use_workspace, self.threads = True, 1
-        self._ng = halo_width(self.config.weno_order)
-        optional(integer(1))("tiles", self.tiles)
-        validate_geometry(self.config.geometry, self.layout, self.grid)
-        if self.config.geometry == "axisymmetric":
-            self._radius = self.backend.xp.asarray(
-                self.grid.centers(1).reshape(1, -1), dtype=self.dtype)
+        if transport is not None and config.viscosity is not None:
+            # Viscous fluxes read neighbour cells no strip carries.
+            raise ConfigurationError(
+                "distributed runs do not support viscous terms yet")
+        self._ng = halo_width(config.weno_order)
+        validate_geometry(config.geometry, layout, grid)
+        if config.geometry == "axisymmetric":
+            self._radius = backend.xp.asarray(
+                grid.centers(1).reshape(1, -1), dtype=dtype)
         else:
             self._radius = None
         self._viscosity = None
-        if self.config.viscosity is not None:
+        if config.viscosity is not None:
             # Viscous terms load only for a viscous run.
             from repro.solver.viscous import Viscosity
 
-            self._viscosity = Viscosity(tuple(self.config.viscosity))
-        if self._viscosity is not None and len(self._viscosity.mu) != self.layout.ncomp:
+            self._viscosity = Viscosity(tuple(config.viscosity))
+        if self._viscosity is not None and len(self._viscosity.mu) != layout.ncomp:
             raise ConfigurationError(
                 f"{len(self._viscosity.mu)} viscosities for "
-                f"{self.layout.ncomp} components")
+                f"{layout.ncomp} components")
         #: Cumulative count of face states replaced by the positivity
         #: fallback (0 in well-resolved single-phase runs).
         self.limited_faces = 0
-        validate_sweep_layout(self.sweep_layout)
-        validate_fusion(self.fusion)
-        if self.fusion == "on" and not self.backend.supports_fusion:
+        fusion = options.fusion
+        if fusion == "on" and not backend.supports_fusion:
             raise ConfigurationError(
                 f"fusion='on' is not supported on the "
-                f"{self.backend.name!r} backend (the fused code "
+                f"{backend.name!r} backend (the fused code "
                 f"generator targets NumPy); use fusion='auto' or 'off'")
-        if self.fusion == "on" and not self.use_workspace:
+        if fusion == "on" and not ws_on:
             raise ConfigurationError(
                 "fusion='on' requires the workspace (the fused kernels' "
                 "tile scratch arenas live there); use fusion='auto' to "
                 "fuse opportunistically")
         #: Whether the direction sweeps run as fused per-tile kernels.
-        fused = (self.fusion == "on"
-                 or (self.fusion == "auto" and self.use_workspace
-                     and self.backend.supports_fusion))
+        fused = (fusion == "on"
+                 or (fusion == "auto" and ws_on and backend.supports_fusion))
         # Validates an explicit width, which also asks the engine for
         # at least one tile per member; a planned one is 1 until the
         # tile counts are known.
-        floor, _ = plan_gang_width(self.threads, tiles=0)
+        floor, _ = plan_gang_width(options.threads, tiles=0)
         #: Per-sweep data-movement tallies (slab vs. gathered sweeps,
         #: bytes gathered); surfaced by the CLI, the benches, and
         #: :meth:`Profile.report`.
@@ -330,55 +320,35 @@ class RHS(AbstractContextManager):
         # Fused and tiled sweeps need the workspace (tile arenas,
         # disjoint-write buffers); without one the engine only plans,
         # and every call takes the allocating reference path.
-        ws_on = self.use_workspace
         self._engine = engine = SweepEngine(
-            self.layout, self.mixture, self.bcs, self.config, self.grid.shape,
-            counters=self.sweep_counters, fused=fused, batch=self.batch,
-            workers=floor, tiles=self.tiles, dtype=self.dtype,
-            stopwatch=self.stopwatch, halo=self.transport is not None)
+            layout, mixture, bcs, config, grid.shape,
+            counters=self.sweep_counters, fused=fused, batch=batch,
+            workers=floor, tiles=tiles, dtype=dtype, stopwatch=stopwatch,
+            halo=transport is not None)
         #: One value when fused; the e2e fusion probe spells it.
         self.fusion_backend = "numpy" if fused else None
         #: Resolved gang width and the reason for it (the banner text).
-        self.threads, self.gang_why = plan_gang_width(
-            self.threads, tiles=max(
+        threads, self.gang_why = plan_gang_width(
+            options.threads, tiles=max(
                 p.tiles for p in engine.plans.values()) if ws_on else 0)
-        width = self.threads if ws_on else 1
+        self.options = dataclasses.replace(options, backend=backend,
+                                           threads=threads)
+        width = threads if ws_on else 1
         #: Preallocated buffer arena; None runs the allocating
         #: reference path.
         self.workspace = ws = (SolverWorkspace(
-            self.layout, self.grid, self._ng, dtype=self.dtype,
-            batch=self.batch, backend=self.backend, shared=width > 1,
+            layout, grid, self._ng, dtype=dtype, batch=batch,
+            backend=backend, shared=width > 1,
             rows=engine.rows) if ws_on else None)
-        widths = tuple(self.backend.xp.asarray(w, dtype=self.dtype)
-                       for w in self.grid.width_fields())
-        self._launch = _Launch(self.layout, self.mixture, engine, ws, widths,
-                               width, self.stopwatch) if ws_on else None
+        widths = tuple(backend.xp.asarray(w, dtype=dtype)
+                       for w in grid.width_fields())
+        self._launch = _Launch(layout, mixture, engine, ws, widths, width,
+                               stopwatch) if ws_on else None
         #: The forked gang; None takes the serial path with no fork, no
         #: shared mapping and zero executor overhead.
         self.executor = (GangExecutor(width, self._launch,
-                                      stopwatch=self.stopwatch)
+                                      stopwatch=stopwatch)
                          if width > 1 else None)
-
-    @classmethod
-    def planned(cls, layout, mixture, grid, bcs, config, options, plan, *,
-                stopwatch=None, batch: int | None = None,
-                transport=None) -> "RHS":
-        """The RHS a driver runs: ``options`` resolved into ``plan``.
-
-        The one construction every driver shares.  ``plan`` is the
-        :class:`~repro.tuning.TuningPlan` of
-        :func:`~repro.tuning.resolve_plan`, which names the layout,
-        fusion mode, backend and tile count; a plan without a gang width
-        leaves ``options.threads`` in charge.
-        """
-        return cls(layout, mixture, grid, bcs, config, stopwatch=stopwatch,
-                   use_workspace=options.use_workspace,
-                   threads=(plan.threads if plan.threads is not None
-                            else options.threads),
-                   sweep_layout=plan.sweep_layout, fusion=plan.fusion,
-                   tiles=plan.tiles, backend=plan.backend,
-                   dtype=precision_dtype(options.precision), batch=batch,
-                   transport=transport)
 
     def close(self) -> None:
         """Stop and reap the gang's workers (idempotent)."""

@@ -23,11 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.acc.gang import plan_gang_width
-from repro.backend import (
-    precision_dtype,
-    resolve_backend,
-    to_host_array,
-)
+from repro.backend import precision_dtype, to_host_array
 from repro.bc.boundary import BC, BoundarySet
 from repro.common import ConfigurationError, Stopwatch
 from repro.io.binary import read_snapshot, write_snapshot
@@ -36,7 +32,6 @@ from repro.solver.march import March, StepRecord
 from repro.solver.options import SolverOptions, fold
 from repro.solver.rhs import RHS, RHSConfig
 from repro.state.conversions import cons_to_prim
-from repro.tuning.plan import heuristic_plan
 
 __all__ = ["Simulation", "StepRecord"]
 
@@ -93,17 +88,13 @@ class Simulation(March):
         # The tuner measures on the host array; the state moves onto
         # the execution backend (H2D, an identity for numpy/float64)
         # once the plan — which names the backend — is settled.
-        plan = self._setup(case, bcs, config, stopwatch, options, q)
-        backend = resolve_backend(plan.backend)
-        self.q = backend.from_host(q, dtype=self._dtype)
-        self.rhs = RHS.planned(self.layout, self.mixture, self.grid, bcs,
-                               self.config, options, plan,
-                               stopwatch=self.stopwatch)
+        options, tiles = self._setup(case, bcs, config, stopwatch, options, q)
+        self.q = options.backend.from_host(q, dtype=self._dtype)
+        self.rhs = RHS(self.layout, self.mixture, self.grid, bcs, self.config,
+                       options, tiles=tiles, stopwatch=self.stopwatch)
         if options.ranks == 1:
             self.gang_why = self.rhs.gang_why
-        self.options = dataclasses.replace(
-            options, threads=self.rhs.threads, backend=backend,
-            sweep_layout=plan.sweep_layout, fusion=plan.fusion)
+        self.options = self.rhs.options
         #: Merged :class:`~repro.profiling.counters.HaloCounters` of the
         #: last multi-process :meth:`run` (None until one completes), and
         #: its per-rank split (:attr:`~repro.cluster.ClusterResult.ranks`).
@@ -149,11 +140,10 @@ class Simulation(March):
         """
         rhs = self._fallback_rhs_cache.get(order)
         if rhs is None:
-            rhs = self._fallback_rhs_cache[order] = RHS.planned(
+            rhs = self._fallback_rhs_cache[order] = RHS(
                 self.layout, self.mixture, self.grid, self.bcs,
                 dataclasses.replace(self.config, weno_order=order),
-                self.options,
-                heuristic_plan(threads=1, backend=self.backend.name),
+                self.options, threads=1, fusion="off",
                 stopwatch=self.stopwatch)
         return rhs
 

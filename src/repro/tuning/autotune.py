@@ -16,6 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.acc.gang import usable_cores
 from repro.backend import resolve_backend, to_host_array
 from repro.common import DTYPE
@@ -99,8 +101,9 @@ class Autotuner:
         """
         # Measurement and the gate are host-side, in the run's precision.
         q = to_host_array(q).astype(dtype, copy=False)
+        precision = np.dtype(dtype).name
         reference = RHS(layout, mixture, grid, bcs, config, batch=batch,
-                        threads=1, dtype=dtype)
+                        threads=1, precision=precision)
         expected = reference(q).tobytes()
         self.timing_runs += 1
 
@@ -118,7 +121,7 @@ class Autotuner:
                       sweep_layout=cand["sweep_layout"],
                       tiles=cand["tiles"],
                       fusion=cand.get("fusion", "off"),
-                      batch=batch, backend=be, dtype=dtype)
+                      batch=batch, backend=be, precision=precision)
             q_c = be.from_host(q) if be.name != "numpy" else q
             out = be.empty(tuple(q.shape), q.dtype)
             try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -133,34 +133,40 @@ def heuristic_plan(*, threads: int | None = None,
 
 def resolve_plan(options, layout, mixture, grid, bcs, config, q,
                  batch: int | None = None):
-    """Resolve ``options`` into the plan a driver runs: ``(plan, tuner)``.
+    """Resolve ``options`` into what a driver runs: ``(options, plan,
+    tuner)``.
 
     The one reading of the ``tuning`` knob, shared by the single-case
-    and the batched driver.  Always a :class:`TuningPlan`: tuning off
-    gives :func:`heuristic_plan` of the configured knobs, a hand-picked
-    plan is returned as is, and ``"auto"`` consults the
-    :class:`~repro.tuning.Autotuner` (the second element, else None) —
+    and the batched driver.  The returned options carry the resolved
+    backend and the plan's layout, fusion, backend and gang width (a
+    plan without one leaves ``threads`` as configured); the plan's
+    ``tiles`` is the one axis left for the RHS.  ``plan`` is None with
+    tuning off, a hand-picked plan as is, and with ``"auto"`` the
+    :class:`~repro.tuning.Autotuner`'s (the third element, else None) —
     keyed by the run's precision, backend and, for a stacked state
     ``q``, its ``batch`` width, so no two of them share a cache entry.
     """
-    backend = resolve_backend(options.backend).name
-    if options.tuning == "off":
-        return heuristic_plan(threads=options.threads,
-                              sweep_layout=options.sweep_layout,
-                              fusion=options.fusion, backend=backend), None
+    plan = tuner = None
     if isinstance(options.tuning, TuningPlan):
-        return options.tuning, None
-    # "auto": the tuner benchmarks RHS objects, which sit above this
-    # module in the package graph.
-    from repro.tuning.autotune import Autotuner, TuningCache
+        plan = options.tuning
+    elif options.tuning == "auto":
+        # The tuner benchmarks RHS objects, which sit above this module
+        # in the package graph.
+        from repro.tuning.autotune import Autotuner, TuningCache
 
-    tuner = Autotuner(cache=TuningCache(options.tuning_cache))
-    plan = tuner.plan_for(
-        layout, mixture, grid, bcs, config, q, threads=options.threads,
-        sweep_layout=options.sweep_layout,
-        dtype=precision_dtype(options.precision), batch=batch,
-        backend=backend)
-    return plan, tuner
+        tuner = Autotuner(cache=TuningCache(options.tuning_cache))
+        plan = tuner.plan_for(
+            layout, mixture, grid, bcs, config, q, threads=options.threads,
+            sweep_layout=options.sweep_layout,
+            dtype=precision_dtype(options.precision), batch=batch,
+            backend=resolve_backend(options.backend).name)
+    if plan is not None:
+        options = replace(
+            options, sweep_layout=plan.sweep_layout, fusion=plan.fusion,
+            backend=plan.backend, threads=(options.threads if plan.threads
+                                           is None else plan.threads))
+    return replace(options, backend=resolve_backend(options.backend)), \
+        plan, tuner
 
 
 # ----------------------------------------------------------------------

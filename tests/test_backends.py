@@ -268,7 +268,7 @@ class TestFloat32:
 
 def eval_rhs_float32(case):
     be = get_backend("numpy")
-    rhs = rhs_for(case, backend=be, dtype=np.float32)
+    rhs = rhs_for(case, backend=be, precision="float32")
     try:
         q = be.from_host(case.initial_conservative(), dtype=np.float32)
         return to_host_array(rhs(q)).copy()

@@ -8,6 +8,8 @@ existed — the "no new knob, none lost" gate.
 """
 
 import argparse
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,13 +18,13 @@ from hypothesis import strategies as st
 
 from repro.__main__ import build_parser
 from repro.common import ConfigurationError
-from repro.io.case_files import SERVICE_KEYS
 from repro.solver.options import (
     KNOBS,
     REFUSALS,
     SolverOptions,
     fold,
     section_keys,
+    section_of,
     spelling,
 )
 from repro.solver.resilience import RetryPolicy
@@ -36,7 +38,8 @@ RUN_FLAGS = [
     "--validate-every", "--weno"]
 ENSEMBLE_FLAGS = [
     "--backend", "--batch-width", "--bc", "--cfl", "--checkpoint-dir",
-    "--checkpoint-every", "--deadline", "--fusion", "--geometry", "--layout",
+    "--checkpoint-every", "--checkpoint-keep", "--deadline", "--fusion",
+    "--geometry", "--layout",
     "--ledger", "--max-attempts", "--no-supervise", "--results-dir",
     "--riemann", "--threads", "--tune", "--tuning-cache", "--weno"]
 TUNE_FLAGS = ["--bc", "--geometry", "--layout", "--riemann", "--threads",
@@ -55,7 +58,9 @@ FIELDS = (
     "cfl rk_order fixed_dt use_workspace threads ranks "
     "cluster_timeout max_restarts sweep_layout fusion retry "
     "validate_every checkpoint_every checkpoint_dir checkpoint_keep tuning "
-    "tuning_cache backend precision").split()
+    "tuning_cache backend precision ledger results_dir max_attempts "
+    "retry_base_seconds deadline_seconds wall_limit_seconds supervise "
+    "degrade_after min_batch_width").split()
 
 
 def _flags(command: str) -> list[str]:
@@ -73,7 +78,7 @@ def test_no_knob_added_none_lost():
     assert _flags("tune") == TUNE_FLAGS
     assert sorted(section_keys("run")) == RUN_KEYS == sorted(SETTINGS)
     assert sorted(section_keys("ensemble")) == ENSEMBLE_KEYS
-    assert sorted(SERVICE_KEYS) == SERVICE
+    assert sorted(section_keys("ensemble", "service")) == SERVICE
 
 
 def test_defaults_are_heads():
@@ -83,10 +88,13 @@ def test_defaults_are_heads():
             o.sweep_layout, o.fusion, o.retry,
             o.validate_every, o.checkpoint_every, o.checkpoint_dir,
             o.checkpoint_keep, o.tuning, o.tuning_cache, o.backend,
-            o.precision) == (
+            o.precision, o.ledger, o.results_dir, o.max_attempts,
+            o.retry_base_seconds, o.deadline_seconds, o.wall_limit_seconds,
+            o.supervise, o.degrade_after, o.min_batch_width) == (
         0.5, 3, None, True, None, 1, 30.0, 1, "strided", "off",
-        None, 10, 0, None, 3, "off", None, None, "float64")
-    assert len(KNOBS) == 19
+        None, None, None, None, 3, "off", None, None, "float64",
+        None, None, 3, 0.5, 60.0, None, True, 2, 1)
+    assert len(KNOBS) == 28
 
 
 #: One drawable setting per ``run`` knob: JSON value -> CLI arguments.
@@ -149,6 +157,97 @@ def test_keywords_case_file_and_cli_agree(section, cfl):
             from_cli if given else in_file, f.name)
 
 
+#: One drawable setting per ``"service"`` key of a campaign spec: JSON
+#: value -> CLI arguments (None: the knob has no flag).
+SERVICE_SETTINGS = {
+    "ledger": (st.sampled_from(["led.jsonl", "out/led.jsonl"]),
+               lambda v: ["--ledger", v]),
+    "checkpoint_dir": (st.sampled_from(["ckpt", "out/ckpt"]),
+                       lambda v: ["--checkpoint-dir", v]),
+    "results_dir": (st.sampled_from(["res"]), lambda v: ["--results-dir", v]),
+    "checkpoint_every": (st.integers(0, 9),
+                         lambda v: ["--checkpoint-every", str(v)]),
+    "checkpoint_keep": (st.integers(1, 5),
+                        lambda v: ["--checkpoint-keep", str(v)]),
+    "max_attempts": (st.integers(1, 5), lambda v: ["--max-attempts", str(v)]),
+    "deadline_seconds": (st.integers(1, 90),
+                         lambda v: ["--deadline", str(v)]),
+    "supervise": (st.just(False), lambda v: ["--no-supervise"]),
+    "retry_base_seconds": (st.sampled_from([0, 0.25, 2]), None),
+    "wall_limit_seconds": (st.sampled_from([None, 5, 7.5]), None),
+    "degrade_after": (st.integers(1, 4), None),
+    "min_batch_width": (st.integers(1, 4), None),
+}
+
+
+@given(service=st.sets(st.sampled_from(sorted(SERVICE_SETTINGS))).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: SERVICE_SETTINGS[key][0] for key in sorted(keys)})),
+    fusion=st.sampled_from(["off", "auto"]))
+@settings(max_examples=60, deadline=None)
+def test_campaign_keywords_spec_and_cli_agree(service, fusion):
+    """A spec's ``"service"`` section, the ``ensemble`` flags and the
+    keywords give equal options (a knob without a flag comes from the
+    file on the command line too)."""
+    by_key = section_keys("ensemble", "service")
+    keywords = SolverOptions(fusion=fusion, **{
+        by_key[key].name: value for key, value in service.items()})
+    from_file = fold(SolverOptions.from_mapping(
+        service, command="ensemble", section="service"), {"fusion": fusion})
+    argv = ["ensemble", "spec.json", "--fusion", fusion]
+    flagless = {}
+    for key, value in service.items():
+        cli = SERVICE_SETTINGS[key][1]
+        if cli is None:
+            flagless[by_key[key].name] = value
+        else:
+            argv += cli(value)
+    from_cli = SolverOptions(**flagless).overridden_by(
+        build_parser().parse_args(argv))
+    assert keywords == from_file == from_cli
+
+
+def test_no_keyword_mirrors_a_knob():
+    """The drivers take knobs as ``options`` and ``**knobs`` only."""
+    from repro.ensemble import EnsembleService
+    from repro.solver.rhs import RHS
+
+    names = {f.name for f in KNOBS}
+    for cls in (EnsembleService, RHS):
+        params = inspect.signature(cls.__init__).parameters
+        assert not names & set(params), cls.__name__
+        assert list(params.values())[-1].kind is inspect.Parameter.VAR_KEYWORD
+    # ... nor keeps a knob-named attribute: knob reads go to its options.
+    from repro import quickstart_sod
+
+    sim = quickstart_sod(n_cells=20)
+    with RHS(sim.layout, sim.mixture, sim.grid, sim.bcs, fusion="auto",
+             threads=1) as rhs:
+        assert not names & set(vars(rhs))
+        assert (rhs.fusion, rhs.threads, rhs.options.fusion) == \
+            ("auto", 1, "auto")
+
+
+def test_no_second_option_table_in_src():
+    src = Path(__file__).resolve().parents[1] / "src"
+    for module in src.rglob("*.py"):
+        assert not re.search(r"\bSERVICE_[A-Z]|_SERVICE_[A-Z]",
+                             module.read_text()), module
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("ledger", ""), ("results_dir", 7), ("checkpoint_dir", ""),
+    ("checkpoint_every", -1), ("checkpoint_keep", 0), ("max_attempts", 0),
+    ("retry_base_seconds", -5), ("deadline_seconds", "60"),
+    ("deadline_seconds", 0), ("wall_limit_seconds", "x"),
+    ("supervise", "false"), ("degrade_after", 0), ("min_batch_width", 0),
+])
+def test_out_of_range_service_values_name_the_key(key, bad):
+    with pytest.raises(ConfigurationError, match=f"service {key}"):
+        SolverOptions.from_mapping({key: bad}, command="ensemble",
+                                   section="service")
+
+
 @pytest.mark.parametrize("key,bad", [
     ("threads", 0), ("threads", True), ("threads", 2.0), ("ranks", 0),
     ("ranks", "2"), ("cluster_timeout", 0), ("cluster_timeout", "30"),
@@ -182,7 +281,10 @@ def test_unknown_keys_are_named():
     ("sweep_layout", "diagonal"), ("fusion", "maybe"), ("retry", 3),
     ("validate_every", -1), ("checkpoint_every", -1), ("checkpoint_keep", 0),
     ("tuning", "sometimes"), ("backend", "tpu"), ("precision", "float16"),
-    ("sweep_layout", "auto"), ("backend", "torch"),
+    ("sweep_layout", "auto"), ("backend", "torch"), ("ledger", ""),
+    ("max_attempts", 0), ("retry_base_seconds", -1.0),
+    ("deadline_seconds", 0), ("wall_limit_seconds", "x"),
+    ("supervise", "false"), ("degrade_after", 0), ("min_batch_width", 0),
 ])
 def test_out_of_range_keywords_name_the_field(name, bad):
     with pytest.raises(ConfigurationError, match=name):
@@ -222,6 +324,9 @@ def design_row(f) -> str:
     """One knob's row of the DESIGN.md table (the rendering the doc uses)."""
     key, flag = spelling(f)
     on = f.metadata["on"]
-    return (f"| `{f.name}` | {f'`{key}`' if key and on else '—'} "
-            f"| {f'`{flag}`' if on else '—'} | {', '.join(on) or '—'} "
+    section = ", ".join(dict.fromkeys(section_of(f, c) for c in on))
+    return (f"| `{f.name}` | {section if key and on else '—'} "
+            f"| {f'`{key}`' if key and on else '—'} "
+            f"| {f'`{flag}`' if flag and on else '—'} "
+            f"| {', '.join(on) or '—'} "
             f"| `{f.default!r}` | {f.metadata['help']} |")

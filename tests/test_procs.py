@@ -27,7 +27,7 @@ from repro.cluster import (
     ShmArena,
 )
 from repro.common import ClusterError, ConfigurationError, NumericsError
-from repro.ensemble import EnsembleSimulation
+from repro.ensemble import EnsembleJob, EnsembleService, EnsembleSimulation
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.profiling import HaloCounters, Profile
@@ -513,6 +513,8 @@ def _refusal_cases():
             case, bcs, 2, fault=RankFault(rank=0, step=1)),
         "batched ensemble engine": lambda: EnsembleSimulation(
             [case], bcs, retry={"max_retries": 1}),
+        "need a ledger": lambda: EnsembleService(
+            [EnsembleJob(case, 1e-3)], bcs, checkpoint_every=2),
     }
 
 
@@ -520,13 +522,13 @@ class TestDeclaredRefusals:
     """Every knob combination no driver runs is one row of
     ``repro.solver.options.REFUSALS`` and is refused with its reason."""
 
-    @pytest.mark.parametrize("row", range(10))
+    @pytest.mark.parametrize("row", range(11))
     def test_each_row_is_raised_with_its_reason(self, row):
         import re
 
         from repro.solver.options import REFUSALS
 
-        assert len(REFUSALS) == 10  # a new row needs a case above
+        assert len(REFUSALS) == 11  # a new row needs a case above
         reason = REFUSALS[row][1]
         (build,) = [b for fragment, b in _refusal_cases().items()
                     if fragment in reason]

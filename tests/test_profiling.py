@@ -91,3 +91,47 @@ class TestProfile:
         # Longest kernel first.
         lines = rep.splitlines()
         assert lines[2].startswith("pack")
+
+
+class TestTallies:
+    """A counter's fields are its record: ``as_dict`` lists them in
+    declaration order and ``merge`` sums each one."""
+
+    @pytest.fixture(params=["SweepCounters", "HaloCounters",
+                            "RecoveryCounters"])
+    def tally(self, request):
+        import repro.profiling.counters as counters
+        import repro.solver.resilience as resilience
+
+        return getattr(counters, request.param, None) \
+            or getattr(resilience, request.param)
+
+    def test_as_dict_keys_are_the_fields(self, tally):
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(tally)]
+        assert list(tally().as_dict()) == names
+
+    def test_merge_sums_every_field(self, tally):
+        import dataclasses
+
+        a, b = tally(), tally()
+        for i, f in enumerate(dataclasses.fields(tally), start=1):
+            if f.name == "checkpoint_skip_reasons":
+                a.checkpoint_skip_reasons.update(crc=1)
+                b.checkpoint_skip_reasons.update(crc=2, shape=1)
+            else:
+                setattr(a, f.name, i)
+                setattr(b, f.name, 10 * i)
+        a.merge(b)
+        for i, f in enumerate(dataclasses.fields(tally), start=1):
+            expect = ({"crc": 3, "shape": 1}
+                      if f.name == "checkpoint_skip_reasons" else 11 * i)
+            assert getattr(a, f.name) == expect, f.name
+
+    def test_as_dict_copies_the_skip_reasons(self):
+        from repro.solver.resilience import RecoveryCounters
+
+        r = RecoveryCounters(checkpoint_skip_reasons={"crc": 1})
+        r.as_dict()["checkpoint_skip_reasons"]["crc"] = 5
+        assert r.checkpoint_skip_reasons == {"crc": 1}

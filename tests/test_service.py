@@ -662,6 +662,27 @@ class TestCLI:
         assert service["ledger"] == tmp_path / "run" / "led.jsonl"
         assert service["supervise"] is False
 
+    @pytest.mark.parametrize("key,bad", [
+        ("supervise", "false"), ("deadline_seconds", "60"),
+        ("retry_base_seconds", -5), ("wall_limit_seconds", "x"),
+        ("checkpoint_keep", 0)])
+    def test_bad_service_value_is_named_not_run(self, tmp_path, key, bad):
+        """A bad ``"service"`` value is refused by name at load, and the
+        CLI reports it as an error: no traceback, no campaign."""
+        from repro.io.case_files import load_ensemble_spec
+
+        spec = self._spec(tmp_path)
+        data = json.loads(spec.read_text())
+        data["service"][key] = bad
+        spec.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=f"service {key}"):
+            load_ensemble_spec(spec)
+        cli = self._run(spec)
+        assert cli.returncode == 2, cli.stdout + cli.stderr
+        assert cli.stderr.startswith(f"repro: error: service {key}")
+        assert "Traceback" not in cli.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_service_key_rejected(self, tmp_path):
         from repro.io.case_files import load_ensemble_spec
 
@@ -672,3 +693,69 @@ class TestCLI:
         with pytest.raises(ConfigurationError, match="bogus"):
             load_ensemble_spec(spec)
 
+
+
+# ----------------------------------------------------------------------
+class TestCampaignArtifacts:
+    """The campaigns users and CI run write the checkpoints and results
+    they always have: the example spec as is (a checkpoint every 10
+    stacked steps), CI's chaos-leg run of it (``--checkpoint-every 5``)
+    and a service section naming only a ledger (the campaign's cadence,
+    every 5, into ``checkpoints`` beside the ledger).  Every job still
+    matches its standalone run bit for bit."""
+
+    SPEC = Path(__file__).resolve().parents[1] / "examples" / "cases" \
+        / "ensemble_service.json"
+    #: Checkpoints written, by the spec's directory names.
+    WRITTEN = {
+        "example": [
+            "service_run/checkpoints/job0000_000000010.bin",
+            "service_run/checkpoints/job0002_000000010.bin"],
+        "ci-every-5": [
+            "service_run/checkpoints/job0000_000000005.bin",
+            "service_run/checkpoints/job0000_000000010.bin",
+            "service_run/checkpoints/job0001_000000005.bin",
+            "service_run/checkpoints/job0002_000000005.bin",
+            "service_run/checkpoints/job0002_000000010.bin"],
+    }
+    WRITTEN["ledger-only"] = WRITTEN["ci-every-5"]
+
+    @pytest.mark.parametrize("campaign", sorted(WRITTEN))
+    def test_checkpoints_and_results(self, campaign, tmp_path, monkeypatch,
+                                     capsys):
+        from repro.__main__ import main
+        from repro.io.binary import read_snapshot
+        from repro.io.case_files import load_ensemble_spec
+        from repro.io.checkpoint import CheckpointManager
+
+        log = tmp_path / "written.log"
+        save = CheckpointManager.save
+
+        def recorded(self, q, *, step, time):  # forked batches too
+            path = save(self, q, step=step, time=time)
+            with log.open("a") as fh:
+                fh.write(f"{Path(path).as_posix()}\n")
+            return path
+
+        monkeypatch.setattr(CheckpointManager, "save", recorded)
+        monkeypatch.chdir(tmp_path)
+        spec = json.loads(self.SPEC.read_text())
+        if campaign == "ledger-only":
+            spec["service"] = {"ledger": "service_run/campaign.ledger"}
+        Path("spec.json").write_text(json.dumps(spec))
+        flags = ["--checkpoint-every", "5"] if campaign == "ci-every-5" \
+            else []
+        assert main(["ensemble", "spec.json", *flags]) == 0, \
+            capsys.readouterr().out
+        assert sorted(log.read_text().split()) == self.WRITTEN[campaign]
+        results = Path("service_run/results")
+        assert sorted(p.name for p in results.iterdir()) == \
+            [f"job000{i}.bin" for i in range(3)]
+        jobs = load_ensemble_spec("spec.json")[0]
+        for i, job in enumerate(jobs):
+            header, q = read_snapshot(results / f"job000{i}.bin")
+            with Simulation(job.case, BoundarySet.all_extrapolation(2),
+                            threads=1) as sim:
+                sim.run(t_end=job.t_end)
+            assert q.tobytes() == sim.q.tobytes(), job.name
+            assert (header.step, header.time) == (sim.step_count, sim.time)
