@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-backends bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair cold-start rss tune examples artifacts clean
+.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair cold-start rss tune examples artifacts clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -55,13 +55,6 @@ bench:
 bench-rhs:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_rhs.py \
 		--grid 64 --grid 256 --threads 1 --threads 2 --threads 4
-
-# Backend x dtype kernel sweep with measured-vs-modeled model-error
-# columns (appends a backend/dtype-stamped entry to
-# benchmarks/results/BENCH_rhs.json's history).
-bench-backends:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py \
-		--grid 64 --repeats 5
 
 # Execution-backend seam: registry, guard-leak, numpy/checked
 # bitwise-parity and float32-precision suites.

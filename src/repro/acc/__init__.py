@@ -43,8 +43,6 @@ _EXPORTS = {
     "DeviceDataEnvironment": "data_region",
     "AccKernel": "kernel",
     "AccRuntime": "runtime",
-    "FyppPreprocessor": "fypp", "inline_serial_subroutine": "fypp",
-    "parse_directive": "parser", "parse_loop_nest": "parser",
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 

@@ -15,8 +15,6 @@ _EXPORTS = {
     "ProcessCluster": "procs", "ClusterResult": "procs", "RankFault": "procs",
     "SharedMemoryTransport": "procs", "ShmArena": "procs",
     "Event": "events", "EventSimulator": "events", "StepTimeline": "events",
-    "Placement": "placement", "best_policy": "placement",
-    "intra_node_fraction": "placement",
     "IOModel": "io_model",
     "FailureModel": "resilience", "daly_interval": "resilience",
     "resilience_waste": "resilience", "resilience_efficiency": "resilience",

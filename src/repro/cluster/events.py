@@ -94,8 +94,7 @@ class EventSimulator:
     def __init__(self, machine: MachineSpec, decomp: BlockDecomposition,
                  *, gpu_aware: bool = True, nvars: int = 7,
                  weno_order: int = 5, compute_noise: float = 0.0,
-                 seed: int = 0, use_intra_node_links: bool = False,
-                 placement=None):
+                 seed: int = 0, use_intra_node_links: bool = False):
         if decomp.ndim != 3:
             raise ConfigurationError("the event simulator models 3D runs")
         self.machine = machine
@@ -104,10 +103,8 @@ class EventSimulator:
         self.nvars = nvars
         #: Refinement beyond the closed-form model: messages between
         #: devices on the same node use the NVLink/xGMI link instead of
-        #: the NIC.  ``placement`` (a cluster.placement.Placement)
-        #: controls the rank->node map; default is contiguous packing.
+        #: the NIC.  Ranks pack onto nodes contiguously.
         self.use_intra_node_links = use_intra_node_links
-        self.placement = placement
         self._ng = halo_width(weno_order)
         self._cost = CostModel(machine.device, machine.compiler)
         self._net = NetworkModel.of(machine)
@@ -137,8 +134,6 @@ class EventSimulator:
         return self.machine.staging_link.time(nbytes)
 
     def _node_of(self, rank: int) -> int:
-        if self.placement is not None:
-            return self.placement.node_of(rank)
         return rank // self.machine.devices_per_node
 
     def _wire_seconds(self, r: int, partner: int | None, nbytes: float,

@@ -35,9 +35,10 @@ def real(ok, wanted: str):
 
 
 def choice(*values):
-    """One of ``values``."""
+    """One of ``values``, of the same type: ``1`` is not ``True`` and
+    ``1.0`` is not ``1``."""
     def check(label: str, value):
-        if value not in values:
+        if not any(type(value) is type(v) and value == v for v in values):
             raise ConfigurationError(
                 f"{label} must be one of {values}, got {value!r}")
         return value

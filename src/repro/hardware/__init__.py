@@ -17,9 +17,8 @@ from repro.common.lazy import lazy_exports
 _EXPORTS = {
     "CPUS": "devices", "DEFAULT_HOST_KEY": "devices", "DEVICES": "devices",
     "GPUS": "devices", "DeviceSpec": "devices",
-    "bandwidth_report": "devices", "default_host_device": "devices",
-    "get_device": "devices", "measured_host_bandwidth": "devices",
-    "measured_host_device": "devices", "stream_triad_gbps": "devices",
+    "default_host_device": "devices", "get_device": "devices",
+    "stream_triad_gbps": "devices",
     "RooflinePoint": "roofline", "attainable_gflops": "roofline",
     "ridge_intensity": "roofline",
     "CostModel": "costmodel", "KernelWorkload": "costmodel",

@@ -131,29 +131,8 @@ def get_device(key: str) -> DeviceSpec:
 # stand-in can be off by an integer factor on a laptop or a shared CI
 # runner.  The probe below measures sustained triad bandwidth
 # (a = b + s*c: two streamed reads, one streamed write — the classic
-# STREAM kernel) and caches the result per host fingerprint, so the
-# model-vs-measured columns in BENCH_rhs.json are anchored to measured
-# bytes/s, the way the paper validates its §V cost model against
+# STREAM kernel), the way the paper validates its §V cost model against
 # measured kernel times.
-
-def _bandwidth_fingerprint() -> dict:
-    """What the probed host looks like (cache key).
-
-    Deliberately *not* :func:`repro.tuning.plan.host_fingerprint`
-    (that would be a circular import); bandwidth only cares about the
-    physical machine, not the kernel registry.
-    """
-    import os
-    import platform
-
-    import numpy as np
-
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "machine": platform.machine(),
-        "numpy": np.__version__,
-    }
-
 
 def stream_triad_gbps(*, n_mib: float = 64.0, repeats: int = 5) -> float:
     """Sustained host bandwidth in GB/s from a STREAM-triad sweep.
@@ -185,83 +164,3 @@ def stream_triad_gbps(*, n_mib: float = 64.0, repeats: int = 5) -> float:
     # true traffic but is charged STREAM's 24 B/elem triad convention,
     # making the figure conservative (never flatters the roofline).
     return 24.0 * n / best / 1e9
-
-
-def _bandwidth_cache_path():
-    import os
-    from pathlib import Path
-
-    return Path(os.environ.get("REPRO_BANDWIDTH_CACHE",
-                               ".repro_tuning/bandwidth.json"))
-
-
-def measured_host_bandwidth(*, cache_path=None, refresh: bool = False,
-                            n_mib: float = 64.0) -> float:
-    """Measured host GB/s, cached per host fingerprint.
-
-    The first call on a machine runs the triad probe (~a second) and
-    stores the result under ``cache_path`` (default
-    ``.repro_tuning/bandwidth.json``, overridable via
-    ``$REPRO_BANDWIDTH_CACHE``); later calls — and later *processes* —
-    read the cache.  A different fingerprint (new machine, new numpy)
-    re-probes.  ``refresh=True`` forces a re-probe.
-    """
-    import json
-
-    path = _bandwidth_cache_path() if cache_path is None else cache_path
-    from pathlib import Path
-
-    path = Path(path)
-    fp = _bandwidth_fingerprint()
-    if not refresh and path.exists():
-        try:
-            entry = json.loads(path.read_text())
-            if entry.get("fingerprint") == fp:
-                return float(entry["gbps"])
-        except (ValueError, KeyError, OSError):
-            pass  # corrupt/stale cache: fall through and re-probe
-    gbps = stream_triad_gbps(n_mib=n_mib)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(
-            {"fingerprint": fp, "gbps": gbps}, indent=2))
-        tmp.replace(path)
-    except OSError:
-        pass  # read-only checkout: the measurement still stands
-    return gbps
-
-
-def measured_host_device(*, cache_path=None,
-                         refresh: bool = False) -> DeviceSpec:
-    """The catalog host stand-in with *measured* memory bandwidth.
-
-    Everything except ``mem_bw_gbps`` keeps the catalog value (peak
-    FLOP/s and cache geometry cannot be probed this cheaply); the name
-    records the substitution so reports show where the number came
-    from.
-    """
-    import dataclasses
-
-    base = default_host_device()
-    gbps = measured_host_bandwidth(cache_path=cache_path, refresh=refresh)
-    return dataclasses.replace(base, name=f"{base.name} (measured BW)",
-                               mem_bw_gbps=gbps)
-
-
-def bandwidth_report(*, cache_path=None) -> dict:
-    """Catalog-vs-measured bandwidth delta for the local host.
-
-    Returns ``{"catalog_gbps", "measured_gbps", "ratio", "delta_pct"}``
-    — ``ratio`` < 1 means the host is slower than the catalog spec
-    (the common case), and ``delta_pct`` is the signed percentage
-    error a catalog-based roofline would carry on this machine.
-    """
-    catalog = default_host_device().mem_bw_gbps
-    measured = measured_host_bandwidth(cache_path=cache_path)
-    return {
-        "catalog_gbps": catalog,
-        "measured_gbps": measured,
-        "ratio": measured / catalog,
-        "delta_pct": 100.0 * (measured - catalog) / catalog,
-    }

@@ -24,6 +24,21 @@ from repro.solver.options import SolverOptions, section_keys
 #: Geometry kinds a case file may reference.
 GEOMETRY_KINDS = ("box", "sphere", "halfspace")
 
+#: The keys each loader reads: a case file's, an ensemble spec's and one
+#: of its job entries'.  A key that starts with ``_`` (the examples'
+#: ``"_comment"``) is a comment; any other key is refused.
+CASE_KEYS = ("grid", "fluids", "patches", "solver")
+SPEC_KEYS = ("jobs", "t_end", "batch_width", "solver", "service")
+JOB_KEYS = ("case", "case_file", "name", "t_end")
+
+
+def _check_keys(what: str, spec: dict, allowed) -> None:
+    unknown = sorted(str(key) for key in spec
+                     if key not in allowed and not str(key).startswith("_"))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} key(s) {unknown}; choose from {sorted(allowed)}")
+
 
 def solver_options_from_dict(spec: dict, *, command: str = "run",
                              section: str = "solver",
@@ -64,6 +79,7 @@ def _geometry_from_dict(g: dict):
 
 def case_from_dict(spec: dict) -> Case:
     """Build a :class:`Case` from a case-file dictionary."""
+    _check_keys("case file", spec, CASE_KEYS)
     for key in ("grid", "fluids", "patches"):
         if key not in spec:
             raise ConfigurationError(f"case file missing {key!r} section")
@@ -157,6 +173,7 @@ def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
     # plain `run` never needs.
     from repro.ensemble import EnsembleJob
 
+    _check_keys("ensemble spec", spec, SPEC_KEYS)
     jobs_spec = spec.get("jobs")
     if not isinstance(jobs_spec, list) or not jobs_spec:
         raise ConfigurationError(
@@ -172,6 +189,7 @@ def ensemble_from_dict(spec: dict, *, base_dir: str | Path | None = None):
             raise ConfigurationError(
                 f"ensemble job {i} must be a mapping, "
                 f"got {type(jspec).__name__}")
+        _check_keys(f"ensemble job {i}", jspec, JOB_KEYS)
         if ("case" in jspec) == ("case_file" in jspec):
             raise ConfigurationError(
                 f"ensemble job {i} needs exactly one of 'case' (inline) "

@@ -14,13 +14,7 @@ _EXPORTS = {
     "HaloCounters": "counters", "KernelCounters": "counters",
     "SweepCounters": "counters", "counters_report": "counters",
     "kernel_counters": "counters",
-    "device_comparison_report": "reports", "kernel_stats_report": "reports",
     "roofline_chart": "roofline_plot",
-    "ModeledRun": "modeled",
-    "KernelBenchResult": "kernelbench",
-    "StageTiming": "kernelbench",
-    "bench_backend_matrix": "kernelbench",
-    "bench_kernels": "kernelbench",
     "AllocationStats": "allocations",
     "measure_call_allocations": "allocations",
     "measure_step_allocations": "allocations",

@@ -221,6 +221,37 @@ class TestDataEnvironment:
         env.enter_data("b", np.zeros(20))
         assert env.resident_bytes == 30 * 8
 
+    def test_update_directions(self):
+        env = DeviceDataEnvironment()
+        host = np.arange(4.0)
+        env.enter_data("q", host)
+        host[:] = -1.0
+        env.update_device("q", host)
+        np.testing.assert_array_equal(env.device_view("q"), -1.0)
+        env.device_view("q")[:] = 9.0
+        env.update_host("q", host)
+        np.testing.assert_array_equal(host, 9.0)
+
+    def test_listing3_sequence(self):
+        """The cuTENSOR transpose bracket of Listing 3: ``enter data
+        copyin(v_temp) create(v_sf_t)``, the library call inside
+        ``host_data use_device(v_temp, v_sf_t)``, then ``exit data
+        copyout(v_sf_t) delete(v_temp)``."""
+        from repro.fields import geam_transpose_cutensor
+
+        v_temp = np.random.default_rng(0).random((4, 5, 6, 2))
+        v_sf_t = np.zeros((6, 5, 4, 2))
+        env = DeviceDataEnvironment()
+        env.enter_data("v_temp", v_temp)
+        env.enter_data("v_sf_t", v_sf_t, copyin=False)
+        with env.host_data_use_device("v_temp", "v_sf_t") as (dev_in, dev_out):
+            dev_out[...] = geam_transpose_cutensor(dev_in)
+        env.exit_data("v_sf_t", v_sf_t, copyout=True)
+        env.exit_data("v_temp")
+        np.testing.assert_array_equal(v_sf_t, geam_transpose_cutensor(v_temp))
+        assert env.resident_bytes == 0
+        assert env.h2d_bytes == env.d2h_bytes == v_temp.nbytes
+
 
 class TestRuntime:
     def make_kernel(self, **kwargs):

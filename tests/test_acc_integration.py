@@ -1,31 +1,29 @@
-"""End-to-end OpenACC-model integration: the paper's Listing 1 text,
-parsed, executed, and priced across compilers and devices."""
+"""End-to-end OpenACC-model integration: the paper's Listing 1 nest,
+executed and priced across compilers and devices."""
 
 import numpy as np
 import pytest
 
-from repro.acc import AccKernel, AccRuntime, parse_loop_nest
-from repro.acc.fypp import inline_serial_subroutine
+from repro.acc import AccKernel, AccRuntime, ParallelLoopNest
+from repro.acc.directives import PrivateArray, listing1_nest
 from repro.hardware import get_device
 
-LISTING_1 = """
-!$acc parallel loop collapse(3) gang vector default(present) &
-!$acc private(alpha_rho_L(1:num_fluids))
-do l = 0, p
-  do k = 0, n
-    do j = 0, m
-      !$acc loop seq
-      do i = 1, num_fluids
-"""
 
-FIXED_LISTING_1 = LISTING_1.replace("alpha_rho_L(1:num_fluids)",
-                                    "alpha_rho_L(1:2)")
-
-EXTENTS = {"m": 64, "n": 64, "p": 64, "num_fluids": 2}
+def listing1(sized_private: bool) -> ParallelLoopNest:
+    """Listing 1 (``collapse(3) gang vector default(present)``, ``seq``
+    fluid loop) with ``private(alpha_rho_L(1:num_fluids))``: the
+    symbolic ``num_fluids`` bound sizes the array at run time, the fixed
+    ``alpha_rho_L(1:2)`` at compile time."""
+    nest = listing1_nest(64, 64, 64, 2)
+    return ParallelLoopNest(nest.loops, privates=(PrivateArray(
+        "alpha_rho_L", 2, compile_time_size=sized_private),))
 
 
-def make_kernel(source, name="riemann_kernel"):
-    nest = parse_loop_nest(source, EXTENTS)
+LISTING_1 = listing1(sized_private=False)
+FIXED_LISTING_1 = listing1(sized_private=True)
+
+
+def make_kernel(nest, name="riemann_kernel"):
     return AccKernel(
         name=name, nest=nest,
         body=lambda q: q * 1.5,
@@ -45,8 +43,8 @@ class TestListing1EndToEnd:
         assert rt.profile.total_seconds() > 0.0
 
     def test_private_cliff_reproduced_from_source_text(self):
-        # The §III.D anecdote driven end-to-end from directive text:
-        # symbolic private size -> 30x on CCE+AMD; numeric size -> fixed.
+        # The §III.D anecdote: run-time private size -> 30x on CCE+AMD;
+        # compile-time size -> fixed.
         rt = AccRuntime(get_device("mi250x"), "cce")
         slow = rt.modeled_time(make_kernel(LISTING_1, "slow"))
         fast = rt.modeled_time(make_kernel(FIXED_LISTING_1, "fast"))
@@ -59,28 +57,6 @@ class TestListing1EndToEnd:
         slow = rt.modeled_time(make_kernel(LISTING_1, "slow"))
         fast = rt.modeled_time(make_kernel(FIXED_LISTING_1, "fast"))
         assert slow == pytest.approx(fast)
-
-    def test_fypp_pipeline_feeds_runtime(self):
-        # Generate a kernel body with the mini-Fypp inliner, exec it,
-        # and run it through the ACC runtime: metaprogramming -> kernel.
-        template = (
-            "def body(q):\n"
-            "    out = q.copy()\n"
-            "    @:scale(out)\n"
-            "    return out\n")
-        sub = {"scale": "(arr)\n${arr}$ *= ${factor}$\n"}
-        src = inline_serial_subroutine(template, sub, env={"factor": 3.0})
-        ns = {}
-        exec(src, ns)  # noqa: S102
-
-        nest = parse_loop_nest(LISTING_1, EXTENTS)
-        kernel = AccKernel(name="fypp_kernel", nest=nest, body=ns["body"],
-                           kernel_class="other", flops_per_iter=1.0,
-                           bytes_per_iter=16.0, fypp_inlined=True,
-                           calls_serial_subroutine=True, cross_module=True)
-        rt = AccRuntime(get_device("a100"), "nvhpc")
-        out = rt.launch(kernel, np.ones(8))
-        np.testing.assert_array_equal(out, 3.0)
 
     def test_cross_device_time_ordering(self):
         kernel = make_kernel(FIXED_LISTING_1)

@@ -1,8 +1,6 @@
 """Tests for the execution backends: registry, guard discipline,
-bitwise parity, float32 policy, tuner axis, bandwidth probe, and the
-measured-vs-modeled kernel bench (see docs/backends.md)."""
-
-import json
+bitwise parity, float32 policy, tuner axis and the bandwidth probe
+(see docs/backends.md)."""
 
 import numpy as np
 import pytest
@@ -370,79 +368,6 @@ class TestBandwidthProbe:
 
         gbps = stream_triad_gbps(n_mib=1.0, repeats=2)
         assert 0.0 < gbps < 1e4
-
-    def test_cache_hit_skips_the_probe(self, tmp_path, monkeypatch):
-        from repro.hardware import devices as hw
-
-        cache = tmp_path / "bw.json"
-        first = hw.measured_host_bandwidth(cache_path=cache, n_mib=1.0)
-        assert cache.exists()
-        payload = json.loads(cache.read_text())
-        assert payload["gbps"] == first and "fingerprint" in payload
-
-        def boom(**kwargs):
-            raise AssertionError("probe re-ran despite a warm cache")
-
-        monkeypatch.setattr(hw, "stream_triad_gbps", boom)
-        again = hw.measured_host_bandwidth(cache_path=cache)
-        assert again == first
-
-    def test_report_compares_catalog_and_measured(self, tmp_path):
-        from repro.hardware import bandwidth_report
-        from repro.hardware.devices import default_host_device
-
-        rep = bandwidth_report(cache_path=tmp_path / "bw.json")
-        assert rep["catalog_gbps"] == default_host_device().mem_bw_gbps
-        assert rep["measured_gbps"] > 0.0
-        assert rep["delta_pct"] == pytest.approx(
-            100.0 * (rep["measured_gbps"] / rep["catalog_gbps"] - 1.0))
-
-
-# ----------------------------------------------------------------------
-# Kernel bench: measured vs modeled, stamped by backend x dtype
-# ----------------------------------------------------------------------
-
-class TestKernelBench:
-    def _bench(self, **kwargs):
-        from repro.profiling import bench_kernels
-
-        case = bubble_case(12)
-        return bench_kernels(case.layout, MIX, case.grid,
-                             BoundarySet.all_periodic(2), RHSConfig(),
-                             case.initial_conservative(),
-                             warmup=0, repeats=1, **kwargs)
-
-    def test_result_schema(self):
-        res = self._bench(backend="numpy", precision="float64")
-        d = res.as_dict()
-        assert d["backend"] == "numpy" and d["dtype"] == "float64"
-        assert set(d["stages"]) == {"packing", "weno", "riemann", "other"}
-        assert d["grind_ns"] > 0.0
-        assert np.isfinite(d["model_error_pct"])
-        for stage in d["stages"].values():
-            assert stage["measured_ns"] >= 0.0
-            assert stage["modeled_ns"] > 0.0
-            assert np.isfinite(stage["model_error_pct"])
-        # stage laps plus the fold-in gap sum to the wall clock
-        assert res.measured_ns == pytest.approx(
-            sum(s.measured_ns for s in res.stages))
-
-    def test_float32_halves_the_modeled_bytes(self):
-        f64 = self._bench(backend="numpy", precision="float64")
-        f32 = self._bench(backend="numpy", precision="float32")
-        assert f32.dtype == "float32"
-        # streamed bytes halve; FLOP terms keep the ratio above 0.5
-        assert 0.4 < f32.modeled_ns / f64.modeled_ns < 1.0
-
-    def test_matrix_covers_available_backends(self):
-        from repro.profiling import bench_backend_matrix
-
-        case = bubble_case(10)
-        results = bench_backend_matrix(
-            case.layout, MIX, case.grid, BoundarySet.all_periodic(2),
-            RHSConfig(), case.initial_conservative(),
-            precisions=("float64",), warmup=0, repeats=1)
-        assert [r.backend for r in results] == list(BACKEND_NAMES)
 
 
 # ----------------------------------------------------------------------

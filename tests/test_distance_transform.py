@@ -6,7 +6,9 @@ dependency only and stays here as the oracle.  Equality is byte for
 byte: the initial fields of every smeared case must not move by an ulp.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import random
 import re
@@ -244,21 +246,29 @@ COLD_CAPS = {"plain": 60, "fused": 62, "ranks2": 64, "ensemble": 66,
 DELETED_VARIANTS = ("repro.weno.stacked", "repro.riemann.fused",
                     "repro.backend.torch_adapter")
 
-#: Never loaded by a run: the analytic models, the report writers, the
-#: tuner, its cache and registry, the post-processor, parallel and
-#: series I/O, unselected Riemann solvers, inviscid-run extras, the
-#: deleted variants, the SciPy oracle and what ``np.unique`` / the
+#: Modules deleted because no command, example or paper artifact
+#: reached them (``TestReachability``): the ``!$acc`` text parsers, the
+#: Fypp preprocessor, the kernel bench, the modeled run, the report
+#: writers, rank placement and the per-rank file writers.
+DELETED_MODELS = ("repro.acc.parser", "repro.acc.data_parser",
+                  "repro.acc.fypp", "repro.profiling.kernelbench",
+                  "repro.profiling.modeled", "repro.profiling.reports",
+                  "repro.cluster.placement", "repro.io.parallel")
+
+#: Never loaded by a run: the analytic models, the roofline chart, the
+#: tuner, its cache and registry, the post-processor, series I/O,
+#: unselected Riemann solvers, inviscid-run extras, the deleted
+#: variants and models, the SciPy oracle and what ``np.unique`` / the
 #: registry hash used to pull in.
 NEVER_LOADED = (
     "repro.hardware.costmodel", "repro.hardware.roofline",
     "repro.hardware.transfer", "repro.hardware.workloads",
     "repro.hardware.cache", "repro.profiling.profiler",
-    "repro.profiling.reports", "repro.profiling.roofline_plot",
-    "repro.io.parallel", "repro.io.silo", "repro.io.series",
+    "repro.profiling.roofline_plot", "repro.io.silo", "repro.io.series",
     "repro.tuning.autotune", "repro.tuning.cache", "repro.tuning.registry",
     "repro.riemann.hll", "repro.riemann.rusanov",
     "repro.solver.diagnostics", "repro.solver.viscous",
-    *DELETED_VARIANTS, "scipy", "numpy.ma", "hashlib",
+    *DELETED_VARIANTS, *DELETED_MODELS, "scipy", "numpy.ma", "hashlib",
 )
 
 
@@ -356,6 +366,88 @@ class TestColdStart:
         offenders = [str(p) for p in (ROOT / "src").rglob("*.py")
                      if pattern.search(p.read_text())]
         assert offenders == []
+
+
+#: What a user runs: the ``python -m repro`` commands (``repro.__main__``
+#: below), the examples, the benchmark scripts and paper artifacts, and
+#: the end-to-end harness.
+ENTRY_FILES = (*sorted((ROOT / "examples").glob("*.py")),
+               *sorted((ROOT / "benchmarks").glob("*.py")),
+               *sorted((ROOT / "benchmarks" / "e2e").glob("*.py")))
+
+#: Modules a run reaches by a name no import statement spells, and why.
+DECLARED_ROOTS = {
+    "repro.riemann.hll": "--riemann hll resolves hll_flux by name",
+    "repro.riemann.rusanov": "--riemann rusanov resolves rusanov_flux by name",
+}
+
+
+def src_modules() -> dict[str, Path]:
+    """Every module under ``src/`` by dotted name (a package by its
+    ``__init__.py``)."""
+    modules = {}
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
+def lazy_map(package: str) -> dict[str, str]:
+    """A package's ``lazy_exports`` table (name -> submodule), read from
+    its ``__getattr__`` closure so computed tables resolve too."""
+    getter = getattr(importlib.import_module(package), "__getattr__", None)
+    return {} if getter is None else dict(
+        inspect.getclosurevars(getter).nonlocals["exports"])
+
+
+def imported_names(path: Path, modules) -> set[str]:
+    """Dotted names the file's absolute imports may load, lazy package
+    exports resolved to their submodules (no file imports relatively or
+    with ``*``; such an import would leave its module unreached)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            exports = lazy_map(node.module) if node.module in modules else {}
+            names.add(node.module)
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                if alias.name in exports:
+                    names.add(f"{node.module}.{exports[alias.name]}")
+    return names
+
+
+def reachable(roots) -> set[str]:
+    """Static import closure of the entry files and ``roots``; importing
+    ``a.b.c`` runs ``a`` and ``a.b`` too."""
+    modules = src_modules()
+    todo = [*ENTRY_FILES, *(modules[name] for name in roots)]
+    seen = set(roots)
+    while todo:
+        for name in imported_names(todo.pop(), modules):
+            parts = name.split(".")
+            for i in range(1, len(parts) + 1):
+                parent = ".".join(parts[:i])
+                if parent in modules and parent not in seen:
+                    seen.add(parent)
+                    todo.append(modules[parent])
+    return seen
+
+
+class TestReachability:
+    """Every ``src/`` module is reached from something a user runs: code
+    only its own tests import is deleted, not kept."""
+
+    def test_every_src_module_is_reached(self):
+        reached = reachable(("repro.__main__", *DECLARED_ROOTS))
+        unreached = sorted(set(src_modules()) - reached)
+        assert not unreached, f"only tests import {unreached}"
+
+    def test_each_declared_root_is_needed(self):
+        reached = reachable(("repro.__main__",))
+        assert sorted(set(DECLARED_ROOTS) & reached) == []
+        assert set(DECLARED_ROOTS) <= set(src_modules())
 
 
 class TestLazyClusterExports:

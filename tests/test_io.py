@@ -1,12 +1,11 @@
-"""Tests for binary snapshots, parallel write strategies, the SILO-analog
-post-processor, JSON case files, and the CLI."""
+"""Tests for binary snapshots, the SILO-analog post-processor, JSON case
+files, and the CLI."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.cluster import BlockDecomposition
 from repro.common import ConfigurationError, DTYPE
 from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
@@ -18,12 +17,9 @@ from repro.io import (
     load_silo,
     read_snapshot,
     save_case,
-    write_file_per_process,
-    write_shared_file,
     write_snapshot,
 )
 from repro.io.binary import SnapshotHeader
-from repro.io.parallel import gather_file_per_process, gather_shared_file
 from repro.state import StateLayout
 
 AIR = StiffenedGas(1.4)
@@ -117,57 +113,6 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ConfigurationError, match=r"952 of 960 bytes"):
             read_snapshot(path)
-
-
-class TestParallelWriters:
-    def make(self, shape=(12, 8), nranks=4):
-        decomp = BlockDecomposition.balanced(shape, nranks)
-        field = random_field(nvars=5, shape=shape, seed=3)
-        blocks = [np.ascontiguousarray(field[(slice(None), *decomp.local_slices(r))])
-                  for r in range(decomp.nranks)]
-        return decomp, field, blocks
-
-    def test_shared_file_roundtrip(self, tmp_path):
-        decomp, field, blocks = self.make()
-        write_shared_file(tmp_path / "shared.bin", decomp, blocks, step=5, time=2.0)
-        header, back = gather_shared_file(tmp_path / "shared.bin")
-        assert header.step == 5
-        np.testing.assert_array_equal(back, field)
-
-    def test_shared_file_3d(self, tmp_path):
-        decomp = BlockDecomposition.balanced((6, 6, 6), 8)
-        field = random_field(nvars=3, shape=(6, 6, 6), seed=9)
-        blocks = [np.ascontiguousarray(field[(slice(None), *decomp.local_slices(r))])
-                  for r in range(8)]
-        write_shared_file(tmp_path / "s.bin", decomp, blocks, step=0, time=0.0)
-        _, back = gather_shared_file(tmp_path / "s.bin")
-        np.testing.assert_array_equal(back, field)
-
-    def test_file_per_process_roundtrip(self, tmp_path):
-        decomp, field, blocks = self.make()
-        schedule = write_file_per_process(tmp_path, decomp, blocks, step=1,
-                                          time=0.5, wave_size=3)
-        header, back = gather_file_per_process(tmp_path, decomp)
-        np.testing.assert_array_equal(back, field)
-        assert header.shape == (12, 8)
-        # 4 ranks in waves of 3 -> 2 waves.
-        assert schedule.num_waves == 2
-        assert schedule.waves[0] == (0, 1, 2)
-        assert schedule.waves[1] == (3,)
-
-    def test_wave_size_covers_all_ranks(self, tmp_path):
-        decomp, _, blocks = self.make(nranks=4)
-        schedule = write_file_per_process(tmp_path, decomp, blocks, step=0,
-                                          time=0.0, wave_size=128)
-        assert schedule.num_waves == 1
-        written = sorted(p.name for p in tmp_path.glob("rank_*.bin"))
-        assert len(written) == 4
-
-    def test_block_count_mismatch(self, tmp_path):
-        decomp, _, blocks = self.make()
-        with pytest.raises(ConfigurationError):
-            write_shared_file(tmp_path / "x.bin", decomp, blocks[:-1],
-                              step=0, time=0.0)
 
 
 class TestSilo:
@@ -271,6 +216,13 @@ class TestCaseFiles:
         q2 = case.initial_conservative()
         np.testing.assert_array_equal(q1, q2)
 
+    def test_unknown_top_level_key_is_named(self):
+        spec = {**SOD_SPEC, "_comment": "allowed", "solvr": {"cfl": 0.4}}
+        with pytest.raises(ConfigurationError, match=r"case file key\(s\) "
+                           r"\['solvr'\]; choose from \['fluids', 'grid', "
+                           r"'patches', 'solver'\]"):
+            case_from_dict(spec)
+
     def test_save_validates(self, tmp_path):
         bad = {"grid": {"bounds": [[0, 1]], "shape": [8]}, "fluids": [],
                "patches": []}
@@ -313,6 +265,15 @@ class TestCLI:
             main(["run", str(case_path)])
         with pytest.raises(SystemExit):
             main(["run", str(case_path), "--steps", "2", "--t-end", "0.1"])
+
+    def test_misspelt_section_exits_2(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        case_path = tmp_path / "sod.json"
+        case_path.write_text(json.dumps({**SOD_SPEC, "solvr": {}}))
+        assert main(["run", str(case_path), "--steps", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro: error: unknown case file key(s) ['solvr']")
 
 
 class TestCLIPipeline:

@@ -240,7 +240,8 @@ def test_no_second_option_table_in_src():
     ("checkpoint_every", -1), ("checkpoint_keep", 0), ("max_attempts", 0),
     ("retry_base_seconds", -5), ("deadline_seconds", "60"),
     ("deadline_seconds", 0), ("wall_limit_seconds", "x"),
-    ("supervise", "false"), ("degrade_after", 0), ("min_batch_width", 0),
+    ("supervise", "false"), ("supervise", 0), ("supervise", 1),
+    ("degrade_after", 0), ("min_batch_width", 0),
 ])
 def test_out_of_range_service_values_name_the_key(key, bad):
     with pytest.raises(ConfigurationError, match=f"service {key}"):
@@ -276,6 +277,7 @@ def test_unknown_keys_are_named():
 
 @pytest.mark.parametrize("name,bad", [
     ("cfl", 0.0), ("cfl", 1.5), ("cfl", "0.5"), ("rk_order", 4),
+    ("rk_order", True), ("rk_order", 3.0), ("use_workspace", 0),
     ("use_workspace", 1.5), ("threads", 0),
     ("ranks", 0), ("cluster_timeout", -1.0), ("max_restarts", -1),
     ("sweep_layout", "diagonal"), ("fusion", "maybe"), ("retry", 3),
@@ -289,6 +291,18 @@ def test_unknown_keys_are_named():
 def test_out_of_range_keywords_name_the_field(name, bad):
     with pytest.raises(ConfigurationError, match=name):
         SolverOptions(**{name: bad})
+
+
+def test_a_bool_is_not_an_order():
+    """``rk_order=True`` equals ``1`` but is no SSP order: the driver
+    refuses it instead of marching forward Euler."""
+    from tests.test_procs import bubble_case
+    from repro.bc import BoundarySet
+    from repro.solver import Simulation
+
+    with pytest.raises(ConfigurationError, match="rk_order"):
+        Simulation(bubble_case((8, 8)), BoundarySet.all_periodic(2),
+                   rk_order=True)
 
 
 def test_drivers_fold_loose_knobs_into_the_options():

@@ -663,7 +663,7 @@ class TestCLI:
         assert service["supervise"] is False
 
     @pytest.mark.parametrize("key,bad", [
-        ("supervise", "false"), ("deadline_seconds", "60"),
+        ("supervise", "false"), ("supervise", 0), ("deadline_seconds", "60"),
         ("retry_base_seconds", -5), ("wall_limit_seconds", "x"),
         ("checkpoint_keep", 0)])
     def test_bad_service_value_is_named_not_run(self, tmp_path, key, bad):
@@ -692,6 +692,22 @@ class TestCLI:
         spec.write_text(json.dumps(data))
         with pytest.raises(ConfigurationError, match="bogus"):
             load_ensemble_spec(spec)
+
+    @pytest.mark.parametrize("where", ["spec", "job", "case"])
+    def test_unknown_top_level_key_is_named_not_run(self, tmp_path, where):
+        """A misspelt section (``"servce"``) is refused at load, the spec's
+        and each job's and case's keys alike; ``_comment`` is allowed."""
+        spec = self._spec(tmp_path)
+        data = json.loads(spec.read_text())
+        data["_comment"] = data["jobs"][0]["_comment"] = "allowed"
+        holder = {"spec": data, "job": data["jobs"][1],
+                  "case": data["jobs"][1]["case"]}[where]
+        holder["servce"] = {}
+        spec.write_text(json.dumps(data))
+        cli = self._run(spec)
+        assert cli.returncode == 2, cli.stdout + cli.stderr
+        assert "key(s) ['servce']; choose from" in cli.stderr
+        assert not (tmp_path / "run").exists()
 
 
 
