@@ -101,20 +101,16 @@ def plan_gang_width(threads: int | None, *, tiles: int,
                     ranks: int = 1) -> tuple[int, str]:
     """The one resolver of the ``threads`` knob → ``(width, why)``.
 
-    An explicit value wins (refused beside ``ranks > 1``).  ``None`` is
-    *planned*: ``min(usable cores, tiles)`` where ``tiles`` is the widest
-    direction sweep's tile count, and 1 whenever ranks already occupy
-    the cores or there is one tile to run.
+    An explicit value wins (a ``REFUSALS`` row refuses it beside ``ranks
+    > 1``).  ``None`` is *planned*: ``min(usable cores, tiles)`` where
+    ``tiles`` is the widest direction sweep's tile count, and 1 whenever
+    ranks already occupy the cores or there is one tile to run.
     """
     if threads is not None:
         if (not isinstance(threads, int) or isinstance(threads, bool)
                 or threads < 1):
             raise ConfigurationError(
                 f"threads must be a positive integer, got {threads!r}")
-        if ranks > 1 and threads > 1:
-            raise ConfigurationError(
-                "ranks > 1 is incompatible with threads > 1 "
-                "(pick one parallel backend)")
         return threads, f"{threads}: explicit"
     if ranks > 1:
         return 1, "1: ranks > 1"

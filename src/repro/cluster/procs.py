@@ -88,12 +88,14 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from repro.backend import precision_dtype, to_host_array
 from repro.bc.boundary import BoundarySet
 from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.halo import (
@@ -114,6 +116,7 @@ from repro.io.checkpoint import CheckpointManager
 from repro.profiling.counters import HaloCounters, SweepCounters
 from repro.solver.march import March
 from repro.solver.options import KnobAccess, SolverOptions, fold
+from repro.solver.resilience import RecoveryCounters
 from repro.solver.rhs import RHS, RHSConfig
 from repro.state.layout import StateLayout
 from repro.weno import halo_width
@@ -162,12 +165,11 @@ class ShmArena:
 
     Layout (all 8-byte aligned, zero-initialised):
 
-    * per-rank state blocks ``(nvars, *local_cells)`` float64 — the
-      authoritative ``q`` each worker marches in place (the parent
-      scatters the initial condition in and gathers the result out,
-      zero-copy on the worker side);
-    * per-``(rank, axis, side)`` halo mailboxes (boundary-strip shaped)
-      with their ``post``/``ack`` sequence words;
+    * per-rank state blocks ``(nvars, *local_cells)`` of the state
+      ``dtype`` — the authoritative ``q`` each worker marches (the parent
+      scatters the initial condition in and gathers the result out);
+    * per-``(rank, axis, side)`` halo mailboxes (boundary-strip shaped,
+      ``dtype``) with their ``post``/``ack`` sequence words;
     * the dt-reduction triple: ``slots`` float64 and
       ``wrote``/``read`` sequence words, one each per rank (the CFL
       rate and the state-check flag are scalars);
@@ -182,10 +184,12 @@ class ShmArena:
     weakly-ordered CPUs (see the module docstring).
     """
 
-    def __init__(self, decomp: BlockDecomposition, nvars: int, ng: int):
+    def __init__(self, decomp: BlockDecomposition, nvars: int, ng: int,
+                 dtype=DTYPE):
         self.decomp = decomp
         self.nvars = nvars
         self.ng = ng
+        self.dtype = dtype
         self._slots: dict[object, tuple[int, tuple[int, ...], np.dtype]] = {}
         offset = 0
 
@@ -200,7 +204,7 @@ class ShmArena:
         #: per ``("red", rank)`` — the protocol's explicit fences.
         self.locks: dict[tuple, object] = {}
         for r in range(decomp.nranks):
-            add(("block", r), (nvars, *decomp.local_cells(r)), DTYPE)
+            add(("block", r), (nvars, *decomp.local_cells(r)), dtype)
         for r in range(decomp.nranks):
             local = decomp.local_cells(r)
             for axis in range(decomp.ndim):
@@ -209,7 +213,7 @@ class ShmArena:
                         continue
                     shape = [nvars, *local]
                     shape[axis + 1] = ng
-                    add(("box", r, axis, side), shape, DTYPE)
+                    add(("box", r, axis, side), shape, dtype)
                     add(("post", r, axis, side), (1,), np.int64)
                     add(("ack", r, axis, side), (1,), np.int64)
                     self.locks[(r, axis, side)] = ctx.Lock()
@@ -237,7 +241,8 @@ class ShmArena:
 
     def gather(self) -> np.ndarray:
         """The global field reassembled from the rank blocks (a copy)."""
-        q = np.empty((self.nvars, *self.decomp.global_cells), dtype=DTYPE)
+        q = np.empty((self.nvars, *self.decomp.global_cells),
+                     dtype=self.dtype)
         for r in range(self.decomp.nranks):
             q[(slice(None), *self.decomp.local_slices(r))] = self.block(r)
         return q
@@ -246,10 +251,10 @@ class ShmArena:
 class SharedMemoryTransport:
     """One rank's halo endpoint over the arena (see module docstring).
 
-    A rank's :class:`~repro.solver.rhs.RHS` ``transport``: :meth:`post`
-    packs boundary strips straight into the shared mailboxes,
-    :meth:`fill` lends the neighbours' strips to the sweep's tiles,
-    which copy them into their ghost layers.
+    A rank's :class:`~repro.solver.rhs.RHS` ``transport`` and its D2H/H2D
+    seam: :meth:`post` packs the host view of boundary strips straight
+    into the shared mailboxes, :meth:`fill` lends the neighbours' host
+    strips to the sweep's tiles, which copy them into their ghost layers.
     """
 
     def __init__(self, arena: ShmArena, rank: int, *,
@@ -347,7 +352,7 @@ class SharedMemoryTransport:
             self._wait(self._view[("ack", rank, axis, side)], seq - 1,
                        f"ack of exchange {seq - 1} on axis {axis}", lock)
             box = self._view[("box", rank, axis, side)]
-            box[...] = boundary_strip(field, axis, ng, side)
+            box[...] = to_host_array(boundary_strip(field, axis, ng, side))
             self._publish(lock, self._view[("post", rank, axis, side)], 0,
                           seq, f"post {seq} on axis {axis}")
             self.counters.posts += 1
@@ -355,16 +360,17 @@ class SharedMemoryTransport:
         self.beat()
 
     @contextmanager
-    def fill(self, rank: int, axis: int):
+    def fill(self, rank: int, axis: int, ng: int | None = None):
         """Deliver the neighbours' strips along ``axis`` into ``rank``'s
         ghost layers, tile by tile.
 
         Waits for the neighbours' posts and yields ``(lo, hi)``: the
-        strip each neighbour posted for that side of the block (a view
-        of its shared mailbox), or None on a global-edge side.  The caller's
-        tiles copy their rows of them into their ghost layers; leaving
-        the context acknowledges the strips, which frees the neighbours
-        to post the next exchange.
+        ``ng`` rows next to the block (default all) of the strip each
+        neighbour posted for that side (a view of its shared mailbox),
+        or None on a global-edge side.  The caller's tiles copy their
+        rows of them into their ghost layers; leaving the context
+        acknowledges the strips, which frees the neighbours to post the
+        next exchange.
         """
         seq = self._filled.get((rank, axis), 0) + 1
         # The mailbox each side's neighbour posted for this side.
@@ -376,8 +382,9 @@ class SharedMemoryTransport:
                        self._locks[key])
             self.counters.messages += 1
             self.counters.bytes_exchanged += self._view[("box", *key)].nbytes
-        yield tuple(self._view[("box", *peers[side])] if side in peers
-                    else None for side in (-1, 1))
+        yield tuple(boundary_strip(self._view[("box", *peers[side])], axis,
+                                   ng or self.ng, -side)
+                    if side in peers else None for side in (-1, 1))
         for key in peers.values():
             self._publish(self._locks[key], self._view[("ack", *key)], 0, seq,
                           f"ack {seq} to rank {key[0]} on axis {axis}")
@@ -454,32 +461,41 @@ class ClusterResult:
     sweep: SweepCounters
     #: Per-step ``(step, time, dt, wall_seconds)`` tuples from rank 0.
     history: tuple[tuple[int, float, float, float], ...]
-    restarts: int
     limited_faces: int
     #: Per rank ``(wait_ns, faces_evaluated, faces)``: the merged
     #: ``halo``/``sweep`` split, which shows a rank idling on its peers.
     ranks: tuple[tuple[int, int, int], ...]
+    #: The ranks' merged tallies (ladder counts once) and the restarts.
+    recovery: RecoveryCounters
 
 
 class _RankMarch(March):
     """One rank: one slot of the march loop on the serial RHS over its
     block grid, the transport its other ghost source, marched on the
     RHS's workspace from its arena block, with the CFL rate reduced
-    across ranks.  The cadence check is collective (a max of the
-    failure flag): every rank stops at the step any block fails, so no
-    peer waits out ``cluster_timeout`` on a halo post."""
+    across ranks.  The cadence and retry checks are collective (a max of
+    the failure flag): every rank stops, or takes the same rung, at the
+    step any block fails, so no peer waits out ``cluster_timeout`` on a
+    halo post.  A cell fault injector strikes its block's cells."""
 
     def __init__(self, arena: ShmArena, rank: int, grid: StructuredGrid,
                  layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
                  config: RHSConfig, options: SolverOptions, march: dict):
+        decomp = arena.decomp
         self.transport = transport = SharedMemoryTransport(
             arena, rank, timeout=options.cluster_timeout)
-        self.rhs = RHS(layout, mixture, arena.decomp.block_grid(grid, rank),
-                       bcs, config, options, transport=transport)
-        self.options, self.layout, self.mixture = options, layout, mixture
-        self.config, self.stopwatch = config, None
-        self.widths = self.rhs.grid.width_fields()
-        self.q = arena.block(rank)
+        self.grid = decomp.block_grid(grid, rank)
+        self.rhs = RHS(layout, mixture, self.grid, bcs, config, options,
+                       transport=transport)
+        self.options, self.layout, self.mixture = (self.rhs.options, layout,
+                                                   mixture)
+        self.bcs, self.config, self.stopwatch = bcs, config, None
+        self.widths = self.grid.width_fields()
+        self.q = self.backend.from_host(arena.block(rank))
+        # The injector draws from the global shape, at this block's origin.
+        injector, block = march.get("injector"), (
+            (layout.nvars, *decomp.global_cells),
+            tuple(s.start for s in decomp.local_slices(rank)))
 
         def reduce(rate):
             # Post the local wave rate now and collect the global max
@@ -491,14 +507,16 @@ class _RankMarch(March):
 
         super().__init__(times=[march["base_time"]], steps=[march["base_step"]],
                          step_count=march["base_step"],
-                         prefixes=[f"rank{rank:04d}"], reduce=reduce)
+                         prefixes=[f"rank{rank:04d}"], reduce=reduce,
+                         fault_plans=injector and {0: SimpleNamespace(
+                             apply=partial(injector.apply, block=block))})
 
-    def _failures(self) -> dict[int, str]:
-        failed = super()._failures()
-        if self.transport.reduce_max(float(bool(failed))) and not failed:
-            raise NumericsError(
-                f"a peer rank's block is unphysical at step {self.step_count}")
-        return failed
+    def _unphysical(self, q, ws):
+        # The one state check, collective: the cadence's and the ladder's.
+        found = list(super()._unphysical(q, ws))
+        if self.transport.reduce_max(float(bool(found))) and not found:
+            found = [(0, "a peer rank's block is unphysical")]
+        yield from found
 
 
 def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
@@ -508,14 +526,15 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
     """One rank's process body (fork-inherited arguments, no pickling).
 
     ``march`` carries what one :meth:`ProcessCluster.run` adds to the
-    options: ``fault t_end n_steps base_time base_step``.  The
+    options: ``fault injector t_end n_steps base_time base_step``.  The
     rank marches on the driver's absolute clock, so its checkpoint
     headers and history carry the time/step a serial run would.
     """
     m = _RankMarch(arena, rank, grid, layout, mixture, bcs, config, options,
                    march)
     if restore_step is not None:
-        header, m.q = read_snapshot(m._manager(0).path_for(restore_step))
+        header, q = read_snapshot(m._manager(0).path_for(restore_step))
+        m.q = m.backend.from_host(q, dtype=arena.dtype)
         m.times[0], m.steps[0] = header.time, header.step
         m.step_count = header.step
     fault = march["fault"]
@@ -540,7 +559,7 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
         # stops at it: the reduced dt and the check are collective.
         conn.send({"rank": rank, "error": f"rank {rank}: {err}"})
         return
-    arena.block(rank)[...] = m.q
+    arena.block(rank)[...] = to_host_array(m.q)
     conn.send({
         "rank": rank,
         "time": float(m.times[0]),
@@ -548,6 +567,7 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
         "halo": m.transport.counters.as_dict(),
         "sweep": m.rhs.sweep_counters.as_dict(),
         "limited_faces": m.rhs.limited_faces,
+        "recovery": m.recovery.as_dict(),
         "history": ([(r.step, r.time, r.dt, r.wall_seconds)
                      for r in m.history] if rank == 0 else []),
     })
@@ -568,19 +588,22 @@ class ProcessCluster(KnobAccess):
     waits spin for ``cluster_timeout`` seconds and the parent's join
     uses ``cluster_timeout + 60`` as its *no-progress* deadline (a
     hang's bound, not a legitimate run's).  ``fault`` is an injected
-    :class:`RankFault`.
+    :class:`RankFault`, ``fault_injector`` a cell fault plan (as
+    :class:`~repro.solver.simulation.Simulation`'s; each rank strikes
+    the cells of its block, see :class:`~repro.faults.CellFaultPlan`).
     """
 
     def __init__(self, grid: StructuredGrid, layout: StateLayout,
                  mixture: Mixture, bcs: BoundarySet,
                  decomp: BlockDecomposition, config: RHSConfig,
                  options: SolverOptions | None = None, *,
-                 fault: RankFault | None = None, **knobs) -> None:
+                 fault: RankFault | None = None, fault_injector=None,
+                 **knobs) -> None:
         self.options = fold(options, {**knobs, "ranks": decomp.nranks})
         self.options.require_compatible(rank_fault=fault)
         self.grid, self.layout, self.mixture = grid, layout, mixture
         self.bcs, self.decomp, self.config = bcs, decomp, config
-        self.fault = fault
+        self.fault, self.fault_injector = fault, fault_injector
         if decomp.global_cells != grid.shape:
             raise ConfigurationError(
                 f"decomposition covers {decomp.global_cells}, "
@@ -593,9 +616,13 @@ class ProcessCluster(KnobAccess):
                 f"fault rank {fault.rank} outside 0..{decomp.nranks - 1}")
         # Validate the numerics up front (in-process, before any fork)
         # by building rank 0's march as its worker will.
-        _RankMarch(ShmArena(decomp, layout.nvars, ng), 0, grid, layout,
-                   mixture, bcs, config, self.options,
-                   dict(base_time=0.0, base_step=0)).close()
+        _RankMarch(self._arena(), 0, grid, layout, mixture, bcs, config,
+                   self.options, dict(base_time=0.0, base_step=0)).close()
+
+    def _arena(self) -> ShmArena:
+        return ShmArena(self.decomp, self.layout.nvars,
+                        halo_width(self.config.weno_order),
+                        precision_dtype(self.precision))
 
     def _discard_stale_checkpoints(self) -> None:
         """Remove rank checkpoints left by a previous run.
@@ -663,13 +690,13 @@ class ProcessCluster(KnobAccess):
                 f"q0 has shape {q0.shape}, expected "
                 f"{(self.layout.nvars, *self.grid.shape)}")
         self._discard_stale_checkpoints()
-        march = dict(fault=self.fault, t_end=t_end, n_steps=n_steps,
-                     base_time=base_time, base_step=base_step)
+        march = dict(fault=self.fault, injector=self.fault_injector,
+                     t_end=t_end, n_steps=n_steps, base_time=base_time,
+                     base_step=base_step)
         restarts = 0
         restore_step = None
         while True:
-            arena = ShmArena(self.decomp, self.layout.nvars,
-                             halo_width(self.config.weno_order))
+            arena = self._arena()
             arena.scatter(q0)
             results, failed = drain_and_join(
                 [partial(_worker, arena, r, self.grid, self.layout,
@@ -701,9 +728,19 @@ class ProcessCluster(KnobAccess):
             loads.append((rank_halo.wait_ns, rank_sweep.faces_evaluated,
                           rank_sweep.faces))
         r0 = next(res for res in results if res["rank"] == 0)
+        # The ladder is collective: count its rungs once, sum the rest.
+        ladder = {name: r0["recovery"][name] for name in (
+            "retries", "rollbacks", "dt_halvings", "escalations",
+            "guard_failures")}
+        assert all(res["recovery"][k] == n for res in results
+                   for k, n in ladder.items()), "ranks left the ladder"
+        recovery = RecoveryCounters(restarts=restarts)
+        for res in results:
+            recovery.merge(RecoveryCounters(**res["recovery"]))
         return ClusterResult(
             q=arena.gather(), time=r0["time"], step_count=r0["step_count"],
             halo=halo, sweep=sweep,
-            history=tuple(tuple(h) for h in r0["history"]), restarts=restarts,
+            history=tuple(tuple(h) for h in r0["history"]),
             limited_faces=sum(res["limited_faces"] for res in results),
-            ranks=tuple(loads))
+            ranks=tuple(loads),
+            recovery=replace(recovery, **ladder))

@@ -9,7 +9,8 @@ Determinism contract
 --------------------
 * The victim cells and values derive from ``np.random.default_rng``
   seeded by ``(seed, step)`` only, so the same plan corrupts the same
-  cells whether the RHS ran serial or threaded, strided or transposed.
+  cells whether the RHS ran serial or threaded, strided or transposed,
+  on one rank or on many.
 * A *transient* fault (``attempts=1``, the default) strikes only the
   first attempt of its step; the guarded driver's same-dt retry then
   recomputes the step cleanly and the recovered trajectory is bitwise
@@ -94,18 +95,26 @@ class CellFaultPlan:
             out.append((var, *(int(c) for c in cell)))
         return out
 
-    def apply(self, q: np.ndarray, *, step: int, attempt: int = 0) -> int:
+    def apply(self, q: np.ndarray, *, step: int, attempt: int = 0,
+              block=None) -> int:
         """Corrupt ``q`` in place when ``(step, attempt)`` is armed.
 
-        Returns the number of cells struck (0 when the plan does not
-        fire), matching the ``Simulation.fault_injector`` protocol.
+        ``block=(shape, origin)``: ``q`` is a rank's block at ``origin``
+        of a ``shape`` field, struck at the targets drawn from ``shape``
+        that fall inside it.  Returns the number of cells struck (0 when
+        the plan does not fire), matching the ``Simulation.
+        fault_injector`` protocol.
         """
         if step != self.step:
             return 0
         if self.attempts is not None and attempt >= self.attempts:
             return 0
+        shape, origin = block or (q.shape, (0,) * (q.ndim - 1))
         struck = 0
-        for idx in self.targets(q.shape):
+        for var, *cell in self.targets(shape):
+            idx = (var, *(c - o for c, o in zip(cell, origin)))
+            if not all(0 <= c < n for c, n in zip(idx[1:], q.shape[1:])):
+                continue
             if self.mode == "nan":
                 q[idx] = np.nan
             elif self.mode == "negative_density":

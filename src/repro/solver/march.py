@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time as clock
 from contextlib import AbstractContextManager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.solver.resilience import (
     SimulationDivergedError,
     check_state,
 )
-from repro.solver.rhs import RHSConfig
+from repro.solver.rhs import RHS, RHSConfig
 from repro.state.conversions import cons_to_prim
 from repro.timestepping import SSP_SCHEMES, horizon_reached, time_step
 from repro.tuning.plan import resolve_plan
@@ -326,6 +326,23 @@ class March(KnobAccess, AbstractContextManager):
         """``{slot: message}`` of every unphysical slot."""
         return {slot: self._describe(slot, diag) for slot, diag
                 in self._unphysical(self.q, self.rhs.workspace)}
+
+    def _fallback_rhs(self, order: int) -> RHS:
+        """Cached lower-order RHS for a scheme-escalation retry.
+
+        Built on first use (so an untroubled run allocates nothing
+        extra) over the march's grid and transport, serial and staged:
+        an escalated step is a rare rescue where robustness, not
+        throughput, is the point.
+        """
+        rhs = self._fallback_rhs_cache.get(order)
+        if rhs is None:
+            rhs = self._fallback_rhs_cache[order] = RHS(
+                self.layout, self.mixture, self.grid, self.bcs,
+                replace(self.config, weno_order=order),
+                self.options, threads=1, fusion="off",
+                transport=self.rhs.transport, stopwatch=self.stopwatch)
+        return rhs
 
     def _describe(self, slot: int, diag) -> str:
         return f"unphysical state at step {self.step_count}: {diag}"

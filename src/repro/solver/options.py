@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from types import SimpleNamespace
 
-from repro.backend import BACKEND_NAMES, PRECISIONS, Backend, resolve_backend
+from repro.backend import BACKEND_NAMES, PRECISIONS, Backend
 from repro.common import ConfigurationError
 from repro.common.checks import choice, integer, optional, path, real
 from repro.solver.resilience import RetryPolicy
@@ -205,14 +205,13 @@ class SolverOptions:
         return fold(None, {f.name: getattr(self, f.name)
                            for f in knobs_of(command)})
 
-    def require_compatible(self, *, fault_injector=None, callback=None,
-                           rank_fault=None, batched=False,
-                           campaign=False) -> None:
+    def require_compatible(self, *, callback=None, rank_fault=None,
+                           batched=False, campaign=False) -> None:
         """Raise the reason of the first of :data:`REFUSALS` that holds for
         these options and what else the driver holds (the keywords; a
         ``campaign`` is batched too)."""
-        o = SimpleNamespace(**vars(self), fault_injector=fault_injector,
-                            callback=callback, rank_fault=rank_fault,
+        o = SimpleNamespace(**vars(self), callback=callback,
+                            rank_fault=rank_fault,
                             batched=batched or campaign, campaign=campaign)
         for refused, reason in REFUSALS:
             if refused(o):
@@ -290,22 +289,14 @@ REFUSALS = (
      and not o.campaign,
      "checkpoint_every requires a checkpoint_dir"),
     (lambda o: o.ranks > 1 and (o.threads or 1) > 1,
-     "ranks > 1 is incompatible with threads > 1 (pick one parallel backend)"),
-    (lambda o: o.ranks > 1 and o.precision != "float64",
-     "ranks > 1 marches in float64 (cluster workers are not "
-     "precision-aware); drop precision or ranks"),
-    (lambda o: o.ranks > 1 and resolve_backend(o.backend).name != "numpy",
-     "ranks > 1 marches on the numpy backend (cluster workers are not "
-     "backend-aware); drop backend or ranks"),
-    (lambda o: o.ranks > 1 and o.retry is not None,
-     "ranks > 1 does not support the rollback-retry guard"),
+     "ranks > 1 is incompatible with threads > 1 (a rank marches its block "
+     "on one core; pick one parallel backend)"),
     (lambda o: o.ranks > 1 and o.tuning != "off",
-     "ranks > 1 does not support tuning"),
-    (lambda o: o.ranks > 1 and o.fault_injector is not None,
-     "ranks > 1 does not support cell fault injectors; inject rank faults "
-     "with repro.cluster.RankFault through ProcessCluster"),
+     "ranks > 1 does not support tuning (the autotuner times the whole "
+     "domain in one process, not a rank's block)"),
     (lambda o: o.ranks > 1 and o.callback is not None,
-     "per-step callbacks are not supported with ranks > 1"),
+     "per-step callbacks are not supported with ranks > 1 (a callback in a "
+     "forked rank cannot reach the caller's objects)"),
     (lambda o: o.rank_fault is not None and not o.checkpoint_every,
      "fault injection requires checkpointing (set checkpoint_every and "
      "checkpoint_dir)"),

@@ -474,7 +474,9 @@ class RHS(KnobAccess, AbstractContextManager):
                         else to_host_array(stage.dt), -1)
             ctl[_FLAGS] = flags
             with (nullcontext((None, None)) if transport is None
-                  else transport.fill(transport.rank, d)) as halo:
+                  else transport.fill(transport.rank, d, self._ng)) as strips:
+                halo = tuple(s if s is None else xp.asarray(s)  # H2D
+                             for s in strips)
                 results = (self.executor.launch(d) if self.executor is not None
                            else [self._launch(d, 0, halo)])
             self.limited_faces += sum(limited for limited, _, _ in results)

@@ -61,7 +61,8 @@ class Simulation(March):
         Optional fault-injection plan (duck-typed: ``apply(q, step=...,
         attempt=...) -> int`` corrupting ``q`` in place and returning
         the number of cells touched), called on every candidate
-        post-step state.  Test/chaos-engineering hook.
+        post-step state; on ranks, on each block with ``block=(shape,
+        origin)`` added.  Test/chaos-engineering hook.
 
     :attr:`tuning_plan` is the resolved :class:`~repro.tuning.TuningPlan`
     (None with tuning off), :attr:`tuner` the
@@ -76,7 +77,7 @@ class Simulation(March):
                  stopwatch: Stopwatch | None = None,
                  fault_injector: object | None = None, **knobs) -> None:
         options = fold(options, knobs)
-        options.require_compatible(fault_injector=fault_injector)
+        options.require_compatible()
         if options.ranks > 1:
             # A 2-rank run must never start four busy processes.
             width, self.gang_why = plan_gang_width(
@@ -131,22 +132,6 @@ class Simulation(March):
                 "use run(), which delegates the whole march to the cluster")
         return super().step(dt, dt_limit=dt_limit, callback=callback)
 
-    def _fallback_rhs(self, order: int) -> RHS:
-        """Cached lower-order RHS for a scheme-escalation retry.
-
-        Built on first use (so an untroubled run allocates nothing
-        extra), serial and strided: an escalated step is a rare rescue
-        where robustness, not throughput, is the point.
-        """
-        rhs = self._fallback_rhs_cache.get(order)
-        if rhs is None:
-            rhs = self._fallback_rhs_cache[order] = RHS(
-                self.layout, self.mixture, self.grid, self.bcs,
-                dataclasses.replace(self.config, weno_order=order),
-                self.options, threads=1, fusion="off",
-                stopwatch=self.stopwatch)
-        return rhs
-
     # ------------------------------------------------------------------
     def run(self, *, t_end: float | None = None, n_steps: int | None = None,
             callback: Callable[["Simulation", StepRecord], None] | None = None) -> None:
@@ -161,7 +146,7 @@ class Simulation(March):
         :class:`~repro.cluster.ProcessCluster` over a balanced
         decomposition, seeded with the driver's absolute clock and
         bitwise identical to the serial march; the driver's state,
-        clock, history, counters and restart tally absorb its result and
+        clock, history, counters and recovery tally absorb its result and
         the merged halo counters land in :attr:`halo_counters`, each
         rank's wait and faces in :attr:`rank_loads`.
         """
@@ -178,7 +163,8 @@ class Simulation(March):
         decomp = BlockDecomposition.balanced(
             self.grid.shape, self.ranks, periodic=periodic)
         cluster = ProcessCluster(self.grid, self.layout, self.mixture,
-                                 self.bcs, decomp, self.config, self.options)
+                                 self.bcs, decomp, self.config, self.options,
+                                 fault_injector=self.fault_plans.get(0))
         result = cluster.run(to_host_array(self.q), t_end=t_end,
                              n_steps=n_steps,
                              base_time=self.time, base_step=self.step_count)
@@ -188,7 +174,7 @@ class Simulation(March):
         self.halo_counters, self.rank_loads = result.halo, result.ranks
         self.rhs.sweep_counters.merge(result.sweep)
         self.rhs.limited_faces += result.limited_faces
-        self.recovery.restarts += result.restarts
+        self.recovery.merge(result.recovery)
 
     # ------------------------------------------------------------------
     @property

@@ -251,11 +251,18 @@ class TestFloat32:
         # write upcasts losslessly, restart downcasts: exact bits back
         assert sim2.q.tobytes() == sim.q.tobytes()
 
-    def test_float32_banned_on_multiprocess_runs(self):
+    def test_float32_multiprocess_runs_match_one_rank(self):
+        # Was the REFUSALS row "ranks > 1 marches in float64": the rank
+        # arena now holds the state dtype.
         case = bubble_case(12)
         bcs = BoundarySet.all_periodic(2)
-        with pytest.raises(ConfigurationError):
-            Simulation(case, bcs, precision="float32", ranks=2)
+        states = []
+        for ranks in (1, 2):
+            sim = Simulation(case, bcs, precision="float32", ranks=ranks)
+            sim.run(n_steps=3)
+            states.append(to_host_array(sim.q))
+        assert states[1].dtype == np.float32
+        assert states[1].tobytes() == states[0].tobytes()
 
     def test_bad_precision_rejected(self):
         case = bubble_case(12)

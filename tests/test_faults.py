@@ -96,9 +96,9 @@ class TestCellFaultPlanDeterminism:
 
 class TestRecoveredTrajectories:
     def run_with_fault(self, *, seed=13, threads=1, layout="strided",
-                       mode="nan"):
+                       mode="nan", ranks=1):
         sim = bubble_sim(retry=RetryPolicy(), threads=threads,
-                         sweep_layout=layout,
+                         sweep_layout=layout, ranks=ranks,
                          fault_injector=CellFaultPlan(step=4, seed=seed,
                                                       ncells=2, mode=mode))
         sim.run(n_steps=8)
@@ -126,10 +126,12 @@ class TestRecoveredTrajectories:
 
     def test_recovery_identical_across_layouts_and_threads(self):
         base = self.run_with_fault(seed=31)
-        for threads, layout in ((2, "strided"), (1, "transposed"),
-                                (2, "transposed")):
+        for threads, layout, ranks in ((2, "strided", 1),
+                                       (1, "transposed", 1),
+                                       (2, "transposed", 1),
+                                       (1, "strided", 2), (1, "strided", 4)):
             other = self.run_with_fault(seed=31, threads=threads,
-                                        layout=layout)
+                                        layout=layout, ranks=ranks)
             np.testing.assert_array_equal(base.q, other.q)
             assert other.recovery.faults_injected == \
                 base.recovery.faults_injected

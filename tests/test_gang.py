@@ -27,6 +27,7 @@ from repro.eos import Mixture, StiffenedGas
 from repro.faults import CellFaultPlan
 from repro.grid import StructuredGrid
 from repro.solver import Case, Patch, RetryPolicy, Simulation, box, sphere
+from repro.solver.options import SolverOptions
 from tests.conftest import live_children
 
 MIX = Mixture((StiffenedGas(1.4, 0.0, "air"), StiffenedGas(4.4, 6000.0, "water")))
@@ -93,8 +94,10 @@ class TestPlannedWidth:
     def test_bad_values_and_ranks_conflict(self, bad):
         with pytest.raises(ConfigurationError):
             plan_gang_width(bad, tiles=4)
-        with pytest.raises(ConfigurationError, match="ranks > 1"):
-            plan_gang_width(2, tiles=4, ranks=2)
+        # One refusal, in one place: the options' row, not the planner.
+        assert plan_gang_width(2, tiles=4, ranks=2) == (2, "2: explicit")
+        with pytest.raises(ConfigurationError, match="threads > 1"):
+            SolverOptions(ranks=2, threads=2).require_compatible()
 
     def test_default_sim_plans_from_cores_and_tiles(self, monkeypatch):
         case, bcs = bubble_case((96, 96)), BoundarySet.all_periodic(2)

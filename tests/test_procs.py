@@ -12,12 +12,15 @@ checkpoint.
 """
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import to_host_array
 from repro.bc import BoundarySet
 from repro.cluster import (
     BlockDecomposition,
@@ -32,6 +35,7 @@ from repro.eos import Mixture, StiffenedGas
 from repro.grid import StructuredGrid
 from repro.profiling import HaloCounters, Profile
 from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
+from tests.conftest import live_children
 
 AIR = StiffenedGas(1.4)
 MIX = Mixture((AIR, AIR))
@@ -291,7 +295,7 @@ class TestRankFaultRestart:
                          fault=RankFault(rank=1, step=3))
         result = pc.run(case.initial_conservative(), n_steps=6)
         np.testing.assert_array_equal(result.q, sim.q)
-        assert result.restarts == 1
+        assert result.recovery.restarts == 1
 
     def test_fault_before_any_checkpoint_raises(self, tmp_path):
         case = bubble_case((32,))
@@ -369,7 +373,7 @@ class TestRankFaultRestart:
                           checkpoint_every=2, checkpoint_dir=tmp_path,
                           fault=RankFault(rank=1, step=3))
         result = pc2.run(case.initial_conservative(), n_steps=6)
-        assert result.restarts == 1
+        assert result.recovery.restarts == 1
         assert result.step_count == 6
         np.testing.assert_array_equal(result.q, serial.q)
 
@@ -479,12 +483,12 @@ class TestSimulationRanksWiring:
         with pytest.raises(ConfigurationError):
             sim.run(n_steps=1, callback=lambda s, r: None)
 
+    # The retry and fault_injector cases went with their REFUSALS rows:
+    # TestRanksTakeTheSerialKnobs runs them bitwise against ranks=1.
     @pytest.mark.parametrize("kwargs", [
         {"ranks": 0},
         {"ranks": 2, "threads": 2},
-        {"ranks": 2, "retry": {"max_retries": 1}},
         {"ranks": 2, "tuning": "auto"},
-        {"ranks": 2, "fault_injector": object()},
     ])
     def test_incompatible_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -502,11 +506,7 @@ def _refusal_cases():
     return {
         "checkpoint_every requires": sim(checkpoint_every=2),
         "threads > 1": sim(ranks=2, threads=2),
-        "marches in float64": sim(ranks=2, precision="float32"),
-        "numpy backend": sim(ranks=2, backend="checked"),
-        "rollback-retry guard": sim(ranks=2, retry={"max_retries": 1}),
         "support tuning": sim(ranks=2, tuning="auto"),
-        "cell fault injectors": sim(ranks=2, fault_injector=object()),
         "per-step callbacks": lambda: Simulation(case, bcs, ranks=2).run(
             n_steps=1, callback=lambda sim, rec: None),
         "requires checkpointing": lambda: cluster_for(
@@ -522,13 +522,13 @@ class TestDeclaredRefusals:
     """Every knob combination no driver runs is one row of
     ``repro.solver.options.REFUSALS`` and is refused with its reason."""
 
-    @pytest.mark.parametrize("row", range(11))
+    @pytest.mark.parametrize("row", range(7))
     def test_each_row_is_raised_with_its_reason(self, row):
         import re
 
         from repro.solver.options import REFUSALS
 
-        assert len(REFUSALS) == 11  # a new row needs a case above
+        assert len(REFUSALS) == 7  # a new row needs a case above
         reason = REFUSALS[row][1]
         (build,) = [b for fragment, b in _refusal_cases().items()
                     if fragment in reason]
@@ -541,6 +541,90 @@ class TestDeclaredRefusals:
         with pytest.raises(ConfigurationError, match="cfl"):
             Simulation(bubble_case((16, 16)), BoundarySet.all_periodic(2),
                        ranks=2, cfl=1.5)
+
+
+class TestRanksTakeTheSerialKnobs:
+    """The combinations the deleted ``REFUSALS`` rows refused — ``ranks >
+    1`` × precision, × backend, × retry and × cell fault injector — run on
+    the rank path bitwise equal to ``ranks=1``, with equal recovery
+    tallies."""
+
+    CASE, BCS = bubble_case((16, 16)), BoundarySet.all_periodic(2)
+
+    def pair(self, ranks, n_steps=4, **knobs):
+        one = Simulation(self.CASE, self.BCS, **knobs)
+        one.run(n_steps=n_steps)
+        many = Simulation(self.CASE, self.BCS, ranks=ranks, **knobs)
+        many.run(n_steps=n_steps)
+        assert to_host_array(many.q).dtype == to_host_array(one.q).dtype
+        assert to_host_array(many.q).tobytes() == to_host_array(one.q).tobytes()
+        assert [r.dt for r in many.history] == [r.dt for r in one.history]
+        assert many.recovery.as_dict() == one.recovery.as_dict()
+        return one, many
+
+    # Was the row "ranks > 1 marches in float64 (cluster workers are not
+    # precision-aware)".
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_float32(self, ranks):
+        one, _ = self.pair(ranks, precision="float32")
+        assert one.q.dtype == np.float32
+
+    # Was the row "ranks > 1 marches on the numpy backend (cluster
+    # workers are not backend-aware)"; a host leak would raise
+    # BackendLeakError in a rank.
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_checked_backend(self, ranks):
+        self.pair(ranks, backend="checked")
+
+    # Was the rows "ranks > 1 does not support the rollback-retry guard"
+    # and "... cell fault injectors": a persistent fault forces a same-dt
+    # retry (attempts=1), a dt halving (2), then escalation to WENO3 (5)
+    # and to first order (6); each rank strikes its block's share.
+    @pytest.mark.parametrize("ranks", [2, 4])
+    @pytest.mark.parametrize("attempts,retries,halvings,escalations", [
+        (1, 1, 0, 0), (2, 2, 1, 0), (5, 5, 3, 1), (6, 6, 3, 2)])
+    def test_retry_ladder_under_cell_faults(self, ranks, attempts, retries,
+                                            halvings, escalations):
+        from repro.faults import CellFaultPlan
+        from repro.solver import RetryPolicy
+
+        plan = CellFaultPlan(step=2, seed=7, ncells=3, attempts=attempts)
+        _, many = self.pair(ranks, retry=RetryPolicy(), fault_injector=plan)
+        rec = many.recovery
+        assert (rec.retries, rec.dt_halvings, rec.escalations) == (
+            retries, halvings, escalations)
+        assert rec.faults_injected == 3 * attempts
+
+    def test_exhausted_ladder_stops_every_rank(self):
+        from repro.faults import CellFaultPlan
+        from repro.solver import RetryPolicy
+
+        plan = CellFaultPlan(step=2, seed=7, ncells=3, attempts=None)
+        sim = Simulation(self.CASE, self.BCS, ranks=2, retry=RetryPolicy(),
+                         fault_injector=plan)
+        with pytest.raises(NumericsError) as err:
+            sim.run(n_steps=4)
+        for rank in (0, 1):
+            assert f"rank {rank}: step 2 diverged" in str(err.value)
+        assert live_children(os.getpid()) == {}
+
+    def test_chaos_cell_fault_and_killed_rank_both_recover(self, tmp_path):
+        from repro.faults import CellFaultPlan
+        from repro.solver import RetryPolicy
+
+        plan = CellFaultPlan(step=5, seed=3, ncells=2)
+        serial = Simulation(self.CASE, self.BCS, retry=RetryPolicy(),
+                            fault_injector=plan)
+        serial.run(n_steps=6)
+        pc = cluster_for(self.CASE, self.BCS, 2, retry=RetryPolicy(),
+                         fault_injector=plan, checkpoint_every=2,
+                         checkpoint_dir=tmp_path,
+                         fault=RankFault(rank=1, step=3))
+        result = pc.run(self.CASE.initial_conservative(), n_steps=6)
+        assert result.q.tobytes() == serial.q.tobytes()
+        assert result.recovery.restarts == 1
+        assert result.recovery.retries == serial.recovery.retries == 1
+        assert result.recovery.faults_injected == 2
 
 
 class TestCaseFileAndCLI:
@@ -615,6 +699,21 @@ class TestCaseFileAndCLI:
         _, q_serial = read_snapshot(serial_snap)
         _, q_ranks = read_snapshot(ranks_snap)
         np.testing.assert_array_equal(q_ranks, q_serial)
+
+
+    def test_cli_ranks_report_merged_recovery(self, tmp_path, capsys):
+        # Each rank writes its own checkpoints; the summary counts them all.
+        from repro.__main__ import main
+
+        case = str(Path(__file__).resolve().parents[1] / "examples" / "cases"
+                   / "shock_bubble_cluster.json")
+        for ranks in (1, 2):
+            assert main(["run", case, "--steps", "6", "--ranks", str(ranks),
+                         "--checkpoint-every", "2", "--checkpoint-dir",
+                         str(tmp_path / f"r{ranks}")]) == 0
+            out = capsys.readouterr().out
+            assert f"checkpoints: {3 * ranks} written" in out
+        assert len(list((tmp_path / "r2").glob("rank000*_*.bin"))) == 6
 
 
 class TestProfileHaloReport:
