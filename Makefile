@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-rhs bench-tuned bench-fused bench-cluster bench-ensemble bench-e2e bench-e2e-quick bench-e2e-pair cold-start rss tune examples artifacts clean
+.PHONY: install test test-gang test-fault test-procs test-ensemble test-chaos test-backends bench bench-e2e bench-e2e-quick bench-e2e-pair cold-start rss tune examples artifacts clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -49,48 +49,10 @@ test-chaos:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Hot-path perf trajectory: grind time + kernel breakdown over a grid x
-# thread-count sweep, plus allocations per step on the smallest grid
-# (appends to benchmarks/results/BENCH_rhs.json's history).
-bench-rhs:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_rhs.py \
-		--grid 64 --grid 256 --threads 1 --threads 2 --threads 4
-
 # Execution-backend seam: registry, guard-leak, numpy/checked
 # bitwise-parity and float32-precision suites.
 test-backends:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_backends.py -q
-
-# Empirical autotuner: tuned-vs-untuned grind comparison on the bench
-# case (appends a tuned-stamped history entry with the winning plan).
-bench-tuned:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_rhs.py \
-		--grid 256 --threads 1 --tuned
-
-# Fused sweep kernels: fused-vs-tuned grind comparison on the bench
-# case (appends a fused-stamped history entry with launch counters;
-# see docs/fusion.md).
-bench-fused:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_rhs.py \
-		--grid 256 --threads 1 --fused
-
-# Real multi-process weak/strong scaling through the shared-memory
-# cluster executor, reconciled against the analytic comm model
-# (appends to benchmarks/results/BENCH_cluster.json's history).
-bench-cluster:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_cluster.py \
-		--ranks 1 --ranks 2 --ranks 4
-
-# Batched ensemble execution: stacked vs sequential per-case grind over
-# a grid x batch-width sweep spanning both regimes — the small
-# overhead-dominated grids batching is for (16^2/32^2) and the
-# bandwidth-saturated ones it honestly cannot help (64^2/128^2).
-# Appends to benchmarks/results/BENCH_ensemble.json's history; see
-# docs/ensemble.md for the measured curve.
-bench-ensemble:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_ensemble.py \
-		--grid 16 --grid 32 --grid 64 --grid 128 \
-		--batch 1 --batch 2 --batch 4 --batch 8 --batch 16
 
 # End-to-end + per-layer benchmark (BENCHMARK.json's command; see
 # benchmarks/e2e/README.md): the whole suite (~3.5 min) writes
@@ -145,6 +107,7 @@ examples:
 	$(PYTHON) examples/gpu_porting_tour.py
 	$(PYTHON) examples/cylindrical_filter.py
 	$(PYTHON) examples/distributed_timeline.py
+	$(PYTHON) examples/fault_tolerance.py
 	$(PYTHON) examples/taylor_green.py
 	$(PYTHON) examples/shock_bubble.py
 	$(PYTHON) examples/shock_droplet.py

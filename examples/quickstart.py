@@ -10,6 +10,7 @@ solution.  Run time: a few seconds.
 import numpy as np
 
 from repro import quickstart_sod
+from repro.profiling import measure_step_allocations
 from repro.validation import sod_solution
 
 
@@ -33,6 +34,11 @@ def main() -> None:
     breakdown = sim.kernel_breakdown()
     print("host kernel shares:   "
           + ", ".join(f"{k}={100 * v:.0f}%" for k, v in sorted(breakdown.items())))
+    # A few steps past t_end: what a steady step allocates beyond the
+    # solver's own buffers, which it allocated once.
+    stats = measure_step_allocations(sim)
+    print(f"transient allocation: {stats.min_transient_bytes / 1e3:.0f} kB per "
+          f"step (the state is {sim.q.nbytes / 1e3:.0f} kB)")
 
     # Crude terminal plot of the density profile.
     print("\ndensity profile (computed '*', exact '.'):")

@@ -20,8 +20,9 @@ A :class:`GangExecutor` of width ``n`` is the calling process plus
 launch, each holding the body and all it closes over copy-on-write.  A
 launch is one fixed-size pipe message (an integer argument); every
 member runs ``body(arg, rank)`` — the body takes its own share of the
-tile spans with :func:`gang_share` — and workers reply with their
-result, their stopwatch laps and any exception.  (Not threads: handing
+tile spans with :func:`gang_share` — and workers answer with the
+substrate's one :class:`~repro.common.workers.Reply`: their result,
+their stopwatch laps and any exception.  (Not threads: handing
 the interpreter lock over costs more than a tile's ~16 µs ufunc pass;
 EXPERIMENTS.md "Real gangs".)
 
@@ -45,8 +46,16 @@ from functools import partial
 from multiprocessing.connection import Pipe
 from typing import Callable
 
-from repro.common import ConfigurationError, ReproError
-from repro.common.workers import Worker
+from repro.common import ConfigurationError
+from repro.common.workers import (
+    STALLED,
+    Worker,
+    died,
+    receive,
+    reply_of,
+    send_reply,
+    unwrap,
+)
 
 _ARG = struct.Struct("<q")
 _EXIT = -1  # launch arguments are non-negative
@@ -161,46 +170,41 @@ class GangExecutor(AbstractContextManager):
 
         Rank 0 is the caller.  If any member raises, all members are
         still waited on — shared buffers are never abandoned mid-write —
-        and the first error in rank order is re-raised.  A
-        worker that died or hung raises :class:`ReproError` naming the
-        gang and the launch, and the gang is torn down.
+        and the first error in rank order is re-raised.  A worker that
+        died or hung raises :class:`~repro.common.WorkerDiedError` or
+        :class:`~repro.common.DeadlineError` naming the gang, the launch
+        and how it ended, and the gang is torn down.
         """
         if self.threads == 1:
             return [self._body(arg, 0)]
         if not self._workers or self._workers[0].pid is None:
             self._fork()  # none yet, or they are the forking process's
         self.launches += 1
-        outcomes: list[tuple] = []
-        rank = 1
+        rank, how = 1, None
         try:
-            for worker in self._workers:
-                worker.ends[0].send_bytes(_ARG.pack(arg))
-            try:
-                outcomes.append((self._body(arg, 0), None))
-            except Exception as err:
-                outcomes.append((None, err))
             for rank, worker in enumerate(self._workers, 1):
-                reply = worker.ends[1]
-                if not reply.poll(self.timeout):
-                    raise TimeoutError(f"no reply in {self.timeout:g} s")
-                result, err, laps = reply.recv()
-                outcomes.append((result, err))
-                for name, seconds in laps.items():
+                worker.ends[0].send_bytes(_ARG.pack(arg))
+            replies = [reply_of(self._body, arg, 0)]
+            for rank, worker in enumerate(self._workers, 1):
+                reply = receive(worker.ends[1], self.timeout)
+                if reply is None:
+                    how = f"{STALLED}: no reply in {self.timeout:g} s"
+                    break
+                replies.append(reply)
+                for name, seconds in reply.laps.items():
                     self._stopwatch.add(name, seconds)
-        except BaseException as err:
-            # A reply may be missing or half-read: the pipes are out of
-            # step and a worker may still be writing.  Stop them all.
+        except (EOFError, OSError):
+            how = self._workers[rank - 1].reap()  # its pipe closed: it exited
+        except BaseException:
+            self.close(kill=True)  # a worker may still be writing
+            raise
+        if how is not None:
+            # The pipes are out of step: stop them all.
             self.close(kill=True)
-            if not isinstance(err, (EOFError, OSError)):
-                raise
-            raise ReproError(
-                f"gang of {self.threads} (pid {os.getpid()}), launch "
-                f"{self.launches} (arg {arg}): worker {rank} died or hung "
-                f"({type(err).__name__}: {err})") from err
-        for _result, err in outcomes:
-            if err is not None:
-                raise err
-        return [result for result, _err in outcomes]
+            raise died(f"gang of {self.threads} (pid {os.getpid()}), launch "
+                       f"{self.launches} (arg {arg}): worker {rank}",
+                       how).exception()
+        return [unwrap(reply) for reply in replies]
 
     # ------------------------------------------------------------------
     def _fork(self) -> None:
@@ -228,16 +232,9 @@ class GangExecutor(AbstractContextManager):
                 return
             laps.clear()
             try:
-                out = (self._body(arg, rank), None)
-            except Exception as err:
-                out = (None, err)
-            try:
-                reply.send((*out, dict(laps)))
+                send_reply(reply, self._body, arg, rank, laps=laps)
             except OSError:
                 return  # the parent is gone
-            except Exception:  # the error does not pickle
-                reply.send((None, ReproError(
-                    f"{type(out[1]).__name__}: {out[1]}"), dict(laps)))
 
     def close(self, *, kill: bool = False) -> None:
         """Stop and reap the workers (forked again lazily if reused)."""

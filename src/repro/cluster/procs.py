@@ -59,7 +59,8 @@ Liveness is monitored through a per-rank heartbeat word bumped on
 every completed step and transport operation: the progress signal of
 the parent's :func:`~repro.common.workers.drain_and_join`, which also
 kills and reaps the ranks on every way out of its wait.  A rank whose
-parent died stops at its next step or halo wait.
+parent died stops at its next step or halo wait, and one waiting on a
+rank that raised (its heartbeat word set to -1) stops at once.
 
 Fault tolerance
 ---------------
@@ -76,9 +77,7 @@ directory by a previous run are removed up front so only *this* run's
 steps are restart candidates, and a rank death with checkpointing
 disabled raises :class:`~repro.common.ClusterError` instead of
 attempting a restart.  :class:`RankFault` injects a deterministic rank
-death to exercise the path end to end; wire it from a
-:class:`~repro.faults.ranks.RankFailurePlan` via
-:meth:`RankFault.from_plan`.
+death to exercise the path end to end.
 """
 
 from __future__ import annotations
@@ -103,8 +102,10 @@ from repro.cluster.halo import (
     validate_block_extents,
     validate_periodicity,
 )
-from repro.common import DTYPE, ClusterError, ConfigurationError, NumericsError
+from repro.common import DTYPE, ClusterError, ConfigurationError
 from repro.common.workers import (
+    Reply,
+    WorkerError,
     drain_and_join,
     quit_if_orphaned,
     shared_array,
@@ -121,9 +122,11 @@ from repro.solver.rhs import RHS, RHSConfig
 from repro.state.layout import StateLayout
 from repro.weno import halo_width
 
-#: Exit code a worker uses to simulate a hardware fault (vs. 1 for a
-#: real Python error — both trigger the same restart path).
+#: Exit code a worker uses to simulate a hardware fault.
 _FAULT_EXIT = 3
+
+#: In a rank's error when its cause is another rank's.
+_PEER = "a peer rank"
 
 #: Per-rank checkpoint file names (any rank count, any step width) —
 #: the prefix set each :meth:`ProcessCluster.run` owns in its
@@ -141,23 +144,6 @@ class RankFault:
 
     rank: int
     step: int
-
-    @classmethod
-    def from_plan(cls, plan, *, step_seconds: float, nranks: int,
-                  horizon_hours: float = 24.0) -> "RankFault | None":
-        """Derive the first injected death from a PR-4
-        :class:`~repro.faults.ranks.RankFailurePlan`.
-
-        The plan's first failure time (hours) is converted to the step
-        count a run with the given wall seconds-per-step would have
-        reached; returns None when the plan predicts no failure inside
-        the horizon."""
-        times = plan.failure_times(horizon_hours)
-        if not times:
-            return None
-        hours, rank = times[0]
-        step = max(1, int(hours * 3600.0 / step_seconds))
-        return cls(rank=rank % nranks, step=step)
 
 
 class ShmArena:
@@ -330,11 +316,14 @@ class SharedMemoryTransport:
                 # so oversubscribed single-core hosts make progress.
                 time.sleep(0 if spins < 200 else 5e-5)
                 quit_if_orphaned()  # the peer may have left for that reason
+                if seq[0] < value and self._beat.min() < 0:
+                    raise ClusterError(f"{_PEER} stopped while this rank "
+                                       f"waited for {what}")
                 if time.perf_counter_ns() > deadline:
                     raise ClusterError(
                         f"rank {self.rank}: timed out after {self.timeout}s "
-                        f"waiting for {what} (seq {seq[0]} < {value}) — a "
-                        f"peer rank likely died")
+                        f"waiting for {what} (seq {seq[0]} < {value}) — "
+                        f"{_PEER} likely died")
             self.counters.wait_ns += time.perf_counter_ns() - t0
         self._fence(lock, what)
 
@@ -476,7 +465,8 @@ class _RankMarch(March):
     across ranks.  The cadence and retry checks are collective (a max of
     the failure flag): every rank stops, or takes the same rung, at the
     step any block fails, so no peer waits out ``cluster_timeout`` on a
-    halo post.  A cell fault injector strikes its block's cells."""
+    halo post.  A cell fault injector strikes its block's cells, and
+    the check names global cells."""
 
     def __init__(self, arena: ShmArena, rank: int, grid: StructuredGrid,
                  layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
@@ -493,9 +483,9 @@ class _RankMarch(March):
         self.widths = self.grid.width_fields()
         self.q = self.backend.from_host(arena.block(rank))
         # The injector draws from the global shape, at this block's origin.
-        injector, block = march.get("injector"), (
-            (layout.nvars, *decomp.global_cells),
-            tuple(s.start for s in decomp.local_slices(rank)))
+        self.origin = tuple(s.start for s in decomp.local_slices(rank))
+        injector = march.get("injector")
+        block = ((layout.nvars, *decomp.global_cells), self.origin)
 
         def reduce(rate):
             # Post the local wave rate now and collect the global max
@@ -513,16 +503,18 @@ class _RankMarch(March):
 
     def _unphysical(self, q, ws):
         # The one state check, collective: the cadence's and the ladder's.
-        found = list(super()._unphysical(q, ws))
+        found = [(slot, replace(diag, cell=tuple(
+            c + o for c, o in zip(diag.cell, self.origin))))
+            for slot, diag in super()._unphysical(q, ws)]
         if self.transport.reduce_max(float(bool(found))) and not found:
-            found = [(0, "a peer rank's block is unphysical")]
+            found = [(0, f"{_PEER}'s block is unphysical")]
         yield from found
 
 
 def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
             layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
             config: RHSConfig, options: SolverOptions, march: dict,
-            attempt: int, restore_step: int | None, conn) -> None:
+            attempt: int, restore_step: int | None) -> dict:
     """One rank's process body (fork-inherited arguments, no pickling).
 
     ``march`` carries what one :meth:`ProcessCluster.run` adds to the
@@ -532,11 +524,6 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
     """
     m = _RankMarch(arena, rank, grid, layout, mixture, bcs, config, options,
                    march)
-    if restore_step is not None:
-        header, q = read_snapshot(m._manager(0).path_for(restore_step))
-        m.q = m.backend.from_host(q, dtype=arena.dtype)
-        m.times[0], m.steps[0] = header.time, header.step
-        m.step_count = header.step
     fault = march["fault"]
 
     def after_step(m, rec) -> None:
@@ -549,19 +536,21 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
             os._exit(_FAULT_EXIT)
 
     try:
+        if restore_step is not None:
+            header, q = read_snapshot(m._manager(0).path_for(restore_step))
+            m.q = m.backend.from_host(q, dtype=arena.dtype)
+            m.times[0], m.steps[0] = header.time, header.step
+            m.step_count = header.step
         if march["n_steps"] is not None:
             m.run(n_steps=march["base_step"] + march["n_steps"]
                   - m.step_count, callback=after_step)
         else:
             m.run(t_end=march["t_end"], callback=after_step)
-    except NumericsError as err:
-        # Deterministic (a restart would replay it), and every rank
-        # stops at it: the reduced dt and the check are collective.
-        conn.send({"rank": rank, "error": f"rank {rank}: {err}"})
-        return
+    except BaseException:
+        arena.view("beat")[rank] = -1  # a peer waiting on it stops now
+        raise
     arena.block(rank)[...] = to_host_array(m.q)
-    conn.send({
-        "rank": rank,
+    return {
         "time": float(m.times[0]),
         "step_count": m.step_count,
         "halo": m.transport.counters.as_dict(),
@@ -570,7 +559,19 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
         "recovery": m.recovery.as_dict(),
         "history": ([(r.step, r.time, r.dt, r.wall_seconds)
                      for r in m.history] if rank == 0 else []),
-    })
+    }
+
+
+def _rank_failure(replies: list[Reply]) -> WorkerError | None:
+    """The first failing rank's error whose cause is its own, naming
+    every failing rank."""
+    failed = [(r, reply.error) for r, reply in enumerate(replies)
+              if reply.error is not None]
+    if not failed:
+        return None
+    own = [e for _, e in failed if _PEER not in e.message] or [failed[0][1]]
+    return own[0]._replace(message="; ".join(
+        f"rank {r}: {e.message}" for r, e in failed))
 
 
 class ProcessCluster(KnobAccess):
@@ -641,11 +642,11 @@ class ProcessCluster(KnobAccess):
             if _RANK_CKPT.fullmatch(p.name):
                 p.unlink(missing_ok=True)
 
-    def _common_checkpoint_step(self) -> int:
+    def _common_checkpoint_step(self, failure: WorkerError) -> int:
         """Newest step for which every rank holds a checkpoint file."""
         if self.checkpoint_dir is None:
             raise ClusterError(
-                "a rank died but checkpointing is disabled (no "
+                f"{failure.message}, but checkpointing is disabled (no "
                 "checkpoint_dir) — cannot coordinate a restart; enable "
                 "checkpoint_every/checkpoint_dir to make rank failures "
                 "recoverable")
@@ -677,11 +678,11 @@ class ProcessCluster(KnobAccess):
         ``1``.  Survives up to ``max_restarts`` rank deaths via
         checkpoint-coordinated restart; stale rank checkpoints from a
         previous run in the same directory are discarded up front (see
-        :meth:`_discard_stale_checkpoints`).  A :class:`NumericsError` on
-        the ranks — a NaN wave rate, which the reduction hands to every
-        rank, or a block failing the collective cadence check — is
-        raised here naming each rank's reason and step, unrestarted (it
-        would recur).
+        :meth:`_discard_stale_checkpoints`); a transient error a rank
+        raised counts as its death.  A permanent one — a NaN wave rate,
+        a block failing the collective check, a bug — is raised
+        unrestarted (it would recur), as the class of the rank whose own
+        block or body failed, every failing rank named.
         """
         if (t_end is None) == (n_steps is None):
             raise ConfigurationError("specify exactly one of t_end or n_steps")
@@ -698,36 +699,39 @@ class ProcessCluster(KnobAccess):
         while True:
             arena = self._arena()
             arena.scatter(q0)
-            results, failed = drain_and_join(
+            replies, death = drain_and_join(
                 [partial(_worker, arena, r, self.grid, self.layout,
                          self.mixture, self.bcs, self.config, self.options,
                          march, restarts, restore_step)
                  for r in range(self.decomp.nranks)],
-                arena.view("beat"), grace=self.cluster_timeout + 60.0)
-            if failed is None:
-                errors = [res["error"] for res in results if "error" in res]
-                if errors:
-                    raise NumericsError("; ".join(errors))
-                return self._collect(arena, results, restarts)
+                arena.view("beat"), grace=self.cluster_timeout + 60.0,
+                name="rank")
+            failure = death or _rank_failure(replies)
+            if failure is None:
+                return self._collect(
+                    arena, [reply.payload for reply in replies], restarts)
+            if failure.failure_class == "permanent":
+                raise failure.exception()
             restarts += 1
             if restarts > self.max_restarts:
                 raise ClusterError(
-                    f"rank {failed[0]} exited with code {failed[1]} and "
-                    f"max_restarts={self.max_restarts} exhausted")
-            restore_step = self._common_checkpoint_step()
+                    f"{failure.message}, and max_restarts="
+                    f"{self.max_restarts} exhausted")
+            restore_step = self._common_checkpoint_step(failure)
 
     # ------------------------------------------------------------------
     def _collect(self, arena: ShmArena, results: list[dict],
                  restarts: int) -> ClusterResult:
+        """The run's result from the ranks' payloads, in rank order."""
         halo, sweep, loads = HaloCounters(), SweepCounters(), []
-        for res in sorted(results, key=lambda res: res["rank"]):
+        for res in results:
             rank_halo = HaloCounters(**res["halo"])
             rank_sweep = SweepCounters(**res["sweep"])
             halo.merge(rank_halo)
             sweep.merge(rank_sweep)
             loads.append((rank_halo.wait_ns, rank_sweep.faces_evaluated,
                           rank_sweep.faces))
-        r0 = next(res for res in results if res["rank"] == 0)
+        r0 = results[0]
         # The ladder is collective: count its rungs once, sum the rest.
         ladder = {name: r0["recovery"][name] for name in (
             "retries", "rollbacks", "dt_halvings", "escalations",

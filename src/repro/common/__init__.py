@@ -7,7 +7,6 @@ single source of truth; tests assert that solver outputs carry it.
 
 from repro.common.dtype import DTYPE, EPS, as_float_array, require_float
 from repro.common.errors import (
-    FAILURE_CLASSES,
     CheckpointError,
     ClusterError,
     ConfigurationError,
@@ -34,7 +33,6 @@ __all__ = [
     "ConfigurationError",
     "DeadlineError",
     "DirectiveError",
-    "FAILURE_CLASSES",
     "InjectedCrash",
     "NumericsError",
     "PositivityError",

@@ -58,23 +58,14 @@ class DirectiveError(ReproError):
 
 
 class WorkerDiedError(ReproError):
-    """A supervised worker process vanished without reporting a result.
-
-    Raised (or recorded) by batch supervisors when a child exits with a
-    nonzero code, is killed by a signal, or exits cleanly without
-    sending its result — the process-death half of the transient
-    failure class.
-    """
+    """A worker process — gang member, rank or batch child — ended
+    without a reply: killed by a signal, or exited (any code)."""
 
 
 class DeadlineError(ReproError):
-    """A supervised worker blew its no-progress or wall-clock deadline.
-
-    The heartbeat-watching parent declares the worker stuck (no
-    heartbeat advance, no result, no exit within the grace window) or
-    over its wall budget, terminates it, and records this — the
-    timeout half of the transient failure class.
-    """
+    """A worker was killed for showing no progress (no heartbeat, reply
+    or exit within its grace window) or for overrunning its wall
+    budget."""
 
 
 class InjectedCrash(ReproError):
@@ -88,33 +79,33 @@ class InjectedCrash(ReproError):
     """
 
 
-#: Failure classes for the job-service taxonomy.
-FAILURE_CLASSES = ("transient", "permanent")
-
 #: Error types that are *permanent*: retrying replays the same
 #: deterministic failure (an invalid spec, or a divergence that already
-#: exhausted the in-step retry/escalation ladder).  Everything else —
-#: worker death, deadlines, I/O hiccups — is presumed transient.
+#: exhausted the in-step retry/escalation ladder).  An exception from
+#: outside the package is permanent too: it is a bug, and a bug recurs.
 _PERMANENT_TYPES = (ConfigurationError, ShapeError, NumericsError)
 
 #: Transient types listed explicitly (``CheckpointError`` subclasses
 #: ``ConfigurationError`` but a corrupt checkpoint is recoverable: the
-#: reader falls back or restarts from scratch).
+#: reader falls back or restarts from scratch; a ``MemoryError`` is what
+#: the service's width-halving degradation answers).
 _TRANSIENT_TYPES = (CheckpointError, WorkerDiedError, DeadlineError,
-                    ClusterError, OSError)
+                    ClusterError, OSError, MemoryError)
 
 
 def failure_class(err: BaseException) -> str:
     """Classify an exception as ``"transient"`` or ``"permanent"``.
 
-    Transient failures (worker death, timeout, I/O) are worth a bounded
-    retry — the same job may well succeed on clean hardware.  Permanent
-    failures (bad spec, divergence with the retry ladder exhausted) are
+    Transient failures (worker death, timeout, I/O, memory) are worth a
+    bounded retry — the same job may well succeed on clean hardware.
+    Permanent failures (bad spec, divergence with the retry ladder
+    exhausted, any exception that is not a :class:`ReproError`) are
     deterministic: retrying burns cycles to reproduce the same error,
-    so the service quarantines the job instead.
+    so the service quarantines the job and a cluster raises it instead.
+    Every other :class:`ReproError` is transient.
     """
     if isinstance(err, _TRANSIENT_TYPES):
         return "transient"
-    if isinstance(err, _PERMANENT_TYPES):
+    if isinstance(err, _PERMANENT_TYPES) or not isinstance(err, ReproError):
         return "permanent"
     return "transient"

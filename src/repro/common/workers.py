@@ -10,6 +10,10 @@ both ways: the parent reads a worker's exit status or EOF on its pipe; a
 worker reads EOF on a pipe it listens to, or asks
 :func:`quit_if_orphaned` between steps.  Whatever is still alive when
 this process exits is killed and reaped by one ``atexit`` backstop.
+
+Every worker answers with one :class:`Reply` (:func:`send_reply`), and
+one that ends without it becomes the same :class:`WorkerError`
+(:func:`died`), classified once, when the record is built.
 """
 
 from __future__ import annotations
@@ -18,15 +22,23 @@ import atexit
 import math
 import mmap
 import os
+import pickle
 import signal
 import sys
 import time
 import traceback
 from functools import partial
 from multiprocessing.connection import Pipe, wait
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
+
+from repro.common.errors import (
+    DeadlineError,
+    ReproError,
+    WorkerDiedError,
+    failure_class,
+)
 
 
 def _mapped_array(shape, dtype, flags: int) -> np.ndarray:
@@ -175,9 +187,90 @@ STALLED = "no-progress deadline"
 OVERRUN = "wall-clock deadline"
 
 
+class WorkerError(NamedTuple):
+    """A worker's failure: its exception's type name, message and
+    :func:`~repro.common.errors.failure_class`, the cell of its state
+    diagnostics, and the exception itself when it crossed the pipe."""
+
+    type: str
+    message: str
+    failure_class: str
+    cell: tuple[int, ...] | None = None
+    exc: BaseException | None = None
+
+    @classmethod
+    def of(cls, err: BaseException) -> "WorkerError":
+        return cls(type(err).__name__, str(err), failure_class(err),
+                   getattr(getattr(err, "diagnostics", None), "cell", None),
+                   err)
+
+    def exception(self) -> BaseException:
+        """The worker's exception with this record's message, or a
+        :class:`~repro.common.ReproError` naming its type."""
+        if self.exc is None:
+            return ReproError(f"{self.type}: {self.message}")
+        if str(self.exc) != self.message:
+            self.exc.args = (self.message,)
+        return self.exc
+
+
+class Reply(NamedTuple):
+    """A worker's answer: its payload, lap deltas and error (or None)."""
+
+    payload: object = None
+    laps: dict | None = None
+    error: WorkerError | None = None
+
+
+def reply_of(body: Callable, *args, laps: dict | None = None) -> Reply:
+    """The one wrapper: ``body(*args)``'s payload or error as a Reply."""
+    try:
+        return Reply(body(*args), laps)
+    except Exception as err:
+        return Reply(None, laps, WorkerError.of(err))
+
+
+def send_reply(conn, body: Callable, *args, laps: dict | None = None) -> None:
+    """Send :func:`reply_of` down ``conn`` (:class:`OSError`: the parent
+    is gone); an exception that would not unpickle travels as its name,
+    a payload that does not pickle as the pickling error."""
+    reply = reply_of(body, *args, laps=laps)
+    try:
+        if reply.error is not None:
+            pickle.loads(pickle.dumps(reply))
+        conn.send(reply)
+    except OSError:
+        raise
+    except Exception as err:
+        error = reply.error or WorkerError.of(err)
+        conn.send(Reply(None, laps, error._replace(exc=None)))
+
+
+def receive(conn, timeout: float) -> Reply | None:
+    """The Reply on ``conn``, None after ``timeout`` s, EOFError if gone."""
+    return conn.recv() if conn.poll(timeout) else None
+
+
+def unwrap(reply: Reply):
+    """The reply's payload; raises its error."""
+    if reply.error is not None:
+        raise reply.error.exception()
+    return reply.payload
+
+
+def died(who: str, how: int | str) -> WorkerError:
+    """``who`` ended without a reply: ``how`` is its exit code (-signal
+    if killed) or a text starting with STALLED or OVERRUN."""
+    if isinstance(how, str):
+        return WorkerError.of(DeadlineError(f"{who} died ({how})"))
+    end = f"exit code {how}" if how >= 0 else "signal " + next(
+        (s.name for s in signal.Signals if s == -how), str(-how))
+    return WorkerError.of(WorkerDiedError(f"{who} died ({end})"))
+
+
 class _Member:
-    """A pool worker and what the wait loop knows of it: the first result
-    it sent, the heartbeat it last saw, and when it counts as stuck."""
+    """A pool worker and what the wait loop knows of it: the reply it
+    sent, the heartbeat it last saw, and when it counts as stuck."""
 
     def __init__(self, worker: Worker, beat, grace: float,
                  wall_deadline: float | None) -> None:
@@ -219,16 +312,16 @@ class _Member:
 
 
 class Pool:
-    """Workers that each send one result down a pipe, drained while they
+    """Workers that each send one reply down a pipe, drained while they
     run and handed back one by one as they end, in whatever order they
     end (:meth:`next_done`, this module's one wait loop).
 
-    Results are drained *while* waiting: a result can outgrow the OS pipe
+    Replies are drained *while* waiting: a reply can outgrow the OS pipe
     buffer, in which case the worker blocks in ``send`` and only exits
     once the parent has received — recv-after-join would deadlock.
 
     A member's no-progress deadline (``grace`` seconds) is re-armed on
-    any progress it shows — an advance of its ``beat`` array, its result
+    any progress it shows — an advance of its ``beat`` array, its reply
     arriving — so it bounds how long the member may sit *stuck*, never
     the wall time of a legitimately long run.  ``wall_deadline`` (a
     ``time.monotonic()`` instant) optionally bounds its total time
@@ -243,18 +336,18 @@ class Pool:
 
     def fork(self, key, target, *, beat, grace: float,
              wall_deadline: float | None = None, pin=None) -> None:
-        """Fork ``target(conn)`` as member ``key`` (``pin``: see
-        :class:`Worker`)."""
+        """Fork member ``key``, which sends :func:`send_reply`
+        ``target()`` (``pin``: see :class:`Worker`)."""
         reader, writer = Pipe(duplex=False)
-        worker = Worker(partial(target, writer), ends=(reader,),
+        worker = Worker(partial(send_reply, writer, target), ends=(reader,),
                         child_ends=(writer,), pin=pin)
         self._members[key] = _Member(worker, beat, grace, wall_deadline)
 
     def next_done(self, timeout: float | None = None):
-        """Wait until a member ends → ``(key, result, failure)``.
+        """Wait until a member ends → ``(key, reply, failure)``.
 
-        ``failure`` is None for a clean exit after a result, else the
-        exit code (``-signal`` if killed; 0 for a clean exit that sent
+        ``failure`` is None for a clean exit after a reply, else the exit
+        code (``-signal`` if killed; 0 for a clean exit that sent
         nothing), STALLED or OVERRUN.  The member is killed if still
         alive and reaped before this returns.  Returns None when the pool
         is empty or ``timeout`` seconds passed first.
@@ -284,31 +377,29 @@ class Pool:
 
 def drain_and_join(
     targets, beat, grace: float, *, wall_deadline: float | None = None,
-) -> tuple[list[dict] | None, tuple[int, int] | None]:
-    """Fork a :class:`Pool` member per ``target(conn)`` and wait for them
+    name: str = "worker",
+) -> tuple[list[Reply] | None, WorkerError | None]:
+    """Fork a :class:`Pool` member per ``target()`` and wait for them
     all, all or nothing.
 
     Every member watches the whole ``beat`` array, so any worker's
-    heartbeat re-arms every worker's no-progress deadline.  The first
-    failure — nonzero exit, clean exit without a result, no-progress
-    expiry ``(-1, -1)``, or wall expiry ``(-1, -2)`` — returns ``(None,
-    (index, exitcode))``; a clean join returns ``(results, None)`` with
-    results in worker order.  Whichever way the wait ends, an exception
-    included, no worker outlives it: survivors are killed (they would
-    otherwise spin until their own wait deadlines) and all are reaped.
+    heartbeat re-arms every worker's no-progress deadline.  All replies
+    (errors included) return ``(replies, None)`` in worker order, the
+    first death ``(None, died(f"{name} {index}", ...))``.  However the
+    wait ends, no worker outlives it: survivors are killed and all are
+    reaped.
     """
     pool = Pool()
     try:
         for index, target in enumerate(targets):
             pool.fork(index, target, beat=beat, grace=grace,
                       wall_deadline=wall_deadline)
-        results: dict[int, dict] = {}
+        replies: dict[int, Reply] = {}
         while len(pool):
-            index, result, failure = pool.next_done()
+            index, reply, failure = pool.next_done()
             if failure is not None:
-                return None, {STALLED: (-1, -1), OVERRUN: (-1, -2)}.get(
-                    failure, (index, failure))
-            results[index] = result
-        return [results[r] for r in sorted(results)], None
+                return None, died(f"{name} {index}", failure)
+            replies[index] = reply
+        return [replies[r] for r in sorted(replies)], None
     finally:
         pool.close()

@@ -21,7 +21,7 @@ in memory and writes no file (``python -m repro ensemble`` without
   (:class:`~repro.ensemble.supervisor.BatchSupervisor`): each batch
   attempt runs in a child process watched through a shared-memory
   heartbeat; worker death and deadline expiry are *transient* failures,
-  bad specs and exhausted divergences *permanent* — the
+  bad specs, exhausted divergences and bugs *permanent* — the
   :func:`repro.common.failure_class` taxonomy.
 * **Side-by-side batches**: up to ``min(usable cores, batches)``
   children run at once, each pinned to its slot's share of the cores
@@ -66,6 +66,7 @@ from repro.backend import resolve_backend
 from repro.bc.boundary import BoundarySet
 from repro.common import CheckpointError, ConfigurationError
 from repro.common.checks import integer
+from repro.common.workers import WorkerError
 from repro.io.binary import read_snapshot, write_snapshot
 from repro.solver.options import KnobAccess, SolverOptions, fold, section_keys
 from repro.solver.resilience import RecoveryCounters
@@ -600,21 +601,20 @@ class EnsembleService(KnobAccess):
             self._fail_batch(indices, outcome["error"])
         self._quarantine_exhausted()
 
-    def _fail_batch(self, indices: list[int], error: dict) -> None:
+    def _fail_batch(self, indices: list[int], error: WorkerError) -> None:
         self._record_event({
             "event": "batch-failed",
             "jobs": [self.job_id(i) for i in indices],
-            "type": error["type"], "class": error["class"],
-            "message": error["message"]})
-        if error["class"] == "permanent":
-            # A batch that cannot even build will never build: spend no
-            # retries reproducing a deterministic rejection.
+            "type": error.type, "class": error.failure_class,
+            "message": error.message, "cell": error.cell})
+        if error.failure_class == "permanent":
+            # A bad spec, a divergence or a bug recurs: spend no retries
+            # reproducing a deterministic failure.
             for i in indices:
-                self._quarantine(i, f"{error['type']}: {error['message']}")
+                self._quarantine(i, f"{error.type}: {error.message}")
             return
         for i in indices:
-            self._record_failure(i, error["type"], error["message"],
-                                 "transient")
+            self._record_failure(i, error.type, error.message, "transient")
         self._consecutive_failures += 1
         if self._consecutive_failures >= self.degrade_after \
                 and self.batch_width > self.min_batch_width:

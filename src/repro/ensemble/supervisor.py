@@ -8,17 +8,11 @@ per batch — several may run side by side, each pinned to its own cores
 — watches each through its own shared heartbeat word (bumped every
 stacked step) with the same drain-while-waiting loop the multi-process
 cluster uses (:class:`repro.common.workers.Pool`), kills and reaps them
-on every way out of that wait, and classifies whatever comes back
-through the :func:`repro.common.failure_class` taxonomy:
-
-* child exits nonzero / killed by a signal / exits silently →
-  :class:`~repro.common.WorkerDiedError` (**transient**);
-* no heartbeat, result, or exit within the grace window, or the batch
-  blows its wall-clock budget → :class:`~repro.common.DeadlineError`
-  (**transient**);
-* the child reports a structured failure (bad spec, divergence) → the
-  original error's own class (**permanent** for
-  ``ConfigurationError``/``NumericsError``).
+on every way out of that wait, and turns the child's reply, or its
+death, into an outcome (:meth:`BatchSupervisor.run`) classified by the
+one :func:`repro.common.failure_class` — a death or a deadline is
+transient, a bad spec, a divergence or a bug permanent, inline or
+supervised alike.
 
 Inside the child, :func:`execute_batch` owns the **degradation** for
 fusion failures: a batch whose fused build fails is rebuilt with
@@ -30,7 +24,6 @@ execution choice), so degradation trades speed, never answers.
 from __future__ import annotations
 
 import dataclasses
-import signal
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,12 +32,13 @@ import numpy as np
 
 from repro.acc.fusion.graph import FusionError
 from repro.bc.boundary import BoundarySet
-from repro.common import ConfigurationError, ReproError, failure_class
+from repro.common import ConfigurationError
 from repro.common.workers import (
-    OVERRUN,
-    STALLED,
     Pool,
+    Reply,
+    died,
     quit_if_orphaned,
+    reply_of,
     shared_array,
 )
 from repro.solver.case import Case
@@ -175,33 +169,14 @@ def execute_batch(spec: BatchSpec, *, on_step=None) -> dict:
     }
 
 
-def _batch_worker(spec: BatchSpec, beat: np.ndarray, conn) -> None:
-    """Child body: execute, report, die quietly.
-
-    Structured failures (anything in the :class:`ReproError` family)
-    are *reported* over the pipe and the child exits 0 — the parent
-    owns classification and retry policy.  Unstructured crashes exit
-    nonzero and become :class:`~repro.common.WorkerDiedError`.
-    """
+def _batch_worker(spec: BatchSpec, beat: np.ndarray) -> dict:
+    """Child body: execute, beating once per stacked step; the substrate
+    sends its reply, and the parent classifies it."""
     def on_step(sim) -> None:
         beat[0] += 1
         quit_if_orphaned()
 
-    try:
-        payload = execute_batch(spec, on_step=on_step)
-        conn.send({"ok": True, **payload})
-    except ReproError as err:
-        conn.send({"ok": False, "type": type(err).__name__,
-                   "message": str(err), "class": failure_class(err)})
-
-
-def _signal_name(exitcode: int) -> str:
-    if exitcode >= 0:
-        return f"exit code {exitcode}"
-    try:
-        return f"signal {signal.Signals(-exitcode).name}"
-    except ValueError:
-        return f"signal {-exitcode}"
+    return execute_batch(spec, on_step=on_step)
 
 
 class BatchSupervisor:
@@ -238,8 +213,8 @@ class BatchSupervisor:
         self._pool = Pool()
         #: Submitted and not yet collected, by ``id(spec)``.
         self._specs: dict[int, BatchSpec] = {}
-        #: Ended and not yet collected, by ``id(spec)``.
-        self._outcomes: dict[int, dict] = {}
+        #: Replies (a death's too) not yet collected, by ``id(spec)``.
+        self._outcomes: dict[int, Reply] = {}
 
     # ------------------------------------------------------------------
     def submit(self, spec: BatchSpec, *, cores=None) -> None:
@@ -259,7 +234,7 @@ class BatchSupervisor:
                                if self.wall_limit is not None else None))
             spec.initial_states = None
         else:
-            self._outcomes[id(spec)] = self._run_inline(spec)
+            self._outcomes[id(spec)] = reply_of(execute_batch, spec)
         self._specs[id(spec)] = spec
 
     def next_done(self, timeout: float | None = None) -> BatchSpec | None:
@@ -278,9 +253,8 @@ class BatchSupervisor:
 
         ``{"ok": True, "results": [...], "events": [...],
         "telemetry": {...}}`` on success;
-        ``{"ok": False, "error": {"type", "message", "class"}}`` on
-        failure, with the error already classified for the retry
-        policy.
+        ``{"ok": False, "error": WorkerError}`` on failure, the error
+        already classified for the retry policy.
         """
         self.submit(spec)
         try:
@@ -290,7 +264,10 @@ class BatchSupervisor:
             self.close()  # Ctrl-C or an error out of the wait
             raise
         del self._specs[id(spec)]
-        return self._outcomes.pop(id(spec))
+        reply = self._outcomes.pop(id(spec))
+        if reply.error is not None:
+            return {"ok": False, "error": reply.error}
+        return {"ok": True, **reply.payload}
 
     def close(self) -> None:
         """Kill and reap every child; forget every uncollected batch."""
@@ -303,42 +280,7 @@ class BatchSupervisor:
         done = self._pool.next_done(timeout)
         if done is None:
             return False
-        key, message, failure = done
-        self._outcomes[key] = (self._classify(failure) if failure is not None
-                               else self._reported(message))
+        key, reply, failure = done
+        self._outcomes[key] = (reply if failure is None else
+                               Reply(error=died("batch worker", failure)))
         return True
-
-    def _classify(self, failure) -> dict:
-        if failure in (STALLED, OVERRUN):
-            return self._failure("DeadlineError",
-                                 f"batch worker hit its {failure} "
-                                 f"(grace {self.grace:.0f}s)")
-        return self._failure(
-            "WorkerDiedError",
-            f"batch worker died ({_signal_name(failure)}) without a result"
-            if failure != 0 else
-            "batch worker exited cleanly without reporting a result")
-
-    @staticmethod
-    def _reported(message: dict) -> dict:
-        if message.get("ok"):
-            return message
-        return {"ok": False, "error": {
-            "type": message.get("type", "ReproError"),
-            "message": message.get("message", ""),
-            "class": message.get("class", "transient")}}
-
-    def _run_inline(self, spec: BatchSpec) -> dict:
-        """Unsupervised fallback: same outcome shape, no child process."""
-        try:
-            return {"ok": True, **execute_batch(spec)}
-        except ReproError as err:
-            return {"ok": False, "error": {
-                "type": type(err).__name__, "message": str(err),
-                "class": failure_class(err)}}
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _failure(error_type: str, message: str) -> dict:
-        return {"ok": False, "error": {
-            "type": error_type, "message": message, "class": "transient"}}

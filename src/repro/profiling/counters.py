@@ -166,8 +166,8 @@ class SweepCounters(Tally):
         face-sized operands (both sides).  Fused sweeps tally the *same*
         nominal pass count as their unfused twins (the fused kernel
         performs the identical ufunc sequence, only on tile-sized
-        operands), so BENCH_rhs.json pass counts stay comparable across
-        modes; the fusion win is carried by the two fields below.
+        operands), so pass counts stay comparable across modes; the
+        fusion win is carried by the two fields below.
     fused_launches:
         Fused per-tile kernel invocations (one per tile per direction
         sweep) made by the :mod:`repro.acc.fusion` engine.

@@ -33,6 +33,7 @@ escalation, which trade trajectory identity for survival.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -310,3 +311,9 @@ class SimulationDivergedError(NumericsError):
             f"{len(dts)} attempts (dt {dts[0]:.3e} -> {dts[-1]:.3e}, "
             f"schemes {' -> '.join(dict.fromkeys(schemes))}); last failure: "
             f"{detail}; {limited_faces} faces positivity-limited so far")
+
+    def __reduce__(self):
+        # Rebuilt from its fields when it crosses a pipe (a rank's reply).
+        return partial(type(self), **{name: getattr(self, name) for name in (
+            "step", "time", "dts", "schemes", "diagnostics",
+            "limited_faces")}), ()

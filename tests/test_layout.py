@@ -514,17 +514,3 @@ class TestLayoutSmoke:
         rhs = make_rhs((16, 13), sweep_layout=mode)
         dqdt = rhs(random_q((16, 13), 7))
         assert np.all(np.isfinite(dqdt))
-
-    @pytest.mark.parametrize("mode", SWEEP_LAYOUTS)
-    def test_bench_harness_accepts_layout(self, mode):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
-        try:
-            from bench_rhs import make_sim
-        finally:
-            sys.path.pop(0)
-        sim = make_sim(8, layout=mode)
-        sim.run(n_steps=1)
-        sim.validate_state()

@@ -13,6 +13,7 @@ checkpoint.
 
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -316,18 +317,21 @@ class TestRankFaultRestart:
     def test_rank_death_without_checkpointing_raises_cluster_error(
             self, monkeypatch):
         # A genuine rank death (not an injected fault) in a run with
-        # checkpointing disabled must surface as a ClusterError, not a
-        # TypeError from CheckpointManager(None, ...).
+        # checkpointing disabled must surface as a ClusterError naming
+        # the rank and how it ended, not a TypeError from
+        # CheckpointManager(None, ...).  (An exception a rank raises is
+        # not a death: TestOneRankReply.)
         import repro.solver.march as march
 
         def crash(*args, **kwargs):
-            raise RuntimeError("rank crashed")
+            os._exit(1)
 
         case = bubble_case((32,))
         bcs = BoundarySet.all_extrapolation(1)
         pc = cluster_for(case, bcs, 2, cfl=0.5)
         monkeypatch.setattr(march, "time_step", crash)  # forked workers die
-        with pytest.raises(ClusterError, match="checkpoint"):
+        with pytest.raises(ClusterError, match=r"rank [01] died \(exit code "
+                           r"1\), but checkpointing is disabled"):
             pc.run(case.initial_conservative(), n_steps=2)
 
     def test_nan_state_raises_the_numerics_error_at_the_first_step(self):
@@ -625,6 +629,76 @@ class TestRanksTakeTheSerialKnobs:
         assert result.recovery.restarts == 1
         assert result.recovery.retries == serial.recovery.retries == 1
         assert result.recovery.faults_injected == 2
+
+
+class TestOneRankReply:
+    """A rank answers with the substrate's one reply: its error crosses
+    as its own class, classified once, and names global cells."""
+
+    CASE, BCS = bubble_case((16, 16)), BoundarySet.all_periodic(2)
+
+    def diverged(self, ranks, plan):
+        from repro.solver import RetryPolicy, SimulationDivergedError
+
+        sim = Simulation(self.CASE, self.BCS, ranks=ranks, fault_injector=plan,
+                         retry=RetryPolicy(max_retries=0, same_dt_retries=0,
+                                           escalation=()))
+        with pytest.raises(SimulationDivergedError) as err:
+            sim.run(n_steps=4)
+        assert live_children(os.getpid()) == {}
+        return err.value
+
+    def test_a_struck_cell_is_named_by_its_global_index(self):
+        from repro.faults import CellFaultPlan
+
+        plan = CellFaultPlan(step=2, seed=3)
+        serial = self.diverged(1, plan).diagnostics
+        assert serial.cell[0] >= 8  # outside rank 0's block on two ranks
+        for ranks in (2, 4):
+            err = self.diverged(ranks, plan)
+            assert err.diagnostics == serial, ranks
+            assert f"at cell {serial.cell}" in str(err)
+
+    def test_an_exhausted_ladder_raises_the_serial_class(self):
+        from repro.faults import CellFaultPlan
+
+        err = self.diverged(2, CellFaultPlan(step=2, seed=7, ncells=3,
+                                             attempts=None))
+        assert err.step == 2 and "rank 0: step 2 diverged" in str(err)
+
+    def test_a_bug_in_a_rank_is_raised_not_restarted(self, tmp_path,
+                                                     monkeypatch):
+        class Hook:  # a duck-typed injector without the block= keyword
+            def apply(self, q, *, step, attempt=0):
+                return 0
+
+        def no_restart(*args):
+            raise AssertionError("restart coordination entered")
+
+        monkeypatch.setattr(ProcessCluster, "_common_checkpoint_step",
+                            no_restart)
+        sim = Simulation(self.CASE, self.BCS, ranks=2, fault_injector=Hook(),
+                         checkpoint_every=1, checkpoint_dir=tmp_path)
+        with pytest.raises(TypeError, match=r"rank 0: .*'block'.*; rank 1:"):
+            sim.run(n_steps=2)
+        assert sim.recovery.restarts == 0
+        assert live_children(os.getpid()) == {}
+
+    def test_a_rank_that_raises_alone_stops_its_peers_at_once(self):
+        class Hook:  # raises on the rank whose block is off the origin
+            def apply(self, q, *, step, attempt=0, block=None):
+                if block[1] != (0, 0):
+                    raise RuntimeError("only here")
+                return 0
+
+        sim = Simulation(self.CASE, self.BCS, ranks=2, fault_injector=Hook(),
+                         cluster_timeout=60.0)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="rank 0: a peer rank stopped"
+                           ".*; rank 1: only here") as err:
+            sim.run(n_steps=2)
+        assert time.monotonic() - began < 20.0  # not the halo timeout
+        assert type(err.value) is RuntimeError
 
 
 class TestCaseFileAndCLI:

@@ -314,6 +314,42 @@ class TestFailureHandling:
         assert "deadline" in report.jobs[0].error
 
 
+    @staticmethod
+    def failing_batches(monkeypatch, err):
+        from repro.ensemble import supervisor
+
+        def execute_batch(spec, *, on_step=None):
+            raise err
+
+        monkeypatch.setattr(supervisor, "execute_batch", execute_batch)
+
+    @pytest.mark.parametrize("supervise", [True, False])
+    def test_a_bug_in_a_batch_is_permanent_on_its_first_attempt(
+            self, tmp_path, monkeypatch, supervise):
+        self.failing_batches(monkeypatch, TypeError("a bug"))
+        _, report = run_service(make_jobs(2), tmp_path, batch_width=2,
+                                supervise=supervise, max_attempts=3)
+        assert [j.status for j in report.jobs] == ["quarantined"] * 2
+        assert report.executed_batches == 1
+        (failed,) = [e for e in report.events
+                     if e["event"] == "batch-failed"]
+        assert (failed["type"], failed["class"]) == ("TypeError", "permanent")
+        records = JobLedger(tmp_path / "led.jsonl").replay().records
+        assert [r["error"] for r in records
+                if r.get("status") == "quarantined"] == ["TypeError: a bug"] * 2
+
+    @pytest.mark.parametrize("supervise", [True, False])
+    @pytest.mark.parametrize("err", [OSError("disk"), MemoryError("heap")],
+                             ids=["OSError", "MemoryError"])
+    def test_os_and_memory_errors_are_transient(self, tmp_path, monkeypatch,
+                                                supervise, err):
+        self.failing_batches(monkeypatch, err)
+        _, report = run_service(make_jobs(1), tmp_path, batch_width=1,
+                                supervise=supervise, max_attempts=2)
+        assert report.jobs[0].status == "quarantined"
+        assert report.jobs[0].attempts == 2 and report.executed_batches == 2
+
+
 class TestDegradation:
     def test_failed_fused_build_falls_back_to_unfused(self, tmp_path):
         # The checked backend cannot fuse: fusion="on" fails to build.
