@@ -13,13 +13,21 @@ seed — it repeats bit for bit:
    names the struck cell by its global index on 1, 2 and 4 ranks — a
    rank reports its block's failure through the one worker reply, which
    carries the exception across as its own class.
+3. **A run resumes at any rank count.**  A 2-rank run loses a rank with
+   no restarts left; its checkpoint sets (each rank's block, then rank
+   0's manifest) restore into a driver of 1 or 4 ranks, which finishes
+   the run bitwise equal to the clean one.
 
     python examples/fault_tolerance.py
 """
 
+import tempfile
+
 import numpy as np
 
 from repro.bc import BoundarySet
+from repro.cluster import BlockDecomposition, ProcessCluster, RankFault
+from repro.common import ClusterError
 from repro.eos import Mixture, StiffenedGas
 from repro.faults import CellFaultPlan
 from repro.grid import StructuredGrid
@@ -27,6 +35,7 @@ from repro.solver import (
     Case,
     Patch,
     RetryPolicy,
+    RHSConfig,
     Simulation,
     SimulationDivergedError,
     box,
@@ -77,10 +86,34 @@ def diverge(case: Case) -> None:
                   f"{diag.variable} at global cell {diag.cell}")
 
 
+def resume(case: Case, directory: str) -> None:
+    print("\n=== a run resumes at any rank count ===")
+    clean = Simulation(case, BCS)
+    clean.run(n_steps=6)
+    decomp = BlockDecomposition.balanced(case.grid.shape, 2,
+                                         periodic=(True, True))
+    stopped = ProcessCluster(case.grid, case.layout, MIX, BCS, decomp,
+                             RHSConfig(), fault=RankFault(rank=1, step=5),
+                             max_restarts=0, checkpoint_every=2,
+                             checkpoint_dir=directory)
+    try:
+        stopped.run(case.initial_conservative(), n_steps=6)
+    except ClusterError as err:
+        print(f"ranks=2: stopped: {err}")
+    for ranks in (1, 4):
+        sim = Simulation(case, BCS, ranks=ranks, checkpoint_dir=directory)
+        manifest = sim.restore_latest()
+        sim.run(n_steps=6 - sim.step_count)
+        print(f"resumed at ranks={ranks} from {manifest.name}: bitwise the "
+              f"clean run: {np.array_equal(sim.q, clean.q)}")
+
+
 def main() -> None:
     case = bubble()
     heal(case)
     diverge(case)
+    with tempfile.TemporaryDirectory() as directory:
+        resume(case, directory)
 
 
 if __name__ == "__main__":

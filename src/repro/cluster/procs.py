@@ -64,27 +64,23 @@ rank that raised (its heartbeat word set to -1) stops at once.
 
 Fault tolerance
 ---------------
-Each rank writes its own rotating :class:`~repro.io.checkpoint.
-CheckpointManager` file (``rank0000_*.bin`` …, file-per-process — the
-strategy MFC switched to at scale).  When a rank dies the parent
-terminates the survivors, finds the newest step for which *every* rank
-holds a checkpoint, builds a fresh arena, and respawns the cluster from
-that step.  Restarted runs are bit-identical to failure-free ones
-(every step is deterministic, so re-marching from step ``S`` reproduces
-the same states).  Each call to :meth:`ProcessCluster.run` owns the
-rank-prefixed checkpoint set: stale ``rank####_*`` files left in the
-directory by a previous run are removed up front so only *this* run's
-steps are restart candidates, and a rank death with checkpointing
-disabled raises :class:`~repro.common.ClusterError` instead of
-attempting a restart.  :class:`RankFault` injects a deterministic rank
-death to exercise the path end to end.
+The ranks checkpoint as every driver does, one :class:`~repro.io.
+checkpoint.CheckpointManager` set per step: each rank writes its block
+(``rank0000_*.bin`` …, file-per-process — the strategy MFC switched to
+at scale) and, after one reduction, rank 0 the manifest.  When a rank
+dies the parent terminates the survivors, restores this run's newest
+valid set (its run id is picked once per :meth:`ProcessCluster.run`)
+as :meth:`~repro.solver.simulation.Simulation.restore_latest` does, and
+respawns the cluster from it.  Restarted runs are bit-identical to
+failure-free ones (every step is deterministic).  A rank death with
+checkpointing disabled raises :class:`~repro.common.ClusterError`;
+:class:`RankFault` injects a deterministic rank death.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -102,7 +98,7 @@ from repro.cluster.halo import (
     validate_block_extents,
     validate_periodicity,
 )
-from repro.common import DTYPE, ClusterError, ConfigurationError
+from repro.common import DTYPE, CheckpointError, ClusterError, ConfigurationError
 from repro.common.workers import (
     Reply,
     WorkerError,
@@ -112,7 +108,6 @@ from repro.common.workers import (
 )
 from repro.eos.mixture import Mixture
 from repro.grid.cartesian import StructuredGrid
-from repro.io.binary import read_snapshot
 from repro.io.checkpoint import CheckpointManager
 from repro.profiling.counters import HaloCounters, SweepCounters
 from repro.solver.march import March
@@ -127,11 +122,6 @@ _FAULT_EXIT = 3
 
 #: In a rank's error when its cause is another rank's.
 _PEER = "a peer rank"
-
-#: Per-rank checkpoint file names (any rank count, any step width) —
-#: the prefix set each :meth:`ProcessCluster.run` owns in its
-#: checkpoint directory.
-_RANK_CKPT = re.compile(r"rank\d{4}_\d+\.bin")
 
 
 @dataclass(frozen=True)
@@ -466,7 +456,8 @@ class _RankMarch(March):
     the failure flag): every rank stops, or takes the same rung, at the
     step any block fails, so no peer waits out ``cluster_timeout`` on a
     halo post.  A cell fault injector strikes its block's cells, and
-    the check names global cells."""
+    the check names global cells.  It checkpoints its block of the
+    ranks' set."""
 
     def __init__(self, arena: ShmArena, rank: int, grid: StructuredGrid,
                  layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
@@ -495,9 +486,14 @@ class _RankMarch(March):
             transport.reduce_max_begin(rate)
             return partial(transport.reduce_max_finish, overlapped=True)
 
+        self.checkpoint_set = dict(
+            run_id=march.get("run_id"), block=rank,
+            blocks=[(f"rank{r:04d}", [s.start for s in decomp.local_slices(r)])
+                    for r in range(decomp.nranks)],
+            barrier=partial(transport.reduce_max, 0.0))
         super().__init__(times=[march["base_time"]], steps=[march["base_step"]],
                          step_count=march["base_step"],
-                         prefixes=[f"rank{rank:04d}"], reduce=reduce,
+                         prefixes=["ckpt"], reduce=reduce,
                          fault_plans=injector and {0: SimpleNamespace(
                              apply=partial(injector.apply, block=block))})
 
@@ -514,13 +510,13 @@ class _RankMarch(March):
 def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
             layout: StateLayout, mixture: Mixture, bcs: BoundarySet,
             config: RHSConfig, options: SolverOptions, march: dict,
-            attempt: int, restore_step: int | None) -> dict:
+            attempt: int) -> dict:
     """One rank's process body (fork-inherited arguments, no pickling).
 
-    ``march`` carries what one :meth:`ProcessCluster.run` adds to the
-    options: ``fault injector t_end n_steps base_time base_step``.  The
-    rank marches on the driver's absolute clock, so its checkpoint
-    headers and history carry the time/step a serial run would.
+    ``march`` carries what one attempt of :meth:`ProcessCluster.run`
+    adds to the options: ``fault injector t_end stop_step run_id
+    base_time base_step``.  The rank marches on the driver's absolute
+    clock, so its checkpoints and history carry a serial run's steps.
     """
     m = _RankMarch(arena, rank, grid, layout, mixture, bcs, config, options,
                    march)
@@ -536,14 +532,9 @@ def _worker(arena: ShmArena, rank: int, grid: StructuredGrid,
             os._exit(_FAULT_EXIT)
 
     try:
-        if restore_step is not None:
-            header, q = read_snapshot(m._manager(0).path_for(restore_step))
-            m.q = m.backend.from_host(q, dtype=arena.dtype)
-            m.times[0], m.steps[0] = header.time, header.step
-            m.step_count = header.step
-        if march["n_steps"] is not None:
-            m.run(n_steps=march["base_step"] + march["n_steps"]
-                  - m.step_count, callback=after_step)
+        if march["stop_step"] is not None:
+            m.run(n_steps=march["stop_step"] - m.step_count,
+                  callback=after_step)
         else:
             m.run(t_end=march["t_end"], callback=after_step)
     except BaseException:
@@ -581,8 +572,8 @@ class ProcessCluster(KnobAccess):
     shared-memory arena and marches them bulk-synchronously via the
     mailbox protocol.  Results are bit-identical to the single-block
     :class:`~repro.solver.simulation.Simulation` — including across an
-    injected rank failure recovered through checkpoint-coordinated
-    restart.
+    injected rank failure recovered by a restart from the run's newest
+    valid checkpoint set.
 
     ``options`` and/or loose keyword knobs say how to march (DESIGN.md
     "Options: one table"; ``ranks`` is the decomposition's).  The halo
@@ -625,44 +616,6 @@ class ProcessCluster(KnobAccess):
                         halo_width(self.config.weno_order),
                         precision_dtype(self.precision))
 
-    def _discard_stale_checkpoints(self) -> None:
-        """Remove rank checkpoints left by a previous run.
-
-        Each :meth:`run` owns the ``rank####_*`` prefix set in its
-        checkpoint directory: a stale file from an earlier run would
-        otherwise win ``max(common)`` during restart coordination and
-        silently resume this run from an unrelated, higher-step state.
-        """
-        if self.checkpoint_dir is None:
-            return
-        directory = Path(self.checkpoint_dir)
-        if not directory.is_dir():
-            return
-        for p in directory.iterdir():
-            if _RANK_CKPT.fullmatch(p.name):
-                p.unlink(missing_ok=True)
-
-    def _common_checkpoint_step(self, failure: WorkerError) -> int:
-        """Newest step for which every rank holds a checkpoint file."""
-        if self.checkpoint_dir is None:
-            raise ClusterError(
-                f"{failure.message}, but checkpointing is disabled (no "
-                "checkpoint_dir) — cannot coordinate a restart; enable "
-                "checkpoint_every/checkpoint_dir to make rank failures "
-                "recoverable")
-        common: set[int] | None = None
-        for r in range(self.decomp.nranks):
-            mgr = CheckpointManager(self.checkpoint_dir,
-                                    keep=self.checkpoint_keep,
-                                    prefix=f"rank{r:04d}")
-            steps = {int(p.stem.split("_")[-1]) for p in mgr.checkpoints()}
-            common = steps if common is None else common & steps
-        if not common:
-            raise ClusterError(
-                "restart needed but no checkpoint step is present on "
-                "every rank")
-        return max(common)
-
     def run(self, q0: np.ndarray, *, t_end: float | None = None,
             n_steps: int | None = None, base_time: float = 0.0,
             base_step: int = 0) -> ClusterResult:
@@ -675,11 +628,10 @@ class ProcessCluster(KnobAccess):
         checkpoint headers, history records, and the returned
         time/step are absolute — a cluster continuing a driver that
         already marched to step ``S`` records step ``S + 1`` next, not
-        ``1``.  Survives up to ``max_restarts`` rank deaths via
-        checkpoint-coordinated restart; stale rank checkpoints from a
-        previous run in the same directory are discarded up front (see
-        :meth:`_discard_stale_checkpoints`); a transient error a rank
-        raised counts as its death.  A permanent one — a NaN wave rate,
+        ``1``.  Survives up to ``max_restarts`` rank deaths, each
+        restarted from this run's newest valid checkpoint set (see the
+        module docstring); a transient error a rank raised counts as its
+        death.  A permanent one — a NaN wave rate,
         a block failing the collective check, a bug — is raised
         unrestarted (it would recur), as the class of the rank whose own
         block or body failed, every failing rank named.
@@ -690,26 +642,28 @@ class ProcessCluster(KnobAccess):
             raise ConfigurationError(
                 f"q0 has shape {q0.shape}, expected "
                 f"{(self.layout.nvars, *self.grid.shape)}")
-        self._discard_stale_checkpoints()
+        manager = None if self.checkpoint_dir is None else CheckpointManager(
+            self.checkpoint_dir, keep=self.checkpoint_keep)
         march = dict(fault=self.fault, injector=self.fault_injector,
-                     t_end=t_end, n_steps=n_steps, base_time=base_time,
-                     base_step=base_step)
+                     t_end=t_end, run_id=getattr(manager, "run_id", None),
+                     stop_step=None if n_steps is None else base_step + n_steps,
+                     base_time=base_time, base_step=base_step)
         restarts = 0
-        restore_step = None
         while True:
             arena = self._arena()
             arena.scatter(q0)
             replies, death = drain_and_join(
                 [partial(_worker, arena, r, self.grid, self.layout,
                          self.mixture, self.bcs, self.config, self.options,
-                         march, restarts, restore_step)
+                         march, restarts)
                  for r in range(self.decomp.nranks)],
                 arena.view("beat"), grace=self.cluster_timeout + 60.0,
                 name="rank")
             failure = death or _rank_failure(replies)
             if failure is None:
                 return self._collect(
-                    arena, [reply.payload for reply in replies], restarts)
+                    arena, [reply.payload for reply in replies], restarts,
+                    manager)
             if failure.failure_class == "permanent":
                 raise failure.exception()
             restarts += 1
@@ -717,12 +671,23 @@ class ProcessCluster(KnobAccess):
                 raise ClusterError(
                     f"{failure.message}, and max_restarts="
                     f"{self.max_restarts} exhausted")
-            restore_step = self._common_checkpoint_step(failure)
+            if manager is None:
+                raise ClusterError(
+                    f"{failure.message}, but checkpointing is disabled (no "
+                    "checkpoint_dir) — cannot restart; set checkpoint_every "
+                    "and checkpoint_dir to make rank failures recoverable")
+            try:
+                _, header, q0 = manager.load_latest(
+                    expect_shape=q0.shape, run_id=manager.run_id)
+            except CheckpointError as err:
+                raise ClusterError(f"{failure.message}; {err}") from err
+            march.update(base_time=header.time, base_step=header.step)
 
     # ------------------------------------------------------------------
-    def _collect(self, arena: ShmArena, results: list[dict],
-                 restarts: int) -> ClusterResult:
-        """The run's result from the ranks' payloads, in rank order."""
+    def _collect(self, arena: ShmArena, results: list[dict], restarts: int,
+                 manager: CheckpointManager | None) -> ClusterResult:
+        """The run's result from the ranks' payloads, in rank order, and
+        the restores' checkpoint tallies."""
         halo, sweep, loads = HaloCounters(), SweepCounters(), []
         for res in results:
             rank_halo = HaloCounters(**res["halo"])
@@ -739,6 +704,8 @@ class ProcessCluster(KnobAccess):
         assert all(res["recovery"][k] == n for res in results
                    for k, n in ladder.items()), "ranks left the ladder"
         recovery = RecoveryCounters(restarts=restarts)
+        if manager is not None:
+            recovery.record_checkpoint_skips(manager)
         for res in results:
             recovery.merge(RecoveryCounters(**res["recovery"]))
         return ClusterResult(

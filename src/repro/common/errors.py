@@ -37,7 +37,7 @@ class CheckpointError(ConfigurationError):
 
 class ClusterError(ReproError):
     """A multi-process run failed: a rank died, a halo wait timed out,
-    or restart coordination found no common checkpoint."""
+    or its restart found no valid checkpoint set of the run."""
 
 
 class NumericsError(ReproError):

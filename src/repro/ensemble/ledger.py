@@ -21,8 +21,9 @@ gives the same single-file durability contract as the snapshot format
   (``skipped_records``); replay can never mistake corrupt bytes for a
   transition (a single bit flip always breaks the line's CRC).
 * **Compaction is atomic** — :meth:`JobLedger.rewrite` goes through
-  mkstemp + fsync + rename, the same discipline as snapshot writes, so
-  rotation can never destroy the only copy.
+  temp file + fsync + rename, the snapshot writes' own
+  :func:`~repro.io.binary.write_atomic`, so rotation can never destroy
+  the only copy.
 
 Record kinds (the ``kind`` field):
 
@@ -43,12 +44,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common import ConfigurationError, InjectedCrash
+from repro.io.binary import write_atomic
 
 #: On-disk ledger format version (stamped into the ``open`` record).
 LEDGER_VERSION = 1
@@ -175,28 +176,12 @@ class JobLedger:
 
     # ------------------------------------------------------------------
     def rewrite(self, records: list[dict]) -> None:
-        """Atomically replace the ledger's contents (compaction).
-
-        mkstemp in the ledger's directory, write + fsync, rename over
-        the live file — a crash mid-rotation leaves either the old
-        ledger or the new one, never a mix and never nothing.
-        """
+        """Atomically replace the ledger's contents (compaction): a
+        crash mid-rotation leaves either the old ledger or the new one,
+        never a mix and never nothing (:func:`~repro.io.binary.
+        write_atomic`, as snapshots are written)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent,
-                                   prefix=self.path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                for record in records:
-                    fh.write(encode_record(record))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, *map(encode_record, records))
 
 
 # ----------------------------------------------------------------------

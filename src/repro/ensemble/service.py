@@ -318,7 +318,8 @@ class EnsembleService(KnobAccess):
         return self.results_dir / f"{self.job_id(index)}.bin"
 
     def _checkpoints(self, index: int):
-        """The job's rotating checkpoints (a durable campaign's only)."""
+        """The job's rotating checkpoint sets (a durable campaign's
+        only), each one block under the job id."""
         from repro.io.checkpoint import CheckpointManager
 
         return CheckpointManager(self.checkpoint_dir,
@@ -364,8 +365,7 @@ class EnsembleService(KnobAccess):
             # same directories must not masquerade as this run's state.
             for i in range(len(self.jobs)):
                 self._result_path(i).unlink(missing_ok=True)
-                for old in self._checkpoints(i).checkpoints():
-                    old.unlink(missing_ok=True)
+                self._checkpoints(i).clear()
         if not opens:
             self.ledger.append({"kind": "open", "version": LEDGER_VERSION,
                                 "digest": digest, "jobs": len(self.jobs)})
@@ -515,34 +515,28 @@ class EnsembleService(KnobAccess):
         return time.monotonic() + min(
             self.retry_base_seconds * 2 ** (attempt - 1), BACKOFF_CAP_SECONDS)
 
-    def _restart_seeds(self, indices: list[int]):
-        """Newest valid per-job checkpoint state/time/step (or fresh)."""
-        if self.checkpoint_dir is None:
-            n = len(indices)
-            return [None] * n, [0.0] * n, [0] * n
-        states, times, steps = [], [], []
-        for i in indices:
+    def _restart_seed(self, i: int):
+        """Job ``i``'s ``(state, time, step)``: its newest valid
+        checkpoint set's, else its initial state — built here, once, not
+        again in every forked batch child."""
+        case = self.jobs[i].case
+        if self.checkpoint_dir is not None:
             mgr = self._checkpoints(i)
-            job = self.jobs[i]
-            expect = (job.case.layout.nvars, *job.case.grid.shape)
             try:
-                _path, header, q = mgr.load_latest(expect_shape=expect)
-            except CheckpointError:
-                states.append(None)
-                times.append(0.0)
-                steps.append(0)
-            else:
-                states.append(q)
-                times.append(header.time)
-                steps.append(header.step)
+                _, header, q = mgr.load_latest(
+                    expect_shape=(case.layout.nvars, *case.grid.shape))
                 self.recovery.restarts += 1
-            self.recovery.record_checkpoint_skips(mgr)
-            for event in mgr.events:
-                self._record_event({
-                    "event": "checkpoint-skip", "job": self.job_id(i),
-                    "checkpoint": event["checkpoint"],
-                    "reason": event["reason"]})
-        return states, times, steps
+                return q, header.time, header.step
+            except CheckpointError:
+                pass
+            finally:
+                self.recovery.record_checkpoint_skips(mgr)
+                for event in mgr.events:
+                    self._record_event({
+                        "event": "checkpoint-skip", "job": self.job_id(i),
+                        "checkpoint": event["checkpoint"],
+                        "reason": event["reason"]})
+        return case.initial_conservative(), 0.0, 0
 
     def _start(self, indices: list[int]) -> BatchSpec:
         """Record one batch attempt as running; its spec."""
@@ -551,11 +545,7 @@ class EnsembleService(KnobAccess):
                 "kind": "job", "id": self.job_id(i), "status": "running",
                 "attempt": self._attempts[i]})
             self._status[i] = "running"
-        states, times, steps = self._restart_seeds(indices)
-        # Fresh jobs get their initial state here, once, not again in
-        # every forked batch child.
-        states = [self.jobs[i].case.initial_conservative() if q is None
-                  else q for i, q in zip(indices, states)]
+        states, times, steps = map(list, zip(*map(self._restart_seed, indices)))
         fault_plans = {}
         step_callback = None
         if self.chaos is not None:
@@ -664,8 +654,7 @@ class EnsembleService(KnobAccess):
                 "sha": self._state_sha(result.q), "steps": result.steps,
                 "time": result.time})
             # Restart seeds are dead weight once the result is durable.
-            for old in self._checkpoints(index).checkpoints():
-                old.unlink(missing_ok=True)
+            self._checkpoints(index).clear()
         self._status[index] = "done"
         self._results[index] = EnsembleCaseResult(
             index=index, name=result.name, q=result.q, time=result.time,

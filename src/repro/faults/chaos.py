@@ -60,20 +60,20 @@ def corrupt_ledger_record(ledger_path: str | Path, *, index: int,
 
 def corrupt_newest_checkpoint(directory: str | Path, *, prefix: str,
                               seed: int, mode: str = "bitflip") -> Path:
-    """Corrupt the newest checkpoint written under ``prefix``.
+    """Corrupt one block of the newest checkpoint set under ``prefix``.
 
-    ``mode="bitflip"`` flips one payload bit (silent media error);
-    ``mode="truncate"`` chops the file in half (torn write).  Returns
-    the victim path; raises if no checkpoint exists to corrupt.
+    The block is chosen by ``seed`` among the set's blocks (a rank set
+    has one per rank).  ``mode="bitflip"`` flips one bit (silent media
+    error); ``mode="truncate"`` chops the file in half (torn write).
+    Returns the victim path; raises if no set exists to corrupt.
     """
     from repro.io.checkpoint import CheckpointManager
 
-    mgr = CheckpointManager(directory, prefix=prefix)
-    candidates = mgr.checkpoints()
-    if not candidates:
+    sets = CheckpointManager(directory, prefix=prefix).sets()
+    if not sets:
         raise ConfigurationError(
             f"no {prefix!r} checkpoints under {directory} to corrupt")
-    victim = candidates[-1]
+    victim = sets[-1][seed % len(sets[-1])]
     if mode == "bitflip":
         bitflip_file(victim, seed=seed)
     elif mode == "truncate":

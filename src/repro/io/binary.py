@@ -177,12 +177,21 @@ def write_snapshot(path: str | Path, q: np.ndarray, *, step: int,
                             shape=q.shape[1:])
     # The field's own bytes, streamed: no second copy of the payload.
     payload = np.ascontiguousarray(q).reshape(-1).view(np.uint8)
+    write_atomic(path, header.pack(zlib.crc32(payload)), payload,
+                 durable=durable)
+    return HEADER_BYTES + header.nbytes()
+
+
+def write_atomic(path: str | Path, *chunks, durable: bool = True) -> None:
+    """Write ``chunks`` (bytes-like) to ``path`` atomically: a temporary
+    sibling file, flushed and ``fsync``'d (when ``durable``), renamed
+    over ``path``, then the rename itself persisted."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with tmp.open("wb") as fh:
-            fh.write(header.pack(zlib.crc32(payload)))
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             if durable:
                 os.fsync(fh.fileno())
@@ -199,7 +208,13 @@ def write_snapshot(path: str | Path, q: np.ndarray, *, step: int,
                 os.close(dir_fd)
         except OSError:
             pass
-    return HEADER_BYTES + header.nbytes()
+
+
+def read_header(path: str | Path) -> tuple[SnapshotHeader, int]:
+    """A snapshot's verified header and its recorded payload CRC32
+    (``-1`` for version 1), without reading the payload."""
+    with Path(path).open("rb") as fh:
+        return SnapshotHeader.unpack(fh.read(HEADER_BYTES))
 
 
 def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, np.ndarray]:

@@ -21,8 +21,8 @@ step, in order:
    raises :class:`~repro.common.NumericsError` naming it or, with
    ``on_failure="retire"``, retires alone with that diagnostic;
 4. ``callback(march, record)`` (a rank's heartbeat and injected death);
-5. the ``checkpoint_every`` cadence: a rotating checkpoint per healthy
-   slot under its own prefix, stamped with its own clock;
+5. the ``checkpoint_every`` cadence: a rotating checkpoint set per
+   healthy slot under its own prefix, stamped with its own clock;
 6. retirement of the failed slots.
 
 ``run(t_end=)`` clips each slot's last step onto its own horizon; a slot
@@ -99,6 +99,8 @@ class March(KnobAccess, AbstractContextManager):
 
     #: Original positions of the active slots (a batch overrides).
     index = (0,)
+    #: A slot's checkpoint set beyond its prefix (a rank's: its block).
+    checkpoint_set: dict = {}
 
     def __init__(self, *, batched: bool = False, times=None, steps=None,
                  step_count: int = 0, prefixes: list[str] | None = None,
@@ -369,7 +371,7 @@ class March(KnobAccess, AbstractContextManager):
     # ------------------------------------------------------------------
     def _manager(self, orig: int):
         """The :class:`~repro.io.checkpoint.CheckpointManager` of
-        original slot ``orig`` (one instance per slot, under its prefix)."""
+        original slot ``orig`` (one instance — one run id — per slot)."""
         if orig not in self._managers:
             if self.checkpoint_dir is None:
                 raise ConfigurationError("no checkpoint_dir configured")
@@ -377,7 +379,7 @@ class March(KnobAccess, AbstractContextManager):
 
             self._managers[orig] = CheckpointManager(
                 self.checkpoint_dir, keep=self.checkpoint_keep,
-                prefix=self.prefixes[orig])
+                prefix=self.prefixes[orig], **self.checkpoint_set)
         return self._managers[orig]
 
     def _checkpoint(self, slot: int):

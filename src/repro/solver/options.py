@@ -85,8 +85,8 @@ class SolverOptions:
         30.0, real(lambda v: v > 0, "a positive number"), "halo-wait / "
         "no-progress deadline (s) of a multi-process run", _RUN, type=float)
     max_restarts: int = knob(
-        1, integer(0), "rank-failure restarts from the newest common "
-        "checkpoint a multi-process run may attempt", _RUN, type=int)
+        1, integer(0), "rank-failure restarts from the run's newest valid "
+        "checkpoint set a multi-process run may attempt", _RUN, type=int)
     sweep_layout: str = knob(
         "strided", choice(*SWEEP_LAYOUTS), "memory layout "
         "of the direction sweeps; both values plan the one schedule of "

@@ -26,7 +26,6 @@ from repro.acc.gang import plan_gang_width
 from repro.backend import precision_dtype, to_host_array
 from repro.bc.boundary import BC, BoundarySet
 from repro.common import ConfigurationError, Stopwatch
-from repro.io.binary import read_snapshot, write_snapshot
 from repro.solver.case import Case
 from repro.solver.march import March, StepRecord
 from repro.solver.options import SolverOptions, fold
@@ -189,13 +188,12 @@ class Simulation(March):
         return self._checkpoint(0)
 
     def restore_latest(self) -> Path:
-        """Restore from the newest *valid* checkpoint in ``checkpoint_dir``.
-
-        Corrupt candidates (truncated, bit-flipped, wrong shape) are
-        skipped with their rejection counted; raises
-        :class:`~repro.common.CheckpointError` when no checkpoint
-        survives verification.  Returns the path restored from.
-        """
+        """Restore from the newest *valid* checkpoint set in
+        ``checkpoint_dir``, whatever rank count wrote it; returns its
+        manifest.  Sets with a missing or corrupt block or of another
+        shape are skipped and counted (:class:`~repro.common.
+        CheckpointError` if none survives).  The step history, stopwatch
+        laps and limiter count restart; :attr:`recovery` counts it."""
         mgr = self.checkpoint_manager
         verified0, rejected0 = mgr.verified, mgr.rejected
         events0 = len(mgr.events)
@@ -206,39 +204,13 @@ class Simulation(March):
             self.recovery.record_checkpoint_skips(
                 mgr, verified0=verified0, rejected0=rejected0,
                 events0=events0)
-        self._apply_restart(header.step, header.time, q)
-        return path
-
-    # ------------------------------------------------------------------
-    def save_checkpoint(self, path) -> int:
-        """Write the current state as a restart snapshot; returns bytes."""
-        return write_snapshot(path, to_host_array(self.q),
-                              step=self.step_count, time=self.time)
-
-    def load_checkpoint(self, path) -> None:
-        """Restore state, step count, and time from a snapshot.
-
-        All accumulated statistics — step history, kernel stopwatch
-        laps, and the RHS limiter counter — are reset so post-restart
-        ``kernel_breakdown()``/``grind_time_ns()`` and limiter stats
-        describe only the restarted run instead of mixing in
-        pre-restart accounting.  (The :attr:`recovery` tally is *not*
-        reset: restarts are exactly what it exists to count.)
-        """
-        header, q = read_snapshot(path)
-        if tuple(q.shape) != tuple(self.q.shape):
-            raise ConfigurationError(
-                f"checkpoint shape {q.shape} does not match case {self.q.shape}")
-        self.recovery.checkpoints_verified += 1
-        self._apply_restart(header.step, header.time, q)
-
-    def _apply_restart(self, step: int, time: float, q: np.ndarray) -> None:
         self.q = self.backend.from_host(q, dtype=self._dtype)
-        self._set_clock(step, time)
+        self._set_clock(header.step, header.time)
         self.history.clear()
         self.stopwatch.laps.clear()
         self.rhs.limited_faces = 0
         self.recovery.restarts += 1
+        return path
 
     # ------------------------------------------------------------------
     @classmethod

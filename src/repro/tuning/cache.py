@@ -8,9 +8,10 @@ with a case to skip first-run tuning on identical hosts).
 
 Robustness contract (the checkpoint file's, applied to tuning state):
 
-* **Atomic writes** — temp file in the destination directory, flushed
-  and fsynced, then ``os.replace``; a crash mid-store leaves the
-  previous cache intact, never a half-written JSON.
+* **Atomic writes** — :func:`~repro.io.binary.write_atomic`: temp file
+  in the destination directory, flushed and fsynced, then
+  ``os.replace``; a crash mid-store leaves the previous cache intact,
+  never a half-written JSON.
 * **Corrupt anything falls back to the model heuristic** — unreadable
   files, non-JSON bytes, wrong format versions, and entries that fail
   plan validation all behave as cache misses (tallied in
@@ -29,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 try:
@@ -37,6 +37,7 @@ try:
 except ImportError:  # non-POSIX: stores fall back to lockless writes
     fcntl = None
 
+from repro.io.binary import write_atomic
 from repro.tuning.plan import TuningPlan
 from repro.tuning.registry import REGISTRY_VERSION
 
@@ -144,20 +145,7 @@ class TuningCache:
                 {"version": CACHE_FORMAT_VERSION,
                  "registry": REGISTRY_VERSION, "entries": entries},
                 indent=2, sort_keys=True) + "\n"
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent,
-                                       prefix=self.path.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(self.path, payload.encode())
         return self.path
 
     def clear(self) -> None:

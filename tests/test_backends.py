@@ -241,12 +241,13 @@ class TestFloat32:
     def test_checkpoint_roundtrip_exact(self, tmp_path):
         case = bubble_case(12)
         bcs = BoundarySet.all_periodic(2)
-        sim = Simulation(case, bcs, precision="float32")
+        sim = Simulation(case, bcs, precision="float32",
+                         checkpoint_dir=tmp_path)
         sim.run(n_steps=3)
-        path = tmp_path / "f32.ckpt"
-        sim.save_checkpoint(path)
-        sim2 = Simulation(case, bcs, precision="float32")
-        sim2.load_checkpoint(path)
+        sim.checkpoint_now()
+        sim2 = Simulation(case, bcs, precision="float32",
+                          checkpoint_dir=tmp_path)
+        sim2.restore_latest()
         assert sim2.q.dtype == np.float32
         # write upcasts losslessly, restart downcasts: exact bits back
         assert sim2.q.tobytes() == sim.q.tobytes()
@@ -289,12 +290,12 @@ class TestCheckpointSeam:
     def test_checked_backend_roundtrip_bitwise(self, tmp_path):
         case = bubble_case(12)
         bcs = BoundarySet.all_periodic(2)
-        sim = Simulation(case, bcs, backend="checked")
+        sim = Simulation(case, bcs, backend="checked", checkpoint_dir=tmp_path)
         sim.run(n_steps=4)
-        path = tmp_path / "guard.ckpt"
-        sim.save_checkpoint(path)
-        sim2 = Simulation(case, bcs, backend="checked")
-        sim2.load_checkpoint(path)
+        sim.checkpoint_now()
+        sim2 = Simulation(case, bcs, backend="checked",
+                          checkpoint_dir=tmp_path)
+        sim2.restore_latest()
         assert isinstance(sim2.q, GuardArray)  # restart lands on-device
         assert to_host_array(sim2.q).tobytes() == \
             to_host_array(sim.q).tobytes()

@@ -16,7 +16,7 @@ import pytest
 from repro.bc import BoundarySet
 from repro.common import CheckpointError, ConfigurationError
 from repro.eos import Mixture, StiffenedGas
-from repro.faults import bitflip_file, truncate_file
+from repro.faults import bitflip_file, corrupt_newest_checkpoint, truncate_file
 from repro.grid import StructuredGrid
 from repro.io import CheckpointManager, read_snapshot, verify_snapshot, write_snapshot
 from repro.io.binary import HEADER_BYTES, MAGIC, NATIVE_DTYPE_STR, SnapshotHeader
@@ -38,6 +38,33 @@ def bubble_sim(n=16, **kwargs):
 
 def random_q(seed=0, shape=(7, 6, 5)):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def write_sets(directory, steps, *, ranks=1, keep=3, shape=(7, 6, 5)):
+    """Save ``random_q(step)`` at each step as a set of ``ranks`` blocks
+    split along the first spatial axis; returns the manager that writes
+    the manifest.  Several ranks' managers share a run id and, as a
+    rank's do, write their blocks before the manifest (here rank 0
+    saves last, so no barrier is needed)."""
+    n = shape[1] // ranks
+    blocks = None if ranks == 1 else [
+        (f"rank{r:04d}", [r * n] + [0] * (len(shape) - 2))
+        for r in range(ranks)]
+    managers = [CheckpointManager(directory, keep=keep, blocks=blocks,
+                                  block=r, run_id="run")
+                for r in range(ranks)]
+    for step in steps:
+        q = random_q(step, shape)
+        for r in reversed(range(ranks)):
+            managers[r].save(q[:, r * n:(r + 1) * n], step=step,
+                             time=float(step))
+    return managers[0]
+
+
+def last_block(manager, step):
+    """The last block of the set at ``step`` (rank 1's of a 2-rank set)."""
+    return [p for p in manager.checkpoints()
+            if p.stem.endswith(f"_{step:09d}")][-1]
 
 
 class TestSnapshotIntegrity:
@@ -127,26 +154,77 @@ class TestCheckpointManager:
         names = [p.name for p in mgr.checkpoints()]
         assert names == ["ckpt_000000003.bin", "ckpt_000000004.bin"]
 
-    def test_corrupt_newest_falls_back(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=3)
-        for step in (1, 2, 3):
-            mgr.save(random_q(step), step=step, time=float(step))
-        bitflip_file(mgr.path_for(3), seed=5, skip_bytes=HEADER_BYTES)
-        path, header, q = mgr.load_latest()
-        assert path == mgr.path_for(2) and header.step == 2
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_sets_of_any_rank_count_restore_whole(self, tmp_path, ranks):
+        mgr = write_sets(tmp_path, (1, 2), ranks=ranks)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        blocks = ["ckpt"] if ranks == 1 else ["rank0000", "rank0001"]
+        assert names == sorted(
+            [f"ckpt_{s:09d}.json" for s in (1, 2)]
+            + [f"{b}_{s:09d}.bin" for b in blocks for s in (1, 2)])
+        path, header, q = mgr.load_latest(expect_shape=(7, 6, 5))
+        assert path == mgr.manifest_for(2)
+        assert (header.step, header.time, header.shape) == (2, 2.0, (6, 5))
         np.testing.assert_array_equal(q, random_q(2))
-        assert mgr.rejected == 1 and mgr.verified == 1
+
+    def test_corrupt_newest_falls_back(self, tmp_path):
+        for ranks in (1, 2):
+            mgr = write_sets(tmp_path / f"ranks{ranks}", (1, 2, 3),
+                             ranks=ranks)
+            bitflip_file(last_block(mgr, 3), seed=5, skip_bytes=HEADER_BYTES)
+            path, header, q = mgr.load_latest()
+            assert path == mgr.manifest_for(2) and header.step == 2
+            np.testing.assert_array_equal(q, random_q(2))
+            assert mgr.rejected == 1 and mgr.verified == 1
 
     def test_all_corrupt_raises_with_reasons(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=3)
-        for step in (1, 2):
-            mgr.save(random_q(step), step=step, time=float(step))
-        truncate_file(mgr.path_for(1), keep_fraction=0.3)
-        bitflip_file(mgr.path_for(2), seed=8, skip_bytes=HEADER_BYTES)
-        with pytest.raises(CheckpointError) as err:
-            mgr.load_latest()
-        assert "ckpt_000000001.bin" in str(err.value)
-        assert "ckpt_000000002.bin" in str(err.value)
+        for ranks in (1, 2):
+            mgr = write_sets(tmp_path / f"ranks{ranks}", (1, 2), ranks=ranks)
+            one, two = last_block(mgr, 1), last_block(mgr, 2)
+            truncate_file(one, keep_fraction=0.3)
+            bitflip_file(two, seed=8, skip_bytes=HEADER_BYTES)
+            with pytest.raises(CheckpointError) as err:
+                mgr.load_latest()
+            assert one.name in str(err.value)
+            assert two.name in str(err.value)
+
+    def test_missing_overwritten_or_foreign_blocks_rejected(self, tmp_path):
+        mgr = write_sets(tmp_path, (1, 2, 3), ranks=2)
+        last_block(mgr, 3).unlink()
+        # Another run's block under the same name: intact, but not the
+        # one set 2's manifest names.
+        CheckpointManager(tmp_path, prefix="other", blocks=[
+            ("rank0001", None)]).save(random_q(9, (7, 3, 5)), step=2,
+                                      time=2.0)
+        path, header, q = mgr.load_latest()
+        assert header.step == 1
+        np.testing.assert_array_equal(q, random_q(1))
+        assert mgr.skip_reasons == {"missing": 1, "mismatch": 1}
+        with pytest.raises(CheckpointError, match="no valid checkpoint"):
+            mgr.load_latest(run_id="another run")
+
+    def test_chaos_corrupts_one_block_of_the_newest_set(self, tmp_path):
+        mgr = write_sets(tmp_path, (1, 2), ranks=2)
+        victim = corrupt_newest_checkpoint(tmp_path, prefix="ckpt", seed=3)
+        assert victim.name == "rank0001_000000002.bin"  # seed 3 of 2 blocks
+        _, header, q = mgr.load_latest()
+        assert header.step == 1 and mgr.rejected == 1
+        np.testing.assert_array_equal(q, random_q(1))
+
+    def test_a_run_keeps_its_own_newest_sets(self, tmp_path):
+        # Run 1's sets neither count toward run 2's keep nor survive its
+        # first save, and a set it overwrote is run 2's whole.
+        first = CheckpointManager(tmp_path, keep=3)
+        for step in (2, 4, 6, 8):
+            first.save(random_q(step), step=step, time=float(step))
+        second = CheckpointManager(tmp_path, keep=3)
+        for step in (2, 4):
+            second.save(random_q(10 + step), step=step, time=float(step))
+        assert [p.name for p in second.checkpoints()] == \
+            ["ckpt_000000002.bin", "ckpt_000000004.bin"]
+        _, header, q = CheckpointManager(tmp_path).load_latest()
+        assert header.step == 4
+        np.testing.assert_array_equal(q, random_q(14))
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoints"):
@@ -175,6 +253,18 @@ class TestSimulationCheckpointing:
         assert sim.recovery.checkpoints_written == 3
         assert sim.recovery.checkpoint_seconds > 0.0
 
+    def test_second_run_in_a_used_directory_resumes_itself(self, tmp_path):
+        first = bubble_sim(checkpoint_every=2, checkpoint_dir=tmp_path)
+        first.run(n_steps=8)  # keeps sets 4, 6 and 8
+        second = bubble_sim(checkpoint_every=2, checkpoint_dir=tmp_path)
+        second.run(n_steps=4)  # sets 2 and 4
+        assert [p.name for p in second.checkpoint_manager.checkpoints()] == \
+            ["ckpt_000000002.bin", "ckpt_000000004.bin"]
+        resumed = bubble_sim(checkpoint_dir=tmp_path)
+        assert resumed.restore_latest().name == "ckpt_000000004.json"
+        assert resumed.step_count == 4
+        np.testing.assert_array_equal(resumed.q, second.q)
+
     def test_restore_latest_resumes_bit_identically(self, tmp_path):
         straight = bubble_sim()
         straight.run(n_steps=8)
@@ -184,7 +274,7 @@ class TestSimulationCheckpointing:
 
         resumed = bubble_sim(checkpoint_dir=tmp_path)
         path = resumed.restore_latest()
-        assert path.name == "ckpt_000000004.bin"
+        assert path.name == "ckpt_000000004.json"
         assert resumed.step_count == 4
         assert resumed.recovery.restarts == 1
         resumed.run(n_steps=4)
@@ -201,7 +291,7 @@ class TestSimulationCheckpointing:
 
         resumed = bubble_sim(checkpoint_dir=tmp_path)
         path = resumed.restore_latest()
-        assert path.name == "ckpt_000000004.bin"
+        assert path.name == "ckpt_000000004.json"
         assert resumed.recovery.checkpoints_rejected == 1
         assert resumed.recovery.checkpoints_verified == 1
         assert resumed.step_count == 4
@@ -210,11 +300,11 @@ class TestSimulationCheckpointing:
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             bubble_sim(checkpoint_every=5)
 
-    def test_load_checkpoint_counts_restart(self, tmp_path):
-        sim = bubble_sim()
+    def test_restore_latest_counts_restart(self, tmp_path):
+        sim = bubble_sim(checkpoint_dir=tmp_path)
         sim.run(n_steps=3)
-        sim.save_checkpoint(tmp_path / "s.bin")
-        sim.load_checkpoint(tmp_path / "s.bin")
+        sim.checkpoint_now()
+        sim.restore_latest()
         assert sim.recovery.restarts == 1
         assert sim.recovery.checkpoints_verified == 1
 
@@ -320,23 +410,19 @@ class TestSkipDiagnostics:
     """Satellite of the durable service: a skipped checkpoint is a
     *named* event with a reason category, not a silent counter bump."""
 
-    def _seeded_manager(self, tmp_path, steps=(1, 2, 3)):
-        mgr = CheckpointManager(tmp_path, keep=len(steps))
-        for step in steps:
-            mgr.save(random_q(step), step=step, time=float(step))
-        return mgr
-
     def test_skip_reasons_categorised(self, tmp_path):
-        mgr = self._seeded_manager(tmp_path)
-        bitflip_file(mgr.path_for(3), seed=5, skip_bytes=HEADER_BYTES)
-        truncate_file(mgr.path_for(2), keep_fraction=0.3)
-        mgr.load_latest()
-        assert mgr.skip_reasons == {"crc": 1, "truncated": 1}
-        kinds = [(e["kind"], e["checkpoint"], e["reason"])
-                 for e in mgr.events]
-        assert ("checkpoint-skip", "ckpt_000000003.bin", "crc") in kinds
-        assert ("checkpoint-skip", "ckpt_000000002.bin",
-                "truncated") in kinds
+        for ranks in (1, 2):
+            mgr = write_sets(tmp_path / f"ranks{ranks}", (1, 2, 3),
+                             ranks=ranks)
+            three, two = last_block(mgr, 3), last_block(mgr, 2)
+            bitflip_file(three, seed=5, skip_bytes=HEADER_BYTES)
+            truncate_file(two, keep_fraction=0.3)
+            mgr.load_latest()
+            assert mgr.skip_reasons == {"crc": 1, "truncated": 1}
+            kinds = [(e["kind"], e["checkpoint"], e["reason"])
+                     for e in mgr.events]
+            assert ("checkpoint-skip", three.name, "crc") in kinds
+            assert ("checkpoint-skip", two.name, "truncated") in kinds
 
     def test_shape_mismatch_reason(self, tmp_path):
         mgr = CheckpointManager(tmp_path, keep=2)

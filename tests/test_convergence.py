@@ -133,12 +133,14 @@ class TestCheckpointRestart:
 
         first = quickstart_sod(96)
         first.fixed_dt = 1e-3
+        first.checkpoint_dir = tmp_path
         first.run(n_steps=5)
-        first.save_checkpoint(tmp_path / "ck.bin")
+        first.checkpoint_now()
 
         second = quickstart_sod(96)
         second.fixed_dt = 1e-3
-        second.load_checkpoint(tmp_path / "ck.bin")
+        second.checkpoint_dir = tmp_path
+        second.restore_latest()
         assert second.step_count == 5
         second.run(n_steps=5)
 
@@ -149,7 +151,9 @@ class TestCheckpointRestart:
         from repro import quickstart_sod
 
         a = quickstart_sod(32)
-        a.save_checkpoint(tmp_path / "ck.bin")
+        a.checkpoint_dir = tmp_path
+        a.checkpoint_now()
         b = quickstart_sod(64)
-        with pytest.raises(ConfigurationError):
-            b.load_checkpoint(tmp_path / "ck.bin")
+        b.checkpoint_dir = tmp_path
+        with pytest.raises(ConfigurationError, match="does not match"):
+            b.restore_latest()

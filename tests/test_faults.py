@@ -174,7 +174,7 @@ class TestFileFaults:
 
             read_snapshot(crashed.checkpoint_manager.path_for(6))
         path = resumed.restore_latest()
-        assert path.name.endswith("000000004.bin")
+        assert path.name == "ckpt_000000004.json"
         resumed.run(n_steps=4)
         np.testing.assert_array_equal(resumed.q, straight.q)
 

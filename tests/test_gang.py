@@ -289,18 +289,18 @@ class TestDriversWithALiveGang:
     def test_checkpoint_restart_continues_bitwise(self, tmp_path):
         ref = bubble_sim(1)
         ref.run(n_steps=6)
-        with bubble_sim(2) as sim:
+        with bubble_sim(2, checkpoint_dir=tmp_path) as sim:
             sim.run(n_steps=3)
-            sim.save_checkpoint(tmp_path / "three.bin")
+            sim.checkpoint_now()
             workers = list(sim.rhs.executor._workers)
             sim.run(n_steps=2)
             # Restart in place: the live gang carries on.
-            sim.load_checkpoint(tmp_path / "three.bin")
+            sim.restore_latest()
             sim.run(n_steps=3)
             assert sim.rhs.executor._workers == workers
             assert sim.q.tobytes() == ref.q.tobytes()
-        with bubble_sim(3) as fresh:
-            fresh.load_checkpoint(tmp_path / "three.bin")
+        with bubble_sim(3, checkpoint_dir=tmp_path) as fresh:
+            fresh.restore_latest()
             fresh.run(n_steps=3)
             assert fresh.q.tobytes() == ref.q.tobytes()
             assert fresh.time == ref.time

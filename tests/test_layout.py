@@ -215,16 +215,16 @@ class TestSimulationIdentity:
         assert sim.time == ref.time
 
     def test_checkpoint_roundtrip_under_transposed(self, tmp_path):
-        path = tmp_path / "restart.bin"
         ref = bubble_sim(sweep_layout="transposed")
         ref.run(n_steps=4)
 
-        first = bubble_sim(sweep_layout="transposed")
+        first = bubble_sim(sweep_layout="transposed", checkpoint_dir=tmp_path)
         first.run(n_steps=2)
-        first.save_checkpoint(path)
+        first.checkpoint_now()
 
-        second = bubble_sim(sweep_layout="transposed")
-        second.load_checkpoint(path)
+        second = bubble_sim(sweep_layout="transposed",
+                            checkpoint_dir=tmp_path)
+        second.restore_latest()
         assert second.step_count == 2
         second.run(n_steps=2)
         np.testing.assert_array_equal(second.q, ref.q)
@@ -232,15 +232,14 @@ class TestSimulationIdentity:
     def test_checkpoint_crosses_layouts(self, tmp_path):
         # A snapshot written by a strided run restarts bitwise under the
         # transposed engine (the state carries no layout).
-        path = tmp_path / "restart.bin"
         ref = bubble_sim()
         ref.run(n_steps=4)
 
-        first = bubble_sim()
+        first = bubble_sim(checkpoint_dir=tmp_path)
         first.run(n_steps=2)
-        first.save_checkpoint(path)
-        second = bubble_sim(sweep_layout="transposed")
-        second.load_checkpoint(path)
+        first.checkpoint_now()
+        second = bubble_sim(sweep_layout="transposed", checkpoint_dir=tmp_path)
+        second.restore_latest()
         second.run(n_steps=2)
         np.testing.assert_array_equal(second.q, ref.q)
 

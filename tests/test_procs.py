@@ -7,8 +7,8 @@ forked worker per rank, halos through shared-memory mailboxes, dt
 reduced in rank order — is **bit-identical** to the serial
 ``Simulation`` march, for any rank count, WENO order, Riemann solver,
 sweep layout, and uneven split (property-tested), and stays so after a
-rank is killed mid-run and the team restarts from the newest common
-checkpoint.
+rank is killed mid-run and the team restarts from its newest valid
+checkpoint set — which restores at any rank count.
 """
 
 import json
@@ -33,7 +33,10 @@ from repro.cluster import (
 from repro.common import ClusterError, ConfigurationError, NumericsError
 from repro.ensemble import EnsembleJob, EnsembleService, EnsembleSimulation
 from repro.eos import Mixture, StiffenedGas
+from repro.faults import bitflip_file
 from repro.grid import StructuredGrid
+from repro.io.binary import HEADER_BYTES
+from repro.io.checkpoint import CheckpointManager
 from repro.profiling import HaloCounters, Profile
 from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
 from tests.conftest import live_children
@@ -382,6 +385,47 @@ class TestRankFaultRestart:
         np.testing.assert_array_equal(result.q, serial.q)
 
 
+    def test_a_rank_run_resumes_at_any_rank_count(self, tmp_path):
+        # The sets two ranks write restore into a driver of any rank
+        # count, which carries on bitwise as the uninterrupted run.
+        case = bubble_case((32, 16))
+        bcs = BoundarySet.all_periodic(2)
+        serial = serial_march(case, bcs, n_steps=8)
+        Simulation(case, bcs, ranks=2, checkpoint_every=2,
+                   checkpoint_dir=tmp_path).run(n_steps=4)
+        for ranks in (1, 2, 4):
+            sim = Simulation(case, bcs, ranks=ranks, checkpoint_dir=tmp_path)
+            assert sim.restore_latest().name == "ckpt_000000004.json"
+            assert (sim.step_count, sim.recovery.restarts) == (4, 1)
+            sim.run(n_steps=4)
+            np.testing.assert_array_equal(sim.q, serial.q)
+            assert sim.time == serial.time
+
+    def test_a_corrupt_block_falls_back_to_the_previous_set(self, tmp_path):
+        # Rank 1's block of set 4 rots on disk during step 5, then rank 1
+        # dies: the restart skips set 4 and re-marches from set 2.
+        class RotRankOnesBlock:
+            def apply(self, q, *, step, attempt=0, block=None):
+                if step == 5 and block[1] != (0, 0) \
+                        and not (tmp_path / "rotted").exists():
+                    (tmp_path / "rotted").touch()
+                    bitflip_file(tmp_path / "rank0001_000000004.bin",
+                                 seed=1, skip_bytes=HEADER_BYTES)
+                return 0
+
+        case = bubble_case((32, 16))
+        bcs = BoundarySet.all_periodic(2)
+        serial = serial_march(case, bcs, n_steps=7, fixed_dt=2e-4)
+        pc = cluster_for(case, bcs, 2, fixed_dt=2e-4, checkpoint_every=2,
+                         checkpoint_dir=tmp_path, fault=RankFault(1, 5),
+                         fault_injector=RotRankOnesBlock())
+        result = pc.run(case.initial_conservative(), n_steps=7)
+        np.testing.assert_array_equal(result.q, serial.q)
+        assert result.recovery.restarts == 1
+        assert result.recovery.checkpoint_skip_reasons == {"crc": 1}
+        assert result.history[0][0] == 3  # re-marched from set 2
+
+
 class TestShmArena:
     def test_width_one_still_returns_float(self):
         # Two transports over one arena in one process: the reduction
@@ -672,11 +716,10 @@ class TestOneRankReply:
             def apply(self, q, *, step, attempt=0):
                 return 0
 
-        def no_restart(*args):
-            raise AssertionError("restart coordination entered")
+        def no_restart(*args, **kwargs):
+            raise AssertionError("restart entered")
 
-        monkeypatch.setattr(ProcessCluster, "_common_checkpoint_step",
-                            no_restart)
+        monkeypatch.setattr(CheckpointManager, "load_latest", no_restart)
         sim = Simulation(self.CASE, self.BCS, ranks=2, fault_injector=Hook(),
                          checkpoint_every=1, checkpoint_dir=tmp_path)
         with pytest.raises(TypeError, match=r"rank 0: .*'block'.*; rank 1:"):

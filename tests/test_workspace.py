@@ -172,17 +172,16 @@ class TestBitwiseIdentity:
 
 class TestCheckpointRestart:
     def test_restart_is_bit_identical_and_stats_are_clean(self, tmp_path):
-        path = tmp_path / "restart.bin"
         straight, _ = sim_pair()
         straight.run(n_steps=8)
 
-        interrupted, _ = sim_pair()
+        interrupted, _ = sim_pair(checkpoint_dir=tmp_path)
         interrupted.run(n_steps=4)
-        interrupted.save_checkpoint(path)
+        interrupted.checkpoint_now()
 
-        resumed, _ = sim_pair()
+        resumed, _ = sim_pair(checkpoint_dir=tmp_path)
         resumed.run(n_steps=2)  # diverge, then restore
-        resumed.load_checkpoint(path)
+        resumed.restore_latest()
         assert resumed.step_count == 4
         assert resumed.history == []
         assert resumed.stopwatch.laps == {}
