@@ -77,6 +77,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(sim.rhs.sweep_counters.summary())
         if sim.halo_counters is not None:
             print(sim.halo_counters.summary())
+            (grid, busiest), *others = sim.decomp.predicted
+            print(f"rank grid {'×'.join(map(str, grid))}: busiest block "
+                  f"{busiest:,} predicted faces per RHS" + "".join(
+                      f" ({'×'.join(map(str, g))}: {b:,})" for g, b in others))
             for rank, (wait, done, faces) in enumerate(sim.rank_loads):
                 print(f"rank {rank}: faces evaluated {done} of {faces} "
                       f"({100 * done / faces:.1f}%), {wait / 1e6:.1f} ms "

@@ -15,7 +15,9 @@ evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -65,11 +67,14 @@ class BlockDecomposition:
         Ranks per axis; must divide into roughly equal blocks.
     periodic:
         Per-axis periodicity (affects who counts as a neighbour).
+    predicted:
+        ``(rank_grid, busiest block's faces)`` :meth:`balanced` weighed.
     """
 
     global_cells: tuple[int, ...]
     rank_grid: tuple[int, ...]
     periodic: tuple[bool, ...] = (False, False, False)
+    predicted: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         nd = len(self.global_cells)
@@ -93,16 +98,36 @@ class BlockDecomposition:
 
     @classmethod
     def balanced(cls, global_cells: tuple[int, ...], nranks: int,
-                 periodic: tuple[bool, ...] | None = None) -> "BlockDecomposition":
-        """Decompose with the most cubic rank grid for ``nranks``."""
+                 periodic: tuple[bool, ...] | None = None, *, state=None,
+                 ng: int = 3) -> "BlockDecomposition":
+        """Decompose with the most cubic rank grid for ``nranks``; given
+        a ``state`` (ghost width ``ng``), with its axis permutation of
+        equal halo traffic whose busiest block has the fewest
+        :meth:`predicted_faces` (a tie keeps this grid)."""
         nd = len(global_cells)
         grid = factor3d(nranks, ndim=nd)
         # Assign larger rank-axis counts to larger cell axes.
         order = np.argsort(np.argsort([-c for c in global_cells]))
         grid_sorted = sorted(grid, reverse=True)
         rank_grid = tuple(grid_sorted[order[i]] for i in range(nd))
-        return cls(global_cells, rank_grid,
-                   periodic or tuple([False] * nd))
+        default = cls(global_cells, rank_grid, periodic or tuple([False] * nd))
+        if state is None:
+            return default
+        from repro.cluster.halo import validate_block_extents
+
+        traffic = lambda d: (d.total_messages(), d.total_halo_bytes(ng, 1))
+        weighed = []
+        for perm in dict.fromkeys(permutations(rank_grid)):  # default first
+            try:
+                decomp = cls(global_cells, perm, default.periodic)
+                validate_block_extents(decomp, ng)
+            except ConfigurationError:
+                continue  # a block too narrow along an axis it splits
+            if traffic(decomp) == traffic(default):
+                weighed.append((perm, max(decomp.predicted_faces(state, ng))))
+        weighed.sort(key=lambda pair: pair[1])  # stable: a tie keeps default
+        return cls(global_cells, weighed[0][0] if weighed else rank_grid,
+                   default.periodic, tuple(weighed))
 
     @classmethod
     def slabs(cls, global_cells: tuple[int, ...], nranks: int) -> "BlockDecomposition":
@@ -170,6 +195,27 @@ class BlockDecomposition:
         the global ones."""
         return type(grid)(tuple(f[s.start:s.stop + 1] for f, s in
                                 zip(grid.faces, self.local_slices(rank))))
+
+    def predicted_faces(self, state: np.ndarray, ng: int) -> tuple[int, ...]:
+        """Per rank, the faces an RHS evaluation is predicted to run on
+        ``state``: over axes, the block's :func:`~repro.solver.sweep.
+        step_span` as one tile, times its cross-section."""
+        from repro.solver.sweep import step_span
+
+        out = []
+        for rank in range(self.nranks):
+            slices, local = self.local_slices(rank), self.local_cells(rank)
+            faces = 0
+            for axis, (s, n) in enumerate(zip(slices, self.global_cells)):
+                rows = np.arange(s.start - ng, s.stop + ng)
+                rows = rows % n if self.periodic[axis] else rows.clip(0, n - 1)
+                pad = state[(slice(None), *slices[:axis], rows,
+                             *slices[axis + 1:])]
+                f0, f1 = step_span(pad.reshape(
+                    -1, rows.size, math.prod(local[axis + 1:])), ng)
+                faces += (f1 - f0) * math.prod(local) // local[axis]
+            out.append(faces)
+        return tuple(out)
 
     def neighbor(self, rank: int, axis: int, side: int) -> int | None:
         """Neighbouring rank across ``axis`` (side -1 or +1), or None at a wall."""

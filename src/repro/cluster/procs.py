@@ -85,7 +85,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -446,6 +445,8 @@ class ClusterResult:
     ranks: tuple[tuple[int, int, int], ...]
     #: The ranks' merged tallies (ladder counts once) and the restarts.
     recovery: RecoveryCounters
+    #: The rank grid marched (and the candidates it was chosen from).
+    decomp: BlockDecomposition
 
 
 class _RankMarch(March):
@@ -714,4 +715,4 @@ class ProcessCluster(KnobAccess):
             history=tuple(tuple(h) for h in r0["history"]),
             limited_faces=sum(res["limited_faces"] for res in results),
             ranks=tuple(loads),
-            recovery=replace(recovery, **ladder))
+            recovery=replace(recovery, **ladder), decomp=self.decomp)

@@ -133,8 +133,17 @@ class CheckpointManager:
 
     def _discard(self, run_id: str | None = None) -> None:
         """Delete every set under the prefix but run ``run_id``'s newest
-        ``keep``; a block a kept set names stays."""
+        ``keep`` (a block a kept set names stays), and its dead writers'
+        ``<file>.tmp.<pid>`` (:func:`~repro.io.binary.write_atomic`)."""
         sets = self._sets()
+        writers = {self.prefix, *(w for w, _ in self.blocks), *(
+            b["file"].rsplit("_", 1)[0] for _, rec in sets
+            if isinstance(rec, dict) for b in rec["blocks"])}
+        temp = re.compile(rf"(.+)_\d{{{_STEP_WIDTH}}}\.(?:bin|json)\.tmp\.(\d+)")
+        for path in self.directory.glob("*.tmp.*"):
+            match = temp.fullmatch(path.name)
+            if match and match[1] in writers and not _alive(int(match[2])):
+                path.unlink(missing_ok=True)
         keep = [m for m, rec in sets if isinstance(rec, dict)
                 and rec["run"] == run_id][-self.keep:]
         kept = {b["file"] for m, rec in sets if m in keep
@@ -204,6 +213,14 @@ class CheckpointManager:
         detail = ("; ".join(reasons) if reasons
                   else f"no checkpoints under {self.directory}")
         raise CheckpointError(f"no valid checkpoint to restart from ({detail})")
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except OSError as err:  # EPERM: another user's live process
+        return not isinstance(err, ProcessLookupError)
+    return True
 
 
 def _crc(record: dict) -> int:

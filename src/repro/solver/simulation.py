@@ -31,6 +31,7 @@ from repro.solver.march import March, StepRecord
 from repro.solver.options import SolverOptions, fold
 from repro.solver.rhs import RHS, RHSConfig
 from repro.state.conversions import cons_to_prim
+from repro.weno import halo_width
 
 __all__ = ["Simulation", "StepRecord"]
 
@@ -96,9 +97,9 @@ class Simulation(March):
             self.gang_why = self.rhs.gang_why
         self.options = self.rhs.options
         #: Merged :class:`~repro.profiling.counters.HaloCounters` of the
-        #: last multi-process :meth:`run` (None until one completes), and
-        #: its per-rank split (:attr:`~repro.cluster.ClusterResult.ranks`).
-        self.halo_counters = self.rank_loads = None
+        #: last multi-process :meth:`run` (None until one completes), its
+        #: per-rank split and its rank grid (ClusterResult.ranks, .decomp).
+        self.halo_counters = self.rank_loads = self.decomp = None
         super().__init__(prefixes=["ckpt"], fault_plans=(
             None if fault_injector is None else {0: fault_injector}))
 
@@ -143,11 +144,11 @@ class Simulation(March):
 
         With ``ranks > 1`` the whole march goes to a
         :class:`~repro.cluster.ProcessCluster` over a balanced
-        decomposition, seeded with the driver's absolute clock and
+        decomposition of the state, seeded with this march's absolute clock and
         bitwise identical to the serial march; the driver's state,
         clock, history, counters and recovery tally absorb its result and
         the merged halo counters land in :attr:`halo_counters`, each
-        rank's wait and faces in :attr:`rank_loads`.
+        rank's wait and faces in :attr:`rank_loads`, the grid in :attr:`decomp`.
         """
         if self.ranks == 1:
             super().run(t_end=t_end, n_steps=n_steps, callback=callback)
@@ -159,18 +160,20 @@ class Simulation(March):
         from repro.cluster import BlockDecomposition, ProcessCluster
 
         periodic = tuple(lo is BC.PERIODIC for lo, _ in self.bcs.per_axis)
+        q = to_host_array(self.q)
         decomp = BlockDecomposition.balanced(
-            self.grid.shape, self.ranks, periodic=periodic)
+            self.grid.shape, self.ranks, periodic=periodic, state=q,
+            ng=halo_width(self.config.weno_order))
         cluster = ProcessCluster(self.grid, self.layout, self.mixture,
                                  self.bcs, decomp, self.config, self.options,
                                  fault_injector=self.fault_plans.get(0))
-        result = cluster.run(to_host_array(self.q), t_end=t_end,
-                             n_steps=n_steps,
+        result = cluster.run(q, t_end=t_end, n_steps=n_steps,
                              base_time=self.time, base_step=self.step_count)
         self.q = self.backend.from_host(result.q, dtype=self._dtype)
         self._set_clock(result.step_count, result.time)
         self.history.extend(StepRecord(*h) for h in result.history)
-        self.halo_counters, self.rank_loads = result.halo, result.ranks
+        self.halo_counters, self.rank_loads, self.decomp = (
+            result.halo, result.ranks, result.decomp)
         self.rhs.sweep_counters.merge(result.sweep)
         self.rhs.limited_faces += result.limited_faces
         self.recovery.merge(result.recovery)

@@ -118,49 +118,56 @@ def accumulate_divergence(faces, axis: int, width, scratch, acc, op: str) -> Non
     getattr(xp, op)(acc, scratch, out=acc)
 
 
-def active_faces(pad, axis: int, ng: int, spare, spare2) -> tuple[int, int]:
-    """Faces ``[f0, f1)`` of a packed tile whose evaluation can move ``dq/dt``.
+def step_span(cells, ng: int, spare=None, spare2=None) -> tuple[int, int]:
+    """Faces ``[f0, f1)`` of ``cells`` (``(lead, length, trail)``, padded
+    along axis 1) whose ``2 ng``-cell stencils are not bitwise uniform,
+    widened by one face on each side (the cell beside the bound needs
+    both its faces); ``(nf, nf)`` when all are.  One bitwise compare of
+    neighbouring cells and one reduction over ``lead`` bound them (into
+    the bytes of ``spare`` / ``spare2`` if given)."""
+    xp = array_namespace(cells)
+    lead, length, trail = cells.shape
+    nf = length - 2 * ng + 1
+    bits = cells.view(f"i{cells.dtype.itemsize}")
+    steps = xp.not_equal(bits[:, 1:], bits[:, :-1],
+                         out=_bools(spare, (lead, length - 1, trail)))
+    hit = xp.any(steps.reshape(lead, -1), axis=0,
+                 out=_bools(spare2, ((length - 1) * trail,)))
+    first = int(hit.argmax())
+    if not hit[first]:  # no step anywhere: every stencil is uniform
+        return nf, nf
+    # Steps k0..k1 (cell k to k + 1) bound the non-uniform stencils:
+    # faces k0 - 2 ng + 2 .. k1, widened by one on each side.
+    last = hit.size - 1 - int(hit[::-1].argmax())
+    k0, k1 = first // trail, last // trail
+    return max(0, k0 - 2 * ng + 1), min(nf, k1 + 2)
 
-    Face ``f`` of ``pad`` (ghost-padded along ``axis``) reads the
-    ``2 ng`` cells ``[f, f + 2 ng)`` in every variable and row.  One
-    bitwise compare of neighbouring cells and one reduction over
-    everything but ``axis`` bound the faces whose stencil is not
-    uniform; the span is that bound widened by one face on each side
-    (the cell beside the bound needs both its faces), and empty when
-    every stencil is uniform.  The cells it leaves out run from an
-    end of the block and equal its end cell, so finite end cells make
-    them finite; a non-finite one there makes the span whole.
-    ``spare`` / ``spare2`` are dead float buffers of the tile (the face
-    states: each at least an eighth of ``pad``) whose bytes hold the
-    compare and its reduction.
+
+def active_faces(pad, axis: int, ng: int, spare, spare2) -> tuple[int, int]:
+    """Faces ``[f0, f1)`` of a packed tile whose evaluation can move
+    ``dq/dt``: the :func:`step_span` of ``pad`` along ``axis``.  The
+    cells it leaves out run from an end of the block and equal its end
+    cell, so finite end cells make them finite; a non-finite one there
+    makes the span whole.  ``spare`` / ``spare2`` are dead float buffers
+    of the tile (the face states: each at least an eighth of ``pad``)
+    whose bytes hold the compare and its reduction.
     """
     xp = array_namespace(pad)
     length = pad.shape[axis]
     nf = length - 2 * ng + 1
-    lead = math.prod(pad.shape[:axis])
-    cells = pad.reshape(lead, length, -1)
-    bits = cells.view(f"i{pad.dtype.itemsize}")
-    count = bits[:, 1:].size
-    steps = xp.not_equal(bits[:, 1:], bits[:, :-1],
-                         out=spare.reshape(-1).view(bool)[:count].reshape(
-                             bits[:, 1:].shape))
-    hit = xp.any(steps.reshape(lead, -1), axis=0,
-                 out=spare2.reshape(-1).view(bool)[:count // lead])
-    first = int(hit.argmax())
-    if not hit[first]:  # no step anywhere: every stencil is uniform
-        f0, f1 = nf, nf
-    else:
-        # Steps k0..k1 (cell k to k + 1) bound the non-uniform stencils:
-        # faces k0 - 2 ng + 2 .. k1, widened by one on each side.
-        last = hit.size - 1 - int(hit[::-1].argmax())
-        k0, k1 = first // cells.shape[2], last // cells.shape[2]
-        f0, f1 = max(0, k0 - 2 * ng + 1), min(nf, k1 + 2)
-        if (f0, f1) == (0, nf):
-            return f0, f1
+    cells = pad.reshape(math.prod(pad.shape[:axis]), length, -1)
+    f0, f1 = step_span(cells, ng, spare, spare2)
+    if (f0, f1) == (0, nf):
+        return f0, f1
     ends = cells[:, ::length - 1]
-    finite = xp.isfinite(ends, out=spare.reshape(-1).view(bool)[:ends.size]
-                         .reshape(ends.shape))
+    finite = xp.isfinite(ends, out=_bools(spare, ends.shape))
     return (f0, f1) if bool(finite.all()) else (0, nf)
+
+
+def _bools(buf, shape: tuple) -> object:
+    """A bool view of ``shape`` on the first bytes of ``buf`` (None: none)."""
+    return None if buf is None else (
+        buf.reshape(-1).view(bool)[:math.prod(shape)].reshape(shape))
 
 
 def _cut(lo, hi, axis: int) -> tuple:

@@ -7,7 +7,10 @@ clear :class:`CheckpointError`, and a restart falls back to the newest
 checkpoint that is still whole.
 """
 
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -225,6 +228,33 @@ class TestCheckpointManager:
         _, header, q = CheckpointManager(tmp_path).load_latest()
         assert header.step == 4
         np.testing.assert_array_equal(q, random_q(14))
+
+    def test_dead_writers_temp_files_are_removed(self, tmp_path):
+        # A writer killed inside write_atomic leaves <file>.tmp.<pid>;
+        # a save or clear() removes the prefix's writers' temporaries
+        # whose pid is gone, and keeps a live pid's and other prefixes'.
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True)
+        dead = int(child.stdout)
+        write_sets(tmp_path, (1,), ranks=2)
+        planted = {name: tmp_path / name for name in (
+            f"rank0000_000000002.bin.tmp.{dead}",  # a rank of an older set
+            f"ckpt_000000002.json.tmp.{dead}",     # the manifest's
+            f"ckpt_000000005.bin.tmp.{os.getpid()}",  # a live writer's
+            f"other_000000002.bin.tmp.{dead}")}    # another prefix's
+        for path in planted.values():
+            path.write_bytes(b"torn")
+        mgr = CheckpointManager(tmp_path, keep=1)
+        mgr.save(random_q(2), step=2, time=2.0)
+        left = sorted(p.name for p in tmp_path.iterdir() if ".tmp." in p.name)
+        assert left == sorted([f"ckpt_000000005.bin.tmp.{os.getpid()}",
+                               f"other_000000002.bin.tmp.{dead}"])
+        stale = tmp_path / f"ckpt_000000003.bin.tmp.{dead}"
+        stale.write_bytes(b"torn")
+        mgr.clear()
+        assert not stale.exists()
+        assert planted[f"ckpt_000000005.bin.tmp.{os.getpid()}"].exists()
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoints"):

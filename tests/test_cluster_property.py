@@ -75,6 +75,43 @@ class TestHaloProperty:
             assert all(c >= 1 for c in local)
 
 
+@st.composite
+def weighed_grid(draw):
+    """Global cells, rank count, periodicity, ghost width and a state of
+    random uniform runs (so the candidates' predictions differ)."""
+    ndim = draw(st.integers(1, 3))
+    nranks = draw(st.integers(1, 8))
+    cells = tuple(draw(st.lists(st.integers(nranks, 24), min_size=ndim,
+                                max_size=ndim)))
+    periodic = tuple(draw(st.lists(st.booleans(), min_size=ndim,
+                                   max_size=ndim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    state = rng.integers(0, 2, (2, *cells)).astype(DTYPE)
+    return cells, nranks, periodic, draw(st.integers(1, 3)), state
+
+
+class TestWorkBalancedGridProperty:
+    @given(weighed_grid())
+    @settings(max_examples=60, deadline=None)
+    def test_every_candidate_moves_the_default_halo_traffic(self, cfg):
+        # The e2e harness reconciles a run's halo messages against
+        # balanced()'s grid, whichever candidate the run marched.
+        cells, nranks, periodic, ng, state = cfg
+        default = BlockDecomposition.balanced(cells, nranks, periodic)
+        chosen = BlockDecomposition.balanced(cells, nranks, periodic,
+                                             state=state, ng=ng)
+        assert sorted(chosen.rank_grid) == sorted(default.rank_grid)
+        grids = {chosen.rank_grid, *(grid for grid, _ in chosen.predicted)}
+        for grid in grids:
+            decomp = BlockDecomposition(cells, grid, periodic)
+            assert decomp.total_messages() == default.total_messages()
+            assert decomp.total_halo_bytes(ng, 2) == \
+                default.total_halo_bytes(ng, 2)
+        if chosen.predicted:
+            predicted = dict(chosen.predicted)
+            assert predicted[chosen.rank_grid] == min(predicted.values())
+
+
 class TestAllreduce:
     def test_single_rank_free(self):
         net = NetworkModel.of(FRONTIER)

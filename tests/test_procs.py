@@ -13,6 +13,7 @@ checkpoint set — which restores at any rank count.
 
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -38,7 +39,16 @@ from repro.grid import StructuredGrid
 from repro.io.binary import HEADER_BYTES
 from repro.io.checkpoint import CheckpointManager
 from repro.profiling import HaloCounters, Profile
-from repro.solver import Case, Patch, RHS, RHSConfig, Simulation, box, sphere
+from repro.solver import (
+    RHS,
+    Case,
+    Patch,
+    RHSConfig,
+    Simulation,
+    box,
+    halfspace,
+    sphere,
+)
 from tests.conftest import live_children
 
 AIR = StiffenedGas(1.4)
@@ -53,6 +63,22 @@ def bubble_case(shape):
                    (0.3,) + (0.0,) * (ndim - 1), 1.0, (0.5,)))
     case.add(Patch(sphere([0.4] * ndim, 0.2), (1.0, 1.0),
                    (0.0,) * ndim, 2.0, (0.5,)))
+    return case
+
+
+def shock_bubble_case(shape):
+    """A shock about to hit a helium bubble, both near the low-x end (the
+    ``ranks2-192`` layout): a split along x hands rank 0 most of the
+    non-uniform cells."""
+    ndim, rest = len(shape), (0.0,) * (len(shape) - 1)
+    grid = StructuredGrid.uniform(tuple((0.0, 1.0) for _ in shape), shape)
+    case = Case(grid, Mixture((AIR, StiffenedGas(1.667))))
+    case.add(Patch(box([0.0] * ndim, [1.0] * ndim), (1.0, 0.0002),
+                   (0.0,) + rest, 1.0, (0.999,)))
+    case.add(Patch(halfspace(0, 0.15), (1.3764, 0.000275), (0.394,) + rest,
+                   1.5698, (0.999,)))
+    case.add(Patch(sphere([0.4] + [0.5] * (ndim - 1), 0.15), (0.001, 0.1819),
+                   (0.0,) * ndim, 1.0, (0.001,)))
     return case
 
 
@@ -544,6 +570,106 @@ class TestSimulationRanksWiring:
                        **kwargs)
 
 
+class TestWorkBalancedGrid:
+    """A multi-rank ``Simulation.run`` marches, of the axis permutations
+    of ``balanced()``'s grid that cost its halo traffic, the one whose
+    busiest block is predicted the fewest active faces on its state."""
+
+    BCS = BoundarySet.all_extrapolation(2)
+
+    def test_uniform_and_symmetric_states_keep_the_default_grid(self):
+        centred = Case(StructuredGrid.uniform(((0.0, 1.0),) * 2, (48, 48)),
+                       MIX)
+        centred.add(Patch(box([0.0, 0.0], [1.0, 1.0]), (0.5, 0.5),
+                          (0.0, 0.0), 1.0, (0.5,)))
+        centred.add(Patch(sphere([0.5, 0.5], 0.2), (1.0, 1.0), (0.0, 0.0),
+                          2.0, (0.5,)))
+        states = [((48, 48), centred.initial_conservative())] + [
+            (shape, np.ones((5, *shape))) for shape in
+            ((48, 48), (30, 30), (16, 16, 16))]
+        for shape, state in states:
+            for nranks in (2, 3):
+                default = BlockDecomposition.balanced(shape, nranks)
+                chosen = BlockDecomposition.balanced(shape, nranks,
+                                                     state=state, ng=3)
+                assert chosen.rank_grid == default.rank_grid
+                assert len(chosen.predicted) > 1
+                assert len({busiest for _, busiest in chosen.predicted}) == 1
+
+    def test_shock_bubble_picks_the_split_that_evens_the_ranks(self):
+        case = shock_bubble_case((48, 48))
+        sim = Simulation(case, self.BCS, ranks=2, validate_every=0)
+        sim.run(n_steps=4)
+        assert BlockDecomposition.balanced((48, 48), 2).rank_grid == (2, 1)
+        assert sim.decomp.rank_grid == (1, 2)
+        predicted = dict(sim.decomp.predicted)
+        assert predicted[(1, 2)] < predicted[(2, 1)]
+        done = [faces for _, faces, _ in sim.rank_loads]
+        assert max(done) <= 1.1 * min(done)
+        x_split = ProcessCluster(
+            case.grid, case.layout, case.mixture, self.BCS,
+            BlockDecomposition((48, 48), (2, 1)), RHSConfig(),
+            validate_every=0).run(case.initial_conservative(), n_steps=4)
+        done = [faces for _, faces, _ in x_split.ranks]
+        assert max(done) >= 1.5 * min(done)
+        np.testing.assert_array_equal(x_split.q, sim.q)
+
+    @pytest.mark.parametrize("shape,nranks", [
+        ((48, 48), 2), ((48, 48), 4), ((16, 16, 16), 2)])
+    def test_the_chosen_grid_is_bitwise_the_serial_march(self, shape,
+                                                          nranks):
+        case = shock_bubble_case(shape)
+        bcs = BoundarySet.all_extrapolation(len(shape))
+        serial = serial_march(case, bcs, n_steps=3)
+        sim = Simulation(case, bcs, ranks=nranks, validate_every=0)
+        sim.run(n_steps=3)
+        np.testing.assert_array_equal(sim.q, serial.q)
+        assert sim.time == serial.time
+        default = BlockDecomposition.balanced(shape, nranks).rank_grid
+        # A 2x2 grid has one candidate; two ranks move off the x split.
+        assert (sim.decomp.rank_grid != default) == (nranks == 2)
+
+    def test_a_too_narrow_candidate_is_skipped_not_refused(self):
+        # 16x4 over 2 ranks: a y split's 2-cell blocks cannot post a
+        # WENO5 strip (ng = 3), so only the x split is weighed.
+        state = shock_bubble_case((16, 4)).initial_conservative()
+        chosen = BlockDecomposition.balanced((16, 4), 2, state=state, ng=3)
+        assert [grid for grid, _ in chosen.predicted] == [(2, 1)]
+        # 5x5: neither split can post WENO5 strips, so none is weighed and
+        # the default grid goes to the cluster, which refuses it as ever.
+        case = shock_bubble_case((5, 5))
+        state = case.initial_conservative()
+        chosen = BlockDecomposition.balanced((5, 5), 2, state=state, ng=3)
+        assert chosen == BlockDecomposition.balanced((5, 5), 2)
+        assert chosen.predicted == ()
+        assert len(BlockDecomposition.balanced(
+            (5, 5), 2, state=state, ng=2).predicted) == 2
+        with pytest.raises(ConfigurationError, match="ghost width"):
+            Simulation(case, self.BCS, ranks=2).run(n_steps=1)
+
+    def test_a_set_written_on_the_chosen_grid_restores_anywhere(self,
+                                                                tmp_path):
+        case = shock_bubble_case((48, 48))
+        serial = serial_march(case, self.BCS, n_steps=6)
+        writer = Simulation(case, self.BCS, ranks=2, validate_every=0,
+                            checkpoint_every=2, checkpoint_dir=tmp_path)
+        writer.run(n_steps=4)
+        assert writer.decomp.rank_grid == (1, 2)
+        sim = Simulation(case, self.BCS, validate_every=0,
+                         checkpoint_dir=tmp_path)
+        sim.restore_latest()
+        sim.run(n_steps=2)
+        np.testing.assert_array_equal(sim.q, serial.q)
+        _, header, q = CheckpointManager(tmp_path).load_latest()
+        default = ProcessCluster(
+            case.grid, case.layout, case.mixture, self.BCS,
+            BlockDecomposition.balanced((48, 48), 2), RHSConfig(),
+            validate_every=0).run(q, n_steps=2, base_time=header.time,
+                                  base_step=header.step)
+        np.testing.assert_array_equal(default.q, serial.q)
+        assert default.time == serial.time
+
+
 def _refusal_cases():
     """One construction that must trip each row of ``REFUSALS``."""
     case, bcs = bubble_case((16, 16)), BoundarySet.all_periodic(2)
@@ -572,8 +698,6 @@ class TestDeclaredRefusals:
 
     @pytest.mark.parametrize("row", range(7))
     def test_each_row_is_raised_with_its_reason(self, row):
-        import re
-
         from repro.solver.options import REFUSALS
 
         assert len(REFUSALS) == 7  # a new row needs a case above
@@ -811,6 +935,8 @@ class TestCaseFileAndCLI:
         out = capsys.readouterr().out
         assert "2 ranks" in out
         assert "halo:" in out
+        assert re.search(r"^rank grid \d×\d: busiest block [\d,]+ predicted "
+                         r"faces per RHS \(\d×\d: [\d,]+\)$", out, re.M)
         assert "rank 0: faces evaluated" in out
         assert "rank 1: faces evaluated" in out
         _, q_serial = read_snapshot(serial_snap)
